@@ -78,7 +78,7 @@ void Fabric::InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) {
     m_header_flits_->Add(pkt->header_flits);
   }
   const int cid = InjChannelId(n);
-  EnqueueTx(cid, Tx{std::move(pkt), ready, nullptr});
+  EnqueueTx(cid, Tx{std::move(pkt), ready});
 }
 
 int Fabric::InjectionBacklog(NodeId n) const {
@@ -160,9 +160,26 @@ void Fabric::EnqueueTx(int channel_id, Tx tx) {
   Pump(channel_id);
 }
 
-void Fabric::ReleaseSrcBuffer(const BufferedPtr& buf) {
-  if (buf && --buf->pending_branches == 0 && buf->slot_pool >= 0)
-    input_slots_[static_cast<std::size_t>(buf->slot_pool)].Release(engine_);
+int Fabric::NewBuffered(int slot_pool) {
+  int buf;
+  if (free_buffered_.empty()) {
+    buf = static_cast<int>(buffered_.size());
+    buffered_.emplace_back();
+  } else {
+    buf = free_buffered_.back();
+    free_buffered_.pop_back();
+  }
+  buffered_[static_cast<std::size_t>(buf)] = Buffered{slot_pool, 0};
+  return buf;
+}
+
+void Fabric::ReleaseSrcBuffer(int buf) {
+  if (buf < 0) return;
+  Buffered& b = buffered_[static_cast<std::size_t>(buf)];
+  if (--b.pending_branches > 0) return;
+  const int pool = b.slot_pool;
+  free_buffered_.push_back(buf);
+  input_slots_[static_cast<std::size_t>(pool)].Release(engine_);
 }
 
 void Fabric::ReportDrop(const PacketPtr& pkt, SwitchId where) {
@@ -337,8 +354,7 @@ void Fabric::HeadArrive(SwitchId s, PortId in_port, PacketPtr pkt,
   ++packets_switched_;
   if (m_switched_) m_switched_->Add();
   Trace(TraceKind::kHeadArrive, *pkt, s, in_port);
-  auto buf = std::make_shared<Buffered>();
-  buf->slot_pool = static_cast<int>(PortIdx(s, in_port));
+  const int buf = NewBuffered(static_cast<int>(PortIdx(s, in_port)));
   const Cycles tail_time = head_time + pkt->WireFlits() - 1;
   engine_.ScheduleAt(head_time + params_.route_delay,
                      [this, s, pkt = std::move(pkt), buf, tail_time]() {
@@ -346,17 +362,19 @@ void Fabric::HeadArrive(SwitchId s, PortId in_port, PacketPtr pkt,
                      });
 }
 
-void Fabric::Route(SwitchId s, PacketPtr pkt, Cycles tail_time,
-                   const BufferedPtr& buf) {
+void Fabric::Route(SwitchId s, PacketPtr pkt, Cycles tail_time, int buf) {
   std::vector<RouteBranch> branches;
   const PortLoadFn load = [this](SwitchId sw, PortId p) {
     return channels_[static_cast<std::size_t>(OutChannelId(sw, p))].Load();
   };
-  const auto free_buffer_at_tail = [this, tail_time, &buf]() {
+  Buffered& held = buffered_[static_cast<std::size_t>(buf)];
+  const int pool = held.slot_pool;
+  const auto free_buffer_at_tail = [this, tail_time, buf, pool]() {
+    // No branch claims the entry: recycle it now, the slot at the tail.
+    free_buffered_.push_back(buf);
     const Cycles when = std::max(engine_.Now(), tail_time);
-    engine_.ScheduleAt(when, [this, pool = buf->slot_pool]() {
-      if (pool >= 0)
-        input_slots_[static_cast<std::size_t>(pool)].Release(engine_);
+    engine_.ScheduleAt(when, [this, pool]() {
+      input_slots_[static_cast<std::size_t>(pool)].Release(engine_);
     });
   };
   if (drop_ != nullptr) {
@@ -377,15 +395,14 @@ void Fabric::Route(SwitchId s, PacketPtr pkt, Cycles tail_time,
     free_buffer_at_tail();
     return;
   }
-  buf->pending_branches = static_cast<int>(branches.size());
+  held.pending_branches = static_cast<int>(branches.size());
   if (m_fanout_) {
     m_fanout_->Add(static_cast<std::int64_t>(branches.size()));
     m_replications_->Add(static_cast<std::int64_t>(branches.size()) - 1);
   }
   Trace(TraceKind::kRoute, *pkt, s, static_cast<std::int32_t>(branches.size()));
   const Cycles ready = engine_.Now() + params_.xbar_delay;
-  const int in_port =
-      buf->slot_pool >= 0 ? buf->slot_pool % ports_ : -1;
+  const int in_port = pool % ports_;
   for (RouteBranch& b : branches) {
     Trace(TraceKind::kBranch, *b.pkt, s, static_cast<std::int32_t>(b.port));
     const int cid = OutChannelId(s, b.port);

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "metrics/metrics.hpp"
@@ -70,16 +69,20 @@ class Fabric final : public NetworkModel {
   void SwapSystem(const System& sys) override;
 
  private:
+  /// A packet holding an input-buffer slot at a switch until all of its
+  /// replica branches have drained. Lives in buffered_, recycled through
+  /// free_buffered_ once the last branch releases it.
   struct Buffered {
-    int slot_pool = -1;  ///< index into input_slots_, -1 for none
+    int slot_pool = -1;  ///< index into input_slots_
     int pending_branches = 0;
   };
-  using BufferedPtr = std::shared_ptr<Buffered>;
 
   struct Tx {
     PacketPtr pkt;
     Cycles ready = 0;
-    BufferedPtr src_buffer;  ///< slot to release when this branch drains
+    /// Index into buffered_ of the slot to release when this branch
+    /// drains; -1 for injections.
+    int src_buffer = -1;
     /// Arbitration tie-break: the input port the packet occupies at this
     /// switch (-1 for injections, which never contend). Same-cycle
     /// contenders for one output channel are granted lowest-port-first —
@@ -123,14 +126,16 @@ class Fabric final : public NetworkModel {
   void Pick(int channel_id);
   void StartTx(int channel_id, Tx tx);
   void HeadArrive(SwitchId s, PortId in_port, PacketPtr pkt, Cycles head_time);
-  void Route(SwitchId s, PacketPtr pkt, Cycles decision_time,
-             const BufferedPtr& buf);
+  void Route(SwitchId s, PacketPtr pkt, Cycles decision_time, int buf);
 
   /// Queue a branch/injection on a channel, or drop it on the spot when
   /// the channel is dead.
   void EnqueueTx(int channel_id, Tx tx);
-  /// Drains a drained/dropped branch's claim on its source buffer.
-  void ReleaseSrcBuffer(const BufferedPtr& buf);
+  /// A fresh buffered_ entry holding input slot `slot_pool`.
+  int NewBuffered(int slot_pool);
+  /// Drains a drained/dropped branch's claim on its source buffer; the
+  /// last claim frees the input slot and recycles the entry.
+  void ReleaseSrcBuffer(int buf);
   /// Hands a truncated packet to the drop handler (which must exist —
   /// faults without a retransmit layer would silently lose payload).
   void ReportDrop(const PacketPtr& pkt, SwitchId where);
@@ -184,6 +189,8 @@ class Fabric final : public NetworkModel {
 
   std::vector<Channel> channels_;           // switch out-channels, then injections
   std::vector<CountingResource> input_slots_;  // [switch*ports + port]
+  std::vector<Buffered> buffered_;   // packets holding input slots
+  std::vector<int> free_buffered_;   // recycled buffered_ indices
   std::int64_t flits_sent_ = 0;
   std::int64_t packets_switched_ = 0;
 };

@@ -5,16 +5,15 @@
 namespace irmc {
 
 Cycles Engine::RunToQuiescence() {
-  while (!queue_.Empty()) queue_.RunNext();
+  while (queue_.RunNext()) {
+  }
   return queue_.Now();
 }
 
 bool Engine::RunUntil(Cycles deadline) {
-  while (!queue_.Empty()) {
-    if (queue_.PeekTime() > deadline) return false;
-    queue_.RunNext();
+  while (queue_.RunNext(deadline)) {
   }
-  return true;
+  return queue_.Empty();
 }
 
 void Engine::CollectMetrics(MetricsRegistry& reg) const {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 
@@ -15,14 +16,17 @@ class Engine {
  public:
   Cycles Now() const { return queue_.Now(); }
 
-  /// Schedule `action` `delay` cycles from now (delay >= 0).
-  void ScheduleAfter(Cycles delay, EventQueue::Action action) {
+  /// Schedule `fn` (an EventQueue::Action or a callable one can hold)
+  /// `delay` cycles from now (delay >= 0).
+  template <class F>
+  void ScheduleAfter(Cycles delay, F&& fn) {
     IRMC_EXPECT(delay >= 0);
-    queue_.ScheduleAt(Now() + delay, std::move(action));
+    queue_.ScheduleAt(Now() + delay, std::forward<F>(fn));
   }
 
-  void ScheduleAt(Cycles when, EventQueue::Action action) {
-    queue_.ScheduleAt(when, std::move(action));
+  template <class F>
+  void ScheduleAt(Cycles when, F&& fn) {
+    queue_.ScheduleAt(when, std::forward<F>(fn));
   }
 
   /// Run until no events remain. Returns the final time.

@@ -1,31 +1,111 @@
 #include "sim/event_queue.hpp"
 
-#include <utility>
+#include <algorithm>
+#include <bit>
 
 namespace irmc {
 
-void EventQueue::ScheduleAt(Cycles when, Action action) {
-  IRMC_EXPECT(when >= now_);
-  IRMC_EXPECT(action != nullptr);
-  heap_.push(Entry{when, next_seq_++, std::move(action)});
+namespace {
+
+struct Later {
+  template <class E>
+  bool operator()(const E& a, const E& b) const {
+    if (a.when != b.when) return a.when > b.when;
+    return a.seq > b.seq;
+  }
+};
+
+}  // namespace
+
+std::uint32_t EventQueue::NewSlot() {
+  if (free_ != kNil) {
+    const std::uint32_t id = free_;
+    free_ = slots_[id].next;
+    return id;
+  }
+  IRMC_EXPECT(slots_.size() < kNil);
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-Cycles EventQueue::PeekTime() const {
-  IRMC_EXPECT(!heap_.empty());
-  return heap_.top().when;
+void EventQueue::Insert(Cycles when, std::uint32_t id) {
+  ++size_;
+  if (when - now_ < kWindow) {
+    Append(static_cast<std::size_t>(when) & kMask, id);
+  } else {
+    overflow_.push_back(Overflow{when, overflow_seq_++, id});
+    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+  }
 }
 
-void EventQueue::RunNext() {
-  IRMC_EXPECT(!heap_.empty());
-  // priority_queue::top() is const; move out via const_cast is UB-adjacent,
-  // so copy the action handle (shared_ptr inside std::function is cheap
-  // relative to model logic) and pop before running.
-  Entry top = heap_.top();
-  heap_.pop();
-  IRMC_ENSURE(top.when >= now_);
-  now_ = top.when;
+void EventQueue::Append(std::size_t b, std::uint32_t id) {
+  slots_[id].next = kNil;
+  Bucket& bucket = buckets_[b];
+  std::uint64_t& word = occupied_[b / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (b % 64);
+  if ((word & bit) != 0) {
+    slots_[bucket.tail].next = id;
+  } else {
+    bucket.head = id;
+    word |= bit;
+  }
+  bucket.tail = id;
+  ++in_window_;
+}
+
+void EventQueue::Migrate() {
+  while (!overflow_.empty() && overflow_.front().when - now_ < kWindow) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
+    const Overflow e = overflow_.back();
+    overflow_.pop_back();
+    Append(static_cast<std::size_t>(e.when) & kMask, e.slot);
+  }
+}
+
+Cycles EventQueue::NextTime() const {
+  // Every bucketed event precedes every overflow event, so the window
+  // decides whenever it holds anything.
+  if (in_window_ == 0) return overflow_.front().when;
+  const std::size_t start = static_cast<std::size_t>(now_) & kMask;
+  std::size_t w = start / 64;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
+  while (bits == 0) {
+    // Wrapping back to the start word finds the buckets below `start`,
+    // which hold the latest times of the window.
+    w = (w + 1) % kWords;
+    bits = occupied_[w];
+  }
+  const std::size_t b =
+      w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+  return now_ + static_cast<Cycles>((b - start) & kMask);
+}
+
+bool EventQueue::RunNext(Cycles deadline) {
+  if (size_ == 0) return false;
+  const Cycles when = NextTime();
+  if (when > deadline) return false;
+  IRMC_ENSURE(when >= now_);
+  if (when != now_) {
+    now_ = when;
+    Migrate();
+  }
+  const std::size_t b = static_cast<std::size_t>(when) & kMask;
+  Bucket& bucket = buckets_[b];
+  const std::uint32_t id = bucket.head;
+  bucket.head = slots_[id].next;
+  if (bucket.head == kNil)
+    occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+  --in_window_;
+  --size_;
   ++executed_;
-  top.action();
+  // Move the action out and recycle its slot before running it: the
+  // action may schedule events, which may reuse the slot or grow the
+  // arena.
+  Action action = std::move(slots_[id].action);
+  slots_[id].next = free_;
+  free_ = id;
+  action();
+  return true;
 }
 
 }  // namespace irmc

@@ -1,13 +1,28 @@
-// Deterministic discrete-event queue.
+// Deterministic discrete-event queue: a calendar of one-cycle buckets.
 //
-// Events at equal timestamps fire in insertion order (a monotone sequence
-// number breaks ties), so a simulation is bit-reproducible from its seed
-// regardless of heap internals.
+// Events fire in (time, insertion order): equal timestamps run in the
+// order they were scheduled, so a simulation is bit-reproducible from its
+// seed.
+//
+// Layout. A ring of kWindow FIFO buckets holds every event due in
+// [Now(), Now() + kWindow), one bucket per cycle, with an occupancy bitmap
+// to find the next non-empty one. Events due later (message arrivals,
+// acks, repair timers) wait in a small (time, seq) min-heap. When Now()
+// advances, the heap events that enter the window move to their buckets
+// in (time, seq) order before any event at the new time runs; a heap
+// event is always older than any event scheduled straight into the same
+// bucket, so bucket order stays insertion order.
+//
+// Actions are stored inline (no heap allocation per event) in a recycled
+// slot arena; buckets and the heap hold 32-bit slot ids.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -15,24 +30,130 @@
 
 namespace irmc {
 
-/// Callback-based event. Kept deliberately simple: the network model's
-/// hot path schedules O(hops) events per packet, not O(flits), so the
-/// std::function overhead is irrelevant next to model logic.
 class EventQueue {
  public:
-  using Action = std::function<void()>;
+  /// Move-only `void()` callable with a fixed inline buffer. A capture
+  /// larger than kInlineBytes is a compile error, not a heap fallback:
+  /// capture an index or a pointer instead of a bulky value.
+  class Action {
+   public:
+    static constexpr std::size_t kInlineBytes = 64;
 
-  /// Schedule `action` at absolute time `when` (>= current Now()).
-  void ScheduleAt(Cycles when, Action action);
+    Action() noexcept = default;
+
+    // Implicit on purpose: a lambda passes wherever an Action is taken.
+    template <class F, class = std::enable_if_t<
+                           !std::is_same_v<std::decay_t<F>, Action>>>
+    Action(F&& fn) {
+      Emplace(std::forward<F>(fn));
+    }
+
+    /// Replaces the stored callable with `fn`, constructed in place.
+    template <class F>
+    void Emplace(F&& fn) {
+      using Fn = std::decay_t<F>;
+      static_assert(!std::is_same_v<Fn, Action>);
+      static_assert(sizeof(Fn) <= kInlineBytes,
+                    "event capture exceeds the 64-byte inline buffer");
+      static_assert(alignof(Fn) <= alignof(void*),
+                    "over-aligned event captures are not supported");
+      static_assert(std::is_nothrow_move_constructible_v<Fn>);
+      static_assert(std::is_invocable_r_v<void, Fn&>);
+      Reset();
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+      ops_ = &kOps<Fn>;
+    }
+
+    Action(Action&& other) noexcept { Take(other); }
+    Action& operator=(Action&& other) noexcept {
+      if (this != &other) {
+        Reset();
+        Take(other);
+      }
+      return *this;
+    }
+    Action(const Action&) = delete;
+    Action& operator=(const Action&) = delete;
+    ~Action() { Reset(); }
+
+    explicit operator bool() const noexcept { return ops_ != nullptr; }
+    void operator()() { ops_->invoke(buf_); }
+
+   private:
+    /// Destroys the stored callable (and its captures), leaving it empty.
+    void Reset() noexcept {
+      if (ops_ != nullptr) {
+        ops_->destroy(buf_);
+        ops_ = nullptr;
+      }
+    }
+
+    struct Ops {
+      void (*invoke)(void*);
+      /// Move-constructs the callable at dst from src, then destroys src.
+      void (*relocate)(void* dst, void* src) noexcept;
+      void (*destroy)(void*) noexcept;
+    };
+    template <class Fn>
+    static void Invoke(void* p) {
+      (*static_cast<Fn*>(p))();
+    }
+    template <class Fn>
+    static void Relocate(void* dst, void* src) noexcept {
+      Fn* from = static_cast<Fn*>(src);
+      ::new (dst) Fn(std::move(*from));
+      from->~Fn();
+    }
+    template <class Fn>
+    static void Destroy(void* p) noexcept {
+      static_cast<Fn*>(p)->~Fn();
+    }
+    template <class Fn>
+    static constexpr Ops kOps{&Invoke<Fn>, &Relocate<Fn>, &Destroy<Fn>};
+
+    void Take(Action& other) noexcept {
+      if (other.ops_ == nullptr) return;
+      other.ops_->relocate(buf_, other.buf_);
+      ops_ = other.ops_;
+      other.ops_ = nullptr;
+    }
+
+    alignas(void*) unsigned char buf_[kInlineBytes];
+    const Ops* ops_ = nullptr;
+  };
+
+  /// Calendar span in cycles (a power of two), sized from the measured
+  /// delay spread: on a fig9 load run 94% of events are scheduled less
+  /// than 1024 cycles ahead and 98% less than 2048 (a 1024-flit
+  /// message's tail delay just exceeds 1024). 2048 ran ~4% faster than
+  /// 1024; 4096 gained nothing more.
+  static constexpr Cycles kWindow = 2048;
+
+  EventQueue() : buckets_(static_cast<std::size_t>(kWindow)) {}
+
+  /// Schedule `fn` (an Action, or any callable an Action can hold) at
+  /// absolute time `when` (>= current Now()).
+  template <class F>
+  void ScheduleAt(Cycles when, F&& fn) {
+    IRMC_EXPECT(when >= now_);
+    const std::uint32_t id = NewSlot();
+    Action& action = slots_[id].action;
+    if constexpr (std::is_same_v<std::decay_t<F>, Action>) {
+      IRMC_EXPECT(static_cast<bool>(fn));
+      action = std::move(fn);
+    } else {
+      action.Emplace(std::forward<F>(fn));
+    }
+    Insert(when, id);
+  }
 
   /// True when no events remain.
-  bool Empty() const { return heap_.empty(); }
+  bool Empty() const { return size_ == 0; }
 
-  /// Timestamp of the next event. Requires !Empty().
-  Cycles PeekTime() const;
-
-  /// Pop and run the next event, advancing Now() to its timestamp.
-  void RunNext();
+  /// Runs the next event if it is due at or before `deadline`, advancing
+  /// Now() to its timestamp. Returns false, running nothing, when the
+  /// queue is empty or the next event is later than `deadline`.
+  bool RunNext(Cycles deadline = kNever);
 
   /// Current simulated time (timestamp of the last event run).
   Cycles Now() const { return now_; }
@@ -41,20 +162,45 @@ class EventQueue {
   std::uint64_t executed() const { return executed_; }
 
  private:
-  struct Entry {
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  static constexpr std::size_t kMask = static_cast<std::size_t>(kWindow) - 1;
+  static constexpr std::size_t kWords = static_cast<std::size_t>(kWindow) / 64;
+  static_assert((kWindow & (kWindow - 1)) == 0 && kWindow >= 64);
+
+  struct Slot {
+    Action action;  ///< empty while the slot is free
+    std::uint32_t next = kNil;  ///< next in its bucket or the free list
+  };
+  struct Bucket {
+    std::uint32_t head = kNil;  ///< valid only while the occupancy bit is set
+    std::uint32_t tail = kNil;
+  };
+  struct Overflow {
     Cycles when;
     std::uint64_t seq;
-    Action action;
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+
+  /// A free slot id, recycled first; its action is empty.
+  std::uint32_t NewSlot();
+  /// Files a filled slot under `when`: its bucket, or the overflow heap.
+  void Insert(Cycles when, std::uint32_t id);
+  /// Appends `id` to the FIFO of bucket `b`.
+  void Append(std::size_t b, std::uint32_t id);
+  /// Moves the overflow events that fall inside the window into buckets.
+  void Migrate();
+  /// Timestamp of the next event. Requires !Empty().
+  Cycles NextTime() const;
+
+  std::vector<Slot> slots_;
+  std::uint32_t free_ = kNil;  ///< head of the free-slot list
+  std::vector<Bucket> buckets_;  ///< [time % kWindow]
+  std::array<std::uint64_t, kWords> occupied_{};  ///< bit per non-empty bucket
+  std::vector<Overflow> overflow_;  ///< min-heap on (when, seq)
+  std::size_t in_window_ = 0;  ///< events held in buckets
+  std::size_t size_ = 0;       ///< events held in total
   Cycles now_ = 0;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t overflow_seq_ = 0;
   std::uint64_t executed_ = 0;
 };
 

@@ -15,7 +15,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <utility>
 
 #include "common/expect.hpp"
 #include "common/types.hpp"
@@ -45,21 +45,28 @@ class TimelineResource {
   Cycles busy_total_ = 0;
 };
 
+/// Move-only: queued waiters are move-only EventQueue::Actions.
 class CountingResource {
  public:
   explicit CountingResource(int slots) : available_(slots) {
     IRMC_EXPECT(slots > 0);
   }
+  CountingResource(CountingResource&&) noexcept = default;
+  CountingResource& operator=(CountingResource&&) noexcept = default;
+  CountingResource(const CountingResource&) = delete;
+  CountingResource& operator=(const CountingResource&) = delete;
 
-  /// Acquire one slot; `granted` runs immediately (same timestamp) if a
-  /// slot is free, otherwise when a slot is released, in FIFO order.
-  void Acquire(Engine& engine, std::function<void()> granted) {
-    IRMC_EXPECT(granted != nullptr);
+  /// Acquire one slot; `granted` (an EventQueue::Action or a callable one
+  /// can hold) runs immediately (same timestamp) if a slot is free,
+  /// otherwise when a slot is released, in FIFO order.
+  template <class F>
+  void Acquire(Engine& engine, F&& granted) {
     if (available_ > 0) {
       --available_;
-      engine.ScheduleAfter(0, std::move(granted));
+      engine.ScheduleAfter(0, std::forward<F>(granted));
     } else {
-      waiters_.push_back(std::move(granted));
+      waiters_.emplace_back(std::forward<F>(granted));
+      IRMC_EXPECT(static_cast<bool>(waiters_.back()));
       if (static_cast<std::int64_t>(waiters_.size()) > max_queue_)
         max_queue_ = static_cast<std::int64_t>(waiters_.size());
     }
@@ -85,7 +92,7 @@ class CountingResource {
 
  private:
   int available_;
-  std::deque<std::function<void()>> waiters_;
+  std::deque<EventQueue::Action> waiters_;
   std::int64_t max_queue_ = 0;
 };
 

@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <queue>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/engine.hpp"
+#include "sim/resource.hpp"
 
 namespace irmc {
 namespace {
+
+constexpr Cycles kW = EventQueue::kWindow;
 
 TEST(EventQueue, RunsInTimeOrder) {
   EventQueue q;
@@ -15,7 +25,8 @@ TEST(EventQueue, RunsInTimeOrder) {
   q.ScheduleAt(30, [&] { order.push_back(3); });
   q.ScheduleAt(10, [&] { order.push_back(1); });
   q.ScheduleAt(20, [&] { order.push_back(2); });
-  while (!q.Empty()) q.RunNext();
+  while (q.RunNext()) {
+  }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(q.Now(), 30);
 }
@@ -25,7 +36,8 @@ TEST(EventQueue, FifoAtEqualTimes) {
   std::vector<int> order;
   for (int i = 0; i < 10; ++i)
     q.ScheduleAt(5, [&order, i] { order.push_back(i); });
-  while (!q.Empty()) q.RunNext();
+  while (q.RunNext()) {
+  }
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -36,7 +48,8 @@ TEST(EventQueue, EventsCanScheduleEvents) {
     ++fired;
     q.ScheduleAt(2, [&] { ++fired; });
   });
-  while (!q.Empty()) q.RunNext();
+  while (q.RunNext()) {
+  }
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(q.Now(), 2);
 }
@@ -45,15 +58,269 @@ TEST(EventQueue, SameTimeSelfScheduleRunsThisSweep) {
   EventQueue q;
   int fired = 0;
   q.ScheduleAt(5, [&] { q.ScheduleAt(5, [&] { ++fired; }); });
-  while (!q.Empty()) q.RunNext();
+  while (q.RunNext()) {
+  }
   EXPECT_EQ(fired, 1);
 }
 
 TEST(EventQueue, ExecutedCount) {
   EventQueue q;
   for (int i = 0; i < 7; ++i) q.ScheduleAt(i, [] {});
-  while (!q.Empty()) q.RunNext();
+  while (q.RunNext()) {
+  }
   EXPECT_EQ(q.executed(), 7u);
+}
+
+TEST(EventQueue, RunNextHonoursDeadline) {
+  EventQueue q;
+  int fired = 0;
+  q.ScheduleAt(10, [&] { ++fired; });
+  EXPECT_FALSE(q.RunNext(9));
+  EXPECT_EQ(q.Now(), 0);  // a refused step does not advance time
+  EXPECT_TRUE(q.RunNext(10));
+  EXPECT_FALSE(q.RunNext(100));
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(q.Empty());
+}
+
+// An event parked in the overflow heap is older than one scheduled
+// straight into the same bucket later, so it must still fire first; an
+// event the migrated one schedules for the same cycle fires after both.
+TEST(EventQueue, MigratedOverflowKeepsInsertionOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  const Cycles t = kW + 5;
+  q.ScheduleAt(t, [&] {  // from time 0: beyond the window, overflow
+    order.push_back(1);
+    q.ScheduleAt(t, [&] { order.push_back(3); });
+  });
+  q.ScheduleAt(6, [&] {  // from time 6: inside the window, direct
+    q.ScheduleAt(t, [&] { order.push_back(2); });
+  });
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.Now(), t);
+}
+
+TEST(EventQueue, JumpsAcrossAnEmptyWindow) {
+  EventQueue q;
+  std::vector<Cycles> seen;
+  for (Cycles t : {Cycles{3'000'000}, Cycles{1'000'000}, Cycles{1'000'001}})
+    q.ScheduleAt(t, [&] { seen.push_back(q.Now()); });
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(seen, (std::vector<Cycles>{1'000'000, 1'000'001, 3'000'000}));
+}
+
+// ---------------------------------------------------------------------------
+// Reference model: the (when, seq) priority queue the calendar replaced.
+// Seeded random schedules must fire in the identical order on both.
+// ---------------------------------------------------------------------------
+
+class RefEngine {
+ public:
+  Cycles Now() const { return now_; }
+  bool Idle() const { return heap_.empty(); }
+  void ScheduleAfter(Cycles delay, std::function<void()> fn) {
+    heap_.push(Entry{now_ + delay, seq_++, std::move(fn)});
+  }
+  bool RunUntil(Cycles deadline) {
+    while (!heap_.empty()) {
+      if (heap_.top().when > deadline) return false;
+      Entry e = heap_.top();
+      heap_.pop();
+      now_ = e.when;
+      e.fn();
+    }
+    return true;
+  }
+
+ private:
+  struct Entry {
+    Cycles when;
+    std::uint64_t seq;
+    std::function<void()> fn;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  Cycles now_ = 0;
+  std::uint64_t seq_ = 0;
+};
+
+/// Delays aimed at the calendar's edges: same cycle, either side of the
+/// window boundary (relative to the scheduling time), and far beyond it.
+Cycles DrawDelay(Rng& rng) {
+  switch (rng.NextBelow(10)) {
+    case 0:
+    case 1:
+      return 0;
+    case 2:
+      return kW - 1;
+    case 3:
+      return kW;
+    case 4:
+      return kW + 1;
+    case 5:
+      return 1'000'000 + rng.NextInRange(0, 3);
+    case 6:
+      return rng.NextInRange(1, 3);
+    case 7:
+      return rng.NextInRange(kW - 3, kW + 3);
+    default:
+      return rng.NextInRange(1, 4 * kW);
+  }
+}
+
+/// Replays one seeded schedule on `engine`. Every event logs (id, time)
+/// and spawns children from an RNG keyed by its own id, so two engines
+/// that fire events in the same order run the same program. RunUntil is
+/// driven by deadlines that land between buckets, on events, and far
+/// past an emptied window.
+template <class E>
+std::vector<std::pair<int, Cycles>> Replay(std::uint64_t seed) {
+  E engine;
+  std::vector<std::pair<int, Cycles>> log;
+  int next_id = 0;
+  int budget = 20000;
+  std::function<void(int)> fire = [&](int id) {
+    log.emplace_back(id, engine.Now());
+    Rng rng(seed * 1'000'003 + static_cast<std::uint64_t>(id));
+    const int kids = static_cast<int>(rng.NextBelow(3));  // ~critical
+    for (int k = 0; k < kids && budget > 0; ++k, --budget) {
+      const int child = next_id++;
+      engine.ScheduleAfter(DrawDelay(rng), [&fire, child] { fire(child); });
+    }
+  };
+  Rng top(seed);
+  for (int i = 0; i < 40; ++i) {
+    const int id = next_id++;
+    engine.ScheduleAfter(DrawDelay(top), [&fire, id] { fire(id); });
+  }
+  Cycles deadline = 0;
+  int steps = 0;
+  while (!engine.Idle()) {
+    const bool drained = engine.RunUntil(deadline);
+    log.emplace_back(-1, engine.Now());  // per-step state must match too
+    log.emplace_back(drained ? -2 : -3, deadline);
+    ++steps;
+    deadline += top.NextBool(0.03) ? 1'500'000 : top.NextInRange(0, kW + 7);
+  }
+  EXPECT_GT(steps, 50);
+  return log;
+}
+
+TEST(EventQueueReference, RandomSchedulesFireInReferenceOrder) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const auto want = Replay<RefEngine>(seed);
+    const auto got = Replay<Engine>(seed);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << " step " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Action lifetime: captures are destroyed exactly once, whether the event
+// runs, is dropped with its engine, or is overwritten by move-assignment.
+// ---------------------------------------------------------------------------
+
+static_assert(!std::is_copy_constructible_v<EventQueue::Action>);
+static_assert(std::is_nothrow_move_constructible_v<EventQueue::Action>);
+static_assert(!std::is_copy_constructible_v<CountingResource>);
+static_assert(std::is_nothrow_move_constructible_v<CountingResource>);
+
+/// Counts its destructions; a moved-from probe does not count.
+struct Probe {
+  explicit Probe(int* d) : dtors(d) {}
+  Probe(Probe&& o) noexcept : dtors(std::exchange(o.dtors, nullptr)) {}
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
+  Probe& operator=(Probe&&) = delete;
+  ~Probe() {
+    if (dtors != nullptr) ++*dtors;
+  }
+  void operator()() const {}
+  int* dtors;
+};
+
+TEST(ActionLifetime, CaptureReleasedAfterTheEventRuns) {
+  auto p = std::make_shared<int>(0);
+  Engine e;
+  e.ScheduleAfter(3, [p] { ++*p; });
+  e.ScheduleAfter(2 * kW, [p] { ++*p; });  // via the overflow heap
+  EXPECT_EQ(p.use_count(), 3);
+  EXPECT_FALSE(e.RunUntil(3));
+  EXPECT_EQ(p.use_count(), 2);
+  EXPECT_TRUE(e.RunUntil(2 * kW));
+  EXPECT_EQ(p.use_count(), 1);
+  EXPECT_EQ(*p, 2);
+}
+
+TEST(ActionLifetime, CaptureReleasedWhenEngineDiesWithPendingEvents) {
+  auto p = std::make_shared<int>(0);
+  {
+    Engine e;
+    e.ScheduleAfter(0, [p] {});
+    e.ScheduleAfter(kW - 1, [p] {});
+    e.ScheduleAfter(1'000'000, [p] {});
+    CountingResource pool(1);
+    pool.Acquire(e, [p] {});
+    pool.Acquire(e, [p] {});  // parked as a waiter
+    EXPECT_EQ(p.use_count(), 6);
+  }
+  EXPECT_EQ(p.use_count(), 1);
+  EXPECT_EQ(*p, 0);
+}
+
+TEST(ActionLifetime, MoveAssignDestroysTheOldCaptureOnce) {
+  int old_dtors = 0;
+  int new_dtors = 0;
+  {
+    EventQueue::Action a(Probe{&old_dtors});
+    EventQueue::Action b(Probe{&new_dtors});
+    a = std::move(b);
+    EXPECT_EQ(old_dtors, 1);
+    EXPECT_EQ(new_dtors, 0);
+    EXPECT_FALSE(static_cast<bool>(b));  // NOLINT(bugprone-use-after-move)
+    ASSERT_TRUE(static_cast<bool>(a));
+    a();
+  }
+  EXPECT_EQ(old_dtors, 1);
+  EXPECT_EQ(new_dtors, 1);
+}
+
+TEST(ActionLifetime, SlotsAreRecycledAcrossEvents) {
+  int dtors = 0;
+  EventQueue q;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 5; ++i) q.ScheduleAt(q.Now() + i, Probe{&dtors});
+    while (q.RunNext()) {
+    }
+  }
+  EXPECT_EQ(dtors, 15);
+}
+
+TEST(ActionLifetime, CaptureOfExactlyTheInlineSizeFits) {
+  struct Capture {
+    std::uint64_t words[EventQueue::Action::kInlineBytes / 8 - 1];
+    std::uint64_t* out;
+  };
+  static_assert(sizeof(Capture) == EventQueue::Action::kInlineBytes);
+  std::uint64_t seen = 0;
+  Capture cap{};
+  cap.words[6] = 42;
+  cap.out = &seen;
+  EventQueue q;
+  q.ScheduleAt(kW + 1, [cap] { *cap.out = cap.words[6]; });
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(seen, 42u);
 }
 
 TEST(Engine, RunToQuiescenceReturnsFinalTime) {
