@@ -14,13 +14,13 @@ int main() {
   using namespace irmc;
   std::printf("appF: DSM write-invalidation stall time vs sharer count\n");
   SeriesTable table("appF mean write latency (cycles)",
-                    bench::SchemeColumns("sharers"));
+                    report::SchemeColumns("sharers"));
   SeriesTable p95("appF p95 write latency (cycles)",
-                  bench::SchemeColumns("sharers"));
+                  report::SchemeColumns("sharers"));
   for (int sharers : {4, 8, 16, 24}) {
     std::vector<double> row{static_cast<double>(sharers)};
     std::vector<double> row95{static_cast<double>(sharers)};
-    for (SchemeKind scheme : bench::AllSchemes()) {
+    for (SchemeKind scheme : report::PanelSchemes()) {
       SimConfig cfg;
       DsmParams params;
       params.sharers_per_line = sharers;

@@ -36,39 +36,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/build_info.hpp"
-#include "common/json.hpp"
 #include "core/config.hpp"
 #include "core/load_runner.hpp"
 #include "core/series.hpp"
 #include "core/single_runner.hpp"
-#include "metrics/export.hpp"
 #include "report/collect.hpp"
 
 namespace irmc::bench {
-
-inline const std::vector<SchemeKind>& AllSchemes() {
-  static const std::vector<SchemeKind> kSchemes{
-      SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
-      SchemeKind::kTreeWorm, SchemeKind::kPathWorm};
-  return kSchemes;
-}
-
-inline std::vector<std::string> SchemeColumns(const std::string& x_label) {
-  std::vector<std::string> cols{x_label};
-  for (SchemeKind k : AllSchemes()) cols.emplace_back(ToString(k));
-  return cols;
-}
-
-/// Filesystem-safe slug for a panel title ("Fig. 6: latency vs R" ->
-/// "fig_6_latency_vs_r").
-inline std::string SlugifyTitle(const std::string& title) {
-  return report::SlugifyTitle(title);
-}
 
 /// Where sidecars go: $IRMC_METRICS_DIR, defaulting to a `bench-out/`
 /// subdirectory of the working directory (created on demand) so runs
@@ -80,48 +57,6 @@ inline std::string MetricsDir() {
   if (!out.empty()) std::filesystem::create_directories(out);
   return out;
 }
-
-/// Per-point metric sidecar for one panel: appends one JSON line per
-/// (x, scheme) data point to <slug(title)>.metrics.jsonl so figures in
-/// the series tables can be cross-checked against the fabric/driver
-/// counters that produced them. The first line stamps the producing
-/// build ({"kind":"build",...}), like every file-level export. The file
-/// is recreated per run; point order is the panel's deterministic sweep
-/// order, and the registry serialisation is bit-identical for any
-/// IRMC_THREADS, so the sidecar is byte-stable too.
-class MetricsSidecar {
- public:
-  explicit MetricsSidecar(const std::string& title) {
-    const std::string dir = MetricsDir();
-    if (dir.empty()) return;  // disabled
-    path_ = dir + "/" + SlugifyTitle(title) + ".metrics.jsonl";
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      path_.clear();
-      return;
-    }
-    out << "{\"kind\":\"build\",\"value\":" << ToJson(GetBuildInfo()) << "}\n";
-  }
-
-  void Record(const std::string& x_label, double x, SchemeKind scheme,
-              const MetricsRegistry& reg) {
-    if (path_.empty()) return;
-    std::ofstream out(path_, std::ios::app);
-    if (!out) {
-      std::fprintf(stderr, "cannot append sidecar %s\n", path_.c_str());
-      path_.clear();
-      return;
-    }
-    out << '{' << json::Str(x_label) << ':' << json::Num(x)
-        << ",\"scheme\":" << json::Str(ToString(scheme))
-        << ",\"metrics\":" << ToJson(reg) << "}\n";
-  }
-
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;  ///< empty = disabled
-};
 
 /// Applies the IRMC_ENGINE override (if set) to a panel's config.
 /// Aborts on an unknown engine name — a typo'd env var silently
@@ -140,7 +75,9 @@ inline SimConfig WithEnvEngine(SimConfig cfg) {
 /// Runs a panel spec with the sidecar writer attached and appends its
 /// RunRecord to the ledger.
 inline SeriesTable RunRecordedPanel(report::PanelSpec spec) {
-  MetricsSidecar sidecar(spec.title);
+  const std::string dir = MetricsDir();
+  report::MetricsSidecar sidecar(
+      dir.empty() ? std::string() : report::SidecarPath(dir, spec.title));
   spec.on_point = [&sidecar](const std::string& x_label, double x,
                              SchemeKind scheme, const MetricsRegistry& reg) {
     sidecar.Record(x_label, x, scheme, reg);

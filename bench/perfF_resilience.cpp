@@ -5,27 +5,25 @@
 //   guarded   resilience enabled with a zero-fault schedule — the price
 //             of the reliable-delivery layer (acks, dedup bitmaps) when
 //             nothing goes wrong; must stay within the informational 5%
-//             gate, mirroring perfE's metrics gate
+//             gate
 //   faulted   two mid-run faults per trial (mtbf-drawn): measures the
 //             full drop -> retransmit -> Autonet-reconfigure path,
 //             reported with the resilience.* counters
 //
 // Also times raw Autonet reconfiguration throughput (full System
 // rebuilds on degraded graphs), which bounds how fast faults can arrive
-// before reconfiguration becomes the simulation bottleneck. Writes
-// BENCH_perfF.json (to IRMC_METRICS_DIR, default "bench-out/"). The
-// guard-overhead gate prints FAIL above 5% but always exits 0 — timing
-// noise on shared CI runners must not turn it into a flake.
+// before reconfiguration becomes the simulation bottleneck. Prints a
+// summary and appends a "perf"-kind RunRecord to the run ledger
+// (report::DefaultLedgerPath). The guard-overhead gate prints FAIL
+// above 5% but always exits 0 — timing noise on shared CI runners must
+// not turn it into a flake.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <string>
 
 #include "core/parallel.hpp"
 #include "core/single_runner.hpp"
-#include "metrics/export.hpp"
 #include "report/collect.hpp"
 #include "report/ledger.hpp"
 #include "resilience/fault_schedule.hpp"
@@ -149,20 +147,6 @@ void AppendPerfLedgerRecord(const TimedRun& pristine, const TimedRun& guarded,
     std::fprintf(stderr, "cannot append run record to %s\n", path.c_str());
 }
 
-std::string RunJson(const TimedRun& r) {
-  char buf[320];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"samples\":%d,\"seconds\":%.17g,\"samples_per_sec\":%.17g,"
-      "\"mean_latency\":%.17g,\"faults\":%lld,\"drops\":%lld,"
-      "\"retransmits\":%lld,\"reconfigs\":%lld}",
-      r.samples, r.seconds, r.SamplesPerSec(), r.mean_latency,
-      static_cast<long long>(r.faults), static_cast<long long>(r.drops),
-      static_cast<long long>(r.retransmits),
-      static_cast<long long>(r.reconfigs));
-  return buf;
-}
-
 }  // namespace
 
 int main() {
@@ -209,31 +193,6 @@ int main() {
               "(%.3g rebuilds/s)\n",
               reconfig.rebuilds, reconfig.seconds, reconfig.PerSec());
 
-  const char* env_dir = std::getenv("IRMC_METRICS_DIR");
-  const std::string dir = env_dir != nullptr ? env_dir : "bench-out";
-  if (!dir.empty()) {
-    std::filesystem::create_directories(dir);
-    std::string json = "{\"bench\":\"perfF_resilience\",";
-    json += "\"pristine\":" + RunJson(pristine) + ",";
-    json += "\"guarded\":" + RunJson(guarded) + ",";
-    json += "\"faulted\":" + RunJson(faulted) + ",";
-    char buf[200];
-    std::snprintf(buf, sizeof buf,
-                  "\"reconfig\":{\"rebuilds\":%d,\"seconds\":%.17g,"
-                  "\"rebuilds_per_sec\":%.17g},",
-                  reconfig.rebuilds, reconfig.seconds, reconfig.PerSec());
-    json += buf;
-    std::snprintf(buf, sizeof buf,
-                  "\"guard_overhead_pct\":%.17g,\"gate_pct\":%.17g,"
-                  "\"pass\":%s}\n",
-                  guard_pct, kGatePct, pass ? "true" : "false");
-    json += buf;
-    const std::string path = dir + "/BENCH_perfF.json";
-    if (!WriteFile(path, json))
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    else
-      std::printf("wrote %s\n", path.c_str());
-  }
   AppendPerfLedgerRecord(pristine, guarded, faulted, reconfig, guard_pct);
   return 0;
 }

@@ -19,17 +19,13 @@
 // machine-independent evidence that the measured code did the same work
 // — the committed CI baseline gates on those counters, while the
 // wall-clock rates (machine-dependent by nature) are recorded only when
-// IRMC_LEDGER_DETERMINISTIC is off. Writes BENCH_perfG.json (to
-// IRMC_METRICS_DIR, default "bench-out/") and appends a "perf"-kind
-// RunRecord to the run ledger.
+// IRMC_LEDGER_DETERMINISTIC is off. Prints a summary and appends a
+// "perf"-kind RunRecord to the run ledger (report::DefaultLedgerPath).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
-#include "metrics/export.hpp"
 #include "report/collect.hpp"
 #include "report/ledger.hpp"
 #include "topology/system.hpp"
@@ -145,16 +141,6 @@ Timed TimeLookups(int reps) {
   return out;
 }
 
-std::string TimedJson(const char* what, const Timed& t) {
-  char buf[192];
-  std::snprintf(buf, sizeof buf,
-                "\"%s\":{\"count\":%llu,\"seconds\":%.17g,"
-                "\"per_sec\":%.17g,\"checksum\":%llu}",
-                what, static_cast<unsigned long long>(t.count), t.seconds,
-                t.PerSec(), static_cast<unsigned long long>(t.checksum));
-  return buf;
-}
-
 /// Appends the perfG RunRecord. Checksums/counts are machine-independent
 /// (the committed baseline carries them); rate gauges are appended only
 /// on non-deterministic ledgers, since wall-clock throughput on one
@@ -233,27 +219,6 @@ int main() {
               (unsigned long long)(lookups.count / 1000000),
               lookups.PerSec() / 1e6, (unsigned long long)lookups.checksum);
 
-  const char* env_dir = std::getenv("IRMC_METRICS_DIR");
-  const std::string dir = env_dir != nullptr ? env_dir : "bench-out";
-  if (!dir.empty()) {
-    std::filesystem::create_directories(dir);
-    std::string json = "{\"bench\":\"perfG_system_build\",";
-    json += TimedJson("cold_s8", cold8) + ",";
-    json += TimedJson("cold_s24", cold24) + ",";
-    json += TimedJson("tables_s8", tables8) + ",";
-    json += TimedJson("cached_s8", cached) + ",";
-    char buf[96];
-    std::snprintf(buf, sizeof buf,
-                  "\"cache\":{\"hits\":%llu,\"misses\":%llu},",
-                  (unsigned long long)hits, (unsigned long long)misses);
-    json += buf;
-    json += TimedJson("lookups", lookups) + "}\n";
-    const std::string path = dir + "/BENCH_perfG.json";
-    if (!WriteFile(path, json))
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    else
-      std::printf("wrote %s\n", path.c_str());
-  }
   AppendLedgerRecord(cold8, cold24, tables8, cached, hits, misses, lookups);
   return 0;
 }

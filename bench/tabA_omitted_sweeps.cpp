@@ -20,13 +20,13 @@ int main() {
   // (1) Host startup overhead, R fixed at 1.
   {
     SeriesTable table("tabA-1 host startup overhead (15-way, cycles)",
-                      bench::SchemeColumns("o_host"));
+                      report::SchemeColumns("o_host"));
     for (Cycles o_host : {100, 250, 500, 1000, 2000}) {
       SimConfig cfg;
       cfg.host.o_host = o_host;
       cfg.host.o_ni = o_host;  // keep R = 1
       std::vector<double> row{static_cast<double>(o_host)};
-      for (SchemeKind scheme : bench::AllSchemes()) {
+      for (SchemeKind scheme : report::PanelSchemes()) {
         SingleRunSpec spec;
         spec.cfg = cfg;
         spec.scheme = scheme;
@@ -44,13 +44,13 @@ int main() {
   // 8 ports per switch, half-set multicast).
   {
     SeriesTable table("tabA-2 system size (half-set multicast, cycles)",
-                      bench::SchemeColumns("nodes"));
+                      report::SchemeColumns("nodes"));
     for (int nodes : {16, 32, 64}) {
       SimConfig cfg;
       cfg.topology.num_hosts = nodes;
       cfg.topology.num_switches = nodes / 4;
       std::vector<double> row{static_cast<double>(nodes)};
-      for (SchemeKind scheme : bench::AllSchemes()) {
+      for (SchemeKind scheme : report::PanelSchemes()) {
         SingleRunSpec spec;
         spec.cfg = cfg;
         spec.scheme = scheme;
@@ -67,13 +67,13 @@ int main() {
   // (3) Packet length with a fixed 512-flit message.
   {
     SeriesTable table("tabA-3 packet length (512-flit message, 15-way)",
-                      bench::SchemeColumns("pkt_flits"));
+                      report::SchemeColumns("pkt_flits"));
     for (int pkt : {32, 64, 128, 256, 512}) {
       SimConfig cfg;
       cfg.message = MessageShape::FromMessageFlits(512, pkt);
       cfg.net.input_slots = 1;  // buffers sized to the packet
       std::vector<double> row{static_cast<double>(pkt)};
-      for (SchemeKind scheme : bench::AllSchemes()) {
+      for (SchemeKind scheme : report::PanelSchemes()) {
         SingleRunSpec spec;
         spec.cfg = cfg;
         spec.scheme = scheme;

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 #include "common/types.hpp"
@@ -93,6 +94,13 @@ struct SimConfig {
 
 /// Reads a positive integer from the environment (workload scaling knobs
 /// like IRMC_TOPOLOGIES); returns `fallback` when unset or invalid.
-int EnvInt(const std::string& name, int fallback);
+inline int EnvInt(const std::string& name, int fallback) {
+  const char* raw = std::getenv(name.c_str());
+  if (raw == nullptr) return fallback;
+  char* end = nullptr;
+  const long value = std::strtol(raw, &end, 10);
+  if (end == raw || *end != '\0' || value <= 0) return fallback;
+  return static_cast<int>(value);
+}
 
 }  // namespace irmc

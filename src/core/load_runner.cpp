@@ -149,8 +149,8 @@ LoadRunResult RunLoadSweepPoint(const LoadRunSpec& spec) {
   const auto body = [&spec](const TrialContext& ctx) {
     TrialOutcome out;
     const TrialSetup setup =
-        PrepareTrial(out, ctx, spec.cfg.topology, spec.collect_metrics,
-                     spec.tracer, spec.trace_cap);
+        PrepareTrial(out, ctx, spec.cfg.topology, true, spec.tracer,
+                     spec.trace_cap);
     MetricsRegistry* reg = setup.metrics;
     Tracer* trace = setup.tracer;
     const auto& sys = setup.sys;
@@ -159,10 +159,8 @@ LoadRunResult RunLoadSweepPoint(const LoadRunSpec& spec) {
                         static_cast<std::uint64_t>(ctx.trial_index),
                     trace, reg);
     run.Run();
-    if (reg) {
-      run.engine.CollectMetrics(*reg);
-      run.driver.network().CollectMetrics(run.engine.Now());
-    }
+    run.engine.CollectMetrics(*reg);
+    run.driver.network().CollectMetrics(run.engine.Now());
     out.completed = run.completed_measured;
     out.launched = run.launched_measured;
     out.util_sum = run.driver.network().MaxLinkUtilization(run.engine.Now());

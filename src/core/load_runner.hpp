@@ -68,11 +68,6 @@ struct LoadRunSpec {
   /// Ring-buffer cap per trial tracer; 0 = unbounded. Open-loop runs
   /// emit a lot of events — cap generously or filter afterwards.
   std::size_t trace_cap = 0;
-  /// Always-on metrics: each topology replica records into its own
-  /// MetricsRegistry, merged in trial-index order into
-  /// LoadRunResult::metrics. Never forces serial execution. Off only for
-  /// overhead measurement (bench/perfE).
-  bool collect_metrics = true;
 };
 
 struct LoadRunResult {
@@ -90,10 +85,11 @@ struct LoadRunResult {
   /// Hottest switch-to-switch link (busy fraction), averaged over
   /// topologies.
   double max_link_utilization = 0.0;
-  /// Simulation events executed across all topology replicas (harness
-  /// speed metric — see bench/perfE_simspeed.cpp).
+  /// Simulation events executed across all topology replicas.
   std::uint64_t events_executed = 0;
-  /// Merged per-trial metrics (empty when collect_metrics is false).
+  /// Always-on metrics: each topology replica records into its own
+  /// MetricsRegistry, merged here in trial-index order. Never forces
+  /// serial execution.
   MetricsRegistry metrics;
 };
 

@@ -38,8 +38,8 @@ SingleRunResult RunSingleMulticast(const SingleRunSpec& spec) {
   const auto body = [&spec](const TrialContext& ctx) {
     TrialOutcome out;
     const TrialSetup setup =
-        PrepareTrial(out, ctx, spec.cfg.topology, spec.collect_metrics,
-                     spec.tracer, spec.trace_cap, spec.root_policy);
+        PrepareTrial(out, ctx, spec.cfg.topology, true, spec.tracer,
+                     spec.trace_cap, spec.root_policy);
     MetricsRegistry* reg = setup.metrics;
     Tracer* trace = setup.tracer;
     const auto scheme = MakeScheme(spec.scheme, spec.cfg.host);

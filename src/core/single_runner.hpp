@@ -39,11 +39,6 @@ struct SingleRunSpec {
   /// Ring-buffer cap applied to each per-trial tracer (most recent
   /// events kept, `dropped()` reports loss); 0 = unbounded.
   std::size_t trace_cap = 0;
-  /// Always-on metrics: each trial records into its own MetricsRegistry,
-  /// merged in trial-index order into SingleRunResult::metrics. Never
-  /// forces serial execution. Off only for overhead measurement
-  /// (bench/perfE) — set false to skip all recording.
-  bool collect_metrics = true;
 };
 
 struct SingleRunResult {
@@ -51,7 +46,8 @@ struct SingleRunResult {
   double min_latency = 0.0;
   double max_latency = 0.0;
   int samples = 0;
-  /// Merged per-trial metrics (empty when collect_metrics is false).
+  /// Always-on metrics: each trial records into its own MetricsRegistry,
+  /// merged here in trial-index order. Never forces serial execution.
   MetricsRegistry metrics;
 };
 

@@ -3,8 +3,8 @@
 // Every Trial owns one MetricsRegistry; the sim engine, fabric, flit
 // engine, and McastDriver resolve raw Counter/Gauge/Histogram pointers
 // from it once at construction, so a hot-path record is a guarded
-// integer add — cheap enough to leave enabled by default (bench/perfE
-// measures the overhead and flags anything above 5%).
+// integer add — cheap enough to leave always on (irmcbench's
+// metrics.overhead_pct measures the cost against a null registry).
 //
 // Determinism contract: every metric value is either an integer
 // (counters, histogram bins/sum/min/max) or a double combined by an

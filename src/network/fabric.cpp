@@ -184,7 +184,8 @@ void Fabric::ReleaseSrcBuffer(int buf) {
 
 void Fabric::ReportDrop(const PacketPtr& pkt, SwitchId where) {
   IRMC_ENSURE(drop_ != nullptr &&
-              "fault truncated a packet but no drop handler is installed");
+              "packet truncated or unroutable but no drop handler is "
+              "installed");
   drop_(pkt, engine_.Now(), where);
 }
 
@@ -377,17 +378,14 @@ void Fabric::Route(SwitchId s, PacketPtr pkt, Cycles tail_time, int buf) {
       input_slots_[static_cast<std::size_t>(pool)].Release(engine_);
     });
   };
-  if (drop_ != nullptr) {
-    if (!TryComputeRouteBranches(*sys_, s, pkt, params_.adaptive, load,
-                                 branches)) {
-      // Stale header under swapped tables: consume the worm here and
-      // let the retransmit layer repair the loss.
-      ReportDrop(pkt, s);
-      free_buffer_at_tail();
-      return;
-    }
-  } else {
-    ComputeRouteBranches(*sys_, s, pkt, params_.adaptive, load, branches);
+  if (!TryComputeRouteBranches(*sys_, s, pkt, params_.adaptive, load,
+                               branches)) {
+    // Stale header under swapped tables: consume the worm here and let
+    // the retransmit layer repair the loss (ReportDrop aborts when no
+    // drop handler is installed).
+    ReportDrop(pkt, s);
+    free_buffer_at_tail();
+    return;
   }
   if (branches.empty()) {
     // Fully consumed here (possible only for degenerate plans); free the

@@ -136,8 +136,9 @@ class Fabric final : public NetworkModel {
   /// Drains a drained/dropped branch's claim on its source buffer; the
   /// last claim frees the input slot and recycles the entry.
   void ReleaseSrcBuffer(int buf);
-  /// Hands a truncated packet to the drop handler (which must exist —
-  /// faults without a retransmit layer would silently lose payload).
+  /// Hands a truncated or unroutable (stale-header) packet to the drop
+  /// handler, which must exist — without a retransmit layer the payload
+  /// would be silently lost.
   void ReportDrop(const PacketPtr& pkt, SwitchId where);
 
   void Trace(TraceKind kind, const Packet& pkt, std::int32_t actor,

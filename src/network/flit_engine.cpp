@@ -149,7 +149,8 @@ void FlitEngine::CollectMetrics(Cycles now) {
 
 void FlitEngine::ReportDrop(const PacketPtr& pkt, SwitchId where) {
   IRMC_ENSURE(drop_ != nullptr &&
-              "fault truncated a worm but no drop handler is installed");
+              "worm truncated or unroutable but no drop handler is "
+              "installed");
   drop_(pkt, engine_.Now(), where);
 }
 
@@ -392,20 +393,16 @@ void FlitEngine::RouteWorms(Cycles now) {
       return channels_[PortIdx(s, p)].Load();
     };
     std::vector<RouteBranch> decisions;
-    if (drop_ != nullptr) {
-      if (!TryComputeRouteBranches(*sys_, sw, w.pkt, params_.adaptive, load,
-                                   decisions)) {
-        // Stale header under swapped tables: consume the worm here and
-        // let the retransmit layer repair the loss.
-        ReportDrop(w.pkt, sw);
-        w.discarding = true;
-        w.freed = w.received;
-        if (w.received >= w.len) ReleaseWormPort(w);
-        continue;
-      }
-    } else {
-      ComputeRouteBranches(*sys_, sw, w.pkt, params_.adaptive, load,
-                           decisions);
+    if (!TryComputeRouteBranches(*sys_, sw, w.pkt, params_.adaptive, load,
+                                 decisions)) {
+      // Stale header under swapped tables: consume the worm here and let
+      // the retransmit layer repair the loss (ReportDrop aborts when no
+      // drop handler is installed).
+      ReportDrop(w.pkt, sw);
+      w.discarding = true;
+      w.freed = w.received;
+      if (w.received >= w.len) ReleaseWormPort(w);
+      continue;
     }
     IRMC_ENSURE(!decisions.empty());
     // Branches aimed at a link that died after the header committed to

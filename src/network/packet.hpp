@@ -49,7 +49,15 @@ struct PathWormRoute {
   /// Number of replication switches (steps that deliver or replicate),
   /// i.e. the number of (node-ID, port-string) field pairs in the
   /// encoded header.
-  int NumFields() const;
+  int NumFields() const {
+    int fields = 0;
+    for (const Step& st : steps) {
+      // A field pair exists for every switch at which the worm
+      // replicates (drops copies) and for the final switch.
+      if (!st.deliver.empty() || st.forward_port == kInvalidPort) ++fields;
+    }
+    return fields;
+  }
 };
 
 /// A recorded hop for route-legality checks (populated only when the

@@ -5,7 +5,7 @@
 // least-loaded adaptive), multidestination header parsing and stripping
 // (tree-worm bit-strings narrowed per branch, path-worm fields consumed
 // per step), and replication branch fan-out. The VCT Fabric and the
-// flit-level FlitEngine both call ComputeRouteBranches, so a routing
+// flit-level FlitEngine both call TryComputeRouteBranches, so a routing
 // decision is — by construction — identical at both granularities; only
 // the transport timing underneath differs. See docs/engines.md.
 #pragma once
@@ -41,7 +41,7 @@ using PortLoadFn = std::function<int(SwitchId, PortId)>;
 ///    covering `rem`, falling back to every up port when none can yet.
 ///
 /// This is the single enumeration point for tree-worm moves: both
-/// engines route through it (via ComputeRouteBranches) and the static
+/// engines route through it (via TryComputeRouteBranches) and the static
 /// deadlock analyzer (verify/deadlock.hpp) builds its dependency edges
 /// from it, so the analyzed move relation is the executed one. Aborts
 /// if `rem` is empty or a non-coverable set is presented in down-only
@@ -58,20 +58,21 @@ TreeRouteDecision TreeWormDecision(const System& sys, SwitchId s,
 /// forwards). Clones narrow headers per branch, update the route phase
 /// via the up*/down* tables, and — when the packet carries a hop log —
 /// record the hop taken. Aborts on any routing contract violation
-/// (phase rule, uncoverable destination set, path-worm step mismatch).
+/// (phase rule, uncoverable destination set, path-worm step mismatch),
+/// stale headers included: the aborting wrapper over
+/// TryComputeRouteBranches that the route-logic unit tests call.
 void ComputeRouteBranches(const System& sys, SwitchId s, const PacketPtr& pkt,
                           bool adaptive, const PortLoadFn& load,
                           std::vector<RouteBranch>& out);
 
-/// Non-aborting variant for engines running under fault injection: a
-/// header that made legal progress under the tables it was injected
-/// with can become unroutable after a reconfiguration swap (a unicast
-/// with no surviving candidate in its phase, a tree worm caught in
-/// down-only phase below a moved subtree, a path worm whose precomputed
-/// hop list names the dead link or a foreign switch). Returns false and
-/// leaves `out` untouched for exactly those staleness cases — the
-/// caller reports the packet dropped; genuine plan/contract bugs still
-/// abort.
+/// The engines' entry point, non-aborting for stale headers: a header
+/// that made legal progress under the tables it was injected with can
+/// become unroutable after a reconfiguration swap (a unicast with no
+/// surviving candidate in its phase, a tree worm caught in down-only
+/// phase below a moved subtree, a path worm whose precomputed hop list
+/// names the dead link or a foreign switch). Returns false and leaves
+/// `out` untouched for exactly those staleness cases — the caller
+/// reports the packet dropped; genuine plan/contract bugs still abort.
 bool TryComputeRouteBranches(const System& sys, SwitchId s,
                              const PacketPtr& pkt, bool adaptive,
                              const PortLoadFn& load,

@@ -2,13 +2,18 @@
 
 #include <cctype>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <utility>
 
+#include "common/build_info.hpp"
+#include "common/json.hpp"
 #include "core/load_runner.hpp"
 #include "core/single_runner.hpp"
+#include "metrics/export.hpp"
 
 namespace irmc::report {
-namespace {
 
 const std::vector<SchemeKind>& PanelSchemes() {
   static const std::vector<SchemeKind> kSchemes{
@@ -22,6 +27,8 @@ std::vector<std::string> SchemeColumns(const std::string& x_label) {
   for (SchemeKind k : PanelSchemes()) cols.emplace_back(ToString(k));
   return cols;
 }
+
+namespace {
 
 /// Folds one data point into the panel-wide aggregates.
 void Absorb(const MetricsRegistry& point, SchemeKind scheme,
@@ -174,6 +181,34 @@ std::string SlugifyTitle(const std::string& title) {
   }
   while (!s.empty() && s.back() == '_') s.pop_back();
   return s.empty() ? std::string("panel") : s;
+}
+
+std::string SidecarPath(const std::string& dir, const std::string& title) {
+  return dir + "/" + SlugifyTitle(title) + ".metrics.jsonl";
+}
+
+MetricsSidecar::MetricsSidecar(std::string path) : path_(std::move(path)) {
+  if (path_.empty()) return;
+  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    path_.clear();
+    return;
+  }
+  out << "{\"kind\":\"build\",\"value\":" << ToJson(GetBuildInfo()) << "}\n";
+}
+
+void MetricsSidecar::Record(const std::string& x_label, double x,
+                            SchemeKind scheme, const MetricsRegistry& reg) {
+  if (path_.empty()) return;
+  std::ofstream out(path_, std::ios::app);
+  if (!out) {
+    std::fprintf(stderr, "cannot append sidecar %s\n", path_.c_str());
+    path_.clear();
+    return;
+  }
+  out << '{' << json::Str(x_label) << ':' << json::Num(x)
+      << ",\"scheme\":" << json::Str(ToString(scheme))
+      << ",\"metrics\":" << ToJson(reg) << "}\n";
 }
 
 }  // namespace irmc::report

@@ -41,7 +41,8 @@ struct PanelSpec {
   /// Histograms are NOT scaled — the hook plants a series regression.
   double scale_latency = 1.0;
   /// Per-point callback (x-axis label, x, scheme, that point's metrics);
-  /// bench_common wires its sidecar writer in here.
+  /// the bench panels and `irmc_report record` wire a MetricsSidecar in
+  /// here.
   std::function<void(const std::string&, double, SchemeKind,
                      const MetricsRegistry&)>
       on_point;
@@ -87,5 +88,37 @@ std::string DefaultLedgerPath();
 /// "fig_6_latency_vs_r") — names the metric sidecar files the benches
 /// write and irmc_report html reads back.
 std::string SlugifyTitle(const std::string& title);
+
+/// The four schemes in panel column order.
+const std::vector<SchemeKind>& PanelSchemes();
+
+/// A panel's column headers: `x_label`, then one column per scheme.
+std::vector<std::string> SchemeColumns(const std::string& x_label);
+
+/// "<dir>/<slug(title)>.metrics.jsonl": where a panel's sidecar lives.
+std::string SidecarPath(const std::string& dir, const std::string& title);
+
+/// Per-point metric sidecar for one panel: one JSON line per (x, scheme)
+/// data point, so figures in the series tables can be cross-checked
+/// against the fabric/driver counters that produced them. The first line
+/// stamps the producing build ({"kind":"build",...}), like every
+/// file-level export. The file is recreated per run; point order is the
+/// panel's deterministic sweep order, and the registry serialisation is
+/// bit-identical for any IRMC_THREADS, so the sidecar is byte-stable
+/// too. Written by the bench panels and `irmc_report record`, read back
+/// by `irmc_report html`.
+class MetricsSidecar {
+ public:
+  /// Truncates `path` and writes the build stamp. An empty path, or one
+  /// that cannot be opened, disables the writer.
+  explicit MetricsSidecar(std::string path);
+
+  /// Appends {"<x_label>":x,"scheme":"<scheme>","metrics":{...}}.
+  void Record(const std::string& x_label, double x, SchemeKind scheme,
+              const MetricsRegistry& reg);
+
+ private:
+  std::string path_;  ///< empty = disabled
+};
 
 }  // namespace irmc::report

@@ -1,12 +1,13 @@
 // Static deadlock-freedom analyzer for multidestination wormhole
 // routing (docs/verification.md § "Static deadlock analysis").
 //
-// The existing deadlock-freedom invariant (topology/deadlock_check.hpp)
-// proves the *unicast* channel-dependency graph acyclic — which is
-// necessary but nowhere near sufficient for the paper's multidestination
-// schemes. A tree worm couples every channel it holds: a flit is freed
-// from the shared input buffer only when *every* branch has consumed it,
-// so when the worm is too long to be absorbed (`buffer_flits` smaller
+// The base deadlock-freedom invariant (CheckDeadlockFreedom in
+// invariants.hpp, the route subgraph of this analyzer for unicast
+// worms) proves the *unicast* channel-dependency graph acyclic — which
+// is necessary but nowhere near sufficient for the paper's
+// multidestination schemes. A tree worm couples every channel it
+// holds: a flit is freed from the shared input buffer only when *every*
+// branch has consumed it, so when the worm is too long to be absorbed (`buffer_flits` smaller
 // than the worm's wire length, header flits included) a blocked branch
 // starves its siblings and the cross-branch dependencies are not ordered
 // by up*/down*. PR 5 hit exactly this dynamically: `buffer_flits = 128`

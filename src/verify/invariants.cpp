@@ -5,7 +5,7 @@
 #include <queue>
 #include <utility>
 
-#include "topology/deadlock_check.hpp"
+#include "verify/deadlock.hpp"
 
 namespace irmc::verify {
 namespace {
@@ -348,22 +348,23 @@ CheckResult CheckPairwiseReachability(const Graph& g,
   return r;
 }
 
-CheckResult CheckDeadlockFreedom(const System& sys) {
+CheckResult CheckDeadlockFreedom(const System& sys,
+                                 const RoutingView& routing) {
   CheckResult r;
   r.name = "deadlock-freedom";
-  const DeadlockCheckResult res = CheckChannelDependencies(sys);
-  r.checked = res.num_channels;
-  r.note = Fmt("%d channels, %d dependencies", res.num_channels,
-               res.num_dependencies);
-  if (!res.acyclic) {
-    std::string cycle = "channel dependency cycle:";
-    for (const auto& [sw, port] : res.cycle)
-      cycle += Fmt(" (%d:%d) ->", sw, port);
-    if (!res.cycle.empty())
-      cycle += Fmt(" (%d:%d)", res.cycle.front().first,
-                   res.cycle.front().second);
-    r.AddViolation(std::move(cycle));
-  }
+  // The VCT engine always absorbs a blocked worm, so this graph holds
+  // only route edges: the adaptive unicast dependency relation.
+  DeadlockSpec spec;
+  spec.engine = EngineKind::kVct;
+  const ExtCdg cdg =
+      BuildExtendedCdg(sys, SchemeKind::kUnicastBinomial,
+                       RoutingMode::kAdaptive, spec, routing,
+                       ViewOfTreeRoutes(sys));
+  r.checked = static_cast<long long>(cdg.channels.size());
+  r.note = Fmt("%lld channels, %lld dependencies", r.checked,
+               cdg.route_edges);
+  if (const auto cycle = FindDependencyCycle(cdg))
+    r.AddViolation(RenderWitness(sys, cdg, *cycle));
   return r;
 }
 
@@ -456,7 +457,7 @@ VerifyReport VerifySystem(const System& sys, std::string label) {
       CheckPhaseRule(sys.graph, sys.updown, ViewOf(sys.routing)));
   report.checks.push_back(
       CheckPairwiseReachability(sys.graph, sys.updown, ViewOf(sys.routing)));
-  report.checks.push_back(CheckDeadlockFreedom(sys));
+  report.checks.push_back(CheckDeadlockFreedom(sys, ViewOf(sys.routing)));
   report.checks.push_back(
       CheckReachabilityStrings(sys.graph, sys.updown, ViewOf(sys.reach)));
   return report;

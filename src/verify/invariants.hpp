@@ -13,9 +13,9 @@
 //                      no dead-end states (every reachable (switch,
 //                      phase) state keeps a non-empty candidate set);
 //  * deadlock freedom — the channel dependency graph of the routing
-//                      function is acyclic (Dally & Seitz, via the
-//                      existing CheckChannelDependencies), with any
-//                      witness cycle rendered into the report;
+//                      function is acyclic (Dally & Seitz): the route
+//                      subgraph of verify/deadlock's extended CDG, with
+//                      any witness cycle rendered into the report;
 //  * string soundness + exactly-once coverage — raw reachability strings
 //                      contain exactly the down-reachable nodes, and the
 //                      partitioned ("primary") strings are disjoint
@@ -78,9 +78,12 @@ CheckResult CheckPairwiseReachability(const Graph& g,
                                       const UpDownOrientation& ud,
                                       const RoutingView& routing);
 
-/// Invariant (3): channel dependency graph acyclicity, witness cycle
-/// rendered into the result.
-CheckResult CheckDeadlockFreedom(const System& sys);
+/// Invariant (3): acyclicity of the adaptive unicast channel dependency
+/// graph `routing` induces over every switch-to-switch and ejection
+/// channel (BuildExtendedCdg under an always-absorbing VCT spec, so only
+/// route edges), witness cycle rendered by RenderWitness.
+CheckResult CheckDeadlockFreedom(const System& sys,
+                                 const RoutingView& routing);
 
 /// Invariant (4): reachability-string soundness and exactly-once
 /// partition coverage.

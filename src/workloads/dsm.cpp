@@ -156,8 +156,8 @@ DsmResult RunDsmInvalidation(const SimConfig& cfg, SchemeKind scheme,
       cfg, params.topologies, [&](const TrialContext& ctx) {
         TrialOutcome out;
         const TrialSetup setup =
-            PrepareTrial(out, ctx, cfg.topology, params.collect_metrics,
-                         params.tracer, params.trace_cap);
+            PrepareTrial(out, ctx, cfg.topology, true, params.tracer,
+                         params.trace_cap);
         MetricsRegistry* reg = setup.metrics;
         Tracer* trace = setup.tracer;
         const auto& sys = setup.sys;
@@ -166,7 +166,7 @@ DsmResult RunDsmInvalidation(const SimConfig& cfg, SchemeKind scheme,
                        static_cast<std::uint64_t>(ctx.trial_index),
                    trace, reg);
         run.Run();
-        if (reg) run.CollectMetrics(*reg);
+        run.CollectMetrics(*reg);
         out.launched = run.started();
         out.completed = run.completed();
         out.samples = run.latencies();

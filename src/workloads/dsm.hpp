@@ -33,9 +33,6 @@ struct DsmParams {
   Cycles warmup = 10'000;
   Cycles horizon = 150'000;
   int topologies = 3;
-  /// Always-on metrics: each replica records into its own registry,
-  /// merged in trial-index order into DsmResult::metrics.
-  bool collect_metrics = true;
   /// Optional trace sink: per-trial tracers (stamped with the trial
   /// index) are appended here in trial-index order after the merge.
   /// Tracing never forces serial execution.
@@ -49,7 +46,8 @@ struct DsmResult {
   double p95_write_latency = 0.0;
   long writes_completed = 0;
   long writes_started = 0;
-  /// Merged per-trial metrics (empty when collect_metrics is false).
+  /// Always-on metrics: each replica records into its own registry,
+  /// merged here in trial-index order.
   MetricsRegistry metrics;
 };
 

@@ -14,6 +14,10 @@
 //   cycle-detection bug          -> planted cycles / DAGs / a corrupted
 //                                   routing view forming a route cycle
 //
+// DeadlockClean.* also runs the base deadlock-freedom check
+// (verify/invariants.hpp), which is this analyzer's unicast route
+// subgraph, over the whole clean set.
+//
 // DeadlockSoundness.* is the dynamic cross-check: a directed stress
 // harness drives the flit engine into the historical buffer_flits=128
 // wedge (PR 5) through the deadlock-handler hook and asserts that every
@@ -32,6 +36,7 @@
 #include "network/flit_engine.hpp"
 #include "sim/engine.hpp"
 #include "topology/generator.hpp"
+#include "topology/root_policy.hpp"
 
 namespace irmc::verify {
 namespace {
@@ -52,16 +57,49 @@ bool HasEdge(const ExtCdg& cdg, int from, int to, DepKind kind) {
 
 // --- clean systems prove deadlock-free -------------------------------
 
+/// Labelled clean systems: 8/16/32 switches x seeds 1-7 and 11/22/33,
+/// a 16-switch topology under each root policy, and a 4-switch ring.
+std::vector<std::pair<std::string, System>> CleanSystems() {
+  std::vector<std::pair<std::string, System>> out;
+  for (int switches : {8, 16, 32})
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 11u, 22u, 33u})
+      out.emplace_back("S=" + std::to_string(switches) +
+                           " seed=" + std::to_string(seed),
+                       MakeSystem(switches, seed));
+  TopologySpec spec;
+  spec.num_switches = 16;
+  for (RootPolicy policy : {RootPolicy::kLowestId, RootPolicy::kMaxDegree,
+                            RootPolicy::kMinEccentricity})
+    out.emplace_back(ToString(policy),
+                     System(GenerateTopology(spec, 11), policy));
+  // Unrestricted minimal routing on a ring has a cyclic dependency;
+  // up*/down* breaks it at the root.
+  Graph ring(4, 4);
+  ring.AddLink(0, 0, 1, 0);
+  ring.AddLink(1, 1, 2, 0);
+  ring.AddLink(2, 1, 3, 0);
+  ring.AddLink(3, 1, 0, 1);
+  ring.AttachHost(0, 3);
+  ring.AttachHost(2, 3);
+  out.emplace_back("4-switch ring", System(std::move(ring)));
+  return out;
+}
+
 TEST(DeadlockClean, DefaultConfigProvesAllSchemesAcrossSizesAndSeeds) {
   DeadlockSpec spec;  // flit engine, buffer_flits 256, payload 128
-  for (int switches : {8, 16, 32}) {
-    for (std::uint64_t seed : {11u, 22u, 33u}) {
-      const System sys = MakeSystem(switches, seed);
-      const CheckResult r = CheckMulticastDeadlock(sys, spec);
-      EXPECT_TRUE(r.pass) << "S=" << switches << " seed=" << seed << ": "
-                          << (r.witnesses.empty() ? "" : r.witnesses[0]);
-      EXPECT_EQ(r.checked, 8);  // 4 schemes x 2 routing modes
-    }
+  for (const auto& [label, sys] : CleanSystems()) {
+    const CheckResult r = CheckMulticastDeadlock(sys, spec);
+    EXPECT_TRUE(r.pass) << label << ": "
+                        << (r.witnesses.empty() ? "" : r.witnesses[0]);
+    EXPECT_EQ(r.checked, 8);  // 4 schemes x 2 routing modes
+
+    // The base check: the unicast route subgraph over every
+    // switch-to-switch and ejection channel.
+    const CheckResult base = CheckDeadlockFreedom(sys, ViewOf(sys.routing));
+    EXPECT_TRUE(base.pass) << label << ": "
+                           << (base.witnesses.empty() ? "" : base.witnesses[0]);
+    EXPECT_EQ(base.checked, 2 * sys.graph.NumLinks() + sys.num_nodes())
+        << label;
   }
 }
 

@@ -13,7 +13,9 @@
 #include "core/load_runner.hpp"
 #include "core/parallel.hpp"
 #include "core/single_runner.hpp"
+#include "mcast/scheme.hpp"
 #include "metrics/export.hpp"
+#include "topology/system.hpp"
 #include "workloads/dsm.hpp"
 
 namespace irmc {
@@ -256,18 +258,29 @@ TEST(MetricsDeterminism, DsmRunnerThreadCountInvariant) {
   EXPECT_EQ(serial, DsmSweepJson(8));
 }
 
-TEST(MetricsDeterminism, CollectMetricsOffYieldsEmptyRegistry) {
-  SingleRunSpec spec;
-  spec.multicast_size = 4;
-  spec.topologies = 2;
-  spec.samples_per_topology = 1;
-  spec.collect_metrics = false;
-  EXPECT_TRUE(RunSingleMulticast(spec).metrics.Empty());
-  // ...and the result itself is unaffected by the toggle.
-  SingleRunSpec on = spec;
-  on.collect_metrics = true;
-  EXPECT_EQ(RunSingleMulticast(spec).mean_latency,
-            RunSingleMulticast(on).mean_latency);
+TEST(MetricsDeterminism, RegistryNeverPerturbsResults) {
+  // Metrics observe, never steer: the same playout with a registry and
+  // with nullptr yields the same MulticastResult, for every scheme.
+  const auto sys = System::Build({}, 42);
+  SimConfig cfg;
+  const std::vector<NodeId> dests{1, 5, 9, 14, 20, 27};
+  for (SchemeKind kind :
+       {SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
+        SchemeKind::kTreeWorm, SchemeKind::kPathWorm}) {
+    const auto scheme = MakeScheme(kind, cfg.host);
+    auto plan = [&] {
+      return scheme->Plan(*sys, 0, dests, cfg.message, cfg.headers);
+    };
+    MetricsRegistry reg;
+    const MulticastResult on = PlayOnce(*sys, cfg, plan(), nullptr, &reg);
+    const MulticastResult off = PlayOnce(*sys, cfg, plan());
+    EXPECT_FALSE(reg.Empty()) << ToString(kind);
+    EXPECT_EQ(on.id, off.id) << ToString(kind);
+    EXPECT_EQ(on.start, off.start) << ToString(kind);
+    EXPECT_EQ(on.completion, off.completion) << ToString(kind);
+    EXPECT_EQ(on.num_dests, off.num_dests) << ToString(kind);
+    EXPECT_EQ(on.deliveries, off.deliveries) << ToString(kind);
+  }
 }
 
 // Pins the derived-quantile estimator (Histogram::Quantile and the

@@ -7,6 +7,7 @@
 //
 //   illegal down->up entry         -> phase-rule
 //   unreachable pair               -> pairwise-reachability
+//   cyclic routing ring            -> deadlock-freedom
 //   raw string over/under-coverage -> reachability-strings
 //   partition overlap / gap        -> reachability-strings
 #include "verify/invariants.hpp"
@@ -171,6 +172,36 @@ TEST_F(VerifyMutation, UnreachablePairIsFlagged) {
   EXPECT_TRUE(AnyWitnessContains(r, "no deterministic route"));
   EXPECT_TRUE(AnyWitnessContains(r, "dead end") ||
               AnyWitnessContains(r, "no adaptive route"));
+}
+
+// --- mutation class: cyclic channel dependency -----------------------
+
+TEST(VerifyDeadlockMutation, ClockwiseRoutingRingIsFlaggedAsRouteCycle) {
+  // Triangle of switches whose mutated routing view always forwards
+  // clockwise, ignoring the phase: the unicast dependencies close a
+  // cycle that the legal up*/down* tables break at the root.
+  Graph g(3, 4);
+  g.AddLink(0, 0, 1, 1);
+  g.AddLink(1, 0, 2, 1);
+  g.AddLink(2, 0, 0, 1);
+  g.AttachHost(0, 2);
+  g.AttachHost(1, 2);
+  g.AttachHost(2, 2);
+  const System sys{std::move(g)};
+
+  RoutingView ring;
+  ring.candidates = [](SwitchId here, SwitchId dest, RoutePhase) {
+    if (here == dest) return std::vector<PortId>{};
+    return std::vector<PortId>{0};
+  };
+
+  const CheckResult clean = CheckDeadlockFreedom(sys, ViewOf(sys.routing));
+  EXPECT_TRUE(clean.pass) << Render(VerifyReport{"clean", {clean}});
+  const CheckResult r = CheckDeadlockFreedom(sys, ring);
+  EXPECT_FALSE(r.pass);
+  EXPECT_EQ(r.violations, 1);
+  EXPECT_TRUE(AnyWitnessContains(r, "-[route]->"))
+      << Render(VerifyReport{"mutated", {r}});
 }
 
 // --- mutation classes: reachability strings --------------------------

@@ -103,9 +103,9 @@ int CmdRecord(const Args& args) {
     return 2;
   }
 
-  // Per-point metric sidecar next to the ledger (same format the bench
-  // MetricsSidecar writes), so `irmc_report html` can render the
-  // link-utilization heatmap for CLI-recorded runs too.
+  // Per-point metric sidecar next to the ledger (the bench panels'
+  // format), so `irmc_report html` can render the link-utilization
+  // heatmap for CLI-recorded runs too.
   std::string sidecar_path;
   if (!ledger.empty()) {
     const std::filesystem::path lp(ledger);
@@ -113,24 +113,13 @@ int CmdRecord(const Args& args) {
         lp.has_parent_path() ? lp.parent_path().string() : ".";
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    sidecar_path = dir + "/" + SlugifyTitle(spec.title) + ".metrics.jsonl";
-    std::ofstream head(sidecar_path, std::ios::binary | std::ios::trunc);
-    if (head)
-      head << "{\"kind\":\"build\",\"value\":" << ToJson(GetBuildInfo())
-           << "}\n";
-    else
-      sidecar_path.clear();
+    sidecar_path = SidecarPath(dir, spec.title);
   }
-  if (!sidecar_path.empty())
-    spec.on_point = [&sidecar_path](const std::string& x_label, double x,
-                                    SchemeKind scheme,
-                                    const MetricsRegistry& reg) {
-      std::ofstream out(sidecar_path, std::ios::app);
-      if (!out) return;
-      out << '{' << json::Str(x_label) << ':' << json::Num(x)
-          << ",\"scheme\":" << json::Str(ToString(scheme))
-          << ",\"metrics\":" << ToJson(reg) << "}\n";
-    };
+  MetricsSidecar sidecar(sidecar_path);
+  spec.on_point = [&sidecar](const std::string& x_label, double x,
+                             SchemeKind scheme, const MetricsRegistry& reg) {
+    sidecar.Record(x_label, x, scheme, reg);
+  };
 
   const PanelOutcome outcome = RunPanel(spec);
   outcome.table.Print();
@@ -346,9 +335,8 @@ int CmdHtml(const Args& args) {
   }
   for (const LedgerRun& r : input.runs) {
     HeatmapData hm;
-    const std::string sidecar =
-        sidecar_dir + "/" + SlugifyTitle(r.info.name) + ".metrics.jsonl";
-    if (SidecarHeatmap(sidecar, r.info.name, &hm))
+    if (SidecarHeatmap(SidecarPath(sidecar_dir, r.info.name), r.info.name,
+                       &hm))
       input.heatmaps.push_back(std::move(hm));
   }
   if (!trace_path.empty()) {
