@@ -1,13 +1,36 @@
 #include "network/flit_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/expect.hpp"
 #include "network/route_logic.hpp"
 
 namespace irmc {
+namespace {
+
+void SetBit(std::vector<std::uint64_t>& set, std::size_t i) {
+  set[i / 64] |= std::uint64_t{1} << (i % 64);
+}
+
+void ClearBit(std::vector<std::uint64_t>& set, std::size_t i) {
+  set[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+}
+
+/// Calls visit(i) for every set bit in ascending i. Each word is read
+/// once, so a visit may clear its own bit; bits set by a visit in the
+/// current word are not seen until the next walk.
+template <typename Visit>
+void ForEachBit(const std::vector<std::uint64_t>& set, Visit visit) {
+  for (std::size_t w = 0; w < set.size(); ++w)
+    for (std::uint64_t bits = set[w]; bits != 0; bits &= bits - 1)
+      visit(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+}
+
+}  // namespace
 
 FlitEngine::FlitEngine(Engine& engine, const System& sys,
                        const NetParams& params, DeliverFn deliver,
@@ -55,6 +78,8 @@ FlitEngine::FlitEngine(Engine& engine, const System& sys,
     c.dst_port_index = static_cast<int>(PortIdx(at.sw, at.port));
   }
   inject_queues_.resize(static_cast<std::size_t>(sys.num_nodes()));
+  busy_channels_.assign((channels_.size() + 63) / 64, 0);
+  ready_nis_.assign((inject_queues_.size() + 63) / 64, 0);
 }
 
 void FlitEngine::InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) {
@@ -69,6 +94,8 @@ void FlitEngine::InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) {
   }
   inject_queues_[static_cast<std::size_t>(n)].emplace_back(std::move(pkt),
                                                            ready);
+  if (channels_[InjChannel(n)].Load() == 0)
+    SetBit(ready_nis_, static_cast<std::size_t>(n));
   ScheduleTick(ready);
 }
 
@@ -184,7 +211,8 @@ void FlitEngine::KillBranch(int bid) {
   in_flight_.resize(kept);
   // The downstream copy will never finish arriving.
   if (b.dst_worm != -1) KillWorm(b.dst_worm);
-  Worm& src = worms_[static_cast<std::size_t>(b.src_worm)];
+  const int wi = b.src_worm;
+  Worm& src = worms_[static_cast<std::size_t>(wi)];
   if (--src.live_branches == 0 && src.port_index >= 0) {
     if (src.dead || src.received >= src.len) {
       ReleaseWormPort(src);
@@ -195,6 +223,10 @@ void FlitEngine::KillBranch(int bid) {
       src.freed = src.received;
     }
   }
+  // The branch's tail will never land. Only switch worms lose branches,
+  // and they keep their port pin until the next ReleasePorts, so this
+  // never recycles the worm under a caller that is walking it.
+  Unpin(wi);
 }
 
 void FlitEngine::KillWorm(int wi) {
@@ -274,20 +306,74 @@ bool FlitEngine::Busy(Cycles now) const {
   if (!in_flight_.empty() || !pending_port_release_.empty() ||
       !route_queue_.empty())
     return true;
-  for (const Channel& c : channels_)
-    if (c.active_branch != -1 || !c.waiting.empty()) return true;
-  // Future-ready injections do not keep the engine ticking: their
-  // InjectFromNi scheduled a wake-up at `ready` already.
-  for (const auto& q : inject_queues_)
-    if (!q.empty() && q.front().second <= now) return true;
-  return false;
+  // Called after MoveFlits has visited every set bit, which clears the
+  // bits of channels that went idle (FailLink leaves them behind).
+  for (std::uint64_t word : busy_channels_)
+    if (word != 0) return true;
+  // An NI with a busy channel keeps the engine ticking through that
+  // channel. Future-ready injections do not: their InjectFromNi
+  // scheduled a wake-up at `ready` already.
+  bool ready = false;
+  ForEachBit(ready_nis_, [&](std::size_t n) {
+    ready = ready || inject_queues_[n].front().second <= now;
+  });
+  return ready;
+}
+
+// --- slot recycling ---
+
+int FlitEngine::NewWorm() {
+  if (free_worms_.empty()) {
+    worms_.emplace_back();
+    return static_cast<int>(worms_.size()) - 1;
+  }
+  const int wi = free_worms_.back();
+  free_worms_.pop_back();
+  return wi;
+}
+
+int FlitEngine::NewBranch(int wi, BranchState b) {
+  int bid = static_cast<int>(branches_.size());
+  if (free_branches_.empty()) {
+    branches_.push_back(std::move(b));
+  } else {
+    bid = free_branches_.back();
+    free_branches_.pop_back();
+    branches_[static_cast<std::size_t>(bid)] = std::move(b);
+  }
+  Worm& w = worms_[static_cast<std::size_t>(wi)];
+  w.branch_ids.push_back(bid);
+  ++w.pins;
+  return bid;
+}
+
+void FlitEngine::Unpin(int wi) {
+  Worm& w = worms_[static_cast<std::size_t>(wi)];
+  IRMC_ENSURE(w.pins > 0);
+  if (--w.pins > 0) return;
+  // Nothing refers to the worm or its branches any more: every branch is
+  // off its channel with no flit on the wire, and the worm is neither
+  // queued for routing nor resident in a port. Free slots read as done,
+  // which is all a later walk over branches_ checks.
+  for (int bid : w.branch_ids) {
+    BranchState& b = branches_[static_cast<std::size_t>(bid)];
+    b = BranchState{};
+    b.done = true;
+    free_branches_.push_back(bid);
+  }
+  std::vector<int> ids = std::move(w.branch_ids);
+  ids.clear();  // keep the capacity for the slot's next worm
+  w = Worm{};
+  w.branch_ids = std::move(ids);
+  free_worms_.push_back(wi);
 }
 
 // --- cycle phases ---
 
 void FlitEngine::ReleasePorts() {
   for (int port : pending_port_release_)
-    inputs_[static_cast<std::size_t>(port)].resident_worm = -1;
+    Unpin(std::exchange(inputs_[static_cast<std::size_t>(port)].resident_worm,
+                        -1));
   pending_port_release_.clear();
 }
 
@@ -314,17 +400,19 @@ void FlitEngine::LandFlits(Cycles now) {
       if (b.sink_landed == b.len) DeliverBranch(b, entry.lands);
     } else {
       if (entry.is_head) {
-        // Create the downstream resident worm.
+        // Create the downstream resident worm, pinned by route_queue_
+        // and by its input port.
         InputPort& ip = inputs_[static_cast<std::size_t>(c.dst_port_index)];
         IRMC_ENSURE(ip.resident_worm == -1);
-        Worm w;
+        const int wi = NewWorm();
+        Worm& w = worms_[static_cast<std::size_t>(wi)];
         w.pkt = b.out_pkt;
         w.len = b.len;
         w.head_arrive = entry.lands;
         w.port_index = c.dst_port_index;
-        worms_.push_back(std::move(w));
-        ip.resident_worm = static_cast<int>(worms_.size()) - 1;
-        b.dst_worm = ip.resident_worm;
+        w.pins = 2;
+        ip.resident_worm = wi;
+        b.dst_worm = wi;
         if (m_switched_) m_switched_->Add();
         TraceAt(entry.lands, TraceKind::kHeadArrive, *b.out_pkt,
                 SwitchOfPort(c.dst_port_index),
@@ -343,39 +431,37 @@ void FlitEngine::LandFlits(Cycles now) {
       max_occupancy_ = std::max(
           max_occupancy_, static_cast<std::int64_t>(w.received - w.freed));
     }
+    if (entry.is_tail) Unpin(b.src_worm);  // may recycle b: use it last
   }
   in_flight_.resize(kept);
 }
 
 void FlitEngine::PumpInjections(Cycles now) {
-  for (NodeId n = 0; n < sys_->num_nodes(); ++n) {
-    auto& q = inject_queues_[static_cast<std::size_t>(n)];
-    if (q.empty()) continue;
-    Channel& c = channels_[InjChannel(n)];
-    if (c.active_branch != -1 || !c.waiting.empty()) continue;
-    if (q.front().second > now) continue;
-    // Source-side pseudo-worm: all flits available at `ready`.
-    Worm w;
+  ForEachBit(ready_nis_, [&](std::size_t n) {
+    auto& q = inject_queues_[n];
+    if (q.front().second > now) return;  // its wake-up is scheduled
+    // Source-side pseudo-worm: all flits available at `ready`, pinned
+    // only by its one branch.
+    const int wi = NewWorm();
+    Worm& w = worms_[static_cast<std::size_t>(wi)];
     w.pkt = q.front().first;
     w.len = q.front().first->WireFlits();
     w.received = w.len;
     w.routed = true;
     w.live_branches = 1;
-    worms_.push_back(std::move(w));
-    const int worm_id = static_cast<int>(worms_.size()) - 1;
 
     BranchState b;
-    b.src_worm = worm_id;
-    b.channel = static_cast<int>(InjChannel(n));
-    b.out_pkt = q.front().first;
-    b.len = worms_[static_cast<std::size_t>(worm_id)].len;
+    b.src_worm = wi;
+    b.channel = static_cast<int>(InjChannel(static_cast<NodeId>(n)));
+    b.out_pkt = std::move(q.front().first);
+    b.len = w.len;
     b.start_ok = q.front().second;
-    branches_.push_back(std::move(b));
-    const int bid = static_cast<int>(branches_.size()) - 1;
-    worms_[static_cast<std::size_t>(worm_id)].branch_ids.push_back(bid);
-    c.waiting.push_back(bid);
+    const std::size_t ci = static_cast<std::size_t>(b.channel);
+    channels_[ci].waiting.push_back(NewBranch(wi, std::move(b)));
+    SetBit(busy_channels_, ci);
+    ClearBit(ready_nis_, n);
     q.pop_front();
-  }
+  });
 }
 
 void FlitEngine::RouteWorms(Cycles now) {
@@ -384,162 +470,183 @@ void FlitEngine::RouteWorms(Cycles now) {
   while (!route_queue_.empty() && route_queue_.front().second <= now) {
     const int wi = route_queue_.front().first;
     route_queue_.pop_front();
-    Worm& w = worms_[static_cast<std::size_t>(wi)];
-    if (w.dead) continue;  // cascade-killed while waiting for its turn
-    IRMC_ENSURE(!w.routed && w.received >= 1);
-    w.routed = true;
-    const SwitchId sw = SwitchOfPort(w.port_index);
-    const PortLoadFn load = [this](SwitchId s, PortId p) {
-      return channels_[PortIdx(s, p)].Load();
-    };
-    std::vector<RouteBranch> decisions;
-    if (!TryComputeRouteBranches(*sys_, sw, w.pkt, params_.adaptive, load,
-                                 decisions)) {
-      // Stale header under swapped tables: consume the worm here and let
-      // the retransmit layer repair the loss (ReportDrop aborts when no
-      // drop handler is installed).
-      ReportDrop(w.pkt, sw);
-      w.discarding = true;
-      w.freed = w.received;
-      if (w.received >= w.len) ReleaseWormPort(w);
+    // A cascade-killed worm was only waiting for its turn.
+    if (!worms_[static_cast<std::size_t>(wi)].dead) RouteWorm(wi, now);
+    Unpin(wi);  // off route_queue_
+  }
+}
+
+void FlitEngine::RouteWorm(int wi, Cycles now) {
+  Worm& w = worms_[static_cast<std::size_t>(wi)];
+  IRMC_ENSURE(!w.routed && w.received >= 1);
+  w.routed = true;
+  const SwitchId sw = SwitchOfPort(w.port_index);
+  const PortLoadFn load = [this](SwitchId s, PortId p) {
+    return channels_[PortIdx(s, p)].Load();
+  };
+  std::vector<RouteBranch> decisions;
+  if (!TryComputeRouteBranches(*sys_, sw, w.pkt, params_.adaptive, load,
+                               decisions)) {
+    // Stale header under swapped tables: consume the worm here and let
+    // the retransmit layer repair the loss (ReportDrop aborts when no
+    // drop handler is installed).
+    ReportDrop(w.pkt, sw);
+    w.discarding = true;
+    w.freed = w.received;
+    if (w.received >= w.len) ReleaseWormPort(w);
+    return;
+  }
+  IRMC_ENSURE(!decisions.empty());
+  // Branches aimed at a link that died after the header committed to
+  // it are dropped on the spot.
+  std::size_t live = 0;
+  for (RouteBranch& d : decisions) {
+    Channel& dc = channels_[PortIdx(sw, d.port)];
+    if (dc.dead_since != kNever) {
+      ReportDrop(d.pkt, sw);
       continue;
     }
-    IRMC_ENSURE(!decisions.empty());
-    // Branches aimed at a link that died after the header committed to
-    // it are dropped on the spot.
-    std::size_t live = 0;
-    for (RouteBranch& d : decisions) {
-      Channel& dc = channels_[PortIdx(sw, d.port)];
-      if (dc.dead_since != kNever) {
-        ReportDrop(d.pkt, sw);
-        continue;
-      }
-      decisions[live++] = std::move(d);
-    }
-    decisions.resize(live);
-    if (decisions.empty()) {
-      w.discarding = true;
-      w.freed = w.received;
-      if (w.received >= w.len) ReleaseWormPort(w);
-      continue;
-    }
-    if (m_fanout_) {
-      m_fanout_->Add(static_cast<std::int64_t>(decisions.size()));
-      m_replications_->Add(static_cast<std::int64_t>(decisions.size()) - 1);
-    }
-    TraceAt(now, TraceKind::kRoute, *w.pkt, sw,
-            static_cast<std::int32_t>(decisions.size()));
-    w.live_branches = static_cast<int>(decisions.size());
-    for (RouteBranch& d : decisions) {
-      TraceAt(now, TraceKind::kBranch, *d.pkt, sw,
-              static_cast<std::int32_t>(d.port));
-      BranchState b;
-      b.src_worm = wi;
-      b.channel = static_cast<int>(PortIdx(sw, d.port));
-      b.out_pkt = std::move(d.pkt);
-      b.len = w.len;
-      b.start_ok = w.head_arrive + params_.route_delay + params_.xbar_delay;
-      Channel& c = channels_[static_cast<std::size_t>(b.channel)];
-      if (c.sink_host != kInvalidNode) b.sink = c.sink_host;
-      branches_.push_back(std::move(b));
-      const int bid = static_cast<int>(branches_.size()) - 1;
-      worms_[static_cast<std::size_t>(wi)].branch_ids.push_back(bid);
-      c.waiting.push_back(bid);
-    }
+    decisions[live++] = std::move(d);
+  }
+  decisions.resize(live);
+  if (decisions.empty()) {
+    w.discarding = true;
+    w.freed = w.received;
+    if (w.received >= w.len) ReleaseWormPort(w);
+    return;
+  }
+  if (m_fanout_) {
+    m_fanout_->Add(static_cast<std::int64_t>(decisions.size()));
+    m_replications_->Add(static_cast<std::int64_t>(decisions.size()) - 1);
+  }
+  TraceAt(now, TraceKind::kRoute, *w.pkt, sw,
+          static_cast<std::int32_t>(decisions.size()));
+  w.live_branches = static_cast<int>(decisions.size());
+  const Cycles start_ok =
+      w.head_arrive + params_.route_delay + params_.xbar_delay;
+  for (RouteBranch& d : decisions) {
+    TraceAt(now, TraceKind::kBranch, *d.pkt, sw,
+            static_cast<std::int32_t>(d.port));
+    BranchState b;
+    b.src_worm = wi;
+    b.channel = static_cast<int>(PortIdx(sw, d.port));
+    b.out_pkt = std::move(d.pkt);
+    b.len = w.len;
+    b.start_ok = start_ok;
+    const std::size_t ci = static_cast<std::size_t>(b.channel);
+    Channel& c = channels_[ci];
+    if (c.sink_host != kInvalidNode) b.sink = c.sink_host;
+    c.waiting.push_back(NewBranch(wi, std::move(b)));
+    SetBit(busy_channels_, ci);
   }
 }
 
 void FlitEngine::MoveFlits(Cycles now) {
-  for (std::size_t ci = 0; ci < channels_.size(); ++ci) {
-    Channel& c = channels_[ci];
-    if (c.dead_since != kNever) continue;  // FailLink emptied it
-    if (c.active_branch == -1 && !c.waiting.empty()) {
-      // Grant the branch that has been ready longest; break same-cycle
-      // ties by input port — the same engine-independent rule as the VCT
-      // engine's channel pick, so arbitration (and thus every latency)
-      // agrees across engines (docs/engines.md).
-      std::size_t best = c.waiting.size();
-      for (std::size_t i = 0; i < c.waiting.size(); ++i) {
-        const BranchState& cand =
-            branches_[static_cast<std::size_t>(c.waiting[i])];
-        if (cand.start_ok > now) continue;
-        if (best == c.waiting.size()) {
-          best = i;
-          continue;
-        }
-        const BranchState& cur =
-            branches_[static_cast<std::size_t>(c.waiting[best])];
-        if (cand.start_ok < cur.start_ok ||
-            (cand.start_ok == cur.start_ok && ArbPort(cand) < ArbPort(cur)))
-          best = i;
-      }
-      if (best != c.waiting.size()) {
-        c.active_branch = c.waiting[best];
-        c.waiting.erase(c.waiting.begin() +
-                        static_cast<std::ptrdiff_t>(best));
-      }
-    }
-    if (c.active_branch == -1) continue;
-    BranchState& b = branches_[static_cast<std::size_t>(c.active_branch)];
-    Worm& src = worms_[static_cast<std::size_t>(b.src_worm)];
-    // Flit availability at the source buffer (not a credit stall).
-    if (b.consumed >= src.received) continue;
-    // Downstream space (credit).
-    if (c.dst_port_index >= 0 && b.sink == kInvalidNode) {
-      InputPort& ip = inputs_[static_cast<std::size_t>(c.dst_port_index)];
-      bool stalled = false;
-      if (b.dst_worm == -1) {
-        if (ip.resident_worm != -1) {
-          stalled = true;
-          b.stall_why = "output port held by another worm";
-        }
-      } else {
-        const Worm& dw = worms_[static_cast<std::size_t>(b.dst_worm)];
-        if (dw.received - dw.freed >= ip.capacity) {
-          stalled = true;
-          b.stall_why = "downstream input buffer full";
-        }
-      }
-      if (stalled) {
-        ++blocked_cycles_;
-        if (m_blocked_) m_blocked_->Add();
-        if (b.stall_len == 0) b.stall_begin = now;
-        ++b.stall_len;
-        if (b.stall_len > params_.deadlock_horizon) {
-          DeadlockTrip(now, c.active_branch);
-          if (frozen_) return;  // handler consumed the trip; stop moving
-        }
+  // Ascending channel order is load-bearing: a downstream channel that
+  // drains earlier in the cycle raises its worm's `freed` before an
+  // upstream feeder with a higher index checks credit against it, exactly
+  // as a walk over every channel would.
+  ForEachBit(busy_channels_, [&](std::size_t ci) {
+    if (frozen_) return;  // the deadlock handler consumed a trip
+    MoveChannel(ci, now);
+    const Channel& c = channels_[ci];
+    if (c.active_branch == -1 && c.waiting.empty())
+      ClearBit(busy_channels_, ci);
+  });
+}
+
+void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
+  Channel& c = channels_[ci];
+  if (c.dead_since != kNever) return;  // FailLink emptied it
+  if (c.active_branch == -1 && !c.waiting.empty()) {
+    // Grant the branch that has been ready longest; break same-cycle
+    // ties by input port — the same engine-independent rule as the VCT
+    // engine's channel pick, so arbitration (and thus every latency)
+    // agrees across engines (docs/engines.md).
+    std::size_t best = c.waiting.size();
+    for (std::size_t i = 0; i < c.waiting.size(); ++i) {
+      const BranchState& cand =
+          branches_[static_cast<std::size_t>(c.waiting[i])];
+      if (cand.start_ok > now) continue;
+      if (best == c.waiting.size()) {
+        best = i;
         continue;
       }
+      const BranchState& cur =
+          branches_[static_cast<std::size_t>(c.waiting[best])];
+      if (cand.start_ok < cur.start_ok ||
+          (cand.start_ok == cur.start_ok && ArbPort(cand) < ArbPort(cur)))
+        best = i;
     }
-    CloseStreak(b);
-    const bool is_head = (b.consumed == 0);
-    ++b.consumed;
-    ++flits_moved_;
-    ++c.flits;
-    if (m_flits_) m_flits_->Add();
-    const bool is_tail = (b.consumed == b.len);
-    in_flight_.push_back(InFlight{c.active_branch, is_head, is_tail,
-                                  now + params_.link_delay});
-    if (is_tail) {
-      b.done = true;
-      c.active_branch = -1;
-      if (--src.live_branches == 0 && src.port_index >= 0) {
-        // All branches drained: free the input port at the *start of the
-        // next cycle* (the tail flit leaves the buffer this cycle),
-        // matching the VCT engine's slot-release timing.
-        ReleaseWormPort(src);
+    if (best != c.waiting.size()) {
+      c.active_branch = c.waiting[best];
+      c.waiting.erase(c.waiting.begin() + static_cast<std::ptrdiff_t>(best));
+    }
+  }
+  if (c.active_branch == -1) return;
+  BranchState& b = branches_[static_cast<std::size_t>(c.active_branch)];
+  Worm& src = worms_[static_cast<std::size_t>(b.src_worm)];
+  // Flit availability at the source buffer (not a credit stall).
+  if (b.consumed >= src.received) return;
+  // Downstream space (credit).
+  if (c.dst_port_index >= 0 && b.sink == kInvalidNode) {
+    InputPort& ip = inputs_[static_cast<std::size_t>(c.dst_port_index)];
+    bool stalled = false;
+    if (b.dst_worm == -1) {
+      if (ip.resident_worm != -1) {
+        stalled = true;
+        b.stall_why = "output port held by another worm";
+      }
+    } else {
+      const Worm& dw = worms_[static_cast<std::size_t>(b.dst_worm)];
+      if (dw.received - dw.freed >= ip.capacity) {
+        stalled = true;
+        b.stall_why = "downstream input buffer full";
       }
     }
-    // Freed-flit accounting (buffer occupancy): freed = min consumed
-    // over the worm's branches.
-    int min_consumed = b.len;
-    for (int obid : src.branch_ids) {
-      const BranchState& other = branches_[static_cast<std::size_t>(obid)];
-      if (!other.done) min_consumed = std::min(min_consumed, other.consumed);
+    if (stalled) {
+      ++blocked_cycles_;
+      if (m_blocked_) m_blocked_->Add();
+      if (b.stall_len == 0) b.stall_begin = now;
+      ++b.stall_len;
+      if (b.stall_len > params_.deadlock_horizon)
+        DeadlockTrip(now, c.active_branch);
+      return;
     }
-    src.freed = std::max(src.freed, std::min(min_consumed, src.received));
   }
+  CloseStreak(b);
+  const bool is_head = (b.consumed == 0);
+  ++b.consumed;
+  ++flits_moved_;
+  ++c.flits;
+  if (m_flits_) m_flits_->Add();
+  const bool is_tail = (b.consumed == b.len);
+  in_flight_.push_back(InFlight{c.active_branch, is_head, is_tail,
+                                now + params_.link_delay});
+  if (is_tail) {
+    b.done = true;
+    c.active_branch = -1;
+    if (--src.live_branches == 0 && src.port_index >= 0) {
+      // All branches drained: free the input port at the *start of the
+      // next cycle* (the tail flit leaves the buffer this cycle),
+      // matching the VCT engine's slot-release timing.
+      ReleaseWormPort(src);
+    }
+    if (src.port_index < 0) {
+      // An injection channel carries one branch at a time, so it is idle
+      // now and its NI may start the next queued packet.
+      const std::size_t n = ci - InjChannel(0);
+      if (!inject_queues_[n].empty()) SetBit(ready_nis_, n);
+    }
+  }
+  // Freed-flit accounting (buffer occupancy): freed = min consumed
+  // over the worm's branches.
+  int min_consumed = b.len;
+  for (int obid : src.branch_ids) {
+    const BranchState& other = branches_[static_cast<std::size_t>(obid)];
+    if (!other.done) min_consumed = std::min(min_consumed, other.consumed);
+  }
+  src.freed = std::max(src.freed, std::min(min_consumed, src.received));
 }
 
 void FlitEngine::CloseStreak(BranchState& b) {

@@ -17,6 +17,13 @@
 // come from the shared route_logic layer, so port selection — including
 // least-loaded adaptive selection — is identical to the Fabric's.
 //
+// Cost: a stepped cycle visits only the channels that hold a branch and
+// the NIs that could start one (two bitmaps walked in ascending index
+// order, which keeps arbitration and credit timing cycle-exact), plus
+// the flits landing that cycle. Worm and branch slots are recycled once
+// nothing can reach them, so memory follows the worms in flight, not
+// the packets ever sent.
+//
 // Deadlock trip: up*/down* routing is deadlock-free, so a worm that
 // stays credit-blocked on one channel for more than
 // NetParams::deadlock_horizon cycles indicates a broken routing state
@@ -90,6 +97,13 @@ class FlitEngine final : public NetworkModel {
   /// Cycles actually stepped (idle gaps cost nothing).
   std::int64_t cycles_stepped() const { return ticks_; }
 
+  /// Worm slots plus branch slots ever allocated. Finished worms and
+  /// branches are recycled, so this follows how many were alive at once,
+  /// not how many packets the run sent.
+  std::size_t allocated_slots() const {
+    return worms_.size() + branches_.size();
+  }
+
   /// Installs a deadlock handler. By default a worm blocked past the
   /// horizon aborts the process with a full report; with a handler the
   /// engine instead calls it once and freezes (drops every future tick),
@@ -135,6 +149,11 @@ class FlitEngine final : public NetworkModel {
                               ///< feeder still streams: swallow arrivals
                               ///< so it can drain, free the port at tail
     bool port_released = false;  ///< idempotence guard for the release
+    /// What still refers to this slot: one while on route_queue_, one
+    /// while it holds its input port (until ReleasePorts clears it), one
+    /// per branch whose tail has neither landed nor evaporated. At zero
+    /// the slot, its branches and their packets are recycled.
+    int pins = 0;
   };
 
   /// One output stream of a routed worm: drains the source buffer
@@ -147,7 +166,7 @@ class FlitEngine final : public NetworkModel {
     int consumed = 0;
     Cycles start_ok = 0;
     int dst_worm = -1;  ///< created when the head lands downstream
-    bool done = false;
+    bool done = false;  ///< tail sent or branch killed; also a free slot
     // Host-sink delivery state (channel ends at an NI).
     NodeId sink = kInvalidNode;
     Cycles sink_head = 0;
@@ -168,7 +187,7 @@ class FlitEngine final : public NetworkModel {
     NodeId sink_host = kInvalidNode;
     bool to_host = false;
     int active_branch = -1;
-    std::deque<int> waiting;
+    std::vector<int> waiting;  ///< in arrival order; a grant may erase any
     Cycles dead_since = kNever;  ///< FailLink time; kNever = alive
     std::int64_t flits = 0;  ///< one busy cycle per flit moved
     int Load() const {
@@ -231,7 +250,17 @@ class FlitEngine final : public NetworkModel {
   void LandFlits(Cycles now);
   void PumpInjections(Cycles now);
   void RouteWorms(Cycles now);
+  void RouteWorm(int wi, Cycles now);
   void MoveFlits(Cycles now);
+  void MoveChannel(std::size_t ci, Cycles now);
+
+  // --- slot recycling ---
+  int NewWorm();
+  /// Appends a fresh branch slot to worm `wi` and pins the worm for it.
+  int NewBranch(int wi, BranchState b);
+  /// Drops one pin of worm `wi`; the last one recycles the worm and its
+  /// branches.
+  void Unpin(int wi);
 
   void DeliverBranch(BranchState& b, Cycles tail_arrive);
   void CloseStreak(BranchState& b);
@@ -278,10 +307,19 @@ class FlitEngine final : public NetworkModel {
   std::vector<Channel> channels_;  // switch out-channels, then injections
   std::vector<Worm> worms_;
   std::vector<BranchState> branches_;
+  std::vector<int> free_worms_;     // recycled worms_ indices
+  std::vector<int> free_branches_;  // recycled branches_ indices
   std::vector<InFlight> in_flight_;
   std::deque<std::pair<int, Cycles>> route_queue_;  // (worm, decision time)
   std::vector<std::deque<std::pair<PacketPtr, Cycles>>> inject_queues_;
   std::vector<int> pending_port_release_;
+  // Activity sets, one bit per index, walked in ascending order. A set
+  // bit in busy_channels_ covers every channel with an active or waiting
+  // branch (a bit may outlive a FailLink until the channel's next
+  // visit); ready_nis_ holds exactly the NIs with a queued packet and an
+  // idle injection channel.
+  std::vector<std::uint64_t> busy_channels_;
+  std::vector<std::uint64_t> ready_nis_;
 
   DeadlockHandler on_deadlock_;
   bool frozen_ = false;  ///< deadlock handler fired; engine stays quiet

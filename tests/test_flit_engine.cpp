@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 #include <tuple>
 
+#include "core/executor.hpp"
+#include "core/load_runner.hpp"
+#include "mcast/scheme.hpp"
 #include "metrics/metrics.hpp"
 #include "network/fabric.hpp"
 #include "topology/system.hpp"
@@ -142,8 +146,9 @@ TEST(FlitEngine, IdleGapsCostNoCycles) {
   flit.InjectFromNi(0, Unicast(0, 1, 50), 100'000);
   engine.RunToQuiescence();
   EXPECT_EQ(delivered, 1);
-  // Only the active window around the transfer is stepped.
-  EXPECT_LT(flit.cycles_stepped(), 200);
+  // Only the active window around the transfer is stepped: 52 wire
+  // flits, the hops to the far NI, and nothing before cycle 100'000.
+  EXPECT_EQ(flit.cycles_stepped(), 59);
 }
 
 TEST(FlitEngine, SmallBuffersStretchWormAcrossLinks) {
@@ -346,6 +351,257 @@ TEST_P(ContendedXCheck, EnginesAgreeExactlyUnderContention) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ContendedXCheck,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
+
+// --- FailLink: directed cuts -----------------------------------------------
+//
+// Each scenario pins what the drop handler hears, when every surviving
+// packet is delivered, and exactly how many cycles the engine steps: a
+// channel left marked busy after its branches were cut would keep the
+// engine ticking and show up in the stepped count.
+
+PacketPtr Tagged(PacketPtr pkt, std::int64_t mcast_id) {
+  pkt->mcast_id = mcast_id;
+  return pkt;
+}
+
+struct FaultRecord {
+  /// mcast id -> (head, tail) at its NI.
+  std::map<std::int64_t, std::pair<Cycles, Cycles>> delivered;
+  /// (mcast id, switch) in report order.
+  std::vector<std::pair<std::int64_t, SwitchId>> drops;
+};
+
+/// Runs `inject` on a deterministic-routing flit engine, cuts the link at
+/// (sw, port) at cycle `cut`, and runs until the engine goes quiet. A
+/// channel left marked busy forever fails the run instead of hanging it.
+FaultRecord RunWithCut(const System& sys, SwitchId sw, PortId port,
+                       Cycles cut,
+                       const std::function<void(FlitEngine&)>& inject,
+                       std::int64_t* stepped) {
+  Engine engine;
+  NetParams params;
+  params.adaptive = false;
+  FaultRecord rec;
+  FlitEngine flit(engine, sys, params,
+                  [&](NodeId, const PacketPtr& p, Cycles h, Cycles t) {
+                    EXPECT_TRUE(rec.delivered.emplace(p->mcast_id,
+                                                      std::pair{h, t})
+                                    .second);
+                  });
+  flit.SetDropHandler([&](const PacketPtr& p, Cycles, SwitchId where) {
+    rec.drops.emplace_back(p->mcast_id, where);
+  });
+  inject(flit);
+  engine.ScheduleAt(cut, [&flit, sw, port]() { flit.FailLink(sw, port); });
+  EXPECT_TRUE(engine.RunUntil(10'000)) << "the engine never went quiet";
+  *stepped = flit.cycles_stepped();
+  return rec;
+}
+
+/// Three switches in a line, 0 - 1 - 2, with NIs at both ends and one in
+/// the middle: node 0 and 1 at switch 0, node 2 and 3 at switch 2, node
+/// 4 at switch 1.
+System LineOfThree() {
+  Graph g(3, 6);
+  g.AddLink(0, 0, 1, 0);
+  g.AddLink(1, 1, 2, 0);
+  g.AttachHost(0, 4);  // node 0
+  g.AttachHost(0, 5);  // node 1
+  g.AttachHost(2, 4);  // node 2
+  g.AttachHost(2, 5);  // node 3
+  g.AttachHost(1, 4);  // node 4
+  return System{std::move(g)};
+}
+
+TEST(FlitEngineFailLink, CutUnderStreamingBranch) {
+  // Worm 1 (0 -> 2) streams across switch 1's link to switch 2 when the
+  // link dies. Its switch-2 copy is cascade-killed, which frees the
+  // ejection port worm 3 waits on; its switch-1 copy swallows the rest of
+  // the stream, which frees the input port worm 2 waits on.
+  const System sys = LineOfThree();
+  std::int64_t stepped = 0;
+  const FaultRecord rec = RunWithCut(
+      sys, 1, 1, 40,
+      [](FlitEngine& f) {
+        f.InjectFromNi(0, Tagged(Unicast(0, 2, 128), 1), 0);
+        f.InjectFromNi(1, Tagged(Unicast(1, 4, 128), 2), 0);
+        f.InjectFromNi(3, Tagged(Unicast(3, 2, 128), 3), 20);
+      },
+      &stepped);
+  using Drops = std::vector<std::pair<std::int64_t, SwitchId>>;
+  EXPECT_EQ(rec.drops, (Drops{{1, 1}}));
+  ASSERT_EQ(rec.delivered.size(), 2u);
+  EXPECT_EQ(rec.delivered.at(2), (std::pair<Cycles, Cycles>{138, 267}));
+  EXPECT_EQ(rec.delivered.at(3), (std::pair<Cycles, Cycles>{41, 170}));
+  EXPECT_EQ(stepped, 268);
+}
+
+TEST(FlitEngineFailLink, CutWhileSecondBranchWaits) {
+  // Worm 1 (0 -> 2) holds switch 1's link to switch 2; worm 2 (4 -> 3)
+  // waits for it. The cut drops both, the waiting one first. Worm 3,
+  // queued behind worm 2 at node 4, starts once worm 2's discarded copy
+  // has drained its input port; worm 4 does the same behind worm 1.
+  const System sys = LineOfThree();
+  std::int64_t stepped = 0;
+  const FaultRecord rec = RunWithCut(
+      sys, 1, 1, 60,
+      [](FlitEngine& f) {
+        f.InjectFromNi(0, Tagged(Unicast(0, 2, 128), 1), 0);
+        f.InjectFromNi(4, Tagged(Unicast(4, 3, 128), 2), 10);
+        f.InjectFromNi(4, Tagged(Unicast(4, 0, 128), 3), 10);
+        f.InjectFromNi(1, Tagged(Unicast(1, 4, 128), 4), 0);
+      },
+      &stepped);
+  using Drops = std::vector<std::pair<std::int64_t, SwitchId>>;
+  EXPECT_EQ(rec.drops, (Drops{{2, 1}, {1, 1}}));
+  ASSERT_EQ(rec.delivered.size(), 2u);
+  EXPECT_EQ(rec.delivered.at(3), (std::pair<Cycles, Cycles>{148, 277}));
+  EXPECT_EQ(rec.delivered.at(4), (std::pair<Cycles, Cycles>{138, 267}));
+  EXPECT_EQ(stepped, 278);
+}
+
+TEST(FlitEngineFailLink, CascadeKillsDownstreamWorms) {
+  // Four switches in a line. Tree worm 1 from node 0 spans switches 1-3
+  // (replicating at switch 2) when the first link dies: one drop is
+  // reported, every downstream copy is killed, and the channels worms 2
+  // and 3 wait on free at once. Worm 4, queued behind worm 1 at node 0,
+  // routes onto the dead link and is dropped there.
+  Graph g(4, 6);
+  g.AddLink(0, 0, 1, 0);
+  g.AddLink(1, 1, 2, 0);
+  g.AddLink(2, 1, 3, 0);
+  g.AttachHost(0, 4);  // node 0
+  g.AttachHost(2, 4);  // node 1
+  g.AttachHost(3, 4);  // node 2
+  g.AttachHost(3, 5);  // node 3
+  g.AttachHost(2, 5);  // node 4
+  const System sys{std::move(g)};
+  auto tree = std::make_shared<Packet>();
+  tree->src = 0;
+  tree->kind = HeaderKind::kTreeWorm;
+  tree->tree_dests = NodeSet::FromVector(5, {1, 2});
+  tree->data_flits = 128;
+  tree->header_flits = 4;
+  std::int64_t stepped = 0;
+  const FaultRecord rec = RunWithCut(
+      sys, 0, 0, 60,
+      [&tree](FlitEngine& f) {
+        f.InjectFromNi(0, Tagged(tree, 1), 0);
+        f.InjectFromNi(4, Tagged(Unicast(4, 2, 128), 2), 20);
+        f.InjectFromNi(3, Tagged(Unicast(3, 1, 128), 3), 20);
+        f.InjectFromNi(0, Tagged(Unicast(0, 1, 128), 4), 0);
+      },
+      &stepped);
+  using Drops = std::vector<std::pair<std::int64_t, SwitchId>>;
+  EXPECT_EQ(rec.drops, (Drops{{1, 0}, {4, 0}}));
+  ASSERT_EQ(rec.delivered.size(), 2u);
+  EXPECT_EQ(rec.delivered.at(2), (std::pair<Cycles, Cycles>{64, 193}));
+  EXPECT_EQ(rec.delivered.at(3), (std::pair<Cycles, Cycles>{61, 190}));
+  EXPECT_EQ(stepped, 265);
+}
+
+// --- Work done under load ----------------------------------------------------
+
+/// The flit engine's work counters for one load point: two replicas of
+/// the paper's default system, 20k-cycle horizon.
+struct LoadWork {
+  std::int64_t cycles_run, flits_moved, blocked_cycles, events;
+  long completed;
+  double mean_latency;
+};
+
+LoadWork RunFlitLoadPoint(SchemeKind scheme, double load) {
+  LoadRunSpec spec;
+  spec.cfg.engine = EngineKind::kFlit;
+  spec.scheme = scheme;
+  spec.degree = 8;
+  spec.effective_load = load;
+  spec.warmup = 2'000;
+  spec.horizon = 20'000;
+  spec.topologies = 2;
+  LoadRunResult r = RunLoadSweepPoint(spec);
+  return {r.metrics.GetCounter("flit.cycles_run").value,
+          r.metrics.GetCounter("flit.flits_moved").value,
+          r.metrics.GetCounter("flit.blocked_cycles").value,
+          r.metrics.GetCounter("sim.events").value,
+          r.completed,
+          r.mean_latency};
+}
+
+TEST(FlitEngineWork, GoldenTreeWormLoadPoint) {
+  // Golden values: any change to what the engine steps, moves or blocks
+  // on — or to the kernel events it schedules — shows up here.
+  const LoadWork w = RunFlitLoadPoint(SchemeKind::kTreeWorm, 0.3);
+  EXPECT_EQ(w.cycles_run, 49848);
+  EXPECT_EQ(w.flits_moved, 749864);
+  EXPECT_EQ(w.blocked_cycles, 47330);
+  EXPECT_EQ(w.events, 54239);
+  EXPECT_EQ(w.completed, 323);
+  EXPECT_DOUBLE_EQ(w.mean_latency, 14292.133126934985);
+}
+
+TEST(FlitEngineWork, SlotsStayBoundedOverALongLoadedRun) {
+  // 300k cycles of open-loop tree-worm traffic on the paper's default
+  // system (the McastDriver path every load figure takes). Finished
+  // worms and branches are recycled, so the slots ever allocated follow
+  // the worms alive at once, not the packets ever sent.
+  struct OpenLoop {
+    SimConfig cfg;
+    std::unique_ptr<System> sys;
+    Engine engine;
+    std::unique_ptr<McastDriver> driver;
+    std::unique_ptr<MulticastScheme> scheme;
+    Rng rng{7};
+    double mean_gap = 0.0;
+    long launched = 0;
+    long completed = 0;
+
+    void Arrive(NodeId n) {
+      const auto gap = static_cast<Cycles>(rng.NextExponential(mean_gap));
+      engine.ScheduleAfter(std::max<Cycles>(1, gap), [this, n]() {
+        if (engine.Now() >= 300'000) return;
+        std::vector<NodeId> dests;
+        for (auto d : rng.SampleWithoutReplacement(sys->num_nodes() - 1, 8))
+          dests.push_back(static_cast<NodeId>(d >= n ? d + 1 : d));
+        ++launched;
+        driver->Launch(
+            scheme->Plan(*sys, n, dests, cfg.message, cfg.headers),
+            engine.Now(), [this](const MulticastResult&) { ++completed; });
+        Arrive(n);
+      });
+    }
+  } run;
+  run.cfg.engine = EngineKind::kFlit;
+  run.sys = System::Build(run.cfg.topology, 1);
+  run.driver = std::make_unique<McastDriver>(run.engine, *run.sys, run.cfg);
+  run.scheme = MakeScheme(SchemeKind::kTreeWorm, run.cfg.host);
+  run.mean_gap = 8.0 * static_cast<double>(run.cfg.message.TotalFlits()) / 0.2;
+  for (NodeId n = 0; n < run.sys->num_nodes(); ++n) run.Arrive(n);
+  run.engine.RunToQuiescence();
+  EXPECT_GT(run.launched, 1500);
+  EXPECT_EQ(run.completed, run.launched);
+
+  // A worm lives in an input port or on an injection channel, so the
+  // live set is of the order of ports + NIs (96 here) however long the
+  // run. Without recycling this run allocates about 44k slots.
+  const auto& flit = dynamic_cast<const FlitEngine&>(run.driver->network());
+  const auto ports_and_nis = static_cast<std::size_t>(
+      run.sys->num_switches() * run.sys->graph.ports_per_switch() +
+      run.sys->num_nodes());
+  EXPECT_GT(flit.allocated_slots(), 0u);
+  EXPECT_LT(flit.allocated_slots(), 2 * ports_and_nis);
+}
+
+TEST(FlitEngineWork, GoldenUniBinomialLoadPoint) {
+  const LoadWork w = RunFlitLoadPoint(SchemeKind::kUnicastBinomial, 0.05);
+  EXPECT_EQ(w.cycles_run, 35273);
+  EXPECT_EQ(w.flits_moved, 195260);
+  EXPECT_EQ(w.blocked_cycles, 228);
+  EXPECT_EQ(w.events, 36213);
+  EXPECT_EQ(w.completed, 47);
+  EXPECT_DOUBLE_EQ(w.mean_latency, 9082.9574468085102);
+}
+
 
 }  // namespace
 }  // namespace irmc
