@@ -15,6 +15,12 @@
 namespace irmc {
 namespace {
 
+/// A point is saturated when more than this fraction of its launched
+/// multicasts are still unfinished at the horizon...
+constexpr double kSaturationUnfinishedFrac = 0.5;
+/// ...or when the mean latency of the completed ones exceeds this cap.
+constexpr double kSaturationLatency = 100'000.0;
+
 /// One topology's worth of open-loop traffic.
 struct TopologyRun {
   const LoadRunSpec& spec;
@@ -200,8 +206,8 @@ LoadRunResult RunLoadSweepPoint(const LoadRunSpec& spec) {
       launched > 0 ? static_cast<double>(out.unfinished) /
                          static_cast<double>(launched)
                    : 0.0;
-  out.saturated = unfinished_frac > spec.saturation_unfinished_frac ||
-                  out.mean_latency > spec.saturation_latency ||
+  out.saturated = unfinished_frac > kSaturationUnfinishedFrac ||
+                  out.mean_latency > kSaturationLatency ||
                   all.count() == 0;
   out.metrics = std::move(merged.metrics);
   return out;

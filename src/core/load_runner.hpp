@@ -56,11 +56,6 @@ struct LoadRunSpec {
   Cycles warmup = 20'000;         ///< cold-start, not measured
   Cycles horizon = 300'000;       ///< generation stops here
   int topologies = 5;
-  /// Multicasts still unfinished at the horizon beyond this fraction of
-  /// completions mark the point as saturated.
-  double saturation_unfinished_frac = 0.5;
-  /// Hard cap on mean latency before declaring saturation.
-  double saturation_latency = 100'000.0;
   /// Optional trace sink: per-trial tracers (stamped with the trial
   /// index) are appended here in trial-index order after the merge.
   /// Tracing never forces serial execution.
@@ -76,6 +71,8 @@ struct LoadRunResult {
   double p95_latency = 0.0;
   long completed = 0;
   long unfinished = 0;
+  /// More than half the launched multicasts unfinished, mean latency
+  /// above 100k cycles, or no completions at all.
   bool saturated = false;
   /// Delivered payload flits per host per cycle over the generation
   /// horizon (completed multicasts x degree x message flits, normalised

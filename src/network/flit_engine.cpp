@@ -35,133 +35,43 @@ void ForEachBit(const std::vector<std::uint64_t>& set, Visit visit) {
 FlitEngine::FlitEngine(Engine& engine, const System& sys,
                        const NetParams& params, DeliverFn deliver,
                        Tracer* tracer, MetricsRegistry* metrics)
-    : engine_(engine),
-      sys_(&sys),
-      params_(params),
-      deliver_(std::move(deliver)),
-      tracer_(tracer),
-      metrics_(metrics),
-      ports_(sys.graph.ports_per_switch()) {
-  IRMC_EXPECT(deliver_ != nullptr);
+    : NetworkModel(engine, sys, params, std::move(deliver), tracer, metrics,
+                   "flit", "flits_moved"),
+      arbs_(num_channels()),
+      inject_queues_(static_cast<std::size_t>(sys.num_nodes())) {
   IRMC_EXPECT(params_.buffer_flits >= 1);
   IRMC_EXPECT(params_.deadlock_horizon >= 1);
-  if (metrics_) {
-    m_flits_ = &metrics_->GetCounter("flit.flits_moved");
-    m_switched_ = &metrics_->GetCounter("flit.packets_switched");
-    m_injected_ = &metrics_->GetCounter("flit.packets_injected");
-    m_replications_ = &metrics_->GetCounter("flit.replications");
-    m_host_deliveries_ = &metrics_->GetCounter("flit.host_deliveries");
-    m_blocked_ = &metrics_->GetCounter("flit.blocked_cycles");
-    m_fanout_ = &metrics_->GetHistogram("flit.route_fanout");
-    m_header_flits_ = &metrics_->GetHistogram("flit.header_flits");
-  }
-  const auto n_ports = static_cast<std::size_t>(sys.num_switches()) *
-                       static_cast<std::size_t>(ports_);
-  inputs_.assign(n_ports, InputPort{params_.buffer_flits, -1});
-  channels_.resize(n_ports + static_cast<std::size_t>(sys.num_nodes()));
-  for (SwitchId sw = 0; sw < sys.num_switches(); ++sw) {
-    for (PortId pt = 0; pt < ports_; ++pt) {
-      Channel& c = channels_[PortIdx(sw, pt)];
-      const Port& port = sys.graph.port(sw, pt);
-      if (port.kind == PortKind::kSwitch) {
-        c.dst_port_index =
-            static_cast<int>(PortIdx(port.peer_switch, port.peer_port));
-      } else if (port.kind == PortKind::kHost) {
-        c.sink_host = port.host;
-        c.to_host = true;
-      }
-    }
-  }
-  for (NodeId n = 0; n < sys.num_nodes(); ++n) {
-    Channel& c = channels_[InjChannel(n)];
-    const HostAttachment& at = sys.graph.host(n);
-    c.dst_port_index = static_cast<int>(PortIdx(at.sw, at.port));
-  }
-  inject_queues_.resize(static_cast<std::size_t>(sys.num_nodes()));
-  busy_channels_.assign((channels_.size() + 63) / 64, 0);
+  inputs_.assign(num_ports(), InputPort{params_.buffer_flits, -1});
+  busy_channels_.assign((arbs_.size() + 63) / 64, 0);
   ready_nis_.assign((inject_queues_.size() + 63) / 64, 0);
 }
 
-void FlitEngine::InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) {
-  IRMC_EXPECT(pkt != nullptr);
-  IRMC_EXPECT(pkt->WireFlits() > 0);
-  if (params_.record_routes && !pkt->hop_log)
-    pkt->hop_log = std::make_shared<std::vector<HopRecord>>();
-  TraceAt(engine_.Now(), TraceKind::kInject, *pkt, n, -1);
-  if (m_injected_) {
-    m_injected_->Add();
-    m_header_flits_->Add(pkt->header_flits);
-  }
+void FlitEngine::QueueInjection(NodeId n, PacketPtr pkt, Cycles ready) {
   inject_queues_[static_cast<std::size_t>(n)].emplace_back(std::move(pkt),
                                                            ready);
-  if (channels_[InjChannel(n)].Load() == 0)
+  if (arbs_[static_cast<std::size_t>(InjChannel(n))].Load() == 0)
     SetBit(ready_nis_, static_cast<std::size_t>(n));
   ScheduleTick(ready);
 }
 
 int FlitEngine::InjectionBacklog(NodeId n) const {
   return static_cast<int>(inject_queues_[static_cast<std::size_t>(n)].size()) +
-         channels_[InjChannel(n)].Load();
+         arbs_[static_cast<std::size_t>(InjChannel(n))].Load();
 }
 
 std::int64_t FlitEngine::TotalBacklog() const {
   std::int64_t total = 0;
-  for (const Channel& c : channels_) total += c.Load();
+  for (const Arbiter& a : arbs_) total += a.Load();
   for (const auto& q : inject_queues_)
     total += static_cast<std::int64_t>(q.size());
   return total;
 }
 
-std::vector<LinkLoadReport> FlitEngine::LinkReports(Cycles now) const {
-  std::vector<LinkLoadReport> out;
-  const double elapsed = now > 0 ? static_cast<double>(now) : 1.0;
-  for (SwitchId s = 0; s < sys_->num_switches(); ++s) {
-    for (PortId p = 0; p < ports_; ++p) {
-      const Port& pt = sys_->graph.port(s, p);
-      if (pt.kind == PortKind::kFree) continue;
-      const Channel& c = channels_[PortIdx(s, p)];
-      LinkLoadReport r;
-      r.sw = s;
-      r.port = p;
-      r.to_host = c.to_host;
-      r.node = c.sink_host;
-      r.flits = c.flits;
-      // One flit per cycle per channel, so busy cycles == flits moved
-      // (the Fabric's TimelineResource holds a channel for exactly one
-      // cycle per wire flit too — the two engines report identically).
-      r.utilization = static_cast<double>(c.flits) / elapsed;
-      out.push_back(r);
-    }
-  }
-  for (NodeId n = 0; n < sys_->num_nodes(); ++n) {
-    const Channel& c = channels_[InjChannel(n)];
-    LinkLoadReport r;
-    r.node = n;
-    r.flits = c.flits;
-    r.utilization = static_cast<double>(c.flits) / elapsed;
-    out.push_back(r);
-  }
-  return out;
-}
-
-void FlitEngine::CollectMetrics(Cycles now) {
-  if (!metrics_) return;
+void FlitEngine::CollectEngineMetrics() {
   metrics_->GetCounter("flit.cycles_run").Add(ticks_);
   metrics_->GetCounter("flit.deliveries").Add(deliveries_);
   metrics_->GetGauge("flit.max_buffer_occupancy", GaugeMode::kMax)
       .Set(static_cast<double>(max_occupancy_));
-  Counter& busy = metrics_->GetCounter("flit.link_busy_cycles");
-  Histogram& util = metrics_->GetHistogram("flit.link_utilization_pct");
-  Gauge& hottest =
-      metrics_->GetGauge("flit.max_link_utilization", GaugeMode::kMax);
-  double best = 0.0;
-  for (const Channel& c : channels_) busy.Add(c.flits);
-  for (const LinkLoadReport& r : LinkReports(now)) {
-    if (r.sw == kInvalidSwitch || r.to_host) continue;  // switch-switch only
-    util.Add(static_cast<std::int64_t>(100.0 * r.utilization));
-    best = std::max(best, r.utilization);
-  }
-  hottest.Set(best);
 }
 
 // ---------------------------------------------------------------------------
@@ -173,13 +83,6 @@ void FlitEngine::CollectMetrics(Cycles now) {
 // every branch enters discard mode so its feeder can drain and its
 // input port frees at the tail, exactly as if it had been consumed.
 // ---------------------------------------------------------------------------
-
-void FlitEngine::ReportDrop(const PacketPtr& pkt, SwitchId where) {
-  IRMC_ENSURE(drop_ != nullptr &&
-              "worm truncated or unroutable but no drop handler is "
-              "installed");
-  drop_(pkt, engine_.Now(), where);
-}
 
 void FlitEngine::ReleaseWormPort(Worm& w) {
   if (w.port_index < 0 || w.port_released) return;
@@ -193,7 +96,7 @@ void FlitEngine::KillBranch(int bid) {
   CloseStreak(b);  // emits the open stall interval; keeps the
                    // trace-vs-counter accounting identity
   b.done = true;
-  Channel& c = channels_[static_cast<std::size_t>(b.channel)];
+  Arbiter& c = arbs_[static_cast<std::size_t>(b.channel)];
   if (c.active_branch == bid) {
     c.active_branch = -1;
   } else {
@@ -244,36 +147,22 @@ void FlitEngine::KillWorm(int wi) {
   ReleaseWormPort(worms_[static_cast<std::size_t>(wi)]);
 }
 
-void FlitEngine::FailLink(SwitchId sw, PortId port) {
-  const Port& pt = sys_->graph.port(sw, port);
-  IRMC_EXPECT(pt.kind == PortKind::kSwitch);
-  const Cycles now = engine_.Now();
-  const std::size_t fwd = PortIdx(sw, port);
-  const std::size_t rev = PortIdx(pt.peer_switch, pt.peer_port);
-  for (std::size_t ci : {fwd, rev}) {
-    Channel& c = channels_[ci];
-    if (c.dead_since != kNever) continue;
-    c.dead_since = now;
+void FlitEngine::CutChannels(std::span<const int> dead) {
+  for (int ci : dead) {
     // Every branch committed to the link is cut; each reports its own
     // packet (whose destination set covers its whole subtree — cascade
     // kills underneath it are not re-reported).
+    const Arbiter& c = arbs_[static_cast<std::size_t>(ci)];
     std::vector<int> doomed(c.waiting.begin(), c.waiting.end());
     if (c.active_branch != -1) doomed.push_back(c.active_branch);
     for (int bid : doomed) {
       ReportDrop(branches_[static_cast<std::size_t>(bid)].out_pkt,
-                 static_cast<SwitchId>(ci / static_cast<std::size_t>(ports_)));
+                 SwitchOfPort(ci));
       KillBranch(bid);
     }
   }
   // Settle pending port releases / discard state on the next cycle.
-  ScheduleTick(now + 1);
-}
-
-void FlitEngine::SwapSystem(const System& sys) {
-  IRMC_EXPECT(sys.num_switches() == sys_->num_switches());
-  IRMC_EXPECT(sys.graph.ports_per_switch() == ports_);
-  IRMC_EXPECT(sys.num_nodes() == sys_->num_nodes());
-  sys_ = &sys;
+  ScheduleTick(engine_.Now() + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -377,13 +266,6 @@ void FlitEngine::ReleasePorts() {
   pending_port_release_.clear();
 }
 
-void FlitEngine::DeliverBranch(BranchState& b, Cycles tail_arrive) {
-  ++deliveries_;
-  if (m_host_deliveries_) m_host_deliveries_->Add();
-  TraceAt(tail_arrive, TraceKind::kNiDeliver, *b.out_pkt, b.sink, -1);
-  deliver_(b.sink, b.out_pkt, b.sink_head, tail_arrive);
-}
-
 void FlitEngine::LandFlits(Cycles now) {
   std::size_t kept = 0;
   for (InFlight& entry : in_flight_) {
@@ -392,31 +274,35 @@ void FlitEngine::LandFlits(Cycles now) {
       continue;
     }
     BranchState& b = branches_[static_cast<std::size_t>(entry.branch)];
-    Channel& c = channels_[static_cast<std::size_t>(b.channel)];
-    if (c.sink_host != kInvalidNode || b.sink != kInvalidNode) {
-      // Host ejection sink (switch host port or direct NI channel).
+    const Channel& c = channel(b.channel);
+    if (c.dst_host != kInvalidNode) {
+      // Host ejection sink: the packet is delivered when its tail lands.
       if (entry.is_head) b.sink_head = entry.lands;
-      ++b.sink_landed;
-      if (b.sink_landed == b.len) DeliverBranch(b, entry.lands);
+      if (++b.sink_landed == b.len) {
+        ++deliveries_;
+        if (m_host_deliveries_) m_host_deliveries_->Add();
+        TraceAt(entry.lands, TraceKind::kNiDeliver, *b.out_pkt, c.dst_host,
+                -1);
+        deliver_(c.dst_host, b.out_pkt, b.sink_head, entry.lands);
+      }
     } else {
       if (entry.is_head) {
         // Create the downstream resident worm, pinned by route_queue_
         // and by its input port.
-        InputPort& ip = inputs_[static_cast<std::size_t>(c.dst_port_index)];
+        InputPort& ip = inputs_[static_cast<std::size_t>(c.dst_port)];
         IRMC_ENSURE(ip.resident_worm == -1);
         const int wi = NewWorm();
         Worm& w = worms_[static_cast<std::size_t>(wi)];
         w.pkt = b.out_pkt;
         w.len = b.len;
         w.head_arrive = entry.lands;
-        w.port_index = c.dst_port_index;
+        w.port_index = c.dst_port;
         w.pins = 2;
         ip.resident_worm = wi;
         b.dst_worm = wi;
         if (m_switched_) m_switched_->Add();
         TraceAt(entry.lands, TraceKind::kHeadArrive, *b.out_pkt,
-                SwitchOfPort(c.dst_port_index),
-                c.dst_port_index % ports_);
+                SwitchOfPort(c.dst_port), c.dst_port % ports_);
         route_queue_.emplace_back(b.dst_worm,
                                   entry.lands + params_.route_delay);
       }
@@ -452,12 +338,12 @@ void FlitEngine::PumpInjections(Cycles now) {
 
     BranchState b;
     b.src_worm = wi;
-    b.channel = static_cast<int>(InjChannel(static_cast<NodeId>(n)));
+    b.channel = InjChannel(static_cast<NodeId>(n));
     b.out_pkt = std::move(q.front().first);
     b.len = w.len;
     b.start_ok = q.front().second;
     const std::size_t ci = static_cast<std::size_t>(b.channel);
-    channels_[ci].waiting.push_back(NewBranch(wi, std::move(b)));
+    arbs_[ci].waiting.push_back(NewBranch(wi, std::move(b)));
     SetBit(busy_channels_, ci);
     ClearBit(ready_nis_, n);
     q.pop_front();
@@ -482,7 +368,7 @@ void FlitEngine::RouteWorm(int wi, Cycles now) {
   w.routed = true;
   const SwitchId sw = SwitchOfPort(w.port_index);
   const PortLoadFn load = [this](SwitchId s, PortId p) {
-    return channels_[PortIdx(s, p)].Load();
+    return arbs_[static_cast<std::size_t>(PortIdx(s, p))].Load();
   };
   std::vector<RouteBranch> decisions;
   if (!TryComputeRouteBranches(*sys_, sw, w.pkt, params_.adaptive, load,
@@ -501,8 +387,7 @@ void FlitEngine::RouteWorm(int wi, Cycles now) {
   // it are dropped on the spot.
   std::size_t live = 0;
   for (RouteBranch& d : decisions) {
-    Channel& dc = channels_[PortIdx(sw, d.port)];
-    if (dc.dead_since != kNever) {
+    if (channel(PortIdx(sw, d.port)).dead_since != kNever) {
       ReportDrop(d.pkt, sw);
       continue;
     }
@@ -529,14 +414,12 @@ void FlitEngine::RouteWorm(int wi, Cycles now) {
             static_cast<std::int32_t>(d.port));
     BranchState b;
     b.src_worm = wi;
-    b.channel = static_cast<int>(PortIdx(sw, d.port));
+    b.channel = PortIdx(sw, d.port);
     b.out_pkt = std::move(d.pkt);
     b.len = w.len;
     b.start_ok = start_ok;
     const std::size_t ci = static_cast<std::size_t>(b.channel);
-    Channel& c = channels_[ci];
-    if (c.sink_host != kInvalidNode) b.sink = c.sink_host;
-    c.waiting.push_back(NewBranch(wi, std::move(b)));
+    arbs_[ci].waiting.push_back(NewBranch(wi, std::move(b)));
     SetBit(busy_channels_, ci);
   }
 }
@@ -549,15 +432,16 @@ void FlitEngine::MoveFlits(Cycles now) {
   ForEachBit(busy_channels_, [&](std::size_t ci) {
     if (frozen_) return;  // the deadlock handler consumed a trip
     MoveChannel(ci, now);
-    const Channel& c = channels_[ci];
+    const Arbiter& c = arbs_[ci];
     if (c.active_branch == -1 && c.waiting.empty())
       ClearBit(busy_channels_, ci);
   });
 }
 
 void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
-  Channel& c = channels_[ci];
-  if (c.dead_since != kNever) return;  // FailLink emptied it
+  const Channel& link = channel(static_cast<int>(ci));
+  if (link.dead_since != kNever) return;  // FailLink emptied it
+  Arbiter& c = arbs_[ci];
   if (c.active_branch == -1 && !c.waiting.empty()) {
     // Grant the branch that has been ready longest; break same-cycle
     // ties by input port — the same engine-independent rule as the VCT
@@ -589,8 +473,8 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
   // Flit availability at the source buffer (not a credit stall).
   if (b.consumed >= src.received) return;
   // Downstream space (credit).
-  if (c.dst_port_index >= 0 && b.sink == kInvalidNode) {
-    InputPort& ip = inputs_[static_cast<std::size_t>(c.dst_port_index)];
+  if (link.dst_port >= 0) {
+    InputPort& ip = inputs_[static_cast<std::size_t>(link.dst_port)];
     bool stalled = false;
     if (b.dst_worm == -1) {
       if (ip.resident_worm != -1) {
@@ -605,7 +489,6 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
       }
     }
     if (stalled) {
-      ++blocked_cycles_;
       if (m_blocked_) m_blocked_->Add();
       if (b.stall_len == 0) b.stall_begin = now;
       ++b.stall_len;
@@ -617,9 +500,7 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
   CloseStreak(b);
   const bool is_head = (b.consumed == 0);
   ++b.consumed;
-  ++flits_moved_;
-  ++c.flits;
-  if (m_flits_) m_flits_->Add();
+  CountFlits(static_cast<int>(ci), 1);
   const bool is_tail = (b.consumed == b.len);
   in_flight_.push_back(InFlight{c.active_branch, is_head, is_tail,
                                 now + params_.link_delay});
@@ -635,7 +516,7 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
     if (src.port_index < 0) {
       // An injection channel carries one branch at a time, so it is idle
       // now and its NI may start the next queued packet.
-      const std::size_t n = ci - InjChannel(0);
+      const std::size_t n = ci - static_cast<std::size_t>(InjChannel(0));
       if (!inject_queues_[n].empty()) SetBit(ready_nis_, n);
     }
   }
@@ -679,7 +560,6 @@ void FlitEngine::DeadlockTrip(Cycles now, int trip_branch) {
                 static_cast<long long>(params_.deadlock_horizon),
                 static_cast<long long>(now));
   msg += buf;
-  const int n_out = sys_->num_switches() * ports_;
   for (const BranchState& b : branches_) {
     if (b.done) continue;
     // A branch can be pending without an open stall streak when it is
@@ -691,27 +571,30 @@ void FlitEngine::DeadlockTrip(Cycles now, int trip_branch) {
     FlitDeadlockInfo::Pending pending;
     pending.mcast_id = b.out_pkt->mcast_id;
     pending.pkt_index = b.out_pkt->pkt_index;
-    if (b.channel < n_out) {
-      pending.sw = static_cast<SwitchId>(b.channel / ports_);
-      pending.port = static_cast<PortId>(b.channel % ports_);
+    std::int32_t actor = -1;
+    std::int32_t port = -1;
+    ChannelActor(b.channel, &actor, &port);
+    const bool injection = port < 0;
+    if (injection) {
+      pending.inj_node = actor;
     } else {
-      pending.inj_node = static_cast<NodeId>(b.channel - n_out);
+      pending.sw = actor;
+      pending.port = port;
     }
     pending.stalled = !starved;
     pending.reason = starved ? "starved of flits"
                              : (b.stall_why ? b.stall_why : "stalled");
     info.pending.push_back(pending);
-    if (b.channel < n_out)
-      std::snprintf(buf, sizeof buf,
-                    "\n  worm (mcast %lld pkt %d) at switch %d port %d",
-                    static_cast<long long>(b.out_pkt->mcast_id),
-                    b.out_pkt->pkt_index, b.channel / ports_,
-                    b.channel % ports_);
-    else
+    if (injection)
       std::snprintf(buf, sizeof buf,
                     "\n  worm (mcast %lld pkt %d) at injection of node %d",
                     static_cast<long long>(b.out_pkt->mcast_id),
-                    b.out_pkt->pkt_index, b.channel - n_out);
+                    b.out_pkt->pkt_index, actor);
+    else
+      std::snprintf(buf, sizeof buf,
+                    "\n  worm (mcast %lld pkt %d) at switch %d port %d",
+                    static_cast<long long>(b.out_pkt->mcast_id),
+                    b.out_pkt->pkt_index, actor, port);
     msg += buf;
     if (starved)
       std::snprintf(buf, sizeof buf,
@@ -723,10 +606,9 @@ void FlitEngine::DeadlockTrip(Cycles now, int trip_branch) {
                     b.stall_why ? b.stall_why : "stalled",
                     static_cast<long long>(b.stall_len));
     msg += buf;
-    const Channel& c = channels_[static_cast<std::size_t>(b.channel)];
-    if (c.dst_port_index >= 0) {
-      const int rw =
-          inputs_[static_cast<std::size_t>(c.dst_port_index)].resident_worm;
+    const int dst_port = channel(b.channel).dst_port;
+    if (dst_port >= 0) {
+      const int rw = inputs_[static_cast<std::size_t>(dst_port)].resident_worm;
       if (rw >= 0) {
         const Worm& w = worms_[static_cast<std::size_t>(rw)];
         std::snprintf(buf, sizeof buf,

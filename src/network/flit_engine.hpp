@@ -7,8 +7,15 @@
 // is freed once every branch has consumed it). With buffers of at least
 // one packet this agrees exactly with the packet-granular VCT engine on
 // uncontended traffic — tests/test_engine_xcheck asserts that for all
-// four schemes — and with smaller buffers it exhibits true wormhole
-// blocking, which the VCT engine cannot express.
+// four schemes at R = 1 — and with smaller buffers it exhibits true
+// wormhole blocking, which the VCT engine cannot express. Known
+// exception: RouteWorm gives every branch the incoming worm's length,
+// so a path-worm header field stripped at a forwarding switch still
+// crosses the next channel (docs/engines.md).
+//
+// Channel wiring, link accounting, metric slots and the fault contract
+// come from the shared NetworkModel layer; this engine keeps only its
+// worms, branches, activity bitmaps, cycle phases and deadlock trip.
 //
 // The engine is cycle-stepped but event-driven: each active cycle is one
 // event on the shared `sim` kernel, so host/NI `TimelineResource` timing
@@ -34,14 +41,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
-#include "metrics/metrics.hpp"
 #include "network/network_model.hpp"
-#include "network/packet.hpp"
-#include "sim/engine.hpp"
-#include "topology/system.hpp"
-#include "trace/tracer.hpp"
 
 namespace irmc {
 
@@ -82,17 +85,9 @@ class FlitEngine final : public NetworkModel {
              DeliverFn deliver, Tracer* tracer = nullptr,
              MetricsRegistry* metrics = nullptr);
 
-  void InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) override;
-
   int InjectionBacklog(NodeId n) const override;
 
   std::int64_t TotalBacklog() const override;
-
-  std::int64_t flits_sent() const override { return flits_moved_; }
-
-  std::vector<LinkLoadReport> LinkReports(Cycles now) const override;
-
-  void CollectMetrics(Cycles now) override;
 
   /// Cycles actually stepped (idle gaps cost nothing).
   std::int64_t cycles_stepped() const { return ticks_; }
@@ -116,18 +111,6 @@ class FlitEngine final : public NetworkModel {
   /// True once the deadlock handler has fired (the engine is wedged and
   /// will not step again).
   bool deadlock_tripped() const { return frozen_; }
-
-  /// Kills both directions of the switch-to-switch link at (sw, port):
-  /// branches waiting for or streaming through it are truncated (flits
-  /// on the wire evaporate), and every incomplete downstream worm the
-  /// truncated branches were feeding is cascade-killed. The packet of
-  /// each branch cut at the link is reported through the drop handler
-  /// (cascade kills are covered by that report's destination set).
-  void FailLink(SwitchId sw, PortId port) override;
-
-  /// Swaps the routing tables to `sys` (same switches x ports shape);
-  /// worms routed from now on use the new tables.
-  void SwapSystem(const System& sys) override;
 
  private:
   /// A worm copy resident in (or streaming through) an input buffer;
@@ -168,7 +151,6 @@ class FlitEngine final : public NetworkModel {
     int dst_worm = -1;  ///< created when the head lands downstream
     bool done = false;  ///< tail sent or branch killed; also a free slot
     // Host-sink delivery state (channel ends at an NI).
-    NodeId sink = kInvalidNode;
     Cycles sink_head = 0;
     int sink_landed = 0;
     // Open credit-stall streak. stall_len counts exactly the cycles
@@ -182,14 +164,11 @@ class FlitEngine final : public NetworkModel {
     const char* stall_why = nullptr;
   };
 
-  struct Channel {
-    int dst_port_index = -1;  ///< downstream input port; -1 = host sink
-    NodeId sink_host = kInvalidNode;
-    bool to_host = false;
+  /// A channel's branches: the one streaming through it and those
+  /// waiting for a grant.
+  struct Arbiter {
     int active_branch = -1;
     std::vector<int> waiting;  ///< in arrival order; a grant may erase any
-    Cycles dead_since = kNever;  ///< FailLink time; kNever = alive
-    std::int64_t flits = 0;  ///< one busy cycle per flit moved
     int Load() const {
       return static_cast<int>(waiting.size()) + (active_branch != -1 ? 1 : 0);
     }
@@ -207,19 +186,6 @@ class FlitEngine final : public NetworkModel {
     Cycles lands = 0;
   };
 
-  // --- indexing helpers (same layout as the Fabric) ---
-  std::size_t PortIdx(SwitchId s, PortId p) const {
-    return static_cast<std::size_t>(s) * static_cast<std::size_t>(ports_) +
-           static_cast<std::size_t>(p);
-  }
-  std::size_t InjChannel(NodeId n) const {
-    return static_cast<std::size_t>(sys_->num_switches()) *
-               static_cast<std::size_t>(ports_) +
-           static_cast<std::size_t>(n);
-  }
-  SwitchId SwitchOfPort(int port_index) const {
-    return static_cast<SwitchId>(port_index / ports_);
-  }
   /// Arbitration tie-break key: the local input port the branch's source
   /// worm occupies at this switch (-1 for source pseudo-worms, which
   /// only ever use injection channels and never contend). Matches the
@@ -228,17 +194,16 @@ class FlitEngine final : public NetworkModel {
     const int pi = worms_[static_cast<std::size_t>(b.src_worm)].port_index;
     return pi >= 0 ? pi % ports_ : -1;
   }
-  void ChannelActor(int channel_id, std::int32_t* actor,
-                    std::int32_t* detail) const {
-    const int n_out = sys_->num_switches() * ports_;
-    if (channel_id < n_out) {
-      *actor = channel_id / ports_;
-      *detail = channel_id % ports_;
-    } else {
-      *actor = channel_id - n_out;
-      *detail = -1;
-    }
-  }
+
+  void QueueInjection(NodeId n, PacketPtr pkt, Cycles ready) override;
+  /// Branches waiting for or streaming through a dead channel are
+  /// truncated (flits on the wire evaporate), and every incomplete
+  /// downstream worm they were feeding is cascade-killed. The packet of
+  /// each branch cut at the link is reported through the drop handler
+  /// (cascade kills are covered by that report's destination set).
+  void CutChannels(std::span<const int> dead) override;
+  /// `flit.cycles_run`, `flit.deliveries`, `flit.max_buffer_occupancy`.
+  void CollectEngineMetrics() override;
 
   // --- event-driven cycle stepping ---
   void ScheduleTick(Cycles when);
@@ -262,7 +227,6 @@ class FlitEngine final : public NetworkModel {
   /// branches.
   void Unpin(int wi);
 
-  void DeliverBranch(BranchState& b, Cycles tail_arrive);
   void CloseStreak(BranchState& b);
 
   // --- fault handling ---
@@ -275,36 +239,11 @@ class FlitEngine final : public NetworkModel {
   /// will ever arrive for it): kills its branches, frees its port.
   void KillWorm(int wi);
   void ReleaseWormPort(Worm& w);
-  void ReportDrop(const PacketPtr& pkt, SwitchId where);
   /// Aborts (default) or invokes the deadlock handler and freezes.
   void DeadlockTrip(Cycles now, int trip_branch);
 
-  void TraceAt(Cycles time, TraceKind kind, const Packet& pkt,
-               std::int32_t actor, std::int32_t detail) {
-    if (tracer_)
-      tracer_->Record(
-          TraceEvent{time, kind, pkt.mcast_id, pkt.pkt_index, actor, detail});
-  }
-
-  Engine& engine_;
-  const System* sys_;  ///< swapped by SwapSystem (Autonet reconfig)
-  NetParams params_;
-  DeliverFn deliver_;
-  Tracer* tracer_;
-  MetricsRegistry* metrics_;
-  // Hot-path metric slots, resolved once at construction (null = off).
-  Counter* m_flits_ = nullptr;           ///< flit.flits_moved
-  Counter* m_switched_ = nullptr;        ///< flit.packets_switched
-  Counter* m_injected_ = nullptr;        ///< flit.packets_injected
-  Counter* m_replications_ = nullptr;    ///< flit.replications
-  Counter* m_host_deliveries_ = nullptr; ///< flit.host_deliveries
-  Counter* m_blocked_ = nullptr;         ///< flit.blocked_cycles
-  Histogram* m_fanout_ = nullptr;        ///< flit.route_fanout
-  Histogram* m_header_flits_ = nullptr;  ///< flit.header_flits
-  int ports_;
-
   std::vector<InputPort> inputs_;  // [switch*ports + port]
-  std::vector<Channel> channels_;  // switch out-channels, then injections
+  std::vector<Arbiter> arbs_;      // per channel, same ids as channels
   std::vector<Worm> worms_;
   std::vector<BranchState> branches_;
   std::vector<int> free_worms_;     // recycled worms_ indices
@@ -326,8 +265,6 @@ class FlitEngine final : public NetworkModel {
 
   Cycles last_processed_ = -1;  ///< highest cycle already stepped
   std::int64_t ticks_ = 0;
-  std::int64_t flits_moved_ = 0;
-  std::int64_t blocked_cycles_ = 0;
   std::int64_t deliveries_ = 0;
   std::int64_t max_occupancy_ = 0;  ///< input-buffer flits high-water
 };

@@ -1,4 +1,4 @@
-// NetworkModel: the abstract contract every network engine implements.
+// NetworkModel: the channel layer every network engine shares.
 //
 // The repository carries two engines for the same switch fabric physics:
 //
@@ -9,6 +9,16 @@
 //    with finite per-port buffers and credit backpressure. O(flits)
 //    work; the only engine that can express true wormhole blocking when
 //    buffers are smaller than a packet.
+//
+// Everything the two do identically is implemented once, here: the
+// channel table (switch out-channels in (switch, port) order, then one
+// injection channel per NI) and its wiring from the System, per-channel
+// flit and fault state, link reports and the link-metric fold, the
+// hot-path metric slots under the engine's prefix, the injection
+// preamble, the drop contract, and the Autonet swap. An engine supplies
+// only its transport physics: how an injection queues, what its backlog
+// is, what happens to traffic committed to a channel that dies, and its
+// own end-of-run metrics.
 //
 // Both co-simulate with the shared `sim` event kernel: injections carry
 // a `ready` cycle (data present at the NI), deliveries fire the caller's
@@ -21,18 +31,18 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
+#include "metrics/metrics.hpp"
 #include "network/packet.hpp"
+#include "sim/engine.hpp"
+#include "topology/system.hpp"
+#include "trace/tracer.hpp"
 
 namespace irmc {
-
-class Engine;
-class MetricsRegistry;
-class System;
-class Tracer;
 
 /// Per-channel load summary (switch output channels and injections).
 struct LinkLoadReport {
@@ -74,10 +84,10 @@ const char* ToString(EngineKind kind);
 /// otherwise.
 bool EngineKindFromString(const std::string& name, EngineKind* out);
 
-/// Abstract network engine. Implementations are injected with a deliver
-/// callback at construction and schedule all activity on the shared
-/// event kernel, so host/NI resources and the network advance on one
-/// timeline.
+/// Abstract network engine over the shared channel layer.
+/// Implementations are injected with a deliver callback at construction
+/// and schedule all activity on the shared event kernel, so host/NI
+/// resources and the network advance on one timeline.
 class NetworkModel {
  public:
   /// deliver(node, packet, head_arrive, tail_arrive) fires when a packet
@@ -107,7 +117,7 @@ class NetworkModel {
   /// transmission begins once the injection channel is free, downstream
   /// buffer space permits, and `ready` has passed (data present at the
   /// NI).
-  virtual void InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) = 0;
+  void InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready);
 
   /// Packets queued or in flight on node n's injection channel.
   virtual int InjectionBacklog(NodeId n) const = 0;
@@ -116,18 +126,22 @@ class NetworkModel {
   virtual std::int64_t TotalBacklog() const = 0;
 
   /// Total flits that entered any channel (per-hop accounting).
-  virtual std::int64_t flits_sent() const = 0;
+  std::int64_t flits_sent() const;
 
   /// Load report for every wired channel, as of time `now`. Switch
   /// output channels first (in (switch, port) order), then injections.
-  virtual std::vector<LinkLoadReport> LinkReports(Cycles now) const = 0;
+  /// A channel is busy one cycle per flit it carries, on either engine.
+  std::vector<LinkLoadReport> LinkReports(Cycles now) const;
 
   /// Highest switch-to-switch link utilization (hot-spot metric).
   double MaxLinkUtilization(Cycles now) const;
 
-  /// Folds end-of-run channel state into the engine's metrics registry
-  /// (no-op without one). Call once when the trial's run ends.
-  virtual void CollectMetrics(Cycles now) = 0;
+  /// Folds end-of-run channel state into the metrics registry (no-op
+  /// without one): `<prefix>.link_busy_cycles`, the
+  /// `<prefix>.link_utilization_pct` histogram over switch-to-switch
+  /// links, the `<prefix>.max_link_utilization` gauge, then the
+  /// engine's own series. Call once when the trial's run ends.
+  void CollectMetrics(Cycles now);
 
   /// Installs the fault-drop handler (see DropFn). Engines only take
   /// the drop path — instead of aborting on unroutable packets — when a
@@ -138,20 +152,124 @@ class NetworkModel {
   /// cycle: queued transmissions on it are dropped, in-flight worms
   /// whose tail has not yet cleared the wire are truncated, and nothing
   /// further is ever granted the channel. Both directions die together.
-  virtual void FailLink(SwitchId sw, PortId port) = 0;
+  void FailLink(SwitchId sw, PortId port);
 
   /// Atomically swaps the routing state (BFS tree, up*/down*
   /// orientation, routing tables, reachability) to `sys` — the Autonet
   /// reconfiguration step. `sys` must describe the same
-  /// switches x ports shape (a degraded copy of the original graph);
-  /// packets routed after the swap use the new tables, worms already
-  /// holding channels keep them.
-  virtual void SwapSystem(const System& sys) = 0;
+  /// switches x ports x nodes shape (a degraded copy of the original
+  /// graph). Channel wiring is structural and unchanged — a dead link's
+  /// channels stay dead; packets routed after the swap use the new
+  /// tables, worms already holding channels keep them.
+  void SwapSystem(const System& sys);
+
+  /// Hop log of a packet (only populated when params.record_routes).
+  static const std::vector<HopRecord>* HopsOf(const Packet& pkt) {
+    return pkt.hop_log.get();
+  }
 
  protected:
-  NetworkModel() = default;
+  /// One unidirectional channel: a switch output port's link, or an
+  /// NI's injection link into its switch. Engines keep their own
+  /// per-channel transport state in a parallel vector indexed the same
+  /// way.
+  struct Channel {
+    /// Downstream input port, as a port index (switch * ports + port);
+    /// -1 for a host sink or an unwired (free) port.
+    int dst_port = -1;
+    NodeId dst_host = kInvalidNode;  ///< host sink of a switch host port
+    Cycles dead_since = kNever;      ///< FailLink time; kNever = alive
+    std::int64_t flits = 0;          ///< one busy cycle per flit carried
+  };
 
+  /// `prefix` names the engine's metric family ("fabric", "flit");
+  /// `flits_counter` is its per-flit counter within it ("flits_sent",
+  /// "flits_moved"). `metrics` and `tracer` are optional per-trial
+  /// sinks; neither forces serial trial execution.
+  NetworkModel(Engine& engine, const System& sys, const NetParams& params,
+               DeliverFn deliver, Tracer* tracer, MetricsRegistry* metrics,
+               const std::string& prefix, const char* flits_counter);
+
+  /// Queues a packet the preamble of InjectFromNi has already traced
+  /// and counted.
+  virtual void QueueInjection(NodeId n, PacketPtr pkt, Cycles ready) = 0;
+  /// Drops or truncates what is committed to the channels FailLink just
+  /// marked dead (in the order given; both directions of one link).
+  virtual void CutChannels(std::span<const int> dead) = 0;
+  /// Folds the engine's own end-of-run series (metrics_ is non-null).
+  virtual void CollectEngineMetrics() = 0;
+
+  // --- channel layout ---
+  /// Input-port index of (s, p); also the id of the out-channel (s, p).
+  int PortIdx(SwitchId s, PortId p) const { return s * ports_ + p; }
+  int InjChannel(NodeId n) const { return num_out_ + n; }
+  bool IsInjection(int channel_id) const { return channel_id >= num_out_; }
+  SwitchId SwitchOfPort(int port_index) const {
+    return static_cast<SwitchId>(port_index / ports_);
+  }
+  Channel& channel(int channel_id) {
+    return channels_[static_cast<std::size_t>(channel_id)];
+  }
+  const Channel& channel(int channel_id) const {
+    return channels_[static_cast<std::size_t>(channel_id)];
+  }
+  std::size_t num_channels() const { return channels_.size(); }
+  /// Switch ports: each is one input port and one out-channel.
+  std::size_t num_ports() const { return static_cast<std::size_t>(num_out_); }
+
+  /// Accounts `n` flits entering `channel_id`.
+  void CountFlits(int channel_id, int n) {
+    channel(channel_id).flits += n;
+    if (m_flits_) m_flits_->Add(n);
+  }
+
+  /// Hands a truncated or unroutable (stale-header) packet to the drop
+  /// handler, which must exist — without a retransmit layer the payload
+  /// would be silently lost.
+  void ReportDrop(const PacketPtr& pkt, SwitchId where);
+
+  void Trace(TraceKind kind, const Packet& pkt, std::int32_t actor,
+             std::int32_t detail) {
+    TraceAt(engine_.Now(), kind, pkt, actor, detail);
+  }
+  /// Emit at an explicit time (block intervals start before the
+  /// emitting event — stream order stays deterministic but is not
+  /// time-sorted across kinds).
+  void TraceAt(Cycles time, TraceKind kind, const Packet& pkt,
+               std::int32_t actor, std::int32_t detail) {
+    if (tracer_)
+      tracer_->Record(
+          TraceEvent{time, kind, pkt.mcast_id, pkt.pkt_index, actor, detail});
+  }
+  /// Channel id -> the BlockSource convention of trace/analysis: switch
+  /// output channels report (switch, port); injection channels report
+  /// (node, -1).
+  void ChannelActor(int channel_id, std::int32_t* actor,
+                    std::int32_t* detail) const;
+
+  Engine& engine_;
+  const System* sys_;  ///< swapped by SwapSystem (Autonet reconfig)
+  NetParams params_;
+  DeliverFn deliver_;
+  Tracer* tracer_;
+  MetricsRegistry* metrics_;
   DropFn drop_;  ///< null = pristine contract (unroutable packets abort)
+  int ports_;
+
+  // Hot-path metric slots, resolved once at construction (null = off).
+  Counter* m_flits_ = nullptr;          ///< <prefix>.<flits_counter>
+  Counter* m_switched_ = nullptr;       ///< <prefix>.packets_switched
+  Counter* m_injected_ = nullptr;       ///< <prefix>.packets_injected
+  Counter* m_replications_ = nullptr;   ///< <prefix>.replications
+  Counter* m_host_deliveries_ = nullptr;///< <prefix>.host_deliveries
+  Counter* m_blocked_ = nullptr;        ///< <prefix>.blocked_cycles
+  Histogram* m_fanout_ = nullptr;       ///< <prefix>.route_fanout
+  Histogram* m_header_flits_ = nullptr; ///< <prefix>.header_flits
+
+ private:
+  std::string prefix_;
+  int num_out_;                    ///< switch out-channels (switches*ports)
+  std::vector<Channel> channels_;  ///< out-channels, then injections
 };
 
 /// Constructs the engine selected by `kind` on the shared event kernel.

@@ -128,11 +128,14 @@ bool TryRoutePathWorm(const System& sys, SwitchId s, const PacketPtr& pkt,
   IRMC_EXPECT(pkt->path_cursor < pkt->path->steps.size());
   const PathWormRoute::Step& step = pkt->path->steps[pkt->path_cursor];
   // A precomputed hop list goes stale wholesale after a reconfig swap:
-  // the cursor can name a switch the worm is not at, or a forward port
-  // the dead link vacated.
+  // the cursor can name a switch the worm is not at, a forward port the
+  // dead link vacated, or a port the new orientation made an up move
+  // for a worm that has already gone down.
   if (step.sw != s) return false;
   if (step.forward_port != kInvalidPort &&
-      sys.graph.port(s, step.forward_port).kind != PortKind::kSwitch)
+      (sys.graph.port(s, step.forward_port).kind != PortKind::kSwitch ||
+       (pkt->phase == RoutePhase::kDownOnly &&
+        sys.updown.IsUp(s, step.forward_port))))
     return false;
   for (NodeId n : step.deliver)
     out.push_back(MakeHostBranch(sys, s, n, pkt));

@@ -70,9 +70,10 @@ void ComputeRouteBranches(const System& sys, SwitchId s, const PacketPtr& pkt,
 /// become unroutable after a reconfiguration swap (a unicast with no
 /// surviving candidate in its phase, a tree worm caught in down-only
 /// phase below a moved subtree, a path worm whose precomputed hop list
-/// names the dead link or a foreign switch). Returns false and leaves
-/// `out` untouched for exactly those staleness cases — the caller
-/// reports the packet dropped; genuine plan/contract bugs still abort.
+/// names the dead link, a foreign switch, or an up move after its
+/// descent). Returns false and leaves `out` untouched for exactly those
+/// staleness cases — the caller reports the packet dropped; genuine
+/// plan/contract bugs still abort.
 bool TryComputeRouteBranches(const System& sys, SwitchId s,
                              const PacketPtr& pkt, bool adaptive,
                              const PortLoadFn& load,

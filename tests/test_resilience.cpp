@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/parallel.hpp"
 #include "core/single_runner.hpp"
 #include "mcast/scheme.hpp"
@@ -233,6 +234,41 @@ TEST(ResilienceChaos, FaultAndDropEventsAreTraced) {
     }
   }
   EXPECT_EQ(faults, static_cast<int>(cfg.resilience.schedule.size()));
+}
+
+TEST(ResilienceChaos, StalePathWormAfterSwapIsDroppedNotFatal) {
+  // The trial body of `irmcsim_cli single --scheme path-worm
+  // --topologies 1 --samples 4 --mtbf 500 --seed 3`: a reconfiguration
+  // turns a descending path worm's next precomputed hop into an up move.
+  // The engine must drop the stale worm and the retransmit layer repair
+  // it, on either engine.
+  for (EngineKind engine : {EngineKind::kVct, EngineKind::kFlit}) {
+    SimConfig cfg;
+    cfg.engine = engine;
+    cfg.seed = 3;
+    cfg.resilience.enabled = true;
+    cfg.resilience.mtbf = 500.0;
+    const auto sys = System::Build(cfg.topology, cfg.seed);
+    const auto scheme = MakeScheme(SchemeKind::kPathWorm, cfg.host);
+    Rng rng(cfg.seed * 7919);
+    std::int64_t drops = 0;
+    for (int sample = 0; sample < 4; ++sample) {
+      const auto draw = rng.SampleWithoutReplacement(sys->num_nodes(), 16);
+      const NodeId src = static_cast<NodeId>(draw.front());
+      std::vector<NodeId> dests;
+      for (std::size_t i = 1; i < draw.size(); ++i)
+        dests.push_back(static_cast<NodeId>(draw[i]));
+      MetricsRegistry reg;
+      const auto r = PlayOnce(
+          *sys, cfg, scheme->Plan(*sys, src, dests, cfg.message, cfg.headers),
+          nullptr, &reg);
+      ExpectExactlyOnce(r, dests,
+                        std::string(ToString(engine)) + " sample " +
+                            std::to_string(sample));
+      drops += reg.GetCounter("resilience.drops").value;
+    }
+    EXPECT_GT(drops, 0) << ToString(engine);
+  }
 }
 
 // --- the pristine contract: zero faults change nothing ---

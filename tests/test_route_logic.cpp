@@ -270,6 +270,49 @@ TEST(RouteLogicPath, StepsDeliverThenForwardAndStripHeaderFields) {
   EXPECT_EQ(last[0].port, sys.graph.host(2).port);
 }
 
+TEST(RouteLogicPath, DownOnlyWormNamingAnUpPortIsStale) {
+  // After an Autonet swap a path worm already descending can reach a
+  // step whose precomputed forward port is an up move under the new
+  // orientation. That header is stale: the engines drop it and the
+  // retransmit layer repairs the loss.
+  Graph g(3, 4);
+  g.AddLink(0, 0, 1, 0);
+  g.AddLink(1, 1, 2, 0);
+  g.AttachHost(0, 3);  // node 0
+  g.AttachHost(1, 3);  // node 1
+  g.AttachHost(2, 3);  // node 2
+  const System sys{std::move(g)};
+  ASSERT_TRUE(sys.updown.IsUp(1, 0));  // toward the root, switch 0
+
+  auto route = std::make_shared<PathWormRoute>();
+  route->steps.push_back({2, {}, 0, 4});
+  route->steps.push_back({1, {1}, 0, 2});
+  route->steps.push_back({0, {0}, kInvalidPort, 0});
+
+  auto pkt = std::make_shared<Packet>();
+  pkt->mcast_id = 1;
+  pkt->src = 2;
+  pkt->kind = HeaderKind::kPathWorm;
+  pkt->data_flits = 64;
+  pkt->header_flits = 4;
+  pkt->path = route;
+  pkt->path_cursor = 1;
+  pkt->phase = RoutePhase::kDownOnly;
+
+  std::vector<RouteBranch> out(1);  // a prior entry that must survive
+  const PacketPtr sentinel = std::make_shared<Packet>();
+  out[0].pkt = sentinel;
+  EXPECT_FALSE(TryComputeRouteBranches(sys, 1, pkt, false, ZeroLoad(), out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].pkt, sentinel);
+
+  // The same step is legal while the worm may still climb.
+  pkt->phase = RoutePhase::kUpAllowed;
+  EXPECT_TRUE(TryComputeRouteBranches(sys, 1, pkt, false, ZeroLoad(), out));
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[2].port, 0);
+}
+
 // --- hop logging ------------------------------------------------------
 
 TEST(RouteLogicHops, BranchesRecordTheirOwnHops) {

@@ -182,11 +182,18 @@ INSTANTIATE_TEST_SUITE_P(
                       SchemeKind::kTreeWorm, SchemeKind::kPathWorm),
     [](const auto& info) { return std::string(ToIdent(info.param)); });
 
-TEST(LinkReports, UtilizationAndFlitAccounting) {
+// The channel layer both engines share: link reports, flit accounting,
+// the link-metric fold and the swap shape contract owe the same answers
+// whichever engine carries the traffic.
+class LinkReports : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(LinkReports, UtilizationAndFlitAccounting) {
   const auto sys = System::Build({}, 42);
   SimConfig cfg;
+  cfg.engine = GetParam();
+  MetricsRegistry reg;
   Engine engine;
-  McastDriver driver(engine, *sys, cfg);
+  McastDriver driver(engine, *sys, cfg, nullptr, &reg);
   const auto scheme = MakeScheme(SchemeKind::kTreeWorm, cfg.host);
   std::vector<NodeId> dests{1, 2, 3, 4, 5, 6, 7, 8};
   driver.Launch(scheme->Plan(*sys, 0, dests, cfg.message, cfg.headers), 0,
@@ -204,19 +211,62 @@ TEST(LinkReports, UtilizationAndFlitAccounting) {
   EXPECT_EQ(total_flits, driver.network().flits_sent());
   EXPECT_GT(driver.network().MaxLinkUtilization(end), 0.0);
   EXPECT_LE(driver.network().MaxLinkUtilization(end), 1.0);
+
+  // The end-of-run fold agrees with the live accessors: a channel is
+  // busy one cycle per flit it carries.
+  driver.network().CollectMetrics(end);
+  const std::string prefix =
+      GetParam() == EngineKind::kVct ? "fabric." : "flit.";
+  EXPECT_EQ(reg.counters().at(prefix + "link_busy_cycles").value,
+            driver.network().flits_sent());
+  EXPECT_EQ(reg.gauges().at(prefix + "max_link_utilization").value,
+            driver.network().MaxLinkUtilization(end));
 }
 
-TEST(LinkReports, IdleFabricIsAllZero) {
+TEST_P(LinkReports, IdleFabricIsAllZero) {
   const auto sys = System::Build({}, 42);
   SimConfig cfg;
+  cfg.engine = GetParam();
   Engine engine;
   McastDriver driver(engine, *sys, cfg);
   for (const auto& r : driver.network().LinkReports(1000)) {
     EXPECT_EQ(r.flits, 0);
     EXPECT_EQ(r.utilization, 0.0);
   }
+  EXPECT_EQ(driver.network().flits_sent(), 0);
+  EXPECT_EQ(driver.network().MaxLinkUtilization(1000), 0.0);
 }
 
+using LinkReportsDeathTest = LinkReports;
+
+TEST_P(LinkReportsDeathTest, SwapSystemRejectsADifferentShape) {
+  const auto sys = System::Build({}, 42);
+  Engine engine;
+  const auto net = MakeNetworkModel(
+      GetParam(), engine, *sys, NetParams{},
+      [](NodeId, const PacketPtr&, Cycles, Cycles) {});
+  const auto same_shape = System::Build({}, 43);
+  net->SwapSystem(*same_shape);  // accepted
+  TopologySpec more_switches;
+  more_switches.num_switches = 9;
+  TopologySpec more_ports;
+  more_ports.ports_per_switch = 9;
+  TopologySpec fewer_nodes;
+  fewer_nodes.num_hosts = 31;
+  for (const TopologySpec& spec : {more_switches, more_ports, fewer_nodes}) {
+    const auto other = System::Build(spec, 42);
+    EXPECT_DEATH(net->SwapSystem(*other), "precondition violated");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, LinkReports,
+    ::testing::Values(EngineKind::kVct, EngineKind::kFlit),
+    [](const auto& info) { return std::string(ToString(info.param)); });
+INSTANTIATE_TEST_SUITE_P(
+    Engines, LinkReportsDeathTest,
+    ::testing::Values(EngineKind::kVct, EngineKind::kFlit),
+    [](const auto& info) { return std::string(ToString(info.param)); });
 
 class BreakdownTest : public ::testing::TestWithParam<SchemeKind> {};
 
