@@ -5,15 +5,23 @@
 // member. Sized at construction to the system's node count.
 //
 // Two forms:
-//  * NodeSet     — owning (worm headers, scratch sets);
+//  * NodeSet     — owning (worm headers, temporaries). The words of a
+//    set of up to 256 nodes live inline, so building, copying and
+//    narrowing a worm header allocates nothing; larger sets use the
+//    heap.
 //  * NodeSetView — non-owning words+bits view. Reachability stores all
 //    of a System's strings in one word arena and hands out views, so a
 //    per-hop string lookup allocates nothing. A NodeSet converts
 //    implicitly to a view; every read-only operation takes views, so
-//    the two mix freely.
+//    the two mix freely. A view of an inline NodeSet points into the
+//    set object itself: it does not survive a move of that set.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -24,7 +32,8 @@ namespace irmc {
 class NodeSet;
 
 /// Non-owning view of a bitset: a word pointer and a bit count. Valid
-/// only while the owning storage (NodeSet or Reachability arena) lives.
+/// only while the owning storage (NodeSet or Reachability arena) lives
+/// and, for a NodeSet, until that set is moved or reassigned.
 class NodeSetView {
  public:
   NodeSetView() = default;
@@ -90,19 +99,20 @@ class NodeSetView {
     return true;
   }
 
+  /// Calls visit(n) for every member n in ascending order.
+  template <class Visit>
+  void ForEach(Visit visit) const {
+    for (std::size_t i = 0; i < num_words(); ++i)
+      for (std::uint64_t w = words_[i]; w != 0; w &= w - 1)
+        visit(static_cast<NodeId>(
+            i * 64 + static_cast<std::size_t>(__builtin_ctzll(w))));
+  }
+
   /// Members in ascending order.
   std::vector<NodeId> ToVector() const {
     std::vector<NodeId> out;
     out.reserve(static_cast<std::size_t>(Count()));
-    for (std::size_t i = 0; i < num_words(); ++i) {
-      std::uint64_t w = words_[i];
-      while (w != 0) {
-        const int bit = __builtin_ctzll(w);
-        out.push_back(
-            static_cast<NodeId>(i * 64 + static_cast<std::size_t>(bit)));
-        w &= w - 1;
-      }
-    }
+    ForEach([&out](NodeId n) { out.push_back(n); });
     return out;
   }
 
@@ -123,28 +133,56 @@ class NodeSetView {
 
 class NodeSet {
  public:
+  /// Sets of up to this many nodes keep their words inline (every
+  /// configuration in the repository); only larger ones use the heap.
+  static constexpr int kInlineNodes = 256;
+
   NodeSet() = default;
-  explicit NodeSet(int num_nodes)
-      : num_bits_(num_nodes),
-        words_(static_cast<std::size_t>((num_nodes + 63) / 64), 0) {
+  explicit NodeSet(int num_nodes) : num_bits_(num_nodes) {
     IRMC_EXPECT(num_nodes >= 0);
+    if (num_words() > kInlineWords)
+      heap_ = std::make_unique<std::uint64_t[]>(num_words());  // zeroed
   }
+  NodeSet(const NodeSet& o)
+      : num_bits_(o.num_bits_),
+        inline_(o.inline_),
+        heap_(o.heap_ ? std::make_unique_for_overwrite<std::uint64_t[]>(
+                            o.num_words())
+                      : nullptr) {
+    if (heap_) std::copy_n(o.heap_.get(), num_words(), heap_.get());
+  }
+  /// A moved-from set is empty with capacity 0.
+  NodeSet(NodeSet&& o) noexcept
+      : num_bits_(std::exchange(o.num_bits_, 0)),
+        inline_(o.inline_),
+        heap_(std::move(o.heap_)) {}
+  NodeSet& operator=(const NodeSet& o) {
+    if (this != &o) *this = NodeSet(o);
+    return *this;
+  }
+  NodeSet& operator=(NodeSet&& o) noexcept {
+    num_bits_ = std::exchange(o.num_bits_, 0);
+    inline_ = o.inline_;
+    heap_ = std::move(o.heap_);
+    return *this;
+  }
+  ~NodeSet() = default;
 
   int capacity() const { return num_bits_; }
 
   void Set(NodeId n) {
     CheckIndex(n);
-    words_[WordOf(n)] |= BitOf(n);
+    data()[WordOf(n)] |= BitOf(n);
   }
 
   void Clear(NodeId n) {
     CheckIndex(n);
-    words_[WordOf(n)] &= ~BitOf(n);
+    data()[WordOf(n)] &= ~BitOf(n);
   }
 
   bool Test(NodeId n) const {
     CheckIndex(n);
-    return (words_[WordOf(n)] & BitOf(n)) != 0;
+    return (words()[WordOf(n)] & BitOf(n)) != 0;
   }
 
   bool Empty() const { return NodeSetView(*this).Empty(); }
@@ -152,26 +190,28 @@ class NodeSet {
 
   NodeSet& operator|=(NodeSetView o) {
     CheckCompat(o);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= o.words()[i];
+    std::uint64_t* w = data();
+    for (std::size_t i = 0; i < num_words(); ++i) w[i] |= o.words()[i];
     return *this;
   }
 
   NodeSet& operator&=(NodeSetView o) {
     CheckCompat(o);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= o.words()[i];
+    std::uint64_t* w = data();
+    for (std::size_t i = 0; i < num_words(); ++i) w[i] &= o.words()[i];
     return *this;
   }
 
   /// Remove every member of `o` from this set.
   NodeSet& Subtract(NodeSetView o) {
     CheckCompat(o);
-    for (std::size_t i = 0; i < words_.size(); ++i)
-      words_[i] &= ~o.words()[i];
+    std::uint64_t* w = data();
+    for (std::size_t i = 0; i < num_words(); ++i) w[i] &= ~o.words()[i];
     return *this;
   }
 
   bool operator==(const NodeSet& o) const {
-    return num_bits_ == o.num_bits_ && words_ == o.words_;
+    return NodeSetView(*this) == NodeSetView(o);
   }
 
   bool Intersects(NodeSetView o) const {
@@ -182,6 +222,11 @@ class NodeSet {
   }
   bool IsSubsetOfUnion(NodeSetView a, NodeSetView b) const {
     return NodeSetView(*this).IsSubsetOfUnion(a, b);
+  }
+
+  template <class Visit>
+  void ForEach(Visit visit) const {
+    NodeSetView(*this).ForEach(visit);
   }
 
   /// Members in ascending order.
@@ -198,10 +243,19 @@ class NodeSet {
   /// Encoded size of the bit-string header in flits (1 flit = 1 byte).
   int HeaderFlits() const { return (num_bits_ + 7) / 8; }
 
-  const std::uint64_t* words() const { return words_.data(); }
-  std::size_t num_words() const { return words_.size(); }
+  const std::uint64_t* words() const {
+    return heap_ ? heap_.get() : inline_.data();
+  }
+  std::size_t num_words() const {
+    return static_cast<std::size_t>((num_bits_ + 63) / 64);
+  }
 
  private:
+  friend class NodeSetView;  // ToSet fills a fresh set's words
+
+  static constexpr std::size_t kInlineWords = kInlineNodes / 64;
+
+  std::uint64_t* data() { return heap_ ? heap_.get() : inline_.data(); }
   static std::size_t WordOf(NodeId n) {
     return static_cast<std::size_t>(n) / 64;
   }
@@ -216,7 +270,9 @@ class NodeSet {
   }
 
   int num_bits_ = 0;
-  std::vector<std::uint64_t> words_;
+  /// The words while num_words() <= kInlineWords (unused beyond them).
+  std::array<std::uint64_t, kInlineWords> inline_{};
+  std::unique_ptr<std::uint64_t[]> heap_;  ///< the words of a larger set
 };
 
 inline NodeSetView::NodeSetView(const NodeSet& s)
@@ -224,7 +280,7 @@ inline NodeSetView::NodeSetView(const NodeSet& s)
 
 inline NodeSet NodeSetView::ToSet() const {
   NodeSet out(num_bits_);
-  for (NodeId n : ToVector()) out.Set(n);
+  std::copy_n(words_, num_words(), out.data());
   return out;
 }
 

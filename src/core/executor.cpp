@@ -64,11 +64,15 @@ std::int64_t McastDriver::Launch(McastPlan plan, Cycles when, DoneFn done,
   exec->result.id = id;
   exec->result.start = when;
   exec->result.num_dests = exec->remaining;
-  for (std::size_t w = 0; w < exec->plan.worms.size(); ++w)
-    exec->worms_by_sender[exec->plan.worms[w].sender].push_back(
-        static_cast<int>(w));
-  if (cfg_.resilience.enabled)
-    exec->acked.assign(static_cast<std::size_t>(sys_->num_nodes()), false);
+  exec->result.deliveries.reserve(exec->plan.dests.size());
+  const auto nodes = static_cast<std::size_t>(sys_->num_nodes());
+  exec->nstate.resize(nodes);
+  IndexWorms(*exec);
+  if (cfg_.resilience.enabled) {
+    exec->acked.assign(nodes, false);
+    exec->got.assign(
+        nodes * static_cast<std::size_t>(exec->shape.num_packets), false);
+  }
   if (m_.has) {
     m_.launched->Add();
     m_.dests->Add(exec->remaining);
@@ -77,6 +81,19 @@ std::int64_t McastDriver::Launch(McastPlan plan, Cycles when, DoneFn done,
   live_.emplace(id, std::move(exec));
   engine_.ScheduleAt(when, [this, raw]() { StartSource(*raw); });
   return id;
+}
+
+void McastDriver::IndexWorms(Exec& exec) const {
+  const auto& worms = exec.plan.worms;
+  if (worms.empty()) return;
+  exec.first_worm.assign(static_cast<std::size_t>(sys_->num_nodes()), -1);
+  exec.next_worm.assign(worms.size(), -1);
+  // Back to front, so each sender's list comes out in send order.
+  for (std::size_t w = worms.size(); w-- > 0;) {
+    int& first = exec.first_worm[static_cast<std::size_t>(worms[w].sender)];
+    exec.next_worm[w] = first;
+    first = static_cast<int>(w);
+  }
 }
 
 void McastDriver::StartSource(Exec& exec) {
@@ -252,12 +269,12 @@ void McastDriver::SendTreeWorms(Exec& exec) {
 }
 
 void McastDriver::SendWormsOf(Exec& exec, NodeId sender, Cycles earliest) {
-  auto it = exec.worms_by_sender.find(sender);
-  if (it == exec.worms_by_sender.end()) return;
+  if (!SendsWorms(exec, sender)) return;
   NodeRuntime& nr = node(sender);
   const HostParams& hp = cfg_.host;
   const Cycles dma_dur = hp.DmaCycles(exec.shape.packet_flits);
-  for (int w : it->second) {
+  for (int w = exec.first_worm[static_cast<std::size_t>(sender)]; w >= 0;
+       w = exec.next_worm[static_cast<std::size_t>(w)]) {
     const auto& worm = exec.plan.worms[static_cast<std::size_t>(w)];
     // Each worm is a separate message-level send at the sender.
     TraceHost(TraceKind::kSendStart, exec.id, sender, w);
@@ -310,18 +327,20 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const PacketPtr& pkt,
   // Delivery accounting rolls up to the original multicast; `exec` (a
   // repair wave or the original itself) keeps the forwarding duties.
   Exec& acct = AcctOf(exec);
-  NodeState& st = acct.nstate[n];
+  NodeState& st = acct.nstate[static_cast<std::size_t>(n)];
   if (cfg_.resilience.enabled) {
     // Receiver dedup: repair waves over-cover (a drop report's
     // destination set is an over-estimate, and repairs re-send whole
     // messages), so the NI swallows already-accepted packets.
-    if (st.got.empty())
-      st.got.assign(static_cast<std::size_t>(acct.shape.num_packets), false);
-    if (st.delivered || st.got[static_cast<std::size_t>(pkt->pkt_index)]) {
+    const auto bit =
+        static_cast<std::size_t>(n) *
+            static_cast<std::size_t>(acct.shape.num_packets) +
+        static_cast<std::size_t>(pkt->pkt_index);
+    if (st.delivered || acct.got[bit]) {
       if (m_.has) m_.r_duplicates->Add();
       return;
     }
-    st.got[static_cast<std::size_t>(pkt->pkt_index)] = true;
+    acct.got[bit] = true;
   }
   const bool first = (st.pkts == 0);
   ++st.pkts;
@@ -385,7 +404,7 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
   auto it = live_.find(acct_id);
   IRMC_ENSURE(it != live_.end());
   Exec& exec = *it->second;
-  NodeState& st = exec.nstate[n];
+  NodeState& st = exec.nstate[static_cast<std::size_t>(n)];
   IRMC_ENSURE(!st.delivered);
   st.delivered = true;
   TraceHost(TraceKind::kHostDeliver, acct_id, n, -1);
@@ -417,8 +436,7 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
       SendToChildren(*wave, n, when);
     }
     if (wave->plan.scheme == SchemeKind::kPathWorm) {
-      if (m_.has && wave->worms_by_sender.count(n) > 0)
-        m_.forward_phases->Add();
+      if (m_.has && SendsWorms(*wave, n)) m_.forward_phases->Add();
       SendWormsOf(*wave, n, when);
     }
   }
@@ -509,9 +527,7 @@ void McastDriver::LaunchRepairWave(Exec& acct, std::vector<NodeId> missing) {
   exec->result.id = id;
   exec->result.start = exec->start;
   exec->result.num_dests = exec->remaining;
-  for (std::size_t w = 0; w < exec->plan.worms.size(); ++w)
-    exec->worms_by_sender[exec->plan.worms[w].sender].push_back(
-        static_cast<int>(w));
+  IndexWorms(*exec);
   acct.repairs.push_back(id);
   Exec* raw = exec.get();
   live_.emplace(id, std::move(exec));

@@ -90,14 +90,11 @@ class McastDriver {
   ResilienceManager* resilience() { return resilience_.get(); }
 
  private:
+  /// A node's receive progress within one multicast.
   struct NodeState {
     int pkts = 0;
-    Cycles last_dma = 0;
     bool delivered = false;
-    /// Receiver dedup (resilience mode only): which pkt_index values this
-    /// node has accepted; repeats — repair overlap — are swallowed at
-    /// the NI before any resource cost.
-    std::vector<bool> got;
+    Cycles last_dma = 0;
   };
   struct Exec {
     std::int64_t id = -1;
@@ -107,8 +104,14 @@ class McastDriver {
     DoneFn done;
     DeliveredFn delivered;
     int remaining = 0;
-    std::unordered_map<NodeId, NodeState> nstate;
-    std::unordered_map<NodeId, std::vector<int>> worms_by_sender;
+    /// Indexed by NodeId; sized at launch (originals only — a repair
+    /// wave's accounting lives in its parent).
+    std::vector<NodeState> nstate;
+    /// The plan's path worms by sender, in send order: first_worm[n] is
+    /// n's first worm index (-1: none), next_worm[w] the same sender's
+    /// next one after w (-1: last). Both empty when the plan has none.
+    std::vector<int> first_worm;
+    std::vector<int> next_worm;
     MulticastResult result;
     // --- reliable delivery (resilience mode only) ---
     /// Repair waves set this to the original multicast they credit;
@@ -116,10 +119,22 @@ class McastDriver {
     std::int64_t parent = -1;
     std::vector<std::int64_t> repairs;  ///< repair-wave ids (parent only)
     std::vector<bool> acked;  ///< per-node ack received at the root
+    /// Receiver dedup, bit [node * num_packets + pkt_index]: packets a
+    /// node already accepted. Repeats — repair overlap — are swallowed
+    /// at the NI before any resource cost.
+    std::vector<bool> got;
     int acked_count = 0;
     int attempts = 0;          ///< repair rounds launched so far
     bool repair_pending = false;  ///< a repair timer chain is running
   };
+
+  /// Fills exec.first_worm / next_worm from exec.plan.worms.
+  void IndexWorms(Exec& exec) const;
+  /// True when `n` sends path worms in exec's plan.
+  static bool SendsWorms(const Exec& exec, NodeId n) {
+    return !exec.first_worm.empty() &&
+           exec.first_worm[static_cast<std::size_t>(n)] >= 0;
+  }
 
   void StartSource(Exec& exec);
   void OnDeliver(NodeId n, const PacketPtr& pkt, Cycles head, Cycles tail);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "network/route_logic.hpp"
-
 namespace irmc {
 
 Fabric::Fabric(Engine& engine, const System& sys, const NetParams& params,
@@ -84,9 +82,8 @@ void Fabric::ReleaseDownstreamSlot(int channel_id) {
 
 void Fabric::CutChannels(std::span<const int> dead) {
   for (int cid : dead) {
-    std::deque<Tx> doomed;
-    doomed.swap(txq(cid).queue);
-    for (const Tx& t : doomed) DropTx(cid, t);
+    const Fifo<Tx> doomed = std::move(txq(cid).queue);
+    for (std::size_t i = 0; i < doomed.size(); ++i) DropTx(cid, doomed[i]);
   }
 }
 
@@ -106,7 +103,8 @@ void Fabric::Pump(int channel_id) {
   // thing minus the head-of-line wait.
   Cycles target = c.queue.front().ready;
   if (!IsInjection(channel_id))
-    for (const Tx& t : c.queue) target = std::min(target, t.ready);
+    for (std::size_t i = 1; i < c.queue.size(); ++i)
+      target = std::min(target, c.queue[i].ready);
   target = std::max(engine_.Now(), target);
   engine_.ScheduleAt(target, [this, channel_id]() { Pick(channel_id); });
 }
@@ -139,7 +137,7 @@ void Fabric::Pick(int channel_id) {
   }
   c.pumping = true;
   Tx tx = std::move(c.queue[best]);
-  c.queue.erase(c.queue.begin() + static_cast<std::ptrdiff_t>(best));
+  c.queue.erase(best);
   const int pool = channel(channel_id).dst_port;
   if (pool >= 0) {
     input_slots_[static_cast<std::size_t>(pool)].Acquire(
@@ -230,7 +228,8 @@ void Fabric::HeadArrive(SwitchId s, PortId in_port, PacketPtr pkt,
 }
 
 void Fabric::Route(SwitchId s, PacketPtr pkt, Cycles tail_time, int buf) {
-  std::vector<RouteBranch> branches;
+  std::vector<RouteBranch>& branches = route_branches_;
+  branches.clear();
   const PortLoadFn load = [this](SwitchId sw, PortId p) {
     return txq(PortIdx(sw, p)).Load();
   };

@@ -19,11 +19,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "network/network_model.hpp"
+#include "network/route_logic.hpp"
 #include "sim/resource.hpp"
 
 namespace irmc {
@@ -67,8 +68,9 @@ class Fabric final : public NetworkModel {
   };
 
   /// A channel's transmissions: FIFO-queued, one on the wire at a time.
+  /// The queue allocates on its channel's first transmission.
   struct TxQueue {
-    std::deque<Tx> queue;
+    Fifo<Tx> queue;
     bool pumping = false;
     int Load() const {
       return static_cast<int>(queue.size()) + (pumping ? 1 : 0);
@@ -112,6 +114,7 @@ class Fabric final : public NetworkModel {
   std::vector<CountingResource> input_slots_;  // [switch*ports + port]
   std::vector<Buffered> buffered_;   // packets holding input slots
   std::vector<int> free_buffered_;   // recycled buffered_ indices
+  std::vector<RouteBranch> route_branches_;  // reused by every Route
   std::int64_t packets_switched_ = 0;
 };
 

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/expect.hpp"
-#include "network/route_logic.hpp"
 
 namespace irmc {
 namespace {
@@ -370,7 +369,8 @@ void FlitEngine::RouteWorm(int wi, Cycles now) {
   const PortLoadFn load = [this](SwitchId s, PortId p) {
     return arbs_[static_cast<std::size_t>(PortIdx(s, p))].Load();
   };
-  std::vector<RouteBranch> decisions;
+  std::vector<RouteBranch>& decisions = route_branches_;
+  decisions.clear();
   if (!TryComputeRouteBranches(*sys_, sw, w.pkt, params_.adaptive, load,
                                decisions)) {
     // Stale header under swapped tables: consume the worm here and let

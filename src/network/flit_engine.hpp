@@ -39,12 +39,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "network/network_model.hpp"
+#include "network/route_logic.hpp"
 
 namespace irmc {
 
@@ -249,8 +251,10 @@ class FlitEngine final : public NetworkModel {
   std::vector<int> free_worms_;     // recycled worms_ indices
   std::vector<int> free_branches_;  // recycled branches_ indices
   std::vector<InFlight> in_flight_;
-  std::deque<std::pair<int, Cycles>> route_queue_;  // (worm, decision time)
-  std::vector<std::deque<std::pair<PacketPtr, Cycles>>> inject_queues_;
+  Fifo<std::pair<int, Cycles>> route_queue_;  // (worm, decision time)
+  // Per NI (packet, ready); each allocates on its NI's first injection.
+  std::vector<Fifo<std::pair<PacketPtr, Cycles>>> inject_queues_;
+  std::vector<RouteBranch> route_branches_;  // reused by every RouteWorm
   std::vector<int> pending_port_release_;
   // Activity sets, one bit per index, walked in ascending order. A set
   // bit in busy_channels_ covers every channel with an active or waiting

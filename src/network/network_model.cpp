@@ -94,7 +94,6 @@ std::int64_t NetworkModel::flits_sent() const {
 std::vector<LinkLoadReport> NetworkModel::LinkReports(Cycles now) const {
   std::vector<LinkLoadReport> out;
   out.reserve(channels_.size());
-  const double elapsed = now > 0 ? static_cast<double>(now) : 1.0;
   for (SwitchId s = 0; s < sys_->num_switches(); ++s) {
     for (PortId p = 0; p < ports_; ++p) {
       if (sys_->graph.port(s, p).kind == PortKind::kFree) continue;
@@ -105,7 +104,7 @@ std::vector<LinkLoadReport> NetworkModel::LinkReports(Cycles now) const {
       r.to_host = c.dst_host != kInvalidNode;
       r.node = c.dst_host;
       r.flits = c.flits;
-      r.utilization = static_cast<double>(c.flits) / elapsed;
+      r.utilization = Utilization(PortIdx(s, p), now);
       out.push_back(r);
     }
   }
@@ -114,17 +113,31 @@ std::vector<LinkLoadReport> NetworkModel::LinkReports(Cycles now) const {
     LinkLoadReport r;
     r.node = n;
     r.flits = c.flits;
-    r.utilization = static_cast<double>(c.flits) / elapsed;
+    r.utilization = Utilization(InjChannel(n), now);
     out.push_back(r);
   }
   return out;
 }
 
+bool NetworkModel::IsSwitchLink(int channel_id) const {
+  // Judged on the current System, as LinkReports does: a link an Autonet
+  // swap removed no longer counts.
+  if (IsInjection(channel_id) || channel(channel_id).dst_host != kInvalidNode)
+    return false;
+  const Port& pt =
+      sys_->graph.port(SwitchOfPort(channel_id), channel_id % ports_);
+  return pt.kind != PortKind::kFree;
+}
+
+double NetworkModel::Utilization(int channel_id, Cycles now) const {
+  const double elapsed = now > 0 ? static_cast<double>(now) : 1.0;
+  return static_cast<double>(channel(channel_id).flits) / elapsed;
+}
+
 double NetworkModel::MaxLinkUtilization(Cycles now) const {
   double best = 0.0;
-  for (const LinkLoadReport& r : LinkReports(now))
-    if (r.sw != kInvalidSwitch && !r.to_host)
-      best = std::max(best, r.utilization);
+  for (int cid = 0; cid < num_out_; ++cid)
+    if (IsSwitchLink(cid)) best = std::max(best, Utilization(cid, now));
   return best;
 }
 
@@ -134,10 +147,11 @@ void NetworkModel::CollectMetrics(Cycles now) {
   Histogram& util = metrics_->GetHistogram(prefix_ + "link_utilization_pct");
   double best = 0.0;
   for (const Channel& c : channels_) busy.Add(c.flits);
-  for (const LinkLoadReport& r : LinkReports(now)) {
-    if (r.sw == kInvalidSwitch || r.to_host) continue;  // switch-switch only
-    util.Add(static_cast<std::int64_t>(100.0 * r.utilization));
-    best = std::max(best, r.utilization);
+  for (int cid = 0; cid < num_out_; ++cid) {
+    if (!IsSwitchLink(cid)) continue;
+    const double u = Utilization(cid, now);
+    util.Add(static_cast<std::int64_t>(100.0 * u));
+    best = std::max(best, u);
   }
   metrics_->GetGauge(prefix_ + "max_link_utilization", GaugeMode::kMax)
       .Set(best);

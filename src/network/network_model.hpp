@@ -267,6 +267,13 @@ class NetworkModel {
   Histogram* m_header_flits_ = nullptr; ///< <prefix>.header_flits
 
  private:
+  /// A wired switch-to-switch out-channel (hosts, injections and free
+  /// ports excluded) — the links the utilization metrics cover.
+  bool IsSwitchLink(int channel_id) const;
+  /// The channel's busy cycles (one per flit) over the `now` elapsed
+  /// cycles (over 1 at time 0).
+  double Utilization(int channel_id, Cycles now) const;
+
   std::string prefix_;
   int num_out_;                    ///< switch out-channels (switches*ports)
   std::vector<Channel> channels_;  ///< out-channels, then injections

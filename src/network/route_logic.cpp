@@ -29,9 +29,8 @@ RouteBranch MakeHostBranch(const System& sys, SwitchId s, NodeId n,
   IRMC_EXPECT(at.sw == s);
   auto copy = pkt->CloneForBranch();
   if (copy->kind == HeaderKind::kTreeWorm) {
-    NodeSet only(copy->tree_dests.capacity());
-    only.Set(n);
-    copy->tree_dests = only;
+    copy->tree_dests = NodeSet(copy->tree_dests.capacity());
+    copy->tree_dests.Set(n);
   }
   return RouteBranch{std::move(copy), at.port};
 }
@@ -63,6 +62,8 @@ bool TryTreeDecision(const System& sys, SwitchId s, const NodeSet& rem,
   IRMC_EXPECT(!rem.Empty());
   if (rem.IsSubsetOf(reach.DownCover(s))) {
     decision->down = true;
+    // One allocation per decision at most: reserve for every candidate.
+    decision->ports.reserve(sys.updown.DownPorts(s).size());
     for (PortId p : sys.updown.DownPorts(s))
       if (rem.Intersects(reach.Primary(s, p))) decision->ports.push_back(p);
     return true;
@@ -73,6 +74,7 @@ bool TryTreeDecision(const System& sys, SwitchId s, const NodeSet& rem,
   if (phase != RoutePhase::kUpAllowed) return false;
   const auto& ups = sys.updown.UpPorts(s);
   if (ups.empty()) return false;
+  decision->ports.reserve(ups.size());
   for (PortId p : ups) {
     const SwitchId t = sys.graph.port(s, p).peer_switch;
     if (rem.IsSubsetOfUnion(reach.DownCover(t), reach.Local(t)))
@@ -95,8 +97,8 @@ bool TryRouteTreeWorm(const System& sys, SwitchId s, const PacketPtr& pkt,
   if (!rem.Empty() && !TryTreeDecision(sys, s, rem, pkt->phase, &decision))
     return false;
 
-  for (NodeId n : locals.ToVector())
-    out.push_back(MakeHostBranch(sys, s, n, pkt));
+  locals.ForEach(
+      [&](NodeId n) { out.push_back(MakeHostBranch(sys, s, n, pkt)); });
   if (rem.Empty()) return true;
 
   if (decision.down) {
@@ -104,11 +106,11 @@ bool TryRouteTreeWorm(const System& sys, SwitchId s, const PacketPtr& pkt,
     NodeSet covered(rem.capacity());
     for (PortId p : decision.ports) {
       NodeSet part = rem & reach.Primary(s, p);
+      covered |= part;
       auto copy = pkt->CloneForBranch();
-      copy->tree_dests = part;
+      copy->tree_dests = std::move(part);
       copy->phase = RoutePhase::kDownOnly;
       out.push_back(RouteBranch{std::move(copy), p});
-      covered |= part;
     }
     IRMC_ENSURE(covered == rem);
     return true;
@@ -116,7 +118,7 @@ bool TryRouteTreeWorm(const System& sys, SwitchId s, const PacketPtr& pkt,
 
   const PortId p = PickPort(s, decision.ports, adaptive, load);
   auto copy = pkt->CloneForBranch();
-  copy->tree_dests = rem;
+  copy->tree_dests = std::move(rem);
   copy->phase = RoutePhase::kUpAllowed;
   out.push_back(RouteBranch{std::move(copy), p});
   return true;

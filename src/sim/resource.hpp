@@ -14,10 +14,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 
 #include "common/expect.hpp"
+#include "common/fifo.hpp"
 #include "common/types.hpp"
 #include "sim/engine.hpp"
 
@@ -92,7 +92,7 @@ class CountingResource {
 
  private:
   int available_;
-  std::deque<EventQueue::Action> waiters_;
+  Fifo<EventQueue::Action> waiters_;  ///< allocates on the first wait
   std::int64_t max_queue_ = 0;
 };
 

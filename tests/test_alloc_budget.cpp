@@ -1,0 +1,115 @@
+// Allocation budget: deterministic work counters for simulator setup and
+// worm routing, gated in CI on any machine.
+//
+//  * Building an Engine + McastDriver costs a fixed number of heap
+//    allocations whatever the switch count, on both engines: channel
+//    tables are plain vectors and per-port queues allocate on first use.
+//    The single-multicast panels build one per sample, so a per-port
+//    allocation here is paid thousands of times per figure.
+//  * Routing a tree worm allocates only the branch packets (plus at
+//    most one candidate-port list per routing decision): worm headers
+//    keep their words inline.
+//
+// Counts come from a replaced global operator new (counting_new.hpp).
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/config.hpp"
+#include "core/executor.hpp"
+#include "counting_new.hpp"
+#include "metrics/metrics.hpp"
+#include "network/route_logic.hpp"
+#include "sim/engine.hpp"
+#include "topology/system.hpp"
+
+namespace irmc {
+namespace {
+
+/// Upper bound on the allocations of one Engine + McastDriver build.
+constexpr std::size_t kConstructionBudget = 24;
+
+/// Allocations made building an Engine + McastDriver over a system of
+/// `switches` switches, with a registry already holding every metric
+/// name McastDriver and the engine resolve (as each trial's registry does
+/// after its first sample).
+std::size_t ConstructionAllocations(EngineKind kind, int switches) {
+  SimConfig cfg;
+  cfg.engine = kind;
+  cfg.topology.num_switches = switches;
+  const auto sys = System::Build(cfg.topology, 42);
+  MetricsRegistry metrics;
+  {
+    Engine engine;
+    const McastDriver warm(engine, *sys, cfg, nullptr, &metrics);
+  }
+  const std::size_t before = counting_new::Allocations();
+  Engine engine;
+  const McastDriver driver(engine, *sys, cfg, nullptr, &metrics);
+  return counting_new::Allocations() - before;
+}
+
+class AllocBudget : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(AllocBudget, ConstructionIsIndependentOfSwitchCount) {
+  const std::size_t at8 = ConstructionAllocations(GetParam(), 8);
+  EXPECT_LE(at8, kConstructionBudget) << at8 << " allocations";
+  EXPECT_EQ(ConstructionAllocations(GetParam(), 16), at8);
+  EXPECT_EQ(ConstructionAllocations(GetParam(), 32), at8);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, AllocBudget,
+                         ::testing::Values(EngineKind::kVct,
+                                           EngineKind::kFlit),
+                         [](const auto& info) {
+                           return std::string(ToString(info.param));
+                         });
+
+TEST(AllocBudget, TreeWormRoutingAllocatesOnlyBranchPackets) {
+  const auto sys = System::Build({}, 42);  // 8 switches, 32 hosts
+  const int n = sys->num_nodes();
+  auto worm = std::make_shared<Packet>();
+  worm->kind = HeaderKind::kTreeWorm;
+  worm->src = 0;
+  worm->data_flits = 128;
+  worm->header_flits = HeaderSizing{}.TreeWormFlits(n);
+  worm->tree_dests = NodeSet(n);
+  for (NodeId d = 1; d < n; ++d) worm->tree_dests.Set(d);
+
+  // Walk the broadcast switch by switch from host 0, as the engines do.
+  const PortLoadFn load = [](SwitchId, PortId) { return 0; };
+  std::vector<std::pair<SwitchId, PacketPtr>> pending{
+      {sys->graph.host(0).sw, worm}};
+  std::vector<RouteBranch> out;
+  out.reserve(64);
+  std::size_t allocations = 0;
+  std::size_t branches = 0;
+  std::size_t decisions = 0;
+  NodeSet delivered(n);
+  while (!pending.empty()) {
+    auto [s, pkt] = std::move(pending.back());
+    pending.pop_back();
+    out.clear();
+    const std::size_t before = counting_new::Allocations();
+    ASSERT_TRUE(TryComputeRouteBranches(*sys, s, pkt, true, load, out));
+    allocations += counting_new::Allocations() - before;
+    ++decisions;
+    branches += out.size();
+    for (RouteBranch& b : out) {
+      const Port& pt = sys->graph.port(s, b.port);
+      if (pt.kind == PortKind::kHost)
+        delivered.Set(pt.host);
+      else
+        pending.emplace_back(pt.peer_switch, std::move(b.pkt));
+    }
+  }
+  EXPECT_EQ(delivered, worm->tree_dests);
+  EXPECT_LE(allocations, branches + decisions)
+      << branches << " branches, " << decisions << " decisions";
+}
+
+}  // namespace
+}  // namespace irmc
