@@ -41,16 +41,26 @@ FlitEngine::FlitEngine(Engine& engine, const System& sys,
   IRMC_EXPECT(params_.buffer_flits >= 1);
   IRMC_EXPECT(params_.deadlock_horizon >= 1);
   inputs_.assign(num_ports(), InputPort{params_.buffer_flits, -1});
-  busy_channels_.assign((arbs_.size() + 63) / 64, 0);
+  step_channels_.assign((arbs_.size() + 63) / 64, 0);
   ready_nis_.assign((inject_queues_.size() + 63) / 64, 0);
 }
 
 void FlitEngine::QueueInjection(NodeId n, PacketPtr pkt, Cycles ready) {
-  inject_queues_[static_cast<std::size_t>(n)].emplace_back(std::move(pkt),
-                                                           ready);
-  if (arbs_[static_cast<std::size_t>(InjChannel(n))].Load() == 0)
-    SetBit(ready_nis_, static_cast<std::size_t>(n));
+  auto& q = inject_queues_[static_cast<std::size_t>(n)];
+  q.emplace_back(std::move(pkt), ready);
+  // A new head packet behind an idle injection channel: the NI becomes
+  // ready at `ready` (PumpInjections moves it to ready_nis_ then).
+  if (q.size() == 1 &&
+      arbs_[static_cast<std::size_t>(InjChannel(n))].Load() == 0)
+    ready_heap_.emplace(ready, n);
   ScheduleTick(ready);
+}
+
+std::int64_t FlitEngine::UnsettledFlits(int channel_id) const {
+  const int active = arbs_[static_cast<std::size_t>(channel_id)].active_branch;
+  if (active == -1) return 0;
+  const BranchState& b = branches_[static_cast<std::size_t>(active)];
+  return b.streaming ? Sent(b, moved_through_) - b.consumed : 0;
 }
 
 int FlitEngine::InjectionBacklog(NodeId n) const {
@@ -67,6 +77,7 @@ std::int64_t FlitEngine::TotalBacklog() const {
 }
 
 void FlitEngine::CollectEngineMetrics() {
+  SettleAll();
   metrics_->GetCounter("flit.cycles_run").Add(ticks_);
   metrics_->GetCounter("flit.deliveries").Add(deliveries_);
   metrics_->GetGauge("flit.max_buffer_occupancy", GaugeMode::kMax)
@@ -92,6 +103,20 @@ void FlitEngine::ReleaseWormPort(Worm& w) {
 void FlitEngine::KillBranch(int bid) {
   BranchState& b = branches_[static_cast<std::size_t>(bid)];
   if (b.done) return;
+  // Cuts happen between cycles: settle what the branch sent, what its
+  // source buffer received and what its downstream copy received up to
+  // now, then stop the stream.
+  const Cycles next = moved_through_ + 1;
+  Sync(worms_[static_cast<std::size_t>(b.src_worm)], next, next);
+  if (b.streaming) {
+    Materialize(b, moved_through_);
+    b.streaming = false;
+  }
+  if (b.dst_worm != -1) {
+    Worm& dst = worms_[static_cast<std::size_t>(b.dst_worm)];
+    Sync(dst, next, next);
+    dst.feed = -1;
+  }
   CloseStreak(b);  // emits the open stall interval; keeps the
                    // trace-vs-counter accounting identity
   b.done = true;
@@ -106,11 +131,13 @@ void FlitEngine::KillBranch(int bid) {
       }
     }
   }
+  if (c.Load() == 0)
+    --busy_channels_;
+  else
+    SetBit(step_channels_, static_cast<std::size_t>(b.channel));  // grant
   // Flits on the wire evaporate.
-  std::size_t kept = 0;
-  for (InFlight& entry : in_flight_)
-    if (entry.branch != bid) in_flight_[kept++] = entry;
-  in_flight_.resize(kept);
+  for (std::size_t i = in_flight_.size(); i-- > 0;)
+    if (in_flight_[i].branch == bid) in_flight_.erase(i);
   // The downstream copy will never finish arriving.
   if (b.dst_worm != -1) KillWorm(b.dst_worm);
   const int wi = b.src_worm;
@@ -187,25 +214,130 @@ void FlitEngine::Tick() {
   PumpInjections(now);
   RouteWorms(now);
   MoveFlits(now);
-  if (Busy(now)) ScheduleTick(now + 1);
+  if (!frozen_) moved_through_ = now;
+  if (Busy()) ScheduleTick(now + 1);
 }
 
-bool FlitEngine::Busy(Cycles now) const {
-  if (!in_flight_.empty() || !pending_port_release_.empty() ||
-      !route_queue_.empty())
-    return true;
-  // Called after MoveFlits has visited every set bit, which clears the
-  // bits of channels that went idle (FailLink leaves them behind).
-  for (std::uint64_t word : busy_channels_)
-    if (word != 0) return true;
-  // An NI with a busy channel keeps the engine ticking through that
-  // channel. Future-ready injections do not: their InjectFromNi
-  // scheduled a wake-up at `ready` already.
-  bool ready = false;
-  ForEachBit(ready_nis_, [&](std::size_t n) {
-    ready = ready || inject_queues_[n].front().second <= now;
-  });
-  return ready;
+bool FlitEngine::Busy() const {
+  // A streaming branch keeps its channel busy, and once its tail is sent
+  // the tail is on the wire: flits in flight without an entry in
+  // in_flight_ never outlive both. NIs in ready_nis_ are ready now;
+  // future-ready ones do not count, since their InjectFromNi scheduled
+  // a wake-up at `ready` already.
+  return !in_flight_.empty() || !pending_port_release_.empty() ||
+         !route_queue_.empty() || busy_channels_ > 0 || ready_count_ > 0;
+}
+
+// --- activity bookkeeping ---
+
+void FlitEngine::Enqueue(std::size_t ci, int bid) {
+  Arbiter& c = arbs_[ci];
+  if (c.Load() == 0) ++busy_channels_;
+  c.waiting.push_back(bid);
+  // Behind a streaming branch the grant waits for its tail visit.
+  if (c.active_branch == -1 ||
+      !branches_[static_cast<std::size_t>(c.active_branch)].streaming)
+    SetBit(step_channels_, ci);
+}
+
+void FlitEngine::SetReady(std::size_t n) {
+  SetBit(ready_nis_, n);
+  ++ready_count_;
+}
+
+// --- streaming ---
+
+void FlitEngine::TryStream(int bid, Cycles now) {
+  BranchState& b = branches_[static_cast<std::size_t>(bid)];
+  if (b.consumed >= b.len - 1) return;  // only the tail is left
+  // Credit: a buffer that holds the whole branch can never fill.
+  const int dst_port = channel(b.channel).dst_port;
+  if (dst_port >= 0 &&
+      inputs_[static_cast<std::size_t>(dst_port)].capacity < b.len)
+    return;
+  // Flit availability: flit k is sent at phase + k - 1 and needs flit k
+  // landed in the source buffer, which a streaming feeder with phase
+  // f lands by f + k - 1 + link_delay.
+  const Cycles phase = now - b.consumed + 1;
+  const Worm& src = worms_[static_cast<std::size_t>(b.src_worm)];
+  if (src.received < src.len &&
+      (src.feed == -1 ||
+       phase - branches_[static_cast<std::size_t>(src.feed)].phase <
+           params_.link_delay))
+    return;
+  b.streaming = true;
+  b.phase = phase;
+  b.land_first = now + 1 + params_.link_delay;
+  if (b.dst_worm != -1) {
+    Worm& dst = worms_[static_cast<std::size_t>(b.dst_worm)];
+    Sync(dst, now + 1, now);
+    dst.feed = bid;
+  }
+  tails_due_.emplace(phase + b.len - 1, b.channel);
+}
+
+void FlitEngine::Materialize(BranchState& b, Cycles t) {
+  const int sent = Sent(b, t);
+  if (sent <= b.consumed) return;
+  CountFlits(b.channel, sent - b.consumed);
+  b.consumed = sent;
+}
+
+int FlitEngine::FreedAfter(const Worm& w, Cycles v) const {
+  // The freed-flit rule of MoveChannel (min consumed over live
+  // branches) as of the end of cycle v. Stepped branches hold their
+  // counts between their visits; a cycle with no streaming mover leaves
+  // `freed` alone.
+  int min_consumed = w.len;
+  bool moved = false;
+  for (int bid : w.branch_ids) {
+    const BranchState& b = branches_[static_cast<std::size_t>(bid)];
+    if (b.done) continue;
+    if (b.streaming) {
+      moved = true;
+      min_consumed = std::min(min_consumed, Sent(b, v));
+    } else {
+      min_consumed = std::min(min_consumed, b.consumed);
+    }
+  }
+  return moved ? std::max(w.freed, min_consumed) : w.freed;
+}
+
+void FlitEngine::Sync(Worm& w, Cycles land_to, Cycles move_to) {
+  if (w.feed != -1) {
+    // One streamed flit lands per cycle from first to last. received
+    // gains one a cycle and freed at most one, so the occupancy seen at
+    // each landing never falls: its high-water is the last landing's.
+    const BranchState& f = branches_[static_cast<std::size_t>(w.feed)];
+    const Cycles first = std::max(w.land_sync, f.land_first);
+    const Cycles last =
+        std::min(land_to - 1, f.phase + f.len - 2 + params_.link_delay);
+    if (first <= last) {
+      const int freed =
+          last - 1 >= w.move_sync ? FreedAfter(w, last - 1) : w.freed;
+      w.received += static_cast<int>(last - first + 1);
+      if (w.discarding) {
+        w.freed = w.received;
+      } else {
+        max_occupancy_ = std::max(
+            max_occupancy_, static_cast<std::int64_t>(w.received - freed));
+      }
+    }
+  }
+  w.land_sync = std::max(w.land_sync, land_to);
+  if (move_to > w.move_sync) {
+    w.freed = FreedAfter(w, move_to - 1);
+    w.move_sync = move_to;
+  }
+}
+
+void FlitEngine::SettleAll() {
+  if (frozen_) return;  // DeadlockTrip settled everything already
+  const Cycles next = moved_through_ + 1;
+  for (Worm& w : worms_)
+    if (w.pins > 0) Sync(w, next, next);
+  for (BranchState& b : branches_)
+    if (b.streaming) Materialize(b, moved_through_);
 }
 
 // --- slot recycling ---
@@ -266,18 +398,17 @@ void FlitEngine::ReleasePorts() {
 }
 
 void FlitEngine::LandFlits(Cycles now) {
-  std::size_t kept = 0;
-  for (InFlight& entry : in_flight_) {
-    if (entry.lands > now) {
-      in_flight_[kept++] = entry;
-      continue;
-    }
+  // Entries land in the order they were sent (one wire delay for all).
+  while (!in_flight_.empty() && in_flight_.front().lands <= now) {
+    const InFlight entry = in_flight_.front();
+    in_flight_.pop_front();
     BranchState& b = branches_[static_cast<std::size_t>(entry.branch)];
     const Channel& c = channel(b.channel);
     if (c.dst_host != kInvalidNode) {
-      // Host ejection sink: the packet is delivered when its tail lands.
+      // Host ejection sink: the packet is delivered when its tail, the
+      // last of its flits, lands.
       if (entry.is_head) b.sink_head = entry.lands;
-      if (++b.sink_landed == b.len) {
+      if (entry.is_tail) {
         ++deliveries_;
         if (m_host_deliveries_) m_host_deliveries_->Add();
         TraceAt(entry.lands, TraceKind::kNiDeliver, *b.out_pkt, c.dst_host,
@@ -297,6 +428,8 @@ void FlitEngine::LandFlits(Cycles now) {
         w.head_arrive = entry.lands;
         w.port_index = c.dst_port;
         w.pins = 2;
+        w.land_sync = w.move_sync = entry.lands;
+        if (b.phase != kNever) w.feed = entry.branch;
         ip.resident_worm = wi;
         b.dst_worm = wi;
         if (m_switched_) m_switched_->Add();
@@ -306,6 +439,7 @@ void FlitEngine::LandFlits(Cycles now) {
                                   entry.lands + params_.route_delay);
       }
       Worm& w = worms_[static_cast<std::size_t>(b.dst_worm)];
+      Sync(w, entry.lands, entry.lands);
       ++w.received;
       if (w.discarding) {
         // Every branch of this worm was fault-killed; swallow the flit
@@ -315,16 +449,20 @@ void FlitEngine::LandFlits(Cycles now) {
       }
       max_occupancy_ = std::max(
           max_occupancy_, static_cast<std::int64_t>(w.received - w.freed));
+      if (entry.is_tail) w.feed = -1;
     }
     if (entry.is_tail) Unpin(b.src_worm);  // may recycle b: use it last
   }
-  in_flight_.resize(kept);
 }
 
 void FlitEngine::PumpInjections(Cycles now) {
+  while (!ready_heap_.empty() && ready_heap_.top().first <= now) {
+    SetReady(static_cast<std::size_t>(ready_heap_.top().second));
+    ready_heap_.pop();
+  }
+  if (ready_count_ == 0) return;
   ForEachBit(ready_nis_, [&](std::size_t n) {
     auto& q = inject_queues_[n];
-    if (q.front().second > now) return;  // its wake-up is scheduled
     // Source-side pseudo-worm: all flits available at `ready`, pinned
     // only by its one branch.
     const int wi = NewWorm();
@@ -342,9 +480,9 @@ void FlitEngine::PumpInjections(Cycles now) {
     b.len = w.len;
     b.start_ok = q.front().second;
     const std::size_t ci = static_cast<std::size_t>(b.channel);
-    arbs_[ci].waiting.push_back(NewBranch(wi, std::move(b)));
-    SetBit(busy_channels_, ci);
+    Enqueue(ci, NewBranch(wi, std::move(b)));
     ClearBit(ready_nis_, n);
+    --ready_count_;
     q.pop_front();
   });
 }
@@ -364,6 +502,7 @@ void FlitEngine::RouteWorms(Cycles now) {
 void FlitEngine::RouteWorm(int wi, Cycles now) {
   Worm& w = worms_[static_cast<std::size_t>(wi)];
   IRMC_ENSURE(!w.routed && w.received >= 1);
+  Sync(w, now + 1, now);
   w.routed = true;
   const SwitchId sw = SwitchOfPort(w.port_index);
   const PortLoadFn load = [this](SwitchId s, PortId p) {
@@ -419,22 +558,31 @@ void FlitEngine::RouteWorm(int wi, Cycles now) {
     b.len = w.len;
     b.start_ok = start_ok;
     const std::size_t ci = static_cast<std::size_t>(b.channel);
-    arbs_[ci].waiting.push_back(NewBranch(wi, std::move(b)));
-    SetBit(busy_channels_, ci);
+    Enqueue(ci, NewBranch(wi, std::move(b)));
   }
 }
 
 void FlitEngine::MoveFlits(Cycles now) {
+  while (!tails_due_.empty() && tails_due_.top().first <= now) {
+    // A kill may leave a stale entry behind; MoveChannel ignores it.
+    if (tails_due_.top().first == now)
+      SetBit(step_channels_, static_cast<std::size_t>(tails_due_.top().second));
+    tails_due_.pop();
+  }
   // Ascending channel order is load-bearing: a downstream channel that
   // drains earlier in the cycle raises its worm's `freed` before an
   // upstream feeder with a higher index checks credit against it, exactly
   // as a walk over every channel would.
-  ForEachBit(busy_channels_, [&](std::size_t ci) {
+  ForEachBit(step_channels_, [&](std::size_t ci) {
     if (frozen_) return;  // the deadlock handler consumed a trip
+    ++visits_;
     MoveChannel(ci, now);
     const Arbiter& c = arbs_[ci];
-    if (c.active_branch == -1 && c.waiting.empty())
-      ClearBit(busy_channels_, ci);
+    const bool step =
+        c.active_branch == -1
+            ? !c.waiting.empty()
+            : !branches_[static_cast<std::size_t>(c.active_branch)].streaming;
+    if (!step) ClearBit(step_channels_, ci);
   });
 }
 
@@ -442,6 +590,16 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
   const Channel& link = channel(static_cast<int>(ci));
   if (link.dead_since != kNever) return;  // FailLink emptied it
   Arbiter& c = arbs_[ci];
+  if (c.active_branch != -1) {
+    BranchState& a = branches_[static_cast<std::size_t>(c.active_branch)];
+    if (a.streaming) {
+      if (now < a.phase + a.len - 1) return;  // no tail due: stale wake-up
+      // The tail is due: settle the stream and send the tail stepped.
+      Sync(worms_[static_cast<std::size_t>(a.src_worm)], now + 1, now);
+      Materialize(a, now - 1);
+      a.streaming = false;
+    }
+  }
   if (c.active_branch == -1 && !c.waiting.empty()) {
     // Grant the branch that has been ready longest; break same-cycle
     // ties by input port — the same engine-independent rule as the VCT
@@ -468,8 +626,10 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
     }
   }
   if (c.active_branch == -1) return;
-  BranchState& b = branches_[static_cast<std::size_t>(c.active_branch)];
+  const int bid = c.active_branch;
+  BranchState& b = branches_[static_cast<std::size_t>(bid)];
   Worm& src = worms_[static_cast<std::size_t>(b.src_worm)];
+  Sync(src, now + 1, now);
   // Flit availability at the source buffer (not a credit stall).
   if (b.consumed >= src.received) return;
   // Downstream space (credit).
@@ -502,11 +662,12 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
   ++b.consumed;
   CountFlits(static_cast<int>(ci), 1);
   const bool is_tail = (b.consumed == b.len);
-  in_flight_.push_back(InFlight{c.active_branch, is_head, is_tail,
-                                now + params_.link_delay});
+  in_flight_.push_back(
+      InFlight{bid, is_head, is_tail, now + params_.link_delay});
   if (is_tail) {
     b.done = true;
     c.active_branch = -1;
+    if (c.waiting.empty()) --busy_channels_;
     if (--src.live_branches == 0 && src.port_index >= 0) {
       // All branches drained: free the input port at the *start of the
       // next cycle* (the tail flit leaves the buffer this cycle),
@@ -517,17 +678,27 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
       // An injection channel carries one branch at a time, so it is idle
       // now and its NI may start the next queued packet.
       const std::size_t n = ci - static_cast<std::size_t>(InjChannel(0));
-      if (!inject_queues_[n].empty()) SetBit(ready_nis_, n);
+      const auto& q = inject_queues_[n];
+      if (!q.empty()) {
+        if (q.front().second <= now)
+          SetReady(n);
+        else
+          ready_heap_.emplace(q.front().second, static_cast<int>(n));
+      }
     }
   }
   // Freed-flit accounting (buffer occupancy): freed = min consumed
-  // over the worm's branches.
+  // over the worm's branches. A streaming sibling's settled count may
+  // lag; the next Sync of this worm settles `freed` for this cycle, and
+  // no credit check reads it before then (that would take a stepped
+  // feeder, whose worm has no streaming branches).
   int min_consumed = b.len;
   for (int obid : src.branch_ids) {
     const BranchState& other = branches_[static_cast<std::size_t>(obid)];
     if (!other.done) min_consumed = std::min(min_consumed, other.consumed);
   }
   src.freed = std::max(src.freed, std::min(min_consumed, src.received));
+  if (!is_tail) TryStream(bid, now);
 }
 
 void FlitEngine::CloseStreak(BranchState& b) {
@@ -545,6 +716,32 @@ void FlitEngine::CloseStreak(BranchState& b) {
 }
 
 void FlitEngine::DeadlockTrip(Cycles now, int trip_branch) {
+  // Settle every stream to this point of the cycle — branches on lower
+  // channels have sent this cycle's flit, the rest have not — and step
+  // them from here on: the engine stops (or freezes) anyway. A worm with
+  // a stream gets the `freed` a walk over every channel would show here.
+  const int trip_channel =
+      branches_[static_cast<std::size_t>(trip_branch)].channel;
+  for (Worm& w : worms_)
+    if (w.pins > 0) Sync(w, now + 1, now);
+  for (Worm& w : worms_) {
+    if (w.pins == 0) continue;
+    bool streamed = false;
+    for (int bid : w.branch_ids) {
+      BranchState& b = branches_[static_cast<std::size_t>(bid)];
+      if (!b.streaming) continue;
+      streamed = true;
+      Materialize(b, b.channel < trip_channel ? now : now - 1);
+      b.streaming = false;
+    }
+    if (!streamed) continue;
+    int min_consumed = w.len;
+    for (int bid : w.branch_ids) {
+      const BranchState& b = branches_[static_cast<std::size_t>(bid)];
+      if (!b.done) min_consumed = std::min(min_consumed, b.consumed);
+    }
+    w.freed = std::max(w.freed, std::min(min_consumed, w.received));
+  }
   FlitDeadlockInfo info;
   info.now = now;
   info.horizon = params_.deadlock_horizon;

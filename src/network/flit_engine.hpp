@@ -24,12 +24,28 @@
 // come from the shared route_logic layer, so port selection — including
 // least-loaded adaptive selection — is identical to the Fabric's.
 //
-// Cost: a stepped cycle visits only the channels that hold a branch and
-// the NIs that could start one (two bitmaps walked in ascending index
-// order, which keeps arbitration and credit timing cycle-exact), plus
-// the flits landing that cycle. Worm and branch slots are recycled once
-// nothing can reach them, so memory follows the worms in flight, not
-// the packets ever sent.
+// Cost follows worm events, not flits. A branch *streams* once its head
+// is sent, provided credit can never block it (its channel ends at a
+// host, or at an input buffer of at least the branch's length) and it
+// can never starve (its source worm is fully received, or is fed by a
+// streaming branch it trails by at least link_delay cycles). From then
+// on it sends one flit per cycle until its tail, so its consumed count,
+// its channel's flit count, its downstream worm's received/freed counts
+// and the buffer-occupancy high-water are linear in time: they are
+// settled only at worm events (head send/land, route, tail send/land,
+// fault cut, deadlock report, any read), and only heads, tails and the
+// flits of stepped branches go on the wire as discrete landings. Every
+// other branch — awaiting a grant, stalled on a held port or on credit,
+// starved, or in a buffer too small to absorb it — is *stepped* one
+// cycle at a time in ascending channel order, which keeps arbitration
+// and credit timing cycle-exact (a worm with a stepped feeder has only
+// stepped branches until it is complete, so credit never reads a
+// closed-form count). A cycle visits only the channels with a stepped
+// branch or a tail due, and only the NIs whose head packet is ready;
+// future-ready NIs wait in a (ready, node) heap. The tick schedule is
+// unchanged: one kernel event per active cycle. Worm and branch slots
+// are recycled once nothing can reach them, so memory follows the worms
+// in flight, not the packets ever sent.
 //
 // Deadlock trip: up*/down* routing is deadlock-free, so a worm that
 // stays credit-blocked on one channel for more than
@@ -38,8 +54,10 @@
 // naming every stuck worm and the port it blocks on.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <queue>
 #include <span>
 #include <utility>
 #include <vector>
@@ -94,6 +112,11 @@ class FlitEngine final : public NetworkModel {
   /// Cycles actually stepped (idle gaps cost nothing).
   std::int64_t cycles_stepped() const { return ticks_; }
 
+  /// Channel visits made by the move phase: one per stepped branch per
+  /// cycle, plus one per streaming tail. A machine-independent measure
+  /// of the engine's per-cycle work.
+  std::int64_t channel_visits() const { return visits_; }
+
   /// Worm slots plus branch slots ever allocated. Finished worms and
   /// branches are recycled, so this follows how many were alive at once,
   /// not how many packets the run sent.
@@ -139,6 +162,13 @@ class FlitEngine final : public NetworkModel {
     /// per branch whose tail has neither landed nor evaporated. At zero
     /// the slot, its branches and their packets are recycled.
     int pins = 0;
+    // --- closed-form settlement (see Sync) ---
+    int feed = -1;  ///< streaming branch still landing flits here
+    /// Streamed landings before cycle land_sync and branch moves before
+    /// cycle move_sync are folded into received/freed; move_sync is
+    /// land_sync or land_sync - 1.
+    Cycles land_sync = 0;
+    Cycles move_sync = 0;
   };
 
   /// One output stream of a routed worm: drains the source buffer
@@ -148,13 +178,19 @@ class FlitEngine final : public NetworkModel {
     int channel = -1;
     PacketPtr out_pkt;  ///< header as seen downstream
     int len = 0;
+    /// Flits sent and counted on the channel; a streaming branch may
+    /// have sent more (see Sent).
     int consumed = 0;
     Cycles start_ok = 0;
     int dst_worm = -1;  ///< created when the head lands downstream
     bool done = false;  ///< tail sent or branch killed; also a free slot
-    // Host-sink delivery state (channel ends at an NI).
-    Cycles sink_head = 0;
-    int sink_landed = 0;
+    /// Sending one flit per cycle without visits until the tail is due.
+    bool streaming = false;
+    /// Once streamed: flit k is sent at cycle phase + k - 1, and the
+    /// streamed (non-head, non-tail) flits land from land_first on.
+    Cycles phase = kNever;
+    Cycles land_first = kNever;
+    Cycles sink_head = 0;  ///< head landing at a host sink
     // Open credit-stall streak. stall_len counts exactly the cycles
     // added to flit.blocked_cycles, so the emitted block interval
     // [stall_begin, stall_begin + stall_len) keeps the trace-derived
@@ -198,19 +234,22 @@ class FlitEngine final : public NetworkModel {
   }
 
   void QueueInjection(NodeId n, PacketPtr pkt, Cycles ready) override;
+  /// Middle flits a streaming branch has sent but not yet counted.
+  std::int64_t UnsettledFlits(int channel_id) const override;
   /// Branches waiting for or streaming through a dead channel are
   /// truncated (flits on the wire evaporate), and every incomplete
   /// downstream worm they were feeding is cascade-killed. The packet of
   /// each branch cut at the link is reported through the drop handler
   /// (cascade kills are covered by that report's destination set).
   void CutChannels(std::span<const int> dead) override;
-  /// `flit.cycles_run`, `flit.deliveries`, `flit.max_buffer_occupancy`.
+  /// Settles every stream, then folds `flit.cycles_run`,
+  /// `flit.deliveries`, `flit.max_buffer_occupancy`.
   void CollectEngineMetrics() override;
 
   // --- event-driven cycle stepping ---
   void ScheduleTick(Cycles when);
   void Tick();
-  bool Busy(Cycles now) const;
+  bool Busy() const;
 
   // --- cycle phases (run in this order each stepped cycle) ---
   void ReleasePorts();
@@ -220,6 +259,32 @@ class FlitEngine final : public NetworkModel {
   void RouteWorm(int wi, Cycles now);
   void MoveFlits(Cycles now);
   void MoveChannel(std::size_t ci, Cycles now);
+
+  // --- streaming ---
+  /// Starts streaming branch `bid` after its flit sent at `now` when it
+  /// can neither stall nor starve before its tail.
+  void TryStream(int bid, Cycles now);
+  /// Flits a streaming branch has sent once the moves of cycle `t` are
+  /// done (the tail excepted: it is always sent by a visit).
+  static int Sent(const BranchState& b, Cycles t) {
+    return static_cast<int>(std::min<Cycles>(b.len - 1, t - b.phase + 1));
+  }
+  /// Counts a streaming branch's flits sent through cycle `t`.
+  void Materialize(BranchState& b, Cycles t);
+  /// Folds into `w` the streamed landings of cycles before `land_to` and
+  /// the moves of its streaming branches in cycles before `move_to`,
+  /// raising the occupancy high-water on the way.
+  void Sync(Worm& w, Cycles land_to, Cycles move_to);
+  /// `freed` once the moves of cycle `v` are done, for a worm whose
+  /// streaming branches all moved in `v`.
+  int FreedAfter(const Worm& w, Cycles v) const;
+  /// Settles every worm and stream to the last completed cycle.
+  void SettleAll();
+
+  // --- activity bookkeeping ---
+  /// Queues branch `bid` for a grant on channel `ci`.
+  void Enqueue(std::size_t ci, int bid);
+  void SetReady(std::size_t n);
 
   // --- slot recycling ---
   int NewWorm();
@@ -250,25 +315,35 @@ class FlitEngine final : public NetworkModel {
   std::vector<BranchState> branches_;
   std::vector<int> free_worms_;     // recycled worms_ indices
   std::vector<int> free_branches_;  // recycled branches_ indices
-  std::vector<InFlight> in_flight_;
+  Fifo<InFlight> in_flight_;  // heads, tails, stepped flits; by landing
   Fifo<std::pair<int, Cycles>> route_queue_;  // (worm, decision time)
   // Per NI (packet, ready); each allocates on its NI's first injection.
   std::vector<Fifo<std::pair<PacketPtr, Cycles>>> inject_queues_;
   std::vector<RouteBranch> route_branches_;  // reused by every RouteWorm
   std::vector<int> pending_port_release_;
   // Activity sets, one bit per index, walked in ascending order. A set
-  // bit in busy_channels_ covers every channel with an active or waiting
-  // branch (a bit may outlive a FailLink until the channel's next
-  // visit); ready_nis_ holds exactly the NIs with a queued packet and an
-  // idle injection channel.
-  std::vector<std::uint64_t> busy_channels_;
+  // bit in step_channels_ marks a channel to visit next cycle: one with
+  // a stepped active branch, or with waiting branches and none active (a
+  // bit may outlive a FailLink or a kill until the channel's next
+  // visit). ready_nis_ holds the NIs with an idle injection channel and
+  // a ready head packet; those whose head packet is not ready yet wait
+  // in ready_heap_.
+  std::vector<std::uint64_t> step_channels_;
   std::vector<std::uint64_t> ready_nis_;
+  template <typename T>
+  using MinHeap = std::priority_queue<T, std::vector<T>, std::greater<>>;
+  MinHeap<std::pair<Cycles, int>> ready_heap_;  // (ready, NI)
+  MinHeap<std::pair<Cycles, int>> tails_due_;   // (tail cycle, channel)
+  int busy_channels_ = 0;  ///< channels with an active or waiting branch
+  int ready_count_ = 0;    ///< set bits in ready_nis_
 
   DeadlockHandler on_deadlock_;
   bool frozen_ = false;  ///< deadlock handler fired; engine stays quiet
 
   Cycles last_processed_ = -1;  ///< highest cycle already stepped
+  Cycles moved_through_ = -1;   ///< highest cycle whose moves are done
   std::int64_t ticks_ = 0;
+  std::int64_t visits_ = 0;
   std::int64_t deliveries_ = 0;
   std::int64_t max_occupancy_ = 0;  ///< input-buffer flits high-water
 };

@@ -87,7 +87,8 @@ void NetworkModel::InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) {
 
 std::int64_t NetworkModel::flits_sent() const {
   std::int64_t total = 0;
-  for (const Channel& c : channels_) total += c.flits;
+  for (std::size_t cid = 0; cid < channels_.size(); ++cid)
+    total += ChannelFlits(static_cast<int>(cid));
   return total;
 }
 
@@ -103,16 +104,15 @@ std::vector<LinkLoadReport> NetworkModel::LinkReports(Cycles now) const {
       r.port = p;
       r.to_host = c.dst_host != kInvalidNode;
       r.node = c.dst_host;
-      r.flits = c.flits;
+      r.flits = ChannelFlits(PortIdx(s, p));
       r.utilization = Utilization(PortIdx(s, p), now);
       out.push_back(r);
     }
   }
   for (NodeId n = 0; n < sys_->num_nodes(); ++n) {
-    const Channel& c = channel(InjChannel(n));
     LinkLoadReport r;
     r.node = n;
-    r.flits = c.flits;
+    r.flits = ChannelFlits(InjChannel(n));
     r.utilization = Utilization(InjChannel(n), now);
     out.push_back(r);
   }
@@ -131,7 +131,7 @@ bool NetworkModel::IsSwitchLink(int channel_id) const {
 
 double NetworkModel::Utilization(int channel_id, Cycles now) const {
   const double elapsed = now > 0 ? static_cast<double>(now) : 1.0;
-  return static_cast<double>(channel(channel_id).flits) / elapsed;
+  return static_cast<double>(ChannelFlits(channel_id)) / elapsed;
 }
 
 double NetworkModel::MaxLinkUtilization(Cycles now) const {
@@ -146,7 +146,8 @@ void NetworkModel::CollectMetrics(Cycles now) {
   Counter& busy = metrics_->GetCounter(prefix_ + "link_busy_cycles");
   Histogram& util = metrics_->GetHistogram(prefix_ + "link_utilization_pct");
   double best = 0.0;
-  for (const Channel& c : channels_) busy.Add(c.flits);
+  for (std::size_t cid = 0; cid < channels_.size(); ++cid)
+    busy.Add(ChannelFlits(static_cast<int>(cid)));
   for (int cid = 0; cid < num_out_; ++cid) {
     if (!IsSwitchLink(cid)) continue;
     const double u = Utilization(cid, now);

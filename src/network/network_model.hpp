@@ -6,9 +6,12 @@
 //    events per packet; exact when input buffers hold at least one
 //    packet. The default, and the engine behind every paper figure.
 //  * FlitEngine (flit_engine.hpp) — flit-by-flit wormhole simulation
-//    with finite per-port buffers and credit backpressure. O(flits)
-//    work; the only engine that can express true wormhole blocking when
-//    buffers are smaller than a packet.
+//    with finite per-port buffers and credit backpressure; the only
+//    engine that can express true wormhole blocking when buffers are
+//    smaller than a packet. A branch that can neither stall nor starve
+//    streams in closed form (O(worm events)); the rest — grants,
+//    credit and held-port stalls, small-buffer wormhole runs — are
+//    stepped per cycle (O(flits) for those branches only).
 //
 // Everything the two do identically is implemented once, here: the
 // channel table (switch out-channels in (switch, port) order, then one
@@ -198,6 +201,9 @@ class NetworkModel {
   virtual void CutChannels(std::span<const int> dead) = 0;
   /// Folds the engine's own end-of-run series (metrics_ is non-null).
   virtual void CollectEngineMetrics() = 0;
+  /// Flits that entered `channel_id` but are not in its count yet (an
+  /// engine that settles flit counts lazily); the readers add them.
+  virtual std::int64_t UnsettledFlits(int /*channel_id*/) const { return 0; }
 
   // --- channel layout ---
   /// Input-port index of (s, p); also the id of the out-channel (s, p).
@@ -267,6 +273,10 @@ class NetworkModel {
   Histogram* m_header_flits_ = nullptr; ///< <prefix>.header_flits
 
  private:
+  /// Flits that entered the channel so far, settled or not.
+  std::int64_t ChannelFlits(int channel_id) const {
+    return channel(channel_id).flits + UnsettledFlits(channel_id);
+  }
   /// A wired switch-to-switch out-channel (hosts, injections and free
   /// ports excluded) — the links the utilization metrics cover.
   bool IsSwitchLink(int channel_id) const;

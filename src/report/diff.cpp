@@ -164,6 +164,28 @@ void DiffHistogram(const std::string& metric, const ParsedHistogram& base,
   }
 }
 
+/// One series cell. A cell of 0.0 is a point with no completions (the
+/// runners leave a point's mean latency at 0.0 then), not the fastest
+/// possible point: losing every completion regresses, gaining some
+/// improves, whatever the latency.
+void PushSeriesCell(std::vector<MetricDelta>* out, const std::string& metric,
+                    double baseline, double candidate, const DiffSpec& spec) {
+  if (baseline != 0.0 && candidate != 0.0) {
+    PushDelta(out, metric, baseline, candidate, spec);
+    return;
+  }
+  MetricDelta d;
+  d.metric = metric;
+  d.direction = MetricDirection(metric);
+  d.baseline = baseline;
+  d.candidate = candidate;
+  d.rel_change = RelChange(baseline, candidate);
+  d.verdict = baseline == candidate ? Verdict::kSame
+              : candidate == 0.0    ? Verdict::kRegressed
+                                    : Verdict::kImproved;
+  out->push_back(std::move(d));
+}
+
 /// "series.<scheme>[<xlabel>=<x>]" cells from the recorded rows.
 void DiffSeries(const SeriesData& base, const SeriesData& cand,
                 const DiffSpec& spec, std::vector<MetricDelta>* out) {
@@ -187,7 +209,7 @@ void DiffSeries(const SeriesData& base, const SeriesData& cand,
       if (c >= base.columns.size()) break;
       const std::string metric = "series." + base.columns[c] + '[' + x_label +
                                  '=' + key(row[0]) + ']';
-      PushDelta(out, metric, row[c], crow[c], spec);
+      PushSeriesCell(out, metric, row[c], crow[c], spec);
     }
   }
 }

@@ -7,7 +7,8 @@
 #   2. self-`regress` exits 0 (a build compared with itself can never
 #      read as a regression),
 #   3. a planted 2x latency scale makes `regress` exit 1 and name the
-#      regressed series metric,
+#      regressed series metric, and so does a planted collapse of every
+#      series cell to 0.0 (no completions),
 #   4. `html` renders a single self-contained file (no external refs).
 #
 # Inputs: -DIRMC_REPORT=<binary> -DWORK=<scratch dir>.
@@ -67,6 +68,17 @@ run_report(1 out ${IRMC_REPORT} regress
            --candidate ${WORK}/ledger_slow.jsonl)
 if(NOT out MATCHES "REGRESSION" OR NOT out MATCHES "series\\.")
   message(FATAL_ERROR "planted regression not named:\n${out}")
+endif()
+
+# Planted collapse: a 0.0 cell means no completions, so scaling every
+# cell to 0.0 is a regression, not a speedup.
+run_report(0 out ${IRMC_REPORT} ${KNOBS} --scale-latency 0.0
+           --ledger ${WORK}/ledger_none.jsonl)
+run_report(1 out ${IRMC_REPORT} regress
+           --baseline ${WORK}/ledger_t1.jsonl
+           --candidate ${WORK}/ledger_none.jsonl)
+if(NOT out MATCHES "REGRESSION" OR NOT out MATCHES "series\\.")
+  message(FATAL_ERROR "planted collapse not named:\n${out}")
 endif()
 
 # 4. Self-contained HTML from the recorded ledger.

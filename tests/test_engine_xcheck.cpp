@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -36,9 +38,29 @@ struct ThreadsGuard {
   ~ThreadsGuard() { SetParallelThreads(0); }
 };
 
-SimConfig XCheckConfig(EngineKind engine) {
+/// (link_delay, route_delay, xbar_delay): unit delays, and distinct
+/// non-unit ones, which the flit engine's streaming closed forms and
+/// its arbitration timing both depend on.
+struct Delays {
+  Cycles link, route, xbar;
+};
+constexpr Delays kUnitDelays{1, 1, 1};
+constexpr Delays kSlowDelays{2, 3, 4};
+
+std::string DelaysName(const Delays& d) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "L%lldR%lldX%lld",
+                static_cast<long long>(d.link), static_cast<long long>(d.route),
+                static_cast<long long>(d.xbar));
+  return buf;
+}
+
+SimConfig XCheckConfig(EngineKind engine, const Delays& delays) {
   SimConfig cfg;
   cfg.engine = engine;
+  cfg.net.link_delay = delays.link;
+  cfg.net.route_delay = delays.route;
+  cfg.net.xbar_delay = delays.xbar;
   // Deterministic routing: under adaptivity the engines consult
   // different congestion proxies (queued packets vs. buffered flits),
   // so port choices — and thus latencies — may legitimately diverge.
@@ -50,12 +72,14 @@ SimConfig XCheckConfig(EngineKind engine) {
   return cfg;
 }
 
-class EngineXCheck : public ::testing::TestWithParam<SchemeKind> {};
+class EngineXCheck
+    : public ::testing::TestWithParam<std::tuple<SchemeKind, Delays>> {};
 
 TEST_P(EngineXCheck, ZeroLoadLatencyAgreesOverManyTopologies) {
-  const SchemeKind kind = GetParam();
-  const SimConfig vct_cfg = XCheckConfig(EngineKind::kVct);
-  const SimConfig flit_cfg = XCheckConfig(EngineKind::kFlit);
+  const SchemeKind kind = std::get<0>(GetParam());
+  const Delays delays = std::get<1>(GetParam());
+  const SimConfig vct_cfg = XCheckConfig(EngineKind::kVct, delays);
+  const SimConfig flit_cfg = XCheckConfig(EngineKind::kFlit, delays);
   const auto scheme = MakeScheme(kind, vct_cfg.host);
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     const auto sys = System::Build({}, seed);
@@ -91,9 +115,15 @@ TEST_P(EngineXCheck, ZeroLoadLatencyAgreesOverManyTopologies) {
 
 INSTANTIATE_TEST_SUITE_P(
     Schemes, EngineXCheck,
-    ::testing::Values(SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
-                      SchemeKind::kTreeWorm, SchemeKind::kPathWorm),
-    [](const auto& info) { return std::string(ToIdent(info.param)); });
+    ::testing::Combine(
+        ::testing::Values(SchemeKind::kUnicastBinomial,
+                          SchemeKind::kNiKBinomial, SchemeKind::kTreeWorm,
+                          SchemeKind::kPathWorm),
+        ::testing::Values(kUnitDelays, kSlowDelays)),
+    [](const auto& info) {
+      return std::string(ToIdent(std::get<0>(info.param))) + "_" +
+             DelaysName(std::get<1>(info.param));
+    });
 
 // Loaded-run agreement at default buffers. Regression for a real
 // deadlock: buffer_flits used to default to the 128-flit data payload,
@@ -102,10 +132,16 @@ INSTANTIATE_TEST_SUITE_P(
 // wedged the flit engine (every multicast unfinished, link utilization
 // near zero). The default must absorb whole worms, and then the two
 // engines agree on full load statistics, not just lone multicasts.
-TEST(EngineXCheckLoaded, OpenLoopSweepPointAgreesAtDefaultBuffers) {
-  auto run = [](EngineKind engine) {
+class EngineXCheckLoaded : public ::testing::TestWithParam<Delays> {};
+
+TEST_P(EngineXCheckLoaded, OpenLoopSweepPointAgreesAtDefaultBuffers) {
+  const Delays delays = GetParam();
+  auto run = [&delays](EngineKind engine) {
     LoadRunSpec spec;
     spec.cfg.engine = engine;
+    spec.cfg.net.link_delay = delays.link;
+    spec.cfg.net.route_delay = delays.route;
+    spec.cfg.net.xbar_delay = delays.xbar;
     spec.scheme = SchemeKind::kTreeWorm;
     spec.degree = 8;
     spec.effective_load = 0.3;
@@ -122,6 +158,12 @@ TEST(EngineXCheckLoaded, OpenLoopSweepPointAgreesAtDefaultBuffers) {
   EXPECT_EQ(flit.unfinished, vct.unfinished);
   EXPECT_DOUBLE_EQ(flit.mean_latency, vct.mean_latency);
 }
+
+INSTANTIATE_TEST_SUITE_P(Delays, EngineXCheckLoaded,
+                         ::testing::Values(kUnitDelays, kSlowDelays),
+                         [](const auto& info) {
+                           return DelaysName(info.param);
+                         });
 
 // --- flit-engine determinism: same contract as the VCT engine ---
 

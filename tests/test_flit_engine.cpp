@@ -7,6 +7,7 @@
 #include <set>
 #include <tuple>
 
+#include "common/rng.hpp"
 #include "core/executor.hpp"
 #include "core/load_runner.hpp"
 #include "mcast/scheme.hpp"
@@ -500,6 +501,33 @@ TEST(FlitEngineFailLink, CascadeKillsDownstreamWorms) {
   EXPECT_EQ(stepped, 265);
 }
 
+TEST(FlitEngineFailLink, CutKeepsTheHighWaterOfTheKilledCopy) {
+  // Worm 1 (0 -> 3) streams into switch 1, where its branch waits for
+  // the link to switch 2 that worm 2 (4 -> 2) holds, so its buffer fills
+  // one flit a cycle. Cutting the link into switch 1 kills that copy; the
+  // flits it received before the cut still set the occupancy high-water.
+  const System sys = LineOfThree();
+  Engine engine;
+  NetParams params;
+  params.adaptive = false;
+  MetricsRegistry reg;
+  FlitEngine flit(engine, sys, params,
+                  [](NodeId, const PacketPtr&, Cycles, Cycles) {}, nullptr,
+                  &reg);
+  std::vector<std::int64_t> drops;
+  flit.SetDropHandler([&drops](const PacketPtr& p, Cycles, SwitchId) {
+    drops.push_back(p->mcast_id);
+  });
+  flit.InjectFromNi(4, Tagged(Unicast(4, 2, 128), 2), 0);
+  flit.InjectFromNi(0, Tagged(Unicast(0, 3, 128), 1), 0);
+  engine.ScheduleAt(60, [&flit]() { flit.FailLink(0, 0); });
+  engine.RunToQuiescence();
+  flit.CollectMetrics(engine.Now());
+  EXPECT_EQ(drops, (std::vector<std::int64_t>{1}));
+  EXPECT_EQ(reg.GetGauge("flit.max_buffer_occupancy", GaugeMode::kMax).value,
+            56.0);
+}
+
 // --- Work done under load ----------------------------------------------------
 
 /// The flit engine's work counters for one load point: two replicas of
@@ -528,6 +556,62 @@ LoadWork RunFlitLoadPoint(SchemeKind scheme, double load) {
           r.mean_latency};
 }
 
+/// Cycles stepped and channel visits of RunFlitLoadPoint's two topology
+/// replicas, replayed here with the engine in reach (the load runner
+/// keeps its engines private): same systems, same per-host streams,
+/// same horizon and drain.
+struct Visits {
+  std::int64_t cycles = 0;
+  std::int64_t visits = 0;
+};
+
+Visits FlitLoadPointVisits(SchemeKind kind, double load) {
+  struct Replica {
+    SimConfig cfg;
+    std::unique_ptr<System> sys;
+    Engine engine;
+    std::unique_ptr<McastDriver> driver;
+    std::unique_ptr<MulticastScheme> scheme;
+    std::vector<Rng> rngs;
+    double mean_gap = 0.0;
+
+    void Arrive(NodeId n) {
+      Rng& rng = rngs[static_cast<std::size_t>(n)];
+      const auto gap = static_cast<Cycles>(rng.NextExponential(mean_gap));
+      engine.ScheduleAfter(std::max<Cycles>(1, gap), [this, n]() {
+        if (engine.Now() >= 20'000) return;
+        Rng& r = rngs[static_cast<std::size_t>(n)];
+        std::vector<NodeId> dests;
+        for (auto d : r.SampleWithoutReplacement(sys->num_nodes() - 1, 8))
+          dests.push_back(static_cast<NodeId>(d >= n ? d + 1 : d));
+        driver->Launch(scheme->Plan(*sys, n, dests, cfg.message, cfg.headers),
+                       engine.Now(), [](const MulticastResult&) {});
+        Arrive(n);
+      });
+    }
+  };
+  Visits total;
+  for (std::uint64_t trial = 0; trial < 2; ++trial) {
+    Replica run;
+    run.cfg.engine = EngineKind::kFlit;
+    run.sys = System::Build(run.cfg.topology, run.cfg.seed + trial);
+    run.driver = std::make_unique<McastDriver>(run.engine, *run.sys, run.cfg);
+    run.scheme = MakeScheme(kind, run.cfg.host);
+    run.mean_gap =
+        8.0 * static_cast<double>(run.cfg.message.TotalFlits()) / load;
+    Rng seeder(run.cfg.seed * 104729 + trial);
+    for (NodeId n = 0; n < run.sys->num_nodes(); ++n)
+      run.rngs.push_back(seeder.Fork());
+    for (NodeId n = 0; n < run.sys->num_nodes(); ++n) run.Arrive(n);
+    run.engine.RunUntil(40'000);
+    const auto& flit =
+        dynamic_cast<const FlitEngine&>(run.driver->network());
+    total.cycles += flit.cycles_stepped();
+    total.visits += flit.channel_visits();
+  }
+  return total;
+}
+
 TEST(FlitEngineWork, GoldenTreeWormLoadPoint) {
   // Golden values: any change to what the engine steps, moves or blocks
   // on — or to the kernel events it schedules — shows up here.
@@ -538,6 +622,11 @@ TEST(FlitEngineWork, GoldenTreeWormLoadPoint) {
   EXPECT_EQ(w.events, 54239);
   EXPECT_EQ(w.completed, 323);
   EXPECT_DOUBLE_EQ(w.mean_latency, 14292.133126934985);
+  // Work gate: streaming worms cost visits only at their events. The
+  // per-flit walk made 801,522 visits here (47,330 of them stalls).
+  const Visits v = FlitLoadPointVisits(SchemeKind::kTreeWorm, 0.3);
+  EXPECT_EQ(v.cycles, w.cycles_run);  // the same run
+  EXPECT_LE(v.visits, 100'000);
 }
 
 TEST(FlitEngineWork, SlotsStayBoundedOverALongLoadedRun) {
@@ -600,6 +689,11 @@ TEST(FlitEngineWork, GoldenUniBinomialLoadPoint) {
   EXPECT_EQ(w.events, 36213);
   EXPECT_EQ(w.completed, 47);
   EXPECT_DOUBLE_EQ(w.mean_latency, 9082.9574468085102);
+  // The per-flit walk made 196,515 visits here: 1,502 heads, 228 stalls
+  // and 1,027 idle visits, the rest streamed flits.
+  const Visits v = FlitLoadPointVisits(SchemeKind::kUnicastBinomial, 0.05);
+  EXPECT_EQ(v.cycles, w.cycles_run);  // the same run
+  EXPECT_LE(v.visits, 10'000);
 }
 
 

@@ -163,6 +163,43 @@ TEST(Diff, PlantedRegressionAndImprovementGetVerdicts) {
   EXPECT_EQ(back->verdict, Verdict::kImproved);
 }
 
+TEST(Diff, CollapseToNoCompletionsRegresses) {
+  // A load point with no completions records mean latency 0.0. Planted
+  // collapse: the candidate loses every completion at load 0.5, which
+  // must fail `regress`, not read as the fastest point ever.
+  const auto load_record = [](double at_half) {
+    RunInfo info;
+    info.name = "fig9";
+    info.kind = "load-panel";
+    info.engine = "vct";
+    info.config = "engine=vct mode=load loads=0.25,0.5";
+    SeriesData series;
+    series.columns = {"load", "tree-worm", "uni-binomial"};
+    series.rows = {{0.25, 2100.0, 0.0}, {0.5, at_half, 0.0}};
+    return Parse1(RunRecordJson(info, series, MetricsRegistry{}, {}));
+  };
+  const auto base = load_record(5400.0);
+  const auto collapsed = load_record(0.0);
+  const auto diffs = DiffLedgers(base, collapsed, FastSpec());
+  const MetricDelta* cell = FindDelta(diffs, "series.tree-worm[load=0.5]");
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(cell->verdict, Verdict::kRegressed);
+  const DiffSummary s = Summarize(diffs);
+  EXPECT_EQ(s.regressed, 1);
+  EXPECT_EQ(s.improved, 0);
+  // No completions on both sides is unchanged.
+  const MetricDelta* none =
+      FindDelta(diffs, "series.uni-binomial[load=0.25]");
+  ASSERT_NE(none, nullptr);
+  EXPECT_EQ(none->verdict, Verdict::kSame);
+  // Recovering completions improves, however high their latency.
+  const auto recovered = DiffLedgers(collapsed, base, FastSpec());
+  const MetricDelta* back =
+      FindDelta(recovered, "series.tree-worm[load=0.5]");
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->verdict, Verdict::kImproved);
+}
+
 TEST(Diff, SubThresholdChangeIsNoise) {
   const auto base = Parse1(SampleRecord("fig6", 100.0, 1));
   const auto near = Parse1(SampleRecord("fig6", 102.0, 1));  // +2% < 5%
