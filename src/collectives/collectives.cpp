@@ -36,17 +36,9 @@ class Gather {
         on_done_(std::move(on_done)) {
     const int n = sys.num_nodes();
     // Binomial tree over all nodes, rooted at 0 (abstract id == node id).
-    const auto shape = BuildCappedBinomialShape(n - 1, n);
-    parent_.assign(static_cast<std::size_t>(n), kInvalidNode);
-    pending_.assign(static_cast<std::size_t>(n), 0);
-    for (std::size_t u = 0; u < shape.size(); ++u) {
-      pending_[u] = static_cast<int>(shape[u].size());
-      for (int c : shape[u])
-        parent_[static_cast<std::size_t>(c)] = static_cast<NodeId>(u);
-    }
-    for (NodeId leaf = 0; leaf < n; ++leaf)
-      if (pending_[static_cast<std::size_t>(leaf)] == 0 && leaf != 0)
-        SendUp(leaf, 0);
+    BuildCappedBinomial(n - 1, n, tree_);
+    for (NodeId leaf = 1; leaf < n; ++leaf)
+      if (tree_[static_cast<std::size_t>(leaf)].children == 0) SendUp(leaf, 0);
     if (n == 1) on_done_(0);
   }
 
@@ -55,7 +47,7 @@ class Gather {
     McastPlan plan;
     plan.scheme = SchemeKind::kUnicastBinomial;
     plan.root = from;
-    plan.dests = {parent_[static_cast<std::size_t>(from)]};
+    plan.dests = {tree_[static_cast<std::size_t>(from)].parent};
     plan.children.assign(static_cast<std::size_t>(sys_.num_nodes()), {});
     plan.children[static_cast<std::size_t>(from)] = plan.dests;
     driver_.Launch(std::move(plan), when, [this](const MulticastResult& r) {
@@ -64,7 +56,7 @@ class Gather {
   }
 
   void OnArrive(NodeId at, Cycles when) {
-    auto& pending = pending_[static_cast<std::size_t>(at)];
+    int& pending = tree_[static_cast<std::size_t>(at)].children;
     IRMC_ENSURE(pending > 0);
     const Cycles merged = when + compute_;
     if (--pending == 0) {
@@ -81,8 +73,8 @@ class Gather {
   const SimConfig& cfg_;
   Cycles compute_;
   std::function<void(Cycles)> on_done_;
-  std::vector<NodeId> parent_;
-  std::vector<int> pending_;
+  /// The gather tree; a node's `children` counts those yet to arrive.
+  std::vector<BinomialNode> tree_;
 };
 
 Cycles GatherThenMulticast(const System& sys, const SimConfig& cfg,

@@ -63,6 +63,9 @@ struct MessageShape {
   int num_packets = 1;
 
   int TotalFlits() const { return packet_flits * num_packets; }
+  /// At least one packet of at least one flit, as the planners' cost
+  /// models and McastDriver require.
+  bool Valid() const { return packet_flits >= 1 && num_packets >= 1; }
   static MessageShape FromMessageFlits(int message_flits, int packet_flits) {
     MessageShape shape;
     shape.packet_flits = packet_flits;

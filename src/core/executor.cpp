@@ -52,11 +52,14 @@ McastDriver::McastDriver(Engine& engine, const System& sys,
 std::int64_t McastDriver::Launch(McastPlan plan, Cycles when, DoneFn done,
                                  DeliveredFn delivered) {
   IRMC_EXPECT(!plan.dests.empty());
+  const MessageShape shape = plan.shape.value_or(cfg_.message);
+  IRMC_EXPECT_MSG(shape.Valid(), "message of %d packets x %d flits",
+                  shape.num_packets, shape.packet_flits);
   const std::int64_t id = next_id_++;
   auto exec = std::make_unique<Exec>();
   exec->id = id;
   exec->plan = std::move(plan);
-  exec->shape = exec->plan.shape.value_or(cfg_.message);
+  exec->shape = shape;
   exec->start = when;
   exec->done = std::move(done);
   exec->delivered = std::move(delivered);

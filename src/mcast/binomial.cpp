@@ -14,21 +14,10 @@ McastPlan UnicastBinomialScheme::Plan(const System& sys, NodeId src,
   plan.scheme = SchemeKind::kUnicastBinomial;
   plan.root = src;
   plan.dests = dests;
-  plan.children.assign(static_cast<std::size_t>(sys.num_nodes()), {});
-
   // An uncapped binomial tree is the k -> infinity case of the capped
   // builder (no node ever hits the cap within ceil(log2 n) rounds).
-  const int n = static_cast<int>(dests.size());
-  const auto shape_children = BuildCappedBinomialShape(n, n + 1);
-  const auto ordered = OrderDestsBySwitch(sys, src, dests);
-  auto real = [&](int abstract) {
-    return abstract == 0 ? src
-                         : ordered[static_cast<std::size_t>(abstract - 1)];
-  };
-  for (std::size_t u = 0; u < shape_children.size(); ++u)
-    for (int c : shape_children[u])
-      plan.children[static_cast<std::size_t>(real(static_cast<int>(u)))]
-          .push_back(real(c));
+  AssignBinomialChildren(sys, src, dests, static_cast<int>(dests.size()) + 1,
+                         plan);
   return plan;
 }
 

@@ -6,83 +6,104 @@
 
 namespace irmc {
 
-std::vector<std::vector<int>> BuildCappedBinomialShape(int receivers, int k) {
+void BuildCappedBinomial(int receivers, int k,
+                         std::vector<BinomialNode>& tree) {
   IRMC_EXPECT(receivers >= 0);
   IRMC_EXPECT(k >= 1);
-  std::vector<std::vector<int>> children(
-      static_cast<std::size_t>(receivers) + 1);
-  std::vector<int> have{0};
+  tree.assign(static_cast<std::size_t>(receivers) + 1, BinomialNode{});
+  // Every round, each holder with fewer than k children adopts the next
+  // id. The holders of a round are ids 0..next-1, and no holder has more
+  // children than an older one, so the full ones are a prefix 0..lo-1
+  // and the round's adopters are lo..next-1, in id order.
+  int lo = 0;
   int next = 1;
   while (next <= receivers) {
-    const std::size_t round_holders = have.size();
-    bool progressed = false;
-    for (std::size_t i = 0; i < round_holders && next <= receivers; ++i) {
-      const int holder = have[i];
-      if (static_cast<int>(children[static_cast<std::size_t>(holder)].size()) >=
-          k)
-        continue;
-      children[static_cast<std::size_t>(holder)].push_back(next);
-      have.push_back(next);
-      ++next;
-      progressed = true;
+    const int holders = next;
+    for (int u = lo; u < holders && next <= receivers; ++u, ++next) {
+      BinomialNode& child = tree[static_cast<std::size_t>(next)];
+      child.parent = u;
+      child.rank = tree[static_cast<std::size_t>(u)].children++;
     }
-    IRMC_ENSURE(progressed);  // k >= 1: fresh leaves always adopt
+    while (tree[static_cast<std::size_t>(lo)].children == k) ++lo;
   }
-  return children;
 }
+
+namespace {
+
+/// EvalFpfsCompletion over a built tree. `ready` is scratch of one row
+/// of per-packet times per node: first when packet j reaches the node's
+/// NI, then (once the node is evaluated) when it starts forwarding j.
+Cycles FpfsCompletion(const std::vector<BinomialNode>& tree,
+                      const MessageShape& shape, const HostParams& host,
+                      int wire_flits, Cycles net_pipe,
+                      std::vector<Cycles>& ready) {
+  const auto m = static_cast<std::size_t>(shape.num_packets);
+  const Cycles dma = host.DmaCycles(shape.packet_flits);
+  const Cycles per_copy = host.ni_forward_overhead + wire_flits;
+  ready.resize(tree.size() * m);
+
+  // Parents precede children, so one pass in id order evaluates every
+  // node after its parent.
+  Cycles completion = 0;
+  for (std::size_t u = 0; u < tree.size(); ++u) {
+    const BinomialNode& node = tree[u];
+    Cycles* row = ready.data() + u * m;
+    if (u == 0) {
+      for (std::size_t j = 0; j < m; ++j)
+        row[j] = host.o_host + host.o_ni + static_cast<Cycles>(j + 1) * dma;
+    } else {
+      // Packet j arrives as the parent's (rank+1)-th copy of j.
+      const Cycles* from =
+          ready.data() + static_cast<std::size_t>(node.parent) * m;
+      const Cycles lag = (node.rank + 1) * per_copy + net_pipe;
+      for (std::size_t j = 0; j < m; ++j) row[j] = from[j] + lag;
+      completion = std::max(completion, row[m - 1] + dma + host.o_host);
+    }
+    if (node.children == 0) continue;
+    // FPFS: packet j goes to every child back to back, as soon as it has
+    // arrived and the copies of packet j-1 are out.
+    const Cycles burst = node.children * per_copy;
+    for (std::size_t j = 1; j < m; ++j)
+      row[j] = std::max(row[j], row[j - 1] + burst);
+  }
+  return completion;
+}
+
+}  // namespace
 
 Cycles EvalFpfsCompletion(int receivers, int k, const MessageShape& shape,
                           const HostParams& host, int wire_flits,
                           Cycles net_pipe) {
-  const auto children = BuildCappedBinomialShape(receivers, k);
-  const int m = shape.num_packets;
-  const Cycles dma = host.DmaCycles(shape.packet_flits);
-  const auto n = static_cast<std::size_t>(receivers) + 1;
-
-  // pkt_avail[u][j]: time packet j is present at u's NI.
-  std::vector<std::vector<Cycles>> pkt_avail(
-      n, std::vector<Cycles>(static_cast<std::size_t>(m), 0));
-  std::vector<Cycles> ni_free(n, 0);
-  for (int j = 0; j < m; ++j)
-    pkt_avail[0][static_cast<std::size_t>(j)] =
-        host.o_host + host.o_ni + static_cast<Cycles>(j + 1) * dma;
-
-  // Abstract ids are assigned in adoption order, so parents precede
-  // children; a single forward pass is a valid evaluation order. FPFS:
-  // iterate packets outer, children inner.
-  Cycles completion = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    for (int j = 0; j < m; ++j) {
-      for (int c : children[u]) {
-        const Cycles start =
-            std::max(ni_free[u], pkt_avail[u][static_cast<std::size_t>(j)]);
-        ni_free[u] = start + host.ni_forward_overhead + wire_flits;
-        pkt_avail[static_cast<std::size_t>(c)][static_cast<std::size_t>(j)] =
-            ni_free[u] + net_pipe;
-      }
-    }
-    if (u > 0) {
-      const Cycles done = pkt_avail[u][static_cast<std::size_t>(m - 1)] +
-                          dma + host.o_host;
-      completion = std::max(completion, done);
-    }
-  }
-  return completion;
+  IRMC_EXPECT_MSG(shape.Valid(), "message of %d packets x %d flits",
+                  shape.num_packets, shape.packet_flits);
+  std::vector<BinomialNode> tree;
+  BuildCappedBinomial(receivers, k, tree);
+  std::vector<Cycles> ready;
+  return FpfsCompletion(tree, shape, host, wire_flits, net_pipe, ready);
 }
 
 int ChooseK(int receivers, const MessageShape& shape, const HostParams& host,
             int wire_flits, Cycles net_pipe, int kmax) {
   IRMC_EXPECT(receivers >= 1);
+  IRMC_EXPECT(kmax >= 1);
+  IRMC_EXPECT_MSG(shape.Valid(), "message of %d packets x %d flits",
+                  shape.num_packets, shape.packet_flits);
+  // Every candidate tree is built and scored on the same two buffers.
+  std::vector<BinomialNode> tree;
+  std::vector<Cycles> ready;
   int best_k = 1;
-  Cycles best = EvalFpfsCompletion(receivers, 1, shape, host, wire_flits,
-                                   net_pipe);
-  for (int k = 2; k <= kmax; ++k) {
+  Cycles best = 0;
+  for (int k = 1; k <= kmax; ++k) {
+    BuildCappedBinomial(receivers, k, tree);
     const Cycles t =
-        EvalFpfsCompletion(receivers, k, shape, host, wire_flits, net_pipe);
-    if (t < best) {
+        FpfsCompletion(tree, shape, host, wire_flits, net_pipe, ready);
+    if (k == 1 || t < best) {
       best = t;
       best_k = k;
     }
+    // The root adopts the most; if even it stayed under the cap, every
+    // larger k grows this same tree and cannot score better.
+    if (tree[0].children < k) break;
   }
   return best_k;
 }
@@ -105,6 +126,27 @@ std::vector<NodeId> OrderDestsBySwitch(const System& sys, NodeId src,
   return ordered;
 }
 
+void AssignBinomialChildren(const System& sys, NodeId src,
+                            const std::vector<NodeId>& dests, int k,
+                            McastPlan& plan) {
+  std::vector<BinomialNode> tree;
+  BuildCappedBinomial(static_cast<int>(dests.size()), k, tree);
+  const auto ordered = OrderDestsBySwitch(sys, src, dests);
+  auto real = [&](std::size_t abstract) {
+    return abstract == 0 ? src : ordered[abstract - 1];
+  };
+  auto children_of = [&](std::size_t abstract) -> std::vector<NodeId>& {
+    return plan.children[static_cast<std::size_t>(real(abstract))];
+  };
+  plan.children.assign(static_cast<std::size_t>(sys.num_nodes()), {});
+  for (std::size_t u = 0; u < tree.size(); ++u)
+    if (tree[u].children > 0)
+      children_of(u).reserve(static_cast<std::size_t>(tree[u].children));
+  // Appending in id order lists each node's children in adoption order.
+  for (std::size_t c = 1; c < tree.size(); ++c)
+    children_of(static_cast<std::size_t>(tree[c].parent)).push_back(real(c));
+}
+
 McastPlan KBinomialNiScheme::Plan(const System& sys, NodeId src,
                                   const std::vector<NodeId>& dests,
                                   const MessageShape& shape,
@@ -113,7 +155,6 @@ McastPlan KBinomialNiScheme::Plan(const System& sys, NodeId src,
   plan.scheme = SchemeKind::kNiKBinomial;
   plan.root = src;
   plan.dests = dests;
-  plan.children.assign(static_cast<std::size_t>(sys.num_nodes()), {});
 
   const int wire = shape.packet_flits + headers.UnicastFlits();
   // Representative network pipeline latency for the k model: mean route
@@ -126,18 +167,7 @@ McastPlan KBinomialNiScheme::Plan(const System& sys, NodeId src,
                               wire, net_pipe);
   plan.chosen_k = k;
 
-  const auto shape_children =
-      BuildCappedBinomialShape(static_cast<int>(dests.size()), k);
-  const auto ordered = OrderDestsBySwitch(sys, src, dests);
-  // Abstract id 0 -> src, i>0 -> ordered[i-1].
-  auto real = [&](int abstract) {
-    return abstract == 0 ? src
-                         : ordered[static_cast<std::size_t>(abstract - 1)];
-  };
-  for (std::size_t u = 0; u < shape_children.size(); ++u)
-    for (int c : shape_children[u])
-      plan.children[static_cast<std::size_t>(real(static_cast<int>(u)))]
-          .push_back(real(c));
+  AssignBinomialChildren(sys, src, dests, k, plan);
   return plan;
 }
 

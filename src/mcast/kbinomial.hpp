@@ -21,14 +21,26 @@
 
 namespace irmc {
 
-/// Round-based capped-binomial tree over abstract ids 0..receivers
-/// (0 is the root). children[i] lists i's children in adoption order.
-std::vector<std::vector<int>> BuildCappedBinomialShape(int receivers, int k);
+/// One abstract id of a capped-binomial tree.
+struct BinomialNode {
+  int parent = -1;   ///< adopting id; -1 for the root (id 0)
+  int rank = 0;      ///< position among the parent's children
+  int children = 0;  ///< how many ids this one adopts
+};
+
+/// Round-based capped-binomial tree over abstract ids 0..receivers (0 is
+/// the root). Ids are adopted in increasing order, so parents precede
+/// children and a node's children are the ids naming it as parent, in
+/// id order (which is adoption and rank order). `tree` is resized to
+/// receivers + 1 and overwritten, so a caller building many trees
+/// reuses one buffer.
+void BuildCappedBinomial(int receivers, int k, std::vector<BinomialNode>& tree);
 
 /// FPFS completion-time model for a k-capped tree: time until the last
 /// receiver has the whole message at its host. `wire_flits` is the
 /// per-packet on-wire length; `net_pipe` the source-to-destination
-/// network pipeline latency excluding serialisation.
+/// network pipeline latency excluding serialisation. The message must
+/// have at least one packet of at least one flit.
 Cycles EvalFpfsCompletion(int receivers, int k, const MessageShape& shape,
                           const HostParams& host, int wire_flits,
                           Cycles net_pipe);
@@ -42,6 +54,13 @@ int ChooseK(int receivers, const MessageShape& shape, const HostParams& host,
 /// contention-reducing mapping for irregular networks.
 std::vector<NodeId> OrderDestsBySwitch(const System& sys, NodeId src,
                                        const std::vector<NodeId>& dests);
+
+/// Fills `plan.children` with the k-capped binomial tree over `src` and
+/// `dests`: abstract id 0 is `src`, id i > 0 is the i-th destination in
+/// OrderDestsBySwitch order.
+void AssignBinomialChildren(const System& sys, NodeId src,
+                            const std::vector<NodeId>& dests, int k,
+                            McastPlan& plan);
 
 class KBinomialNiScheme final : public MulticastScheme {
  public:

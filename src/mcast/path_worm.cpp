@@ -1,33 +1,110 @@
 #include "mcast/path_worm.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/expect.hpp"
 
 namespace irmc {
 namespace {
 
-/// DP over the shortest-legal-route DAG toward `target`. A multi-drop
-/// worm "uses almost exactly the same path followed by a unicast worm
-/// from a source to one of its destinations" (paper Section 3.2.4), so
-/// candidate paths are exactly the shortest up*/down* routes to some
-/// remaining destination switch, and we count the remaining switches
-/// each such route passes through.
+/// One (switch, phase) state of a coverage DP table.
+struct DpCell {
+  int value = -1;                ///< -1 until computed
+  PortId choice = kInvalidPort;  ///< next hop toward the target
+};
+
+/// Maximum-coverage route search on reused scratch: every DP of a plan,
+/// for every target, worm and phase, runs on the same two tables — the
+/// current target's and the best target's so far.
+///
+/// Each DP runs over the shortest-legal-route DAG toward one target. A
+/// multi-drop worm "uses almost exactly the same path followed by a
+/// unicast worm from a source to one of its destinations" (paper
+/// Section 3.2.4), so candidate paths are exactly the shortest
+/// up*/down* routes to some remaining destination switch, and we count
+/// the remaining switches each such route passes through.
 ///
 /// State (switch, phase); edges are the routing table's minimal-route
 /// candidates, so the graph is acyclic (remaining distance strictly
 /// decreases). Value = weight of switches on the route from the state's
 /// switch to the target, inclusive of both.
-class UnicastPathDp {
+class CoverageSearch {
  public:
-  UnicastPathDp(const System& sys, SwitchId target,
-                const std::vector<char>& remaining)
-      : sys_(sys), target_(target), remaining_(remaining) {
-    const auto n = static_cast<std::size_t>(sys.num_switches());
-    value_.assign(2 * n, -1);
-    choice_.assign(2 * n, kInvalidPort);
+  /// `remaining` is read at every Run, so the caller may clear switches
+  /// between searches.
+  CoverageSearch(const System& sys, const std::vector<char>& remaining)
+      : sys_(sys),
+        remaining_(remaining),
+        cells_(4 * static_cast<std::size_t>(sys.num_switches())),
+        current_(cells_.data()),
+        best_(cells_.data() + cells_.size() / 2) {
+    IRMC_EXPECT(static_cast<int>(remaining.size()) == sys.num_switches());
+  }
+  // current_ and best_ point into cells_.
+  CoverageSearch(const CoverageSearch&) = delete;
+  CoverageSearch& operator=(const CoverageSearch&) = delete;
+
+  /// Writes into `out` (reusing its buffers) the maximum-coverage
+  /// unicast route from `start` to some remaining switch, cut right
+  /// after the switch where the coverage cap is reached.
+  void Run(SwitchId start, int coverage_cap, BestPathResult& out) {
+    IRMC_EXPECT(coverage_cap >= 1);
+    // Pick the anchor destination switch whose best unicast route covers
+    // the most remaining switches; ties to the shorter route, then the
+    // lower switch ID.
+    SwitchId best_target = kInvalidSwitch;
+    int best_cover = -1;
+    int best_dist = 0;
+    for (SwitchId t = 0; t < sys_.num_switches(); ++t) {
+      if (!remaining_[static_cast<std::size_t>(t)]) continue;
+      // A route of `dist` hops covers at most dist + 1 switches: skip the
+      // targets that could not win even then.
+      const int dist = sys_.routing.Distance(start, t);
+      if (dist + 1 < best_cover ||
+          (dist + 1 == best_cover && dist >= best_dist))
+        continue;
+      target_ = t;
+      std::fill(current_, current_ + cells_.size() / 2, DpCell{});
+      const int cover = Value(start, RoutePhase::kUpAllowed);
+      if (cover > best_cover || (cover == best_cover && dist < best_dist)) {
+        best_cover = cover;
+        best_dist = dist;
+        best_target = t;
+        std::swap(current_, best_);
+      }
+    }
+    IRMC_ENSURE(best_target != kInvalidSwitch);
+    IRMC_ENSURE(best_cover >= 1);
+
+    out.switches.clear();
+    out.ports.clear();
+    out.covered.clear();
+    SwitchId here = start;
+    RoutePhase phase = RoutePhase::kUpAllowed;
+    std::size_t cut = 0;  // one past the last switch kept
+    for (;;) {
+      out.switches.push_back(here);
+      if (remaining_[static_cast<std::size_t>(here)] &&
+          CanDrop(here, phase, best_target)) {
+        out.covered.push_back(here);
+        cut = out.switches.size();
+        if (static_cast<int>(out.covered.size()) >= coverage_cap) break;
+      }
+      if (here == best_target) break;
+      const PortId p = best_[Index(here, phase)].choice;
+      IRMC_ENSURE(p != kInvalidPort);
+      out.ports.push_back(p);
+      phase = sys_.routing.NextPhase(here, p, phase);
+      here = sys_.graph.port(here, p).peer_switch;
+    }
+    IRMC_ENSURE(!out.covered.empty());
+    IRMC_ENSURE(cut >= 1);
+    out.switches.resize(cut);
+    out.ports.resize(cut - 1);
   }
 
+ private:
   /// True when a worm at `s` in `phase` may drop copies: only once the
   /// worm is in its down segment (or at its terminal switch). Replicating
   /// while the worm is still eligible to climb would create upward
@@ -37,9 +114,16 @@ class UnicastPathDp {
     return phase == RoutePhase::kDownOnly || s == target;
   }
 
+  static std::size_t Index(SwitchId s, RoutePhase phase) {
+    return static_cast<std::size_t>(s) * 2 +
+           (phase == RoutePhase::kDownOnly ? 1 : 0);
+  }
+
+  /// The DP toward `target_`, memoised in the current table.
   int Value(SwitchId s, RoutePhase phase) {
-    const std::size_t idx = Index(s, phase);
-    if (value_[idx] >= 0) return value_[idx];
+    // `cell` stays valid through the recursion: the table never grows.
+    DpCell& cell = current_[Index(s, phase)];
+    if (cell.value >= 0) return cell.value;
     const int w = CanDrop(s, phase, target_) ? Weight(s) : 0;
     int v;
     if (s == target_) {
@@ -58,30 +142,22 @@ class UnicastPathDp {
       }
       IRMC_ENSURE(best >= 0);
       v = w + best;
-      choice_[idx] = best_port;
+      cell.choice = best_port;
     }
-    value_[idx] = v;
+    cell.value = v;
     return v;
   }
 
-  PortId Choice(SwitchId s, RoutePhase phase) const {
-    return choice_[Index(s, phase)];
-  }
-
- private:
   int Weight(SwitchId s) const {
     return remaining_[static_cast<std::size_t>(s)] ? 1 : 0;
   }
-  std::size_t Index(SwitchId s, RoutePhase phase) const {
-    return static_cast<std::size_t>(s) * 2 +
-           (phase == RoutePhase::kDownOnly ? 1 : 0);
-  }
 
   const System& sys_;
-  SwitchId target_;
   const std::vector<char>& remaining_;
-  std::vector<int> value_;
-  std::vector<PortId> choice_;
+  std::vector<DpCell> cells_;  ///< two tables of 2 cells per switch
+  DpCell* current_;            ///< the table of the target being scored
+  DpCell* best_;               ///< the table of the best target so far
+  SwitchId target_ = kInvalidSwitch;
 };
 
 }  // namespace
@@ -89,61 +165,9 @@ class UnicastPathDp {
 BestPathResult FindBestCoveragePath(const System& sys, SwitchId start,
                                     const std::vector<char>& remaining,
                                     int coverage_cap) {
-  const int num_switches = sys.num_switches();
-  IRMC_EXPECT(static_cast<int>(remaining.size()) == num_switches);
-  IRMC_EXPECT(coverage_cap >= 1);
-
-  // Pick the anchor destination switch whose best unicast route covers
-  // the most remaining switches; ties to the shorter route, then the
-  // lower switch ID.
-  SwitchId best_target = kInvalidSwitch;
-  int best_cover = -1;
-  int best_dist = 0;
-  std::unique_ptr<UnicastPathDp> best_dp;
-  for (SwitchId t = 0; t < num_switches; ++t) {
-    if (!remaining[static_cast<std::size_t>(t)]) continue;
-    auto dp = std::make_unique<UnicastPathDp>(sys, t, remaining);
-    const int cover = dp->Value(start, RoutePhase::kUpAllowed);
-    const int dist = sys.routing.Distance(start, t);
-    if (cover > best_cover || (cover == best_cover && dist < best_dist)) {
-      best_cover = cover;
-      best_dist = dist;
-      best_target = t;
-      best_dp = std::move(dp);
-    }
-  }
-  IRMC_ENSURE(best_target != kInvalidSwitch);
-  IRMC_ENSURE(best_cover >= 1);
-
-  // Reconstruct the route, applying the coverage cap: the worm is cut
-  // right after the switch where the cap is reached.
+  CoverageSearch search(sys, remaining);
   BestPathResult result;
-  std::vector<SwitchId> switches;
-  std::vector<PortId> ports;
-  SwitchId here = start;
-  RoutePhase phase = RoutePhase::kUpAllowed;
-  std::size_t cut = 0;  // one past the last switch kept
-  for (;;) {
-    switches.push_back(here);
-    if (remaining[static_cast<std::size_t>(here)] &&
-        (phase == RoutePhase::kDownOnly || here == best_target)) {
-      result.covered.push_back(here);
-      cut = switches.size();
-      if (static_cast<int>(result.covered.size()) >= coverage_cap) break;
-    }
-    if (here == best_target) break;
-    const PortId p = best_dp->Choice(here, phase);
-    IRMC_ENSURE(p != kInvalidPort);
-    ports.push_back(p);
-    phase = sys.routing.NextPhase(here, p, phase);
-    here = sys.graph.port(here, p).peer_switch;
-  }
-  IRMC_ENSURE(!result.covered.empty());
-  IRMC_ENSURE(cut >= 1);
-  switches.resize(cut);
-  ports.resize(cut - 1);
-  result.switches = std::move(switches);
-  result.ports = std::move(ports);
+  search.Run(start, coverage_cap, result);
   return result;
 }
 
@@ -157,32 +181,46 @@ McastPlan PathWormMdpLgScheme::Plan(const System& sys, NodeId src,
   plan.root = src;
   plan.dests = dests;
 
-  const int num_switches = sys.num_switches();
-  std::vector<std::vector<NodeId>> pending_at(
-      static_cast<std::size_t>(num_switches));
-  std::vector<char> remaining(static_cast<std::size_t>(num_switches), 0);
+  // Destinations bucketed by switch once, in input order within a
+  // switch: switch s holds by_switch[bucket[s] .. bucket[s + 1]).
+  const auto num_switches = static_cast<std::size_t>(sys.num_switches());
+  std::vector<int> bucket(num_switches + 1, 0);
+  for (NodeId d : dests)
+    ++bucket[static_cast<std::size_t>(sys.graph.SwitchOf(d)) + 1];
+  for (std::size_t s = 0; s < num_switches; ++s) bucket[s + 1] += bucket[s];
+  std::vector<NodeId> by_switch(dests.size());
+  std::vector<int> cursor(bucket.begin(), bucket.end() - 1);
+  for (NodeId d : dests)
+    by_switch[static_cast<std::size_t>(
+        cursor[static_cast<std::size_t>(sys.graph.SwitchOf(d))]++)] = d;
+
+  std::vector<char> remaining(num_switches, 0);
   int remaining_count = 0;
-  for (NodeId d : dests) {
-    const auto s = static_cast<std::size_t>(sys.graph.SwitchOf(d));
-    if (pending_at[s].empty()) {
+  for (std::size_t s = 0; s < num_switches; ++s)
+    if (bucket[s + 1] > bucket[s]) {
       remaining[s] = 1;
       ++remaining_count;
     }
-    pending_at[s].push_back(d);
-  }
 
   const int field_flits = headers.PathFieldFlits(sys.graph.ports_per_switch());
-  std::vector<NodeId> available{src};
+  // Senders in the order they got the message: the source, then the
+  // first destination of every covered switch. A phase's senders are
+  // everyone available when it starts.
+  std::vector<NodeId> senders;
+  senders.reserve(static_cast<std::size_t>(remaining_count) + 1);
+  senders.push_back(src);
+  CoverageSearch search(sys, remaining);
+  BestPathResult path;
   int phase = 1;
   while (remaining_count > 0) {
-    std::vector<NodeId> new_senders;
-    for (NodeId sender : available) {
-      if (remaining_count == 0) break;
+    const std::size_t phase_senders = senders.size();
+    for (std::size_t next = 0; next < phase_senders && remaining_count > 0;
+         ++next) {
+      const NodeId sender = senders[next];
       const int cap = less_greedy
                           ? std::max(1, (remaining_count + 1) / 2)
                           : remaining_count;
-      const BestPathResult path = FindBestCoveragePath(
-          sys, sys.graph.SwitchOf(sender), remaining, cap);
+      search.Run(sys.graph.SwitchOf(sender), cap, path);
 
       // Build the worm route: drops at covered switches, explicit
       // forward ports between them.
@@ -191,6 +229,13 @@ McastPlan PathWormMdpLgScheme::Plan(const System& sys, NodeId src,
       McastPlan::PlannedWorm worm;
       worm.sender = sender;
       worm.phase = phase;
+      std::size_t covered = 0;
+      for (SwitchId s : path.switches) {
+        const auto si = static_cast<std::size_t>(s);
+        if (remaining[si])
+          covered += static_cast<std::size_t>(bucket[si + 1] - bucket[si]);
+      }
+      worm.covered.reserve(covered);
       for (std::size_t i = 0; i < path.switches.size(); ++i) {
         PathWormRoute::Step& step = route->steps[i];
         step.sw = path.switches[i];
@@ -198,10 +243,11 @@ McastPlan PathWormMdpLgScheme::Plan(const System& sys, NodeId src,
             i < path.ports.size() ? path.ports[i] : kInvalidPort;
         const auto si = static_cast<std::size_t>(step.sw);
         if (remaining[si]) {
-          step.deliver = pending_at[si];
-          for (NodeId d : step.deliver) worm.covered.push_back(d);
-          new_senders.push_back(pending_at[si].front());
-          pending_at[si].clear();
+          const auto here = by_switch.begin() + bucket[si];
+          const auto end = by_switch.begin() + bucket[si + 1];
+          step.deliver.assign(here, end);
+          worm.covered.insert(worm.covered.end(), here, end);
+          senders.push_back(*here);
           remaining[si] = 0;
           --remaining_count;
         }
@@ -222,8 +268,7 @@ McastPlan PathWormMdpLgScheme::Plan(const System& sys, NodeId src,
       worm.route = std::move(route);
       plan.worms.push_back(std::move(worm));
     }
-    IRMC_ENSURE(!new_senders.empty());
-    available.insert(available.end(), new_senders.begin(), new_senders.end());
+    IRMC_ENSURE(senders.size() > phase_senders);
     ++phase;
   }
   return plan;

@@ -9,6 +9,11 @@
 //  * Routing a tree worm allocates only the branch packets (plus at
 //    most one candidate-port list per routing decision): worm headers
 //    keep their words inline.
+//  * Planning costs what the plan emits. The k choice scores every
+//    candidate k on one flat scratch; a binomial or k-binomial plan
+//    allocates little beyond its children lists; a path-worm plan runs
+//    every coverage DP of all its worms and phases on one reused pair
+//    of tables, so it allocates a few buffers per worm it emits.
 //
 // Counts come from a replaced global operator new (counting_new.hpp).
 #include <gtest/gtest.h>
@@ -18,9 +23,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/config.hpp"
 #include "core/executor.hpp"
 #include "counting_new.hpp"
+#include "mcast/kbinomial.hpp"
+#include "mcast/scheme.hpp"
 #include "metrics/metrics.hpp"
 #include "network/route_logic.hpp"
 #include "sim/engine.hpp"
@@ -109,6 +117,70 @@ TEST(AllocBudget, TreeWormRoutingAllocatesOnlyBranchPackets) {
   EXPECT_EQ(delivered, worm->tree_dests);
   EXPECT_LE(allocations, branches + decisions)
       << branches << " branches, " << decisions << " decisions";
+}
+
+/// Upper bound on the allocations of one ChooseK call, whatever the
+/// receiver count: every candidate k is scored on the same scratch.
+constexpr std::size_t kChooseKBudget = 8;
+
+TEST(AllocBudget, ChooseKScoresEveryKOnOneScratch) {
+  const HostParams host;
+  for (int packets : {1, 8})
+    for (int receivers = 1; receivers <= 31; ++receivers) {
+      const std::size_t before = counting_new::Allocations();
+      const int k = ChooseK(receivers, MessageShape{128, packets}, host, 130,
+                            9 + 2 * host.o_ni);
+      const std::size_t made = counting_new::Allocations() - before;
+      EXPECT_GE(k, 1);
+      EXPECT_LE(made, kChooseKBudget)
+          << receivers << " receivers, " << packets << " packets";
+    }
+}
+
+/// Allocations of one Plan() call, for every seeded (source,
+/// destinations) draw of 2, 8, 15 and 31 destinations on the default
+/// topology at 8, 16 and 32 switches. `check(plan, allocations)` judges
+/// each plan against its budget.
+template <typename Check>
+void ForEachPlan(SchemeKind kind, Check check) {
+  const auto scheme = MakeScheme(kind, HostParams{});
+  for (int switches : {8, 16, 32}) {
+    TopologySpec spec;
+    spec.num_switches = switches;
+    const auto sys = System::Build(spec, 42);
+    const int nodes = sys->num_nodes();
+    Rng rng(7);
+    for (int size : {2, 8, 15, 31})
+      for (int draw = 0; draw < 5; ++draw) {
+        const auto src = static_cast<NodeId>(
+            rng.NextBelow(static_cast<std::uint64_t>(nodes)));
+        std::vector<NodeId> dests;
+        for (std::int64_t v : rng.SampleWithoutReplacement(nodes - 1, size))
+          dests.push_back(static_cast<NodeId>(v >= src ? v + 1 : v));
+        const std::size_t before = counting_new::Allocations();
+        const McastPlan plan = scheme->Plan(*sys, src, dests, {}, {});
+        const std::size_t made = counting_new::Allocations() - before;
+        check(plan, made);
+      }
+  }
+}
+
+TEST(AllocBudget, BinomialPlansAllocateAboutOncePerDestination) {
+  for (SchemeKind kind :
+       {SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial})
+    ForEachPlan(kind, [kind](const McastPlan& plan, std::size_t made) {
+      EXPECT_LE(made, plan.dests.size() + 16)
+          << ToString(kind) << ", " << plan.dests.size() << " destinations";
+    });
+}
+
+TEST(AllocBudget, PathWormPlansAllocateAFewBuffersPerWorm) {
+  ForEachPlan(SchemeKind::kPathWorm,
+              [](const McastPlan& plan, std::size_t made) {
+                EXPECT_LE(made, 8 * plan.worms.size() + 32)
+                    << plan.worms.size() << " worms, " << plan.dests.size()
+                    << " destinations";
+              });
 }
 
 }  // namespace

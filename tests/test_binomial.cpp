@@ -96,16 +96,55 @@ TEST(Binomial, RootIsNeverADestination) {
   EXPECT_EQ(covered.size(), 4u);
 }
 
-TEST(BuildCappedBinomialShape, UncappedDoubles) {
-  const auto children = BuildCappedBinomialShape(7, 100);
+/// The capped-binomial tree as children lists in adoption order, with
+/// each node's `rank` and `children` checked against them.
+std::vector<std::vector<int>> CappedBinomialChildren(int receivers, int k) {
+  std::vector<BinomialNode> tree;
+  BuildCappedBinomial(receivers, k, tree);
+  EXPECT_EQ(tree.size(), static_cast<std::size_t>(receivers) + 1);
+  EXPECT_EQ(tree[0].parent, -1);
+  std::vector<std::vector<int>> children(tree.size());
+  for (std::size_t c = 1; c < tree.size(); ++c) {
+    EXPECT_LT(tree[c].parent, static_cast<int>(c)) << "parent after child";
+    auto& kids = children[static_cast<std::size_t>(tree[c].parent)];
+    EXPECT_EQ(tree[c].rank, static_cast<int>(kids.size()));
+    kids.push_back(static_cast<int>(c));
+  }
+  for (std::size_t u = 0; u < tree.size(); ++u)
+    EXPECT_EQ(tree[u].children, static_cast<int>(children[u].size()));
+  return children;
+}
+
+/// The round-based growth in its plainest form: a holder list and
+/// per-node children vectors, each round visiting every holder.
+std::vector<std::vector<int>> ReferenceCappedBinomial(int receivers, int k) {
+  std::vector<std::vector<int>> children(
+      static_cast<std::size_t>(receivers) + 1);
+  std::vector<int> have{0};
+  int next = 1;
+  while (next <= receivers) {
+    const std::size_t round_holders = have.size();
+    for (std::size_t i = 0; i < round_holders && next <= receivers; ++i) {
+      auto& kids = children[static_cast<std::size_t>(have[i])];
+      if (static_cast<int>(kids.size()) >= k) continue;
+      kids.push_back(next);
+      have.push_back(next);
+      ++next;
+    }
+  }
+  return children;
+}
+
+TEST(BuildCappedBinomial, UncappedDoubles) {
+  const auto children = CappedBinomialChildren(7, 100);
   // After r rounds, 2^r nodes hold the message.
   // Root children: 3 (one per round).
   EXPECT_EQ(children[0].size(), 3u);
   EXPECT_EQ(children[1].size(), 2u);  // adopted in round 1, sends twice
 }
 
-TEST(BuildCappedBinomialShape, CapOneIsAChain) {
-  const auto children = BuildCappedBinomialShape(5, 1);
+TEST(BuildCappedBinomial, CapOneIsAChain) {
+  const auto children = CappedBinomialChildren(5, 1);
   for (int u = 0; u <= 5; ++u) {
     const auto& kids = children[static_cast<std::size_t>(u)];
     if (u < 5) {
@@ -116,9 +155,9 @@ TEST(BuildCappedBinomialShape, CapOneIsAChain) {
   }
 }
 
-TEST(BuildCappedBinomialShape, CapRespected) {
+TEST(BuildCappedBinomial, CapRespected) {
   for (int k = 1; k <= 4; ++k) {
-    const auto children = BuildCappedBinomialShape(20, k);
+    const auto children = CappedBinomialChildren(20, k);
     int total = 0;
     for (const auto& kids : children) {
       EXPECT_LE(static_cast<int>(kids.size()), k);
@@ -128,10 +167,33 @@ TEST(BuildCappedBinomialShape, CapRespected) {
   }
 }
 
-TEST(BuildCappedBinomialShape, ZeroReceivers) {
-  const auto children = BuildCappedBinomialShape(0, 3);
+TEST(BuildCappedBinomial, ZeroReceivers) {
+  const auto children = CappedBinomialChildren(0, 3);
   ASSERT_EQ(children.size(), 1u);
   EXPECT_TRUE(children[0].empty());
+}
+
+TEST(BuildCappedBinomial, MatchesRoundBasedReference) {
+  for (int receivers = 0; receivers <= 70; ++receivers)
+    for (int k = 1; k <= 9; ++k)
+      EXPECT_EQ(CappedBinomialChildren(receivers, k),
+                ReferenceCappedBinomial(receivers, k))
+          << receivers << " receivers, k " << k;
+  EXPECT_EQ(CappedBinomialChildren(40, 41), ReferenceCappedBinomial(40, 41));
+}
+
+TEST(BuildCappedBinomial, ReusedBufferIsOverwritten) {
+  std::vector<BinomialNode> tree;
+  BuildCappedBinomial(30, 2, tree);
+  BuildCappedBinomial(6, 3, tree);
+  std::vector<BinomialNode> fresh;
+  BuildCappedBinomial(6, 3, fresh);
+  ASSERT_EQ(tree.size(), fresh.size());
+  for (std::size_t u = 0; u < tree.size(); ++u) {
+    EXPECT_EQ(tree[u].parent, fresh[u].parent);
+    EXPECT_EQ(tree[u].rank, fresh[u].rank);
+    EXPECT_EQ(tree[u].children, fresh[u].children);
+  }
 }
 
 TEST(OrderDestsBySwitch, GroupsBySwitchAndDistance) {

@@ -159,6 +159,23 @@ TEST(Executor, StaggeredLaunchRespectsStartTime) {
   EXPECT_GT(result.completion, 5000);
 }
 
+TEST(ExecutorDeathTest, LaunchRejectsAnEmptyMessage) {
+  const auto sys = System::Build({}, 42);
+  SimConfig cfg;
+  Engine engine;
+  McastDriver driver(engine, *sys, cfg);
+  const auto scheme = MakeScheme(SchemeKind::kTreeWorm, cfg.host);
+  McastPlan plan = scheme->Plan(*sys, 0, {9}, cfg.message, cfg.headers);
+  plan.shape = MessageShape{128, 0};
+  EXPECT_DEATH(driver.Launch(plan, 0, [](const MulticastResult&) {}),
+               "message of 0 packets x 128 flits");
+  cfg.message.packet_flits = 0;
+  McastDriver flitless(engine, *sys, cfg);
+  plan.shape.reset();
+  EXPECT_DEATH(flitless.Launch(plan, 0, [](const MulticastResult&) {}),
+               "message of 1 packets x 0 flits");
+}
+
 TEST(Executor, SmartNiForwardsBeforeHostDelivery) {
   // In a 2-deep k-binomial chain the grandchild must receive well before
   // intermediate-host-delivery + full-send would allow (the FPFS

@@ -72,6 +72,16 @@ TEST(ChooseK, MatchesExhaustiveMinimum) {
   }
 }
 
+TEST(ChooseKDeathTest, EmptyMessageIsAPreconditionFailure) {
+  const HostParams host;
+  EXPECT_DEATH(ChooseK(8, MessageShape{128, 0}, host, 130, 1009),
+               "precondition violated.*message of 0 packets x 128 flits");
+  EXPECT_DEATH(ChooseK(8, MessageShape{0, 1}, host, 2, 1009),
+               "precondition violated.*message of 1 packets x 0 flits");
+  EXPECT_DEATH(EvalFpfsCompletion(8, 2, MessageShape{128, 0}, host, 130, 1009),
+               "precondition violated");
+}
+
 class KBinomialPlanSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 

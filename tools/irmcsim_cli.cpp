@@ -120,6 +120,17 @@ int MaybeWriteTrace(const TraceSpec& spec, const Tracer& tracer) {
   return 0;
 }
 
+/// Integer option that must be at least 1: anything smaller exits with
+/// status 2 and the accepted range, like a bad choice value.
+int GetAtLeastOne(const Args& args, const std::string& key, int fallback) {
+  const long value = args.GetInt(key, fallback);
+  if (value >= 1) return static_cast<int>(value);
+  std::fprintf(stderr,
+               "invalid value for --%s: '%s' (accepted: integers >= 1)\n",
+               key.c_str(), args.GetString(key, "").c_str());
+  std::exit(2);
+}
+
 /// Common --switches/--nodes/--ports/--packets/--ratio/--seed handling.
 SimConfig ConfigFrom(const Args& args) {
   SimConfig cfg;
@@ -129,10 +140,11 @@ SimConfig ConfigFrom(const Args& args) {
       static_cast<int>(args.GetInt("nodes", cfg.topology.num_hosts));
   cfg.topology.ports_per_switch =
       static_cast<int>(args.GetInt("ports", cfg.topology.ports_per_switch));
+  // A message is at least one packet of at least one flit.
   cfg.message.num_packets =
-      static_cast<int>(args.GetInt("packets", cfg.message.num_packets));
+      GetAtLeastOne(args, "packets", cfg.message.num_packets);
   cfg.message.packet_flits =
-      static_cast<int>(args.GetInt("packet-flits", cfg.message.packet_flits));
+      GetAtLeastOne(args, "packet-flits", cfg.message.packet_flits);
   cfg.host.SetRatio(args.GetDouble("ratio", cfg.host.R()));
   // --engine vct|flit selects the network engine; --buffer-flits sizes
   // the flit engine's per-port input buffers (see docs/engines.md).
