@@ -18,32 +18,32 @@ namespace {
 
 using namespace irmc;
 
-PacketPtr MakeTreeWorm(const System& sys, const std::vector<NodeId>& dests) {
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = 1;
-  pkt->src = 0;
-  pkt->kind = HeaderKind::kTreeWorm;
-  pkt->tree_dests = NodeSet::FromVector(sys.num_nodes(), dests);
-  pkt->data_flits = 128;
-  pkt->header_flits = 6;
+Packet MakeTreeWorm(const System& sys, const std::vector<NodeId>& dests) {
+  Packet pkt;
+  pkt.mcast_id = 1;
+  pkt.src = 0;
+  pkt.kind = HeaderKind::kTreeWorm;
+  pkt.tree_dests = NodeSet::FromVector(sys.num_nodes(), dests);
+  pkt.data_flits = 128;
+  pkt.header_flits = 6;
   return pkt;
 }
 
-std::map<NodeId, Cycles> RunVct(const System& sys, const PacketPtr& pkt) {
+std::map<NodeId, Cycles> RunVct(const System& sys, const Packet& pkt) {
   Engine engine;
   NetParams params;
   params.adaptive = false;
   std::map<NodeId, Cycles> tails;
   Fabric fabric(engine, sys, params,
-                [&](NodeId n, const PacketPtr&, Cycles, Cycles t) {
+                [&](NodeId n, const Packet&, Cycles, Cycles t) {
                   tails[n] = t;
                 });
-  fabric.InjectFromNi(0, std::make_shared<Packet>(*pkt), 0);
+  fabric.InjectFromNi(0, pkt, 0);
   engine.RunToQuiescence();
   return tails;
 }
 
-std::map<NodeId, Cycles> RunFlitLevel(const System& sys, const PacketPtr& pkt,
+std::map<NodeId, Cycles> RunFlitLevel(const System& sys, const Packet& pkt,
                                       int buffer_flits) {
   Engine engine;
   NetParams params;
@@ -51,10 +51,10 @@ std::map<NodeId, Cycles> RunFlitLevel(const System& sys, const PacketPtr& pkt,
   params.buffer_flits = buffer_flits;
   std::map<NodeId, Cycles> tails;
   FlitEngine flit(engine, sys, params,
-                  [&](NodeId n, const PacketPtr&, Cycles, Cycles t) {
+                  [&](NodeId n, const Packet&, Cycles, Cycles t) {
                     tails[n] = t;
                   });
-  flit.InjectFromNi(0, std::make_shared<Packet>(*pkt), 0);
+  flit.InjectFromNi(0, pkt, 0);
   engine.RunToQuiescence();
   return tails;
 }
@@ -107,13 +107,13 @@ int main() {
   net.AttachHost(3, 4);     // node 3: probe destination (on D)
   const System spur_sys{std::move(net)};
   auto mk = [](NodeId src, NodeId dst, int flits) {
-    auto pkt = std::make_shared<Packet>();
-    pkt->mcast_id = src;
-    pkt->src = src;
-    pkt->kind = HeaderKind::kUnicast;
-    pkt->uni_dest = dst;
-    pkt->data_flits = flits;
-    pkt->header_flits = 2;
+    Packet pkt;
+    pkt.mcast_id = src;
+    pkt.src = src;
+    pkt.kind = HeaderKind::kUnicast;
+    pkt.uni_dest = dst;
+    pkt.data_flits = flits;
+    pkt.header_flits = 2;
     return pkt;
   };
   for (int buffer : {256, 128, 32, 8, 4}) {
@@ -123,7 +123,7 @@ int main() {
     params.buffer_flits = buffer;
     Cycles probe_tail = 0;
     FlitEngine flit(engine, spur_sys, params,
-                    [&](NodeId n, const PacketPtr&, Cycles, Cycles t) {
+                    [&](NodeId n, const Packet&, Cycles, Cycles t) {
                       if (n == 3) probe_tail = t;
                     });
     flit.InjectFromNi(1, mk(1, 2, 128), 0);  // blocker: holds B->C first

@@ -1,10 +1,24 @@
 #include "common/args.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace irmc {
+
+bool ParseIntIn(const std::string& text, std::int64_t lo, std::int64_t hi,
+                std::int64_t* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (errno == ERANGE || *end != '\0' || value < lo || value > hi)
+    return false;
+  *out = value;
+  return true;
+}
 
 Args Args::Parse(int argc, const char* const* argv) {
   Args args;
@@ -49,6 +63,26 @@ long Args::GetInt(const std::string& key, long fallback) const {
   char* end = nullptr;
   const long v = std::strtol(it->second.c_str(), &end, 10);
   return (end != nullptr && *end == '\0') ? v : fallback;
+}
+
+std::int64_t Args::GetIntIn(const std::string& key, std::int64_t fallback,
+                            std::int64_t lo, std::int64_t hi) const {
+  consumed_[key] = true;
+  auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  std::int64_t value = 0;
+  if (ParseIntIn(it->second, lo, hi, &value)) return value;
+  // A number below the range names the bound it missed; anything else
+  // (not a number, too large) names the whole range.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const bool below =
+      lo > kMin && ParseIntIn(it->second, kMin, lo - 1, &value);
+  const std::string accepted =
+      below ? ">= " + std::to_string(lo)
+            : "from " + std::to_string(lo) + " to " + std::to_string(hi);
+  std::fprintf(stderr, "invalid value for --%s: '%s' (accepted: integers %s)\n",
+               key.c_str(), it->second.c_str(), accepted.c_str());
+  std::exit(2);
 }
 
 double Args::GetDouble(const std::string& key, double fallback) const {

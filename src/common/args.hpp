@@ -5,12 +5,20 @@
 // proper message instead of silently ignoring typos.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace irmc {
+
+/// Parses all of `text` as a base-10 integer in [lo, hi]. Returns false,
+/// leaving `out` untouched, for empty text, trailing characters, or a
+/// value outside the range (one too large for 64 bits included): a
+/// hostile value never wraps or falls back silently.
+bool ParseIntIn(const std::string& text, std::int64_t lo, std::int64_t hi,
+                std::int64_t* out);
 
 class Args {
  public:
@@ -25,7 +33,15 @@ class Args {
 
   std::string GetString(const std::string& key,
                         const std::string& fallback) const;
+  /// Lenient: a malformed value reads as `fallback` (see GetIntIn for
+  /// the checked form).
   long GetInt(const std::string& key, long fallback) const;
+  /// Checked integer option: a present value that is not an integer in
+  /// [lo, hi] exits the process with status 2 after printing the
+  /// accepted range, like GetChoice. Returns `fallback` when the key is
+  /// absent.
+  std::int64_t GetIntIn(const std::string& key, std::int64_t fallback,
+                        std::int64_t lo, std::int64_t hi) const;
   double GetDouble(const std::string& key, double fallback) const;
   bool GetFlag(const std::string& key) const;
 

@@ -4,8 +4,10 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
+#include "common/args.hpp"
 #include "common/types.hpp"
 #include "network/network_model.hpp"
 #include "resilience/params.hpp"
@@ -96,13 +98,14 @@ struct SimConfig {
 };
 
 /// Reads a positive integer from the environment (workload scaling knobs
-/// like IRMC_TOPOLOGIES); returns `fallback` when unset or invalid.
+/// like IRMC_TOPOLOGIES); returns `fallback` when unset or when the value
+/// is not an integer in [1, INT_MAX] (never a wrapped one).
 inline int EnvInt(const std::string& name, int fallback) {
   const char* raw = std::getenv(name.c_str());
-  if (raw == nullptr) return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || value <= 0) return fallback;
+  std::int64_t value = 0;
+  if (raw == nullptr ||
+      !ParseIntIn(raw, 1, std::numeric_limits<int>::max(), &value))
+    return fallback;
   return static_cast<int>(value);
 }
 

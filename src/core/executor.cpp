@@ -26,7 +26,7 @@ McastDriver::McastDriver(Engine& engine, const System& sys,
   nodes_.resize(static_cast<std::size_t>(sys.num_nodes()));
   network_ = MakeNetworkModel(
       cfg.engine, engine, sys, cfg.net,
-      [this](NodeId n, const PacketPtr& pkt, Cycles head, Cycles tail) {
+      [this](NodeId n, const Packet& pkt, Cycles head, Cycles tail) {
         OnDeliver(n, pkt, head, tail);
       },
       tracer, metrics);
@@ -40,7 +40,7 @@ McastDriver::McastDriver(Engine& engine, const System& sys,
           &metrics->GetCounter("resilience.degraded_deliveries");
     }
     network_->SetDropHandler(
-        [this](const PacketPtr& pkt, Cycles now, SwitchId where) {
+        [this](const Packet& pkt, Cycles now, SwitchId where) {
           OnDrop(pkt, now, where);
         });
     resilience_ = std::make_unique<ResilienceManager>(
@@ -116,14 +116,14 @@ void McastDriver::StartSource(Exec& exec) {
   }
 }
 
-PacketPtr McastDriver::MakeBasePacket(const Exec& exec, int pkt_index) const {
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = exec.id;
-  pkt->pkt_index = pkt_index;
-  pkt->num_pkts = exec.shape.num_packets;
-  pkt->src = exec.plan.root;
-  pkt->mcast_start = exec.start;
-  pkt->data_flits = exec.shape.packet_flits;
+Packet McastDriver::MakeBasePacket(const Exec& exec, int pkt_index) const {
+  Packet pkt;
+  pkt.mcast_id = exec.id;
+  pkt.pkt_index = pkt_index;
+  pkt.num_pkts = exec.shape.num_packets;
+  pkt.src = exec.plan.root;
+  pkt.mcast_start = exec.start;
+  pkt.data_flits = exec.shape.packet_flits;
   return pkt;
 }
 
@@ -146,10 +146,10 @@ void McastDriver::ConventionalSendToOne(Exec& exec, NodeId u, NodeId c,
       m_.io_dma_cycles->Add(dma_dur);
       m_.io_dma_transfers->Add();
     }
-    auto pkt = MakeBasePacket(exec, j);
-    pkt->kind = HeaderKind::kUnicast;
-    pkt->uni_dest = c;
-    pkt->header_flits = cfg_.headers.UnicastFlits();
+    Packet pkt = MakeBasePacket(exec, j);
+    pkt.kind = HeaderKind::kUnicast;
+    pkt.uni_dest = c;
+    pkt.header_flits = cfg_.headers.UnicastFlits();
     network_->InjectFromNi(u, std::move(pkt), std::max(ni, dma_done));
   }
 }
@@ -187,10 +187,10 @@ void McastDriver::SmartSourceSend(Exec& exec) {
         m_.ni_cycles->Add(hp.ni_forward_overhead);
         m_.ni_forward_copies->Add();
       }
-      auto pkt = MakeBasePacket(exec, j);
-      pkt->kind = HeaderKind::kUnicast;
-      pkt->uni_dest = c;
-      pkt->header_flits = cfg_.headers.UnicastFlits();
+      Packet pkt = MakeBasePacket(exec, j);
+      pkt.kind = HeaderKind::kUnicast;
+      pkt.uni_dest = c;
+      pkt.header_flits = cfg_.headers.UnicastFlits();
       network_->InjectFromNi(u, std::move(pkt), ready);
     }
   }
@@ -212,10 +212,10 @@ void McastDriver::SmartForward(Exec& exec, NodeId u, int pkt_index,
       m_.ni_cycles->Add(hp.ni_forward_overhead);
       m_.ni_forward_copies->Add();
     }
-    auto pkt = MakeBasePacket(exec, pkt_index);
-    pkt->kind = HeaderKind::kUnicast;
-    pkt->uni_dest = c;
-    pkt->header_flits = cfg_.headers.UnicastFlits();
+    Packet pkt = MakeBasePacket(exec, pkt_index);
+    pkt.kind = HeaderKind::kUnicast;
+    pkt.uni_dest = c;
+    pkt.header_flits = cfg_.headers.UnicastFlits();
     network_->InjectFromNi(u, std::move(pkt), ready);
   }
 }
@@ -237,35 +237,24 @@ void McastDriver::SendTreeWorms(Exec& exec) {
   // Default: one worm addressing the full set; chunked plans carry one
   // region (and header size) per worm. All worms leave back to back —
   // still a single phase, one host send overhead.
-  struct Region {
-    NodeSet dests;
-    int header_flits;
-  };
-  std::vector<Region> regions;
-  if (exec.plan.tree_regions.empty()) {
-    regions.push_back(
-        Region{NodeSet::FromVector(sys_->num_nodes(), exec.plan.dests),
-               cfg_.headers.TreeWormFlits(sys_->num_nodes())});
-  } else {
-    for (std::size_t r = 0; r < exec.plan.tree_regions.size(); ++r)
-      regions.push_back(
-          Region{NodeSet::FromVector(sys_->num_nodes(),
-                                     exec.plan.tree_regions[r]),
-                 exec.plan.tree_region_header_flits[r]});
-  }
-
-  if (m_.has) m_.worms->Add(static_cast<std::int64_t>(regions.size()));
+  const std::vector<std::vector<NodeId>>& chunks = exec.plan.tree_regions;
+  const std::size_t worms = chunks.empty() ? 1 : chunks.size();
+  const int nodes = sys_->num_nodes();
+  if (m_.has) m_.worms->Add(static_cast<std::int64_t>(worms));
   for (int j = 0; j < exec.shape.num_packets; ++j) {
     const Cycles dma_done = nr.io_bus.Reserve(h, dma_dur) + dma_dur;
     if (m_.has) {
       m_.io_dma_cycles->Add(dma_dur);
       m_.io_dma_transfers->Add();
     }
-    for (const Region& region : regions) {
-      auto pkt = MakeBasePacket(exec, j);
-      pkt->kind = HeaderKind::kTreeWorm;
-      pkt->tree_dests = region.dests;
-      pkt->header_flits = region.header_flits;
+    for (std::size_t r = 0; r < worms; ++r) {
+      Packet pkt = MakeBasePacket(exec, j);
+      pkt.kind = HeaderKind::kTreeWorm;
+      pkt.tree_dests = NodeSet::FromVector(
+          nodes, chunks.empty() ? exec.plan.dests : chunks[r]);
+      pkt.header_flits = chunks.empty()
+                             ? cfg_.headers.TreeWormFlits(nodes)
+                             : exec.plan.tree_region_header_flits[r];
       network_->InjectFromNi(u, std::move(pkt), std::max(ni, dma_done));
     }
   }
@@ -295,19 +284,19 @@ void McastDriver::SendWormsOf(Exec& exec, NodeId sender, Cycles earliest) {
         m_.io_dma_cycles->Add(dma_dur);
         m_.io_dma_transfers->Add();
       }
-      auto pkt = MakeBasePacket(exec, j);
-      pkt->kind = HeaderKind::kPathWorm;
-      pkt->path = worm.route;
-      pkt->path_cursor = 0;
-      pkt->header_flits = worm.header_flits;
+      Packet pkt = MakeBasePacket(exec, j);
+      pkt.kind = HeaderKind::kPathWorm;
+      pkt.path = worm.route;
+      pkt.path_cursor = 0;
+      pkt.header_flits = worm.header_flits;
       network_->InjectFromNi(sender, std::move(pkt), std::max(ni, dma_done));
     }
   }
 }
 
-void McastDriver::OnDeliver(NodeId n, const PacketPtr& pkt, Cycles head,
+void McastDriver::OnDeliver(NodeId n, const Packet& pkt, Cycles head,
                             Cycles tail) {
-  auto it = live_.find(pkt->mcast_id);
+  auto it = live_.find(pkt.mcast_id);
   if (it == live_.end()) {
     // Only a retired resilience family leaves stragglers (a redundant
     // repair still in flight when the last ack landed); the pristine
@@ -325,7 +314,7 @@ McastDriver::Exec& McastDriver::AcctOf(Exec& exec) {
   return *it->second;
 }
 
-void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const PacketPtr& pkt,
+void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt,
                                  Cycles head, Cycles tail) {
   // Delivery accounting rolls up to the original multicast; `exec` (a
   // repair wave or the original itself) keeps the forwarding duties.
@@ -338,7 +327,7 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const PacketPtr& pkt,
     const auto bit =
         static_cast<std::size_t>(n) *
             static_cast<std::size_t>(acct.shape.num_packets) +
-        static_cast<std::size_t>(pkt->pkt_index);
+        static_cast<std::size_t>(pkt.pkt_index);
     if (st.delivered || acct.got[bit]) {
       if (m_.has) m_.r_duplicates->Add();
       return;
@@ -367,7 +356,7 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const PacketPtr& pkt,
       const Cycles fwd_ready =
           first ? nr.ni_cpu.Reserve(ni_done, hp.o_ni) + hp.o_ni : ni_done;
       if (m_.has && first) m_.ni_cycles->Add(hp.o_ni);
-      SmartForward(exec, n, pkt->pkt_index, fwd_ready, tail);
+      SmartForward(exec, n, pkt.pkt_index, fwd_ready, tail);
     } else if (st.pkts == exec.shape.num_packets) {
       // Store-and-forward at message granularity: every packet's copies
       // are enqueued only once the whole message is at the NI (the
@@ -459,12 +448,12 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
   }
 }
 
-void McastDriver::OnDrop(const PacketPtr& pkt, Cycles now, SwitchId where) {
+void McastDriver::OnDrop(const Packet& pkt, Cycles now, SwitchId where) {
   if (tracer_)
-    tracer_->Record(TraceEvent{now, TraceKind::kDrop, pkt->mcast_id,
-                               pkt->pkt_index, pkt->src, where});
+    tracer_->Record(TraceEvent{now, TraceKind::kDrop, pkt.mcast_id,
+                               pkt.pkt_index, pkt.src, where});
   if (m_.has) m_.r_drops->Add();
-  auto it = live_.find(pkt->mcast_id);
+  auto it = live_.find(pkt.mcast_id);
   if (it == live_.end()) return;  // family already retired
   Exec& acct = AcctOf(*it->second);
   if (acct.repair_pending) return;  // a repair chain is already running

@@ -137,9 +137,9 @@ class McastDriver {
   }
 
   void StartSource(Exec& exec);
-  void OnDeliver(NodeId n, const PacketPtr& pkt, Cycles head, Cycles tail);
-  void HandlePacketAt(Exec& exec, NodeId n, const PacketPtr& pkt,
-                      Cycles head, Cycles tail);
+  void OnDeliver(NodeId n, const Packet& pkt, Cycles head, Cycles tail);
+  void HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt, Cycles head,
+                      Cycles tail);
   /// `wave_id` names the Exec whose plan carries the forwarding duties
   /// (a repair wave or `acct_id` itself); accounting is on `acct_id`.
   void HandleDelivered(std::int64_t acct_id, std::int64_t wave_id, NodeId n,
@@ -149,7 +149,7 @@ class McastDriver {
   /// The Exec delivery accounting rolls up to (the wave's original).
   Exec& AcctOf(Exec& exec);
   /// Engine drop report: trace + count, then expedite the first repair.
-  void OnDrop(const PacketPtr& pkt, Cycles now, SwitchId where);
+  void OnDrop(const Packet& pkt, Cycles now, SwitchId where);
   /// Out-of-band delivery ack arriving back at the root.
   void OnAck(std::int64_t id, NodeId n);
   /// One timeout round: re-plan the unacked remainder on the current
@@ -176,7 +176,7 @@ class McastDriver {
   void SendTreeWorms(Exec& exec);
   void SendWormsOf(Exec& exec, NodeId sender, Cycles earliest);
 
-  PacketPtr MakeBasePacket(const Exec& exec, int pkt_index) const;
+  Packet MakeBasePacket(const Exec& exec, int pkt_index) const;
 
   void TraceHost(TraceKind kind, std::int64_t mcast_id, NodeId actor,
                  std::int32_t detail) {

@@ -15,8 +15,25 @@ Fabric::Fabric(Engine& engine, const System& sys, const NetParams& params,
     input_slots_.emplace_back(params_.input_slots);
 }
 
-void Fabric::QueueInjection(NodeId n, PacketPtr pkt, Cycles ready) {
-  EnqueueTx(InjChannel(n), Tx{std::move(pkt), ready});
+void Fabric::QueueInjection(NodeId n, Packet&& pkt, Cycles ready) {
+  EnqueueTx(InjChannel(n), Tx{NewPacket(std::move(pkt)), ready});
+}
+
+std::uint32_t Fabric::NewPacket(Packet&& pkt) {
+  if (free_packets_.empty()) {
+    IRMC_EXPECT(packets_.size() < ~std::uint32_t{0});
+    packets_.push_back(std::move(pkt));
+    return static_cast<std::uint32_t>(packets_.size() - 1);
+  }
+  const std::uint32_t id = free_packets_.back();
+  free_packets_.pop_back();
+  packets_[id] = std::move(pkt);
+  return id;
+}
+
+Packet Fabric::TakePacket(std::uint32_t id) {
+  free_packets_.push_back(id);
+  return std::move(packets_[id]);
 }
 
 int Fabric::InjectionBacklog(NodeId n) const {
@@ -49,7 +66,7 @@ void Fabric::EnqueueTx(int channel_id, Tx tx) {
 }
 
 void Fabric::DropTx(int channel_id, const Tx& tx) {
-  ReportDrop(tx.pkt, SwitchOfPort(channel_id));
+  ReportDrop(TakePacket(tx.pkt), SwitchOfPort(channel_id));
   ReleaseSrcBuffer(tx.src_buffer);
 }
 
@@ -161,7 +178,8 @@ void Fabric::StartTx(int channel_id, Tx tx) {
   }
   // The pump serialises the channel, so the wire is free by the time a
   // transmission is granted: it starts as soon as it is ready.
-  const int len = tx.pkt->WireFlits();
+  const Packet& pkt = packets_[tx.pkt];
+  const int len = pkt.WireFlits();
   const Cycles start = std::max(engine_.Now(), tx.ready);
   CountFlits(channel_id, len);
   // Cycles from packet-ready to wire start: channel queueing plus
@@ -174,8 +192,8 @@ void Fabric::StartTx(int channel_id, Tx tx) {
     std::int32_t actor = -1;
     std::int32_t port = -1;
     ChannelActor(channel_id, &actor, &port);
-    TraceAt(tx.ready, TraceKind::kBlockBegin, *tx.pkt, actor, port);
-    TraceAt(start, TraceKind::kBlockEnd, *tx.pkt, actor, port);
+    TraceAt(tx.ready, TraceKind::kBlockBegin, pkt, actor, port);
+    TraceAt(start, TraceKind::kBlockEnd, pkt, actor, port);
   }
   const Cycles head_arrive = start + params_.link_delay;
   const Cycles tail_arrive = start + len - 1 + params_.link_delay;
@@ -192,12 +210,13 @@ void Fabric::StartTx(int channel_id, Tx tx) {
     if (m_host_deliveries_) m_host_deliveries_->Add();
     engine_.ScheduleAt(
         tail_arrive,
-        [this, host = c.dst_host, pkt = tx.pkt, head_arrive, tail_arrive]() {
-          Trace(TraceKind::kNiDeliver, *pkt, host, -1);
-          deliver_(host, pkt, head_arrive, tail_arrive);
+        [this, host = c.dst_host, id = tx.pkt, head_arrive, tail_arrive]() {
+          const Packet delivered = TakePacket(id);
+          Trace(TraceKind::kNiDeliver, delivered, host, -1);
+          deliver_(host, delivered, head_arrive, tail_arrive);
         });
   } else {
-    engine_.ScheduleAt(head_arrive, [this, channel_id, pkt = tx.pkt,
+    engine_.ScheduleAt(head_arrive, [this, channel_id, id = tx.pkt,
                                      head_arrive]() {
       const Channel& ch = channel(channel_id);
       if (ch.dead_since != kNever && ch.dead_since <= head_arrive) {
@@ -205,29 +224,29 @@ void Fabric::StartTx(int channel_id, Tx tx) {
         // truncated. The downstream input slot acquired at Pick goes
         // back; the source side frees at tail_leave as usual.
         ReleaseDownstreamSlot(channel_id);
-        ReportDrop(pkt, SwitchOfPort(channel_id));
+        ReportDrop(TakePacket(id), SwitchOfPort(channel_id));
         return;
       }
-      HeadArrive(SwitchOfPort(ch.dst_port), ch.dst_port % ports_, pkt,
+      HeadArrive(SwitchOfPort(ch.dst_port), ch.dst_port % ports_, id,
                  head_arrive);
     });
   }
 }
 
-void Fabric::HeadArrive(SwitchId s, PortId in_port, PacketPtr pkt,
+void Fabric::HeadArrive(SwitchId s, PortId in_port, std::uint32_t pkt,
                         Cycles head_time) {
   ++packets_switched_;
   if (m_switched_) m_switched_->Add();
-  Trace(TraceKind::kHeadArrive, *pkt, s, in_port);
+  Trace(TraceKind::kHeadArrive, packets_[pkt], s, in_port);
   const int buf = NewBuffered(PortIdx(s, in_port));
-  const Cycles tail_time = head_time + pkt->WireFlits() - 1;
+  const Cycles tail_time = head_time + packets_[pkt].WireFlits() - 1;
   engine_.ScheduleAt(head_time + params_.route_delay,
-                     [this, s, pkt = std::move(pkt), buf, tail_time]() {
+                     [this, s, pkt, buf, tail_time]() {
                        Route(s, pkt, tail_time, buf);
                      });
 }
 
-void Fabric::Route(SwitchId s, PacketPtr pkt, Cycles tail_time, int buf) {
+void Fabric::Route(SwitchId s, std::uint32_t pkt, Cycles tail_time, int buf) {
   std::vector<RouteBranch>& branches = route_branches_;
   branches.clear();
   const PortLoadFn load = [this](SwitchId sw, PortId p) {
@@ -243,18 +262,19 @@ void Fabric::Route(SwitchId s, PacketPtr pkt, Cycles tail_time, int buf) {
       input_slots_[static_cast<std::size_t>(pool)].Release(engine_);
     });
   };
-  if (!TryComputeRouteBranches(*sys_, s, pkt, params_.adaptive, load,
-                               branches)) {
+  if (!TryComputeRouteBranches(*sys_, s, packets_[pkt], params_.adaptive,
+                               load, branches)) {
     // Stale header under swapped tables: consume the worm here and let
     // the retransmit layer repair the loss (ReportDrop aborts when no
     // drop handler is installed).
-    ReportDrop(pkt, s);
+    ReportDrop(TakePacket(pkt), s);
     free_buffer_at_tail();
     return;
   }
   if (branches.empty()) {
     // Fully consumed here (possible only for degenerate plans); free the
     // buffer once the tail has arrived.
+    TakePacket(pkt);
     free_buffer_at_tail();
     return;
   }
@@ -263,12 +283,22 @@ void Fabric::Route(SwitchId s, PacketPtr pkt, Cycles tail_time, int buf) {
     m_fanout_->Add(static_cast<std::int64_t>(branches.size()));
     m_replications_->Add(static_cast<std::int64_t>(branches.size()) - 1);
   }
-  Trace(TraceKind::kRoute, *pkt, s, static_cast<std::int32_t>(branches.size()));
+  Trace(TraceKind::kRoute, packets_[pkt], s,
+        static_cast<std::int32_t>(branches.size()));
   const Cycles ready = engine_.Now() + params_.xbar_delay;
   const int in_port = pool % ports_;
-  for (RouteBranch& b : branches) {
-    Trace(TraceKind::kBranch, *b.pkt, s, static_cast<std::int32_t>(b.port));
-    EnqueueTx(PortIdx(s, b.port), Tx{std::move(b.pkt), ready, buf, in_port});
+  for (std::size_t i = 0; i < branches.size(); ++i) {
+    RouteBranch& b = branches[i];
+    Trace(TraceKind::kBranch, b.pkt, s, static_cast<std::int32_t>(b.port));
+    // The first branch takes over the arriving packet's slot. No
+    // reference into packets_ is held across EnqueueTx: a drop there
+    // runs the drop handler, which may inject.
+    std::uint32_t id = pkt;
+    if (i == 0)
+      packets_[pkt] = std::move(b.pkt);
+    else
+      id = NewPacket(std::move(b.pkt));
+    EnqueueTx(PortIdx(s, b.port), Tx{id, ready, buf, in_port});
   }
 }
 

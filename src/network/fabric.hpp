@@ -14,8 +14,15 @@
 //
 // Channel wiring, link accounting, metric slots and the fault contract
 // come from the shared NetworkModel layer; this engine keeps only its
-// per-channel transmission queues, the channel pick and the input-slot
-// pools.
+// per-channel transmission queues, the channel pick, the input-slot
+// pools and the packets themselves.
+//
+// Packets live in a slot arena (packets_, recycled through
+// free_packets_): a transmission and every event about it carry a
+// 32-bit slot id, so a hop copies no packet and touches no reference
+// count. A routed packet's first branch reuses its slot. Before a
+// packet goes to the deliver or drop callback it is moved out of its
+// slot, because the callback may inject and so grow the arena.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +61,7 @@ class Fabric final : public NetworkModel {
   };
 
   struct Tx {
-    PacketPtr pkt;
+    std::uint32_t pkt = 0;  ///< slot in packets_
     Cycles ready = 0;
     /// Index into buffered_ of the slot to release when this branch
     /// drains; -1 for injections.
@@ -77,7 +84,7 @@ class Fabric final : public NetworkModel {
     }
   };
 
-  void QueueInjection(NodeId n, PacketPtr pkt, Cycles ready) override;
+  void QueueInjection(NodeId n, Packet&& pkt, Cycles ready) override;
   /// Queued transmissions drop immediately; the active transmission is
   /// truncated unless its head already cleared the link (VCT packet
   /// atomicity — a packet whose head arrived is committed downstream).
@@ -90,8 +97,14 @@ class Fabric final : public NetworkModel {
   void Pump(int channel_id);
   void Pick(int channel_id);
   void StartTx(int channel_id, Tx tx);
-  void HeadArrive(SwitchId s, PortId in_port, PacketPtr pkt, Cycles head_time);
-  void Route(SwitchId s, PacketPtr pkt, Cycles decision_time, int buf);
+  void HeadArrive(SwitchId s, PortId in_port, std::uint32_t pkt,
+                  Cycles head_time);
+  void Route(SwitchId s, std::uint32_t pkt, Cycles tail_time, int buf);
+
+  /// A slot holding `pkt`, recycled first.
+  std::uint32_t NewPacket(Packet&& pkt);
+  /// Moves the packet out of slot `id` and recycles the slot.
+  Packet TakePacket(std::uint32_t id);
 
   /// Queue a branch/injection on a channel, or drop it on the spot when
   /// the channel is dead.
@@ -110,6 +123,8 @@ class Fabric final : public NetworkModel {
     return tx_queues_[static_cast<std::size_t>(channel_id)];
   }
 
+  std::vector<Packet> packets_;              // packets in the fabric
+  std::vector<std::uint32_t> free_packets_;  // recycled packets_ slots
   std::vector<TxQueue> tx_queues_;  // per channel, same ids as channels
   std::vector<CountingResource> input_slots_;  // [switch*ports + port]
   std::vector<Buffered> buffered_;   // packets holding input slots

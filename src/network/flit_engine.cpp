@@ -45,7 +45,7 @@ FlitEngine::FlitEngine(Engine& engine, const System& sys,
   ready_nis_.assign((inject_queues_.size() + 63) / 64, 0);
 }
 
-void FlitEngine::QueueInjection(NodeId n, PacketPtr pkt, Cycles ready) {
+void FlitEngine::QueueInjection(NodeId n, Packet&& pkt, Cycles ready) {
   auto& q = inject_queues_[static_cast<std::size_t>(n)];
   q.emplace_back(std::move(pkt), ready);
   // A new head packet behind an idle injection channel: the NI becomes
@@ -117,8 +117,8 @@ void FlitEngine::KillBranch(int bid) {
     Sync(dst, next, next);
     dst.feed = -1;
   }
-  CloseStreak(b);  // emits the open stall interval; keeps the
-                   // trace-vs-counter accounting identity
+  CloseStreak(bid);  // emits the open stall interval; keeps the
+                     // trace-vs-counter accounting identity
   b.done = true;
   Arbiter& c = arbs_[static_cast<std::size_t>(b.channel)];
   if (c.active_branch == bid) {
@@ -182,8 +182,7 @@ void FlitEngine::CutChannels(std::span<const int> dead) {
     std::vector<int> doomed(c.waiting.begin(), c.waiting.end());
     if (c.active_branch != -1) doomed.push_back(c.active_branch);
     for (int bid : doomed) {
-      ReportDrop(branches_[static_cast<std::size_t>(bid)].out_pkt,
-                 SwitchOfPort(ci));
+      ReportDrop(branch_pkt(bid), SwitchOfPort(ci));
       KillBranch(bid);
     }
   }
@@ -344,7 +343,10 @@ void FlitEngine::SettleAll() {
 
 int FlitEngine::NewWorm() {
   if (free_worms_.empty()) {
-    worms_.emplace_back();
+    // A worm has at most one branch per output port; the slot keeps this
+    // capacity for every later worm, so routing never regrows it.
+    worms_.emplace_back().branch_ids.reserve(static_cast<std::size_t>(ports_));
+    worm_pkts_.emplace_back();
     return static_cast<int>(worms_.size()) - 1;
   }
   const int wi = free_worms_.back();
@@ -356,6 +358,7 @@ int FlitEngine::NewBranch(int wi, BranchState b) {
   int bid = static_cast<int>(branches_.size());
   if (free_branches_.empty()) {
     branches_.push_back(std::move(b));
+    branch_pkts_.emplace_back();
   } else {
     bid = free_branches_.back();
     free_branches_.pop_back();
@@ -379,12 +382,14 @@ void FlitEngine::Unpin(int wi) {
     BranchState& b = branches_[static_cast<std::size_t>(bid)];
     b = BranchState{};
     b.done = true;
+    branch_pkt(bid) = Packet{};
     free_branches_.push_back(bid);
   }
   std::vector<int> ids = std::move(w.branch_ids);
   ids.clear();  // keep the capacity for the slot's next worm
   w = Worm{};
   w.branch_ids = std::move(ids);
+  worm_pkt(wi) = Packet{};
   free_worms_.push_back(wi);
 }
 
@@ -411,9 +416,9 @@ void FlitEngine::LandFlits(Cycles now) {
       if (entry.is_tail) {
         ++deliveries_;
         if (m_host_deliveries_) m_host_deliveries_->Add();
-        TraceAt(entry.lands, TraceKind::kNiDeliver, *b.out_pkt, c.dst_host,
-                -1);
-        deliver_(c.dst_host, b.out_pkt, b.sink_head, entry.lands);
+        const Packet& pkt = branch_pkt(entry.branch);
+        TraceAt(entry.lands, TraceKind::kNiDeliver, pkt, c.dst_host, -1);
+        deliver_(c.dst_host, pkt, b.sink_head, entry.lands);
       }
     } else {
       if (entry.is_head) {
@@ -423,7 +428,7 @@ void FlitEngine::LandFlits(Cycles now) {
         IRMC_ENSURE(ip.resident_worm == -1);
         const int wi = NewWorm();
         Worm& w = worms_[static_cast<std::size_t>(wi)];
-        w.pkt = b.out_pkt;
+        worm_pkt(wi) = branch_pkt(entry.branch);
         w.len = b.len;
         w.head_arrive = entry.lands;
         w.port_index = c.dst_port;
@@ -433,7 +438,7 @@ void FlitEngine::LandFlits(Cycles now) {
         ip.resident_worm = wi;
         b.dst_worm = wi;
         if (m_switched_) m_switched_->Add();
-        TraceAt(entry.lands, TraceKind::kHeadArrive, *b.out_pkt,
+        TraceAt(entry.lands, TraceKind::kHeadArrive, worm_pkt(wi),
                 SwitchOfPort(c.dst_port), c.dst_port % ports_);
         route_queue_.emplace_back(b.dst_worm,
                                   entry.lands + params_.route_delay);
@@ -467,8 +472,7 @@ void FlitEngine::PumpInjections(Cycles now) {
     // only by its one branch.
     const int wi = NewWorm();
     Worm& w = worms_[static_cast<std::size_t>(wi)];
-    w.pkt = q.front().first;
-    w.len = q.front().first->WireFlits();
+    w.len = q.front().first.WireFlits();
     w.received = w.len;
     w.routed = true;
     w.live_branches = 1;
@@ -476,11 +480,12 @@ void FlitEngine::PumpInjections(Cycles now) {
     BranchState b;
     b.src_worm = wi;
     b.channel = InjChannel(static_cast<NodeId>(n));
-    b.out_pkt = std::move(q.front().first);
     b.len = w.len;
     b.start_ok = q.front().second;
     const std::size_t ci = static_cast<std::size_t>(b.channel);
-    Enqueue(ci, NewBranch(wi, std::move(b)));
+    const int bid = NewBranch(wi, std::move(b));
+    branch_pkt(bid) = std::move(q.front().first);
+    Enqueue(ci, bid);
     ClearBit(ready_nis_, n);
     --ready_count_;
     q.pop_front();
@@ -510,12 +515,12 @@ void FlitEngine::RouteWorm(int wi, Cycles now) {
   };
   std::vector<RouteBranch>& decisions = route_branches_;
   decisions.clear();
-  if (!TryComputeRouteBranches(*sys_, sw, w.pkt, params_.adaptive, load,
-                               decisions)) {
+  if (!TryComputeRouteBranches(*sys_, sw, worm_pkt(wi), params_.adaptive,
+                               load, decisions)) {
     // Stale header under swapped tables: consume the worm here and let
     // the retransmit layer repair the loss (ReportDrop aborts when no
     // drop handler is installed).
-    ReportDrop(w.pkt, sw);
+    ReportDrop(worm_pkt(wi), sw);
     w.discarding = true;
     w.freed = w.received;
     if (w.received >= w.len) ReleaseWormPort(w);
@@ -543,22 +548,23 @@ void FlitEngine::RouteWorm(int wi, Cycles now) {
     m_fanout_->Add(static_cast<std::int64_t>(decisions.size()));
     m_replications_->Add(static_cast<std::int64_t>(decisions.size()) - 1);
   }
-  TraceAt(now, TraceKind::kRoute, *w.pkt, sw,
+  TraceAt(now, TraceKind::kRoute, worm_pkt(wi), sw,
           static_cast<std::int32_t>(decisions.size()));
   w.live_branches = static_cast<int>(decisions.size());
   const Cycles start_ok =
       w.head_arrive + params_.route_delay + params_.xbar_delay;
   for (RouteBranch& d : decisions) {
-    TraceAt(now, TraceKind::kBranch, *d.pkt, sw,
+    TraceAt(now, TraceKind::kBranch, d.pkt, sw,
             static_cast<std::int32_t>(d.port));
     BranchState b;
     b.src_worm = wi;
     b.channel = PortIdx(sw, d.port);
-    b.out_pkt = std::move(d.pkt);
     b.len = w.len;
     b.start_ok = start_ok;
     const std::size_t ci = static_cast<std::size_t>(b.channel);
-    Enqueue(ci, NewBranch(wi, std::move(b)));
+    const int bid = NewBranch(wi, std::move(b));
+    branch_pkt(bid) = std::move(d.pkt);
+    Enqueue(ci, bid);
   }
 }
 
@@ -657,7 +663,7 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
       return;
     }
   }
-  CloseStreak(b);
+  CloseStreak(bid);
   const bool is_head = (b.consumed == 0);
   ++b.consumed;
   CountFlits(static_cast<int>(ci), 1);
@@ -701,15 +707,17 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
   if (!is_tail) TryStream(bid, now);
 }
 
-void FlitEngine::CloseStreak(BranchState& b) {
+void FlitEngine::CloseStreak(int bid) {
+  BranchState& b = branches_[static_cast<std::size_t>(bid)];
   if (b.stall_len == 0) return;
   if (tracer_) {
     std::int32_t actor = -1;
     std::int32_t detail = -1;
     ChannelActor(b.channel, &actor, &detail);
-    TraceAt(b.stall_begin, TraceKind::kBlockBegin, *b.out_pkt, actor, detail);
-    TraceAt(b.stall_begin + b.stall_len, TraceKind::kBlockEnd, *b.out_pkt,
-            actor, detail);
+    const Packet& pkt = branch_pkt(bid);
+    TraceAt(b.stall_begin, TraceKind::kBlockBegin, pkt, actor, detail);
+    TraceAt(b.stall_begin + b.stall_len, TraceKind::kBlockEnd, pkt, actor,
+            detail);
   }
   b.stall_len = 0;
   b.stall_why = nullptr;
@@ -748,17 +756,20 @@ void FlitEngine::DeadlockTrip(Cycles now, int trip_branch) {
   std::string msg;
   char buf[256];
   const BranchState& trip = branches_[static_cast<std::size_t>(trip_branch)];
+  const Packet& trip_pkt = branch_pkt(trip_branch);
   std::snprintf(buf, sizeof buf,
                 "worm (mcast %lld pkt %d) blocked for %lld cycles > "
                 "deadlock horizon %lld at cycle %lld; blocked worms:",
-                static_cast<long long>(trip.out_pkt->mcast_id),
-                trip.out_pkt->pkt_index,
+                static_cast<long long>(trip_pkt.mcast_id),
+                trip_pkt.pkt_index,
                 static_cast<long long>(trip.stall_len),
                 static_cast<long long>(params_.deadlock_horizon),
                 static_cast<long long>(now));
   msg += buf;
-  for (const BranchState& b : branches_) {
+  for (std::size_t bid = 0; bid < branches_.size(); ++bid) {
+    const BranchState& b = branches_[bid];
     if (b.done) continue;
+    const Packet& pkt = branch_pkts_[bid];
     // A branch can be pending without an open stall streak when it is
     // starved of flits (upstream not sending yet) — include those too:
     // they are often the hidden links of the wait chain.
@@ -766,8 +777,8 @@ void FlitEngine::DeadlockTrip(Cycles now, int trip_branch) {
     const bool starved = b.stall_len == 0;
     if (starved && b.consumed < src.received) continue;  // genuinely moving
     FlitDeadlockInfo::Pending pending;
-    pending.mcast_id = b.out_pkt->mcast_id;
-    pending.pkt_index = b.out_pkt->pkt_index;
+    pending.mcast_id = pkt.mcast_id;
+    pending.pkt_index = pkt.pkt_index;
     std::int32_t actor = -1;
     std::int32_t port = -1;
     ChannelActor(b.channel, &actor, &port);
@@ -785,13 +796,13 @@ void FlitEngine::DeadlockTrip(Cycles now, int trip_branch) {
     if (injection)
       std::snprintf(buf, sizeof buf,
                     "\n  worm (mcast %lld pkt %d) at injection of node %d",
-                    static_cast<long long>(b.out_pkt->mcast_id),
-                    b.out_pkt->pkt_index, actor);
+                    static_cast<long long>(pkt.mcast_id), pkt.pkt_index,
+                    actor);
     else
       std::snprintf(buf, sizeof buf,
                     "\n  worm (mcast %lld pkt %d) at switch %d port %d",
-                    static_cast<long long>(b.out_pkt->mcast_id),
-                    b.out_pkt->pkt_index, actor, port);
+                    static_cast<long long>(pkt.mcast_id), pkt.pkt_index,
+                    actor, port);
     msg += buf;
     if (starved)
       std::snprintf(buf, sizeof buf,
@@ -807,11 +818,10 @@ void FlitEngine::DeadlockTrip(Cycles now, int trip_branch) {
     if (dst_port >= 0) {
       const int rw = inputs_[static_cast<std::size_t>(dst_port)].resident_worm;
       if (rw >= 0) {
-        const Worm& w = worms_[static_cast<std::size_t>(rw)];
+        const Packet& held = worm_pkt(rw);
         std::snprintf(buf, sizeof buf,
                       " (port held by worm mcast %lld pkt %d)",
-                      static_cast<long long>(w.pkt->mcast_id),
-                      w.pkt->pkt_index);
+                      static_cast<long long>(held.mcast_id), held.pkt_index);
         msg += buf;
       }
     }

@@ -47,6 +47,15 @@
 // are recycled once nothing can reach them, so memory follows the worms
 // in flight, not the packets ever sent.
 //
+// Packets are values the engine owns: an NI's queued packets sit in its
+// injection queue, and a worm's or branch's packet sits in worm_pkts_ /
+// branch_pkts_, side arrays indexed like worms_ / branches_ (so the hot
+// structs stay compact). A routed branch is a copy of its worm's packet
+// with the header narrowed; a landing head copies its branch's packet
+// into the downstream worm. Neither side array grows outside a tick, so
+// the references the deliver and drop callbacks get stay put while they
+// run (they may inject, which only queues).
+//
 // Deadlock trip: up*/down* routing is deadlock-free, so a worm that
 // stays credit-blocked on one channel for more than
 // NetParams::deadlock_horizon cycles indicates a broken routing state
@@ -141,7 +150,6 @@ class FlitEngine final : public NetworkModel {
   /// A worm copy resident in (or streaming through) an input buffer;
   /// injection sources are pseudo-worms with every flit available.
   struct Worm {
-    PacketPtr pkt;
     int len = 0;
     int received = 0;  ///< flits landed in this buffer
     int freed = 0;     ///< flits consumed by every branch
@@ -176,7 +184,6 @@ class FlitEngine final : public NetworkModel {
   struct BranchState {
     int src_worm = -1;
     int channel = -1;
-    PacketPtr out_pkt;  ///< header as seen downstream
     int len = 0;
     /// Flits sent and counted on the channel; a streaming branch may
     /// have sent more (see Sent).
@@ -233,7 +240,7 @@ class FlitEngine final : public NetworkModel {
     return pi >= 0 ? pi % ports_ : -1;
   }
 
-  void QueueInjection(NodeId n, PacketPtr pkt, Cycles ready) override;
+  void QueueInjection(NodeId n, Packet&& pkt, Cycles ready) override;
   /// Middle flits a streaming branch has sent but not yet counted.
   std::int64_t UnsettledFlits(int channel_id) const override;
   /// Branches waiting for or streaming through a dead channel are
@@ -294,7 +301,14 @@ class FlitEngine final : public NetworkModel {
   /// branches.
   void Unpin(int wi);
 
-  void CloseStreak(BranchState& b);
+  /// The packet a worm holds (switch worms; a source pseudo-worm's is
+  /// unused) and the header a branch carries downstream.
+  Packet& worm_pkt(int wi) { return worm_pkts_[static_cast<std::size_t>(wi)]; }
+  Packet& branch_pkt(int bid) {
+    return branch_pkts_[static_cast<std::size_t>(bid)];
+  }
+
+  void CloseStreak(int bid);
 
   // --- fault handling ---
   /// Truncates a branch: closes its stall streak, detaches it from its
@@ -313,12 +327,14 @@ class FlitEngine final : public NetworkModel {
   std::vector<Arbiter> arbs_;      // per channel, same ids as channels
   std::vector<Worm> worms_;
   std::vector<BranchState> branches_;
+  std::vector<Packet> worm_pkts_;    // indexed like worms_
+  std::vector<Packet> branch_pkts_;  // indexed like branches_
   std::vector<int> free_worms_;     // recycled worms_ indices
   std::vector<int> free_branches_;  // recycled branches_ indices
   Fifo<InFlight> in_flight_;  // heads, tails, stepped flits; by landing
   Fifo<std::pair<int, Cycles>> route_queue_;  // (worm, decision time)
   // Per NI (packet, ready); each allocates on its NI's first injection.
-  std::vector<Fifo<std::pair<PacketPtr, Cycles>>> inject_queues_;
+  std::vector<Fifo<std::pair<Packet, Cycles>>> inject_queues_;
   std::vector<RouteBranch> route_branches_;  // reused by every RouteWorm
   std::vector<int> pending_port_release_;
   // Activity sets, one bit per index, walked in ascending order. A set

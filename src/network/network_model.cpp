@@ -72,15 +72,13 @@ NetworkModel::NetworkModel(Engine& engine, const System& sys,
   }
 }
 
-void NetworkModel::InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) {
-  IRMC_EXPECT(pkt != nullptr);
-  IRMC_EXPECT(pkt->WireFlits() > 0);
-  if (params_.record_routes && !pkt->hop_log)
-    pkt->hop_log = std::make_shared<std::vector<HopRecord>>();
-  Trace(TraceKind::kInject, *pkt, n, -1);
+void NetworkModel::InjectFromNi(NodeId n, Packet pkt, Cycles ready) {
+  IRMC_EXPECT(pkt.WireFlits() > 0);
+  if (params_.record_routes) pkt.hop_log.Start();
+  Trace(TraceKind::kInject, pkt, n, -1);
   if (m_injected_) {
     m_injected_->Add();
-    m_header_flits_->Add(pkt->header_flits);
+    m_header_flits_->Add(pkt.header_flits);
   }
   QueueInjection(n, std::move(pkt), ready);
 }
@@ -180,7 +178,7 @@ void NetworkModel::SwapSystem(const System& sys) {
   sys_ = &sys;
 }
 
-void NetworkModel::ReportDrop(const PacketPtr& pkt, SwitchId where) {
+void NetworkModel::ReportDrop(const Packet& pkt, SwitchId where) {
   IRMC_ENSURE(drop_ != nullptr &&
               "packet truncated or unroutable but no drop handler is "
               "installed");

@@ -94,9 +94,11 @@ bool EngineKindFromString(const std::string& name, EngineKind* out);
 class NetworkModel {
  public:
   /// deliver(node, packet, head_arrive, tail_arrive) fires when a packet
-  /// finishes arriving at a node's network interface.
+  /// finishes arriving at a node's network interface. The packet belongs
+  /// to the engine: the reference is valid for the duration of the call
+  /// only (copy what must outlive it). The callback may inject.
   using DeliverFn =
-      std::function<void(NodeId, const PacketPtr&, Cycles, Cycles)>;
+      std::function<void(NodeId, const Packet&, Cycles, Cycles)>;
 
   /// drop(packet, time, sw) fires when a fault truncates a packet the
   /// engine can no longer deliver: its worm crossed a link that went
@@ -108,8 +110,9 @@ class NetworkModel {
   /// already have delivered — so the consumer (the NI retransmit layer)
   /// must dedup. Without a handler installed the engine treats an
   /// unroutable packet as a contract violation and aborts, preserving
-  /// the pristine engines' behavior.
-  using DropFn = std::function<void(const PacketPtr&, Cycles, SwitchId)>;
+  /// the pristine engines' behavior. As with deliver, the packet
+  /// reference is valid for the duration of the call only.
+  using DropFn = std::function<void(const Packet&, Cycles, SwitchId)>;
 
   virtual ~NetworkModel() = default;
 
@@ -119,8 +122,8 @@ class NetworkModel {
   /// Queue a packet for injection from node n's NI into its switch. The
   /// transmission begins once the injection channel is free, downstream
   /// buffer space permits, and `ready` has passed (data present at the
-  /// NI).
-  void InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready);
+  /// NI). The engine owns the packet from here on.
+  void InjectFromNi(NodeId n, Packet pkt, Cycles ready);
 
   /// Packets queued or in flight on node n's injection channel.
   virtual int InjectionBacklog(NodeId n) const = 0;
@@ -168,7 +171,7 @@ class NetworkModel {
 
   /// Hop log of a packet (only populated when params.record_routes).
   static const std::vector<HopRecord>* HopsOf(const Packet& pkt) {
-    return pkt.hop_log.get();
+    return pkt.hop_log.hops();
   }
 
  protected:
@@ -195,7 +198,7 @@ class NetworkModel {
 
   /// Queues a packet the preamble of InjectFromNi has already traced
   /// and counted.
-  virtual void QueueInjection(NodeId n, PacketPtr pkt, Cycles ready) = 0;
+  virtual void QueueInjection(NodeId n, Packet&& pkt, Cycles ready) = 0;
   /// Drops or truncates what is committed to the channels FailLink just
   /// marked dead (in the order given; both directions of one link).
   virtual void CutChannels(std::span<const int> dead) = 0;
@@ -231,8 +234,10 @@ class NetworkModel {
 
   /// Hands a truncated or unroutable (stale-header) packet to the drop
   /// handler, which must exist — without a retransmit layer the payload
-  /// would be silently lost.
-  void ReportDrop(const PacketPtr& pkt, SwitchId where);
+  /// would be silently lost. `pkt` must stay put while the handler runs,
+  /// which may inject: a slot in storage an injection can grow is moved
+  /// out first.
+  void ReportDrop(const Packet& pkt, SwitchId where);
 
   void Trace(TraceKind kind, const Packet& pkt, std::int32_t actor,
              std::int32_t detail) {

@@ -12,13 +12,20 @@
 //    list, dropping copies to host ports at designated switches and
 //    forwarding through at most one switch port per switch.
 //
+// A Packet is a plain value with one owner at a time: the NI that builds
+// it hands it to InjectFromNi, and from then on the network engine that
+// carries it keeps it in its own slots (docs/engines.md). A replica is a
+// copy: the headers live inline (a tree worm's destination string up to
+// 256 nodes, see common/nodeset.hpp), so copying allocates nothing
+// unless the run records hop logs. A path worm's route is shared, not
+// copied: stragglers of a resilience repair can outlive their plan.
+//
 // Wire length = data flits + remaining header flits, so header encoding
 // costs are physically accounted (§3.3 of the paper discusses them only
 // qualitatively; bench/ablD quantifies them).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -67,8 +74,37 @@ struct HopRecord {
   PortId out_port;  ///< kInvalidPort for a host delivery
 };
 
-struct Packet;
-using PacketPtr = std::shared_ptr<Packet>;
+/// A packet's route so far, for route-legality checks. Off (no storage)
+/// unless the engine records routes. Copying a packet forks its log, so
+/// each replica records its own branch of the route.
+class HopLog {
+ public:
+  HopLog() = default;
+  HopLog(const HopLog& other)
+      : hops_(other.hops_
+                  ? std::make_unique<std::vector<HopRecord>>(*other.hops_)
+                  : nullptr) {}
+  HopLog(HopLog&&) noexcept = default;
+  HopLog& operator=(const HopLog& other) {
+    if (this != &other) *this = HopLog(other);
+    return *this;
+  }
+  HopLog& operator=(HopLog&&) noexcept = default;
+
+  /// Turns recording on (an empty log) if it is off.
+  void Start() {
+    if (!hops_) hops_ = std::make_unique<std::vector<HopRecord>>();
+  }
+  /// Appends a hop when recording; a no-op otherwise.
+  void Record(HopRecord hop) {
+    if (hops_) hops_->push_back(hop);
+  }
+  /// The hops so far, or null when recording is off.
+  const std::vector<HopRecord>* hops() const { return hops_.get(); }
+
+ private:
+  std::unique_ptr<std::vector<HopRecord>> hops_;
+};
 
 struct Packet {
   // --- identity / measurement ---
@@ -91,18 +127,8 @@ struct Packet {
   std::shared_ptr<const PathWormRoute> path; // kPathWorm
   std::size_t path_cursor = 0;               // index into path->steps
 
-  /// Per-branch hop log, deep-copied on replication (route-legality
-  /// tests only; null in normal runs).
-  std::shared_ptr<std::vector<HopRecord>> hop_log;
-
-  /// Clone used at replication points; caller then narrows the header of
-  /// the copy. The hop log forks so each branch records its own route.
-  PacketPtr CloneForBranch() const {
-    auto copy = std::make_shared<Packet>(*this);
-    if (hop_log)
-      copy->hop_log = std::make_shared<std::vector<HopRecord>>(*hop_log);
-    return copy;
-  }
+  /// Per-branch hop log (route-legality tests only; off in normal runs).
+  HopLog hop_log;
 };
 
 /// Header sizing used by all planners; kept in one place so benches can

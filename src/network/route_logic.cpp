@@ -23,32 +23,36 @@ PortId PickPort(SwitchId s, std::span<const PortId> candidates,
   return best;
 }
 
-RouteBranch MakeHostBranch(const System& sys, SwitchId s, NodeId n,
-                           const PacketPtr& pkt) {
-  const HostAttachment& at = sys.graph.host(n);
-  IRMC_EXPECT(at.sw == s);
-  auto copy = pkt->CloneForBranch();
-  if (copy->kind == HeaderKind::kTreeWorm) {
-    copy->tree_dests = NodeSet(copy->tree_dests.capacity());
-    copy->tree_dests.Set(n);
-  }
-  return RouteBranch{std::move(copy), at.port};
+/// Appends a copy of `pkt` leaving through `port`; the caller narrows
+/// the copy's header.
+Packet& AddBranch(std::vector<RouteBranch>& out, const Packet& pkt,
+                  PortId port) {
+  return out.emplace_back(pkt, port).pkt;
 }
 
-bool TryRouteUnicast(const System& sys, SwitchId s, const PacketPtr& pkt,
+void AddHostBranch(const System& sys, SwitchId s, NodeId n, const Packet& pkt,
+                   std::vector<RouteBranch>& out) {
+  const HostAttachment& at = sys.graph.host(n);
+  IRMC_EXPECT(at.sw == s);
+  Packet& copy = AddBranch(out, pkt, at.port);
+  if (copy.kind == HeaderKind::kTreeWorm) {
+    copy.tree_dests = NodeSet(copy.tree_dests.capacity());
+    copy.tree_dests.Set(n);
+  }
+}
+
+bool TryRouteUnicast(const System& sys, SwitchId s, const Packet& pkt,
                      bool adaptive, const PortLoadFn& load,
                      std::vector<RouteBranch>& out) {
-  const SwitchId dest_sw = sys.graph.SwitchOf(pkt->uni_dest);
+  const SwitchId dest_sw = sys.graph.SwitchOf(pkt.uni_dest);
   if (dest_sw == s) {
-    out.push_back(MakeHostBranch(sys, s, pkt->uni_dest, pkt));
+    AddHostBranch(sys, s, pkt.uni_dest, pkt, out);
     return true;
   }
-  const auto& cand = sys.routing.Candidates(s, dest_sw, pkt->phase);
+  const auto& cand = sys.routing.Candidates(s, dest_sw, pkt.phase);
   if (cand.empty()) return false;  // stale phase under swapped tables
   const PortId p = PickPort(s, cand, adaptive, load);
-  auto copy = pkt->CloneForBranch();
-  copy->phase = sys.routing.NextPhase(s, p, pkt->phase);
-  out.push_back(RouteBranch{std::move(copy), p});
+  AddBranch(out, pkt, p).phase = sys.routing.NextPhase(s, p, pkt.phase);
   return true;
 }
 
@@ -62,8 +66,6 @@ bool TryTreeDecision(const System& sys, SwitchId s, const NodeSet& rem,
   IRMC_EXPECT(!rem.Empty());
   if (rem.IsSubsetOf(reach.DownCover(s))) {
     decision->down = true;
-    // One allocation per decision at most: reserve for every candidate.
-    decision->ports.reserve(sys.updown.DownPorts(s).size());
     for (PortId p : sys.updown.DownPorts(s))
       if (rem.Intersects(reach.Primary(s, p))) decision->ports.push_back(p);
     return true;
@@ -74,61 +76,59 @@ bool TryTreeDecision(const System& sys, SwitchId s, const NodeSet& rem,
   if (phase != RoutePhase::kUpAllowed) return false;
   const auto& ups = sys.updown.UpPorts(s);
   if (ups.empty()) return false;
-  decision->ports.reserve(ups.size());
   for (PortId p : ups) {
     const SwitchId t = sys.graph.port(s, p).peer_switch;
     if (rem.IsSubsetOfUnion(reach.DownCover(t), reach.Local(t)))
       decision->ports.push_back(p);
   }
   if (decision->ports.empty())
-    decision->ports.assign(ups.begin(), ups.end());
+    for (PortId p : ups) decision->ports.push_back(p);
   return true;
 }
 
-bool TryRouteTreeWorm(const System& sys, SwitchId s, const PacketPtr& pkt,
+bool TryRouteTreeWorm(const System& sys, SwitchId s, const Packet& pkt,
                       bool adaptive, const PortLoadFn& load,
                       std::vector<RouteBranch>& out) {
   const Reachability& reach = sys.reach;
-  NodeSet locals = pkt->tree_dests & reach.Local(s);
-  NodeSet rem = pkt->tree_dests;
+  NodeSet locals = pkt.tree_dests & reach.Local(s);
+  NodeSet rem = pkt.tree_dests;
   rem.Subtract(locals);
 
   TreeRouteDecision decision;
-  if (!rem.Empty() && !TryTreeDecision(sys, s, rem, pkt->phase, &decision))
+  if (!rem.Empty() && !TryTreeDecision(sys, s, rem, pkt.phase, &decision))
     return false;
 
-  locals.ForEach(
-      [&](NodeId n) { out.push_back(MakeHostBranch(sys, s, n, pkt)); });
+  locals.ForEach([&](NodeId n) { AddHostBranch(sys, s, n, pkt, out); });
   if (rem.Empty()) return true;
 
   if (decision.down) {
     // Replicate downward along the partitioned reachability strings.
     NodeSet covered(rem.capacity());
     for (PortId p : decision.ports) {
-      NodeSet part = rem & reach.Primary(s, p);
-      covered |= part;
-      auto copy = pkt->CloneForBranch();
-      copy->tree_dests = std::move(part);
-      copy->phase = RoutePhase::kDownOnly;
-      out.push_back(RouteBranch{std::move(copy), p});
+      Packet& copy = AddBranch(out, pkt, p);
+      copy.tree_dests = rem;
+      copy.tree_dests &= reach.Primary(s, p);
+      copy.phase = RoutePhase::kDownOnly;
+      covered |= copy.tree_dests;
     }
     IRMC_ENSURE(covered == rem);
     return true;
   }
 
-  const PortId p = PickPort(s, decision.ports, adaptive, load);
-  auto copy = pkt->CloneForBranch();
-  copy->tree_dests = std::move(rem);
-  copy->phase = RoutePhase::kUpAllowed;
-  out.push_back(RouteBranch{std::move(copy), p});
+  const PortId p = PickPort(
+      s, std::span<const PortId>(decision.ports.begin(), decision.ports.size()),
+      adaptive, load);
+  Packet& copy = AddBranch(out, pkt, p);
+  copy.tree_dests = std::move(rem);
+  copy.phase = RoutePhase::kUpAllowed;
   return true;
 }
 
-bool TryRoutePathWorm(const System& sys, SwitchId s, const PacketPtr& pkt,
+bool TryRoutePathWorm(const System& sys, SwitchId s, const Packet& pkt,
                       std::vector<RouteBranch>& out) {
-  IRMC_EXPECT(pkt->path != nullptr);
-  IRMC_EXPECT(pkt->path_cursor < pkt->path->steps.size());
-  const PathWormRoute::Step& step = pkt->path->steps[pkt->path_cursor];
+  IRMC_EXPECT(pkt.path != nullptr);
+  IRMC_EXPECT(pkt.path_cursor < pkt.path->steps.size());
+  const PathWormRoute::Step& step = pkt.path->steps[pkt.path_cursor];
   // A precomputed hop list goes stale wholesale after a reconfig swap:
   // the cursor can name a switch the worm is not at, a forward port the
   // dead link vacated, or a port the new orientation made an up move
@@ -136,29 +136,27 @@ bool TryRoutePathWorm(const System& sys, SwitchId s, const PacketPtr& pkt,
   if (step.sw != s) return false;
   if (step.forward_port != kInvalidPort &&
       (sys.graph.port(s, step.forward_port).kind != PortKind::kSwitch ||
-       (pkt->phase == RoutePhase::kDownOnly &&
+       (pkt.phase == RoutePhase::kDownOnly &&
         sys.updown.IsUp(s, step.forward_port))))
     return false;
-  for (NodeId n : step.deliver)
-    out.push_back(MakeHostBranch(sys, s, n, pkt));
+  for (NodeId n : step.deliver) AddHostBranch(sys, s, n, pkt, out);
   if (step.forward_port == kInvalidPort) {
     IRMC_ENSURE(!step.deliver.empty());  // a worm must end with a drop
     return true;
   }
-  auto copy = pkt->CloneForBranch();
-  copy->path_cursor = pkt->path_cursor + 1;
-  copy->header_flits = step.header_flits_after;
-  copy->phase = sys.routing.NextPhase(s, step.forward_port, pkt->phase);
-  out.push_back(RouteBranch{std::move(copy), step.forward_port});
+  Packet& copy = AddBranch(out, pkt, step.forward_port);
+  copy.path_cursor = pkt.path_cursor + 1;
+  copy.header_flits = step.header_flits_after;
+  copy.phase = sys.routing.NextPhase(s, step.forward_port, pkt.phase);
   return true;
 }
 
-bool TryRoute(const System& sys, SwitchId s, const PacketPtr& pkt,
+bool TryRoute(const System& sys, SwitchId s, const Packet& pkt,
               bool adaptive, const PortLoadFn& load,
               std::vector<RouteBranch>& out) {
   const std::size_t first = out.size();
   bool ok = false;
-  switch (pkt->kind) {
+  switch (pkt.kind) {
     case HeaderKind::kUnicast:
       ok = TryRouteUnicast(sys, s, pkt, adaptive, load, out);
       break;
@@ -173,9 +171,9 @@ bool TryRoute(const System& sys, SwitchId s, const PacketPtr& pkt,
     out.resize(first);
     return false;
   }
-  for (std::size_t i = first; i < out.size(); ++i)
-    if (out[i].pkt->hop_log)
-      out[i].pkt->hop_log->push_back(HopRecord{s, out[i].port});
+  if (pkt.hop_log.hops() != nullptr)
+    for (std::size_t i = first; i < out.size(); ++i)
+      out[i].pkt.hop_log.Record(HopRecord{s, out[i].port});
   return true;
 }
 
@@ -193,7 +191,7 @@ TreeRouteDecision TreeWormDecision(const System& sys, SwitchId s,
   return decision;
 }
 
-void ComputeRouteBranches(const System& sys, SwitchId s, const PacketPtr& pkt,
+void ComputeRouteBranches(const System& sys, SwitchId s, const Packet& pkt,
                           bool adaptive, const PortLoadFn& load,
                           std::vector<RouteBranch>& out) {
   IRMC_ENSURE(TryRoute(sys, s, pkt, adaptive, load, out) &&
@@ -201,7 +199,7 @@ void ComputeRouteBranches(const System& sys, SwitchId s, const PacketPtr& pkt,
 }
 
 bool TryComputeRouteBranches(const System& sys, SwitchId s,
-                             const PacketPtr& pkt, bool adaptive,
+                             const Packet& pkt, bool adaptive,
                              const PortLoadFn& load,
                              std::vector<RouteBranch>& out) {
   return TryRoute(sys, s, pkt, adaptive, load, out);

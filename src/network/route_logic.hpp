@@ -8,11 +8,18 @@
 // flit-level FlitEngine both call TryComputeRouteBranches, so a routing
 // decision is — by construction — identical at both granularities; only
 // the transport timing underneath differs. See docs/engines.md.
+//
+// A routing step allocates nothing: each branch is a Packet copy written
+// into the caller's reused branch vector (headers inline, see
+// packet.hpp), and a tree-worm decision lists its ports inline.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <functional>
 #include <vector>
 
+#include "common/expect.hpp"
 #include "network/packet.hpp"
 #include "topology/system.hpp"
 
@@ -21,8 +28,42 @@ namespace irmc {
 /// One replica leaving a switch: the (possibly narrowed) header and the
 /// output port it takes. Host deliveries use the host's attachment port.
 struct RouteBranch {
-  PacketPtr pkt;
+  Packet pkt;
   PortId port = kInvalidPort;
+};
+
+/// Ports of one switch, in the order added. Up to kInlinePorts live
+/// inline, so a list at a switch of that many ports or fewer (every
+/// configuration in the repository) allocates nothing; a longer list
+/// moves to the heap.
+class PortList {
+ public:
+  static constexpr std::size_t kInlinePorts = 32;
+
+  void push_back(PortId p) {
+    if (size_ < kInlinePorts) {
+      inline_[size_++] = p;
+      return;
+    }
+    if (heap_.empty()) heap_.assign(inline_.begin(), inline_.end());
+    heap_.push_back(p);
+    ++size_;
+  }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const PortId* begin() const {
+    return heap_.empty() ? inline_.data() : heap_.data();
+  }
+  const PortId* end() const { return begin() + size_; }
+  PortId operator[](std::size_t i) const {
+    IRMC_EXPECT(i < size_);
+    return begin()[i];
+  }
+
+ private:
+  std::array<PortId, kInlinePorts> inline_{};
+  std::vector<PortId> heap_;  ///< all the ports once past kInlinePorts
+  std::size_t size_ = 0;
 };
 
 /// Current queue depth of the output channel (s, p); adaptivity picks
@@ -48,20 +89,21 @@ using PortLoadFn = std::function<int(SwitchId, PortId)>;
 /// phase (the phase-rule violation RouteTreeWorm would also trip on).
 struct TreeRouteDecision {
   bool down = false;
-  std::vector<PortId> ports;
+  PortList ports;  ///< ascending
 };
 TreeRouteDecision TreeWormDecision(const System& sys, SwitchId s,
                                    const NodeSet& rem, RoutePhase phase);
 
 /// Computes every branch of `pkt` at switch `s` and appends them to
 /// `out` in deterministic order (host drops first, then network
-/// forwards). Clones narrow headers per branch, update the route phase
-/// via the up*/down* tables, and — when the packet carries a hop log —
-/// record the hop taken. Aborts on any routing contract violation
-/// (phase rule, uncoverable destination set, path-worm step mismatch),
-/// stale headers included: the aborting wrapper over
-/// TryComputeRouteBranches that the route-logic unit tests call.
-void ComputeRouteBranches(const System& sys, SwitchId s, const PacketPtr& pkt,
+/// forwards). Each branch is a copy of `pkt` with its header narrowed
+/// and its route phase updated via the up*/down* tables; a copy of a
+/// packet that records hops logs the hop taken. Aborts on any routing
+/// contract violation (phase rule, uncoverable destination set,
+/// path-worm step mismatch), stale headers included: the aborting
+/// wrapper over TryComputeRouteBranches that the route-logic unit tests
+/// call.
+void ComputeRouteBranches(const System& sys, SwitchId s, const Packet& pkt,
                           bool adaptive, const PortLoadFn& load,
                           std::vector<RouteBranch>& out);
 
@@ -75,7 +117,7 @@ void ComputeRouteBranches(const System& sys, SwitchId s, const PacketPtr& pkt,
 /// staleness cases — the caller reports the packet dropped; genuine
 /// plan/contract bugs still abort.
 bool TryComputeRouteBranches(const System& sys, SwitchId s,
-                             const PacketPtr& pkt, bool adaptive,
+                             const Packet& pkt, bool adaptive,
                              const PortLoadFn& load,
                              std::vector<RouteBranch>& out);
 

@@ -1,8 +1,10 @@
 #include "resilience/fault_schedule.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
 
+#include "common/args.hpp"
 #include "common/expect.hpp"
 #include "common/rng.hpp"
 
@@ -119,19 +121,19 @@ bool ParseFaultSchedule(const std::string& text,
     const std::size_t c2 =
         c1 == std::string::npos ? std::string::npos : item.find(':', c1 + 1);
     if (c1 == std::string::npos || c2 == std::string::npos) return false;
-    TimedFault f;
-    char* rest = nullptr;
-    const std::string at_s = item.substr(0, c1);
-    const std::string sw_s = item.substr(c1 + 1, c2 - c1 - 1);
-    const std::string port_s = item.substr(c2 + 1);
-    if (at_s.empty() || sw_s.empty() || port_s.empty()) return false;
-    f.at = static_cast<Cycles>(std::strtoll(at_s.c_str(), &rest, 10));
-    if (*rest != '\0' || f.at < 0) return false;
-    f.sw = static_cast<SwitchId>(std::strtol(sw_s.c_str(), &rest, 10));
-    if (*rest != '\0' || f.sw < 0) return false;
-    f.port = static_cast<PortId>(std::strtol(port_s.c_str(), &rest, 10));
-    if (*rest != '\0' || f.port < 0) return false;
-    parsed.push_back(f);
+    // Each field must fit its type: a value that would wrap is malformed.
+    std::int64_t at = 0;
+    std::int64_t sw = 0;
+    std::int64_t port = 0;
+    if (!ParseIntIn(item.substr(0, c1), 0, std::numeric_limits<Cycles>::max(),
+                    &at) ||
+        !ParseIntIn(item.substr(c1 + 1, c2 - c1 - 1), 0,
+                    std::numeric_limits<SwitchId>::max(), &sw) ||
+        !ParseIntIn(item.substr(c2 + 1), 0,
+                    std::numeric_limits<PortId>::max(), &port))
+      return false;
+    parsed.push_back(TimedFault{at, static_cast<SwitchId>(sw),
+                                static_cast<PortId>(port)});
     pos = end + 1;
   }
   if (parsed.empty()) return false;

@@ -98,13 +98,13 @@ bool EventQueue::RunNext(Cycles deadline) {
   --in_window_;
   --size_;
   ++executed_;
-  // Move the action out and recycle its slot before running it: the
-  // action may schedule events, which may reuse the slot or grow the
-  // arena.
-  Action action = std::move(slots_[id].action);
-  slots_[id].next = free_;
+  // Recycle the slot, then run its action: RunOnce moves the callable
+  // out before it runs, and the event may schedule into this very slot
+  // or grow the arena.
+  Slot& slot = slots_[id];
+  slot.next = free_;
   free_ = id;
-  action();
+  slot.action.RunOnce();
   return true;
 }
 

@@ -15,6 +15,12 @@
 //
 // Actions are stored inline (no heap allocation per event) in a recycled
 // slot arena; buckets and the heap hold 32-bit slot ids.
+//
+// Dispatch costs one indirect call per event. RunNext recycles the
+// event's slot first, then Action::RunOnce moves the callable onto the
+// stack, destroys the source, runs the callable and destroys it. Nothing
+// touches the slot after the callable has moved out, so an event may
+// schedule into its own slot or grow the arena while it runs.
 #pragma once
 
 #include <array>
@@ -79,6 +85,16 @@ class EventQueue {
     explicit operator bool() const noexcept { return ops_ != nullptr; }
     void operator()() { ops_->invoke(buf_); }
 
+    /// Runs the callable once and leaves the action empty, in one
+    /// indirect call. The callable moves out of this action before it
+    /// runs, so the run may overwrite or free the storage this action
+    /// lives in.
+    void RunOnce() {
+      const Ops* ops = ops_;
+      ops_ = nullptr;
+      ops->run(buf_);
+    }
+
    private:
     /// Destroys the stored callable (and its captures), leaving it empty.
     void Reset() noexcept {
@@ -90,6 +106,9 @@ class EventQueue {
 
     struct Ops {
       void (*invoke)(void*);
+      /// Moves the callable from src onto the stack, destroys src, then
+      /// runs and destroys the moved callable.
+      void (*run)(void* src);
       /// Move-constructs the callable at dst from src, then destroys src.
       void (*relocate)(void* dst, void* src) noexcept;
       void (*destroy)(void*) noexcept;
@@ -97,6 +116,13 @@ class EventQueue {
     template <class Fn>
     static void Invoke(void* p) {
       (*static_cast<Fn*>(p))();
+    }
+    template <class Fn>
+    static void Run(void* src) {
+      Fn* from = static_cast<Fn*>(src);
+      Fn fn(std::move(*from));
+      from->~Fn();
+      fn();
     }
     template <class Fn>
     static void Relocate(void* dst, void* src) noexcept {
@@ -109,7 +135,8 @@ class EventQueue {
       static_cast<Fn*>(p)->~Fn();
     }
     template <class Fn>
-    static constexpr Ops kOps{&Invoke<Fn>, &Relocate<Fn>, &Destroy<Fn>};
+    static constexpr Ops kOps{&Invoke<Fn>, &Run<Fn>, &Relocate<Fn>,
+                              &Destroy<Fn>};
 
     void Take(Action& other) noexcept {
       if (other.ops_ == nullptr) return;

@@ -6,9 +6,13 @@
 //    tables are plain vectors and per-port queues allocate on first use.
 //    The single-multicast panels build one per sample, so a per-port
 //    allocation here is paid thousands of times per figure.
-//  * Routing a tree worm allocates only the branch packets (plus at
-//    most one candidate-port list per routing decision): worm headers
-//    keep their words inline.
+//  * A hop allocates nothing. Packets are values the engines own (slot
+//    arenas recycled as packets leave), a replica is a copy with its
+//    header words inline, and a tree-worm decision lists its ports
+//    inline. Once an engine's queues and arenas have grown to a batch's
+//    peak, replaying the batch — every scheme, small and large
+//    multicasts, one- and four-packet messages — makes no allocation
+//    from its first event to quiescence, on either engine.
 //  * Planning costs what the plan emits. The k choice scores every
 //    candidate k on one flat scratch; a binomial or k-binomial plan
 //    allocates little beyond its children lists; a path-worm plan runs
@@ -76,20 +80,20 @@ INSTANTIATE_TEST_SUITE_P(Engines, AllocBudget,
                            return std::string(ToString(info.param));
                          });
 
-TEST(AllocBudget, TreeWormRoutingAllocatesOnlyBranchPackets) {
+TEST(AllocBudget, TreeWormRoutingAllocatesNothing) {
   const auto sys = System::Build({}, 42);  // 8 switches, 32 hosts
   const int n = sys->num_nodes();
-  auto worm = std::make_shared<Packet>();
-  worm->kind = HeaderKind::kTreeWorm;
-  worm->src = 0;
-  worm->data_flits = 128;
-  worm->header_flits = HeaderSizing{}.TreeWormFlits(n);
-  worm->tree_dests = NodeSet(n);
-  for (NodeId d = 1; d < n; ++d) worm->tree_dests.Set(d);
+  Packet worm;
+  worm.kind = HeaderKind::kTreeWorm;
+  worm.src = 0;
+  worm.data_flits = 128;
+  worm.header_flits = HeaderSizing{}.TreeWormFlits(n);
+  worm.tree_dests = NodeSet(n);
+  for (NodeId d = 1; d < n; ++d) worm.tree_dests.Set(d);
 
   // Walk the broadcast switch by switch from host 0, as the engines do.
   const PortLoadFn load = [](SwitchId, PortId) { return 0; };
-  std::vector<std::pair<SwitchId, PacketPtr>> pending{
+  std::vector<std::pair<SwitchId, Packet>> pending{
       {sys->graph.host(0).sw, worm}};
   std::vector<RouteBranch> out;
   out.reserve(64);
@@ -114,9 +118,72 @@ TEST(AllocBudget, TreeWormRoutingAllocatesOnlyBranchPackets) {
         pending.emplace_back(pt.peer_switch, std::move(b.pkt));
     }
   }
-  EXPECT_EQ(delivered, worm->tree_dests);
-  EXPECT_LE(allocations, branches + decisions)
+  EXPECT_EQ(delivered, worm.tree_dests);
+  EXPECT_EQ(allocations, 0u)
       << branches << " branches, " << decisions << " decisions";
+}
+
+/// Plans for a batch of concurrent multicasts on `sys`: every scheme x
+/// 8 and 31 destinations x 1 and 4 packets, from seeded sources.
+std::vector<McastPlan> HopBatch(const System& sys) {
+  std::vector<McastPlan> plans;
+  const int nodes = sys.num_nodes();
+  Rng rng(5);
+  for (SchemeKind kind :
+       {SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
+        SchemeKind::kTreeWorm, SchemeKind::kPathWorm}) {
+    const auto scheme = MakeScheme(kind, HostParams{});
+    for (int size : {8, 31})
+      for (int packets : {1, 4}) {
+        const auto src = static_cast<NodeId>(
+            rng.NextBelow(static_cast<std::uint64_t>(nodes)));
+        std::vector<NodeId> dests;
+        for (std::int64_t v : rng.SampleWithoutReplacement(nodes - 1, size))
+          dests.push_back(static_cast<NodeId>(v >= src ? v + 1 : v));
+        const MessageShape shape{128, packets};
+        McastPlan plan = scheme->Plan(sys, src, dests, shape, {});
+        plan.shape = shape;
+        plans.push_back(std::move(plan));
+      }
+  }
+  return plans;
+}
+
+/// Allocations made running a launched HopBatch to quiescence, with
+/// metrics on, on an Engine + McastDriver that has run the same batch
+/// once before (so its queues, arenas and free lists are warm).
+/// Launching (the driver's per-multicast state) is not counted.
+std::size_t HopReplayAllocations(EngineKind kind) {
+  SimConfig cfg;
+  cfg.engine = kind;
+  const auto sys = System::Build(cfg.topology, 42);
+  const std::vector<McastPlan> plans = HopBatch(*sys);
+  MetricsRegistry metrics;
+  Engine engine;
+  McastDriver driver(engine, *sys, cfg, nullptr, &metrics);
+  std::size_t completed = 0;
+  const auto launch = [&]() {
+    for (const McastPlan& plan : plans)
+      driver.Launch(plan, engine.Now(),
+                    [&completed](const MulticastResult&) { ++completed; });
+  };
+  launch();
+  engine.RunToQuiescence();
+  launch();
+  const std::size_t before = counting_new::Allocations();
+  while (!engine.RunUntil(engine.Now() + 1'000)) {
+  }
+  const std::size_t made = counting_new::Allocations() - before;
+  EXPECT_EQ(completed, 2 * plans.size());
+  return made;
+}
+
+TEST(AllocBudget, VctHopsAllocateNothing) {
+  EXPECT_EQ(HopReplayAllocations(EngineKind::kVct), 0u);
+}
+
+TEST(AllocBudget, FlitHopsAllocateNothing) {
+  EXPECT_EQ(HopReplayAllocations(EngineKind::kFlit), 0u);
 }
 
 /// Upper bound on the allocations of one ChooseK call, whatever the

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+
+#include "core/config.hpp"
+
 namespace irmc {
 namespace {
 
@@ -49,6 +54,54 @@ TEST(Args, MalformedNumbersFallBack) {
   const Args args = ParseVec({"single", "--size", "abc", "--load", "x.y"});
   EXPECT_EQ(args.GetInt("size", 7), 7);
   EXPECT_DOUBLE_EQ(args.GetDouble("load", 0.5), 0.5);
+}
+
+TEST(Args, ParseIntInTakesWholeIntegersInRange) {
+  std::int64_t v = -1;
+  EXPECT_TRUE(ParseIntIn("42", 1, 100, &v));
+  EXPECT_EQ(v, 42);
+  EXPECT_TRUE(ParseIntIn("-9223372036854775808", INT64_MIN, 0, &v));
+  EXPECT_EQ(v, INT64_MIN);
+  v = 7;
+  for (const char* bad : {"", "abc", "16x", "0", "101", "4294967296",
+                          "99999999999999999999", "-99999999999999999999"}) {
+    EXPECT_FALSE(ParseIntIn(bad, 1, 100, &v)) << bad;
+    EXPECT_EQ(v, 7) << bad;
+  }
+}
+
+TEST(ArgsDeathTest, GetIntInExitsOnValuesThatDoNotFit) {
+  const Args wide = ParseVec({"single", "--packets", "4294967296"});
+  EXPECT_EXIT(wide.GetIntIn("packets", 1, 1, INT32_MAX),
+              ::testing::ExitedWithCode(2),
+              "invalid value for --packets: '4294967296' \\(accepted: "
+              "integers from 1 to 2147483647\\)");
+  const Args junk = ParseVec({"single", "--switches", "16x"});
+  EXPECT_EXIT(junk.GetIntIn("switches", 8, 1, 64),
+              ::testing::ExitedWithCode(2),
+              "invalid value for --switches: '16x' \\(accepted: "
+              "integers from 1 to 64\\)");
+  const Args low = ParseVec({"single", "--packets", "0"});
+  EXPECT_EXIT(low.GetIntIn("packets", 1, 1, INT32_MAX),
+              ::testing::ExitedWithCode(2),
+              "invalid value for --packets: '0' \\(accepted: integers >= 1\\)");
+  const Args absent = ParseVec({"single"});
+  EXPECT_EQ(absent.GetIntIn("packets", 3, 1, 8), 3);
+}
+
+TEST(EnvInt, AcceptsOnlyPositiveIntegersThatFitAnInt) {
+  constexpr const char* kName = "IRMC_TEST_ENV_INT";
+  const auto read = [kName](const char* value) {
+    ::setenv(kName, value, 1);
+    return EnvInt(kName, -7);
+  };
+  EXPECT_EQ(read("4"), 4);
+  EXPECT_EQ(read("2147483647"), 2147483647);
+  for (const char* bad : {"", "0", "-3", "4x", "2147483648", "4294967300",
+                          "99999999999999999999"})
+    EXPECT_EQ(read(bad), -7) << bad;
+  ::unsetenv(kName);
+  EXPECT_EQ(EnvInt(kName, -7), -7);
 }
 
 TEST(Args, NegativeAndFloatValues) {

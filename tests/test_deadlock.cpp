@@ -370,7 +370,7 @@ StressOutcome RunTreeWormStress(const System& sys, int buffer_flits) {
   params.buffer_flits = buffer_flits;
   params.deadlock_horizon = 20'000;
   FlitEngine flit(engine, sys, params,
-                  [&](NodeId, const PacketPtr&, Cycles, Cycles) {
+                  [&](NodeId, const Packet&, Cycles, Cycles) {
                     ++out.deliveries;
                   });
   flit.SetDeadlockHandler([&](const FlitDeadlockInfo& info) {
@@ -381,14 +381,14 @@ StressOutcome RunTreeWormStress(const System& sys, int buffer_flits) {
   for (NodeId src = 0; src < hosts; ++src) {
     std::vector<NodeId> dests;
     for (int k = 1; k <= 8; ++k) dests.push_back((src + k) % hosts);
-    auto pkt = std::make_shared<Packet>();
-    pkt->mcast_id = src;
-    pkt->src = src;
-    pkt->kind = HeaderKind::kTreeWorm;
-    pkt->tree_dests = NodeSet::FromVector(hosts, dests);
-    pkt->data_flits = 128;
-    pkt->header_flits = HeaderSizing{}.TreeWormFlits(hosts);
-    flit.InjectFromNi(src, pkt, 0);
+    Packet pkt;
+    pkt.mcast_id = src;
+    pkt.src = src;
+    pkt.kind = HeaderKind::kTreeWorm;
+    pkt.tree_dests = NodeSet::FromVector(hosts, dests);
+    pkt.data_flits = 128;
+    pkt.header_flits = HeaderSizing{}.TreeWormFlits(hosts);
+    flit.InjectFromNi(src, std::move(pkt), 0);
     out.expected += 8;
   }
   engine.RunToQuiescence();
@@ -446,21 +446,21 @@ TEST(DeadlockSoundness, HandlerFreezesTheEngineInsteadOfAborting) {
   params.buffer_flits = 128;
   params.deadlock_horizon = 20'000;
   FlitEngine flit(engine, sys, params,
-                  [](NodeId, const PacketPtr&, Cycles, Cycles) {});
+                  [](NodeId, const Packet&, Cycles, Cycles) {});
   int fires = 0;
   flit.SetDeadlockHandler([&](const FlitDeadlockInfo&) { ++fires; });
   const int hosts = sys.num_nodes();
   for (NodeId src = 0; src < hosts; ++src) {
     std::vector<NodeId> dests;
     for (int k = 1; k <= 8; ++k) dests.push_back((src + k) % hosts);
-    auto pkt = std::make_shared<Packet>();
-    pkt->mcast_id = src;
-    pkt->src = src;
-    pkt->kind = HeaderKind::kTreeWorm;
-    pkt->tree_dests = NodeSet::FromVector(hosts, dests);
-    pkt->data_flits = 128;
-    pkt->header_flits = HeaderSizing{}.TreeWormFlits(hosts);
-    flit.InjectFromNi(src, pkt, 0);
+    Packet pkt;
+    pkt.mcast_id = src;
+    pkt.src = src;
+    pkt.kind = HeaderKind::kTreeWorm;
+    pkt.tree_dests = NodeSet::FromVector(hosts, dests);
+    pkt.data_flits = 128;
+    pkt.header_flits = HeaderSizing{}.TreeWormFlits(hosts);
+    flit.InjectFromNi(src, std::move(pkt), 0);
   }
   engine.RunToQuiescence();
   if (fires > 0) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <queue>
 #include <type_traits>
@@ -321,6 +322,37 @@ TEST(ActionLifetime, CaptureOfExactlyTheInlineSizeFits) {
   while (q.RunNext()) {
   }
   EXPECT_EQ(seen, 42u);
+}
+
+TEST(ActionLifetime, AnEventThatGrowsTheArenaReadsItsOwnCapture) {
+  // The running event's slot is recycled before it runs, and scheduling
+  // 10k events from inside it reuses that slot and reallocates the
+  // arena several times. Its 64-byte capture must still read intact
+  // afterwards: the callable ran from the stack, not from the slot.
+  struct Capture {
+    std::uint64_t words[EventQueue::Action::kInlineBytes / 8 - 2];
+    EventQueue* q;
+    std::uint64_t* out;
+  };
+  static_assert(sizeof(Capture) == EventQueue::Action::kInlineBytes);
+  Capture cap{};
+  for (std::size_t i = 0; i < std::size(cap.words); ++i)
+    cap.words[i] = 0x0101010101010101ull * (i + 1);
+  std::uint64_t intact = 0;
+  cap.out = &intact;
+  EventQueue q;
+  cap.q = &q;
+  q.ScheduleAt(1, [cap] {
+    for (int i = 0; i < 10'000; ++i)
+      cap.q->ScheduleAt(2 + i % 100, [out = cap.out] { ++*out; });
+    for (std::size_t i = 0; i < std::size(cap.words); ++i)
+      if (cap.words[i] != 0x0101010101010101ull * (i + 1)) return;
+    *cap.out = 1;
+  });
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(intact, 10'001u);  // 1 from the capture check, 1 per event
+  EXPECT_EQ(q.executed(), 10'001u);
 }
 
 TEST(Engine, RunToQuiescenceReturnsFinalTime) {

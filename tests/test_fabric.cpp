@@ -13,7 +13,7 @@ struct Delivery {
   NodeId node;
   Cycles head;
   Cycles tail;
-  PacketPtr pkt;
+  Packet pkt;  ///< a copy: the engine's reference outlives no callback
 };
 
 struct Harness {
@@ -26,7 +26,7 @@ struct Harness {
     sys = std::make_unique<System>(std::move(g));
     fabric = std::make_unique<Fabric>(
         engine, *sys, params,
-        [this](NodeId n, const PacketPtr& p, Cycles h, Cycles t) {
+        [this](NodeId n, const Packet& p, Cycles h, Cycles t) {
           deliveries.push_back({n, h, t, p});
         });
   }
@@ -43,15 +43,15 @@ Graph LineGraph() {
   return g;
 }
 
-PacketPtr Unicast(NodeId src, NodeId dst, int data_flits = 128,
-                  int header_flits = 2) {
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = 1;
-  pkt->src = src;
-  pkt->kind = HeaderKind::kUnicast;
-  pkt->uni_dest = dst;
-  pkt->data_flits = data_flits;
-  pkt->header_flits = header_flits;
+Packet Unicast(NodeId src, NodeId dst, int data_flits = 128,
+               int header_flits = 2) {
+  Packet pkt;
+  pkt.mcast_id = 1;
+  pkt.src = src;
+  pkt.kind = HeaderKind::kUnicast;
+  pkt.uni_dest = dst;
+  pkt.data_flits = data_flits;
+  pkt.header_flits = header_flits;
   return pkt;
 }
 
@@ -160,13 +160,13 @@ TEST(Fabric, TreeWormDeliversLocallyDuringTransit) {
   // Destinations on the source's own switch and two switches down: one
   // worm covers all.
   Harness hline(LineGraph());
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = 9;
-  pkt->src = 0;
-  pkt->kind = HeaderKind::kTreeWorm;
-  pkt->tree_dests = NodeSet::FromVector(3, {1, 2});
-  pkt->data_flits = 128;
-  pkt->header_flits = 3;
+  Packet pkt;
+  pkt.mcast_id = 9;
+  pkt.src = 0;
+  pkt.kind = HeaderKind::kTreeWorm;
+  pkt.tree_dests = NodeSet::FromVector(3, {1, 2});
+  pkt.data_flits = 128;
+  pkt.header_flits = 3;
   hline.fabric->InjectFromNi(0, std::move(pkt), 0);
   hline.engine.RunToQuiescence();
   ASSERT_EQ(hline.deliveries.size(), 2u);
@@ -191,13 +191,13 @@ TEST_P(FabricWormSweep, TreeWormExactlyOnceAndLegal) {
   // Multicast from node 0 to every odd node.
   std::vector<NodeId> dests;
   for (NodeId n = 1; n < 32; n += 2) dests.push_back(n);
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = 1;
-  pkt->src = 0;
-  pkt->kind = HeaderKind::kTreeWorm;
-  pkt->tree_dests = NodeSet::FromVector(32, dests);
-  pkt->data_flits = 128;
-  pkt->header_flits = 6;
+  Packet pkt;
+  pkt.mcast_id = 1;
+  pkt.src = 0;
+  pkt.kind = HeaderKind::kTreeWorm;
+  pkt.tree_dests = NodeSet::FromVector(32, dests);
+  pkt.data_flits = 128;
+  pkt.header_flits = 6;
   h.fabric->InjectFromNi(0, std::move(pkt), 0);
   h.engine.RunToQuiescence();
 
@@ -209,7 +209,7 @@ TEST_P(FabricWormSweep, TreeWormExactlyOnceAndLegal) {
 
   // Every branch's recorded route is a legal up*/down* path.
   for (const auto& d : h.deliveries) {
-    const auto* hops = Fabric::HopsOf(*d.pkt);
+    const auto* hops = Fabric::HopsOf(d.pkt);
     ASSERT_NE(hops, nullptr);
     ASSERT_FALSE(hops->empty());
     // Last hop is the host ejection; earlier hops are switch moves.
@@ -229,13 +229,13 @@ TEST_P(FabricWormSweep, TreeWormBroadcastCoversAll) {
   Harness h(GenerateTopology(spec, GetParam() + 100));
   std::vector<NodeId> dests;
   for (NodeId n = 1; n < 32; ++n) dests.push_back(n);
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = 1;
-  pkt->src = 0;
-  pkt->kind = HeaderKind::kTreeWorm;
-  pkt->tree_dests = NodeSet::FromVector(32, dests);
-  pkt->data_flits = 32;
-  pkt->header_flits = 6;
+  Packet pkt;
+  pkt.mcast_id = 1;
+  pkt.src = 0;
+  pkt.kind = HeaderKind::kTreeWorm;
+  pkt.tree_dests = NodeSet::FromVector(32, dests);
+  pkt.data_flits = 32;
+  pkt.header_flits = 6;
   h.fabric->InjectFromNi(0, std::move(pkt), 0);
   h.engine.RunToQuiescence();
   EXPECT_EQ(h.deliveries.size(), 31u);
@@ -290,26 +290,26 @@ TEST(Fabric, PathWormFollowsPlannedRouteExactly) {
   route->steps[1].forward_port = kInvalidPort;
   route->steps[1].header_flits_after = 0;
 
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = 1;
-  pkt->src = 0;
-  pkt->kind = HeaderKind::kPathWorm;
-  pkt->path = route;
-  pkt->data_flits = 64;
-  pkt->header_flits = 4;
+  Packet pkt;
+  pkt.mcast_id = 1;
+  pkt.src = 0;
+  pkt.kind = HeaderKind::kPathWorm;
+  pkt.path = route;
+  pkt.data_flits = 64;
+  pkt.header_flits = 4;
   h.fabric->InjectFromNi(0, std::move(pkt), 0);
   h.engine.RunToQuiescence();
 
   ASSERT_EQ(h.deliveries.size(), 1u);
   EXPECT_EQ(h.deliveries[0].node, target);
-  const auto* hops = Fabric::HopsOf(*h.deliveries[0].pkt);
+  const auto* hops = Fabric::HopsOf(h.deliveries[0].pkt);
   ASSERT_NE(hops, nullptr);
   ASSERT_EQ(hops->size(), 2u);
   EXPECT_EQ((*hops)[0].sw, start);
   EXPECT_EQ((*hops)[0].out_port, up);
   EXPECT_EQ((*hops)[1].sw, next);
   // Header shrinks when the field is consumed at the forwarding switch.
-  EXPECT_EQ(h.deliveries[0].pkt->header_flits, 2);
+  EXPECT_EQ(h.deliveries[0].pkt.header_flits, 2);
 }
 
 TEST(Fabric, AllLocalTreeWormNeverTouchesSwitchLinks) {
@@ -323,13 +323,13 @@ TEST(Fabric, AllLocalTreeWormNeverTouchesSwitchLinks) {
     if (n != 0) dests.push_back(n);
   ASSERT_GE(dests.size(), 2u);
   Harness h(std::move(g));
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = 1;
-  pkt->src = 0;
-  pkt->kind = HeaderKind::kTreeWorm;
-  pkt->tree_dests = NodeSet::FromVector(32, dests);
-  pkt->data_flits = 32;
-  pkt->header_flits = 6;
+  Packet pkt;
+  pkt.mcast_id = 1;
+  pkt.src = 0;
+  pkt.kind = HeaderKind::kTreeWorm;
+  pkt.tree_dests = NodeSet::FromVector(32, dests);
+  pkt.data_flits = 32;
+  pkt.header_flits = 6;
   h.fabric->InjectFromNi(0, std::move(pkt), 0);
   h.engine.RunToQuiescence();
   EXPECT_EQ(h.deliveries.size(), dests.size());

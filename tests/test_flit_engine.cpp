@@ -20,37 +20,37 @@
 namespace irmc {
 namespace {
 
-PacketPtr Unicast(NodeId src, NodeId dst, int data_flits = 64) {
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = 1;
-  pkt->src = src;
-  pkt->kind = HeaderKind::kUnicast;
-  pkt->uni_dest = dst;
-  pkt->data_flits = data_flits;
-  pkt->header_flits = 2;
+Packet Unicast(NodeId src, NodeId dst, int data_flits = 64) {
+  Packet pkt;
+  pkt.mcast_id = 1;
+  pkt.src = src;
+  pkt.kind = HeaderKind::kUnicast;
+  pkt.uni_dest = dst;
+  pkt.data_flits = data_flits;
+  pkt.header_flits = 2;
   return pkt;
 }
 
 /// Runs the same injections through the packet-granular VCT fabric
 /// (deterministic routing) and returns node -> (head, tail).
 std::map<NodeId, std::pair<Cycles, Cycles>> RunVct(
-    const System& sys, const std::vector<std::pair<NodeId, PacketPtr>>& txs) {
+    const System& sys, const std::vector<std::pair<NodeId, Packet>>& txs) {
   Engine engine;
   NetParams params;
   params.adaptive = false;
   std::map<NodeId, std::pair<Cycles, Cycles>> out;
   Fabric fabric(engine, sys, params,
-                [&](NodeId n, const PacketPtr&, Cycles h, Cycles t) {
+                [&](NodeId n, const Packet&, Cycles h, Cycles t) {
                   out[n] = {h, t};
                 });
   for (const auto& [n, p] : txs)
-    fabric.InjectFromNi(n, std::make_shared<Packet>(*p), 0);
+    fabric.InjectFromNi(n, p, 0);
   engine.RunToQuiescence();
   return out;
 }
 
 std::map<NodeId, std::pair<Cycles, Cycles>> RunFlit(
-    const System& sys, const std::vector<std::pair<NodeId, PacketPtr>>& txs,
+    const System& sys, const std::vector<std::pair<NodeId, Packet>>& txs,
     int buffer_flits = 128) {
   Engine engine;
   NetParams params;
@@ -58,11 +58,11 @@ std::map<NodeId, std::pair<Cycles, Cycles>> RunFlit(
   params.buffer_flits = buffer_flits;
   std::map<NodeId, std::pair<Cycles, Cycles>> out;
   FlitEngine flit(engine, sys, params,
-                  [&](NodeId n, const PacketPtr&, Cycles h, Cycles t) {
+                  [&](NodeId n, const Packet&, Cycles h, Cycles t) {
                     out[n] = {h, t};
                   });
   for (const auto& [n, p] : txs)
-    flit.InjectFromNi(n, std::make_shared<Packet>(*p), 0);
+    flit.InjectFromNi(n, p, 0);
   engine.RunToQuiescence();
   return out;
 }
@@ -80,7 +80,7 @@ class EngineXCheck : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(EngineXCheck, UnicastZeroLoadAgreesExactly) {
   for (NodeId dst : {1, 7, 19, 31}) {
-    std::vector<std::pair<NodeId, PacketPtr>> txs{{0, Unicast(0, dst)}};
+    std::vector<std::pair<NodeId, Packet>> txs{{0, Unicast(0, dst)}};
     const auto vct = RunVct(*sys_, txs);
     const auto flit = RunFlit(*sys_, txs);
     ASSERT_EQ(vct.size(), 1u);
@@ -91,14 +91,14 @@ TEST_P(EngineXCheck, UnicastZeroLoadAgreesExactly) {
 
 TEST_P(EngineXCheck, TreeWormZeroLoadAgreesExactly) {
   std::vector<NodeId> dests{3, 9, 14, 22, 27, 31};
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = 1;
-  pkt->src = 0;
-  pkt->kind = HeaderKind::kTreeWorm;
-  pkt->tree_dests = NodeSet::FromVector(32, dests);
-  pkt->data_flits = 64;
-  pkt->header_flits = 6;
-  std::vector<std::pair<NodeId, PacketPtr>> txs{{0, pkt}};
+  Packet pkt;
+  pkt.mcast_id = 1;
+  pkt.src = 0;
+  pkt.kind = HeaderKind::kTreeWorm;
+  pkt.tree_dests = NodeSet::FromVector(32, dests);
+  pkt.data_flits = 64;
+  pkt.header_flits = 6;
+  std::vector<std::pair<NodeId, Packet>> txs{{0, pkt}};
   const auto vct = RunVct(*sys_, txs);
   const auto flit = RunFlit(*sys_, txs);
   ASSERT_EQ(vct.size(), dests.size());
@@ -120,7 +120,7 @@ TEST(FlitEngine, LineLatencyExact) {
   Engine engine;
   std::vector<std::pair<Cycles, Cycles>> deliveries;
   FlitEngine flit(engine, sys, {},
-                  [&](NodeId, const PacketPtr&, Cycles h, Cycles t) {
+                  [&](NodeId, const Packet&, Cycles h, Cycles t) {
                     deliveries.emplace_back(h, t);
                   });
   flit.InjectFromNi(0, Unicast(0, 2, 128), 0);
@@ -141,7 +141,7 @@ TEST(FlitEngine, IdleGapsCostNoCycles) {
   Engine engine;
   int delivered = 0;
   FlitEngine flit(engine, sys, {},
-                  [&](NodeId, const PacketPtr&, Cycles, Cycles) {
+                  [&](NodeId, const Packet&, Cycles, Cycles) {
                     ++delivered;
                   });
   flit.InjectFromNi(0, Unicast(0, 1, 50), 100'000);
@@ -172,7 +172,7 @@ TEST(FlitEngine, SmallBuffersStretchWormAcrossLinks) {
     params.buffer_flits = 4;
     std::vector<Cycles> heads;
     FlitEngine flit(engine, sys, params,
-                    [&](NodeId, const PacketPtr&, Cycles h, Cycles) {
+                    [&](NodeId, const Packet&, Cycles h, Cycles) {
                       heads.push_back(h);
                     });
     flit.InjectFromNi(0, Unicast(0, 2, 128), 0);
@@ -187,7 +187,7 @@ TEST(FlitEngine, SmallBuffersStretchWormAcrossLinks) {
     params.buffer_flits = 4;
     std::vector<Cycles> tails;
     FlitEngine flit(engine, sys, params,
-                    [&](NodeId, const PacketPtr&, Cycles, Cycles t) {
+                    [&](NodeId, const Packet&, Cycles, Cycles t) {
                       tails.push_back(t);
                     });
     flit.InjectFromNi(0, Unicast(0, 2, 128), 0);
@@ -222,7 +222,7 @@ TEST(FlitEngine, BlockTracePairsSumToBlockedCyclesCounter) {
   Tracer tracer;
   int delivered = 0;
   FlitEngine flit(engine, sys, params,
-                  [&](NodeId, const PacketPtr&, Cycles, Cycles) {
+                  [&](NodeId, const Packet&, Cycles, Cycles) {
                     ++delivered;
                   },
                   &tracer, &reg);
@@ -264,7 +264,7 @@ TEST(FlitEngine, MultipleInjectionsSameNodeSerialize) {
   Engine engine;
   std::vector<Cycles> heads;
   FlitEngine flit(engine, sys, {},
-                  [&](NodeId, const PacketPtr&, Cycles h, Cycles) {
+                  [&](NodeId, const Packet&, Cycles h, Cycles) {
                     heads.push_back(h);
                   });
   flit.InjectFromNi(0, Unicast(0, 1, 50), 0);
@@ -298,7 +298,7 @@ TEST(FlitEngineDeathTest, DeadlockHorizonNamesStuckWormsAndPorts) {
     params.buffer_flits = 4;
     params.deadlock_horizon = 16;  // far below the real drain time
     FlitEngine flit(engine, sys, params,
-                    [](NodeId, const PacketPtr&, Cycles, Cycles) {});
+                    [](NodeId, const Packet&, Cycles, Cycles) {});
     flit.InjectFromNi(0, Unicast(0, 2, 128), 0);
     flit.InjectFromNi(1, Unicast(1, 3, 128), 0);
     engine.RunToQuiescence();
@@ -329,7 +329,7 @@ TEST_P(ContendedXCheck, EnginesAgreeExactlyUnderContention) {
     NetParams params;
     params.adaptive = false;
     Fabric fabric(engine, *sys, params,
-                  [&](NodeId n, const PacketPtr&, Cycles h, Cycles t) {
+                  [&](NodeId n, const Packet&, Cycles h, Cycles t) {
                     vct_set.insert({n, h, t});
                   });
     for (const auto& [s, t, r] : txs)
@@ -341,7 +341,7 @@ TEST_P(ContendedXCheck, EnginesAgreeExactlyUnderContention) {
     NetParams params;
     params.adaptive = false;
     FlitEngine flit(engine, *sys, params,
-                    [&](NodeId n, const PacketPtr&, Cycles h, Cycles t) {
+                    [&](NodeId n, const Packet&, Cycles h, Cycles t) {
                       flit_set.insert({n, h, t});
                     });
     for (const auto& [s, t, r] : txs) flit.InjectFromNi(s, Unicast(s, t), r);
@@ -360,8 +360,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ContendedXCheck,
 // channel left marked busy after its branches were cut would keep the
 // engine ticking and show up in the stepped count.
 
-PacketPtr Tagged(PacketPtr pkt, std::int64_t mcast_id) {
-  pkt->mcast_id = mcast_id;
+Packet Tagged(Packet pkt, std::int64_t mcast_id) {
+  pkt.mcast_id = mcast_id;
   return pkt;
 }
 
@@ -384,13 +384,13 @@ FaultRecord RunWithCut(const System& sys, SwitchId sw, PortId port,
   params.adaptive = false;
   FaultRecord rec;
   FlitEngine flit(engine, sys, params,
-                  [&](NodeId, const PacketPtr& p, Cycles h, Cycles t) {
-                    EXPECT_TRUE(rec.delivered.emplace(p->mcast_id,
+                  [&](NodeId, const Packet& p, Cycles h, Cycles t) {
+                    EXPECT_TRUE(rec.delivered.emplace(p.mcast_id,
                                                       std::pair{h, t})
                                     .second);
                   });
-  flit.SetDropHandler([&](const PacketPtr& p, Cycles, SwitchId where) {
-    rec.drops.emplace_back(p->mcast_id, where);
+  flit.SetDropHandler([&](const Packet& p, Cycles, SwitchId where) {
+    rec.drops.emplace_back(p.mcast_id, where);
   });
   inject(flit);
   engine.ScheduleAt(cut, [&flit, sw, port]() { flit.FailLink(sw, port); });
@@ -477,12 +477,12 @@ TEST(FlitEngineFailLink, CascadeKillsDownstreamWorms) {
   g.AttachHost(3, 5);  // node 3
   g.AttachHost(2, 5);  // node 4
   const System sys{std::move(g)};
-  auto tree = std::make_shared<Packet>();
-  tree->src = 0;
-  tree->kind = HeaderKind::kTreeWorm;
-  tree->tree_dests = NodeSet::FromVector(5, {1, 2});
-  tree->data_flits = 128;
-  tree->header_flits = 4;
+  Packet tree;
+  tree.src = 0;
+  tree.kind = HeaderKind::kTreeWorm;
+  tree.tree_dests = NodeSet::FromVector(5, {1, 2});
+  tree.data_flits = 128;
+  tree.header_flits = 4;
   std::int64_t stepped = 0;
   const FaultRecord rec = RunWithCut(
       sys, 0, 0, 60,
@@ -512,11 +512,11 @@ TEST(FlitEngineFailLink, CutKeepsTheHighWaterOfTheKilledCopy) {
   params.adaptive = false;
   MetricsRegistry reg;
   FlitEngine flit(engine, sys, params,
-                  [](NodeId, const PacketPtr&, Cycles, Cycles) {}, nullptr,
+                  [](NodeId, const Packet&, Cycles, Cycles) {}, nullptr,
                   &reg);
   std::vector<std::int64_t> drops;
-  flit.SetDropHandler([&drops](const PacketPtr& p, Cycles, SwitchId) {
-    drops.push_back(p->mcast_id);
+  flit.SetDropHandler([&drops](const Packet& p, Cycles, SwitchId) {
+    drops.push_back(p.mcast_id);
   });
   flit.InjectFromNi(4, Tagged(Unicast(4, 2, 128), 2), 0);
   flit.InjectFromNi(0, Tagged(Unicast(0, 3, 128), 1), 0);

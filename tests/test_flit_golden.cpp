@@ -1,19 +1,23 @@
-// Golden digests of flit-engine runs.
+// Golden digests of network-engine runs, on both engines.
 //
 // Each digest is FNV-1a 64 over everything a run makes observable:
 //
-//  * engine-level runs (a FlitEngine driven directly by open-loop
-//    packet traffic): every delivery as (mcast, packet, node, head,
-//    tail), every drop, flits_sent() sampled mid-run, the per-channel
-//    link reports, the metrics registry and the trace event stream;
+//  * engine-level runs (an engine built by MakeNetworkModel and driven
+//    directly by open-loop packet traffic): every delivery as (mcast,
+//    packet, node, head, tail) plus its hop log when routes are
+//    recorded, every drop, flits_sent() sampled mid-run, the
+//    per-channel link reports, the metrics registry and the trace
+//    event stream;
 //  * driver-level runs (the load and single-multicast runners the CLI
 //    and the figures use, all four schemes, faults included): the run's
 //    results, the metrics registry and the trace event stream, which
 //    holds every NI delivery, host delivery and drop.
 //
-// The values were recorded before the flit engine learned to advance
-// streaming worms in closed form; any change to what the engine
-// delivers, when, or what it counts on the way changes a digest.
+// The flit values were recorded before the flit engine learned to
+// advance streaming worms in closed form, the VCT values before packets
+// became engine-owned values (the VCT cases cover the Fabric's drop and
+// cut paths and its hop logs). Any change to what an engine delivers,
+// when, or what it counts on the way changes a digest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +30,7 @@
 #include "core/load_runner.hpp"
 #include "core/single_runner.hpp"
 #include "metrics/export.hpp"
+#include "network/fabric.hpp"
 #include "network/flit_engine.hpp"
 #include "topology/system.hpp"
 #include "trace/export.hpp"
@@ -53,17 +58,20 @@ struct Digest {
 
 enum class Traffic { kUnicast, kTreeWorm };
 
-/// Open-loop traffic straight into a FlitEngine on the paper's default
-/// system: every node injects a packet at exponential gaps until cycle
-/// 20'000 (unicast to a random node, or a tree worm to 8 random nodes).
-/// `cut` > 0 fails the first switch-to-switch link of switch 0 then;
-/// `slow` sets (link, route, xbar) delays to (2, 3, 4).
-std::uint64_t EngineRun(Traffic traffic, int buffer_flits, double gap,
-                        Cycles cut = 0, bool slow = false) {
+/// Open-loop traffic straight into the `kind` engine on the paper's
+/// default system: every node injects a packet at exponential gaps until
+/// cycle 20'000 (unicast to a random node, or a tree worm to 8 random
+/// nodes). `cut` > 0 fails the first switch-to-switch link of switch 0
+/// then; `slow` sets (link, route, xbar) delays to (2, 3, 4); `record`
+/// turns on per-packet hop logs and hashes every delivered packet's.
+std::uint64_t EngineRun(EngineKind kind, Traffic traffic, int buffer_flits,
+                        double gap, Cycles cut = 0, bool slow = false,
+                        bool record = false) {
   const auto sys = System::Build({}, 3);
   Engine engine;
   NetParams params;
   params.buffer_flits = buffer_flits;
+  params.record_routes = record;
   if (slow) {
     params.link_delay = 2;
     params.route_delay = 3;
@@ -72,39 +80,47 @@ std::uint64_t EngineRun(Traffic traffic, int buffer_flits, double gap,
   MetricsRegistry reg;
   Tracer tracer;
   Digest d;
-  FlitEngine flit(
-      engine, *sys, params,
-      [&](NodeId n, const PacketPtr& p, Cycles head, Cycles tail) {
-        d.Num(static_cast<double>(p->mcast_id));
-        d.Num(p->pkt_index);
+  const auto net = MakeNetworkModel(
+      kind, engine, *sys, params,
+      [&](NodeId n, const Packet& p, Cycles head, Cycles tail) {
+        d.Num(static_cast<double>(p.mcast_id));
+        d.Num(p.pkt_index);
         d.Num(n);
         d.Num(static_cast<double>(head));
         d.Num(static_cast<double>(tail));
+        if (const auto* hops = NetworkModel::HopsOf(p)) {
+          d.Bytes("hops");
+          for (const HopRecord& h : *hops) {
+            d.Num(h.sw);
+            d.Num(h.out_port);
+          }
+        }
       },
       &tracer, &reg);
   if (cut > 0) {
-    flit.SetDropHandler([&](const PacketPtr& p, Cycles when, SwitchId sw) {
+    net->SetDropHandler([&](const Packet& p, Cycles when, SwitchId sw) {
       d.Bytes("drop");
-      d.Num(static_cast<double>(p->mcast_id));
+      d.Num(static_cast<double>(p.mcast_id));
       d.Num(static_cast<double>(when));
       d.Num(sw);
     });
     PortId port = 0;
     while (sys->graph.port(0, port).kind != PortKind::kSwitch) ++port;
-    engine.ScheduleAt(cut, [&flit, port]() { flit.FailLink(0, port); });
+    engine.ScheduleAt(cut, [&net, port]() { net->FailLink(0, port); });
   }
   const int nodes = sys->num_nodes();
   Rng rng(11);
   std::int64_t next_id = 0;
+  std::vector<Packet> sends;
   for (NodeId src = 0; src < nodes; ++src) {
     Cycles t = 0;
     while (true) {
       t += 1 + static_cast<Cycles>(rng.NextExponential(gap));
       if (t >= 20'000) break;
-      auto pkt = std::make_shared<Packet>();
-      pkt->mcast_id = next_id++;
-      pkt->src = src;
-      pkt->data_flits = 128;
+      Packet pkt;
+      pkt.mcast_id = next_id++;
+      pkt.src = src;
+      pkt.data_flits = 128;
       const auto draw = rng.SampleWithoutReplacement(nodes - 1, 8);
       auto other = [src](std::uint64_t v) {
         return static_cast<NodeId>(v >= static_cast<std::uint64_t>(src)
@@ -112,33 +128,39 @@ std::uint64_t EngineRun(Traffic traffic, int buffer_flits, double gap,
                                        : v);
       };
       if (traffic == Traffic::kUnicast) {
-        pkt->kind = HeaderKind::kUnicast;
-        pkt->uni_dest = other(draw[0]);
-        pkt->header_flits = 2;
+        pkt.kind = HeaderKind::kUnicast;
+        pkt.uni_dest = other(draw[0]);
+        pkt.header_flits = 2;
       } else {
         std::vector<NodeId> dests;
         for (std::uint64_t v : draw) dests.push_back(other(v));
-        pkt->kind = HeaderKind::kTreeWorm;
-        pkt->tree_dests = NodeSet::FromVector(nodes, dests);
-        pkt->header_flits = HeaderSizing{}.TreeWormFlits(nodes);
+        pkt.kind = HeaderKind::kTreeWorm;
+        pkt.tree_dests = NodeSet::FromVector(nodes, dests);
+        pkt.header_flits = HeaderSizing{}.TreeWormFlits(nodes);
       }
-      engine.ScheduleAt(t, [&flit, src, pkt, t]() {
-        flit.InjectFromNi(src, pkt, t + 7);
+      // An event capture holds at most 64 bytes: the packet waits in
+      // `sends` and the event carries its index.
+      sends.push_back(std::move(pkt));
+      engine.ScheduleAt(t, [&net, &sends, i = sends.size() - 1, src, t]() {
+        net->InjectFromNi(src, std::move(sends[i]), t + 7);
       });
     }
   }
   // Reads mid-stream must see every flit sent so far.
   for (Cycles at : {5'003, 12'007, 19'011})
-    engine.ScheduleAt(at, [&d, &flit]() {
-      d.Num(static_cast<double>(flit.flits_sent()));
+    engine.ScheduleAt(at, [&d, &net]() {
+      d.Num(static_cast<double>(net->flits_sent()));
     });
   engine.RunToQuiescence();
-  flit.CollectMetrics(engine.Now());
-  for (const LinkLoadReport& r : flit.LinkReports(engine.Now())) {
+  net->CollectMetrics(engine.Now());
+  for (const LinkLoadReport& r : net->LinkReports(engine.Now())) {
     d.Num(static_cast<double>(r.flits));
     d.Num(r.utilization);
   }
-  d.Num(static_cast<double>(flit.cycles_stepped()));
+  if (const auto* flit = dynamic_cast<const FlitEngine*>(net.get()))
+    d.Num(static_cast<double>(flit->cycles_stepped()));
+  if (const auto* fabric = dynamic_cast<const Fabric*>(net.get()))
+    d.Num(static_cast<double>(fabric->packets_switched()));
   d.Bytes(ToJson(reg));
   d.Bytes(ToJsonLines(tracer));
   return d.h;
@@ -146,10 +168,10 @@ std::uint64_t EngineRun(Traffic traffic, int buffer_flits, double gap,
 
 // --- driver level -----------------------------------------------------------
 
-std::uint64_t LoadRun(SchemeKind scheme, int buffer_flits, double load,
-                      double mtbf = 0.0) {
+std::uint64_t LoadRun(EngineKind kind, SchemeKind scheme, int buffer_flits,
+                      double load, double mtbf = 0.0) {
   LoadRunSpec spec;
-  spec.cfg.engine = EngineKind::kFlit;
+  spec.cfg.engine = kind;
   spec.cfg.net.buffer_flits = buffer_flits;
   if (mtbf > 0.0) {
     spec.cfg.resilience.enabled = true;
@@ -176,9 +198,9 @@ std::uint64_t LoadRun(SchemeKind scheme, int buffer_flits, double load,
   return d.h;
 }
 
-std::uint64_t SingleRun(SchemeKind scheme) {
+std::uint64_t SingleRun(EngineKind kind, SchemeKind scheme) {
   SingleRunSpec spec;
-  spec.cfg.engine = EngineKind::kFlit;
+  spec.cfg.engine = kind;
   spec.scheme = scheme;
   spec.multicast_size = 15;
   spec.topologies = 4;
@@ -201,53 +223,121 @@ std::uint64_t SingleRun(SchemeKind scheme) {
     EXPECT_EQ(got_, want##ull) << "digest 0x" << std::hex << got_;       \
   } while (0)
 
+constexpr EngineKind kFlit = EngineKind::kFlit;
+constexpr EngineKind kVct = EngineKind::kVct;
+
 TEST(FlitGolden, EngineUnicastSmallBuffers) {
-  EXPECT_DIGEST(EngineRun(Traffic::kUnicast, 4, 900.0), 0xf8867dbdb94264a2);
-  EXPECT_DIGEST(EngineRun(Traffic::kUnicast, 16, 900.0), 0x242bc376b19a4d0e);
-  EXPECT_DIGEST(EngineRun(Traffic::kUnicast, 64, 900.0), 0xd391ff739ab4a2f2);
+  EXPECT_DIGEST(EngineRun(kFlit, Traffic::kUnicast, 4, 900.0),
+                0xf8867dbdb94264a2);
+  EXPECT_DIGEST(EngineRun(kFlit, Traffic::kUnicast, 16, 900.0),
+                0x242bc376b19a4d0e);
+  EXPECT_DIGEST(EngineRun(kFlit, Traffic::kUnicast, 64, 900.0),
+                0xd391ff739ab4a2f2);
 }
 
 TEST(FlitGolden, EngineTreeWormsAndCut) {
-  EXPECT_DIGEST(EngineRun(Traffic::kTreeWorm, 256, 2'500.0),
+  EXPECT_DIGEST(EngineRun(kFlit, Traffic::kTreeWorm, 256, 2'500.0),
                 0x204a6ba1e2704d50);
-  EXPECT_DIGEST(EngineRun(Traffic::kTreeWorm, 256, 2'500.0, 6'000),
+  EXPECT_DIGEST(EngineRun(kFlit, Traffic::kTreeWorm, 256, 2'500.0, 6'000),
                 0x9a349e6006e71664);
 }
 
 TEST(FlitGolden, EngineAtNonUnitDelays) {
-  EXPECT_DIGEST(EngineRun(Traffic::kUnicast, 16, 900.0, 0, true),
+  EXPECT_DIGEST(EngineRun(kFlit, Traffic::kUnicast, 16, 900.0, 0, true),
                 0x5a3de2a8318b014a);
-  EXPECT_DIGEST(EngineRun(Traffic::kTreeWorm, 256, 2'500.0, 0, true),
+  EXPECT_DIGEST(EngineRun(kFlit, Traffic::kTreeWorm, 256, 2'500.0, 0, true),
                 0xcd6c157eba8d2099);
 }
 
 TEST(FlitGolden, UniBinomialLoadAtSmallBuffers) {
-  EXPECT_DIGEST(LoadRun(SchemeKind::kUnicastBinomial, 4, 0.05),
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kUnicastBinomial, 4, 0.05),
                 0x24c981d32ffd8f8a);
-  EXPECT_DIGEST(LoadRun(SchemeKind::kUnicastBinomial, 16, 0.05),
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kUnicastBinomial, 16, 0.05),
                 0xd99a1c78d1f10e39);
-  EXPECT_DIGEST(LoadRun(SchemeKind::kUnicastBinomial, 64, 0.05),
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kUnicastBinomial, 64, 0.05),
                 0xa7c1114d5b89834e);
 }
 
 TEST(FlitGolden, NiKBinomialLoadAtSmallBuffers) {
-  EXPECT_DIGEST(LoadRun(SchemeKind::kNiKBinomial, 4, 0.05), 0xf570667a6ed6bc61);
-  EXPECT_DIGEST(LoadRun(SchemeKind::kNiKBinomial, 16, 0.05),
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kNiKBinomial, 4, 0.05),
+                0xf570667a6ed6bc61);
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kNiKBinomial, 16, 0.05),
                 0x25f6c949e53fe765);
-  EXPECT_DIGEST(LoadRun(SchemeKind::kNiKBinomial, 64, 0.05),
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kNiKBinomial, 64, 0.05),
                 0x18c3e93c6f04e64e);
 }
 
 TEST(FlitGolden, WormSchemesAtDefaultBuffers) {
-  EXPECT_DIGEST(SingleRun(SchemeKind::kTreeWorm), 0x461abb4d9c5b60e7);
-  EXPECT_DIGEST(SingleRun(SchemeKind::kPathWorm), 0x6d651a126f6b6f97);
-  EXPECT_DIGEST(LoadRun(SchemeKind::kTreeWorm, 256, 0.2), 0xca059410b409e2e7);
-  EXPECT_DIGEST(LoadRun(SchemeKind::kPathWorm, 256, 0.1), 0xf327879b9e63f482);
+  EXPECT_DIGEST(SingleRun(kFlit, SchemeKind::kTreeWorm), 0x461abb4d9c5b60e7);
+  EXPECT_DIGEST(SingleRun(kFlit, SchemeKind::kPathWorm), 0x6d651a126f6b6f97);
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kTreeWorm, 256, 0.2),
+                0xca059410b409e2e7);
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kPathWorm, 256, 0.1),
+                0xf327879b9e63f482);
 }
 
 TEST(FlitGolden, TreeWormLoadWithFaults) {
-  EXPECT_DIGEST(LoadRun(SchemeKind::kTreeWorm, 256, 0.2, 6'000.0),
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kTreeWorm, 256, 0.2, 6'000.0),
                 0xedac921fc2387c64);
+}
+
+// The VCT Fabric ignores buffer_flits (it holds whole packets in
+// input_slots), so its runs pass the default.
+
+TEST(VctGolden, EngineUnicastAndTreeWorms) {
+  EXPECT_DIGEST(EngineRun(kVct, Traffic::kUnicast, 256, 900.0),
+                0x8264f33a0e0fc9b4);
+  EXPECT_DIGEST(EngineRun(kVct, Traffic::kUnicast, 256, 300.0),
+                0xb5c37d4977dbc868);
+  EXPECT_DIGEST(EngineRun(kVct, Traffic::kTreeWorm, 256, 2'500.0),
+                0xae759a3c888b7b48);
+}
+
+TEST(VctGolden, EngineCutWithDropHandler) {
+  EXPECT_DIGEST(EngineRun(kVct, Traffic::kUnicast, 256, 300.0, 6'000),
+                0x1326f78844998fa5);
+  EXPECT_DIGEST(EngineRun(kVct, Traffic::kTreeWorm, 256, 2'500.0, 6'000),
+                0x869e084c75af225);
+}
+
+TEST(VctGolden, EngineAtNonUnitDelays) {
+  EXPECT_DIGEST(EngineRun(kVct, Traffic::kUnicast, 256, 900.0, 0, true),
+                0xf527b658839d44a5);
+  EXPECT_DIGEST(EngineRun(kVct, Traffic::kTreeWorm, 256, 2'500.0, 0, true),
+                0xaf4994a8e25ef644);
+}
+
+TEST(VctGolden, EngineHopLogs) {
+  EXPECT_DIGEST(
+      EngineRun(kVct, Traffic::kUnicast, 256, 900.0, 0, false, true),
+      0x76c17b9c560f569b);
+  EXPECT_DIGEST(
+      EngineRun(kVct, Traffic::kTreeWorm, 256, 2'500.0, 0, false, true),
+      0xea2ea9d93cacde99);
+}
+
+TEST(VctGolden, AllSchemesSingleAndLoad) {
+  EXPECT_DIGEST(SingleRun(kVct, SchemeKind::kUnicastBinomial),
+                0x995f54d3f354c3b4);
+  EXPECT_DIGEST(SingleRun(kVct, SchemeKind::kNiKBinomial), 0x54ef9ef1a215b1ed);
+  EXPECT_DIGEST(SingleRun(kVct, SchemeKind::kTreeWorm), 0x98f1a64c69b81a87);
+  EXPECT_DIGEST(SingleRun(kVct, SchemeKind::kPathWorm), 0x6fa3212b38baeada);
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kUnicastBinomial, 256, 0.05),
+                0xeb088128255ac041);
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kNiKBinomial, 256, 0.05),
+                0x2685379ef48f5220);
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kTreeWorm, 256, 0.2),
+                0x8ad4e54b6f19343);
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kPathWorm, 256, 0.1),
+                0x72e46ccd2195f25f);
+}
+
+TEST(VctGolden, LoadWithFaults) {
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kTreeWorm, 256, 0.2, 6'000.0),
+                0xdb0798d7ec839bf9);
+  EXPECT_DIGEST(
+      LoadRun(kVct, SchemeKind::kUnicastBinomial, 256, 0.05, 6'000.0),
+      0x352b2a1ffcea5ed1);
 }
 
 }  // namespace

@@ -50,8 +50,13 @@ TEST(FaultSchedule, ParseFormatRoundTrip) {
 
 TEST(FaultSchedule, ParseRejectsMalformedInput) {
   std::vector<TimedFault> out{{7, 7, 7}};  // must stay untouched
-  for (const char* bad : {"", "abc", "1:2", "1:2:3:4", "-1:0:0", "1:-2:0",
-                          "1:0:-3", "1:2:3,", ",1:2:3", "1:2:x"}) {
+  for (const char* bad :
+       {"", "abc", "1:2", "1:2:3:4", "-1:0:0", "1:-2:0", "1:0:-3", "1:2:3,",
+        ",1:2:3", "1:2:x",
+        // Fields that do not fit their type must not wrap (the switch
+        // here would read as 1, the port as 2).
+        "100:4294967297:2", "100:1:4294967298", "100:2147483648:0",
+        "99999999999999999999:0:0"}) {
     EXPECT_FALSE(ParseFaultSchedule(bad, &out)) << "input: " << bad;
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].at, 7);

@@ -24,25 +24,25 @@ PortLoadFn ZeroLoad() {
   return [](SwitchId, PortId) { return 0; };
 }
 
-PacketPtr UnicastPkt(NodeId src, NodeId dst) {
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = 1;
-  pkt->src = src;
-  pkt->kind = HeaderKind::kUnicast;
-  pkt->uni_dest = dst;
-  pkt->data_flits = 64;
-  pkt->header_flits = 2;
+Packet UnicastPkt(NodeId src, NodeId dst) {
+  Packet pkt;
+  pkt.mcast_id = 1;
+  pkt.src = src;
+  pkt.kind = HeaderKind::kUnicast;
+  pkt.uni_dest = dst;
+  pkt.data_flits = 64;
+  pkt.header_flits = 2;
   return pkt;
 }
 
-PacketPtr TreePkt(NodeId src, int capacity, std::vector<NodeId> dests) {
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = 1;
-  pkt->src = src;
-  pkt->kind = HeaderKind::kTreeWorm;
-  pkt->tree_dests = NodeSet::FromVector(capacity, dests);
-  pkt->data_flits = 64;
-  pkt->header_flits = HeaderSizing{}.TreeWormFlits(capacity);
+Packet TreePkt(NodeId src, int capacity, std::vector<NodeId> dests) {
+  Packet pkt;
+  pkt.mcast_id = 1;
+  pkt.src = src;
+  pkt.kind = HeaderKind::kTreeWorm;
+  pkt.tree_dests = NodeSet::FromVector(capacity, dests);
+  pkt.data_flits = 64;
+  pkt.header_flits = HeaderSizing{}.TreeWormFlits(capacity);
   return pkt;
 }
 
@@ -65,7 +65,7 @@ TEST(RouteLogicUnicast, LocalDestinationDropsToItsHostPort) {
   ComputeRouteBranches(sys, 0, UnicastPkt(0, 1), false, ZeroLoad(), out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].port, sys.graph.host(1).port);
-  EXPECT_EQ(out[0].pkt->uni_dest, 1);
+  EXPECT_EQ(out[0].pkt.uni_dest, 1);
 }
 
 TEST(RouteLogicUnicast, DeterministicFollowsFirstCandidateIgnoringLoad) {
@@ -115,7 +115,7 @@ TEST(RouteLogicUnicast, AdaptiveBreaksTiesTowardTheFirstCandidate) {
   ComputeRouteBranches(sys, 0, UnicastPkt(0, 2), true, ZeroLoad(), out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].port, 0);
-  EXPECT_EQ(out[0].pkt->phase, RoutePhase::kDownOnly);  // down move
+  EXPECT_EQ(out[0].pkt.phase, RoutePhase::kDownOnly);  // down move
 }
 
 // --- tree-worm decisions and header narrowing ------------------------
@@ -127,13 +127,13 @@ TEST(RouteLogicTree, LocalDropsComeFirstWithSingletonHeaders) {
   ASSERT_EQ(out.size(), 2u);
   // Host drop first (node 1), narrowed to a singleton bit-string.
   EXPECT_EQ(out[0].port, sys.graph.host(1).port);
-  EXPECT_TRUE(out[0].pkt->tree_dests.Test(1));
-  EXPECT_EQ(out[0].pkt->tree_dests.ToVector().size(), 1u);
+  EXPECT_TRUE(out[0].pkt.tree_dests.Test(1));
+  EXPECT_EQ(out[0].pkt.tree_dests.ToVector().size(), 1u);
   // Then the down forward toward node 2, header narrowed to {2}.
   EXPECT_EQ(out[1].port, 0);
-  EXPECT_EQ(out[1].pkt->phase, RoutePhase::kDownOnly);
-  EXPECT_TRUE(out[1].pkt->tree_dests.Test(2));
-  EXPECT_FALSE(out[1].pkt->tree_dests.Test(1));
+  EXPECT_EQ(out[1].pkt.phase, RoutePhase::kDownOnly);
+  EXPECT_TRUE(out[1].pkt.tree_dests.Test(2));
+  EXPECT_FALSE(out[1].pkt.tree_dests.Test(1));
 }
 
 TEST(RouteLogicTree, DownReplicationPartitionsByPrimaryStrings) {
@@ -160,16 +160,16 @@ TEST(RouteLogicTree, DownReplicationPartitionsByPrimaryStrings) {
       continue;
     }
     ASSERT_EQ(port.kind, PortKind::kSwitch);
-    if (b.pkt->phase == RoutePhase::kDownOnly) {
+    if (b.pkt.phase == RoutePhase::kDownOnly) {
       EXPECT_TRUE(
-          b.pkt->tree_dests.IsSubsetOf(sys.reach.Primary(src_sw, b.port)));
+          b.pkt.tree_dests.IsSubsetOf(sys.reach.Primary(src_sw, b.port)));
     }
-    for (NodeId n : b.pkt->tree_dests.ToVector()) {
+    for (NodeId n : b.pkt.tree_dests.ToVector()) {
       EXPECT_FALSE(covered.Test(n)) << "node " << n << " delivered twice";
       covered.Set(n);
     }
   }
-  EXPECT_EQ(covered, pkt->tree_dests);
+  EXPECT_EQ(covered, pkt.tree_dests);
 }
 
 TEST(RouteLogicTree, DecisionReplicatesWhenDownCoverable) {
@@ -224,7 +224,7 @@ TEST(RouteLogicTree, DecisionFallsBackToAllUpsWhenNoPeerSuffices) {
   ComputeRouteBranches(sys, 3, TreePkt(2, 3, {0, 1}), true, load, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].port, d.ports[1]);
-  EXPECT_EQ(out[0].pkt->phase, RoutePhase::kUpAllowed);
+  EXPECT_EQ(out[0].pkt.phase, RoutePhase::kUpAllowed);
 }
 
 // --- path-worm header consumption ------------------------------------
@@ -243,14 +243,14 @@ TEST(RouteLogicPath, StepsDeliverThenForwardAndStripHeaderFields) {
   route->steps.push_back({1, {1}, 1, 2});
   route->steps.push_back({2, {2}, kInvalidPort, 0});
 
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = 1;
-  pkt->src = 0;
-  pkt->kind = HeaderKind::kPathWorm;
-  pkt->data_flits = 64;
-  pkt->header_flits = 6;
-  pkt->path = route;
-  pkt->path_cursor = 1;
+  Packet pkt;
+  pkt.mcast_id = 1;
+  pkt.src = 0;
+  pkt.kind = HeaderKind::kPathWorm;
+  pkt.data_flits = 64;
+  pkt.header_flits = 6;
+  pkt.path = route;
+  pkt.path_cursor = 1;
 
   std::vector<RouteBranch> out;
   ComputeRouteBranches(sys, 1, pkt, false, ZeroLoad(), out);
@@ -259,9 +259,9 @@ TEST(RouteLogicPath, StepsDeliverThenForwardAndStripHeaderFields) {
   // stripped from the wire header and the cursor advanced.
   EXPECT_EQ(out[0].port, sys.graph.host(1).port);
   EXPECT_EQ(out[1].port, 1);
-  EXPECT_EQ(out[1].pkt->path_cursor, 2u);
-  EXPECT_EQ(out[1].pkt->header_flits, 2);
-  EXPECT_EQ(out[1].pkt->phase, RoutePhase::kDownOnly);
+  EXPECT_EQ(out[1].pkt.path_cursor, 2u);
+  EXPECT_EQ(out[1].pkt.header_flits, 2);
+  EXPECT_EQ(out[1].pkt.phase, RoutePhase::kDownOnly);
 
   // Terminal step: only the drop, no forward branch.
   std::vector<RouteBranch> last;
@@ -289,25 +289,26 @@ TEST(RouteLogicPath, DownOnlyWormNamingAnUpPortIsStale) {
   route->steps.push_back({1, {1}, 0, 2});
   route->steps.push_back({0, {0}, kInvalidPort, 0});
 
-  auto pkt = std::make_shared<Packet>();
-  pkt->mcast_id = 1;
-  pkt->src = 2;
-  pkt->kind = HeaderKind::kPathWorm;
-  pkt->data_flits = 64;
-  pkt->header_flits = 4;
-  pkt->path = route;
-  pkt->path_cursor = 1;
-  pkt->phase = RoutePhase::kDownOnly;
+  Packet pkt;
+  pkt.mcast_id = 1;
+  pkt.src = 2;
+  pkt.kind = HeaderKind::kPathWorm;
+  pkt.data_flits = 64;
+  pkt.header_flits = 4;
+  pkt.path = route;
+  pkt.path_cursor = 1;
+  pkt.phase = RoutePhase::kDownOnly;
 
   std::vector<RouteBranch> out(1);  // a prior entry that must survive
-  const PacketPtr sentinel = std::make_shared<Packet>();
-  out[0].pkt = sentinel;
+  out[0].pkt.mcast_id = 77;
+  out[0].port = 3;
   EXPECT_FALSE(TryComputeRouteBranches(sys, 1, pkt, false, ZeroLoad(), out));
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].pkt, sentinel);
+  EXPECT_EQ(out[0].pkt.mcast_id, 77);
+  EXPECT_EQ(out[0].port, 3);
 
   // The same step is legal while the worm may still climb.
-  pkt->phase = RoutePhase::kUpAllowed;
+  pkt.phase = RoutePhase::kUpAllowed;
   EXPECT_TRUE(TryComputeRouteBranches(sys, 1, pkt, false, ZeroLoad(), out));
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[2].port, 0);
@@ -318,19 +319,29 @@ TEST(RouteLogicPath, DownOnlyWormNamingAnUpPortIsStale) {
 TEST(RouteLogicHops, BranchesRecordTheirOwnHops) {
   const System sys = TwoSwitchSystem();
   auto pkt = TreePkt(0, 3, {1, 2});
-  pkt->hop_log = std::make_shared<std::vector<HopRecord>>();
+  pkt.hop_log.Start();
   std::vector<RouteBranch> out;
   ComputeRouteBranches(sys, 0, pkt, false, ZeroLoad(), out);
   ASSERT_EQ(out.size(), 2u);
   for (const RouteBranch& b : out) {
-    ASSERT_NE(b.pkt->hop_log, nullptr);
-    ASSERT_EQ(b.pkt->hop_log->size(), 1u);
-    EXPECT_EQ(b.pkt->hop_log->back().sw, 0);
-    EXPECT_EQ(b.pkt->hop_log->back().out_port, b.port);
-    // Forked per branch: the original log is untouched.
-    EXPECT_NE(b.pkt->hop_log.get(), pkt->hop_log.get());
+    const std::vector<HopRecord>* hops = b.pkt.hop_log.hops();
+    ASSERT_NE(hops, nullptr);
+    ASSERT_EQ(hops->size(), 1u);
+    EXPECT_EQ(hops->back().sw, 0);
+    EXPECT_EQ(hops->back().out_port, b.port);
   }
-  EXPECT_TRUE(pkt->hop_log->empty());
+  // Forked per branch: the original log is untouched, and a hop one
+  // branch records later shows in no other log.
+  EXPECT_TRUE(pkt.hop_log.hops()->empty());
+  out[0].pkt.hop_log.Record(HopRecord{1, 2});
+  EXPECT_EQ(out[0].pkt.hop_log.hops()->size(), 2u);
+  EXPECT_EQ(out[1].pkt.hop_log.hops()->size(), 1u);
+  EXPECT_TRUE(pkt.hop_log.hops()->empty());
+  // A packet that records no hops gains no log by replication.
+  const Packet plain = TreePkt(0, 3, {1, 2});
+  out.clear();
+  ComputeRouteBranches(sys, 0, plain, false, ZeroLoad(), out);
+  for (const RouteBranch& b : out) EXPECT_EQ(b.pkt.hop_log.hops(), nullptr);
 }
 
 }  // namespace

@@ -244,7 +244,7 @@ TEST_P(LinkReportsDeathTest, SwapSystemRejectsADifferentShape) {
   Engine engine;
   const auto net = MakeNetworkModel(
       GetParam(), engine, *sys, NetParams{},
-      [](NodeId, const PacketPtr&, Cycles, Cycles) {});
+      [](NodeId, const Packet&, Cycles, Cycles) {});
   const auto same_shape = System::Build({}, 43);
   net->SwapSystem(*same_shape);  // accepted
   TopologySpec more_switches;

@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -120,55 +121,67 @@ int MaybeWriteTrace(const TraceSpec& spec, const Tracer& tracer) {
   return 0;
 }
 
-/// Integer option that must be at least 1: anything smaller exits with
-/// status 2 and the accepted range, like a bad choice value.
-int GetAtLeastOne(const Args& args, const std::string& key, int fallback) {
-  const long value = args.GetInt(key, fallback);
-  if (value >= 1) return static_cast<int>(value);
-  std::fprintf(stderr,
-               "invalid value for --%s: '%s' (accepted: integers >= 1)\n",
-               key.c_str(), args.GetString(key, "").c_str());
-  std::exit(2);
+// Every integer option is checked: a value that is not an integer, or
+// does not fit the option's type (or its minimum), exits with status 2
+// and the accepted range, like a bad choice value — never a silent
+// fallback to the default or a wrapped value.
+
+/// An `int` option, at least `min`.
+int GetInt32(const Args& args, const std::string& key, int fallback,
+             int min = std::numeric_limits<int>::min()) {
+  return static_cast<int>(args.GetIntIn(key, fallback, min,
+                                        std::numeric_limits<int>::max()));
+}
+
+/// A 64-bit option (cycle counts, seeds).
+std::int64_t GetInt64(const Args& args, const std::string& key,
+                      std::int64_t fallback) {
+  return args.GetIntIn(key, fallback,
+                       std::numeric_limits<std::int64_t>::min(),
+                       std::numeric_limits<std::int64_t>::max());
 }
 
 /// Common --switches/--nodes/--ports/--packets/--ratio/--seed handling.
 SimConfig ConfigFrom(const Args& args) {
   SimConfig cfg;
   cfg.topology.num_switches =
-      static_cast<int>(args.GetInt("switches", cfg.topology.num_switches));
-  cfg.topology.num_hosts =
-      static_cast<int>(args.GetInt("nodes", cfg.topology.num_hosts));
+      GetInt32(args, "switches", cfg.topology.num_switches);
+  cfg.topology.num_hosts = GetInt32(args, "nodes", cfg.topology.num_hosts);
   cfg.topology.ports_per_switch =
-      static_cast<int>(args.GetInt("ports", cfg.topology.ports_per_switch));
+      GetInt32(args, "ports", cfg.topology.ports_per_switch);
   // A message is at least one packet of at least one flit.
   cfg.message.num_packets =
-      GetAtLeastOne(args, "packets", cfg.message.num_packets);
+      GetInt32(args, "packets", cfg.message.num_packets, 1);
   cfg.message.packet_flits =
-      GetAtLeastOne(args, "packet-flits", cfg.message.packet_flits);
+      GetInt32(args, "packet-flits", cfg.message.packet_flits, 1);
   cfg.host.SetRatio(args.GetDouble("ratio", cfg.host.R()));
   // --engine vct|flit selects the network engine; --buffer-flits sizes
   // the flit engine's per-port input buffers (see docs/engines.md).
   const std::string engine_name =
       args.GetChoice("engine", ToString(cfg.engine), {"vct", "flit"});
   IRMC_ENSURE(EngineKindFromString(engine_name, &cfg.engine));
-  cfg.net.buffer_flits =
-      static_cast<int>(args.GetInt("buffer-flits", cfg.net.buffer_flits));
-  cfg.seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
+  cfg.net.buffer_flits = GetInt32(args, "buffer-flits", cfg.net.buffer_flits);
+  cfg.seed = static_cast<std::uint64_t>(GetInt64(args, "seed", 1));
   // Runtime resilience (docs/resilience.md): an explicit fault schedule
   // and/or random faults with a mean time between failures. Either one
   // switches the NI retransmit layer and the reconfiguration manager on.
   const std::string faults = args.GetString("fault-schedule", "");
-  if (!faults.empty())
-    IRMC_ENSURE(ParseFaultSchedule(faults, &cfg.resilience.schedule) &&
-                "bad --fault-schedule (want t:sw:port[,t:sw:port...])");
+  if (!faults.empty() &&
+      !ParseFaultSchedule(faults, &cfg.resilience.schedule)) {
+    std::fprintf(stderr,
+                 "invalid value for --fault-schedule: '%s' (accepted: "
+                 "t:sw:port[,t:sw:port...] of non-negative integers)\n",
+                 faults.c_str());
+    std::exit(2);
+  }
   cfg.resilience.mtbf = args.GetDouble("mtbf", cfg.resilience.mtbf);
-  cfg.resilience.reconfig_delay = static_cast<Cycles>(
-      args.GetInt("reconfig-delay", cfg.resilience.reconfig_delay));
+  cfg.resilience.reconfig_delay =
+      GetInt64(args, "reconfig-delay", cfg.resilience.reconfig_delay);
   cfg.resilience.verify_reconfig = args.GetFlag("verify-reconfig");
   cfg.resilience.enabled =
       !cfg.resilience.schedule.empty() || cfg.resilience.mtbf > 0.0;
   // --threads N overrides IRMC_THREADS for the trial executor (1 = serial).
-  const int threads = static_cast<int>(args.GetInt("threads", 0));
+  const int threads = GetInt32(args, "threads", 0);
   if (threads > 0) SetParallelThreads(threads);
   return cfg;
 }
@@ -208,9 +221,9 @@ int CmdSingle(const Args& args) {
   SingleRunSpec spec;
   spec.cfg = ConfigFrom(args);
   spec.scheme = *scheme;
-  spec.multicast_size = static_cast<int>(args.GetInt("size", 15));
-  spec.topologies = static_cast<int>(args.GetInt("topologies", 10));
-  spec.samples_per_topology = static_cast<int>(args.GetInt("samples", 4));
+  spec.multicast_size = GetInt32(args, "size", 15);
+  spec.topologies = GetInt32(args, "topologies", 10);
+  spec.samples_per_topology = GetInt32(args, "samples", 4);
   const TraceSpec tspec = GetTraceSpec(args);
   Tracer tracer;
   if (tspec.enabled()) {
@@ -233,11 +246,11 @@ int CmdLoad(const Args& args) {
   LoadRunSpec spec;
   spec.cfg = ConfigFrom(args);
   spec.scheme = *scheme;
-  spec.degree = static_cast<int>(args.GetInt("degree", 8));
+  spec.degree = GetInt32(args, "degree", 8);
   spec.effective_load = args.GetDouble("load", 0.2);
-  spec.horizon = args.GetInt("horizon", 150'000);
+  spec.horizon = GetInt64(args, "horizon", 150'000);
   spec.warmup = spec.horizon / 10;
-  spec.topologies = static_cast<int>(args.GetInt("topologies", 2));
+  spec.topologies = GetInt32(args, "topologies", 2);
   const std::string pattern = args.GetChoice(
       "pattern", "uniform", {"uniform", "clustered", "hotspot"});
   if (pattern == "clustered")
@@ -268,9 +281,9 @@ int CmdDsm(const Args& args) {
   if (!scheme) return Usage();
   SimConfig cfg = ConfigFrom(args);
   DsmParams params;
-  params.sharers_per_line = static_cast<int>(args.GetInt("sharers", 8));
+  params.sharers_per_line = GetInt32(args, "sharers", 8);
   params.write_interarrival = args.GetDouble("interarrival", 50'000.0);
-  params.topologies = static_cast<int>(args.GetInt("topologies", 3));
+  params.topologies = GetInt32(args, "topologies", 3);
   const TraceSpec tspec = GetTraceSpec(args);
   Tracer tracer;
   if (tspec.enabled()) {
@@ -316,7 +329,7 @@ int CmdTrace(const Args& args) {
   const auto scheme =
       MakeCliScheme(args.GetString("scheme", "tree-worm"), cfg.host);
   if (!scheme) return Usage();
-  const int size = static_cast<int>(args.GetInt("size", 8));
+  const int size = GetInt32(args, "size", 8);
   const auto sys = System::Build(cfg.topology, cfg.seed);
 
   Tracer tracer;
