@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -56,15 +57,6 @@ std::string Args::GetString(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
-long Args::GetInt(const std::string& key, long fallback) const {
-  consumed_[key] = true;
-  auto it = values_.find(key);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(it->second.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? v : fallback;
-}
-
 std::int64_t Args::GetIntIn(const std::string& key, std::int64_t fallback,
                             std::int64_t lo, std::int64_t hi) const {
   consumed_[key] = true;
@@ -92,6 +84,21 @@ double Args::GetDouble(const std::string& key, double fallback) const {
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
   return (end != nullptr && *end == '\0') ? v : fallback;
+}
+
+double Args::GetDoubleAbove(const std::string& key, double fallback,
+                            double lo) const {
+  consumed_[key] = true;
+  auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end != text && *end == '\0' && std::isfinite(v) && v > lo) return v;
+  std::fprintf(stderr,
+               "invalid value for --%s: '%s' (accepted: finite numbers > %g)\n",
+               key.c_str(), text, lo);
+  std::exit(2);
 }
 
 std::string Args::GetChoice(const std::string& key, const std::string& fallback,

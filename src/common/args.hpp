@@ -33,16 +33,20 @@ class Args {
 
   std::string GetString(const std::string& key,
                         const std::string& fallback) const;
-  /// Lenient: a malformed value reads as `fallback` (see GetIntIn for
-  /// the checked form).
-  long GetInt(const std::string& key, long fallback) const;
   /// Checked integer option: a present value that is not an integer in
   /// [lo, hi] exits the process with status 2 after printing the
   /// accepted range, like GetChoice. Returns `fallback` when the key is
   /// absent.
   std::int64_t GetIntIn(const std::string& key, std::int64_t fallback,
                         std::int64_t lo, std::int64_t hi) const;
+  /// Lenient: a malformed value reads as `fallback` (see GetDoubleAbove
+  /// for the checked form).
   double GetDouble(const std::string& key, double fallback) const;
+  /// Checked real option: a present value that is not a finite number
+  /// greater than `lo` exits the process with status 2 after printing
+  /// the accepted range. Returns `fallback` when the key is absent.
+  double GetDoubleAbove(const std::string& key, double fallback,
+                        double lo) const;
   bool GetFlag(const std::string& key) const;
 
   /// Enum-valued option: the provided value must be one of `allowed`,

@@ -3,25 +3,54 @@
 #include <algorithm>
 
 namespace irmc {
+namespace {
+
+/// The driver's metrics, in DriverMetrics order.
+constexpr MetricSpec kDriverMetrics[] = {
+    {MetricKind::kCounter, "mcast.launched"},
+    {MetricKind::kCounter, "mcast.completed"},
+    {MetricKind::kHistogram, "mcast.latency"},
+    {MetricKind::kHistogram, "mcast.dests"},
+    {MetricKind::kCounter, "mcast.worms"},
+    {MetricKind::kCounter, "mcast.forward_phases"},
+    {MetricKind::kCounter, "host.cycles"},
+    {MetricKind::kCounter, "host.sends"},
+    {MetricKind::kCounter, "ni.cycles"},
+    {MetricKind::kCounter, "ni.forward_copies"},
+    {MetricKind::kCounter, "io.dma_cycles"},
+    {MetricKind::kCounter, "io.dma_transfers"},
+};
+
+/// The resilience family, bound only with resilience on.
+constexpr MetricSpec kDriverResilienceMetrics[] = {
+    {MetricKind::kCounter, "resilience.drops"},
+    {MetricKind::kCounter, "resilience.retransmits"},
+    {MetricKind::kCounter, "resilience.duplicates"},
+    {MetricKind::kCounter, "resilience.acks"},
+    {MetricKind::kCounter, "resilience.degraded_deliveries"},
+};
+
+}  // namespace
 
 McastDriver::McastDriver(Engine& engine, const System& sys,
                          const SimConfig& cfg, Tracer* tracer,
                          MetricsRegistry* metrics)
     : engine_(engine), sys_(&sys), cfg_(cfg), tracer_(tracer) {
   if (metrics) {
+    const MetricSlots slots = metrics->Bind(kDriverMetrics);
     m_.has = true;
-    m_.launched = &metrics->GetCounter("mcast.launched");
-    m_.completed = &metrics->GetCounter("mcast.completed");
-    m_.latency = &metrics->GetHistogram("mcast.latency");
-    m_.dests = &metrics->GetHistogram("mcast.dests");
-    m_.worms = &metrics->GetCounter("mcast.worms");
-    m_.forward_phases = &metrics->GetCounter("mcast.forward_phases");
-    m_.host_cycles = &metrics->GetCounter("host.cycles");
-    m_.host_sends = &metrics->GetCounter("host.sends");
-    m_.ni_cycles = &metrics->GetCounter("ni.cycles");
-    m_.ni_forward_copies = &metrics->GetCounter("ni.forward_copies");
-    m_.io_dma_cycles = &metrics->GetCounter("io.dma_cycles");
-    m_.io_dma_transfers = &metrics->GetCounter("io.dma_transfers");
+    m_.launched = &slots.counter(0);
+    m_.completed = &slots.counter(1);
+    m_.latency = &slots.histogram(2);
+    m_.dests = &slots.histogram(3);
+    m_.worms = &slots.counter(4);
+    m_.forward_phases = &slots.counter(5);
+    m_.host_cycles = &slots.counter(6);
+    m_.host_sends = &slots.counter(7);
+    m_.ni_cycles = &slots.counter(8);
+    m_.ni_forward_copies = &slots.counter(9);
+    m_.io_dma_cycles = &slots.counter(10);
+    m_.io_dma_transfers = &slots.counter(11);
   }
   nodes_.resize(static_cast<std::size_t>(sys.num_nodes()));
   network_ = MakeNetworkModel(
@@ -32,12 +61,12 @@ McastDriver::McastDriver(Engine& engine, const System& sys,
       tracer, metrics);
   if (cfg_.resilience.enabled) {
     if (metrics) {
-      m_.r_drops = &metrics->GetCounter("resilience.drops");
-      m_.r_retransmits = &metrics->GetCounter("resilience.retransmits");
-      m_.r_duplicates = &metrics->GetCounter("resilience.duplicates");
-      m_.r_acks = &metrics->GetCounter("resilience.acks");
-      m_.r_degraded =
-          &metrics->GetCounter("resilience.degraded_deliveries");
+      const MetricSlots slots = metrics->Bind(kDriverResilienceMetrics);
+      m_.r_drops = &slots.counter(0);
+      m_.r_retransmits = &slots.counter(1);
+      m_.r_duplicates = &slots.counter(2);
+      m_.r_acks = &slots.counter(3);
+      m_.r_degraded = &slots.counter(4);
     }
     network_->SetDropHandler(
         [this](const Packet& pkt, Cycles now, SwitchId where) {

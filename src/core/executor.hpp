@@ -185,8 +185,9 @@ class McastDriver {
           TraceEvent{engine_.Now(), kind, mcast_id, 0, actor, detail});
   }
 
-  /// Hot-path metric slots resolved once at construction; `has` false
-  /// (no registry) skips all recording.
+  /// Hot-path metric slots bound at construction from static name
+  /// tables (executor.cpp); `has` false (no registry) skips all
+  /// recording.
   struct DriverMetrics {
     bool has = false;
     Counter* launched = nullptr;         ///< mcast.launched

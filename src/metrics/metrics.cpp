@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/expect.hpp"
 
@@ -61,6 +62,21 @@ void Histogram::Add(std::int64_t v) {
   }
   ++count_;
   sum_ += v;
+}
+
+void Histogram::Add(std::int64_t v, std::int64_t count) {
+  IRMC_EXPECT(count >= 0);
+  if (count == 0) return;
+  bins_[static_cast<std::size_t>(BinOf(v))] += count;
+  if (count_ == 0) {
+    min_ = v;
+    max_ = v;
+  } else {
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+  }
+  count_ += count;
+  sum_ += v * count;
 }
 
 void Histogram::Merge(const Histogram& other) {
@@ -132,19 +148,103 @@ double BinnedQuantile(const std::vector<BinSlice>& bins, std::int64_t min_v,
   return v0 + (v1 - v0) * (r - static_cast<double>(k0));
 }
 
-Counter& MetricsRegistry::GetCounter(const std::string& name) {
-  return counters_[name];
+void* MetricSlots::Slot(std::size_t i, MetricKind kind) const {
+  IRMC_EXPECT(i < table_.size() && table_[i].kind == kind);
+  return slots_[i];
 }
 
-Gauge& MetricsRegistry::GetGauge(const std::string& name, GaugeMode mode) {
-  auto [it, inserted] = gauges_.try_emplace(name);
-  if (inserted) it->second.mode = mode;
+Counter& MetricSlots::counter(std::size_t i) const {
+  return *static_cast<Counter*>(Slot(i, MetricKind::kCounter));
+}
+
+Gauge& MetricSlots::gauge(std::size_t i) const {
+  return *static_cast<Gauge*>(Slot(i, MetricKind::kGauge));
+}
+
+Histogram& MetricSlots::histogram(std::size_t i) const {
+  return *static_cast<Histogram*>(Slot(i, MetricKind::kHistogram));
+}
+
+MetricsRegistry::MetricsRegistry(const MetricsRegistry& other)
+    : counters_(other.counters_),
+      gauges_(other.gauges_),
+      histograms_(other.histograms_) {}
+
+MetricsRegistry::MetricsRegistry(MetricsRegistry&& other) noexcept
+    : counters_(std::move(other.counters_)),
+      gauges_(std::move(other.gauges_)),
+      histograms_(std::move(other.histograms_)) {
+  other.ForgetBindings();  // its slots point into this registry now
+}
+
+MetricsRegistry& MetricsRegistry::operator=(const MetricsRegistry& other) {
+  if (this == &other) return *this;
+  counters_ = other.counters_;
+  gauges_ = other.gauges_;
+  histograms_ = other.histograms_;
+  ForgetBindings();
+  return *this;
+}
+
+MetricsRegistry& MetricsRegistry::operator=(MetricsRegistry&& other) noexcept {
+  if (this == &other) return *this;
+  counters_ = std::move(other.counters_);
+  gauges_ = std::move(other.gauges_);
+  histograms_ = std::move(other.histograms_);
+  ForgetBindings();
+  other.ForgetBindings();
+  return *this;
+}
+
+void MetricsRegistry::ForgetBindings() {
+  bound_ = {};
+  slots_ = {};
+}
+
+Counter& MetricsRegistry::GetCounter(std::string_view name) {
+  const auto it = counters_.find(name);
+  if (it != counters_.end()) return it->second;
+  return counters_.emplace(name, Counter{}).first->second;
+}
+
+Gauge& MetricsRegistry::GetGauge(std::string_view name, GaugeMode mode) {
+  auto it = gauges_.find(name);
+  if (it == gauges_.end()) {
+    it = gauges_.emplace(name, Gauge{}).first;
+    it->second.mode = mode;
+  }
   IRMC_EXPECT(it->second.mode == mode);
   return it->second;
 }
 
-Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
-  return histograms_[name];
+Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
+  const auto it = histograms_.find(name);
+  if (it != histograms_.end()) return it->second;
+  return histograms_.emplace(name, Histogram{}).first->second;
+}
+
+MetricSlots MetricsRegistry::Bind(std::span<const MetricSpec> table) {
+  for (const BoundTable& b : bound_) {
+    if (b.table != table.data()) continue;
+    IRMC_EXPECT(b.size == table.size());
+    return MetricSlots(table, slots_.data() + b.first);
+  }
+  const std::size_t first = slots_.size();
+  for (const MetricSpec& spec : table) {
+    switch (spec.kind) {
+      case MetricKind::kCounter:
+        slots_.push_back(&GetCounter(spec.name));
+        break;
+      case MetricKind::kGauge:
+        slots_.push_back(&GetGauge(spec.name, spec.mode));
+        break;
+      case MetricKind::kHistogram:
+        slots_.push_back(&GetHistogram(spec.name));
+        break;
+    }
+  }
+  bound_.push_back(BoundTable{table.data(), table.size(), first});
+  return MetricSlots(table, slots_.data() + first);
 }
 
 void MetricsRegistry::Merge(const MetricsRegistry& other) {

@@ -1,10 +1,14 @@
 // Always-on metrics: counters, gauges, and log-binned histograms.
 //
-// Every Trial owns one MetricsRegistry; the sim engine, fabric, flit
-// engine, and McastDriver resolve raw Counter/Gauge/Histogram pointers
-// from it once at construction, so a hot-path record is a guarded
-// integer add — cheap enough to leave always on (irmcbench's
-// metrics.overhead_pct measures the cost against a null registry).
+// Every Trial owns one MetricsRegistry. The sim engine, fabric, flit
+// engine, and McastDriver name their metrics in static tables of
+// MetricSpecs and bind each table once (MetricsRegistry::Bind): the
+// registry remembers the resolution for the rest of the trial, so a
+// component built once per sample gets its raw Counter/Gauge/Histogram
+// pointers back without a name lookup or a string built, and a
+// hot-path record is a guarded integer add — cheap enough to leave
+// always on (irmcbench's metrics.overhead_pct measures the cost against
+// a null registry).
 //
 // Determinism contract: every metric value is either an integer
 // (counters, histogram bins/sum/min/max) or a double combined by an
@@ -16,9 +20,13 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace irmc {
@@ -59,6 +67,9 @@ class Histogram {
   static constexpr int kBins = 64;
 
   void Add(std::int64_t v);
+  /// Adds `count` (>= 0) samples of value `v`: the same state, bit for
+  /// bit, as `count` calls of Add(v).
+  void Add(std::int64_t v, std::int64_t count);
   void Merge(const Histogram& other);
 
   std::int64_t count() const { return count_; }
@@ -112,34 +123,99 @@ struct BinSlice {
 double BinnedQuantile(const std::vector<BinSlice>& bins, std::int64_t min_v,
                       std::int64_t max_v, double q);
 
+/// What a MetricSpec names.
+enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
+
+/// One metric a component records, named in full. Components list
+/// theirs in static tables (one per point where the names enter a
+/// registry) and bind each table once per registry.
+struct MetricSpec {
+  MetricKind kind = MetricKind::kCounter;
+  const char* name = nullptr;
+  GaugeMode mode = GaugeMode::kSum;  ///< gauges only
+};
+
+/// The registry entries a bound table resolved to, in table order. A
+/// view into the registry's binding memo: read the slots out before
+/// the next Bind on the same registry.
+class MetricSlots {
+ public:
+  /// The entry of table row `i`; the row must name a metric of that
+  /// kind.
+  Counter& counter(std::size_t i) const;
+  Gauge& gauge(std::size_t i) const;
+  Histogram& histogram(std::size_t i) const;
+
+ private:
+  friend class MetricsRegistry;
+  MetricSlots(std::span<const MetricSpec> table, void* const* slots)
+      : table_(table), slots_(slots) {}
+  void* Slot(std::size_t i, MetricKind kind) const;
+
+  std::span<const MetricSpec> table_;
+  void* const* slots_;
+};
+
 /// Named metric store. Get* interns the name on first use and returns a
 /// reference that stays valid for the registry's lifetime (node-based
 /// map), so callers resolve once and record through the pointer.
 class MetricsRegistry {
  public:
-  Counter& GetCounter(const std::string& name);
-  Gauge& GetGauge(const std::string& name, GaugeMode mode = GaugeMode::kSum);
-  Histogram& GetHistogram(const std::string& name);
+  MetricsRegistry() = default;
+  /// Copies and moves carry the metrics, never the binding memo: a copy
+  /// binds afresh into its own entries, and a registry parked after its
+  /// trial (a batch keeps thousands until it merges them) holds no memo.
+  MetricsRegistry(const MetricsRegistry& other);
+  MetricsRegistry(MetricsRegistry&& other) noexcept;
+  MetricsRegistry& operator=(const MetricsRegistry& other);
+  MetricsRegistry& operator=(MetricsRegistry&& other) noexcept;
+
+  Counter& GetCounter(std::string_view name);
+  Gauge& GetGauge(std::string_view name, GaugeMode mode = GaugeMode::kSum);
+  Histogram& GetHistogram(std::string_view name);
+
+  /// Resolves every row of `table` (a table with static storage: its
+  /// address identifies it), interning absent names exactly as Get*
+  /// does. The first Bind of a table looks its names up; later Binds of
+  /// the same table on this registry return the remembered slots
+  /// without a lookup or an allocation.
+  MetricSlots Bind(std::span<const MetricSpec> table);
 
   /// Union-merge: counters add, gauges combine per their mode (modes
   /// must agree), histogram bins add. Applied in trial-index order by
   /// TrialOutcome::Merge, which makes the result thread-count-invariant.
   void Merge(const MetricsRegistry& other);
 
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, Gauge>& gauges() const { return gauges_; }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
+  using CounterMap = std::map<std::string, Counter, std::less<>>;
+  using GaugeMap = std::map<std::string, Gauge, std::less<>>;
+  using HistogramMap = std::map<std::string, Histogram, std::less<>>;
+
+  const CounterMap& counters() const { return counters_; }
+  const GaugeMap& gauges() const { return gauges_; }
+  const HistogramMap& histograms() const { return histograms_; }
 
   bool Empty() const {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
   }
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
+  /// One bound table: its rows' slots start at slots_[first].
+  struct BoundTable {
+    const MetricSpec* table;
+    std::size_t size;
+    std::size_t first;
+  };
+
+  /// Drops the binding memo (and its memory).
+  void ForgetBindings();
+
+  CounterMap counters_;
+  GaugeMap gauges_;
+  HistogramMap histograms_;
+  // Binding memo: entry pointers of every table bound so far, valid as
+  // long as the maps above keep their nodes.
+  std::vector<BoundTable> bound_;
+  std::vector<void*> slots_;
 };
 
 }  // namespace irmc

@@ -3,11 +3,33 @@
 #include <algorithm>
 
 namespace irmc {
+namespace {
+
+constexpr NetworkModel::MetricFamily kFabricMetrics{
+    {{{MetricKind::kCounter, "fabric.flits_sent"},
+      {MetricKind::kCounter, "fabric.packets_switched"},
+      {MetricKind::kCounter, "fabric.packets_injected"},
+      {MetricKind::kCounter, "fabric.replications"},
+      {MetricKind::kCounter, "fabric.host_deliveries"},
+      {MetricKind::kCounter, "fabric.blocked_cycles"},
+      {MetricKind::kHistogram, "fabric.route_fanout"},
+      {MetricKind::kHistogram, "fabric.header_flits"}}},
+    {{{MetricKind::kCounter, "fabric.link_busy_cycles"},
+      {MetricKind::kHistogram, "fabric.link_utilization_pct"},
+      {MetricKind::kGauge, "fabric.max_link_utilization", GaugeMode::kMax}}},
+};
+
+/// The Fabric's own end-of-run series.
+constexpr MetricSpec kFabricSeries[] = {
+    {MetricKind::kGauge, "fabric.input_buffer_wait_max", GaugeMode::kMax},
+};
+
+}  // namespace
 
 Fabric::Fabric(Engine& engine, const System& sys, const NetParams& params,
                DeliverFn deliver, Tracer* tracer, MetricsRegistry* metrics)
     : NetworkModel(engine, sys, params, std::move(deliver), tracer, metrics,
-                   "fabric", "flits_sent"),
+                   kFabricMetrics),
       tx_queues_(num_channels()) {
   IRMC_EXPECT(params_.input_slots >= 1);
   input_slots_.reserve(num_ports());
@@ -40,18 +62,14 @@ int Fabric::InjectionBacklog(NodeId n) const {
   return tx_queues_[static_cast<std::size_t>(InjChannel(n))].Load();
 }
 
-std::int64_t Fabric::TotalBacklog() const {
-  std::int64_t total = 0;
-  for (const TxQueue& q : tx_queues_) total += q.Load();
-  return total;
+int Fabric::ChannelBacklog(SwitchId sw, PortId port) const {
+  return tx_queues_[static_cast<std::size_t>(PortIdx(sw, port))].Load();
 }
 
 void Fabric::CollectEngineMetrics() {
-  std::int64_t max_wait = 0;
-  for (const CountingResource& pool : input_slots_)
-    max_wait = std::max(max_wait, pool.max_queue());
-  metrics_->GetGauge("fabric.input_buffer_wait_max", GaugeMode::kMax)
-      .Set(static_cast<double>(max_wait));
+  metrics_->Bind(kFabricSeries)
+      .gauge(0)
+      .Set(static_cast<double>(max_input_wait_));
 }
 
 void Fabric::EnqueueTx(int channel_id, Tx tx) {
@@ -61,8 +79,38 @@ void Fabric::EnqueueTx(int channel_id, Tx tx) {
     DropTx(channel_id, tx);
     return;
   }
-  txq(channel_id).queue.push_back(std::move(tx));
+  std::uint32_t id = free_txs_;
+  if (id != kNoTx) {
+    free_txs_ = txs_[id].next;
+    txs_[id] = TxNode{tx};
+  } else {
+    IRMC_EXPECT(txs_.size() < kNoTx);
+    id = static_cast<std::uint32_t>(txs_.size());
+    txs_.push_back(TxNode{tx});
+  }
+  TxQueue& q = txq(channel_id);
+  if (q.tail != kNoTx)
+    txs_[q.tail].next = id;
+  else
+    q.head = id;
+  q.tail = id;
+  ++q.size;
+  ++backlog_;
   Pump(channel_id);
+}
+
+Fabric::Tx Fabric::UnlinkTx(TxQueue& q, std::uint32_t prev, std::uint32_t id) {
+  TxNode& node = txs_[id];
+  const std::uint32_t next = node.next;
+  if (prev != kNoTx)
+    txs_[prev].next = next;
+  else
+    q.head = next;
+  if (q.tail == id) q.tail = prev;
+  --q.size;
+  node.next = free_txs_;
+  free_txs_ = id;
+  return node.tx;
 }
 
 void Fabric::DropTx(int channel_id, const Tx& tx) {
@@ -99,8 +147,16 @@ void Fabric::ReleaseDownstreamSlot(int channel_id) {
 
 void Fabric::CutChannels(std::span<const int> dead) {
   for (int cid : dead) {
-    const Fifo<Tx> doomed = std::move(txq(cid).queue);
-    for (std::size_t i = 0; i < doomed.size(); ++i) DropTx(cid, doomed[i]);
+    // Detach the whole queue before the first drop (a drop handler sees
+    // the channel empty), then drop front to back. The active
+    // transmission keeps `pumping`.
+    TxQueue& q = txq(cid);
+    TxQueue doomed{q.head, q.tail, q.size, false};
+    q.head = q.tail = kNoTx;
+    q.size = 0;
+    backlog_ -= doomed.size;
+    while (doomed.head != kNoTx)
+      DropTx(cid, UnlinkTx(doomed, kNoTx, doomed.head));
   }
 }
 
@@ -112,16 +168,16 @@ void Fabric::Pump(int channel_id) {
   // transmission the timing is unchanged: StartTx starts the wire at
   // max(now, ready) either way.
   TxQueue& c = txq(channel_id);
-  if (c.pumping || c.queue.empty()) return;
+  if (c.pumping || c.head == kNoTx) return;
   // Injection channels are strict FIFO (the NI hands packets over in
   // send order; a future-ready head blocks the queue), so the pick waits
   // for the front. On switch channels ready order equals queue order
   // except for same-cycle ties, so aiming at the minimum is the same
   // thing minus the head-of-line wait.
-  Cycles target = c.queue.front().ready;
+  Cycles target = txs_[c.head].tx.ready;
   if (!IsInjection(channel_id))
-    for (std::size_t i = 1; i < c.queue.size(); ++i)
-      target = std::min(target, c.queue[i].ready);
+    for (std::uint32_t i = txs_[c.head].next; i != kNoTx; i = txs_[i].next)
+      target = std::min(target, txs_[i].tx.ready);
   target = std::max(engine_.Now(), target);
   engine_.ScheduleAt(target, [this, channel_id]() { Pick(channel_id); });
 }
@@ -129,38 +185,44 @@ void Fabric::Pump(int channel_id) {
 void Fabric::Pick(int channel_id) {
   if (channel(channel_id).dead_since != kNever) return;  // FailLink drained it
   TxQueue& c = txq(channel_id);
-  if (c.pumping || c.queue.empty()) return;  // a rival pick already won
+  if (c.pumping || c.head == kNoTx) return;  // a rival pick already won
   const Cycles now = engine_.Now();
-  std::size_t best = c.queue.size();
+  std::uint32_t best = kNoTx;
+  std::uint32_t best_prev = kNoTx;
   if (IsInjection(channel_id)) {
-    if (c.queue.front().ready <= now) best = 0;  // injection: FIFO
+    if (txs_[c.head].tx.ready <= now) best = c.head;  // injection: FIFO
   } else {
     // Grant the transmission that has been ready longest; break
     // same-cycle ties by input port — an engine-independent rule the
     // flit engine applies identically (strictly-less keeps queue order
     // for full ties).
-    for (std::size_t i = 0; i < c.queue.size(); ++i) {
-      const Tx& t = c.queue[i];
+    for (std::uint32_t i = c.head, prev = kNoTx; i != kNoTx;
+         prev = i, i = txs_[i].next) {
+      const Tx& t = txs_[i].tx;
       if (t.ready > now) continue;
-      if (best == c.queue.size() || t.ready < c.queue[best].ready ||
-          (t.ready == c.queue[best].ready &&
-           t.arb_port < c.queue[best].arb_port))
+      if (best == kNoTx || t.ready < txs_[best].tx.ready ||
+          (t.ready == txs_[best].tx.ready &&
+           t.arb_port < txs_[best].tx.arb_port)) {
         best = i;
+        best_prev = prev;
+      }
     }
   }
-  if (best == c.queue.size()) {
+  if (best == kNoTx) {
     Pump(channel_id);  // everything ready in the future; re-aim the pick
     return;
   }
+  // The grant moves the transmission from the queue to the wire: Load()
+  // and the backlog are unchanged.
   c.pumping = true;
-  Tx tx = std::move(c.queue[best]);
-  c.queue.erase(best);
+  Tx tx = UnlinkTx(c, best_prev, best);
   const int pool = channel(channel_id).dst_port;
   if (pool >= 0) {
-    input_slots_[static_cast<std::size_t>(pool)].Acquire(
-        engine_, [this, channel_id, tx = std::move(tx)]() mutable {
-          StartTx(channel_id, std::move(tx));
-        });
+    CountingResource& slots = input_slots_[static_cast<std::size_t>(pool)];
+    slots.Acquire(engine_, [this, channel_id, tx = std::move(tx)]() mutable {
+      StartTx(channel_id, std::move(tx));
+    });
+    max_input_wait_ = std::max(max_input_wait_, slots.queue_length());
   } else {
     StartTx(channel_id, std::move(tx));
   }
@@ -172,6 +234,7 @@ void Fabric::StartTx(int channel_id, Tx tx) {
     // The link died while this transmission waited for a downstream
     // slot (Pick's Acquire); give the just-granted slot back.
     txq(channel_id).pumping = false;
+    --backlog_;
     ReleaseDownstreamSlot(channel_id);
     DropTx(channel_id, tx);
     return;
@@ -202,6 +265,7 @@ void Fabric::StartTx(int channel_id, Tx tx) {
   // Tail leaves: channel free, branch drained from the source buffer.
   engine_.ScheduleAt(tail_leave, [this, channel_id, buf = tx.src_buffer]() {
     txq(channel_id).pumping = false;
+    --backlog_;
     ReleaseSrcBuffer(buf);
     Pump(channel_id);
   });

@@ -17,6 +17,12 @@
 // per-channel transmission queues, the channel pick, the input-slot
 // pools and the packets themselves.
 //
+// Every channel's transmission queue is a FIFO list threaded through
+// one shared node arena (txs_, with a free list), so a fresh Fabric
+// allocates nothing per channel it touches: the arena grows to the
+// transmissions queued at once, not to the channels used. The running
+// backlog_ counts queued and on-wire transmissions over all channels.
+//
 // Packets live in a slot arena (packets_, recycled through
 // free_packets_): a transmission and every event about it carry a
 // 32-bit slot id, so a hop copies no packet and touches no reference
@@ -29,7 +35,6 @@
 #include <span>
 #include <vector>
 
-#include "common/fifo.hpp"
 #include "network/network_model.hpp"
 #include "network/route_logic.hpp"
 #include "sim/resource.hpp"
@@ -47,7 +52,9 @@ class Fabric final : public NetworkModel {
 
   int InjectionBacklog(NodeId n) const override;
 
-  std::int64_t TotalBacklog() const override;
+  int ChannelBacklog(SwitchId sw, PortId port) const override;
+
+  std::int64_t TotalBacklog() const override { return backlog_; }
 
   std::int64_t packets_switched() const { return packets_switched_; }
 
@@ -74,14 +81,23 @@ class Fabric final : public NetworkModel {
     int arb_port = -1;
   };
 
-  /// A channel's transmissions: FIFO-queued, one on the wire at a time.
-  /// The queue allocates on its channel's first transmission.
+  static constexpr std::uint32_t kNoTx = ~std::uint32_t{0};
+
+  /// A transmission in the shared arena, linked into its channel's queue
+  /// or into the free list through `next`.
+  struct TxNode {
+    Tx tx;
+    std::uint32_t next = kNoTx;
+  };
+
+  /// A channel's transmissions: a FIFO list of txs_ nodes, one
+  /// transmission on the wire at a time.
   struct TxQueue {
-    Fifo<Tx> queue;
+    std::uint32_t head = kNoTx;
+    std::uint32_t tail = kNoTx;
+    int size = 0;
     bool pumping = false;
-    int Load() const {
-      return static_cast<int>(queue.size()) + (pumping ? 1 : 0);
-    }
+    int Load() const { return size + (pumping ? 1 : 0); }
   };
 
   void QueueInjection(NodeId n, Packet&& pkt, Cycles ready) override;
@@ -109,6 +125,9 @@ class Fabric final : public NetworkModel {
   /// Queue a branch/injection on a channel, or drop it on the spot when
   /// the channel is dead.
   void EnqueueTx(int channel_id, Tx tx);
+  /// Unlinks node `id` (whose predecessor in `q` is `prev`, kNoTx for
+  /// the head), recycles it and returns its transmission.
+  Tx UnlinkTx(TxQueue& q, std::uint32_t prev, std::uint32_t id);
   /// Drops a transmission that can no longer use `channel_id`.
   void DropTx(int channel_id, const Tx& tx);
   /// A fresh buffered_ entry holding input slot `slot_pool`.
@@ -126,6 +145,10 @@ class Fabric final : public NetworkModel {
   std::vector<Packet> packets_;              // packets in the fabric
   std::vector<std::uint32_t> free_packets_;  // recycled packets_ slots
   std::vector<TxQueue> tx_queues_;  // per channel, same ids as channels
+  std::vector<TxNode> txs_;         // every queue's nodes
+  std::uint32_t free_txs_ = kNoTx;  // head of the recycled-node list
+  std::int64_t backlog_ = 0;        // sum of every queue's Load()
+  std::int64_t max_input_wait_ = 0;  // deepest input-slot wait queue yet
   std::vector<CountingResource> input_slots_;  // [switch*ports + port]
   std::vector<Buffered> buffered_;   // packets holding input slots
   std::vector<int> free_buffered_;   // recycled buffered_ indices

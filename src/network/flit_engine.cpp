@@ -29,13 +29,34 @@ void ForEachBit(const std::vector<std::uint64_t>& set, Visit visit) {
       visit(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
 }
 
+constexpr NetworkModel::MetricFamily kFlitMetrics{
+    {{{MetricKind::kCounter, "flit.flits_moved"},
+      {MetricKind::kCounter, "flit.packets_switched"},
+      {MetricKind::kCounter, "flit.packets_injected"},
+      {MetricKind::kCounter, "flit.replications"},
+      {MetricKind::kCounter, "flit.host_deliveries"},
+      {MetricKind::kCounter, "flit.blocked_cycles"},
+      {MetricKind::kHistogram, "flit.route_fanout"},
+      {MetricKind::kHistogram, "flit.header_flits"}}},
+    {{{MetricKind::kCounter, "flit.link_busy_cycles"},
+      {MetricKind::kHistogram, "flit.link_utilization_pct"},
+      {MetricKind::kGauge, "flit.max_link_utilization", GaugeMode::kMax}}},
+};
+
+/// The flit engine's own end-of-run series.
+constexpr MetricSpec kFlitSeries[] = {
+    {MetricKind::kCounter, "flit.cycles_run"},
+    {MetricKind::kCounter, "flit.deliveries"},
+    {MetricKind::kGauge, "flit.max_buffer_occupancy", GaugeMode::kMax},
+};
+
 }  // namespace
 
 FlitEngine::FlitEngine(Engine& engine, const System& sys,
                        const NetParams& params, DeliverFn deliver,
                        Tracer* tracer, MetricsRegistry* metrics)
     : NetworkModel(engine, sys, params, std::move(deliver), tracer, metrics,
-                   "flit", "flits_moved"),
+                   kFlitMetrics),
       arbs_(num_channels()),
       inject_queues_(static_cast<std::size_t>(sys.num_nodes())) {
   IRMC_EXPECT(params_.buffer_flits >= 1);
@@ -48,6 +69,7 @@ FlitEngine::FlitEngine(Engine& engine, const System& sys,
 void FlitEngine::QueueInjection(NodeId n, Packet&& pkt, Cycles ready) {
   auto& q = inject_queues_[static_cast<std::size_t>(n)];
   q.emplace_back(std::move(pkt), ready);
+  ++backlog_;
   // A new head packet behind an idle injection channel: the NI becomes
   // ready at `ready` (PumpInjections moves it to ready_nis_ then).
   if (q.size() == 1 &&
@@ -68,20 +90,16 @@ int FlitEngine::InjectionBacklog(NodeId n) const {
          arbs_[static_cast<std::size_t>(InjChannel(n))].Load();
 }
 
-std::int64_t FlitEngine::TotalBacklog() const {
-  std::int64_t total = 0;
-  for (const Arbiter& a : arbs_) total += a.Load();
-  for (const auto& q : inject_queues_)
-    total += static_cast<std::int64_t>(q.size());
-  return total;
+int FlitEngine::ChannelBacklog(SwitchId sw, PortId port) const {
+  return arbs_[static_cast<std::size_t>(PortIdx(sw, port))].Load();
 }
 
 void FlitEngine::CollectEngineMetrics() {
   SettleAll();
-  metrics_->GetCounter("flit.cycles_run").Add(ticks_);
-  metrics_->GetCounter("flit.deliveries").Add(deliveries_);
-  metrics_->GetGauge("flit.max_buffer_occupancy", GaugeMode::kMax)
-      .Set(static_cast<double>(max_occupancy_));
+  const MetricSlots slots = metrics_->Bind(kFlitSeries);
+  slots.counter(0).Add(ticks_);
+  slots.counter(1).Add(deliveries_);
+  slots.gauge(2).Set(static_cast<double>(max_occupancy_));
 }
 
 // ---------------------------------------------------------------------------
@@ -123,10 +141,12 @@ void FlitEngine::KillBranch(int bid) {
   Arbiter& c = arbs_[static_cast<std::size_t>(b.channel)];
   if (c.active_branch == bid) {
     c.active_branch = -1;
+    --backlog_;
   } else {
     for (auto it = c.waiting.begin(); it != c.waiting.end(); ++it) {
       if (*it == bid) {
         c.waiting.erase(it);
+        --backlog_;
         break;
       }
     }
@@ -233,6 +253,7 @@ void FlitEngine::Enqueue(std::size_t ci, int bid) {
   Arbiter& c = arbs_[ci];
   if (c.Load() == 0) ++busy_channels_;
   c.waiting.push_back(bid);
+  ++backlog_;
   // Behind a streaming branch the grant waits for its tail visit.
   if (c.active_branch == -1 ||
       !branches_[static_cast<std::size_t>(c.active_branch)].streaming)
@@ -264,6 +285,9 @@ void FlitEngine::TryStream(int bid, Cycles now) {
        phase - branches_[static_cast<std::size_t>(src.feed)].phase <
            params_.link_delay))
     return;
+  // A visit counted the head on this channel before the branch could
+  // stream, so its unsettled flits sit on a channel the link fold walks.
+  IRMC_ENSURE(channel(b.channel).flits > 0);
   b.streaming = true;
   b.phase = phase;
   b.land_first = now + 1 + params_.link_delay;
@@ -489,6 +513,7 @@ void FlitEngine::PumpInjections(Cycles now) {
     ClearBit(ready_nis_, n);
     --ready_count_;
     q.pop_front();
+    --backlog_;  // the packet moved to its injection channel's arbiter
   });
 }
 
@@ -673,6 +698,7 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
   if (is_tail) {
     b.done = true;
     c.active_branch = -1;
+    --backlog_;
     if (c.waiting.empty()) --busy_channels_;
     if (--src.live_branches == 0 && src.port_index >= 0) {
       // All branches drained: free the input port at the *start of the

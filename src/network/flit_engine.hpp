@@ -116,7 +116,9 @@ class FlitEngine final : public NetworkModel {
 
   int InjectionBacklog(NodeId n) const override;
 
-  std::int64_t TotalBacklog() const override;
+  int ChannelBacklog(SwitchId sw, PortId port) const override;
+
+  std::int64_t TotalBacklog() const override { return backlog_; }
 
   /// Cycles actually stepped (idle gaps cost nothing).
   std::int64_t cycles_stepped() const { return ticks_; }
@@ -352,6 +354,9 @@ class FlitEngine final : public NetworkModel {
   MinHeap<std::pair<Cycles, int>> tails_due_;   // (tail cycle, channel)
   int busy_channels_ = 0;  ///< channels with an active or waiting branch
   int ready_count_ = 0;    ///< set bits in ready_nis_
+  /// Packets in the NI injection queues plus branches active on or
+  /// waiting for a channel: TotalBacklog, kept as a running count.
+  std::int64_t backlog_ = 0;
 
   DeadlockHandler on_deadlock_;
   bool frozen_ = false;  ///< deadlock handler fired; engine stays quiet

@@ -30,8 +30,7 @@ bool EngineKindFromString(const std::string& name, EngineKind* out) {
 NetworkModel::NetworkModel(Engine& engine, const System& sys,
                            const NetParams& params, DeliverFn deliver,
                            Tracer* tracer, MetricsRegistry* metrics,
-                           const std::string& prefix,
-                           const char* flits_counter)
+                           const MetricFamily& family)
     : engine_(engine),
       sys_(&sys),
       params_(params),
@@ -39,18 +38,19 @@ NetworkModel::NetworkModel(Engine& engine, const System& sys,
       tracer_(tracer),
       metrics_(metrics),
       ports_(sys.graph.ports_per_switch()),
-      prefix_(prefix + "."),
+      family_(&family),
       num_out_(sys.num_switches() * ports_) {
   IRMC_EXPECT(deliver_ != nullptr);
   if (metrics_) {
-    m_flits_ = &metrics_->GetCounter(prefix_ + flits_counter);
-    m_switched_ = &metrics_->GetCounter(prefix_ + "packets_switched");
-    m_injected_ = &metrics_->GetCounter(prefix_ + "packets_injected");
-    m_replications_ = &metrics_->GetCounter(prefix_ + "replications");
-    m_host_deliveries_ = &metrics_->GetCounter(prefix_ + "host_deliveries");
-    m_blocked_ = &metrics_->GetCounter(prefix_ + "blocked_cycles");
-    m_fanout_ = &metrics_->GetHistogram(prefix_ + "route_fanout");
-    m_header_flits_ = &metrics_->GetHistogram(prefix_ + "header_flits");
+    const MetricSlots slots = metrics_->Bind(family_->hot);
+    m_flits_ = &slots.counter(0);
+    m_switched_ = &slots.counter(1);
+    m_injected_ = &slots.counter(2);
+    m_replications_ = &slots.counter(3);
+    m_host_deliveries_ = &slots.counter(4);
+    m_blocked_ = &slots.counter(5);
+    m_fanout_ = &slots.histogram(6);
+    m_header_flits_ = &slots.histogram(7);
   }
   channels_.resize(static_cast<std::size_t>(num_out_ + sys.num_nodes()));
   // Switch output channels lead to a peer switch's input port or to a
@@ -59,10 +59,13 @@ NetworkModel::NetworkModel(Engine& engine, const System& sys,
     for (PortId p = 0; p < ports_; ++p) {
       Channel& c = channel(PortIdx(s, p));
       const Port& pt = sys.graph.port(s, p);
-      if (pt.kind == PortKind::kSwitch)
+      if (pt.kind == PortKind::kSwitch) {
         c.dst_port = PortIdx(pt.peer_switch, pt.peer_port);
-      else if (pt.kind == PortKind::kHost)
+        c.switch_link = true;
+        ++switch_links_;
+      } else if (pt.kind == PortKind::kHost) {
         c.dst_host = pt.host;
+      }
     }
   }
   // Injection channels: NI -> the host port's input buffer at the switch.
@@ -103,7 +106,7 @@ std::vector<LinkLoadReport> NetworkModel::LinkReports(Cycles now) const {
       r.to_host = c.dst_host != kInvalidNode;
       r.node = c.dst_host;
       r.flits = ChannelFlits(PortIdx(s, p));
-      r.utilization = Utilization(PortIdx(s, p), now);
+      r.utilization = Utilization(r.flits, now);
       out.push_back(r);
     }
   }
@@ -111,49 +114,49 @@ std::vector<LinkLoadReport> NetworkModel::LinkReports(Cycles now) const {
     LinkLoadReport r;
     r.node = n;
     r.flits = ChannelFlits(InjChannel(n));
-    r.utilization = Utilization(InjChannel(n), now);
+    r.utilization = Utilization(r.flits, now);
     out.push_back(r);
   }
   return out;
 }
 
-bool NetworkModel::IsSwitchLink(int channel_id) const {
-  // Judged on the current System, as LinkReports does: a link an Autonet
-  // swap removed no longer counts.
-  if (IsInjection(channel_id) || channel(channel_id).dst_host != kInvalidNode)
-    return false;
-  const Port& pt =
-      sys_->graph.port(SwitchOfPort(channel_id), channel_id % ports_);
-  return pt.kind != PortKind::kFree;
-}
-
-double NetworkModel::Utilization(int channel_id, Cycles now) const {
+double NetworkModel::Utilization(std::int64_t flits, Cycles now) {
   const double elapsed = now > 0 ? static_cast<double>(now) : 1.0;
-  return static_cast<double>(ChannelFlits(channel_id)) / elapsed;
+  return static_cast<double>(flits) / elapsed;
 }
 
 double NetworkModel::MaxLinkUtilization(Cycles now) const {
+  // A link that carried nothing has utilization 0, the starting best.
   double best = 0.0;
-  for (int cid = 0; cid < num_out_; ++cid)
-    if (IsSwitchLink(cid)) best = std::max(best, Utilization(cid, now));
+  for (int cid = touched_; cid != -1; cid = channel(cid).next_touched)
+    if (channel(cid).switch_link)
+      best = std::max(best, Utilization(ChannelFlits(cid), now));
   return best;
 }
 
 void NetworkModel::CollectMetrics(Cycles now) {
   if (!metrics_) return;
-  Counter& busy = metrics_->GetCounter(prefix_ + "link_busy_cycles");
-  Histogram& util = metrics_->GetHistogram(prefix_ + "link_utilization_pct");
+  const MetricSlots slots = metrics_->Bind(family_->fold);
+  Counter& busy = slots.counter(0);
+  Histogram& util = slots.histogram(1);
+  Gauge& max_util = slots.gauge(2);
+  // Only listed channels carried flits. The fold sums, bins and takes a
+  // max, so the list's order does not matter.
+  std::int64_t busy_cycles = 0;
+  int touched_links = 0;
   double best = 0.0;
-  for (std::size_t cid = 0; cid < channels_.size(); ++cid)
-    busy.Add(ChannelFlits(static_cast<int>(cid)));
-  for (int cid = 0; cid < num_out_; ++cid) {
-    if (!IsSwitchLink(cid)) continue;
-    const double u = Utilization(cid, now);
+  for (int cid = touched_; cid != -1; cid = channel(cid).next_touched) {
+    const std::int64_t flits = ChannelFlits(cid);
+    busy_cycles += flits;
+    if (!channel(cid).switch_link) continue;
+    ++touched_links;
+    const double u = Utilization(flits, now);
     util.Add(static_cast<std::int64_t>(100.0 * u));
     best = std::max(best, u);
   }
-  metrics_->GetGauge(prefix_ + "max_link_utilization", GaugeMode::kMax)
-      .Set(best);
+  busy.Add(busy_cycles);
+  util.Add(0, switch_links_ - touched_links);  // the links left idle
+  max_util.Set(best);
   CollectEngineMetrics();
 }
 
@@ -176,6 +179,16 @@ void NetworkModel::SwapSystem(const System& sys) {
   IRMC_EXPECT(sys.graph.ports_per_switch() == ports_);
   IRMC_EXPECT(sys.num_nodes() == sys_->num_nodes());
   sys_ = &sys;
+  // A link the new tables removed drops out of the utilization metrics,
+  // as it does out of LinkReports.
+  switch_links_ = 0;
+  for (int cid = 0; cid < num_out_; ++cid) {
+    Channel& c = channel(cid);
+    c.switch_link =
+        c.dst_host == kInvalidNode &&
+        sys.graph.port(SwitchOfPort(cid), cid % ports_).kind != PortKind::kFree;
+    if (c.switch_link) ++switch_links_;
+  }
 }
 
 void NetworkModel::ReportDrop(const Packet& pkt, SwitchId where) {

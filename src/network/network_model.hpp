@@ -17,11 +17,17 @@
 // channel table (switch out-channels in (switch, port) order, then one
 // injection channel per NI) and its wiring from the System, per-channel
 // flit and fault state, link reports and the link-metric fold, the
-// hot-path metric slots under the engine's prefix, the injection
-// preamble, the drop contract, and the Autonet swap. An engine supplies
-// only its transport physics: how an injection queues, what its backlog
-// is, what happens to traffic committed to a channel that dies, and its
-// own end-of-run metrics.
+// hot-path metric slots bound from the engine's static name tables, the
+// injection preamble, the drop contract, and the Autonet swap. An engine
+// supplies only its transport physics: how an injection queues, what
+// its backlog is (a running count), what happens to traffic committed
+// to a channel that dies, and its own end-of-run metrics.
+//
+// A run pays for the channels it uses, not for the network's size:
+// CountFlits lists a channel the first time it carries flits, and the
+// link fold and MaxLinkUtilization walk only that list (every other
+// switch link carried nothing, so it adds a zero to the utilization
+// histogram in one bulk add).
 //
 // Both co-simulate with the shared `sim` event kernel: injections carry
 // a `ready` cycle (data present at the NI), deliveries fire the caller's
@@ -31,6 +37,7 @@
 // each engine is valid.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -128,7 +135,13 @@ class NetworkModel {
   /// Packets queued or in flight on node n's injection channel.
   virtual int InjectionBacklog(NodeId n) const = 0;
 
-  /// Total packets currently queued on all channels (saturation metric).
+  /// Packets queued or in flight on the out-channel of switch `sw`'s
+  /// port `port`.
+  virtual int ChannelBacklog(SwitchId sw, PortId port) const = 0;
+
+  /// Total packets currently queued on all channels (saturation metric):
+  /// the sum of every ChannelBacklog and InjectionBacklog, kept as a
+  /// running count, so reading it is O(1).
   virtual std::int64_t TotalBacklog() const = 0;
 
   /// Total flits that entered any channel (per-hop accounting).
@@ -139,14 +152,17 @@ class NetworkModel {
   /// A channel is busy one cycle per flit it carries, on either engine.
   std::vector<LinkLoadReport> LinkReports(Cycles now) const;
 
-  /// Highest switch-to-switch link utilization (hot-spot metric).
+  /// Highest switch-to-switch link utilization (hot-spot metric). Walks
+  /// only the channels that carried flits.
   double MaxLinkUtilization(Cycles now) const;
 
   /// Folds end-of-run channel state into the metrics registry (no-op
   /// without one): `<prefix>.link_busy_cycles`, the
   /// `<prefix>.link_utilization_pct` histogram over switch-to-switch
   /// links, the `<prefix>.max_link_utilization` gauge, then the
-  /// engine's own series. Call once when the trial's run ends.
+  /// engine's own series. Call once when the run ends. Walks only the
+  /// channels that carried flits, and allocates nothing once the
+  /// registry has bound these names.
   void CollectMetrics(Cycles now);
 
   /// Installs the fault-drop handler (see DropFn). Engines only take
@@ -174,6 +190,20 @@ class NetworkModel {
     return pkt.hop_log.hops();
   }
 
+  /// An engine's metric family, named in full in static tables, so
+  /// binding them builds no string.
+  struct MetricFamily {
+    /// Bound at construction, in this order: the per-flit counter, then
+    /// packets_switched, packets_injected, replications,
+    /// host_deliveries, blocked_cycles (counters) and route_fanout,
+    /// header_flits (histograms).
+    std::array<MetricSpec, 8> hot;
+    /// Bound by CollectMetrics, in this order: link_busy_cycles
+    /// (counter), link_utilization_pct (histogram),
+    /// max_link_utilization (max gauge).
+    std::array<MetricSpec, 3> fold;
+  };
+
  protected:
   /// One unidirectional channel: a switch output port's link, or an
   /// NI's injection link into its switch. Engines keep their own
@@ -186,15 +216,21 @@ class NetworkModel {
     NodeId dst_host = kInvalidNode;  ///< host sink of a switch host port
     Cycles dead_since = kNever;      ///< FailLink time; kNever = alive
     std::int64_t flits = 0;          ///< one busy cycle per flit carried
+    /// Next channel in the list of channels that carried flits (-1
+    /// ends it); meaningful once `flits` is non-zero.
+    int next_touched = -1;
+    /// A wired switch-to-switch out-channel under the current System
+    /// (hosts, injections and free ports excluded): the links the
+    /// utilization metrics cover.
+    bool switch_link = false;
   };
 
-  /// `prefix` names the engine's metric family ("fabric", "flit");
-  /// `flits_counter` is its per-flit counter within it ("flits_sent",
-  /// "flits_moved"). `metrics` and `tracer` are optional per-trial
-  /// sinks; neither forces serial trial execution.
+  /// `family` (static storage) names the engine's metrics. `metrics`
+  /// and `tracer` are optional per-trial sinks; neither forces serial
+  /// trial execution.
   NetworkModel(Engine& engine, const System& sys, const NetParams& params,
                DeliverFn deliver, Tracer* tracer, MetricsRegistry* metrics,
-               const std::string& prefix, const char* flits_counter);
+               const MetricFamily& family);
 
   /// Queues a packet the preamble of InjectFromNi has already traced
   /// and counted.
@@ -226,9 +262,16 @@ class NetworkModel {
   /// Switch ports: each is one input port and one out-channel.
   std::size_t num_ports() const { return static_cast<std::size_t>(num_out_); }
 
-  /// Accounts `n` flits entering `channel_id`.
+  /// Accounts `n` (> 0) flits entering `channel_id`, listing the
+  /// channel for the link fold the first time. This is the only way a
+  /// channel gains flits.
   void CountFlits(int channel_id, int n) {
-    channel(channel_id).flits += n;
+    Channel& c = channel(channel_id);
+    if (c.flits == 0) {
+      c.next_touched = touched_;
+      touched_ = channel_id;
+    }
+    c.flits += n;
     if (m_flits_) m_flits_->Add(n);
   }
 
@@ -267,8 +310,8 @@ class NetworkModel {
   DropFn drop_;  ///< null = pristine contract (unroutable packets abort)
   int ports_;
 
-  // Hot-path metric slots, resolved once at construction (null = off).
-  Counter* m_flits_ = nullptr;          ///< <prefix>.<flits_counter>
+  // Hot-path metric slots, bound at construction (null = off).
+  Counter* m_flits_ = nullptr;          ///< <prefix>.flits_sent / _moved
   Counter* m_switched_ = nullptr;       ///< <prefix>.packets_switched
   Counter* m_injected_ = nullptr;       ///< <prefix>.packets_injected
   Counter* m_replications_ = nullptr;   ///< <prefix>.replications
@@ -282,15 +325,17 @@ class NetworkModel {
   std::int64_t ChannelFlits(int channel_id) const {
     return channel(channel_id).flits + UnsettledFlits(channel_id);
   }
-  /// A wired switch-to-switch out-channel (hosts, injections and free
-  /// ports excluded) — the links the utilization metrics cover.
-  bool IsSwitchLink(int channel_id) const;
-  /// The channel's busy cycles (one per flit) over the `now` elapsed
+  /// A channel's busy cycles (one per flit) over the `now` elapsed
   /// cycles (over 1 at time 0).
-  double Utilization(int channel_id, Cycles now) const;
+  static double Utilization(std::int64_t flits, Cycles now);
 
-  std::string prefix_;
+  const MetricFamily* family_;
   int num_out_;                    ///< switch out-channels (switches*ports)
+  /// Out-channels with Channel::switch_link set.
+  int switch_links_ = 0;
+  /// Head of the list of channels that carried flits, chained through
+  /// Channel::next_touched in first-use order (-1: none yet).
+  int touched_ = -1;
   std::vector<Channel> channels_;  ///< out-channels, then injections
 };
 

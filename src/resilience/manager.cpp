@@ -7,6 +7,15 @@
 #include "verify/deadlock.hpp"
 
 namespace irmc {
+namespace {
+
+constexpr MetricSpec kResilienceMetrics[] = {
+    {MetricKind::kCounter, "resilience.faults"},
+    {MetricKind::kCounter, "resilience.reconfigs"},
+    {MetricKind::kCounter, "resilience.reconfig_cycles"},
+};
+
+}  // namespace
 
 ResilienceManager::ResilienceManager(Engine& engine, NetworkModel& network,
                                      const System& base, const SimConfig& cfg,
@@ -18,9 +27,10 @@ ResilienceManager::ResilienceManager(Engine& engine, NetworkModel& network,
       tracer_(tracer),
       current_(&base) {
   if (metrics) {
-    m_faults_ = &metrics->GetCounter("resilience.faults");
-    m_reconfigs_ = &metrics->GetCounter("resilience.reconfigs");
-    m_reconfig_cycles_ = &metrics->GetCounter("resilience.reconfig_cycles");
+    const MetricSlots slots = metrics->Bind(kResilienceMetrics);
+    m_faults_ = &slots.counter(0);
+    m_reconfigs_ = &slots.counter(1);
+    m_reconfig_cycles_ = &slots.counter(2);
   }
   on_swap_ = std::move(on_swap);
 

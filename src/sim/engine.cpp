@@ -3,6 +3,17 @@
 #include "metrics/metrics.hpp"
 
 namespace irmc {
+namespace {
+
+constexpr MetricSpec kSimMetrics[] = {
+    {MetricKind::kCounter, "sim.events"},
+    {MetricKind::kGauge, "sim.end_time", GaugeMode::kMax},
+};
+
+}  // namespace
+
+// Defaulted out of line, so user-provided (see the header).
+Engine::Engine() = default;
 
 Cycles Engine::RunToQuiescence() {
   while (queue_.RunNext()) {
@@ -17,10 +28,9 @@ bool Engine::RunUntil(Cycles deadline) {
 }
 
 void Engine::CollectMetrics(MetricsRegistry& reg) const {
-  reg.GetCounter("sim.events").Add(
-      static_cast<std::int64_t>(events_executed()));
-  reg.GetGauge("sim.end_time", GaugeMode::kMax)
-      .Set(static_cast<double>(Now()));
+  const MetricSlots slots = reg.Bind(kSimMetrics);
+  slots.counter(0).Add(static_cast<std::int64_t>(events_executed()));
+  slots.gauge(1).Set(static_cast<double>(Now()));
 }
 
 }  // namespace irmc

@@ -12,8 +12,16 @@ class MetricsRegistry;
 
 /// Thin facade over EventQueue used by all models. Provides relative
 /// scheduling and bounded runs (run-until-time / run-until-quiescent).
+/// A fresh Engine allocates nothing (the event queue's storage grows on
+/// the first events); it is ~16.7 KB, held on the stack or inside a
+/// per-trial object.
 class Engine {
  public:
+  /// User-provided, so even a value-initialised Engine (`Engine{}`,
+  /// std::optional::emplace, std::make_unique) leaves the event queue's
+  /// bucket ring unwritten.
+  Engine();
+
   Cycles Now() const { return queue_.Now(); }
 
   /// Schedule `fn` (an EventQueue::Action or a callable one can hold)
@@ -36,13 +44,17 @@ class Engine {
   /// `deadline` still run. Returns true if the queue drained first.
   bool RunUntil(Cycles deadline);
 
+  /// Runs the next event alone (tests check state between events).
+  /// Returns false, running nothing, when no events remain.
+  bool Step() { return queue_.RunNext(); }
+
   std::uint64_t events_executed() const { return queue_.executed(); }
   bool Idle() const { return queue_.Empty(); }
 
   /// Folds this engine's run totals into `reg`: `sim.events` (events
   /// dispatched) and `sim.end_time` (final simulated time, max across
-  /// trials). Called once per trial, not per event — the hot loop stays
-  /// untouched.
+  /// trials). Called once per run, not per event — the hot loop stays
+  /// untouched — and binds its two names once per registry.
   void CollectMetrics(MetricsRegistry& reg) const;
 
  private:

@@ -17,6 +17,10 @@ struct Later {
 
 }  // namespace
 
+// Defaulted out of line, so user-provided: value-initialisation runs it
+// instead of zeroing buckets_ first.
+EventQueue::EventQueue() = default;
+
 std::uint32_t EventQueue::NewSlot() {
   if (free_ != kNil) {
     const std::uint32_t id = free_;

@@ -14,7 +14,11 @@
 // bucket, so bucket order stays insertion order.
 //
 // Actions are stored inline (no heap allocation per event) in a recycled
-// slot arena; buckets and the heap hold 32-bit slot ids.
+// slot arena; buckets and the heap hold 32-bit slot ids. The bucket ring
+// is a member array left uninitialised (a bucket is read only while its
+// occupancy bit is set, and setting the bit writes it), so a fresh queue
+// allocates and clears nothing: the slot arena and the heap grow on the
+// first events.
 //
 // Dispatch costs one indirect call per event. RunNext recycles the
 // event's slot first, then Action::RunOnce moves the callable onto the
@@ -156,7 +160,11 @@ class EventQueue {
   /// 1024; 4096 gained nothing more.
   static constexpr Cycles kWindow = 2048;
 
-  EventQueue() : buckets_(static_cast<std::size_t>(kWindow)) {}
+  /// Allocates nothing. User-provided, so even a value-initialised
+  /// queue leaves its bucket ring unwritten.
+  EventQueue();
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedule `fn` (an Action, or any callable an Action can hold) at
   /// absolute time `when` (>= current Now()).
@@ -198,9 +206,11 @@ class EventQueue {
     Action action;  ///< empty while the slot is free
     std::uint32_t next = kNil;  ///< next in its bucket or the free list
   };
+  /// Indeterminate until Append sets its occupancy bit; read only
+  /// while the bit is set.
   struct Bucket {
-    std::uint32_t head = kNil;  ///< valid only while the occupancy bit is set
-    std::uint32_t tail = kNil;
+    std::uint32_t head;
+    std::uint32_t tail;
   };
   struct Overflow {
     Cycles when;
@@ -219,16 +229,18 @@ class EventQueue {
   /// Timestamp of the next event. Requires !Empty().
   Cycles NextTime() const;
 
+  // The scalars every event reads come first, on adjacent cache lines;
+  // the 16 KB bucket ring comes last.
   std::vector<Slot> slots_;
   std::uint32_t free_ = kNil;  ///< head of the free-slot list
-  std::vector<Bucket> buckets_;  ///< [time % kWindow]
-  std::array<std::uint64_t, kWords> occupied_{};  ///< bit per non-empty bucket
-  std::vector<Overflow> overflow_;  ///< min-heap on (when, seq)
   std::size_t in_window_ = 0;  ///< events held in buckets
   std::size_t size_ = 0;       ///< events held in total
   Cycles now_ = 0;
   std::uint64_t overflow_seq_ = 0;
   std::uint64_t executed_ = 0;
+  std::vector<Overflow> overflow_;  ///< min-heap on (when, seq)
+  std::array<std::uint64_t, kWords> occupied_{};  ///< bit per non-empty bucket
+  std::array<Bucket, kWindow> buckets_;  ///< [time % kWindow], uninitialised
 };
 
 }  // namespace irmc

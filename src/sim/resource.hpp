@@ -67,8 +67,6 @@ class CountingResource {
     } else {
       waiters_.emplace_back(std::forward<F>(granted));
       IRMC_EXPECT(static_cast<bool>(waiters_.back()));
-      if (static_cast<std::int64_t>(waiters_.size()) > max_queue_)
-        max_queue_ = static_cast<std::int64_t>(waiters_.size());
     }
   }
 
@@ -88,12 +86,10 @@ class CountingResource {
   std::int64_t queue_length() const {
     return static_cast<std::int64_t>(waiters_.size());
   }
-  std::int64_t max_queue() const { return max_queue_; }
 
  private:
   int available_;
   Fifo<EventQueue::Action> waiters_;  ///< allocates on the first wait
-  std::int64_t max_queue_ = 0;
 };
 
 }  // namespace irmc

@@ -1,11 +1,17 @@
 // Allocation budget: deterministic work counters for simulator setup and
 // worm routing, gated in CI on any machine.
 //
-//  * Building an Engine + McastDriver costs a fixed number of heap
-//    allocations whatever the switch count, on both engines: channel
-//    tables are plain vectors and per-port queues allocate on first use.
-//    The single-multicast panels build one per sample, so a per-port
+//  * A fresh Engine allocates nothing. Building a McastDriver costs a
+//    fixed number of heap allocations whatever the switch count, on both
+//    engines: channel tables are plain vectors, per-port queues allocate
+//    on first use, and metric names bind once per registry. The
+//    single-multicast panels build one per sample, so a per-port
 //    allocation here is paid thousands of times per figure.
+//  * A sample pays for what it simulates. The end-of-run fold, the
+//    hottest-link read and the backlog read allocate nothing on a bound
+//    registry, and a fresh run allocates per transmission queued at
+//    once, not per channel it touches: the same multicast costs about
+//    the same at 8 and at 32 switches.
 //  * A hop allocates nothing. Packets are values the engines own (slot
 //    arenas recycled as packets leave), a replica is a copy with its
 //    header words inline, and a tree-worm decision lists its ports
@@ -41,12 +47,17 @@
 namespace irmc {
 namespace {
 
-/// Upper bound on the allocations of one Engine + McastDriver build.
-constexpr std::size_t kConstructionBudget = 24;
+/// Allocations of one Engine + McastDriver build, as measured: the
+/// driver's node table and network, plus the network's channel table,
+/// transmission queues and input-slot pools (VCT) or its arbiters, NI
+/// queues, input ports and two activity bitmaps (flit).
+std::size_t ConstructionBudget(EngineKind kind) {
+  return kind == EngineKind::kVct ? 5 : 8;
+}
 
 /// Allocations made building an Engine + McastDriver over a system of
-/// `switches` switches, with a registry already holding every metric
-/// name McastDriver and the engine resolve (as each trial's registry does
+/// `switches` switches, with a registry that has bound every metric
+/// table McastDriver and the engine bind (as each trial's registry has
 /// after its first sample).
 std::size_t ConstructionAllocations(EngineKind kind, int switches) {
   SimConfig cfg;
@@ -66,11 +77,99 @@ std::size_t ConstructionAllocations(EngineKind kind, int switches) {
 
 class AllocBudget : public ::testing::TestWithParam<EngineKind> {};
 
+TEST(AllocBudget, FreshEngineAllocatesNothing) {
+  const std::size_t before = counting_new::Allocations();
+  {
+    const Engine engine;
+    const auto held = std::make_unique<Engine>();  // value-initialised
+    EXPECT_TRUE(engine.Idle() && held->Idle());
+  }
+  EXPECT_EQ(counting_new::Allocations() - before, 1u);  // the unique_ptr
+}
+
 TEST_P(AllocBudget, ConstructionIsIndependentOfSwitchCount) {
   const std::size_t at8 = ConstructionAllocations(GetParam(), 8);
-  EXPECT_LE(at8, kConstructionBudget) << at8 << " allocations";
+  EXPECT_LE(at8, ConstructionBudget(GetParam())) << at8 << " allocations";
   EXPECT_EQ(ConstructionAllocations(GetParam(), 16), at8);
   EXPECT_EQ(ConstructionAllocations(GetParam(), 32), at8);
+}
+
+/// A multicast from host 0 to hosts 1..31, planned by every scheme on
+/// `sys`.
+std::vector<McastPlan> BroadcastPlans(const System& sys) {
+  std::vector<McastPlan> plans;
+  std::vector<NodeId> dests;
+  for (NodeId d = 1; d < 32; ++d) dests.push_back(d);
+  for (SchemeKind kind :
+       {SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
+        SchemeKind::kTreeWorm, SchemeKind::kPathWorm})
+    plans.push_back(
+        MakeScheme(kind, HostParams{})->Plan(sys, 0, dests, {}, {}));
+  return plans;
+}
+
+/// Per plan of BroadcastPlans: allocations of running it to quiescence
+/// on a fresh Engine + McastDriver (launch excluded), and of the
+/// end-of-run reads that follow — the fold, MaxLinkUtilization and
+/// TotalBacklog — on a registry that has bound every table before.
+struct RunCost {
+  std::size_t run = 0;
+  std::size_t reads = 0;
+};
+
+std::vector<RunCost> FreshRunAllocations(EngineKind kind, int switches) {
+  SimConfig cfg;
+  cfg.engine = kind;
+  cfg.topology.num_switches = switches;
+  const auto sys = System::Build(cfg.topology, 42);
+  MetricsRegistry metrics;
+  {
+    Engine engine;
+    McastDriver warm(engine, *sys, cfg, nullptr, &metrics);
+    engine.CollectMetrics(metrics);
+    warm.network().CollectMetrics(engine.Now());
+  }
+  std::vector<RunCost> costs;
+  for (McastPlan& plan : BroadcastPlans(*sys)) {
+    Engine engine;
+    McastDriver driver(engine, *sys, cfg, nullptr, &metrics);
+    bool done = false;
+    driver.Launch(std::move(plan), 0,
+                  [&done](const MulticastResult&) { done = true; });
+    RunCost cost;
+    std::size_t before = counting_new::Allocations();
+    engine.RunToQuiescence();
+    cost.run = counting_new::Allocations() - before;
+    EXPECT_TRUE(done);
+    before = counting_new::Allocations();
+    engine.CollectMetrics(metrics);
+    driver.network().CollectMetrics(engine.Now());
+    EXPECT_GT(driver.network().MaxLinkUtilization(engine.Now()), 0.0);
+    EXPECT_EQ(driver.network().TotalBacklog(), 0);
+    cost.reads = counting_new::Allocations() - before;
+    costs.push_back(cost);
+  }
+  return costs;
+}
+
+TEST_P(AllocBudget, EndOfRunReadsAllocateNothing) {
+  for (int switches : {8, 32})
+    for (const RunCost& cost : FreshRunAllocations(GetParam(), switches))
+      EXPECT_EQ(cost.reads, 0u) << switches << " switches";
+}
+
+TEST(AllocBudget, VctFreshRunsCostNoMoreOnBiggerNetworks) {
+  // A fresh run allocates as its arenas grow to the transmissions queued
+  // at once, not per channel it touches: running the same multicast on
+  // four times the switches costs at most a few more allocations (a
+  // deeper network holds a few more packets in flight at once).
+  const std::vector<RunCost> at8 = FreshRunAllocations(EngineKind::kVct, 8);
+  const std::vector<RunCost> at32 = FreshRunAllocations(EngineKind::kVct, 32);
+  ASSERT_EQ(at8.size(), at32.size());
+  for (std::size_t i = 0; i < at8.size(); ++i)
+    EXPECT_LE(at32[i].run, at8[i].run + 8)
+        << "scheme " << i << ": " << at8[i].run << " allocations at 8 "
+        << "switches, " << at32[i].run << " at 32";
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, AllocBudget,

@@ -20,14 +20,15 @@ TEST(Args, CommandAndKeyValues) {
   const Args args = ParseVec({"single", "--size", "15", "--scheme",
                               "tree-worm"});
   EXPECT_EQ(args.command(), "single");
-  EXPECT_EQ(args.GetInt("size", 0), 15);
+  EXPECT_EQ(args.GetIntIn("size", 0, 1, 31), 15);
   EXPECT_EQ(args.GetString("scheme", ""), "tree-worm");
 }
 
 TEST(Args, DefaultsWhenMissing) {
   const Args args = ParseVec({"load"});
-  EXPECT_EQ(args.GetInt("degree", 8), 8);
+  EXPECT_EQ(args.GetIntIn("degree", 8, 1, 31), 8);
   EXPECT_DOUBLE_EQ(args.GetDouble("load", 0.25), 0.25);
+  EXPECT_DOUBLE_EQ(args.GetDoubleAbove("ratio", 2.0, 0.0), 2.0);
   EXPECT_EQ(args.GetString("scheme", "fallback"), "fallback");
   EXPECT_FALSE(args.GetFlag("dot"));
 }
@@ -35,7 +36,7 @@ TEST(Args, DefaultsWhenMissing) {
 TEST(Args, FlagsHaveNoValue) {
   const Args args = ParseVec({"topology", "--dot", "--seed", "9"});
   EXPECT_TRUE(args.GetFlag("dot"));
-  EXPECT_EQ(args.GetInt("seed", 0), 9);
+  EXPECT_EQ(args.GetIntIn("seed", 0, 0, 100), 9);
 }
 
 TEST(Args, FlagBeforeAnotherOption) {
@@ -47,13 +48,33 @@ TEST(Args, FlagBeforeAnotherOption) {
 TEST(Args, NoCommandIsEmpty) {
   const Args args = ParseVec({"--size", "3"});
   EXPECT_TRUE(args.command().empty());
-  EXPECT_EQ(args.GetInt("size", 0), 3);
+  EXPECT_EQ(args.GetIntIn("size", 0, 1, 31), 3);
 }
 
-TEST(Args, MalformedNumbersFallBack) {
+TEST(ArgsDeathTest, MalformedNumbersAreRejected) {
+  // Checked options never fall back to their default on a malformed
+  // value: they exit naming the accepted range.
   const Args args = ParseVec({"single", "--size", "abc", "--load", "x.y"});
-  EXPECT_EQ(args.GetInt("size", 7), 7);
-  EXPECT_DOUBLE_EQ(args.GetDouble("load", 0.5), 0.5);
+  EXPECT_EXIT(args.GetIntIn("size", 7, 1, 31), ::testing::ExitedWithCode(2),
+              "invalid value for --size: 'abc' \\(accepted: integers from "
+              "1 to 31\\)");
+  EXPECT_EXIT(args.GetDoubleAbove("load", 0.5, 0.0),
+              ::testing::ExitedWithCode(2),
+              "invalid value for --load: 'x.y' \\(accepted: finite numbers "
+              "> 0\\)");
+}
+
+TEST(ArgsDeathTest, GetDoubleAboveExitsOutsideItsRange) {
+  for (const char* bad : {"0", "-1", "", "nan", "inf", "1e999", "0.5x"}) {
+    const Args args = ParseVec({"load", "--load", bad});
+    EXPECT_EXIT(args.GetDoubleAbove("load", 0.2, 0.0),
+                ::testing::ExitedWithCode(2), "invalid value for --load")
+        << bad;
+  }
+  const Args ok = ParseVec({"load", "--load", "0.25"});
+  EXPECT_DOUBLE_EQ(ok.GetDoubleAbove("load", 0.2, 0.0), 0.25);
+  const Args absent = ParseVec({"load"});
+  EXPECT_DOUBLE_EQ(absent.GetDoubleAbove("load", 0.2, 0.0), 0.2);
 }
 
 TEST(Args, ParseIntInTakesWholeIntegersInRange) {
@@ -106,13 +127,13 @@ TEST(EnvInt, AcceptsOnlyPositiveIntegersThatFitAnInt) {
 
 TEST(Args, NegativeAndFloatValues) {
   const Args args = ParseVec({"x", "--delta", "-3", "--ratio", "0.5"});
-  EXPECT_EQ(args.GetInt("delta", 0), -3);
+  EXPECT_EQ(args.GetIntIn("delta", 0, INT64_MIN, INT64_MAX), -3);
   EXPECT_DOUBLE_EQ(args.GetDouble("ratio", 0.0), 0.5);
 }
 
 TEST(Args, UnconsumedKeysDetected) {
   const Args args = ParseVec({"single", "--size", "3", "--typo", "1"});
-  (void)args.GetInt("size", 0);
+  (void)args.GetIntIn("size", 0, 1, 31);
   const auto leftover = args.UnconsumedKeys();
   ASSERT_EQ(leftover.size(), 1u);
   EXPECT_EQ(leftover[0], "typo");

@@ -76,6 +76,41 @@ TEST(Histogram, TracksCountSumMinMax) {
   EXPECT_EQ(h.bin(4), 2);  // the two 9s
 }
 
+TEST(Histogram, BulkAddMatchesSingleAdds) {
+  // Add(v, count) leaves the state of `count` single adds, bit for bit,
+  // into an empty histogram or one with samples on either side of v.
+  for (std::int64_t v : {0, 1, 7, 100}) {
+    for (std::int64_t count : {0, 1, 5}) {
+      for (bool prefilled : {false, true}) {
+        Histogram bulk;
+        Histogram single;
+        if (prefilled) {
+          for (std::int64_t w : {3, 50}) {
+            bulk.Add(w);
+            single.Add(w);
+          }
+        }
+        bulk.Add(v, count);
+        for (std::int64_t i = 0; i < count; ++i) single.Add(v);
+        EXPECT_EQ(bulk.count(), single.count());
+        EXPECT_EQ(bulk.sum(), single.sum());
+        if (single.count() > 0) {
+          EXPECT_EQ(bulk.min(), single.min());
+          EXPECT_EQ(bulk.max(), single.max());
+        }
+        for (int b = 0; b < Histogram::kBins; ++b)
+          EXPECT_EQ(bulk.bin(b), single.bin(b)) << "bin " << b;
+        MetricsRegistry a;
+        MetricsRegistry b;
+        a.GetHistogram("h").Merge(bulk);
+        b.GetHistogram("h").Merge(single);
+        EXPECT_EQ(ToJson(a), ToJson(b))
+            << "v " << v << " count " << count << " prefilled " << prefilled;
+      }
+    }
+  }
+}
+
 TEST(Gauge, ModesCombine) {
   Gauge mx{0.0, false, GaugeMode::kMax};
   mx.Set(2.0);
@@ -159,6 +194,70 @@ TEST(MetricsRegistry, StableReferencesAcrossInterning) {
   EXPECT_EQ(first, &reg.GetCounter("a"));  // node-based map: no rehash moves
   first->Add(3);
   EXPECT_EQ(reg.counters().at("a").value, 3);
+}
+
+constexpr MetricSpec kBindTable[] = {
+    {MetricKind::kCounter, "b.count"},
+    {MetricKind::kGauge, "b.peak", GaugeMode::kMax},
+    {MetricKind::kHistogram, "b.hist"},
+};
+
+TEST(MetricsRegistry, BindResolvesTheSameEntriesAsGet) {
+  MetricsRegistry reg;
+  reg.GetCounter("b.count").Add(2);  // an entry that already exists
+  const MetricSlots slots = reg.Bind(kBindTable);
+  EXPECT_EQ(&slots.counter(0), &reg.GetCounter("b.count"));
+  EXPECT_EQ(&slots.gauge(1), &reg.GetGauge("b.peak", GaugeMode::kMax));
+  EXPECT_EQ(&slots.histogram(2), &reg.GetHistogram("b.hist"));
+  EXPECT_EQ(reg.counters().at("b.count").value, 2);
+  // A second Bind of the table hands back the same entries.
+  Counter* first = &slots.counter(0);
+  reg.GetCounter("b.other");
+  EXPECT_EQ(&reg.Bind(kBindTable).counter(0), first);
+}
+
+/// Records one sample through each slot `reg` binds for kBindTable.
+void RecordThroughBinding(MetricsRegistry& reg, std::int64_t v) {
+  const MetricSlots slots = reg.Bind(kBindTable);
+  slots.counter(0).Add(v);
+  slots.gauge(1).Set(static_cast<double>(v));
+  slots.histogram(2).Add(v);
+}
+
+TEST(MetricsRegistry, CopiesAndMovesBindIndependently) {
+  // A bound registry's copies and moves never carry slots that point
+  // into another registry: each records only into itself.
+  MetricsRegistry source;
+  RecordThroughBinding(source, 1);
+  MetricsRegistry copy = source;
+  RecordThroughBinding(copy, 10);
+  MetricsRegistry assigned;
+  RecordThroughBinding(assigned, 1000);  // a memo the assignment drops
+  assigned = source;
+  RecordThroughBinding(assigned, 100);
+  RecordThroughBinding(source, 2);
+  EXPECT_EQ(source.counters().at("b.count").value, 3);
+  EXPECT_EQ(copy.counters().at("b.count").value, 11);
+  EXPECT_EQ(assigned.counters().at("b.count").value, 101);
+
+  MetricsRegistry moved = std::move(source);
+  RecordThroughBinding(moved, 4);
+  EXPECT_EQ(moved.counters().at("b.count").value, 7);
+  EXPECT_EQ(moved.histograms().at("b.hist").count(), 3);
+  MetricsRegistry move_assigned;
+  RecordThroughBinding(move_assigned, 1000);
+  move_assigned = std::move(copy);
+  RecordThroughBinding(move_assigned, 20);
+  EXPECT_EQ(move_assigned.counters().at("b.count").value, 31);
+  EXPECT_DOUBLE_EQ(move_assigned.gauges().at("b.peak").value, 20.0);
+
+  // A moved-from registry binds into itself, never into its successor.
+  // NOLINTBEGIN(bugprone-use-after-move)
+  RecordThroughBinding(source, 5);
+  RecordThroughBinding(copy, 6);
+  // NOLINTEND(bugprone-use-after-move)
+  EXPECT_EQ(moved.counters().at("b.count").value, 7);
+  EXPECT_EQ(move_assigned.counters().at("b.count").value, 31);
 }
 
 TEST(Export, FormatsCoverAllKinds) {

@@ -80,15 +80,5 @@ TEST(CountingResource, ReleaseWithoutWaitersRestoresSlot) {
   EXPECT_EQ(pool.available(), 1);
 }
 
-TEST(CountingResource, MaxQueueTracksHighWater) {
-  Engine e;
-  CountingResource pool(1);
-  pool.Acquire(e, [] {});
-  pool.Acquire(e, [] {});
-  pool.Acquire(e, [] {});
-  e.RunToQuiescence();
-  EXPECT_EQ(pool.max_queue(), 2);
-}
-
 }  // namespace
 }  // namespace irmc

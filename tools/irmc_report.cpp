@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -71,6 +72,16 @@ std::vector<double> ParseDoubleList(const std::string& csv) {
   return out;
 }
 
+/// Largest value an `int` count option takes.
+constexpr std::int64_t kMaxCount = std::numeric_limits<int>::max();
+
+/// --seed: any 64-bit integer.
+std::int64_t GetSeed(const Args& args, std::int64_t fallback) {
+  return args.GetIntIn("seed", fallback,
+                       std::numeric_limits<std::int64_t>::min(),
+                       std::numeric_limits<std::int64_t>::max());
+}
+
 // ------------------------------------------------------------- record
 
 int CmdRecord(const Args& args) {
@@ -81,20 +92,26 @@ int CmdRecord(const Args& args) {
   spec.mode = mode == "single" ? PanelMode::kSingle : PanelMode::kLoad;
   const std::string engine = args.GetChoice("engine", "vct", {"vct", "flit"});
   EngineKindFromString(engine, &spec.cfg.engine);
+  // Integer options are checked: a malformed or out-of-range value exits
+  // with status 2 and the accepted range.
   spec.cfg.topology.num_switches =
-      static_cast<int>(args.GetInt("switches", 8));
-  spec.cfg.topology.num_hosts = static_cast<int>(
-      args.GetInt("hosts", 4L * spec.cfg.topology.num_switches));
+      static_cast<int>(args.GetIntIn("switches", 8, 1, kMaxCount));
+  spec.cfg.topology.num_hosts = static_cast<int>(args.GetIntIn(
+      "hosts", std::int64_t{4} * spec.cfg.topology.num_switches, 2,
+      kMaxCount));
   spec.cfg.topology.ports_per_switch =
-      static_cast<int>(args.GetInt("ports", 8));
-  spec.cfg.seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
+      static_cast<int>(args.GetIntIn("ports", 8, 2, kMaxCount));
+  spec.cfg.seed = static_cast<std::uint64_t>(GetSeed(args, 1));
   spec.sizes = ParseIntList(args.GetString("sizes", "2,4,8,15"));
   spec.loads = ParseDoubleList(args.GetString("loads", "0.05,0.15,0.3"));
-  spec.degree = static_cast<int>(args.GetInt("degree", 8));
-  spec.topologies = static_cast<int>(
-      args.GetInt("topologies", spec.mode == PanelMode::kSingle ? 10 : 2));
-  spec.samples = static_cast<int>(args.GetInt("samples", 4));
-  spec.horizon = static_cast<Cycles>(args.GetInt("horizon", 150'000));
+  spec.degree = static_cast<int>(args.GetIntIn(
+      "degree", 8, 1, spec.cfg.topology.num_hosts - 1));
+  spec.topologies = static_cast<int>(args.GetIntIn(
+      "topologies", spec.mode == PanelMode::kSingle ? 10 : 2, 1, kMaxCount));
+  spec.samples = static_cast<int>(args.GetIntIn("samples", 4, 1, kMaxCount));
+  // A load run drains for another horizon after generation stops.
+  spec.horizon = args.GetIntIn("horizon", 150'000, 1,
+                               std::numeric_limits<Cycles>::max() / 2);
   spec.scale_latency = args.GetDouble("scale-latency", 1.0);
   const std::string ledger = args.GetString("ledger", DefaultLedgerPath());
 
@@ -150,9 +167,10 @@ bool LoadOrDie(const std::string& path, std::vector<LedgerRun>* runs) {
 DiffSpec SpecFromArgs(const Args& args) {
   DiffSpec spec;
   spec.rel_threshold = args.GetDouble("threshold", 0.05);
-  spec.bootstrap_iters = static_cast<int>(args.GetInt("bootstrap", 300));
+  spec.bootstrap_iters =
+      static_cast<int>(args.GetIntIn("bootstrap", 300, 0, kMaxCount));
   spec.confidence = args.GetDouble("confidence", 0.95);
-  spec.seed = static_cast<std::uint64_t>(args.GetInt("seed", 42));
+  spec.seed = static_cast<std::uint64_t>(GetSeed(args, 42));
   spec.allow_config_mismatch = args.GetFlag("allow-config-mismatch");
   return spec;
 }

@@ -11,6 +11,7 @@
 // may also be passed as `--in FILE`.
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -135,9 +136,11 @@ int CmdCriticalPath(const Args& args, const Tracer& tracer) {
     std::fprintf(stderr, "irmc_trace: trace holds no multicasts\n");
     return 1;
   }
-  const auto mcast = args.GetInt("mcast", all.front().second);
-  const auto trial =
-      static_cast<std::int32_t>(args.GetInt("trial", all.front().first));
+  const std::int64_t mcast = args.GetIntIn(
+      "mcast", all.front().second, 0, std::numeric_limits<std::int64_t>::max());
+  const auto trial = static_cast<std::int32_t>(
+      args.GetIntIn("trial", all.front().first, -1,
+                    std::numeric_limits<std::int32_t>::max()));
   const auto report = AnalyzeCriticalPath(tracer, mcast, trial);
   if (!report) {
     std::fprintf(stderr,

@@ -19,6 +19,7 @@
 // when every verified System passes every invariant.
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -188,13 +189,18 @@ int main(int argc, char** argv) {
   }
   if (!args.command().empty()) return Usage();
 
-  const int trials = static_cast<int>(args.GetInt("trials", 20));
-  const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
+  // Integer options are checked: a malformed or out-of-range value exits
+  // with status 2 and the accepted range.
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  const auto trials = static_cast<int>(args.GetIntIn("trials", 20, 1, kIntMax));
+  const auto seed = static_cast<std::uint64_t>(
+      args.GetIntIn("seed", 1, std::numeric_limits<std::int64_t>::min(),
+                    std::numeric_limits<std::int64_t>::max()));
   const std::vector<int> sizes =
       ParseSwitchList(args.GetString("switches", "8,16,32"));
-  const int nodes = static_cast<int>(args.GetInt("nodes", 32));
-  const int ports = static_cast<int>(args.GetInt("ports", 8));
-  const int faults = static_cast<int>(args.GetInt("faults", 0));
+  const auto nodes = static_cast<int>(args.GetIntIn("nodes", 32, 1, kIntMax));
+  const auto ports = static_cast<int>(args.GetIntIn("ports", 8, 2, kIntMax));
+  const auto faults = static_cast<int>(args.GetIntIn("faults", 0, 0, kIntMax));
   const std::string load = args.GetString("load", "");
 
   VerifyOpts opts;
@@ -202,18 +208,16 @@ int main(int argc, char** argv) {
   opts.deadlock = args.GetFlag("deadlock");
   const std::string engine = args.GetChoice("engine", "flit", {"vct", "flit"});
   opts.spec.engine = engine == "vct" ? EngineKind::kVct : EngineKind::kFlit;
-  opts.spec.net.buffer_flits =
-      static_cast<int>(args.GetInt("buffer-flits", opts.spec.net.buffer_flits));
-  opts.spec.payload_flits =
-      static_cast<int>(args.GetInt("payload-flits", opts.spec.payload_flits));
+  opts.spec.net.buffer_flits = static_cast<int>(
+      args.GetIntIn("buffer-flits", opts.spec.net.buffer_flits, 1, kIntMax));
+  opts.spec.payload_flits = static_cast<int>(
+      args.GetIntIn("payload-flits", opts.spec.payload_flits, 1, kIntMax));
 
   for (const std::string& key : args.UnconsumedKeys()) {
     std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
     return Usage();
   }
-  if (sizes.empty() || trials <= 0 || nodes <= 0 || ports <= 0 || faults < 0 ||
-      opts.spec.net.buffer_flits <= 0 || opts.spec.payload_flits <= 0)
-    return Usage();
+  if (sizes.empty()) return Usage();
 
   if (!load.empty()) return RunLoaded(load, faults, opts);
 

@@ -18,6 +18,7 @@
 //
 // Every command prints human-readable results; `topology --dot` emits
 // Graphviz on stdout for piping into `dot -Tsvg`.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -121,46 +122,76 @@ int MaybeWriteTrace(const TraceSpec& spec, const Tracer& tracer) {
   return 0;
 }
 
-// Every integer option is checked: a value that is not an integer, or
-// does not fit the option's type (or its minimum), exits with status 2
-// and the accepted range, like a bad choice value — never a silent
-// fallback to the default or a wrapped value.
+// Every option is checked: a value that is not a number, does not fit
+// the option's type, or lies outside the range the library accepts exits
+// with status 2 and the accepted range, like a bad choice value — never
+// a silent fallback to the default, a wrapped value, or an abort deep in
+// the library. Some ranges depend on other options (the multicast size
+// on --nodes); those bind the default too.
 
-/// An `int` option, at least `min`.
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+/// An `int` option in [lo, hi] (hi at most INT_MAX).
 int GetInt32(const Args& args, const std::string& key, int fallback,
-             int min = std::numeric_limits<int>::min()) {
-  return static_cast<int>(args.GetIntIn(key, fallback, min,
-                                        std::numeric_limits<int>::max()));
+             std::int64_t lo = std::numeric_limits<int>::min(),
+             std::int64_t hi = kIntMax) {
+  const std::int64_t value = args.GetIntIn(key, fallback, lo, hi);
+  if (value < lo || value > hi) {
+    // Only a default can land here: another option narrowed the range.
+    std::fprintf(stderr,
+                 "invalid value for --%s: the default %d is out of range "
+                 "(accepted: integers from %lld to %lld)\n",
+                 key.c_str(), fallback, static_cast<long long>(lo),
+                 static_cast<long long>(hi));
+    std::exit(2);
+  }
+  return static_cast<int>(value);
 }
 
-/// A 64-bit option (cycle counts, seeds).
+using Limits64 = std::numeric_limits<std::int64_t>;
+
+/// A 64-bit option (cycle counts, seeds) in [lo, hi].
 std::int64_t GetInt64(const Args& args, const std::string& key,
-                      std::int64_t fallback) {
-  return args.GetIntIn(key, fallback,
-                       std::numeric_limits<std::int64_t>::min(),
-                       std::numeric_limits<std::int64_t>::max());
+                      std::int64_t fallback, std::int64_t lo = Limits64::min(),
+                      std::int64_t hi = Limits64::max()) {
+  return args.GetIntIn(key, fallback, lo, hi);
+}
+
+/// A multicast size or sharer count on a system of `nodes` hosts: at
+/// least one destination besides the source.
+int GetDestCount(const Args& args, const std::string& key, int fallback,
+                 int nodes) {
+  return GetInt32(args, key, fallback, 1, nodes - 1);
 }
 
 /// Common --switches/--nodes/--ports/--packets/--ratio/--seed handling.
-SimConfig ConfigFrom(const Args& args) {
+/// `min_nodes` is the fewest hosts the command can run on.
+SimConfig ConfigFrom(const Args& args, int min_nodes = 2) {
   SimConfig cfg;
   cfg.topology.num_switches =
-      GetInt32(args, "switches", cfg.topology.num_switches);
-  cfg.topology.num_hosts = GetInt32(args, "nodes", cfg.topology.num_hosts);
+      GetInt32(args, "switches", cfg.topology.num_switches, 1);
   cfg.topology.ports_per_switch =
-      GetInt32(args, "ports", cfg.topology.ports_per_switch);
+      GetInt32(args, "ports", cfg.topology.ports_per_switch, 2);
+  // Every switch keeps a port free for the spanning tree (the topology
+  // generator's precondition).
+  cfg.topology.num_hosts = GetInt32(
+      args, "nodes", cfg.topology.num_hosts, min_nodes,
+      std::min<std::int64_t>(
+          kIntMax, std::int64_t{cfg.topology.num_switches} *
+                       (cfg.topology.ports_per_switch - 1)));
   // A message is at least one packet of at least one flit.
   cfg.message.num_packets =
       GetInt32(args, "packets", cfg.message.num_packets, 1);
   cfg.message.packet_flits =
       GetInt32(args, "packet-flits", cfg.message.packet_flits, 1);
-  cfg.host.SetRatio(args.GetDouble("ratio", cfg.host.R()));
+  cfg.host.SetRatio(args.GetDoubleAbove("ratio", cfg.host.R(), 0.0));
   // --engine vct|flit selects the network engine; --buffer-flits sizes
   // the flit engine's per-port input buffers (see docs/engines.md).
   const std::string engine_name =
       args.GetChoice("engine", ToString(cfg.engine), {"vct", "flit"});
   IRMC_ENSURE(EngineKindFromString(engine_name, &cfg.engine));
-  cfg.net.buffer_flits = GetInt32(args, "buffer-flits", cfg.net.buffer_flits);
+  cfg.net.buffer_flits =
+      GetInt32(args, "buffer-flits", cfg.net.buffer_flits, 1);
   cfg.seed = static_cast<std::uint64_t>(GetInt64(args, "seed", 1));
   // Runtime resilience (docs/resilience.md): an explicit fault schedule
   // and/or random faults with a mean time between failures. Either one
@@ -176,12 +207,13 @@ SimConfig ConfigFrom(const Args& args) {
   }
   cfg.resilience.mtbf = args.GetDouble("mtbf", cfg.resilience.mtbf);
   cfg.resilience.reconfig_delay =
-      GetInt64(args, "reconfig-delay", cfg.resilience.reconfig_delay);
+      GetInt64(args, "reconfig-delay", cfg.resilience.reconfig_delay, 0);
   cfg.resilience.verify_reconfig = args.GetFlag("verify-reconfig");
   cfg.resilience.enabled =
       !cfg.resilience.schedule.empty() || cfg.resilience.mtbf > 0.0;
-  // --threads N overrides IRMC_THREADS for the trial executor (1 = serial).
-  const int threads = GetInt32(args, "threads", 0);
+  // --threads N overrides IRMC_THREADS for the trial executor (0 = the
+  // default, 1 = serial).
+  const int threads = GetInt32(args, "threads", 0, 0);
   if (threads > 0) SetParallelThreads(threads);
   return cfg;
 }
@@ -221,9 +253,10 @@ int CmdSingle(const Args& args) {
   SingleRunSpec spec;
   spec.cfg = ConfigFrom(args);
   spec.scheme = *scheme;
-  spec.multicast_size = GetInt32(args, "size", 15);
-  spec.topologies = GetInt32(args, "topologies", 10);
-  spec.samples_per_topology = GetInt32(args, "samples", 4);
+  spec.multicast_size =
+      GetDestCount(args, "size", 15, spec.cfg.topology.num_hosts);
+  spec.topologies = GetInt32(args, "topologies", 10, 1);
+  spec.samples_per_topology = GetInt32(args, "samples", 4, 1);
   const TraceSpec tspec = GetTraceSpec(args);
   Tracer tracer;
   if (tspec.enabled()) {
@@ -246,11 +279,13 @@ int CmdLoad(const Args& args) {
   LoadRunSpec spec;
   spec.cfg = ConfigFrom(args);
   spec.scheme = *scheme;
-  spec.degree = GetInt32(args, "degree", 8);
-  spec.effective_load = args.GetDouble("load", 0.2);
-  spec.horizon = GetInt64(args, "horizon", 150'000);
+  spec.degree = GetDestCount(args, "degree", 8, spec.cfg.topology.num_hosts);
+  spec.effective_load = args.GetDoubleAbove("load", 0.2, 0.0);
+  // The run drains for another horizon after generation stops.
+  spec.horizon =
+      GetInt64(args, "horizon", 150'000, 1, Limits64::max() / 2);
   spec.warmup = spec.horizon / 10;
-  spec.topologies = GetInt32(args, "topologies", 2);
+  spec.topologies = GetInt32(args, "topologies", 2, 1);
   const std::string pattern = args.GetChoice(
       "pattern", "uniform", {"uniform", "clustered", "hotspot"});
   if (pattern == "clustered")
@@ -281,9 +316,10 @@ int CmdDsm(const Args& args) {
   if (!scheme) return Usage();
   SimConfig cfg = ConfigFrom(args);
   DsmParams params;
-  params.sharers_per_line = GetInt32(args, "sharers", 8);
+  params.sharers_per_line =
+      GetDestCount(args, "sharers", 8, cfg.topology.num_hosts);
   params.write_interarrival = args.GetDouble("interarrival", 50'000.0);
-  params.topologies = GetInt32(args, "topologies", 3);
+  params.topologies = GetInt32(args, "topologies", 3, 1);
   const TraceSpec tspec = GetTraceSpec(args);
   Tracer tracer;
   if (tspec.enabled()) {
@@ -301,7 +337,7 @@ int CmdDsm(const Args& args) {
 }
 
 int CmdTopology(const Args& args) {
-  const SimConfig cfg = ConfigFrom(args);
+  const SimConfig cfg = ConfigFrom(args, 0);
   const bool dot = args.GetFlag("dot");
   const std::string save = args.GetString("save", "");
   const auto sys = System::Build(cfg.topology, cfg.seed);
@@ -329,7 +365,7 @@ int CmdTrace(const Args& args) {
   const auto scheme =
       MakeCliScheme(args.GetString("scheme", "tree-worm"), cfg.host);
   if (!scheme) return Usage();
-  const int size = GetInt32(args, "size", 8);
+  const int size = GetDestCount(args, "size", 8, cfg.topology.num_hosts);
   const auto sys = System::Build(cfg.topology, cfg.seed);
 
   Tracer tracer;
