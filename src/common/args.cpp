@@ -21,6 +21,68 @@ bool ParseIntIn(const std::string& text, std::int64_t lo, std::int64_t hi,
   return true;
 }
 
+bool RealRange::Contains(double v) const {
+  return std::isfinite(v) && (open_lo ? v > lo : v >= lo) &&
+         (open_hi ? v < hi : v <= hi);
+}
+
+std::string RealRange::Describe() const {
+  char text[96];
+  if (hi == Max() && !open_hi)
+    std::snprintf(text, sizeof text, "finite numbers %s %g",
+                  open_lo ? ">" : ">=", lo);
+  else
+    std::snprintf(text, sizeof text, "numbers in %c%g, %g%c",
+                  open_lo ? '(' : '[', lo, hi, open_hi ? ')' : ']');
+  return text;
+}
+
+bool ParseDoubleIn(const std::string& text, const RealRange& range,
+                   double* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (*end != '\0' || !range.Contains(value)) return false;
+  *out = value;
+  return true;
+}
+
+namespace {
+
+/// The integers [lo, hi] as an error message names them, for a value
+/// `text` that missed them: a number below the range names the bound it
+/// missed; anything else (not a number, too large) names the whole
+/// range.
+std::string IntRangeText(const std::string& text, std::int64_t lo,
+                         std::int64_t hi) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  std::int64_t value = 0;
+  if (lo > kMin && ParseIntIn(text, kMin, lo - 1, &value))
+    return "integers >= " + std::to_string(lo);
+  return "integers from " + std::to_string(lo) + " to " + std::to_string(hi);
+}
+
+[[noreturn]] void RejectValue(const std::string& key, const std::string& value,
+                             const std::string& accepted) {
+  std::fprintf(stderr, "invalid value for --%s: '%s' (accepted: %s)\n",
+               key.c_str(), value.c_str(), accepted.c_str());
+  std::exit(2);
+}
+
+/// Splits `list` at commas, keeping empty tokens.
+std::vector<std::string> SplitCommas(const std::string& list) {
+  std::vector<std::string> out(1);
+  for (char c : list) {
+    if (c == ',')
+      out.emplace_back();
+    else
+      out.back() += c;
+  }
+  return out;
+}
+
+}  // namespace
+
 Args Args::Parse(int argc, const char* const* argv) {
   Args args;
   int i = 1;
@@ -64,41 +126,47 @@ std::int64_t Args::GetIntIn(const std::string& key, std::int64_t fallback,
   if (it == values_.end()) return fallback;
   std::int64_t value = 0;
   if (ParseIntIn(it->second, lo, hi, &value)) return value;
-  // A number below the range names the bound it missed; anything else
-  // (not a number, too large) names the whole range.
-  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
-  const bool below =
-      lo > kMin && ParseIntIn(it->second, kMin, lo - 1, &value);
-  const std::string accepted =
-      below ? ">= " + std::to_string(lo)
-            : "from " + std::to_string(lo) + " to " + std::to_string(hi);
-  std::fprintf(stderr, "invalid value for --%s: '%s' (accepted: integers %s)\n",
-               key.c_str(), it->second.c_str(), accepted.c_str());
-  std::exit(2);
+  RejectValue(key, it->second, IntRangeText(it->second, lo, hi));
 }
 
-double Args::GetDouble(const std::string& key, double fallback) const {
-  consumed_[key] = true;
-  auto it = values_.find(key);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return (end != nullptr && *end == '\0') ? v : fallback;
-}
-
-double Args::GetDoubleAbove(const std::string& key, double fallback,
-                            double lo) const {
+double Args::GetDoubleIn(const std::string& key, double fallback,
+                         const RealRange& range) const {
   consumed_[key] = true;
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  const char* text = it->second.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end != text && *end == '\0' && std::isfinite(v) && v > lo) return v;
-  std::fprintf(stderr,
-               "invalid value for --%s: '%s' (accepted: finite numbers > %g)\n",
-               key.c_str(), text, lo);
-  std::exit(2);
+  double value = 0.0;
+  if (ParseDoubleIn(it->second, range, &value)) return value;
+  RejectValue(key, it->second, range.Describe());
+}
+
+std::vector<std::int64_t> Args::GetIntListIn(const std::string& key,
+                                             const std::string& fallback,
+                                             std::int64_t lo,
+                                             std::int64_t hi) const {
+  const std::string list = GetString(key, fallback);
+  std::vector<std::int64_t> out;
+  for (const std::string& token : SplitCommas(list)) {
+    std::int64_t value = 0;
+    if (!ParseIntIn(token, lo, hi, &value))
+      RejectValue(key, list,
+                  "comma-separated " + IntRangeText(token, lo, hi));
+    out.push_back(value);
+  }
+  return out;
+}
+
+std::vector<double> Args::GetDoubleListIn(const std::string& key,
+                                          const std::string& fallback,
+                                          const RealRange& range) const {
+  const std::string list = GetString(key, fallback);
+  std::vector<double> out;
+  for (const std::string& token : SplitCommas(list)) {
+    double value = 0.0;
+    if (!ParseDoubleIn(token, range, &value))
+      RejectValue(key, list, "comma-separated " + range.Describe());
+    out.push_back(value);
+  }
+  return out;
 }
 
 std::string Args::GetChoice(const std::string& key, const std::string& fallback,
@@ -113,9 +181,7 @@ std::string Args::GetChoice(const std::string& key, const std::string& fallback,
     if (!accepted.empty()) accepted += ", ";
     accepted += a;
   }
-  std::fprintf(stderr, "invalid value for --%s: '%s' (accepted: %s)\n",
-               key.c_str(), it->second.c_str(), accepted.c_str());
-  std::exit(2);
+  RejectValue(key, it->second, accepted);
 }
 
 bool Args::GetFlag(const std::string& key) const {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -19,6 +20,38 @@ namespace irmc {
 /// hostile value never wraps or falls back silently.
 bool ParseIntIn(const std::string& text, std::int64_t lo, std::int64_t hi,
                 std::int64_t* out);
+
+/// The reals a checked option accepts: finite values from `lo` to `hi`,
+/// where an open end excludes its bound.
+struct RealRange {
+  double lo = -std::numeric_limits<double>::max();
+  double hi = std::numeric_limits<double>::max();
+  bool open_lo = false;
+  bool open_hi = false;
+
+  /// Finite values greater than `lo`.
+  static RealRange Above(double lo) { return {lo, Max(), true, false}; }
+  /// Finite values of at least `lo`.
+  static RealRange AtLeast(double lo) { return {lo, Max(), false, false}; }
+  /// Values strictly between `lo` and `hi`.
+  static RealRange Inside(double lo, double hi) {
+    return {lo, hi, true, true};
+  }
+
+  bool Contains(double v) const;
+  /// The accepted values as an error message names them, e.g.
+  /// "finite numbers > 0" or "numbers in (0, 1)".
+  std::string Describe() const;
+
+ private:
+  static double Max() { return std::numeric_limits<double>::max(); }
+};
+
+/// Parses all of `text` as a real in `range`. Returns false, leaving
+/// `out` untouched, for empty text, trailing characters, a non-finite
+/// value or one outside the range.
+bool ParseDoubleIn(const std::string& text, const RealRange& range,
+                   double* out);
 
 class Args {
  public:
@@ -39,14 +72,22 @@ class Args {
   /// absent.
   std::int64_t GetIntIn(const std::string& key, std::int64_t fallback,
                         std::int64_t lo, std::int64_t hi) const;
-  /// Lenient: a malformed value reads as `fallback` (see GetDoubleAbove
-  /// for the checked form).
-  double GetDouble(const std::string& key, double fallback) const;
-  /// Checked real option: a present value that is not a finite number
-  /// greater than `lo` exits the process with status 2 after printing
-  /// the accepted range. Returns `fallback` when the key is absent.
-  double GetDoubleAbove(const std::string& key, double fallback,
-                        double lo) const;
+  /// Checked real option: a present value outside `range` (or not a
+  /// number) exits the process with status 2 after printing the
+  /// accepted range. Returns `fallback` when the key is absent.
+  double GetDoubleIn(const std::string& key, double fallback,
+                     const RealRange& range) const;
+  /// Checked comma-separated lists (`fallback` is the list text used
+  /// when the key is absent): every token must be an integer in [lo, hi]
+  /// (resp. a real in `range`) and the list must not be empty, or the
+  /// process exits with status 2 naming the option.
+  std::vector<std::int64_t> GetIntListIn(const std::string& key,
+                                         const std::string& fallback,
+                                         std::int64_t lo,
+                                         std::int64_t hi) const;
+  std::vector<double> GetDoubleListIn(const std::string& key,
+                                      const std::string& fallback,
+                                      const RealRange& range) const;
   bool GetFlag(const std::string& key) const;
 
   /// Enum-valued option: the provided value must be one of `allowed`,

@@ -2,13 +2,15 @@
 //
 // Every Trial owns one MetricsRegistry. The sim engine, fabric, flit
 // engine, and McastDriver name their metrics in static tables of
-// MetricSpecs and bind each table once (MetricsRegistry::Bind): the
-// registry remembers the resolution for the rest of the trial, so a
-// component built once per sample gets its raw Counter/Gauge/Histogram
-// pointers back without a name lookup or a string built, and a
-// hot-path record is a guarded integer add — cheap enough to leave
-// always on (irmcbench's metrics.overhead_pct measures the cost against
-// a null registry).
+// MetricSpecs and bind each table (MetricsRegistry::Bind). A registry
+// stores a bound table as one block of rows, in table order, keyed by
+// the table's address: binding a table on a fresh registry makes one
+// allocation and builds no name, binding it again finds the block, and
+// a hot-path record is a guarded integer add through a raw pointer
+// into it — cheap enough to leave always on (irmcbench's
+// metrics.overhead_pct measures the cost against a null registry).
+// Names are attached only when a registry is read by name, merged by
+// name or exported.
 //
 // Determinism contract: every metric value is either an integer
 // (counters, histogram bins/sum/min/max) or a double combined by an
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -135,9 +138,9 @@ struct MetricSpec {
   GaugeMode mode = GaugeMode::kSum;  ///< gauges only
 };
 
-/// The registry entries a bound table resolved to, in table order. A
-/// view into the registry's binding memo: read the slots out before
-/// the next Bind on the same registry.
+/// The rows a bound table resolved to, in table order: a view into the
+/// registry's block for that table, valid while the registry holds it
+/// (until the registry is destroyed or assigned to).
 class MetricSlots {
  public:
   /// The entry of table row `i`; the row must name a metric of that
@@ -148,74 +151,101 @@ class MetricSlots {
 
  private:
   friend class MetricsRegistry;
-  MetricSlots(std::span<const MetricSpec> table, void* const* slots)
-      : table_(table), slots_(slots) {}
-  void* Slot(std::size_t i, MetricKind kind) const;
+  MetricSlots(std::span<const MetricSpec> table, std::byte* rows)
+      : table_(table), rows_(rows) {}
+  std::byte* Slot(std::size_t i, MetricKind kind) const;
 
   std::span<const MetricSpec> table_;
-  void* const* slots_;
+  std::byte* rows_;
 };
 
-/// Named metric store. Get* interns the name on first use and returns a
-/// reference that stays valid for the registry's lifetime (node-based
-/// map), so callers resolve once and record through the pointer.
+/// Metric store. Bound tables keep their rows in one block each; names
+/// no table declares live in name-keyed maps. Get* returns the row of
+/// the first bound table that declares the name, or else interns the
+/// name; either reference stays valid for the registry's lifetime, so
+/// callers resolve once and record through the pointer.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
-  /// Copies and moves carry the metrics, never the binding memo: a copy
-  /// binds afresh into its own entries, and a registry parked after its
-  /// trial (a batch keeps thousands until it merges them) holds no memo.
+  /// A copy owns copies of every block; a move takes the blocks (rows
+  /// keep their addresses) and leaves the source empty.
   MetricsRegistry(const MetricsRegistry& other);
-  MetricsRegistry(MetricsRegistry&& other) noexcept;
+  MetricsRegistry(MetricsRegistry&& other) noexcept = default;
   MetricsRegistry& operator=(const MetricsRegistry& other);
-  MetricsRegistry& operator=(MetricsRegistry&& other) noexcept;
+  MetricsRegistry& operator=(MetricsRegistry&& other) noexcept = default;
 
   Counter& GetCounter(std::string_view name);
   Gauge& GetGauge(std::string_view name, GaugeMode mode = GaugeMode::kSum);
   Histogram& GetHistogram(std::string_view name);
 
-  /// Resolves every row of `table` (a table with static storage: its
-  /// address identifies it), interning absent names exactly as Get*
-  /// does. The first Bind of a table looks its names up; later Binds of
-  /// the same table on this registry return the remembered slots
-  /// without a lookup or an allocation.
+  /// The rows of `table` (a table with static storage: its address
+  /// identifies it). The first Bind of a table on this registry
+  /// allocates its block, with every row zero; later Binds find it.
+  /// Neither builds a name.
   MetricSlots Bind(std::span<const MetricSpec> table);
 
   /// Union-merge: counters add, gauges combine per their mode (modes
-  /// must agree), histogram bins add. Applied in trial-index order by
-  /// TrialOutcome::Merge, which makes the result thread-count-invariant.
+  /// must agree), histogram bins add. A table both registries bound
+  /// merges row by row; the rest merges by name. Applied in trial-index
+  /// order by TrialOutcome::Merge, which makes the result
+  /// thread-count-invariant.
   void Merge(const MetricsRegistry& other);
 
   using CounterMap = std::map<std::string, Counter, std::less<>>;
   using GaugeMap = std::map<std::string, Gauge, std::less<>>;
   using HistogramMap = std::map<std::string, Histogram, std::less<>>;
 
-  const CounterMap& counters() const { return counters_; }
-  const GaugeMap& gauges() const { return gauges_; }
-  const HistogramMap& histograms() const { return histograms_; }
+  /// Every metric of a kind by name, sorted, as one entry per name
+  /// (rows and interned entries of the same name fold together, as a
+  /// merge would). Builds the names on first use and refreshes the
+  /// values in place on every call, so references and iterators from
+  /// an earlier call stay valid. Not safe to call on one registry from
+  /// two threads at once.
+  const CounterMap& counters() const;
+  const GaugeMap& gauges() const;
+  const HistogramMap& histograms() const;
 
   bool Empty() const {
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
+    return tables_ == nullptr && counters_.empty() && gauges_.empty() &&
+           histograms_.empty();
   }
 
  private:
-  /// One bound table: its rows' slots start at slots_[first].
-  struct BoundTable {
-    const MetricSpec* table;
-    std::size_t size;
-    std::size_t first;
+  /// One bound table: a header, then its rows in table order, in one
+  /// allocation. Blocks chain in bind order.
+  struct Table;
+  struct TableDeleter {
+    void operator()(Table* table) const noexcept;
   };
+  using TablePtr = std::unique_ptr<Table, TableDeleter>;
 
-  /// Drops the binding memo (and its memory).
-  void ForgetBindings();
+  static TablePtr NewTable(std::span<const MetricSpec> spec);
+  static TablePtr CloneTable(const Table& table);
+  /// The block bound for the table at `spec`, or null.
+  Table* Find(const MetricSpec* spec) const;
+  /// Chains `table` after the last block.
+  Table* Append(TablePtr table);
+  /// The row of the first bound table declaring (kind, name), or null.
+  std::byte* FindRow(MetricKind kind, std::string_view name) const;
+  /// Get*: the row declaring `name`, else the by-name entry in `named`
+  /// (inserted as `fresh` when absent).
+  template <class Map>
+  typename Map::mapped_type& Entry(Map& named, std::string_view name,
+                                   const typename Map::mapped_type& fresh);
+  /// Refreshes `view` in place: every row of its kind and every entry
+  /// of `named`, folded by name.
+  template <class Map>
+  const Map& View(const Map& named, Map& view) const;
 
+  TablePtr tables_;
+  // Names no bound table declared when they were first asked for.
   CounterMap counters_;
   GaugeMap gauges_;
   HistogramMap histograms_;
-  // Binding memo: entry pointers of every table bound so far, valid as
-  // long as the maps above keep their nodes.
-  std::vector<BoundTable> bound_;
-  std::vector<void*> slots_;
+  // The by-name views counters()/gauges()/histograms() hand out.
+  mutable CounterMap counter_view_;
+  mutable GaugeMap gauge_view_;
+  mutable HistogramMap histogram_view_;
 };
 
 }  // namespace irmc

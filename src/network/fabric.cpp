@@ -1,6 +1,7 @@
 #include "network/fabric.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace irmc {
 namespace {
@@ -24,17 +25,21 @@ constexpr MetricSpec kFabricSeries[] = {
     {MetricKind::kGauge, "fabric.input_buffer_wait_max", GaugeMode::kMax},
 };
 
+/// Gives an arena that has no storage yet its first allocation, of `n`
+/// elements.
+template <class T>
+void ReserveFirst(std::vector<T>& arena, std::size_t n) {
+  if (arena.capacity() == 0) arena.reserve(n);
+}
+
 }  // namespace
 
 Fabric::Fabric(Engine& engine, const System& sys, const NetParams& params,
                DeliverFn deliver, Tracer* tracer, MetricsRegistry* metrics)
     : NetworkModel(engine, sys, params, std::move(deliver), tracer, metrics,
                    kFabricMetrics),
-      tx_queues_(num_channels()) {
+      lanes_(num_channels(), Lane{{}, false, params.input_slots, {}}) {
   IRMC_EXPECT(params_.input_slots >= 1);
-  input_slots_.reserve(num_ports());
-  for (std::size_t i = 0; i < num_ports(); ++i)
-    input_slots_.emplace_back(params_.input_slots);
 }
 
 void Fabric::QueueInjection(NodeId n, Packet&& pkt, Cycles ready) {
@@ -44,6 +49,10 @@ void Fabric::QueueInjection(NodeId n, Packet&& pkt, Cycles ready) {
 std::uint32_t Fabric::NewPacket(Packet&& pkt) {
   if (free_packets_.empty()) {
     IRMC_EXPECT(packets_.size() < ~std::uint32_t{0});
+    // A packet per host in flight at once.
+    const auto hosts = static_cast<std::size_t>(sys_->num_nodes());
+    ReserveFirst(packets_, hosts);
+    ReserveFirst(free_packets_, hosts);
     packets_.push_back(std::move(pkt));
     return static_cast<std::uint32_t>(packets_.size() - 1);
   }
@@ -59,11 +68,11 @@ Packet Fabric::TakePacket(std::uint32_t id) {
 }
 
 int Fabric::InjectionBacklog(NodeId n) const {
-  return tx_queues_[static_cast<std::size_t>(InjChannel(n))].Load();
+  return lane(InjChannel(n)).Load();
 }
 
 int Fabric::ChannelBacklog(SwitchId sw, PortId port) const {
-  return tx_queues_[static_cast<std::size_t>(PortIdx(sw, port))].Load();
+  return lane(PortIdx(sw, port)).Load();
 }
 
 void Fabric::CollectEngineMetrics() {
@@ -79,38 +88,45 @@ void Fabric::EnqueueTx(int channel_id, Tx tx) {
     DropTx(channel_id, tx);
     return;
   }
+  PushTx(lane(channel_id).queue, tx);
+  ++backlog_;
+  Pump(channel_id);
+}
+
+std::uint32_t Fabric::PushTx(TxList& list, const Tx& tx) {
   std::uint32_t id = free_txs_;
   if (id != kNoTx) {
     free_txs_ = txs_[id].next;
     txs_[id] = TxNode{tx};
   } else {
     IRMC_EXPECT(txs_.size() < kNoTx);
+    // A transmission per host queued at once.
+    ReserveFirst(txs_, static_cast<std::size_t>(sys_->num_nodes()));
     id = static_cast<std::uint32_t>(txs_.size());
     txs_.push_back(TxNode{tx});
   }
-  TxQueue& q = txq(channel_id);
-  if (q.tail != kNoTx)
-    txs_[q.tail].next = id;
+  if (list.tail != kNoTx)
+    txs_[list.tail].next = id;
   else
-    q.head = id;
-  q.tail = id;
-  ++q.size;
-  ++backlog_;
-  Pump(channel_id);
+    list.head = id;
+  list.tail = id;
+  ++list.size;
+  return id;
 }
 
-Fabric::Tx Fabric::UnlinkTx(TxQueue& q, std::uint32_t prev, std::uint32_t id) {
+Fabric::TxNode Fabric::UnlinkTx(TxList& list, std::uint32_t prev,
+                                std::uint32_t id) {
   TxNode& node = txs_[id];
-  const std::uint32_t next = node.next;
+  const TxNode out = node;
   if (prev != kNoTx)
-    txs_[prev].next = next;
+    txs_[prev].next = node.next;
   else
-    q.head = next;
-  if (q.tail == id) q.tail = prev;
-  --q.size;
+    list.head = node.next;
+  if (list.tail == id) list.tail = prev;
+  --list.size;
   node.next = free_txs_;
   free_txs_ = id;
-  return node.tx;
+  return out;
 }
 
 void Fabric::DropTx(int channel_id, const Tx& tx) {
@@ -121,6 +137,11 @@ void Fabric::DropTx(int channel_id, const Tx& tx) {
 int Fabric::NewBuffered(int slot_pool) {
   int buf;
   if (free_buffered_.empty()) {
+    // An entry holds an input slot, so the slots bound the entries.
+    const std::size_t slots =
+        num_ports() * static_cast<std::size_t>(params_.input_slots);
+    ReserveFirst(buffered_, slots);
+    ReserveFirst(free_buffered_, slots);
     buf = static_cast<int>(buffered_.size());
     buffered_.emplace_back();
   } else {
@@ -137,12 +158,36 @@ void Fabric::ReleaseSrcBuffer(int buf) {
   if (--b.pending_branches > 0) return;
   const int pool = b.slot_pool;
   free_buffered_.push_back(buf);
-  input_slots_[static_cast<std::size_t>(pool)].Release(engine_);
+  ReleaseSlot(pool);
 }
 
 void Fabric::ReleaseDownstreamSlot(int channel_id) {
-  const int pool = channel(channel_id).dst_port;
-  if (pool >= 0) input_slots_[static_cast<std::size_t>(pool)].Release(engine_);
+  const int pool = wire(channel_id).dst_port;
+  if (pool >= 0) ReleaseSlot(pool);
+}
+
+void Fabric::AcquireSlot(int pool, int channel_id, const Tx& tx) {
+  Lane& in = lane(pool);
+  if (in.free_slots > 0) {
+    --in.free_slots;
+    engine_.ScheduleAfter(
+        0, [this, channel_id, tx]() { StartTx(channel_id, tx); });
+  } else {
+    const std::uint32_t id = PushTx(in.waiting, tx);
+    txs_[id].channel = channel_id;
+  }
+  max_input_wait_ = std::max<std::int64_t>(max_input_wait_, in.waiting.size);
+}
+
+void Fabric::ReleaseSlot(int pool) {
+  Lane& in = lane(pool);
+  if (in.waiting.head == kNoTx) {
+    ++in.free_slots;
+    return;
+  }
+  const TxNode granted = UnlinkTx(in.waiting, kNoTx, in.waiting.head);
+  engine_.ScheduleAfter(0, [this, channel_id = granted.channel,
+                            tx = granted.tx]() { StartTx(channel_id, tx); });
 }
 
 void Fabric::CutChannels(std::span<const int> dead) {
@@ -150,13 +195,10 @@ void Fabric::CutChannels(std::span<const int> dead) {
     // Detach the whole queue before the first drop (a drop handler sees
     // the channel empty), then drop front to back. The active
     // transmission keeps `pumping`.
-    TxQueue& q = txq(cid);
-    TxQueue doomed{q.head, q.tail, q.size, false};
-    q.head = q.tail = kNoTx;
-    q.size = 0;
+    TxList doomed = std::exchange(lane(cid).queue, TxList{});
     backlog_ -= doomed.size;
     while (doomed.head != kNoTx)
-      DropTx(cid, UnlinkTx(doomed, kNoTx, doomed.head));
+      DropTx(cid, UnlinkTx(doomed, kNoTx, doomed.head).tx);
   }
 }
 
@@ -167,16 +209,17 @@ void Fabric::Pump(int channel_id) {
   // arbitration does not depend on event-scheduling order. For a lone
   // transmission the timing is unchanged: StartTx starts the wire at
   // max(now, ready) either way.
-  TxQueue& c = txq(channel_id);
-  if (c.pumping || c.head == kNoTx) return;
+  const Lane& c = lane(channel_id);
+  if (c.pumping || c.queue.head == kNoTx) return;
   // Injection channels are strict FIFO (the NI hands packets over in
   // send order; a future-ready head blocks the queue), so the pick waits
   // for the front. On switch channels ready order equals queue order
   // except for same-cycle ties, so aiming at the minimum is the same
   // thing minus the head-of-line wait.
-  Cycles target = txs_[c.head].tx.ready;
+  Cycles target = txs_[c.queue.head].tx.ready;
   if (!IsInjection(channel_id))
-    for (std::uint32_t i = txs_[c.head].next; i != kNoTx; i = txs_[i].next)
+    for (std::uint32_t i = txs_[c.queue.head].next; i != kNoTx;
+         i = txs_[i].next)
       target = std::min(target, txs_[i].tx.ready);
   target = std::max(engine_.Now(), target);
   engine_.ScheduleAt(target, [this, channel_id]() { Pick(channel_id); });
@@ -184,19 +227,20 @@ void Fabric::Pump(int channel_id) {
 
 void Fabric::Pick(int channel_id) {
   if (channel(channel_id).dead_since != kNever) return;  // FailLink drained it
-  TxQueue& c = txq(channel_id);
-  if (c.pumping || c.head == kNoTx) return;  // a rival pick already won
+  Lane& c = lane(channel_id);
+  if (c.pumping || c.queue.head == kNoTx) return;  // a rival pick won
   const Cycles now = engine_.Now();
   std::uint32_t best = kNoTx;
   std::uint32_t best_prev = kNoTx;
   if (IsInjection(channel_id)) {
-    if (txs_[c.head].tx.ready <= now) best = c.head;  // injection: FIFO
+    if (txs_[c.queue.head].tx.ready <= now)
+      best = c.queue.head;  // injection: FIFO
   } else {
     // Grant the transmission that has been ready longest; break
     // same-cycle ties by input port — an engine-independent rule the
     // flit engine applies identically (strictly-less keeps queue order
     // for full ties).
-    for (std::uint32_t i = c.head, prev = kNoTx; i != kNoTx;
+    for (std::uint32_t i = c.queue.head, prev = kNoTx; i != kNoTx;
          prev = i, i = txs_[i].next) {
       const Tx& t = txs_[i].tx;
       if (t.ready > now) continue;
@@ -215,25 +259,19 @@ void Fabric::Pick(int channel_id) {
   // The grant moves the transmission from the queue to the wire: Load()
   // and the backlog are unchanged.
   c.pumping = true;
-  Tx tx = UnlinkTx(c, best_prev, best);
-  const int pool = channel(channel_id).dst_port;
-  if (pool >= 0) {
-    CountingResource& slots = input_slots_[static_cast<std::size_t>(pool)];
-    slots.Acquire(engine_, [this, channel_id, tx = std::move(tx)]() mutable {
-      StartTx(channel_id, std::move(tx));
-    });
-    max_input_wait_ = std::max(max_input_wait_, slots.queue_length());
-  } else {
-    StartTx(channel_id, std::move(tx));
-  }
+  const Tx tx = UnlinkTx(c.queue, best_prev, best).tx;
+  const int pool = wire(channel_id).dst_port;
+  if (pool >= 0)
+    AcquireSlot(pool, channel_id, tx);
+  else
+    StartTx(channel_id, tx);
 }
 
 void Fabric::StartTx(int channel_id, Tx tx) {
-  const Channel& c = channel(channel_id);
-  if (c.dead_since != kNever) {
+  if (channel(channel_id).dead_since != kNever) {
     // The link died while this transmission waited for a downstream
-    // slot (Pick's Acquire); give the just-granted slot back.
-    txq(channel_id).pumping = false;
+    // slot (Pick's AcquireSlot); give the just-granted slot back.
+    lane(channel_id).pumping = false;
     --backlog_;
     ReleaseDownstreamSlot(channel_id);
     DropTx(channel_id, tx);
@@ -264,17 +302,18 @@ void Fabric::StartTx(int channel_id, Tx tx) {
 
   // Tail leaves: channel free, branch drained from the source buffer.
   engine_.ScheduleAt(tail_leave, [this, channel_id, buf = tx.src_buffer]() {
-    txq(channel_id).pumping = false;
+    lane(channel_id).pumping = false;
     --backlog_;
     ReleaseSrcBuffer(buf);
     Pump(channel_id);
   });
 
-  if (c.dst_host != kInvalidNode) {
+  const ChannelEnd& end = wire(channel_id);
+  if (end.dst_host != kInvalidNode) {
     if (m_host_deliveries_) m_host_deliveries_->Add();
     engine_.ScheduleAt(
         tail_arrive,
-        [this, host = c.dst_host, id = tx.pkt, head_arrive, tail_arrive]() {
+        [this, host = end.dst_host, id = tx.pkt, head_arrive, tail_arrive]() {
           const Packet delivered = TakePacket(id);
           Trace(TraceKind::kNiDeliver, delivered, host, -1);
           deliver_(host, delivered, head_arrive, tail_arrive);
@@ -282,8 +321,8 @@ void Fabric::StartTx(int channel_id, Tx tx) {
   } else {
     engine_.ScheduleAt(head_arrive, [this, channel_id, id = tx.pkt,
                                      head_arrive]() {
-      const Channel& ch = channel(channel_id);
-      if (ch.dead_since != kNever && ch.dead_since <= head_arrive) {
+      const Cycles dead_since = channel(channel_id).dead_since;
+      if (dead_since != kNever && dead_since <= head_arrive) {
         // The link died under the worm before its head crossed:
         // truncated. The downstream input slot acquired at Pick goes
         // back; the source side frees at tail_leave as usual.
@@ -291,8 +330,8 @@ void Fabric::StartTx(int channel_id, Tx tx) {
         ReportDrop(TakePacket(id), SwitchOfPort(channel_id));
         return;
       }
-      HeadArrive(SwitchOfPort(ch.dst_port), ch.dst_port % ports_, id,
-                 head_arrive);
+      const int dst_port = wire(channel_id).dst_port;
+      HeadArrive(SwitchOfPort(dst_port), dst_port % ports_, id, head_arrive);
     });
   }
 }
@@ -313,8 +352,10 @@ void Fabric::HeadArrive(SwitchId s, PortId in_port, std::uint32_t pkt,
 void Fabric::Route(SwitchId s, std::uint32_t pkt, Cycles tail_time, int buf) {
   std::vector<RouteBranch>& branches = route_branches_;
   branches.clear();
+  // A decision lists at most one branch per port.
+  ReserveFirst(branches, static_cast<std::size_t>(ports_));
   const PortLoadFn load = [this](SwitchId sw, PortId p) {
-    return txq(PortIdx(sw, p)).Load();
+    return lane(PortIdx(sw, p)).Load();
   };
   Buffered& held = buffered_[static_cast<std::size_t>(buf)];
   const int pool = held.slot_pool;
@@ -322,9 +363,7 @@ void Fabric::Route(SwitchId s, std::uint32_t pkt, Cycles tail_time, int buf) {
     // No branch claims the entry: recycle it now, the slot at the tail.
     free_buffered_.push_back(buf);
     const Cycles when = std::max(engine_.Now(), tail_time);
-    engine_.ScheduleAt(when, [this, pool]() {
-      input_slots_[static_cast<std::size_t>(pool)].Release(engine_);
-    });
+    engine_.ScheduleAt(when, [this, pool]() { ReleaseSlot(pool); });
   };
   if (!TryComputeRouteBranches(*sys_, s, packets_[pkt], params_.adaptive,
                                load, branches)) {

@@ -17,11 +17,14 @@
 // per-channel transmission queues, the channel pick, the input-slot
 // pools and the packets themselves.
 //
-// Every channel's transmission queue is a FIFO list threaded through
-// one shared node arena (txs_, with a free list), so a fresh Fabric
-// allocates nothing per channel it touches: the arena grows to the
-// transmissions queued at once, not to the channels used. The running
-// backlog_ counts queued and on-wire transmissions over all channels.
+// A run's per-channel state is one plain array (lanes_, filled in one
+// pass): each channel's transmission queue and, for a switch port, the
+// input buffer's free slots and the transmissions waiting for one.
+// Both kinds of queue are FIFO lists threaded through one shared node
+// arena (txs_, with a free list), so a fresh Fabric allocates nothing
+// per channel it touches: the arena holds the transmissions queued at
+// once, not the channels used. The running backlog_ counts queued and
+// on-wire transmissions over all channels.
 //
 // Packets live in a slot arena (packets_, recycled through
 // free_packets_): a transmission and every event about it carry a
@@ -29,6 +32,12 @@
 // count. A routed packet's first branch reuses its slot. Before a
 // packet goes to the deliver or drop callback it is moved out of its
 // slot, because the callback may inject and so grow the arena.
+//
+// Each arena is allocated on its first use at a size taken from the
+// System — a packet and a transmission per host, a buffered entry per
+// input slot, a branch per switch port — and doubles only beyond that,
+// so a single multicast allocates each arena once whatever the
+// network's size.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +46,6 @@
 
 #include "network/network_model.hpp"
 #include "network/route_logic.hpp"
-#include "sim/resource.hpp"
 
 namespace irmc {
 
@@ -63,7 +71,7 @@ class Fabric final : public NetworkModel {
   /// replica branches have drained. Lives in buffered_, recycled through
   /// free_buffered_ once the last branch releases it.
   struct Buffered {
-    int slot_pool = -1;  ///< index into input_slots_
+    int slot_pool = -1;  ///< input port (lane) whose slot it holds
     int pending_branches = 0;
   };
 
@@ -83,21 +91,35 @@ class Fabric final : public NetworkModel {
 
   static constexpr std::uint32_t kNoTx = ~std::uint32_t{0};
 
-  /// A transmission in the shared arena, linked into its channel's queue
-  /// or into the free list through `next`.
+  /// A transmission in the shared arena, linked into its channel's queue,
+  /// an input port's wait list or the free list through `next`.
   struct TxNode {
     Tx tx;
     std::uint32_t next = kNoTx;
+    /// While waiting for an input slot: the channel granted the
+    /// transmission.
+    int channel = -1;
   };
 
-  /// A channel's transmissions: a FIFO list of txs_ nodes, one
-  /// transmission on the wire at a time.
-  struct TxQueue {
+  /// A FIFO list of txs_ nodes.
+  struct TxList {
     std::uint32_t head = kNoTx;
     std::uint32_t tail = kNoTx;
     int size = 0;
+  };
+
+  /// A run's state of one channel id (see NetworkModel's channel
+  /// layout).
+  struct Lane {
+    /// The channel's transmissions; one is on the wire while `pumping`.
+    TxList queue;
     bool pumping = false;
-    int Load() const { return size + (pumping ? 1 : 0); }
+    /// Switch ports only: the free slots of the input buffer the same
+    /// index names, and the transmissions granted toward it that wait
+    /// for one (granted in FIFO order as slots free up).
+    int free_slots = 0;
+    TxList waiting;
+    int Load() const { return queue.size + (pumping ? 1 : 0); }
   };
 
   void QueueInjection(NodeId n, Packet&& pkt, Cycles ready) override;
@@ -125,9 +147,11 @@ class Fabric final : public NetworkModel {
   /// Queue a branch/injection on a channel, or drop it on the spot when
   /// the channel is dead.
   void EnqueueTx(int channel_id, Tx tx);
-  /// Unlinks node `id` (whose predecessor in `q` is `prev`, kNoTx for
-  /// the head), recycles it and returns its transmission.
-  Tx UnlinkTx(TxQueue& q, std::uint32_t prev, std::uint32_t id);
+  /// A node holding `tx`, recycled first, appended to `list`.
+  std::uint32_t PushTx(TxList& list, const Tx& tx);
+  /// Unlinks node `id` (whose predecessor in `list` is `prev`, kNoTx for
+  /// the head) and recycles it; returns the node as it was.
+  TxNode UnlinkTx(TxList& list, std::uint32_t prev, std::uint32_t id);
   /// Drops a transmission that can no longer use `channel_id`.
   void DropTx(int channel_id, const Tx& tx);
   /// A fresh buffered_ entry holding input slot `slot_pool`.
@@ -137,19 +161,25 @@ class Fabric final : public NetworkModel {
   void ReleaseSrcBuffer(int buf);
   /// Gives back the downstream input slot `channel_id` acquired at Pick.
   void ReleaseDownstreamSlot(int channel_id);
+  /// Takes a slot of input port `pool` for `tx` on `channel_id`: StartTx
+  /// runs in an event at this cycle, or once a slot is released.
+  void AcquireSlot(int pool, int channel_id, const Tx& tx);
+  /// Returns a slot of input port `pool`; the oldest waiter, if any,
+  /// gets it in an event at this cycle.
+  void ReleaseSlot(int pool);
 
-  TxQueue& txq(int channel_id) {
-    return tx_queues_[static_cast<std::size_t>(channel_id)];
+  Lane& lane(int id) { return lanes_[static_cast<std::size_t>(id)]; }
+  const Lane& lane(int id) const {
+    return lanes_[static_cast<std::size_t>(id)];
   }
 
   std::vector<Packet> packets_;              // packets in the fabric
   std::vector<std::uint32_t> free_packets_;  // recycled packets_ slots
-  std::vector<TxQueue> tx_queues_;  // per channel, same ids as channels
-  std::vector<TxNode> txs_;         // every queue's nodes
+  std::vector<Lane> lanes_;  // per channel id (see Lane)
+  std::vector<TxNode> txs_;  // every queue's and wait list's nodes
   std::uint32_t free_txs_ = kNoTx;  // head of the recycled-node list
   std::int64_t backlog_ = 0;        // sum of every queue's Load()
-  std::int64_t max_input_wait_ = 0;  // deepest input-slot wait queue yet
-  std::vector<CountingResource> input_slots_;  // [switch*ports + port]
+  std::int64_t max_input_wait_ = 0;  // deepest input-slot wait list yet
   std::vector<Buffered> buffered_;   // packets holding input slots
   std::vector<int> free_buffered_;   // recycled buffered_ indices
   std::vector<RouteBranch> route_branches_;  // reused by every Route

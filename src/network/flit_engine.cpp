@@ -58,21 +58,36 @@ FlitEngine::FlitEngine(Engine& engine, const System& sys,
     : NetworkModel(engine, sys, params, std::move(deliver), tracer, metrics,
                    kFlitMetrics),
       arbs_(num_channels()),
-      inject_queues_(static_cast<std::size_t>(sys.num_nodes())) {
+      ni_queues_(static_cast<std::size_t>(sys.num_nodes())),
+      resident_(num_ports(), -1) {
   IRMC_EXPECT(params_.buffer_flits >= 1);
   IRMC_EXPECT(params_.deadlock_horizon >= 1);
-  inputs_.assign(num_ports(), InputPort{params_.buffer_flits, -1});
   step_channels_.assign((arbs_.size() + 63) / 64, 0);
-  ready_nis_.assign((inject_queues_.size() + 63) / 64, 0);
+  ready_nis_.assign((ni_queues_.size() + 63) / 64, 0);
 }
 
 void FlitEngine::QueueInjection(NodeId n, Packet&& pkt, Cycles ready) {
-  auto& q = inject_queues_[static_cast<std::size_t>(n)];
-  q.emplace_back(std::move(pkt), ready);
+  int id = free_queued_;
+  if (id != -1) {
+    free_queued_ = queued_[static_cast<std::size_t>(id)].next;
+    queued_[static_cast<std::size_t>(id)] = Queued{std::move(pkt), ready};
+  } else {
+    // First use: a queued packet per NI.
+    if (queued_.capacity() == 0) queued_.reserve(ni_queues_.size());
+    id = static_cast<int>(queued_.size());
+    queued_.push_back(Queued{std::move(pkt), ready});
+  }
+  NiQueue& q = ni_queues_[static_cast<std::size_t>(n)];
+  if (q.tail != -1)
+    queued_[static_cast<std::size_t>(q.tail)].next = id;
+  else
+    q.head = id;
+  q.tail = id;
+  ++q.size;
   ++backlog_;
   // A new head packet behind an idle injection channel: the NI becomes
   // ready at `ready` (PumpInjections moves it to ready_nis_ then).
-  if (q.size() == 1 &&
+  if (q.size == 1 &&
       arbs_[static_cast<std::size_t>(InjChannel(n))].Load() == 0)
     ready_heap_.emplace(ready, n);
   ScheduleTick(ready);
@@ -86,7 +101,7 @@ std::int64_t FlitEngine::UnsettledFlits(int channel_id) const {
 }
 
 int FlitEngine::InjectionBacklog(NodeId n) const {
-  return static_cast<int>(inject_queues_[static_cast<std::size_t>(n)].size()) +
+  return ni_queues_[static_cast<std::size_t>(n)].size +
          arbs_[static_cast<std::size_t>(InjChannel(n))].Load();
 }
 
@@ -143,9 +158,10 @@ void FlitEngine::KillBranch(int bid) {
     c.active_branch = -1;
     --backlog_;
   } else {
-    for (auto it = c.waiting.begin(); it != c.waiting.end(); ++it) {
-      if (*it == bid) {
-        c.waiting.erase(it);
+    for (int prev = -1, w = c.first_waiting; w != -1;
+         prev = w, w = branches_[static_cast<std::size_t>(w)].next_waiting) {
+      if (w == bid) {
+        Unwait(c, prev, bid);
         --backlog_;
         break;
       }
@@ -199,7 +215,10 @@ void FlitEngine::CutChannels(std::span<const int> dead) {
     // packet (whose destination set covers its whole subtree — cascade
     // kills underneath it are not re-reported).
     const Arbiter& c = arbs_[static_cast<std::size_t>(ci)];
-    std::vector<int> doomed(c.waiting.begin(), c.waiting.end());
+    std::vector<int> doomed;
+    for (int w = c.first_waiting; w != -1;
+         w = branches_[static_cast<std::size_t>(w)].next_waiting)
+      doomed.push_back(w);
     if (c.active_branch != -1) doomed.push_back(c.active_branch);
     for (int bid : doomed) {
       ReportDrop(branch_pkt(bid), SwitchOfPort(ci));
@@ -252,12 +271,28 @@ bool FlitEngine::Busy() const {
 void FlitEngine::Enqueue(std::size_t ci, int bid) {
   Arbiter& c = arbs_[ci];
   if (c.Load() == 0) ++busy_channels_;
-  c.waiting.push_back(bid);
+  branches_[static_cast<std::size_t>(bid)].next_waiting = -1;
+  if (c.last_waiting != -1)
+    branches_[static_cast<std::size_t>(c.last_waiting)].next_waiting = bid;
+  else
+    c.first_waiting = bid;
+  c.last_waiting = bid;
+  ++c.waiting;
   ++backlog_;
   // Behind a streaming branch the grant waits for its tail visit.
   if (c.active_branch == -1 ||
       !branches_[static_cast<std::size_t>(c.active_branch)].streaming)
     SetBit(step_channels_, ci);
+}
+
+void FlitEngine::Unwait(Arbiter& c, int prev, int bid) {
+  const int next = branches_[static_cast<std::size_t>(bid)].next_waiting;
+  if (prev != -1)
+    branches_[static_cast<std::size_t>(prev)].next_waiting = next;
+  else
+    c.first_waiting = next;
+  if (c.last_waiting == bid) c.last_waiting = prev;
+  --c.waiting;
 }
 
 void FlitEngine::SetReady(std::size_t n) {
@@ -271,10 +306,7 @@ void FlitEngine::TryStream(int bid, Cycles now) {
   BranchState& b = branches_[static_cast<std::size_t>(bid)];
   if (b.consumed >= b.len - 1) return;  // only the tail is left
   // Credit: a buffer that holds the whole branch can never fill.
-  const int dst_port = channel(b.channel).dst_port;
-  if (dst_port >= 0 &&
-      inputs_[static_cast<std::size_t>(dst_port)].capacity < b.len)
-    return;
+  if (wire(b.channel).dst_port >= 0 && params_.buffer_flits < b.len) return;
   // Flit availability: flit k is sent at phase + k - 1 and needs flit k
   // landed in the source buffer, which a streaming feeder with phase
   // f lands by f + k - 1 + link_delay.
@@ -365,8 +397,19 @@ void FlitEngine::SettleAll() {
 
 // --- slot recycling ---
 
+void FlitEngine::ReserveSlots() {
+  const std::size_t slots = num_channels();
+  worms_.reserve(slots);
+  worm_pkts_.reserve(slots);
+  free_worms_.reserve(slots);
+  branches_.reserve(slots);
+  branch_pkts_.reserve(slots);
+  free_branches_.reserve(slots);
+}
+
 int FlitEngine::NewWorm() {
   if (free_worms_.empty()) {
+    if (worms_.capacity() == 0) ReserveSlots();
     // A worm has at most one branch per output port; the slot keeps this
     // capacity for every later worm, so routing never regrows it.
     worms_.emplace_back().branch_ids.reserve(static_cast<std::size_t>(ports_));
@@ -421,7 +464,7 @@ void FlitEngine::Unpin(int wi) {
 
 void FlitEngine::ReleasePorts() {
   for (int port : pending_port_release_)
-    Unpin(std::exchange(inputs_[static_cast<std::size_t>(port)].resident_worm,
+    Unpin(std::exchange(resident_[static_cast<std::size_t>(port)],
                         -1));
   pending_port_release_.clear();
 }
@@ -432,7 +475,7 @@ void FlitEngine::LandFlits(Cycles now) {
     const InFlight entry = in_flight_.front();
     in_flight_.pop_front();
     BranchState& b = branches_[static_cast<std::size_t>(entry.branch)];
-    const Channel& c = channel(b.channel);
+    const ChannelEnd& c = wire(b.channel);
     if (c.dst_host != kInvalidNode) {
       // Host ejection sink: the packet is delivered when its tail, the
       // last of its flits, lands.
@@ -448,8 +491,8 @@ void FlitEngine::LandFlits(Cycles now) {
       if (entry.is_head) {
         // Create the downstream resident worm, pinned by route_queue_
         // and by its input port.
-        InputPort& ip = inputs_[static_cast<std::size_t>(c.dst_port)];
-        IRMC_ENSURE(ip.resident_worm == -1);
+        int& resident = resident_[static_cast<std::size_t>(c.dst_port)];
+        IRMC_ENSURE(resident == -1);
         const int wi = NewWorm();
         Worm& w = worms_[static_cast<std::size_t>(wi)];
         worm_pkt(wi) = branch_pkt(entry.branch);
@@ -459,7 +502,7 @@ void FlitEngine::LandFlits(Cycles now) {
         w.pins = 2;
         w.land_sync = w.move_sync = entry.lands;
         if (b.phase != kNever) w.feed = entry.branch;
-        ip.resident_worm = wi;
+        resident = wi;
         b.dst_worm = wi;
         if (m_switched_) m_switched_->Add();
         TraceAt(entry.lands, TraceKind::kHeadArrive, worm_pkt(wi),
@@ -491,12 +534,14 @@ void FlitEngine::PumpInjections(Cycles now) {
   }
   if (ready_count_ == 0) return;
   ForEachBit(ready_nis_, [&](std::size_t n) {
-    auto& q = inject_queues_[n];
+    NiQueue& q = ni_queues_[n];
+    const int head = q.head;
+    Queued& front = queued_[static_cast<std::size_t>(head)];
     // Source-side pseudo-worm: all flits available at `ready`, pinned
     // only by its one branch.
     const int wi = NewWorm();
     Worm& w = worms_[static_cast<std::size_t>(wi)];
-    w.len = q.front().first.WireFlits();
+    w.len = front.pkt.WireFlits();
     w.received = w.len;
     w.routed = true;
     w.live_branches = 1;
@@ -505,14 +550,18 @@ void FlitEngine::PumpInjections(Cycles now) {
     b.src_worm = wi;
     b.channel = InjChannel(static_cast<NodeId>(n));
     b.len = w.len;
-    b.start_ok = q.front().second;
+    b.start_ok = front.ready;
     const std::size_t ci = static_cast<std::size_t>(b.channel);
     const int bid = NewBranch(wi, std::move(b));
-    branch_pkt(bid) = std::move(q.front().first);
+    branch_pkt(bid) = std::move(front.pkt);
     Enqueue(ci, bid);
     ClearBit(ready_nis_, n);
     --ready_count_;
-    q.pop_front();
+    q.head = front.next;
+    if (q.head == -1) q.tail = -1;
+    --q.size;
+    front.next = free_queued_;
+    free_queued_ = head;
     --backlog_;  // the packet moved to its injection channel's arbiter
   });
 }
@@ -611,15 +660,16 @@ void FlitEngine::MoveFlits(Cycles now) {
     const Arbiter& c = arbs_[ci];
     const bool step =
         c.active_branch == -1
-            ? !c.waiting.empty()
+            ? c.waiting > 0
             : !branches_[static_cast<std::size_t>(c.active_branch)].streaming;
     if (!step) ClearBit(step_channels_, ci);
   });
 }
 
 void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
-  const Channel& link = channel(static_cast<int>(ci));
-  if (link.dead_since != kNever) return;  // FailLink emptied it
+  if (channel(static_cast<int>(ci)).dead_since != kNever)
+    return;  // FailLink emptied it
+  const int dst_port = wire(static_cast<int>(ci)).dst_port;
   Arbiter& c = arbs_[ci];
   if (c.active_branch != -1) {
     BranchState& a = branches_[static_cast<std::size_t>(c.active_branch)];
@@ -631,29 +681,31 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
       a.streaming = false;
     }
   }
-  if (c.active_branch == -1 && !c.waiting.empty()) {
+  if (c.active_branch == -1 && c.waiting > 0) {
     // Grant the branch that has been ready longest; break same-cycle
     // ties by input port — the same engine-independent rule as the VCT
     // engine's channel pick, so arbitration (and thus every latency)
-    // agrees across engines (docs/engines.md).
-    std::size_t best = c.waiting.size();
-    for (std::size_t i = 0; i < c.waiting.size(); ++i) {
-      const BranchState& cand =
-          branches_[static_cast<std::size_t>(c.waiting[i])];
+    // agrees across engines (docs/engines.md). Strictly-better keeps
+    // arrival order for full ties.
+    int best = -1;
+    int best_prev = -1;
+    for (int prev = -1, w = c.first_waiting; w != -1;
+         prev = w, w = branches_[static_cast<std::size_t>(w)].next_waiting) {
+      const BranchState& cand = branches_[static_cast<std::size_t>(w)];
       if (cand.start_ok > now) continue;
-      if (best == c.waiting.size()) {
-        best = i;
-        continue;
+      if (best != -1) {
+        const BranchState& cur = branches_[static_cast<std::size_t>(best)];
+        if (!(cand.start_ok < cur.start_ok ||
+              (cand.start_ok == cur.start_ok &&
+               ArbPort(cand) < ArbPort(cur))))
+          continue;
       }
-      const BranchState& cur =
-          branches_[static_cast<std::size_t>(c.waiting[best])];
-      if (cand.start_ok < cur.start_ok ||
-          (cand.start_ok == cur.start_ok && ArbPort(cand) < ArbPort(cur)))
-        best = i;
+      best = w;
+      best_prev = prev;
     }
-    if (best != c.waiting.size()) {
-      c.active_branch = c.waiting[best];
-      c.waiting.erase(c.waiting.begin() + static_cast<std::ptrdiff_t>(best));
+    if (best != -1) {
+      c.active_branch = best;
+      Unwait(c, best_prev, best);
     }
   }
   if (c.active_branch == -1) return;
@@ -664,17 +716,16 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
   // Flit availability at the source buffer (not a credit stall).
   if (b.consumed >= src.received) return;
   // Downstream space (credit).
-  if (link.dst_port >= 0) {
-    InputPort& ip = inputs_[static_cast<std::size_t>(link.dst_port)];
+  if (dst_port >= 0) {
     bool stalled = false;
     if (b.dst_worm == -1) {
-      if (ip.resident_worm != -1) {
+      if (resident_[static_cast<std::size_t>(dst_port)] != -1) {
         stalled = true;
         b.stall_why = "output port held by another worm";
       }
     } else {
       const Worm& dw = worms_[static_cast<std::size_t>(b.dst_worm)];
-      if (dw.received - dw.freed >= ip.capacity) {
+      if (dw.received - dw.freed >= params_.buffer_flits) {
         stalled = true;
         b.stall_why = "downstream input buffer full";
       }
@@ -699,7 +750,7 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
     b.done = true;
     c.active_branch = -1;
     --backlog_;
-    if (c.waiting.empty()) --busy_channels_;
+    if (c.waiting == 0) --busy_channels_;
     if (--src.live_branches == 0 && src.port_index >= 0) {
       // All branches drained: free the input port at the *start of the
       // next cycle* (the tail flit leaves the buffer this cycle),
@@ -710,12 +761,13 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
       // An injection channel carries one branch at a time, so it is idle
       // now and its NI may start the next queued packet.
       const std::size_t n = ci - static_cast<std::size_t>(InjChannel(0));
-      const auto& q = inject_queues_[n];
-      if (!q.empty()) {
-        if (q.front().second <= now)
+      const NiQueue& q = ni_queues_[n];
+      if (q.head != -1) {
+        const Cycles ready = queued_[static_cast<std::size_t>(q.head)].ready;
+        if (ready <= now)
           SetReady(n);
         else
-          ready_heap_.emplace(q.front().second, static_cast<int>(n));
+          ready_heap_.emplace(ready, static_cast<int>(n));
       }
     }
   }
@@ -840,9 +892,9 @@ void FlitEngine::DeadlockTrip(Cycles now, int trip_branch) {
                     b.stall_why ? b.stall_why : "stalled",
                     static_cast<long long>(b.stall_len));
     msg += buf;
-    const int dst_port = channel(b.channel).dst_port;
+    const int dst_port = wire(b.channel).dst_port;
     if (dst_port >= 0) {
-      const int rw = inputs_[static_cast<std::size_t>(dst_port)].resident_worm;
+      const int rw = resident_[static_cast<std::size_t>(dst_port)];
       if (rw >= 0) {
         const Packet& held = worm_pkt(rw);
         std::snprintf(buf, sizeof buf,

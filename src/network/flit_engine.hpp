@@ -47,14 +47,20 @@
 // are recycled once nothing can reach them, so memory follows the worms
 // in flight, not the packets ever sent.
 //
-// Packets are values the engine owns: an NI's queued packets sit in its
-// injection queue, and a worm's or branch's packet sits in worm_pkts_ /
-// branch_pkts_, side arrays indexed like worms_ / branches_ (so the hot
-// structs stay compact). A routed branch is a copy of its worm's packet
-// with the header narrowed; a landing head copies its branch's packet
-// into the downstream worm. Neither side array grows outside a tick, so
-// the references the deliver and drop callbacks get stay put while they
-// run (they may inject, which only queues).
+// Packets are values the engine owns: an NI's queued packets sit in one
+// node arena (queued_) that every NI's FIFO list threads through, and a
+// worm's or branch's packet sits in worm_pkts_ / branch_pkts_, side
+// arrays indexed like worms_ / branches_ (so the hot structs stay
+// compact). A routed branch is a copy of its worm's packet with the
+// header narrowed; a landing head copies its branch's packet into the
+// downstream worm. Neither side array grows outside a tick, so the
+// references the deliver and drop callbacks get stay put while they run
+// (they may inject, which only queues).
+//
+// A run's per-channel and per-NI state is plain arrays filled in one
+// pass: each channel's arbiter holds its active branch and the head and
+// tail of a waiting list threaded through the branches, and each NI's
+// queue is the head and tail of its list in queued_.
 //
 // Deadlock trip: up*/down* routing is deadlock-free, so a worm that
 // stays credit-blocked on one channel for more than
@@ -209,21 +215,32 @@ class FlitEngine final : public NetworkModel {
     Cycles stall_begin = 0;
     Cycles stall_len = 0;
     const char* stall_why = nullptr;
+    int next_waiting = -1;  ///< next on its channel's waiting list
   };
 
   /// A channel's branches: the one streaming through it and those
-  /// waiting for a grant.
+  /// waiting for a grant, in arrival order on a list threaded through
+  /// BranchState::next_waiting (a grant may unlink any of them).
   struct Arbiter {
     int active_branch = -1;
-    std::vector<int> waiting;  ///< in arrival order; a grant may erase any
-    int Load() const {
-      return static_cast<int>(waiting.size()) + (active_branch != -1 ? 1 : 0);
-    }
+    int first_waiting = -1;
+    int last_waiting = -1;
+    int waiting = 0;  ///< branches on the list
+    int Load() const { return waiting + (active_branch != -1 ? 1 : 0); }
   };
 
-  struct InputPort {
-    int capacity = 0;
-    int resident_worm = -1;  ///< at most one worm resident (single VC)
+  /// A packet queued at its NI: a node of queued_, on its NI's FIFO
+  /// list or the free list through `next`.
+  struct Queued {
+    Packet pkt;
+    Cycles ready = 0;
+    int next = -1;
+  };
+  /// One NI's queued packets, oldest first.
+  struct NiQueue {
+    int head = -1;
+    int tail = -1;
+    int size = 0;
   };
 
   struct InFlight {
@@ -293,9 +310,16 @@ class FlitEngine final : public NetworkModel {
   // --- activity bookkeeping ---
   /// Queues branch `bid` for a grant on channel `ci`.
   void Enqueue(std::size_t ci, int bid);
+  /// Unlinks waiting branch `bid` (whose predecessor on `c`'s list is
+  /// `prev`, -1 for the first) from `c`.
+  void Unwait(Arbiter& c, int prev, int bid);
   void SetReady(std::size_t n);
 
   // --- slot recycling ---
+  /// The worm and branch arenas' first allocation, sized from the
+  /// System: a worm per input buffer and per NI (one per channel), and
+  /// as many branches.
+  void ReserveSlots();
   int NewWorm();
   /// Appends a fresh branch slot to worm `wi` and pins the worm for it.
   int NewBranch(int wi, BranchState b);
@@ -325,8 +349,10 @@ class FlitEngine final : public NetworkModel {
   /// Aborts (default) or invokes the deadlock handler and freezes.
   void DeadlockTrip(Cycles now, int trip_branch);
 
-  std::vector<InputPort> inputs_;  // [switch*ports + port]
   std::vector<Arbiter> arbs_;      // per channel, same ids as channels
+  std::vector<NiQueue> ni_queues_;  // per NI
+  std::vector<Queued> queued_;      // every NI queue's nodes
+  int free_queued_ = -1;            // head of the recycled-node list
   std::vector<Worm> worms_;
   std::vector<BranchState> branches_;
   std::vector<Packet> worm_pkts_;    // indexed like worms_
@@ -335,8 +361,9 @@ class FlitEngine final : public NetworkModel {
   std::vector<int> free_branches_;  // recycled branches_ indices
   Fifo<InFlight> in_flight_;  // heads, tails, stepped flits; by landing
   Fifo<std::pair<int, Cycles>> route_queue_;  // (worm, decision time)
-  // Per NI (packet, ready); each allocates on its NI's first injection.
-  std::vector<Fifo<std::pair<Packet, Cycles>>> inject_queues_;
+  /// Per input port [switch*ports + port]: the one worm resident in its
+  /// buffer (single VC; every buffer holds params_.buffer_flits), or -1.
+  std::vector<int> resident_;
   std::vector<RouteBranch> route_branches_;  // reused by every RouteWorm
   std::vector<int> pending_port_release_;
   // Activity sets, one bit per index, walked in ascending order. A set

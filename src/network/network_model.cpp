@@ -39,7 +39,9 @@ NetworkModel::NetworkModel(Engine& engine, const System& sys,
       metrics_(metrics),
       ports_(sys.graph.ports_per_switch()),
       family_(&family),
-      num_out_(sys.num_switches() * ports_) {
+      wiring_(&sys.wiring),
+      num_out_(sys.wiring.num_out()),
+      channels_(sys.wiring.num_channels()) {
   IRMC_EXPECT(deliver_ != nullptr);
   if (metrics_) {
     const MetricSlots slots = metrics_->Bind(family_->hot);
@@ -52,27 +54,9 @@ NetworkModel::NetworkModel(Engine& engine, const System& sys,
     m_fanout_ = &slots.histogram(6);
     m_header_flits_ = &slots.histogram(7);
   }
-  channels_.resize(static_cast<std::size_t>(num_out_ + sys.num_nodes()));
-  // Switch output channels lead to a peer switch's input port or to a
-  // host; free ports stay unwired and are never used.
-  for (SwitchId s = 0; s < sys.num_switches(); ++s) {
-    for (PortId p = 0; p < ports_; ++p) {
-      Channel& c = channel(PortIdx(s, p));
-      const Port& pt = sys.graph.port(s, p);
-      if (pt.kind == PortKind::kSwitch) {
-        c.dst_port = PortIdx(pt.peer_switch, pt.peer_port);
-        c.switch_link = true;
-        ++switch_links_;
-      } else if (pt.kind == PortKind::kHost) {
-        c.dst_host = pt.host;
-      }
-    }
-  }
-  // Injection channels: NI -> the host port's input buffer at the switch.
-  for (NodeId n = 0; n < sys.num_nodes(); ++n) {
-    const HostAttachment& at = sys.graph.host(n);
-    channel(InjChannel(n)).dst_port = PortIdx(at.sw, at.port);
-  }
+  // Size the kernel's event arena from the network: an event per
+  // channel (a single multicast keeps fewer than that pending).
+  engine_.ReserveEvents(channels_.size());
 }
 
 void NetworkModel::InjectFromNi(NodeId n, Packet pkt, Cycles ready) {
@@ -99,12 +83,12 @@ std::vector<LinkLoadReport> NetworkModel::LinkReports(Cycles now) const {
   for (SwitchId s = 0; s < sys_->num_switches(); ++s) {
     for (PortId p = 0; p < ports_; ++p) {
       if (sys_->graph.port(s, p).kind == PortKind::kFree) continue;
-      const Channel& c = channel(PortIdx(s, p));
+      const ChannelEnd& end = wire(PortIdx(s, p));
       LinkLoadReport r;
       r.sw = s;
       r.port = p;
-      r.to_host = c.dst_host != kInvalidNode;
-      r.node = c.dst_host;
+      r.to_host = end.dst_host != kInvalidNode;
+      r.node = end.dst_host;
       r.flits = ChannelFlits(PortIdx(s, p));
       r.utilization = Utilization(r.flits, now);
       out.push_back(r);
@@ -128,8 +112,9 @@ double NetworkModel::Utilization(std::int64_t flits, Cycles now) {
 double NetworkModel::MaxLinkUtilization(Cycles now) const {
   // A link that carried nothing has utilization 0, the starting best.
   double best = 0.0;
+  const ChannelWiring& links = sys_->wiring;
   for (int cid = touched_; cid != -1; cid = channel(cid).next_touched)
-    if (channel(cid).switch_link)
+    if (links[cid].switch_link)
       best = std::max(best, Utilization(ChannelFlits(cid), now));
   return best;
 }
@@ -142,20 +127,21 @@ void NetworkModel::CollectMetrics(Cycles now) {
   Gauge& max_util = slots.gauge(2);
   // Only listed channels carried flits. The fold sums, bins and takes a
   // max, so the list's order does not matter.
+  const ChannelWiring& links = sys_->wiring;
   std::int64_t busy_cycles = 0;
   int touched_links = 0;
   double best = 0.0;
   for (int cid = touched_; cid != -1; cid = channel(cid).next_touched) {
     const std::int64_t flits = ChannelFlits(cid);
     busy_cycles += flits;
-    if (!channel(cid).switch_link) continue;
+    if (!links[cid].switch_link) continue;
     ++touched_links;
     const double u = Utilization(flits, now);
     util.Add(static_cast<std::int64_t>(100.0 * u));
     best = std::max(best, u);
   }
   busy.Add(busy_cycles);
-  util.Add(0, switch_links_ - touched_links);  // the links left idle
+  util.Add(0, links.switch_links() - touched_links);  // the links left idle
   max_util.Set(best);
   CollectEngineMetrics();
 }
@@ -178,17 +164,10 @@ void NetworkModel::SwapSystem(const System& sys) {
   IRMC_EXPECT(sys.num_switches() == sys_->num_switches());
   IRMC_EXPECT(sys.graph.ports_per_switch() == ports_);
   IRMC_EXPECT(sys.num_nodes() == sys_->num_nodes());
-  sys_ = &sys;
   // A link the new tables removed drops out of the utilization metrics,
-  // as it does out of LinkReports.
-  switch_links_ = 0;
-  for (int cid = 0; cid < num_out_; ++cid) {
-    Channel& c = channel(cid);
-    c.switch_link =
-        c.dst_host == kInvalidNode &&
-        sys.graph.port(SwitchOfPort(cid), cid % ports_).kind != PortKind::kFree;
-    if (c.switch_link) ++switch_links_;
-  }
+  // as it does out of LinkReports: they read the swapped-in wiring's
+  // switch links.
+  sys_ = &sys;
 }
 
 void NetworkModel::ReportDrop(const Packet& pkt, SwitchId where) {

@@ -15,10 +15,12 @@
 //
 // Everything the two do identically is implemented once, here: the
 // channel table (switch out-channels in (switch, port) order, then one
-// injection channel per NI) and its wiring from the System, per-channel
-// flit and fault state, link reports and the link-metric fold, the
-// hot-path metric slots bound from the engine's static name tables, the
-// injection preamble, the drop contract, and the Autonet swap. An engine
+// injection channel per NI), per-channel flit and fault state, link
+// reports and the link-metric fold, the hot-path metric slots bound
+// from the engine's static name tables, the injection preamble, the
+// drop contract, and the Autonet swap. Where each channel leads is the
+// System's ChannelWiring, built once per System and shared by every
+// run on it; a run's own channel state is one plain array. An engine
 // supplies only its transport physics: how an injection queues, what
 // its backlog is (a running count), what happens to traffic committed
 // to a channel that dies, and its own end-of-run metrics.
@@ -180,9 +182,11 @@ class NetworkModel {
   /// orientation, routing tables, reachability) to `sys` — the Autonet
   /// reconfiguration step. `sys` must describe the same
   /// switches x ports x nodes shape (a degraded copy of the original
-  /// graph). Channel wiring is structural and unchanged — a dead link's
-  /// channels stay dead; packets routed after the swap use the new
-  /// tables, worms already holding channels keep them.
+  /// graph). Channel wiring is structural and stays the original
+  /// System's — a dead link's channels stay dead; the utilization
+  /// metrics cover the swapped-in System's switch links; packets routed
+  /// after the swap use the new tables, worms already holding channels
+  /// keep them.
   void SwapSystem(const System& sys);
 
   /// Hop log of a packet (only populated when params.record_routes).
@@ -205,24 +209,16 @@ class NetworkModel {
   };
 
  protected:
-  /// One unidirectional channel: a switch output port's link, or an
-  /// NI's injection link into its switch. Engines keep their own
-  /// per-channel transport state in a parallel vector indexed the same
-  /// way.
+  /// A run's state of one unidirectional channel (a switch output
+  /// port's link, or an NI's injection link into its switch); where it
+  /// leads is wire(channel_id). Engines keep their own per-channel
+  /// transport state in a parallel array indexed the same way.
   struct Channel {
-    /// Downstream input port, as a port index (switch * ports + port);
-    /// -1 for a host sink or an unwired (free) port.
-    int dst_port = -1;
-    NodeId dst_host = kInvalidNode;  ///< host sink of a switch host port
-    Cycles dead_since = kNever;      ///< FailLink time; kNever = alive
-    std::int64_t flits = 0;          ///< one busy cycle per flit carried
+    Cycles dead_since = kNever;  ///< FailLink time; kNever = alive
+    std::int64_t flits = 0;      ///< one busy cycle per flit carried
     /// Next channel in the list of channels that carried flits (-1
     /// ends it); meaningful once `flits` is non-zero.
     int next_touched = -1;
-    /// A wired switch-to-switch out-channel under the current System
-    /// (hosts, injections and free ports excluded): the links the
-    /// utilization metrics cover.
-    bool switch_link = false;
   };
 
   /// `family` (static storage) names the engine's metrics. `metrics`
@@ -257,6 +253,11 @@ class NetworkModel {
   }
   const Channel& channel(int channel_id) const {
     return channels_[static_cast<std::size_t>(channel_id)];
+  }
+  /// Where a channel leads, as the System the engine was built on
+  /// wired it.
+  const ChannelEnd& wire(int channel_id) const {
+    return (*wiring_)[channel_id];
   }
   std::size_t num_channels() const { return channels_.size(); }
   /// Switch ports: each is one input port and one out-channel.
@@ -330,9 +331,8 @@ class NetworkModel {
   static double Utilization(std::int64_t flits, Cycles now);
 
   const MetricFamily* family_;
-  int num_out_;                    ///< switch out-channels (switches*ports)
-  /// Out-channels with Channel::switch_link set.
-  int switch_links_ = 0;
+  const ChannelWiring* wiring_;  ///< the construction System's
+  int num_out_;                  ///< switch out-channels (switches*ports)
   /// Head of the list of channels that carried flits, chained through
   /// Channel::next_touched in first-use order (-1: none yet).
   int touched_ = -1;

@@ -1,6 +1,7 @@
 // Simulation engine: event queue plus run-control helpers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 
@@ -12,9 +13,9 @@ class MetricsRegistry;
 
 /// Thin facade over EventQueue used by all models. Provides relative
 /// scheduling and bounded runs (run-until-time / run-until-quiescent).
-/// A fresh Engine allocates nothing (the event queue's storage grows on
-/// the first events); it is ~16.7 KB, held on the stack or inside a
-/// per-trial object.
+/// A fresh Engine allocates nothing (the event queue's storage is
+/// allocated on the first event, sized by ReserveEvents); it is
+/// ~16.7 KB, held on the stack or inside a per-trial object.
 class Engine {
  public:
   /// User-provided, so even a value-initialised Engine (`Engine{}`,
@@ -36,6 +37,11 @@ class Engine {
   void ScheduleAt(Cycles when, F&& fn) {
     queue_.ScheduleAt(when, std::forward<F>(fn));
   }
+
+  /// Sizes the event arena's first allocation for `n` events pending
+  /// at once (the largest request wins). Allocates nothing; after the
+  /// first event it has no effect.
+  void ReserveEvents(std::size_t n) { queue_.ReserveSlots(n); }
 
   /// Run until no events remain. Returns the final time.
   Cycles RunToQuiescence();

@@ -28,6 +28,7 @@ std::uint32_t EventQueue::NewSlot() {
     return id;
   }
   IRMC_EXPECT(slots_.size() < kNil);
+  if (slots_.capacity() == 0) slots_.reserve(first_slots_);
   slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }

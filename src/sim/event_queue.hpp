@@ -17,8 +17,10 @@
 // slot arena; buckets and the heap hold 32-bit slot ids. The bucket ring
 // is a member array left uninitialised (a bucket is read only while its
 // occupancy bit is set, and setting the bit writes it), so a fresh queue
-// allocates and clears nothing: the slot arena and the heap grow on the
-// first events.
+// allocates and clears nothing. The slot arena is allocated on the first
+// event, at the size ReserveSlots asked for (the network sizes it from
+// its System), and doubles only beyond that; the heap grows on the first
+// far event.
 //
 // Dispatch costs one indirect call per event. RunNext recycles the
 // event's slot first, then Action::RunOnce moves the callable onto the
@@ -182,6 +184,12 @@ class EventQueue {
     Insert(when, id);
   }
 
+  /// Makes the slot arena's first allocation hold at least `n` slots.
+  /// Allocates nothing; a no-op once the arena exists.
+  void ReserveSlots(std::size_t n) {
+    first_slots_ = n > first_slots_ ? n : first_slots_;
+  }
+
   /// True when no events remain.
   bool Empty() const { return size_ == 0; }
 
@@ -238,6 +246,7 @@ class EventQueue {
   Cycles now_ = 0;
   std::uint64_t overflow_seq_ = 0;
   std::uint64_t executed_ = 0;
+  std::size_t first_slots_ = 0;  ///< the slot arena's first allocation
   std::vector<Overflow> overflow_;  ///< min-heap on (when, seq)
   std::array<std::uint64_t, kWords> occupied_{};  ///< bit per non-empty bucket
   std::array<Bucket, kWindow> buckets_;  ///< [time % kWindow], uninitialised

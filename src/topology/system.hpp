@@ -1,5 +1,6 @@
 // Bundle of everything derived from one topology: graph, BFS tree,
-// up/down orientation, routing tables, reachability strings.
+// up/down orientation, routing tables, reachability strings, and the
+// channel wiring every network engine built on it shares.
 //
 // Every member owns flat storage (CSR arrays / word arenas) and keeps no
 // references into its siblings, so a System is freely movable. Build()
@@ -11,6 +12,7 @@
 #include <memory>
 
 #include "topology/bfs_tree.hpp"
+#include "topology/channel_wiring.hpp"
 #include "topology/generator.hpp"
 #include "topology/graph.hpp"
 #include "topology/reachability.hpp"
@@ -26,13 +28,15 @@ struct System {
   UpDownOrientation updown;
   RoutingTable routing;
   Reachability reach;
+  ChannelWiring wiring;
 
   explicit System(Graph g, RootPolicy root_policy = RootPolicy::kLowestId)
       : graph(std::move(g)),
         tree(graph, SelectRoot(graph, root_policy)),
         updown(graph, tree),
         routing(graph, updown),
-        reach(graph, updown, routing) {}
+        reach(graph, updown, routing),
+        wiring(graph) {}
 
   System(const System&) = delete;
   System& operator=(const System&) = delete;

@@ -3,15 +3,16 @@
 //
 //  * A fresh Engine allocates nothing. Building a McastDriver costs a
 //    fixed number of heap allocations whatever the switch count, on both
-//    engines: channel tables are plain vectors, per-port queues allocate
-//    on first use, and metric names bind once per registry. The
-//    single-multicast panels build one per sample, so a per-port
-//    allocation here is paid thousands of times per figure.
+//    engines: the channel wiring is the System's, a run's channel state
+//    is plain arrays, per-port queues allocate on first use, and binding
+//    a metric table costs one allocation on a fresh registry and none
+//    after. The single-multicast panels build one per sample, so a
+//    per-port allocation here is paid thousands of times per figure.
 //  * A sample pays for what it simulates. The end-of-run fold, the
 //    hottest-link read and the backlog read allocate nothing on a bound
-//    registry, and a fresh run allocates per transmission queued at
-//    once, not per channel it touches: the same multicast costs about
-//    the same at 8 and at 32 switches.
+//    registry, and a fresh VCT run allocates each arena once, at a size
+//    taken from the System: a whole `single_sweep` sample on a fresh
+//    registry costs the same allocations at 8, 16 and 32 switches.
 //  * A hop allocates nothing. Packets are values the engines own (slot
 //    arenas recycled as packets leave), a replica is a copy with its
 //    header words inline, and a tree-worm decision lists its ports
@@ -48,11 +49,13 @@ namespace irmc {
 namespace {
 
 /// Allocations of one Engine + McastDriver build, as measured: the
-/// driver's node table and network, plus the network's channel table,
-/// transmission queues and input-slot pools (VCT) or its arbiters, NI
-/// queues, input ports and two activity bitmaps (flit).
+/// driver's node table and network, plus the network's channel state
+/// and its lanes (VCT: transmission queues and input slots in one
+/// array) or its arbiters, NI queues, resident-worm table and two
+/// activity bitmaps (flit). The wiring is the System's. VCT read 5
+/// while the input-slot pools were an array of their own.
 std::size_t ConstructionBudget(EngineKind kind) {
-  return kind == EngineKind::kVct ? 5 : 8;
+  return kind == EngineKind::kVct ? 4 : 8;
 }
 
 /// Allocations made building an Engine + McastDriver over a system of
@@ -158,18 +161,117 @@ TEST_P(AllocBudget, EndOfRunReadsAllocateNothing) {
       EXPECT_EQ(cost.reads, 0u) << switches << " switches";
 }
 
-TEST(AllocBudget, VctFreshRunsCostNoMoreOnBiggerNetworks) {
-  // A fresh run allocates as its arenas grow to the transmissions queued
-  // at once, not per channel it touches: running the same multicast on
-  // four times the switches costs at most a few more allocations (a
-  // deeper network holds a few more packets in flight at once).
+TEST(AllocBudget, VctFreshRunsCostTheSameOnBiggerNetworks) {
+  // A fresh run allocates each arena once, at a size taken from the
+  // System, not per channel it touches or per doubling: running the same
+  // multicast on four times the switches costs the same allocations.
   const std::vector<RunCost> at8 = FreshRunAllocations(EngineKind::kVct, 8);
   const std::vector<RunCost> at32 = FreshRunAllocations(EngineKind::kVct, 32);
   ASSERT_EQ(at8.size(), at32.size());
   for (std::size_t i = 0; i < at8.size(); ++i)
-    EXPECT_LE(at32[i].run, at8[i].run + 8)
+    EXPECT_EQ(at32[i].run, at8[i].run)
         << "scheme " << i << ": " << at8[i].run << " allocations at 8 "
         << "switches, " << at32[i].run << " at 32";
+}
+
+/// Allocations of one `single_sweep` sample per plan of BroadcastPlans,
+/// played as a trial's first sample: a fresh registry, an Engine +
+/// McastDriver, the run to quiescence, the engine's and the network's
+/// CollectMetrics, then MaxLinkUtilization. The plan and Launch are not
+/// counted.
+std::vector<std::size_t> FreshSampleAllocations(int switches) {
+  SimConfig cfg;
+  cfg.topology.num_switches = switches;
+  const auto sys = System::Build(cfg.topology, 42);
+  std::vector<std::size_t> costs;
+  for (McastPlan& plan : BroadcastPlans(*sys)) {
+    std::size_t before = counting_new::Allocations();
+    MetricsRegistry metrics;
+    Engine engine;
+    McastDriver driver(engine, *sys, cfg, nullptr, &metrics);
+    std::size_t made = counting_new::Allocations() - before;
+    bool done = false;
+    driver.Launch(std::move(plan), 0,
+                  [&done](const MulticastResult&) { done = true; });
+    before = counting_new::Allocations();
+    engine.RunToQuiescence();
+    engine.CollectMetrics(metrics);
+    driver.network().CollectMetrics(engine.Now());
+    EXPECT_GT(driver.network().MaxLinkUtilization(engine.Now()), 0.0);
+    made += counting_new::Allocations() - before;
+    EXPECT_TRUE(done);
+    costs.push_back(made);
+  }
+  return costs;
+}
+
+/// A fresh VCT sample's allocations, as measured: five metric tables
+/// bound on the fresh registry (the driver's and the network's at
+/// construction, the engine's, the link fold's and the Fabric's series
+/// at collection), four for the driver and its network (node table,
+/// network, channel state, lanes), and one first-use allocation of each
+/// arena the run touches (packets and their free list, transmissions,
+/// buffered entries and their free list, route branches; the event
+/// arena's comes with Launch). 88-100 when the registry interned names
+/// and arenas grew by doubling.
+constexpr std::size_t kFreshSampleAllocations = 15;
+
+TEST(AllocBudget, FreshSingleSweepSampleCostsTheSameOnEveryNetwork) {
+  const std::vector<std::size_t> at8 = FreshSampleAllocations(8);
+  for (std::size_t made : at8) EXPECT_EQ(made, kFreshSampleAllocations);
+  EXPECT_EQ(FreshSampleAllocations(16), at8);
+  EXPECT_EQ(FreshSampleAllocations(32), at8);
+}
+
+constexpr MetricSpec kCounters[] = {
+    {MetricKind::kCounter, "budget.first"},
+    {MetricKind::kCounter, "budget.second"},
+};
+constexpr MetricSpec kMixed[] = {
+    {MetricKind::kHistogram, "budget.hist"},
+    {MetricKind::kGauge, "budget.peak", GaugeMode::kMax},
+    {MetricKind::kCounter, "budget.count"},
+};
+
+TEST(AllocBudget, BindingATableCostsOneAllocationAndNoName) {
+  MetricsRegistry reg;
+  std::size_t before = counting_new::Allocations();
+  reg.Bind(kCounters).counter(1).Add(2);
+  reg.Bind(kMixed).histogram(0).Add(9);
+  EXPECT_EQ(counting_new::Allocations() - before, 2u);
+  before = counting_new::Allocations();
+  reg.Bind(kCounters).counter(0).Add();
+  MetricsRegistry total;
+  total.Merge(reg);  // a table the total lacks: one copied block
+  total.Merge(reg);  // bound on both sides: a row-wise add
+  EXPECT_EQ(counting_new::Allocations() - before, 2u);
+  EXPECT_EQ(total.counters().at("budget.second").value, 4);
+  EXPECT_EQ(total.histograms().at("budget.hist").count(), 2);
+}
+
+TEST(AllocBudget, FreshRegistryCostsOneAllocationPerTable) {
+  // The same sample on a fresh registry and on one that has bound every
+  // table differs by exactly the tables bound: five on either engine.
+  for (EngineKind kind : {EngineKind::kVct, EngineKind::kFlit}) {
+    SimConfig cfg;
+    cfg.engine = kind;
+    const auto sys = System::Build(cfg.topology, 42);
+    MetricsRegistry warm;
+    std::size_t made[2] = {0, 0};
+    for (int fresh = 0; fresh < 2; ++fresh) {
+      MetricsRegistry cold;
+      MetricsRegistry& reg = fresh ? cold : warm;
+      for (int round = 0; round < 2 - fresh; ++round) {
+        const std::size_t before = counting_new::Allocations();
+        Engine engine;
+        McastDriver driver(engine, *sys, cfg, nullptr, &reg);
+        engine.CollectMetrics(reg);
+        driver.network().CollectMetrics(engine.Now());
+        made[fresh] = counting_new::Allocations() - before;
+      }
+    }
+    EXPECT_EQ(made[1], made[0] + 5) << ToString(kind);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, AllocBudget,

@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "core/config.hpp"
 
@@ -27,8 +29,10 @@ TEST(Args, CommandAndKeyValues) {
 TEST(Args, DefaultsWhenMissing) {
   const Args args = ParseVec({"load"});
   EXPECT_EQ(args.GetIntIn("degree", 8, 1, 31), 8);
-  EXPECT_DOUBLE_EQ(args.GetDouble("load", 0.25), 0.25);
-  EXPECT_DOUBLE_EQ(args.GetDoubleAbove("ratio", 2.0, 0.0), 2.0);
+  EXPECT_DOUBLE_EQ(args.GetDoubleIn("load", 0.25, RealRange::AtLeast(0.0)),
+                   0.25);
+  EXPECT_DOUBLE_EQ(args.GetDoubleIn("ratio", 2.0, RealRange::Above(0.0)),
+                   2.0);
   EXPECT_EQ(args.GetString("scheme", "fallback"), "fallback");
   EXPECT_FALSE(args.GetFlag("dot"));
 }
@@ -58,7 +62,7 @@ TEST(ArgsDeathTest, MalformedNumbersAreRejected) {
   EXPECT_EXIT(args.GetIntIn("size", 7, 1, 31), ::testing::ExitedWithCode(2),
               "invalid value for --size: 'abc' \\(accepted: integers from "
               "1 to 31\\)");
-  EXPECT_EXIT(args.GetDoubleAbove("load", 0.5, 0.0),
+  EXPECT_EXIT(args.GetDoubleIn("load", 0.5, RealRange::Above(0.0)),
               ::testing::ExitedWithCode(2),
               "invalid value for --load: 'x.y' \\(accepted: finite numbers "
               "> 0\\)");
@@ -67,14 +71,80 @@ TEST(ArgsDeathTest, MalformedNumbersAreRejected) {
 TEST(ArgsDeathTest, GetDoubleAboveExitsOutsideItsRange) {
   for (const char* bad : {"0", "-1", "", "nan", "inf", "1e999", "0.5x"}) {
     const Args args = ParseVec({"load", "--load", bad});
-    EXPECT_EXIT(args.GetDoubleAbove("load", 0.2, 0.0),
+    EXPECT_EXIT(args.GetDoubleIn("load", 0.2, RealRange::Above(0.0)),
                 ::testing::ExitedWithCode(2), "invalid value for --load")
         << bad;
   }
   const Args ok = ParseVec({"load", "--load", "0.25"});
-  EXPECT_DOUBLE_EQ(ok.GetDoubleAbove("load", 0.2, 0.0), 0.25);
+  EXPECT_DOUBLE_EQ(ok.GetDoubleIn("load", 0.2, RealRange::Above(0.0)),
+                   0.25);
   const Args absent = ParseVec({"load"});
-  EXPECT_DOUBLE_EQ(absent.GetDoubleAbove("load", 0.2, 0.0), 0.2);
+  EXPECT_DOUBLE_EQ(absent.GetDoubleIn("load", 0.2, RealRange::Above(0.0)),
+                   0.2);
+}
+
+TEST(ArgsDeathTest, GetDoubleInExitsOutsideItsRange) {
+  struct Case {
+    RealRange range;
+    const char* accepted;
+    std::vector<const char*> bad;
+    std::vector<double> good;
+  };
+  const Case cases[] = {
+      {RealRange::AtLeast(0.0), "finite numbers >= 0",
+       {"-1", "-1e-300", "abc", "", "nan", "inf", "1e999", "2x"},
+       {0.0, 6000.0}},
+      {RealRange::Inside(0.0, 1.0), "numbers in \\(0, 1\\)",
+       {"0", "1", "-0.5", "1.5", "nan", "0.9.5"},
+       {0.5, 0.999}},
+  };
+  for (const Case& c : cases) {
+    for (const char* bad : c.bad) {
+      const Args args = ParseVec({"x", "--mtbf", bad});
+      EXPECT_EXIT(args.GetDoubleIn("mtbf", 1.0, c.range),
+                  ::testing::ExitedWithCode(2),
+                  std::string("invalid value for --mtbf: '") + bad +
+                      "' \\(accepted: " + c.accepted + "\\)")
+          << bad;
+    }
+    for (double good : c.good) {
+      const std::string text = std::to_string(good);
+      const Args args = ParseVec({"x", "--mtbf", text.c_str()});
+      EXPECT_DOUBLE_EQ(args.GetDoubleIn("mtbf", 1.0, c.range), good);
+    }
+  }
+}
+
+TEST(Args, ListsParseEveryToken) {
+  const Args args = ParseVec({"record", "--sizes", "2,31", "--loads",
+                              "0.05,1e-3"});
+  EXPECT_EQ(args.GetIntListIn("sizes", "4", 1, 31),
+            (std::vector<std::int64_t>{2, 31}));
+  EXPECT_EQ(args.GetDoubleListIn("loads", "0.3", RealRange::Above(0.0)),
+            (std::vector<double>{0.05, 1e-3}));
+  const Args absent = ParseVec({"record"});
+  EXPECT_EQ(absent.GetIntListIn("sizes", "4,8", 1, 31),
+            (std::vector<std::int64_t>{4, 8}));
+}
+
+TEST(ArgsDeathTest, ListsRejectAnyBadToken) {
+  for (const char* bad : {"4,x", "4,", ",4", "", "4,,8", "0,4", "4,32",
+                          "8,9x", "4;8"}) {
+    const Args args = ParseVec({"record", "--sizes", bad});
+    EXPECT_EXIT(args.GetIntListIn("sizes", "2", 1, 31),
+                ::testing::ExitedWithCode(2),
+                std::string("invalid value for --sizes: '") + bad +
+                    "' \\(accepted: comma-separated integers")
+        << bad;
+  }
+  for (const char* bad : {"0.05,abc", "0,0.1", "0.1,-1", "0.1,inf"}) {
+    const Args args = ParseVec({"record", "--loads", bad});
+    EXPECT_EXIT(args.GetDoubleListIn("loads", "0.3", RealRange::Above(0.0)),
+                ::testing::ExitedWithCode(2),
+                std::string("invalid value for --loads: '") + bad +
+                    "' \\(accepted: comma-separated finite numbers > 0\\)")
+        << bad;
+  }
 }
 
 TEST(Args, ParseIntInTakesWholeIntegersInRange) {
@@ -128,7 +198,8 @@ TEST(EnvInt, AcceptsOnlyPositiveIntegersThatFitAnInt) {
 TEST(Args, NegativeAndFloatValues) {
   const Args args = ParseVec({"x", "--delta", "-3", "--ratio", "0.5"});
   EXPECT_EQ(args.GetIntIn("delta", 0, INT64_MIN, INT64_MAX), -3);
-  EXPECT_DOUBLE_EQ(args.GetDouble("ratio", 0.0), 0.5);
+  EXPECT_DOUBLE_EQ(args.GetDoubleIn("ratio", 0.0, RealRange::AtLeast(0.0)),
+                   0.5);
 }
 
 TEST(Args, UnconsumedKeysDetected) {

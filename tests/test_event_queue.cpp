@@ -11,9 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
-#include "sim/resource.hpp"
 
 namespace irmc {
 namespace {
@@ -233,8 +233,6 @@ TEST(EventQueueReference, RandomSchedulesFireInReferenceOrder) {
 
 static_assert(!std::is_copy_constructible_v<EventQueue::Action>);
 static_assert(std::is_nothrow_move_constructible_v<EventQueue::Action>);
-static_assert(!std::is_copy_constructible_v<CountingResource>);
-static_assert(std::is_nothrow_move_constructible_v<CountingResource>);
 
 /// Counts its destructions; a moved-from probe does not count.
 struct Probe {
@@ -270,9 +268,9 @@ TEST(ActionLifetime, CaptureReleasedWhenEngineDiesWithPendingEvents) {
     e.ScheduleAfter(0, [p] {});
     e.ScheduleAfter(kW - 1, [p] {});
     e.ScheduleAfter(1'000'000, [p] {});
-    CountingResource pool(1);
-    pool.Acquire(e, [p] {});
-    pool.Acquire(e, [p] {});  // parked as a waiter
+    e.ScheduleAfter(0, [p] {});
+    Fifo<EventQueue::Action> parked;  // an action held outside the queue
+    parked.emplace_back([p] {});
     EXPECT_EQ(p.use_count(), 6);
   }
   EXPECT_EQ(p.use_count(), 1);

@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "counting_new.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/resource.hpp"
 
 namespace irmc {
 namespace {
@@ -29,7 +28,6 @@ TEST(Fifo, NothingIsAllocatedBeforeTheFirstPush) {
   EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(q.capacity(), 0u);
   Fifo<EventQueue::Action> actions;
-  CountingResource slots(1);  // its waiter queue is a Fifo too
   Fifo<int> moved = std::move(q);
   EXPECT_EQ(counting_new::Allocations(), before);
 

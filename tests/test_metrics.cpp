@@ -260,6 +260,45 @@ TEST(MetricsRegistry, CopiesAndMovesBindIndependently) {
   EXPECT_EQ(move_assigned.counters().at("b.count").value, 31);
 }
 
+TEST(MetricsRegistry, ByNameViewsRefreshInPlace) {
+  // A by-name read finds an entry, then compares with end() from a
+  // second call: both calls must hand out the same map, and a later
+  // call refreshes the values an earlier iterator sees.
+  MetricsRegistry reg;
+  reg.GetCounter("b.count").Add(2);  // by name, before the table binds
+  const MetricSlots slots = reg.Bind(kBindTable);
+  slots.counter(0).Add(3);
+  const auto it = reg.counters().find(std::string("b.count"));
+  ASSERT_NE(it, reg.counters().end());
+  EXPECT_EQ(it->second.value, 5);  // the row and the by-name entry fold
+  slots.counter(0).Add(10);
+  reg.GetCounter("b.other").Add(1);
+  EXPECT_EQ(reg.counters().size(), 2u);
+  EXPECT_EQ(it->second.value, 15);
+  EXPECT_EQ(reg.histograms().at("b.hist").count(), 0);
+  EXPECT_FALSE(reg.gauges().at("b.peak").set);
+}
+
+TEST(MetricsRegistry, MergeAddsBoundRowsAndCopiesTheRest) {
+  MetricsRegistry a;
+  RecordThroughBinding(a, 4);
+  MetricsRegistry b;
+  b.GetCounter("b.count").Add(100);  // by name, before the table binds
+  b.GetCounter("z.extra").Add(1);
+  RecordThroughBinding(b, 9);
+  MetricsRegistry total;
+  total.Merge(a);  // copies a's block
+  total.Merge(b);  // adds b's rows, then its by-name entries by name
+  EXPECT_EQ(total.counters().at("b.count").value, 113);
+  EXPECT_EQ(total.counters().at("z.extra").value, 1);
+  EXPECT_DOUBLE_EQ(total.gauges().at("b.peak").value, 9.0);
+  EXPECT_EQ(total.histograms().at("b.hist").count(), 2);
+  // The merged rows stay bound: a later Bind records into them.
+  RecordThroughBinding(total, 1);
+  EXPECT_EQ(total.counters().at("b.count").value, 114);
+  EXPECT_EQ(a.counters().at("b.count").value, 4);
+}
+
 TEST(Export, FormatsCoverAllKinds) {
   const MetricsRegistry reg = MakeRegistry(13);
   const std::string json = ToJson(reg);

@@ -54,24 +54,6 @@ int Usage() {
   return 2;
 }
 
-std::vector<int> ParseIntList(const std::string& csv) {
-  std::vector<int> out;
-  std::istringstream in(csv);
-  std::string tok;
-  while (std::getline(in, tok, ','))
-    if (!tok.empty()) out.push_back(std::atoi(tok.c_str()));
-  return out;
-}
-
-std::vector<double> ParseDoubleList(const std::string& csv) {
-  std::vector<double> out;
-  std::istringstream in(csv);
-  std::string tok;
-  while (std::getline(in, tok, ','))
-    if (!tok.empty()) out.push_back(std::atof(tok.c_str()));
-  return out;
-}
-
 /// Largest value an `int` count option takes.
 constexpr std::int64_t kMaxCount = std::numeric_limits<int>::max();
 
@@ -102,8 +84,11 @@ int CmdRecord(const Args& args) {
   spec.cfg.topology.ports_per_switch =
       static_cast<int>(args.GetIntIn("ports", 8, 2, kMaxCount));
   spec.cfg.seed = static_cast<std::uint64_t>(GetSeed(args, 1));
-  spec.sizes = ParseIntList(args.GetString("sizes", "2,4,8,15"));
-  spec.loads = ParseDoubleList(args.GetString("loads", "0.05,0.15,0.3"));
+  for (std::int64_t size : args.GetIntListIn(
+           "sizes", "2,4,8,15", 1, spec.cfg.topology.num_hosts - 1))
+    spec.sizes.push_back(static_cast<int>(size));
+  spec.loads =
+      args.GetDoubleListIn("loads", "0.05,0.15,0.3", RealRange::Above(0.0));
   spec.degree = static_cast<int>(args.GetIntIn(
       "degree", 8, 1, spec.cfg.topology.num_hosts - 1));
   spec.topologies = static_cast<int>(args.GetIntIn(
@@ -112,7 +97,8 @@ int CmdRecord(const Args& args) {
   // A load run drains for another horizon after generation stops.
   spec.horizon = args.GetIntIn("horizon", 150'000, 1,
                                std::numeric_limits<Cycles>::max() / 2);
-  spec.scale_latency = args.GetDouble("scale-latency", 1.0);
+  spec.scale_latency =
+      args.GetDoubleIn("scale-latency", 1.0, RealRange::AtLeast(0.0));
   const std::string ledger = args.GetString("ledger", DefaultLedgerPath());
 
   for (const std::string& key : args.UnconsumedKeys()) {
@@ -166,10 +152,12 @@ bool LoadOrDie(const std::string& path, std::vector<LedgerRun>* runs) {
 
 DiffSpec SpecFromArgs(const Args& args) {
   DiffSpec spec;
-  spec.rel_threshold = args.GetDouble("threshold", 0.05);
+  spec.rel_threshold =
+      args.GetDoubleIn("threshold", 0.05, RealRange::AtLeast(0.0));
   spec.bootstrap_iters =
       static_cast<int>(args.GetIntIn("bootstrap", 300, 0, kMaxCount));
-  spec.confidence = args.GetDouble("confidence", 0.95);
+  spec.confidence =
+      args.GetDoubleIn("confidence", 0.95, RealRange::Inside(0.0, 1.0));
   spec.seed = static_cast<std::uint64_t>(GetSeed(args, 42));
   spec.allow_config_mismatch = args.GetFlag("allow-config-mismatch");
   return spec;

@@ -67,19 +67,6 @@ int Usage() {
   return 2;
 }
 
-std::vector<int> ParseSwitchList(const std::string& list) {
-  std::vector<int> out;
-  std::istringstream in(list);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (item.empty()) continue;
-    const int v = std::atoi(item.c_str());
-    if (v <= 0) return {};
-    out.push_back(v);
-  }
-  return out;
-}
-
 struct Tally {
   int verified = 0;
   int faulted = 0;
@@ -196,8 +183,9 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(
       args.GetIntIn("seed", 1, std::numeric_limits<std::int64_t>::min(),
                     std::numeric_limits<std::int64_t>::max()));
-  const std::vector<int> sizes =
-      ParseSwitchList(args.GetString("switches", "8,16,32"));
+  std::vector<int> sizes;
+  for (std::int64_t v : args.GetIntListIn("switches", "8,16,32", 1, kIntMax))
+    sizes.push_back(static_cast<int>(v));
   const auto nodes = static_cast<int>(args.GetIntIn("nodes", 32, 1, kIntMax));
   const auto ports = static_cast<int>(args.GetIntIn("ports", 8, 2, kIntMax));
   const auto faults = static_cast<int>(args.GetIntIn("faults", 0, 0, kIntMax));
@@ -217,7 +205,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
     return Usage();
   }
-  if (sizes.empty()) return Usage();
 
   if (!load.empty()) return RunLoaded(load, faults, opts);
 

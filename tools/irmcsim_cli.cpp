@@ -184,7 +184,8 @@ SimConfig ConfigFrom(const Args& args, int min_nodes = 2) {
       GetInt32(args, "packets", cfg.message.num_packets, 1);
   cfg.message.packet_flits =
       GetInt32(args, "packet-flits", cfg.message.packet_flits, 1);
-  cfg.host.SetRatio(args.GetDoubleAbove("ratio", cfg.host.R(), 0.0));
+  cfg.host.SetRatio(
+      args.GetDoubleIn("ratio", cfg.host.R(), RealRange::Above(0.0)));
   // --engine vct|flit selects the network engine; --buffer-flits sizes
   // the flit engine's per-port input buffers (see docs/engines.md).
   const std::string engine_name =
@@ -205,7 +206,8 @@ SimConfig ConfigFrom(const Args& args, int min_nodes = 2) {
                  faults.c_str());
     std::exit(2);
   }
-  cfg.resilience.mtbf = args.GetDouble("mtbf", cfg.resilience.mtbf);
+  cfg.resilience.mtbf =
+      args.GetDoubleIn("mtbf", cfg.resilience.mtbf, RealRange::AtLeast(0.0));
   cfg.resilience.reconfig_delay =
       GetInt64(args, "reconfig-delay", cfg.resilience.reconfig_delay, 0);
   cfg.resilience.verify_reconfig = args.GetFlag("verify-reconfig");
@@ -280,7 +282,7 @@ int CmdLoad(const Args& args) {
   spec.cfg = ConfigFrom(args);
   spec.scheme = *scheme;
   spec.degree = GetDestCount(args, "degree", 8, spec.cfg.topology.num_hosts);
-  spec.effective_load = args.GetDoubleAbove("load", 0.2, 0.0);
+  spec.effective_load = args.GetDoubleIn("load", 0.2, RealRange::Above(0.0));
   // The run drains for another horizon after generation stops.
   spec.horizon =
       GetInt64(args, "horizon", 150'000, 1, Limits64::max() / 2);
@@ -318,7 +320,8 @@ int CmdDsm(const Args& args) {
   DsmParams params;
   params.sharers_per_line =
       GetDestCount(args, "sharers", 8, cfg.topology.num_hosts);
-  params.write_interarrival = args.GetDouble("interarrival", 50'000.0);
+  params.write_interarrival =
+      args.GetDoubleIn("interarrival", 50'000.0, RealRange::Above(0.0));
   params.topologies = GetInt32(args, "topologies", 3, 1);
   const TraceSpec tspec = GetTraceSpec(args);
   Tracer tracer;
