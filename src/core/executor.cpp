@@ -84,81 +84,60 @@ std::int64_t McastDriver::Launch(McastPlan plan, Cycles when, DoneFn done,
   const MessageShape shape = plan.shape.value_or(cfg_.message);
   IRMC_EXPECT_MSG(shape.Valid(), "message of %d packets x %d flits",
                   shape.num_packets, shape.packet_flits);
-  const std::int64_t id = next_id_++;
-  auto exec = std::make_unique<Exec>();
-  exec->id = id;
-  exec->plan = std::move(plan);
-  exec->shape = shape;
-  exec->start = when;
-  exec->done = std::move(done);
-  exec->delivered = std::move(delivered);
-  exec->remaining = static_cast<int>(exec->plan.dests.size());
-  exec->result.id = id;
-  exec->result.start = when;
-  exec->result.num_dests = exec->remaining;
-  exec->result.deliveries.reserve(exec->plan.dests.size());
-  const auto nodes = static_cast<std::size_t>(sys_->num_nodes());
-  exec->nstate.resize(nodes);
-  IndexWorms(*exec);
-  if (cfg_.resilience.enabled) {
-    exec->acked.assign(nodes, false);
-    exec->got.assign(
-        nodes * static_cast<std::size_t>(exec->shape.num_packets), false);
-  }
+  Exec& exec = NewExec(std::move(plan), shape, when, -1);
+  exec.done = std::move(done);
+  exec.delivered = std::move(delivered);
   if (m_.has) {
     m_.launched->Add();
-    m_.dests->Add(exec->remaining);
+    m_.dests->Add(exec.remaining);
   }
-  Exec* raw = exec.get();
-  live_.emplace(id, std::move(exec));
-  engine_.ScheduleAt(when, [this, raw]() { StartSource(*raw); });
-  return id;
+  engine_.ScheduleAt(when, [this, raw = &exec]() { StartSource(*raw); });
+  return exec.id;
 }
 
-void McastDriver::IndexWorms(Exec& exec) const {
-  const auto& worms = exec.plan.worms;
-  if (worms.empty()) return;
-  exec.first_worm.assign(static_cast<std::size_t>(sys_->num_nodes()), -1);
-  exec.next_worm.assign(worms.size(), -1);
-  // Back to front, so each sender's list comes out in send order.
-  for (std::size_t w = worms.size(); w-- > 0;) {
-    int& first = exec.first_worm[static_cast<std::size_t>(worms[w].sender)];
-    exec.next_worm[w] = first;
-    first = static_cast<int>(w);
+McastDriver::Exec& McastDriver::NewExec(McastPlan&& plan, MessageShape shape,
+                                        Cycles start, std::int64_t parent) {
+  const std::int64_t id = next_id_++;
+  Exec& exec = live_.try_emplace(id).first->second;
+  exec.id = id;
+  exec.parent = parent;
+  exec.plan = std::move(plan);
+  exec.shape = shape;
+  exec.start = start;
+  exec.remaining = static_cast<int>(exec.plan.dests.size());
+  exec.result.id = id;
+  exec.result.start = start;
+  exec.result.num_dests = exec.remaining;
+  if (parent >= 0) return exec;  // a repair wave credits its parent
+  exec.result.deliveries.reserve(exec.plan.dests.size());
+  const auto nodes = static_cast<std::size_t>(sys_->num_nodes());
+  exec.nstate.resize(nodes);
+  if (cfg_.resilience.enabled) {
+    exec.acked.assign(nodes, false);
+    exec.got.assign(nodes * static_cast<std::size_t>(shape.num_packets),
+                    false);
   }
+  return exec;
 }
 
-void McastDriver::StartSource(Exec& exec) {
-  switch (exec.plan.scheme) {
-    case SchemeKind::kUnicastBinomial:
-      SendToChildren(exec, exec.plan.root, engine_.Now());
-      break;
-    case SchemeKind::kNiKBinomial:
-      SmartSourceSend(exec);
-      break;
-    case SchemeKind::kTreeWorm:
-      SendTreeWorms(exec);
-      break;
-    case SchemeKind::kPathWorm:
-      SendWormsOf(exec, exec.plan.root, engine_.Now());
-      break;
-  }
-}
-
-Packet McastDriver::MakeBasePacket(const Exec& exec, int pkt_index) const {
+Packet McastDriver::MakePacket(const Exec& exec, int j, HeaderKind kind,
+                               int header_flits) const {
   Packet pkt;
   pkt.mcast_id = exec.id;
-  pkt.pkt_index = pkt_index;
+  pkt.pkt_index = j;
   pkt.num_pkts = exec.shape.num_packets;
   pkt.src = exec.plan.root;
   pkt.mcast_start = exec.start;
   pkt.data_flits = exec.shape.packet_flits;
+  pkt.kind = kind;
+  pkt.header_flits = header_flits;
   return pkt;
 }
 
-void McastDriver::ConventionalSendToOne(Exec& exec, NodeId u, NodeId c,
-                                        Cycles earliest) {
-  TraceHost(TraceKind::kSendStart, exec.id, u, c);
+template <class Emit>
+void McastDriver::SendMessage(const Exec& exec, NodeId u, Cycles earliest,
+                              std::int32_t detail, Emit emit) {
+  TraceHost(TraceKind::kSendStart, exec.id, u, detail);
   NodeRuntime& nr = node(u);
   const HostParams& hp = cfg_.host;
   const Cycles h = nr.host_cpu.Reserve(earliest, hp.o_host) + hp.o_host;
@@ -175,152 +154,98 @@ void McastDriver::ConventionalSendToOne(Exec& exec, NodeId u, NodeId c,
       m_.io_dma_cycles->Add(dma_dur);
       m_.io_dma_transfers->Add();
     }
-    Packet pkt = MakeBasePacket(exec, j);
-    pkt.kind = HeaderKind::kUnicast;
-    pkt.uni_dest = c;
-    pkt.header_flits = cfg_.headers.UnicastFlits();
-    network_->InjectFromNi(u, std::move(pkt), std::max(ni, dma_done));
+    emit(j, std::max(ni, dma_done));
   }
 }
 
-void McastDriver::SendToChildren(Exec& exec, NodeId u, Cycles earliest) {
-  const auto& kids = exec.plan.children[static_cast<std::size_t>(u)];
-  for (NodeId c : kids) ConventionalSendToOne(exec, u, c, earliest);
-}
-
-void McastDriver::SmartSourceSend(Exec& exec) {
-  const NodeId u = exec.plan.root;
-  TraceHost(TraceKind::kSendStart, exec.id, u, -1);
-  NodeRuntime& nr = node(u);
-  const HostParams& hp = cfg_.host;
-  const Cycles h = nr.host_cpu.Reserve(engine_.Now(), hp.o_host) + hp.o_host;
-  const Cycles ni = nr.ni_cpu.Reserve(h, hp.o_ni) + hp.o_ni;
-  const Cycles dma_dur = hp.DmaCycles(exec.shape.packet_flits);
-  if (m_.has) {
-    m_.host_sends->Add();
-    m_.host_cycles->Add(hp.o_host);
-    m_.ni_cycles->Add(hp.o_ni);
-  }
-  const auto& kids = exec.plan.children[static_cast<std::size_t>(u)];
-  for (int j = 0; j < exec.shape.num_packets; ++j) {
-    const Cycles dma_done = nr.io_bus.Reserve(h, dma_dur) + dma_dur;
-    if (m_.has) {
-      m_.io_dma_cycles->Add(dma_dur);
-      m_.io_dma_transfers->Add();
+void McastDriver::StartSource(const Exec& exec) {
+  const NodeId root = exec.plan.root;
+  const Cycles now = engine_.Now();
+  switch (exec.plan.scheme) {
+    case SchemeKind::kUnicastBinomial:
+      SendToChildren(exec, root, now);
+      break;
+    case SchemeKind::kNiKBinomial:
+      // One host send; the smart NI replicates each packet (FPFS).
+      SendMessage(exec, root, now, -1, [&](int j, Cycles ready) {
+        ForwardAtNi(exec, root, j, ready);
+      });
+      break;
+    case SchemeKind::kTreeWorm: {
+      // Default: one worm addressing the full set; chunked plans carry
+      // one region (and header size) per worm. All worms leave back to
+      // back — still a single phase, one host send overhead.
+      const auto& regions = exec.plan.tree_regions;
+      const std::size_t worms = regions.empty() ? 1 : regions.size();
+      const int nodes = sys_->num_nodes();
+      if (m_.has) m_.worms->Add(static_cast<std::int64_t>(worms));
+      SendMessage(exec, root, now, -1, [&](int j, Cycles ready) {
+        for (std::size_t r = 0; r < worms; ++r) {
+          Packet pkt = MakePacket(exec, j, HeaderKind::kTreeWorm,
+                                  regions.empty()
+                                      ? cfg_.headers.TreeWormFlits(nodes)
+                                      : exec.plan.tree_region_header_flits[r]);
+          pkt.tree_dests = NodeSet::FromVector(
+              nodes, regions.empty() ? exec.plan.dests : regions[r]);
+          network_->InjectFromNi(root, std::move(pkt), ready);
+        }
+      });
+      break;
     }
-    for (NodeId c : kids) {
-      const Cycles ready = nr.ni_cpu.Reserve(std::max(ni, dma_done),
-                                             hp.ni_forward_overhead) +
-                           hp.ni_forward_overhead;
-      if (m_.has) {
-        m_.ni_cycles->Add(hp.ni_forward_overhead);
-        m_.ni_forward_copies->Add();
-      }
-      Packet pkt = MakeBasePacket(exec, j);
-      pkt.kind = HeaderKind::kUnicast;
-      pkt.uni_dest = c;
-      pkt.header_flits = cfg_.headers.UnicastFlits();
-      network_->InjectFromNi(u, std::move(pkt), ready);
-    }
+    case SchemeKind::kPathWorm:
+      SendWormsOf(exec, root, now);
+      break;
   }
 }
 
-void McastDriver::SmartForward(Exec& exec, NodeId u, int pkt_index,
-                               Cycles ni_ready, Cycles tail) {
-  const auto& kids = exec.plan.children[static_cast<std::size_t>(u)];
-  if (kids.empty()) return;
+void McastDriver::ForwardAtNi(const Exec& exec, NodeId u, int j,
+                              Cycles ready) {
   NodeRuntime& nr = node(u);
-  const HostParams& hp = cfg_.host;
-  for (NodeId c : kids) {
-    // The replica can leave once the packet has fully arrived at the NI
-    // and the NI processor has enqueued the copy.
-    const Cycles ready = nr.ni_cpu.Reserve(std::max(ni_ready, tail),
-                                           hp.ni_forward_overhead) +
-                         hp.ni_forward_overhead;
+  const Cycles per_copy = cfg_.host.ni_forward_overhead;
+  for (NodeId c : exec.plan.children[static_cast<std::size_t>(u)]) {
+    // A copy leaves once the NI processor has enqueued it.
+    const Cycles sent = nr.ni_cpu.Reserve(ready, per_copy) + per_copy;
     if (m_.has) {
-      m_.ni_cycles->Add(hp.ni_forward_overhead);
+      m_.ni_cycles->Add(per_copy);
       m_.ni_forward_copies->Add();
     }
-    Packet pkt = MakeBasePacket(exec, pkt_index);
-    pkt.kind = HeaderKind::kUnicast;
+    Packet pkt = MakePacket(exec, j, HeaderKind::kUnicast,
+                            cfg_.headers.UnicastFlits());
     pkt.uni_dest = c;
-    pkt.header_flits = cfg_.headers.UnicastFlits();
-    network_->InjectFromNi(u, std::move(pkt), ready);
+    network_->InjectFromNi(u, std::move(pkt), sent);
   }
 }
 
-void McastDriver::SendTreeWorms(Exec& exec) {
-  const NodeId u = exec.plan.root;
-  TraceHost(TraceKind::kSendStart, exec.id, u, -1);
-  NodeRuntime& nr = node(u);
-  const HostParams& hp = cfg_.host;
-  const Cycles h = nr.host_cpu.Reserve(engine_.Now(), hp.o_host) + hp.o_host;
-  const Cycles ni = nr.ni_cpu.Reserve(h, hp.o_ni) + hp.o_ni;
-  const Cycles dma_dur = hp.DmaCycles(exec.shape.packet_flits);
-  if (m_.has) {
-    m_.host_sends->Add();
-    m_.host_cycles->Add(hp.o_host);
-    m_.ni_cycles->Add(hp.o_ni);
-  }
-
-  // Default: one worm addressing the full set; chunked plans carry one
-  // region (and header size) per worm. All worms leave back to back —
-  // still a single phase, one host send overhead.
-  const std::vector<std::vector<NodeId>>& chunks = exec.plan.tree_regions;
-  const std::size_t worms = chunks.empty() ? 1 : chunks.size();
-  const int nodes = sys_->num_nodes();
-  if (m_.has) m_.worms->Add(static_cast<std::int64_t>(worms));
-  for (int j = 0; j < exec.shape.num_packets; ++j) {
-    const Cycles dma_done = nr.io_bus.Reserve(h, dma_dur) + dma_dur;
-    if (m_.has) {
-      m_.io_dma_cycles->Add(dma_dur);
-      m_.io_dma_transfers->Add();
-    }
-    for (std::size_t r = 0; r < worms; ++r) {
-      Packet pkt = MakeBasePacket(exec, j);
-      pkt.kind = HeaderKind::kTreeWorm;
-      pkt.tree_dests = NodeSet::FromVector(
-          nodes, chunks.empty() ? exec.plan.dests : chunks[r]);
-      pkt.header_flits = chunks.empty()
-                             ? cfg_.headers.TreeWormFlits(nodes)
-                             : exec.plan.tree_region_header_flits[r];
-      network_->InjectFromNi(u, std::move(pkt), std::max(ni, dma_done));
-    }
-  }
+int McastDriver::SendToChildren(const Exec& exec, NodeId u,
+                                Cycles earliest) {
+  const auto& kids = exec.plan.children[static_cast<std::size_t>(u)];
+  for (NodeId c : kids)
+    SendMessage(exec, u, earliest, c, [&](int j, Cycles ready) {
+      Packet pkt = MakePacket(exec, j, HeaderKind::kUnicast,
+                              cfg_.headers.UnicastFlits());
+      pkt.uni_dest = c;
+      network_->InjectFromNi(u, std::move(pkt), ready);
+    });
+  return static_cast<int>(kids.size());
 }
 
-void McastDriver::SendWormsOf(Exec& exec, NodeId sender, Cycles earliest) {
-  if (!SendsWorms(exec, sender)) return;
-  NodeRuntime& nr = node(sender);
-  const HostParams& hp = cfg_.host;
-  const Cycles dma_dur = hp.DmaCycles(exec.shape.packet_flits);
-  for (int w = exec.first_worm[static_cast<std::size_t>(sender)]; w >= 0;
-       w = exec.next_worm[static_cast<std::size_t>(w)]) {
-    const auto& worm = exec.plan.worms[static_cast<std::size_t>(w)];
-    // Each worm is a separate message-level send at the sender.
-    TraceHost(TraceKind::kSendStart, exec.id, sender, w);
-    const Cycles h = nr.host_cpu.Reserve(earliest, hp.o_host) + hp.o_host;
-    const Cycles ni = nr.ni_cpu.Reserve(h, hp.o_ni) + hp.o_ni;
-    if (m_.has) {
-      m_.worms->Add();
-      m_.host_sends->Add();
-      m_.host_cycles->Add(hp.o_host);
-      m_.ni_cycles->Add(hp.o_ni);
-    }
-    for (int j = 0; j < exec.shape.num_packets; ++j) {
-      const Cycles dma_done = nr.io_bus.Reserve(h, dma_dur) + dma_dur;
-      if (m_.has) {
-        m_.io_dma_cycles->Add(dma_dur);
-        m_.io_dma_transfers->Add();
-      }
-      Packet pkt = MakeBasePacket(exec, j);
-      pkt.kind = HeaderKind::kPathWorm;
-      pkt.path = worm.route;
-      pkt.path_cursor = 0;
-      pkt.header_flits = worm.header_flits;
-      network_->InjectFromNi(sender, std::move(pkt), std::max(ni, dma_done));
-    }
+int McastDriver::SendWormsOf(const Exec& exec, NodeId sender,
+                             Cycles earliest) {
+  int sent = 0;
+  const auto& worms = exec.plan.worms;
+  for (std::size_t w = 0; w < worms.size(); ++w) {
+    if (worms[w].sender != sender) continue;
+    ++sent;
+    SendMessage(exec, sender, earliest, static_cast<std::int32_t>(w),
+                [&](int j, Cycles ready) {
+                  Packet pkt = MakePacket(exec, j, HeaderKind::kPathWorm,
+                                          worms[w].header_flits);
+                  pkt.path = worms[w].route;
+                  network_->InjectFromNi(sender, std::move(pkt), ready);
+                });
   }
+  if (m_.has) m_.worms->Add(sent);
+  return sent;
 }
 
 void McastDriver::OnDeliver(NodeId n, const Packet& pkt, Cycles head,
@@ -333,14 +258,14 @@ void McastDriver::OnDeliver(NodeId n, const Packet& pkt, Cycles head,
     IRMC_ENSURE(cfg_.resilience.enabled);
     return;
   }
-  HandlePacketAt(*it->second, n, pkt, head, tail);
+  HandlePacketAt(it->second, n, pkt, head, tail);
 }
 
 McastDriver::Exec& McastDriver::AcctOf(Exec& exec) {
   if (exec.parent < 0) return exec;
   auto it = live_.find(exec.parent);
   IRMC_ENSURE(it != live_.end());  // repairs retire with their parent
-  return *it->second;
+  return it->second;
 }
 
 void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt,
@@ -374,18 +299,19 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt,
       first ? nr.ni_cpu.Reserve(head, hp.o_ni) + hp.o_ni : head;
   if (m_.has && first) m_.ni_cycles->Add(hp.o_ni);
 
-  // Smart-NI forwarding happens at the NI, before/parallel to host DMA.
-  // A forwarding node's phase costs both the receive and the send o_ni
-  // (paper Section 4.2.1: "every communication phase incurs a receive
-  // overhead of o_n and a send overhead of o_n"); the send-side setup is
-  // per message, on the first packet.
+  // Smart-NI forwarding happens at the NI, before/parallel to host DMA,
+  // and a copy leaves no earlier than the packet's tail. A forwarding
+  // node's phase costs both the receive and the send o_ni (paper Section
+  // 4.2.1: "every communication phase incurs a receive overhead of o_n
+  // and a send overhead of o_n"); the send-side setup is per message, on
+  // the first packet.
   if (exec.plan.scheme == SchemeKind::kNiKBinomial &&
       !exec.plan.children[static_cast<std::size_t>(n)].empty()) {
     if (hp.ni_discipline == NiDiscipline::kFpfs) {
       const Cycles fwd_ready =
           first ? nr.ni_cpu.Reserve(ni_done, hp.o_ni) + hp.o_ni : ni_done;
       if (m_.has && first) m_.ni_cycles->Add(hp.o_ni);
-      SmartForward(exec, n, pkt.pkt_index, fwd_ready, tail);
+      ForwardAtNi(exec, n, pkt.pkt_index, std::max(fwd_ready, tail));
     } else if (st.pkts == exec.shape.num_packets) {
       // Store-and-forward at message granularity: every packet's copies
       // are enqueued only once the whole message is at the NI (the
@@ -393,7 +319,7 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt,
       const Cycles fwd_ready = nr.ni_cpu.Reserve(ni_done, hp.o_ni) + hp.o_ni;
       if (m_.has) m_.ni_cycles->Add(hp.o_ni);
       for (int j = 0; j < exec.shape.num_packets; ++j)
-        SmartForward(exec, n, j, fwd_ready, tail);
+        ForwardAtNi(exec, n, j, std::max(fwd_ready, tail));
     }
   }
 
@@ -424,7 +350,7 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
                                   NodeId n, Cycles when) {
   auto it = live_.find(acct_id);
   IRMC_ENSURE(it != live_.end());
-  Exec& exec = *it->second;
+  Exec& exec = it->second;
   NodeState& st = exec.nstate[static_cast<std::size_t>(n)];
   IRMC_ENSURE(!st.delivered);
   st.delivered = true;
@@ -445,22 +371,17 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
   // packet completed the message (for a repair, its re-planned subtree).
   // Each host-level forwarding step after a delivery is one
   // communication phase of the scheme.
-  Exec* wave = &exec;
+  const Exec* wave = &exec;
   if (wave_id != acct_id) {
     auto wit = live_.find(wave_id);
-    wave = wit != live_.end() ? wit->second.get() : nullptr;
+    wave = wit != live_.end() ? &wit->second : nullptr;
   }
-  if (wave != nullptr) {
-    if (wave->plan.scheme == SchemeKind::kUnicastBinomial) {
-      if (m_.has && !wave->plan.children[static_cast<std::size_t>(n)].empty())
-        m_.forward_phases->Add();
-      SendToChildren(*wave, n, when);
-    }
-    if (wave->plan.scheme == SchemeKind::kPathWorm) {
-      if (m_.has && SendsWorms(*wave, n)) m_.forward_phases->Add();
-      SendWormsOf(*wave, n, when);
-    }
-  }
+  int sent = 0;
+  if (wave != nullptr && wave->plan.scheme == SchemeKind::kUnicastBinomial)
+    sent = SendToChildren(*wave, n, when);
+  if (wave != nullptr && wave->plan.scheme == SchemeKind::kPathWorm)
+    sent = SendWormsOf(*wave, n, when);
+  if (m_.has && sent > 0) m_.forward_phases->Add();
 
   if (exec.remaining == 0) {
     if (m_.has) {
@@ -484,7 +405,7 @@ void McastDriver::OnDrop(const Packet& pkt, Cycles now, SwitchId where) {
   if (m_.has) m_.r_drops->Add();
   auto it = live_.find(pkt.mcast_id);
   if (it == live_.end()) return;  // family already retired
-  Exec& acct = AcctOf(*it->second);
+  Exec& acct = AcctOf(it->second);
   if (acct.repair_pending) return;  // a repair chain is already running
   acct.repair_pending = true;
   // Expedite the first repair: wait out fault detection and any pending
@@ -499,7 +420,7 @@ void McastDriver::OnDrop(const Packet& pkt, Cycles now, SwitchId where) {
 void McastDriver::OnAck(std::int64_t id, NodeId n) {
   auto it = live_.find(id);
   if (it == live_.end()) return;
-  Exec& exec = *it->second;
+  Exec& exec = it->second;
   if (exec.acked[static_cast<std::size_t>(n)]) return;
   exec.acked[static_cast<std::size_t>(n)] = true;
   ++exec.acked_count;
@@ -510,7 +431,7 @@ void McastDriver::OnAck(std::int64_t id, NodeId n) {
 void McastDriver::RepairRound(std::int64_t id) {
   auto it = live_.find(id);
   if (it == live_.end()) return;
-  Exec& acct = *it->second;
+  Exec& acct = it->second;
   // Unacked = possibly-lost. A destination that delivered but whose ack
   // is still in flight gets harmlessly re-covered (its NI dedups).
   std::vector<NodeId> missing;
@@ -521,7 +442,7 @@ void McastDriver::RepairRound(std::int64_t id) {
   IRMC_ENSURE(acct.attempts <= cfg_.resilience.max_retransmits &&
               "resilience: retransmit cap exceeded — faults outran recovery");
   if (m_.has) m_.r_retransmits->Add();
-  LaunchRepairWave(acct, std::move(missing));
+  LaunchRepairWave(acct, missing);
   // Next round after an exponentially backed-off timeout (no-op once
   // everything acks).
   const Cycles wait = cfg_.resilience.retransmit_timeout
@@ -529,30 +450,17 @@ void McastDriver::RepairRound(std::int64_t id) {
   engine_.ScheduleAfter(wait, [this, id]() { RepairRound(id); });
 }
 
-void McastDriver::LaunchRepairWave(Exec& acct, std::vector<NodeId> missing) {
+void McastDriver::LaunchRepairWave(Exec& acct,
+                                   const std::vector<NodeId>& missing) {
   // Scheme-aware repair: re-plan on the *current* System (post-swap
   // tables), so a k-binomial repair is a fresh subtree over the missing
   // set and a worm repair is a re-planned, re-injected worm.
   const auto scheme = MakeScheme(acct.plan.scheme, cfg_.host);
-  McastPlan plan =
-      scheme->Plan(*sys_, acct.plan.root, missing, acct.shape, cfg_.headers);
-  plan.shape = acct.shape;
-  const std::int64_t id = next_id_++;
-  auto exec = std::make_unique<Exec>();
-  exec->id = id;
-  exec->parent = acct.id;
-  exec->plan = std::move(plan);
-  exec->shape = acct.shape;
-  exec->start = engine_.Now();
-  exec->remaining = static_cast<int>(missing.size());
-  exec->result.id = id;
-  exec->result.start = exec->start;
-  exec->result.num_dests = exec->remaining;
-  IndexWorms(*exec);
-  acct.repairs.push_back(id);
-  Exec* raw = exec.get();
-  live_.emplace(id, std::move(exec));
-  StartSource(*raw);
+  Exec& wave = NewExec(
+      scheme->Plan(*sys_, acct.plan.root, missing, acct.shape, cfg_.headers),
+      acct.shape, engine_.Now(), acct.id);
+  acct.repairs.push_back(wave.id);
+  StartSource(wave);
 }
 
 void McastDriver::CleanupFamily(std::int64_t id) {
@@ -560,7 +468,7 @@ void McastDriver::CleanupFamily(std::int64_t id) {
   engine_.ScheduleAfter(0, [this, id]() {
     auto it = live_.find(id);
     if (it == live_.end()) return;
-    for (std::int64_t r : it->second->repairs) live_.erase(r);
+    for (std::int64_t r : it->second.repairs) live_.erase(r);
     live_.erase(it);
   });
 }

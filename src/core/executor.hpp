@@ -38,12 +38,6 @@
 
 namespace irmc {
 
-struct NodeRuntime {
-  TimelineResource host_cpu;
-  TimelineResource ni_cpu;
-  TimelineResource io_bus;
-};
-
 struct MulticastResult {
   std::int64_t id = -1;
   Cycles start = 0;
@@ -81,15 +75,18 @@ class McastDriver {
                       DeliveredFn delivered = nullptr);
 
   NetworkModel& network() { return *network_; }
-  NodeRuntime& node(NodeId n) {
-    return nodes_[static_cast<std::size_t>(n)];
-  }
   int live_multicasts() const { return static_cast<int>(live_.size()); }
 
   /// Non-null only when cfg.resilience.enabled (docs/resilience.md).
   ResilienceManager* resilience() { return resilience_.get(); }
 
  private:
+  /// A node's serially reused host CPU, NI CPU and I/O bus.
+  struct NodeRuntime {
+    TimelineResource host_cpu;
+    TimelineResource ni_cpu;
+    TimelineResource io_bus;
+  };
   /// A node's receive progress within one multicast.
   struct NodeState {
     int pkts = 0;
@@ -107,11 +104,6 @@ class McastDriver {
     /// Indexed by NodeId; sized at launch (originals only — a repair
     /// wave's accounting lives in its parent).
     std::vector<NodeState> nstate;
-    /// The plan's path worms by sender, in send order: first_worm[n] is
-    /// n's first worm index (-1: none), next_worm[w] the same sender's
-    /// next one after w (-1: last). Both empty when the plan has none.
-    std::vector<int> first_worm;
-    std::vector<int> next_worm;
     MulticastResult result;
     // --- reliable delivery (resilience mode only) ---
     /// Repair waves set this to the original multicast they credit;
@@ -128,15 +120,15 @@ class McastDriver {
     bool repair_pending = false;  ///< a repair timer chain is running
   };
 
-  /// Fills exec.first_worm / next_worm from exec.plan.worms.
-  void IndexWorms(Exec& exec) const;
-  /// True when `n` sends path worms in exec's plan.
-  static bool SendsWorms(const Exec& exec, NodeId n) {
-    return !exec.first_worm.empty() &&
-           exec.first_worm[static_cast<std::size_t>(n)] >= 0;
+  NodeRuntime& node(NodeId n) {
+    return nodes_[static_cast<std::size_t>(n)];
   }
 
-  void StartSource(Exec& exec);
+  /// A live multicast or repair wave (`parent` >= 0) starting at
+  /// `start`. Only originals hold delivery accounting.
+  Exec& NewExec(McastPlan&& plan, MessageShape shape, Cycles start,
+                std::int64_t parent);
+  void StartSource(const Exec& exec);
   void OnDeliver(NodeId n, const Packet& pkt, Cycles head, Cycles tail);
   void HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt, Cycles head,
                       Cycles tail);
@@ -158,25 +150,30 @@ class McastDriver {
   void RepairRound(std::int64_t id);
   /// Plans (scheme-aware, on the *current* System) and launches one
   /// repair wave to `missing` as a child Exec crediting `acct`.
-  void LaunchRepairWave(Exec& acct, std::vector<NodeId> missing);
+  void LaunchRepairWave(Exec& acct, const std::vector<NodeId>& missing);
   /// Retires a fully-acked multicast and its repair waves.
   void CleanupFamily(std::int64_t id);
 
-  /// Conventional full-message unicast send u -> c (o_host, DMA per
-  /// packet, o_ni, inject), starting no earlier than `earliest`.
-  void ConventionalSendToOne(Exec& exec, NodeId u, NodeId c,
-                             Cycles earliest);
-  /// Send to every planned child of u, sequential at the host CPU.
-  void SendToChildren(Exec& exec, NodeId u, Cycles earliest);
-  /// Smart-NI source: one host send, then FPFS replication at the NI.
-  void SmartSourceSend(Exec& exec);
-  /// Smart-NI intermediate forwarding of one arrived packet.
-  void SmartForward(Exec& exec, NodeId u, int pkt_index, Cycles ni_ready,
-                    Cycles tail);
-  void SendTreeWorms(Exec& exec);
-  void SendWormsOf(Exec& exec, NodeId sender, Cycles earliest);
+  /// One message-level send at u, no earlier than `earliest`
+  /// (docs/MODEL.md §2): o_host on u's host CPU, then o_ni on its NI,
+  /// then one I/O-bus DMA per packet. `emit(j, ready)` hands packet j to
+  /// the NI at max(NI done, DMA done). `detail` tags the send-start
+  /// trace event.
+  template <class Emit>
+  void SendMessage(const Exec& exec, NodeId u, Cycles earliest,
+                   std::int32_t detail, Emit emit);
+  /// The smart NI at u enqueues one copy of packet j per planned child,
+  /// one ni_forward_overhead each, from `ready` on.
+  void ForwardAtNi(const Exec& exec, NodeId u, int j, Cycles ready);
+  /// A unicast message to every planned child of u, sequential at the
+  /// host CPU; returns the number sent.
+  int SendToChildren(const Exec& exec, NodeId u, Cycles earliest);
+  /// Every path worm `sender` sends in exec's plan, in plan order, one
+  /// message each; returns the number sent.
+  int SendWormsOf(const Exec& exec, NodeId sender, Cycles earliest);
 
-  Packet MakeBasePacket(const Exec& exec, int pkt_index) const;
+  Packet MakePacket(const Exec& exec, int j, HeaderKind kind,
+                    int header_flits) const;
 
   void TraceHost(TraceKind kind, std::int64_t mcast_id, NodeId actor,
                  std::int32_t detail) {
@@ -218,7 +215,8 @@ class McastDriver {
   std::vector<NodeRuntime> nodes_;
   std::unique_ptr<NetworkModel> network_;
   std::unique_ptr<ResilienceManager> resilience_;
-  std::unordered_map<std::int64_t, std::unique_ptr<Exec>> live_;
+  /// Node-based, so an Exec never moves while it is live.
+  std::unordered_map<std::int64_t, Exec> live_;
   std::int64_t next_id_ = 0;
 };
 

@@ -18,11 +18,10 @@ void TrialOutcome::Merge(const TrialOutcome& other) {
   trace.Append(other.trace);
 }
 
-TrialOutcome RunTrials(const SimConfig& cfg, int count, const TrialFn& fn,
-                       bool force_serial) {
+TrialOutcome RunTrials(const SimConfig& cfg, int count, const TrialFn& fn) {
   IRMC_EXPECT(count >= 1);
   std::vector<TrialOutcome> slots(static_cast<std::size_t>(count));
-  const ParallelExecutor exec(force_serial ? 1 : ParallelThreads());
+  const ParallelExecutor exec(ParallelThreads());
   exec.ForIndex(count, [&](int i) {
     TrialContext ctx;
     ctx.cfg = &cfg;

@@ -60,11 +60,11 @@ struct TrialOutcome {
 
 using TrialFn = std::function<TrialOutcome(const TrialContext&)>;
 
-/// Runs `count` trials of `fn` on the parallel executor (ParallelThreads
-/// resolution; `force_serial` pins the crew to 1 — a debugging escape
-/// hatch, not needed for tracing: each trial owns its own Tracer) and
-/// returns the outcomes merged in trial-index order.
-TrialOutcome RunTrials(const SimConfig& cfg, int count, const TrialFn& fn,
-                       bool force_serial = false);
+/// Runs `count` trials of `fn` on the parallel executor and returns the
+/// outcomes merged in trial-index order. The crew is ParallelThreads()
+/// wide: SetParallelThreads(1), IRMC_THREADS=1 or the tools' `--threads
+/// 1` run one trial at a time (tracing needs none of them: each trial
+/// owns its own Tracer).
+TrialOutcome RunTrials(const SimConfig& cfg, int count, const TrialFn& fn);
 
 }  // namespace irmc

@@ -76,9 +76,7 @@ int Fabric::ChannelBacklog(SwitchId sw, PortId port) const {
 }
 
 void Fabric::CollectEngineMetrics() {
-  metrics_->Bind(kFabricSeries)
-      .gauge(0)
-      .Set(static_cast<double>(max_input_wait_));
+  metrics_->Bind(kFabricSeries).gauge(0).Set(input_waited_ ? 1.0 : 0.0);
 }
 
 void Fabric::EnqueueTx(int channel_id, Tx tx) {
@@ -93,7 +91,7 @@ void Fabric::EnqueueTx(int channel_id, Tx tx) {
   Pump(channel_id);
 }
 
-std::uint32_t Fabric::PushTx(TxList& list, const Tx& tx) {
+void Fabric::PushTx(TxList& list, const Tx& tx) {
   std::uint32_t id = free_txs_;
   if (id != kNoTx) {
     free_txs_ = txs_[id].next;
@@ -111,13 +109,12 @@ std::uint32_t Fabric::PushTx(TxList& list, const Tx& tx) {
     list.head = id;
   list.tail = id;
   ++list.size;
-  return id;
 }
 
-Fabric::TxNode Fabric::UnlinkTx(TxList& list, std::uint32_t prev,
-                                std::uint32_t id) {
+Fabric::Tx Fabric::UnlinkTx(TxList& list, std::uint32_t prev,
+                            std::uint32_t id) {
   TxNode& node = txs_[id];
-  const TxNode out = node;
+  const Tx out = node.tx;
   if (prev != kNoTx)
     txs_[prev].next = node.next;
   else
@@ -134,7 +131,7 @@ void Fabric::DropTx(int channel_id, const Tx& tx) {
   ReleaseSrcBuffer(tx.src_buffer);
 }
 
-int Fabric::NewBuffered(int slot_pool) {
+int Fabric::NewBuffered(int feeder) {
   int buf;
   if (free_buffered_.empty()) {
     // An entry holds an input slot, so the slots bound the entries.
@@ -148,7 +145,7 @@ int Fabric::NewBuffered(int slot_pool) {
     buf = free_buffered_.back();
     free_buffered_.pop_back();
   }
-  buffered_[static_cast<std::size_t>(buf)] = Buffered{slot_pool, 0};
+  buffered_[static_cast<std::size_t>(buf)] = Buffered{feeder, 0};
   return buf;
 }
 
@@ -156,38 +153,19 @@ void Fabric::ReleaseSrcBuffer(int buf) {
   if (buf < 0) return;
   Buffered& b = buffered_[static_cast<std::size_t>(buf)];
   if (--b.pending_branches > 0) return;
-  const int pool = b.slot_pool;
   free_buffered_.push_back(buf);
-  ReleaseSlot(pool);
+  ReturnCredit(b.feeder);
 }
 
-void Fabric::ReleaseDownstreamSlot(int channel_id) {
-  const int pool = wire(channel_id).dst_port;
-  if (pool >= 0) ReleaseSlot(pool);
-}
-
-void Fabric::AcquireSlot(int pool, int channel_id, const Tx& tx) {
-  Lane& in = lane(pool);
-  if (in.free_slots > 0) {
-    --in.free_slots;
-    engine_.ScheduleAfter(
-        0, [this, channel_id, tx]() { StartTx(channel_id, tx); });
-  } else {
-    const std::uint32_t id = PushTx(in.waiting, tx);
-    txs_[id].channel = channel_id;
-  }
-  max_input_wait_ = std::max<std::int64_t>(max_input_wait_, in.waiting.size);
-}
-
-void Fabric::ReleaseSlot(int pool) {
-  Lane& in = lane(pool);
-  if (in.waiting.head == kNoTx) {
-    ++in.free_slots;
+void Fabric::ReturnCredit(int channel_id) {
+  Lane& c = lane(channel_id);
+  if (c.parked.head == kNoTx) {
+    ++c.credits;
     return;
   }
-  const TxNode granted = UnlinkTx(in.waiting, kNoTx, in.waiting.head);
-  engine_.ScheduleAfter(0, [this, channel_id = granted.channel,
-                            tx = granted.tx]() { StartTx(channel_id, tx); });
+  const Tx tx = UnlinkTx(c.parked, kNoTx, c.parked.head);
+  engine_.ScheduleAfter(
+      0, [this, channel_id, tx]() { StartTx(channel_id, tx); });
 }
 
 void Fabric::CutChannels(std::span<const int> dead) {
@@ -198,7 +176,7 @@ void Fabric::CutChannels(std::span<const int> dead) {
     TxList doomed = std::exchange(lane(cid).queue, TxList{});
     backlog_ -= doomed.size;
     while (doomed.head != kNoTx)
-      DropTx(cid, UnlinkTx(doomed, kNoTx, doomed.head).tx);
+      DropTx(cid, UnlinkTx(doomed, kNoTx, doomed.head));
   }
 }
 
@@ -259,21 +237,26 @@ void Fabric::Pick(int channel_id) {
   // The grant moves the transmission from the queue to the wire: Load()
   // and the backlog are unchanged.
   c.pumping = true;
-  const Tx tx = UnlinkTx(c.queue, best_prev, best).tx;
-  const int pool = wire(channel_id).dst_port;
-  if (pool >= 0)
-    AcquireSlot(pool, channel_id, tx);
-  else
-    StartTx(channel_id, tx);
+  const Tx tx = UnlinkTx(c.queue, best_prev, best);
+  if (wire(channel_id).dst_port < 0) {
+    StartTx(channel_id, tx);  // a host takes every packet
+  } else if (c.credits > 0) {
+    --c.credits;
+    engine_.ScheduleAfter(
+        0, [this, channel_id, tx]() { StartTx(channel_id, tx); });
+  } else {
+    PushTx(c.parked, tx);  // until the buffer it feeds frees a slot
+    input_waited_ = true;
+  }
 }
 
 void Fabric::StartTx(int channel_id, Tx tx) {
   if (channel(channel_id).dead_since != kNever) {
     // The link died while this transmission waited for a downstream
-    // slot (Pick's AcquireSlot); give the just-granted slot back.
+    // slot (parked at Pick); give the just-granted credit back.
     lane(channel_id).pumping = false;
     --backlog_;
-    ReleaseDownstreamSlot(channel_id);
+    if (wire(channel_id).dst_port >= 0) ReturnCredit(channel_id);
     DropTx(channel_id, tx);
     return;
   }
@@ -324,24 +307,24 @@ void Fabric::StartTx(int channel_id, Tx tx) {
       const Cycles dead_since = channel(channel_id).dead_since;
       if (dead_since != kNever && dead_since <= head_arrive) {
         // The link died under the worm before its head crossed:
-        // truncated. The downstream input slot acquired at Pick goes
-        // back; the source side frees at tail_leave as usual.
-        ReleaseDownstreamSlot(channel_id);
+        // truncated. The credit taken at Pick goes back; the source side
+        // frees at tail_leave as usual.
+        ReturnCredit(channel_id);
         ReportDrop(TakePacket(id), SwitchOfPort(channel_id));
         return;
       }
-      const int dst_port = wire(channel_id).dst_port;
-      HeadArrive(SwitchOfPort(dst_port), dst_port % ports_, id, head_arrive);
+      HeadArrive(channel_id, id, head_arrive);
     });
   }
 }
 
-void Fabric::HeadArrive(SwitchId s, PortId in_port, std::uint32_t pkt,
-                        Cycles head_time) {
+void Fabric::HeadArrive(int feeder, std::uint32_t pkt, Cycles head_time) {
+  const int in = wire(feeder).dst_port;
+  const SwitchId s = SwitchOfPort(in);
   ++packets_switched_;
   if (m_switched_) m_switched_->Add();
-  Trace(TraceKind::kHeadArrive, packets_[pkt], s, in_port);
-  const int buf = NewBuffered(PortIdx(s, in_port));
+  Trace(TraceKind::kHeadArrive, packets_[pkt], s, in % ports_);
+  const int buf = NewBuffered(feeder);
   const Cycles tail_time = head_time + packets_[pkt].WireFlits() - 1;
   engine_.ScheduleAt(head_time + params_.route_delay,
                      [this, s, pkt, buf, tail_time]() {
@@ -358,12 +341,12 @@ void Fabric::Route(SwitchId s, std::uint32_t pkt, Cycles tail_time, int buf) {
     return lane(PortIdx(sw, p)).Load();
   };
   Buffered& held = buffered_[static_cast<std::size_t>(buf)];
-  const int pool = held.slot_pool;
-  const auto free_buffer_at_tail = [this, tail_time, buf, pool]() {
-    // No branch claims the entry: recycle it now, the slot at the tail.
+  const int feeder = held.feeder;
+  const auto free_buffer_at_tail = [this, tail_time, buf, feeder]() {
+    // No branch claims the entry: recycle it now, the credit at the tail.
     free_buffered_.push_back(buf);
     const Cycles when = std::max(engine_.Now(), tail_time);
-    engine_.ScheduleAt(when, [this, pool]() { ReleaseSlot(pool); });
+    engine_.ScheduleAt(when, [this, feeder]() { ReturnCredit(feeder); });
   };
   if (!TryComputeRouteBranches(*sys_, s, packets_[pkt], params_.adaptive,
                                load, branches)) {
@@ -389,7 +372,7 @@ void Fabric::Route(SwitchId s, std::uint32_t pkt, Cycles tail_time, int buf) {
   Trace(TraceKind::kRoute, packets_[pkt], s,
         static_cast<std::int32_t>(branches.size()));
   const Cycles ready = engine_.Now() + params_.xbar_delay;
-  const int in_port = pool % ports_;
+  const int in_port = wire(feeder).dst_port % ports_;
   for (std::size_t i = 0; i < branches.size(); ++i) {
     RouteBranch& b = branches[i];
     Trace(TraceKind::kBranch, b.pkt, s, static_cast<std::int32_t>(b.port));

@@ -15,16 +15,20 @@
 // Channel wiring, link accounting, metric slots and the fault contract
 // come from the shared NetworkModel layer; this engine keeps only its
 // per-channel transmission queues, the channel pick, the input-slot
-// pools and the packets themselves.
+// credits and the packets themselves.
 //
 // A run's per-channel state is one plain array (lanes_, filled in one
-// pass): each channel's transmission queue and, for a switch port, the
-// input buffer's free slots and the transmissions waiting for one.
-// Both kinds of queue are FIFO lists threaded through one shared node
-// arena (txs_, with a free list), so a fresh Fabric allocates nothing
-// per channel it touches: the arena holds the transmissions queued at
-// once, not the channels used. The running backlog_ counts queued and
-// on-wire transmissions over all channels.
+// pass): each channel's transmission queue and, for a channel into a
+// switch input, its credits. Every input buffer has exactly one feeder
+// (a peer switch's out-channel or an NI's injection channel), and a
+// channel grants one transmission at a time, so the buffer's free
+// slots are its feeder's credits and at most one granted transmission
+// waits for a slot: it is parked on the feeder's lane. Queues and
+// parked slots are FIFO lists threaded through one shared node arena
+// (txs_, with a free list), so a fresh Fabric allocates nothing per
+// channel it touches: the arena holds the transmissions queued at once,
+// not the channels used. The running backlog_ counts queued and on-wire
+// transmissions over all channels.
 //
 // Packets live in a slot arena (packets_, recycled through
 // free_packets_): a transmission and every event about it carry a
@@ -71,7 +75,7 @@ class Fabric final : public NetworkModel {
   /// replica branches have drained. Lives in buffered_, recycled through
   /// free_buffered_ once the last branch releases it.
   struct Buffered {
-    int slot_pool = -1;  ///< input port (lane) whose slot it holds
+    int feeder = -1;  ///< the channel whose credit the slot is
     int pending_branches = 0;
   };
 
@@ -91,14 +95,11 @@ class Fabric final : public NetworkModel {
 
   static constexpr std::uint32_t kNoTx = ~std::uint32_t{0};
 
-  /// A transmission in the shared arena, linked into its channel's queue,
-  /// an input port's wait list or the free list through `next`.
+  /// A transmission in the shared arena, linked into its channel's queue
+  /// or parked slot, or the free list, through `next`.
   struct TxNode {
     Tx tx;
     std::uint32_t next = kNoTx;
-    /// While waiting for an input slot: the channel granted the
-    /// transmission.
-    int channel = -1;
   };
 
   /// A FIFO list of txs_ nodes.
@@ -114,11 +115,12 @@ class Fabric final : public NetworkModel {
     /// The channel's transmissions; one is on the wire while `pumping`.
     TxList queue;
     bool pumping = false;
-    /// Switch ports only: the free slots of the input buffer the same
-    /// index names, and the transmissions granted toward it that wait
-    /// for one (granted in FIFO order as slots free up).
-    int free_slots = 0;
-    TxList waiting;
+    /// Channels into a switch input: the free slots of the buffer it
+    /// feeds, and the granted transmission waiting for one (a list of at
+    /// most one in the shared arena: every driver builds a lane per
+    /// channel, so the lane stays small).
+    int credits = 0;
+    TxList parked;
     int Load() const { return queue.size + (pumping ? 1 : 0); }
   };
 
@@ -128,15 +130,16 @@ class Fabric final : public NetworkModel {
   /// atomicity — a packet whose head arrived is committed downstream).
   /// Requires a drop handler when anything can still reach the link.
   void CutChannels(std::span<const int> dead) override;
-  /// Input-buffer wait high-water (`fabric.input_buffer_wait_max`).
+  /// Whether any transmission waited for an input slot
+  /// (`fabric.input_buffer_wait_max`).
   void CollectEngineMetrics() override;
 
   // --- event handlers ---
   void Pump(int channel_id);
   void Pick(int channel_id);
   void StartTx(int channel_id, Tx tx);
-  void HeadArrive(SwitchId s, PortId in_port, std::uint32_t pkt,
-                  Cycles head_time);
+  /// The head of `pkt` reaches the switch input `feeder` leads to.
+  void HeadArrive(int feeder, std::uint32_t pkt, Cycles head_time);
   void Route(SwitchId s, std::uint32_t pkt, Cycles tail_time, int buf);
 
   /// A slot holding `pkt`, recycled first.
@@ -148,25 +151,20 @@ class Fabric final : public NetworkModel {
   /// the channel is dead.
   void EnqueueTx(int channel_id, Tx tx);
   /// A node holding `tx`, recycled first, appended to `list`.
-  std::uint32_t PushTx(TxList& list, const Tx& tx);
+  void PushTx(TxList& list, const Tx& tx);
   /// Unlinks node `id` (whose predecessor in `list` is `prev`, kNoTx for
-  /// the head) and recycles it; returns the node as it was.
-  TxNode UnlinkTx(TxList& list, std::uint32_t prev, std::uint32_t id);
+  /// the head) and recycles it; returns its transmission.
+  Tx UnlinkTx(TxList& list, std::uint32_t prev, std::uint32_t id);
   /// Drops a transmission that can no longer use `channel_id`.
   void DropTx(int channel_id, const Tx& tx);
-  /// A fresh buffered_ entry holding input slot `slot_pool`.
-  int NewBuffered(int slot_pool);
+  /// A fresh buffered_ entry holding a slot fed by `feeder`.
+  int NewBuffered(int feeder);
   /// Drains a drained/dropped branch's claim on its source buffer; the
   /// last claim frees the input slot and recycles the entry.
   void ReleaseSrcBuffer(int buf);
-  /// Gives back the downstream input slot `channel_id` acquired at Pick.
-  void ReleaseDownstreamSlot(int channel_id);
-  /// Takes a slot of input port `pool` for `tx` on `channel_id`: StartTx
-  /// runs in an event at this cycle, or once a slot is released.
-  void AcquireSlot(int pool, int channel_id, const Tx& tx);
-  /// Returns a slot of input port `pool`; the oldest waiter, if any,
-  /// gets it in an event at this cycle.
-  void ReleaseSlot(int pool);
+  /// Gives `channel_id` a credit back; its parked transmission, if any,
+  /// takes it and starts in an event at this cycle.
+  void ReturnCredit(int channel_id);
 
   Lane& lane(int id) { return lanes_[static_cast<std::size_t>(id)]; }
   const Lane& lane(int id) const {
@@ -176,10 +174,10 @@ class Fabric final : public NetworkModel {
   std::vector<Packet> packets_;              // packets in the fabric
   std::vector<std::uint32_t> free_packets_;  // recycled packets_ slots
   std::vector<Lane> lanes_;  // per channel id (see Lane)
-  std::vector<TxNode> txs_;  // every queue's and wait list's nodes
+  std::vector<TxNode> txs_;  // every queue's nodes
   std::uint32_t free_txs_ = kNoTx;  // head of the recycled-node list
   std::int64_t backlog_ = 0;        // sum of every queue's Load()
-  std::int64_t max_input_wait_ = 0;  // deepest input-slot wait list yet
+  bool input_waited_ = false;  // a transmission was ever parked
   std::vector<Buffered> buffered_;   // packets holding input slots
   std::vector<int> free_buffered_;   // recycled buffered_ indices
   std::vector<RouteBranch> route_branches_;  // reused by every Route

@@ -5,8 +5,8 @@
 // Because every request is issued from an event, "start = max(now,
 // free_at)" yields exact FIFO service order without storing a queue.
 // (The VCT fabric's input-buffer slots, whose release time is not known
-// at acquire time, are plain per-port counts and wait lists inside the
-// Fabric.)
+// at acquire time, are credits on the one channel that feeds each
+// buffer, inside the Fabric.)
 #pragma once
 
 #include "common/expect.hpp"
@@ -23,17 +23,13 @@ class TimelineResource {
     IRMC_EXPECT(hold >= 0);
     const Cycles start = earliest > free_at_ ? earliest : free_at_;
     free_at_ = start + hold;
-    busy_total_ += hold;
     return start;
   }
 
   Cycles free_at() const { return free_at_; }
-  /// Total busy cycles reserved so far (utilisation accounting).
-  Cycles busy_total() const { return busy_total_; }
 
  private:
   Cycles free_at_ = 0;
-  Cycles busy_total_ = 0;
 };
 
 }  // namespace irmc

@@ -20,6 +20,9 @@
 //    peak, replaying the batch — every scheme, small and large
 //    multicasts, one- and four-packet messages — makes no allocation
 //    from its first event to quiescence, on either engine.
+//  * A launch allocates only the multicast's own state: on a warm
+//    driver, the live-table node that holds it, its per-node receive
+//    progress and its delivery list, whatever the scheme.
 //  * Planning costs what the plan emits. The k choice scores every
 //    candidate k on one flat scratch; a binomial or k-binomial plan
 //    allocates little beyond its children lists; a path-worm plan runs
@@ -385,6 +388,37 @@ TEST(AllocBudget, VctHopsAllocateNothing) {
 
 TEST(AllocBudget, FlitHopsAllocateNothing) {
   EXPECT_EQ(HopReplayAllocations(EngineKind::kFlit), 0u);
+}
+
+/// What one Launch allocates: the live-table node that holds the
+/// multicast's state, its per-node receive progress and its delivery
+/// list. Read 4 while each multicast's state was a separate heap object,
+/// and 6 for path worms while they were indexed by sender.
+constexpr std::size_t kLaunchAllocations = 3;
+
+TEST(AllocBudget, LaunchAllocatesItsStateOnly) {
+  const SimConfig cfg;
+  const auto sys = System::Build(cfg.topology, 42);
+  std::vector<McastPlan> plans = HopBatch(*sys);
+  Engine engine;
+  McastDriver driver(engine, *sys, cfg);
+  std::size_t completed = 0;
+  const auto count = [&completed](const MulticastResult&) { ++completed; };
+  // Warm the live table's buckets and the event arena with the batch.
+  for (const McastPlan& plan : plans) driver.Launch(plan, engine.Now(), count);
+  engine.RunToQuiescence();
+  for (McastPlan& plan : plans) {
+    const SchemeKind scheme = plan.scheme;
+    const std::size_t dests = plan.dests.size();
+    const int packets = plan.shape->num_packets;
+    const std::size_t before = counting_new::Allocations();
+    driver.Launch(std::move(plan), engine.Now(), count);
+    EXPECT_EQ(counting_new::Allocations() - before, kLaunchAllocations)
+        << ToString(scheme) << ", " << dests << " destinations, " << packets
+        << " packets";
+  }
+  engine.RunToQuiescence();
+  EXPECT_EQ(completed, 2 * plans.size());
 }
 
 /// Upper bound on the allocations of one ChooseK call, whatever the

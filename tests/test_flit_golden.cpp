@@ -8,16 +8,20 @@
 //    recorded, every drop, flits_sent() sampled mid-run, the
 //    per-channel link reports, the metrics registry and the trace
 //    event stream;
-//  * driver-level runs (the load and single-multicast runners the CLI
-//    and the figures use, all four schemes, faults included): the run's
-//    results, the metrics registry and the trace event stream, which
-//    holds every NI delivery, host delivery and drop.
+//  * driver-level runs (the load, single-multicast and DSM runners the
+//    CLI and the figures use, and single chunked tree worms; all four
+//    schemes, one- and four-packet messages, both NI disciplines,
+//    faults included): the run's results, the metrics registry and the
+//    trace event stream, which holds every NI delivery, host delivery
+//    and drop.
 //
 // The flit values were recorded before the flit engine learned to
 // advance streaming worms in closed form, the VCT values before packets
 // became engine-owned values (the VCT cases cover the Fabric's drop and
-// cut paths and its hop logs). Any change to what an engine delivers,
-// when, or what it counts on the way changes a digest.
+// cut paths and its hop logs). The DriverGolden values were recorded
+// before McastDriver's sends were written once: they cover the driver
+// paths the older cases leave out. Any change to what an engine or the
+// driver delivers, when, or what it counts on the way changes a digest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,12 +33,14 @@
 #include "common/rng.hpp"
 #include "core/load_runner.hpp"
 #include "core/single_runner.hpp"
+#include "mcast/tree_worm.hpp"
 #include "metrics/export.hpp"
 #include "network/fabric.hpp"
 #include "network/flit_engine.hpp"
 #include "topology/system.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
+#include "workloads/dsm.hpp"
 
 namespace irmc {
 namespace {
@@ -168,11 +174,17 @@ std::uint64_t EngineRun(EngineKind kind, Traffic traffic, int buffer_flits,
 
 // --- driver level -----------------------------------------------------------
 
+/// `shape` and `ni` (here and in SingleRun) default to the paper's
+/// one-packet message and FPFS.
 std::uint64_t LoadRun(EngineKind kind, SchemeKind scheme, int buffer_flits,
-                      double load, double mtbf = 0.0) {
+                      double load, double mtbf = 0.0,
+                      MessageShape shape = {},
+                      NiDiscipline ni = NiDiscipline::kFpfs) {
   LoadRunSpec spec;
   spec.cfg.engine = kind;
   spec.cfg.net.buffer_flits = buffer_flits;
+  spec.cfg.message = shape;
+  spec.cfg.host.ni_discipline = ni;
   if (mtbf > 0.0) {
     spec.cfg.resilience.enabled = true;
     spec.cfg.resilience.mtbf = mtbf;
@@ -198,9 +210,13 @@ std::uint64_t LoadRun(EngineKind kind, SchemeKind scheme, int buffer_flits,
   return d.h;
 }
 
-std::uint64_t SingleRun(EngineKind kind, SchemeKind scheme) {
+std::uint64_t SingleRun(EngineKind kind, SchemeKind scheme,
+                        MessageShape shape = {},
+                        NiDiscipline ni = NiDiscipline::kFpfs) {
   SingleRunSpec spec;
   spec.cfg.engine = kind;
+  spec.cfg.message = shape;
+  spec.cfg.host.ni_discipline = ni;
   spec.scheme = scheme;
   spec.multicast_size = 15;
   spec.topologies = 4;
@@ -211,6 +227,63 @@ std::uint64_t SingleRun(EngineKind kind, SchemeKind scheme) {
   Digest d;
   for (double v : {r.mean_latency, r.min_latency, r.max_latency,
                    static_cast<double>(r.samples)})
+    d.Num(v);
+  d.Bytes(ToJson(r.metrics));
+  d.Bytes(ToJsonLines(tracer));
+  return d.h;
+}
+
+/// Chunked tree worms (one worm per 8-node region, 3-packet messages;
+/// ablI's path), each played once on a fresh driver: host 0 to every odd
+/// host, then host 5 to a set spread over every region.
+std::uint64_t ChunkedTreeWormRun(EngineKind kind) {
+  const auto sys = System::Build({}, 21);
+  SimConfig cfg;
+  cfg.engine = kind;
+  cfg.message.num_packets = 3;
+  TreeWormScheme scheme;
+  scheme.max_region_span = 8;
+  std::vector<NodeId> odd;
+  for (NodeId n = 1; n < 32; n += 2) odd.push_back(n);
+  const std::vector<NodeId> spread{0, 2, 9, 12, 18, 23, 27, 31};
+  Digest d;
+  for (const auto& [src, dests] :
+       {std::pair{NodeId{0}, odd}, std::pair{NodeId{5}, spread}}) {
+    MetricsRegistry reg;
+    Tracer tracer;
+    const MulticastResult r =
+        PlayOnce(*sys, cfg, scheme.Plan(*sys, src, dests, cfg.message,
+                                        cfg.headers),
+                 &tracer, &reg);
+    for (const auto& [n, when] : r.deliveries) {
+      d.Num(n);
+      d.Num(static_cast<double>(when));
+    }
+    d.Bytes(ToJson(reg));
+    d.Bytes(ToJsonLines(tracer));
+  }
+  return d.h;
+}
+
+/// The DSM invalidation workload: per-plan message shapes (16-flit
+/// invalidations, 8-flit acks) and the per-destination callback.
+std::uint64_t DsmRun(EngineKind kind, SchemeKind scheme) {
+  SimConfig cfg;
+  cfg.engine = kind;
+  DsmParams params;
+  params.num_lines = 16;
+  params.sharers_per_line = 6;
+  params.write_interarrival = 15'000.0;
+  params.warmup = 5'000;
+  params.horizon = 60'000;
+  params.topologies = 2;
+  Tracer tracer;
+  params.tracer = &tracer;
+  const DsmResult r = RunDsmInvalidation(cfg, scheme, params);
+  Digest d;
+  for (double v : {r.mean_write_latency, r.p95_write_latency,
+                   static_cast<double>(r.writes_completed),
+                   static_cast<double>(r.writes_started)})
     d.Num(v);
   d.Bytes(ToJson(r.metrics));
   d.Bytes(ToJsonLines(tracer));
@@ -338,6 +411,103 @@ TEST(VctGolden, LoadWithFaults) {
   EXPECT_DIGEST(
       LoadRun(kVct, SchemeKind::kUnicastBinomial, 256, 0.05, 6'000.0),
       0x352b2a1ffcea5ed1);
+}
+
+// --- driver paths on both engines --------------------------------------------
+//
+// What the cases above leave out: multi-packet messages on every scheme
+// (FPFS's tail bound, chunked DMA), the store-and-forward NI, chunked
+// tree worms and their region headers, DSM's per-plan shapes, and
+// faulted runs whose repair waves re-plan through the NI and worm sends.
+
+constexpr MessageShape kFourPackets{128, 4};
+
+TEST(DriverGolden, FourPacketSingleMulticasts) {
+  EXPECT_DIGEST(SingleRun(kVct, SchemeKind::kUnicastBinomial, kFourPackets),
+                0x5efb0f8bd2676f94);
+  EXPECT_DIGEST(SingleRun(kVct, SchemeKind::kNiKBinomial, kFourPackets),
+                0x45c794b91d25c9d6);
+  EXPECT_DIGEST(SingleRun(kVct, SchemeKind::kTreeWorm, kFourPackets),
+                0x3f0179801aa4093c);
+  EXPECT_DIGEST(SingleRun(kVct, SchemeKind::kPathWorm, kFourPackets),
+                0xaf0046d4d1614361);
+  EXPECT_DIGEST(SingleRun(kFlit, SchemeKind::kUnicastBinomial, kFourPackets),
+                0x26301c6119894684);
+  EXPECT_DIGEST(SingleRun(kFlit, SchemeKind::kNiKBinomial, kFourPackets),
+                0x7a735fc6c1d66289);
+  EXPECT_DIGEST(SingleRun(kFlit, SchemeKind::kTreeWorm, kFourPackets),
+                0x5ae7c68625d1840a);
+  EXPECT_DIGEST(SingleRun(kFlit, SchemeKind::kPathWorm, kFourPackets),
+                0xfac9b26bc3c7f004);
+}
+
+TEST(DriverGolden, FourPacketLoad) {
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kUnicastBinomial, 256, 0.05, 0.0,
+                        kFourPackets),
+                0x9e30d7c1cb0e1593);
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kNiKBinomial, 256, 0.05, 0.0,
+                        kFourPackets),
+                0xacae8b6c56909c3a);
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kTreeWorm, 256, 0.2, 0.0,
+                        kFourPackets),
+                0xf4ffdc28045019fc);
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kPathWorm, 256, 0.1, 0.0,
+                        kFourPackets),
+                0xfa01df28dd119414);
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kUnicastBinomial, 256, 0.05, 0.0,
+                        kFourPackets),
+                0xa1905b43ce715030);
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kNiKBinomial, 256, 0.05, 0.0,
+                        kFourPackets),
+                0xed511c8af8fee233);
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kTreeWorm, 256, 0.2, 0.0,
+                        kFourPackets),
+                0xe575210168d4ae4f);
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kPathWorm, 256, 0.1, 0.0,
+                        kFourPackets),
+                0x68bb46e728b42e3);
+}
+
+TEST(DriverGolden, MessageStoreAndForwardNi) {
+  constexpr NiDiscipline kSaf = NiDiscipline::kMessageStoreAndForward;
+  EXPECT_DIGEST(SingleRun(kVct, SchemeKind::kNiKBinomial, kFourPackets, kSaf),
+                0x6c4f34793463bdd0);
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kNiKBinomial, 256, 0.05, 0.0,
+                        kFourPackets, kSaf),
+                0x8f116dca9027b64e);
+  EXPECT_DIGEST(SingleRun(kFlit, SchemeKind::kNiKBinomial, kFourPackets, kSaf),
+                0x9234b9d13094c29d);
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kNiKBinomial, 256, 0.05, 0.0,
+                        kFourPackets, kSaf),
+                0x85e9c226fabe901c);
+}
+
+TEST(DriverGolden, ChunkedTreeWorms) {
+  EXPECT_DIGEST(ChunkedTreeWormRun(kVct), 0xfb6a5e6e0b1db3e7);
+  EXPECT_DIGEST(ChunkedTreeWormRun(kFlit), 0x303bb9c33df0763d);
+}
+
+TEST(DriverGolden, DsmInvalidation) {
+  EXPECT_DIGEST(DsmRun(kVct, SchemeKind::kUnicastBinomial), 0x16ccdfcb0e6cee7f);
+  EXPECT_DIGEST(DsmRun(kVct, SchemeKind::kNiKBinomial), 0xec9b84d5d3c7892c);
+  EXPECT_DIGEST(DsmRun(kVct, SchemeKind::kTreeWorm), 0x5af9e7f15836f9b8);
+  EXPECT_DIGEST(DsmRun(kVct, SchemeKind::kPathWorm), 0x8fb6865d601af265);
+  EXPECT_DIGEST(DsmRun(kFlit, SchemeKind::kUnicastBinomial),
+                0xfb20e346eda4e198);
+  EXPECT_DIGEST(DsmRun(kFlit, SchemeKind::kNiKBinomial), 0x9a0ca9b78739b261);
+  EXPECT_DIGEST(DsmRun(kFlit, SchemeKind::kTreeWorm), 0x371549c9bb061407);
+  EXPECT_DIGEST(DsmRun(kFlit, SchemeKind::kPathWorm), 0x204a6666b4eb4f34);
+}
+
+TEST(DriverGolden, NiAndPathWormLoadWithFaults) {
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kNiKBinomial, 256, 0.05, 6'000.0),
+                0xb29aeeb626529008);
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kPathWorm, 256, 0.1, 6'000.0),
+                0xf27a464082db1e6f);
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kNiKBinomial, 256, 0.05, 6'000.0),
+                0x64f1f250467e5cb4);
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kPathWorm, 256, 0.1, 6'000.0),
+                0xc003c356d4db7626);
 }
 
 }  // namespace

@@ -32,12 +32,5 @@ TEST(TimelineResource, ZeroHold) {
   EXPECT_EQ(r.free_at(), 7);
 }
 
-TEST(TimelineResource, BusyTotalAccumulates) {
-  TimelineResource r;
-  r.Reserve(0, 10);
-  r.Reserve(50, 20);
-  EXPECT_EQ(r.busy_total(), 30);
-}
-
 }  // namespace
 }  // namespace irmc

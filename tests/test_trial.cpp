@@ -127,19 +127,16 @@ TEST(Trial, MergesOutcomesInTrialIndexOrder) {
   EXPECT_DOUBLE_EQ(merged.util_sum, 63.0 * 64.0 / 2.0);
 }
 
-TEST(Trial, ForceSerialRunsOneTrialAtATime) {
+TEST(Trial, OneThreadRunsOneTrialAtATime) {
   ThreadsGuard guard;
-  SetParallelThreads(8);
+  SetParallelThreads(1);
   SimConfig cfg;
   std::atomic<int> active{0};
-  RunTrials(
-      cfg, 8,
-      [&](const TrialContext&) {
-        EXPECT_EQ(active.fetch_add(1), 0);
-        active.fetch_sub(1);
-        return TrialOutcome{};
-      },
-      /*force_serial=*/true);
+  RunTrials(cfg, 8, [&](const TrialContext&) {
+    EXPECT_EQ(active.fetch_add(1), 0);
+    active.fetch_sub(1);
+    return TrialOutcome{};
+  });
 }
 
 TEST(Trial, TracedRunStaysParallelAndRecordsEveryTrial) {
