@@ -35,7 +35,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -53,9 +52,7 @@ namespace irmc::bench {
 /// disables sidecar output.
 inline std::string MetricsDir() {
   const char* dir = std::getenv("IRMC_METRICS_DIR");
-  std::string out = dir != nullptr ? std::string(dir) : std::string("bench-out");
-  if (!out.empty()) std::filesystem::create_directories(out);
-  return out;
+  return dir != nullptr ? std::string(dir) : std::string("bench-out");
 }
 
 /// Applies the IRMC_ENGINE override (if set) to a panel's config.
@@ -72,16 +69,10 @@ inline SimConfig WithEnvEngine(SimConfig cfg) {
   return cfg;
 }
 
-/// Runs a panel spec with the sidecar writer attached and appends its
+/// Runs a panel spec with its sidecar in MetricsDir() and appends its
 /// RunRecord to the ledger.
 inline SeriesTable RunRecordedPanel(report::PanelSpec spec) {
-  const std::string dir = MetricsDir();
-  report::MetricsSidecar sidecar(
-      dir.empty() ? std::string() : report::SidecarPath(dir, spec.title));
-  spec.on_point = [&sidecar](const std::string& x_label, double x,
-                             SchemeKind scheme, const MetricsRegistry& reg) {
-    sidecar.Record(x_label, x, scheme, reg);
-  };
+  spec.sidecar_dir = MetricsDir();
   const report::PanelOutcome outcome = report::RunPanel(spec);
   if (!report::AppendPanelRecord(report::DefaultLedgerPath(), spec, outcome))
     std::fprintf(stderr, "cannot append run ledger %s\n",

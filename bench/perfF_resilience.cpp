@@ -58,10 +58,7 @@ TimedRun TimeMode(Mode mode) {
   spec.cfg.message.num_packets = 2;
   spec.cfg.message.packet_flits = 64;
   if (mode != Mode::kPristine) spec.cfg.resilience.enabled = true;
-  if (mode == Mode::kFaulted) {
-    spec.cfg.resilience.mtbf = 1'500.0;
-    spec.cfg.resilience.max_random_faults = 2;
-  }
+  if (mode == Mode::kFaulted) spec.cfg.resilience.mtbf = 1'500.0;
   const auto t0 = std::chrono::steady_clock::now();
   SingleRunResult r = RunSingleMulticast(spec);
   const auto t1 = std::chrono::steady_clock::now();

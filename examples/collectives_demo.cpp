@@ -16,7 +16,7 @@ int main() {
 
   std::printf("collectives over %d nodes (latencies in cycles; %g ns "
               "cycle)\n\n",
-              sys->num_nodes(), cfg.cycle_ns);
+              sys->num_nodes(), SimConfig::cycle_ns);
   std::printf("%-14s %12s %12s %12s\n", "mcast scheme", "broadcast",
               "barrier", "allreduce");
   for (SchemeKind kind :

@@ -39,7 +39,8 @@ int main() {
     const MulticastResult r = PlayOnce(*sys, cfg, std::move(plan));
     std::printf("  %-14s latency %6lld cycles (%.2f us)",
                 ToString(kind), static_cast<long long>(r.Latency()),
-                static_cast<double>(r.Latency()) * cfg.cycle_ns / 1000.0);
+                static_cast<double>(r.Latency()) * SimConfig::cycle_ns /
+                    1000.0);
     if (kind == SchemeKind::kNiKBinomial) std::printf("  [k=%d]", chosen_k);
     if (kind == SchemeKind::kPathWorm) std::printf("  [%d worms]", worms);
     std::printf("\n");

@@ -103,7 +103,7 @@ Args Args::Parse(int argc, const char* const* argv) {
       }
     } else {
       // Stray positional: callers either take it via Positionals() (file
-      // operands) or see it in UnconsumedKeys() and reject it.
+      // operands) or RejectUnknown() turns it away.
       args.positionals_.push_back(token);
       args.values_["<positional:" + token + ">"] = "";
       ++i;
@@ -123,7 +123,16 @@ std::int64_t Args::GetIntIn(const std::string& key, std::int64_t fallback,
                             std::int64_t lo, std::int64_t hi) const {
   consumed_[key] = true;
   auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  if (it == values_.end()) {
+    if (fallback >= lo && fallback <= hi) return fallback;
+    // Another option narrowed the range past the default.
+    std::fprintf(stderr,
+                 "invalid value for --%s: the default %lld is out of range "
+                 "(accepted: %s)\n",
+                 key.c_str(), static_cast<long long>(fallback),
+                 IntRangeText(std::to_string(fallback), lo, hi).c_str());
+    std::exit(2);
+  }
   std::int64_t value = 0;
   if (ParseIntIn(it->second, lo, hi, &value)) return value;
   RejectValue(key, it->second, IntRangeText(it->second, lo, hi));
@@ -200,6 +209,13 @@ std::vector<std::string> Args::UnconsumedKeys() const {
   for (const auto& [key, value] : values_)
     if (!consumed_.count(key)) out.push_back(key);
   return out;
+}
+
+void Args::RejectUnknown() const {
+  const std::vector<std::string> unknown = UnconsumedKeys();
+  for (const std::string& key : unknown)
+    std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
+  if (!unknown.empty()) std::exit(2);
 }
 
 }  // namespace irmc

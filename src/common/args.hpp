@@ -1,7 +1,7 @@
 // Minimal command-line argument parsing for the CLI tool.
 //
 // Supports `--key value`, `--flag`, and one positional command word.
-// Unknown keys are collected so the caller can reject them with a
+// Unknown keys are collected, and RejectUnknown turns them away with a
 // proper message instead of silently ignoring typos.
 #pragma once
 
@@ -69,7 +69,8 @@ class Args {
   /// Checked integer option: a present value that is not an integer in
   /// [lo, hi] exits the process with status 2 after printing the
   /// accepted range, like GetChoice. Returns `fallback` when the key is
-  /// absent.
+  /// absent; a fallback outside [lo, hi] (a range another option
+  /// narrowed) exits the same way, naming the default.
   std::int64_t GetIntIn(const std::string& key, std::int64_t fallback,
                         std::int64_t lo, std::int64_t hi) const;
   /// Checked real option: a present value outside `range` (or not a
@@ -108,6 +109,11 @@ class Args {
 
   /// Keys the caller never consumed; call after all Get*.
   std::vector<std::string> UnconsumedKeys() const;
+
+  /// Prints "unknown option: --KEY" for each key no Get* read and exits
+  /// with status 2 when there is any. Every command calls it once its
+  /// options are read, before it simulates, reads or writes anything.
+  void RejectUnknown() const;
 
  private:
   std::string command_;

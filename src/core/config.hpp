@@ -35,11 +35,11 @@ struct HostParams {
   Cycles o_host = 500;  ///< per-message host software overhead (cycles)
   Cycles o_ni = 500;    ///< per-message NI software overhead (cycles)
   /// I/O (PCI-class) bus bandwidth in bytes per cycle; 2.66 B/cycle is
-  /// 266 MB/s at the 10 ns default cycle.
-  double io_bus_bytes_per_cycle = 2.66;
+  /// 266 MB/s at the 10 ns cycle.
+  static constexpr double io_bus_bytes_per_cycle = 2.66;
   /// NI processor cost to enqueue one forwarded copy of one packet at a
   /// smart NI (FPFS replication, Section 3.2.1).
-  Cycles ni_forward_overhead = 20;
+  static constexpr Cycles ni_forward_overhead = 20;
   /// How intermediate smart NIs forward multi-packet messages.
   NiDiscipline ni_discipline = NiDiscipline::kFpfs;
 
@@ -94,7 +94,7 @@ struct SimConfig {
   std::uint64_t seed = 1;
 
   /// Cycle time in nanoseconds, used only for human-readable reports.
-  double cycle_ns = 10.0;
+  static constexpr double cycle_ns = 10.0;
 };
 
 /// Reads a positive integer from the environment (workload scaling knobs

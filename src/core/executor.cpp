@@ -201,7 +201,7 @@ void McastDriver::StartSource(const Exec& exec) {
 void McastDriver::ForwardAtNi(const Exec& exec, NodeId u, int j,
                               Cycles ready) {
   NodeRuntime& nr = node(u);
-  const Cycles per_copy = cfg_.host.ni_forward_overhead;
+  const Cycles per_copy = HostParams::ni_forward_overhead;
   for (NodeId c : exec.plan.children[static_cast<std::size_t>(u)]) {
     // A copy leaves once the NI processor has enqueued it.
     const Cycles sent = nr.ni_cpu.Reserve(ready, per_copy) + per_copy;
@@ -363,7 +363,7 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
     if (m_.has && resilience_ && resilience_->degraded())
       m_.r_degraded->Add();
     // Out-of-band delivery ack back to the root (modelled reliable).
-    engine_.ScheduleAt(when + cfg_.resilience.ack_delay,
+    engine_.ScheduleAt(when + ResilienceParams::ack_delay,
                        [this, acct_id, n]() { OnAck(acct_id, n); });
   }
 
@@ -411,7 +411,7 @@ void McastDriver::OnDrop(const Packet& pkt, Cycles now, SwitchId where) {
   // Expedite the first repair: wait out fault detection and any pending
   // reconfiguration (a repair planned on the broken tables would mostly
   // drop again), then re-send. Later rounds come from the backoff timer.
-  Cycles at = now + cfg_.resilience.detection_delay;
+  Cycles at = now + ResilienceParams::detection_delay;
   if (resilience_) at = std::max(at, resilience_->SafeRepairTime(now));
   const std::int64_t id = acct.id;
   engine_.ScheduleAt(at, [this, id]() { RepairRound(id); });
@@ -439,13 +439,13 @@ void McastDriver::RepairRound(std::int64_t id) {
     if (!acct.acked[static_cast<std::size_t>(n)]) missing.push_back(n);
   if (missing.empty()) return;  // chain ends; family retires on last ack
   ++acct.attempts;
-  IRMC_ENSURE(acct.attempts <= cfg_.resilience.max_retransmits &&
+  IRMC_ENSURE(acct.attempts <= ResilienceParams::max_retransmits &&
               "resilience: retransmit cap exceeded — faults outran recovery");
   if (m_.has) m_.r_retransmits->Add();
   LaunchRepairWave(acct, missing);
   // Next round after an exponentially backed-off timeout (no-op once
   // everything acks).
-  const Cycles wait = cfg_.resilience.retransmit_timeout
+  const Cycles wait = ResilienceParams::retransmit_timeout
                       << std::min(acct.attempts - 1, 20);
   engine_.ScheduleAfter(wait, [this, id]() { RepairRound(id); });
 }

@@ -77,9 +77,6 @@ class McastDriver {
   NetworkModel& network() { return *network_; }
   int live_multicasts() const { return static_cast<int>(live_.size()); }
 
-  /// Non-null only when cfg.resilience.enabled (docs/resilience.md).
-  ResilienceManager* resilience() { return resilience_.get(); }
-
  private:
   /// A node's serially reused host CPU, NI CPU and I/O bus.
   struct NodeRuntime {
@@ -214,6 +211,7 @@ class McastDriver {
   DriverMetrics m_;
   std::vector<NodeRuntime> nodes_;
   std::unique_ptr<NetworkModel> network_;
+  /// Non-null only when cfg.resilience.enabled (docs/resilience.md).
   std::unique_ptr<ResilienceManager> resilience_;
   /// Node-based, so an Exec never moves while it is live.
   std::unordered_map<std::int64_t, Exec> live_;

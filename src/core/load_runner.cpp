@@ -98,7 +98,7 @@ struct TopologyRun {
       case DestPattern::kHotspot: {
         // A fixed popular subset (the lowest-ID nodes) receives
         // `hotspot_fraction` of the traffic; the rest is uniform.
-        if (rng.NextBool(spec.hotspot_fraction)) {
+        if (rng.NextBool(LoadRunSpec::hotspot_fraction)) {
           std::vector<NodeId> dests;
           for (NodeId n = 0; static_cast<int>(dests.size()) < spec.degree &&
                              n < sys.num_nodes();

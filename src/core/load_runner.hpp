@@ -52,7 +52,7 @@ struct LoadRunSpec {
   double effective_load = 0.2;    ///< d * flits / interarrival (per host)
   DestPattern pattern = DestPattern::kUniform;
   /// kHotspot: fraction of multicasts addressed to the popular subset.
-  double hotspot_fraction = 0.8;
+  static constexpr double hotspot_fraction = 0.8;
   Cycles warmup = 20'000;         ///< cold-start, not measured
   Cycles horizon = 300'000;       ///< generation stops here
   int topologies = 5;

@@ -39,7 +39,7 @@ Cycles FpfsCompletion(const std::vector<BinomialNode>& tree,
                       std::vector<Cycles>& ready) {
   const auto m = static_cast<std::size_t>(shape.num_packets);
   const Cycles dma = host.DmaCycles(shape.packet_flits);
-  const Cycles per_copy = host.ni_forward_overhead + wire_flits;
+  const Cycles per_copy = HostParams::ni_forward_overhead + wire_flits;
   ready.resize(tree.size() * m);
 
   // Parents precede children, so one pass in id order evaluates every

@@ -25,7 +25,7 @@ McastPlan TreeWormScheme::Plan(const System& sys, NodeId src,
   std::sort(sorted.begin(), sorted.end());
   const int per_region_header =
       headers.account
-          ? headers.unicast_flits + 1 + (max_region_span + 7) / 8
+          ? HeaderSizing::unicast_flits + 1 + (max_region_span + 7) / 8
           : 0;
   std::vector<NodeId> region;
   NodeId window_base = -1;

@@ -136,7 +136,7 @@ struct Packet {
 /// zeroes every header (bench/ablD measures the encoding cost this way).
 struct HeaderSizing {
   /// Unicast routing tag flits.
-  int unicast_flits = 2;
+  static constexpr int unicast_flits = 2;
   bool account = true;
 
   int UnicastFlits() const { return account ? unicast_flits : 0; }

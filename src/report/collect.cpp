@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <utility>
 
@@ -30,6 +31,47 @@ std::vector<std::string> SchemeColumns(const std::string& x_label) {
 
 namespace {
 
+/// Writes one panel's metric sidecar (PanelSpec::sidecar_dir): a
+/// build-stamp line, then one line per data point.
+class MetricsSidecar {
+ public:
+  /// Creates `dir`, truncates the panel's file there and writes the
+  /// build stamp. An empty `dir` disables the writer, and so does a
+  /// file that cannot be opened.
+  MetricsSidecar(const std::string& dir, const std::string& title) {
+    if (dir.empty()) return;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    path_ = SidecarPath(dir, title);
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      std::fprintf(stderr, "cannot write sidecar %s\n", path_.c_str());
+      path_.clear();
+      return;
+    }
+    out << "{\"kind\":\"build\",\"value\":" << ToJson(GetBuildInfo())
+        << "}\n";
+  }
+
+  /// Appends {"<x_label>":x,"scheme":"<scheme>","metrics":{...}}.
+  void Record(const std::string& x_label, double x, SchemeKind scheme,
+              const MetricsRegistry& reg) {
+    if (path_.empty()) return;
+    std::ofstream out(path_, std::ios::app);
+    if (!out) {
+      std::fprintf(stderr, "cannot append sidecar %s\n", path_.c_str());
+      path_.clear();
+      return;
+    }
+    out << '{' << json::Str(x_label) << ':' << json::Num(x)
+        << ",\"scheme\":" << json::Str(ToString(scheme))
+        << ",\"metrics\":" << ToJson(reg) << "}\n";
+  }
+
+ private:
+  std::string path_;  ///< empty = disabled
+};
+
 /// Folds one data point into the panel-wide aggregates.
 void Absorb(const MetricsRegistry& point, SchemeKind scheme,
             PanelOutcome* out) {
@@ -39,7 +81,7 @@ void Absorb(const MetricsRegistry& point, SchemeKind scheme,
     out->scheme_latency[ToString(scheme)].Merge(it->second);
 }
 
-PanelOutcome RunSinglePanel(const PanelSpec& spec) {
+PanelOutcome RunSinglePanel(const PanelSpec& spec, MetricsSidecar& sidecar) {
   PanelOutcome out(SeriesTable(spec.title, SchemeColumns("mcast_size")));
   for (int size : spec.sizes) {
     std::vector<double> row{static_cast<double>(size)};
@@ -51,7 +93,7 @@ PanelOutcome RunSinglePanel(const PanelSpec& spec) {
       rs.topologies = spec.topologies;
       rs.samples_per_topology = spec.samples;
       const SingleRunResult r = RunSingleMulticast(rs);
-      if (spec.on_point) spec.on_point("mcast_size", size, scheme, r.metrics);
+      sidecar.Record("mcast_size", size, scheme, r.metrics);
       Absorb(r.metrics, scheme, &out);
       row.push_back(r.mean_latency * spec.scale_latency);
     }
@@ -60,7 +102,7 @@ PanelOutcome RunSinglePanel(const PanelSpec& spec) {
   return out;
 }
 
-PanelOutcome RunLoadPanel(const PanelSpec& spec) {
+PanelOutcome RunLoadPanel(const PanelSpec& spec, MetricsSidecar& sidecar) {
   PanelOutcome out(SeriesTable(spec.title, SchemeColumns("eff_load")));
   for (double load : spec.loads) {
     std::vector<double> row{load};
@@ -75,7 +117,7 @@ PanelOutcome RunLoadPanel(const PanelSpec& spec) {
       rs.horizon = spec.horizon;
       rs.warmup = spec.horizon / 10;
       const LoadRunResult r = RunLoadSweepPoint(rs);
-      if (spec.on_point) spec.on_point("eff_load", load, scheme, r.metrics);
+      sidecar.Record("eff_load", load, scheme, r.metrics);
       Absorb(r.metrics, scheme, &out);
       row.push_back(r.mean_latency * spec.scale_latency);
       saturated.push_back(r.saturated);
@@ -90,9 +132,11 @@ PanelOutcome RunLoadPanel(const PanelSpec& spec) {
 }  // namespace
 
 PanelOutcome RunPanel(const PanelSpec& spec) {
+  MetricsSidecar sidecar(spec.sidecar_dir, spec.title);
   const auto start = std::chrono::steady_clock::now();
-  PanelOutcome out = spec.mode == PanelMode::kSingle ? RunSinglePanel(spec)
-                                                     : RunLoadPanel(spec);
+  PanelOutcome out = spec.mode == PanelMode::kSingle
+                         ? RunSinglePanel(spec, sidecar)
+                         : RunLoadPanel(spec, sidecar);
   out.series.columns = out.table.columns();
   out.series.rows = out.table.rows();
   if (!DeterministicLedger())
@@ -185,30 +229,6 @@ std::string SlugifyTitle(const std::string& title) {
 
 std::string SidecarPath(const std::string& dir, const std::string& title) {
   return dir + "/" + SlugifyTitle(title) + ".metrics.jsonl";
-}
-
-MetricsSidecar::MetricsSidecar(std::string path) : path_(std::move(path)) {
-  if (path_.empty()) return;
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    path_.clear();
-    return;
-  }
-  out << "{\"kind\":\"build\",\"value\":" << ToJson(GetBuildInfo()) << "}\n";
-}
-
-void MetricsSidecar::Record(const std::string& x_label, double x,
-                            SchemeKind scheme, const MetricsRegistry& reg) {
-  if (path_.empty()) return;
-  std::ofstream out(path_, std::ios::app);
-  if (!out) {
-    std::fprintf(stderr, "cannot append sidecar %s\n", path_.c_str());
-    path_.clear();
-    return;
-  }
-  out << '{' << json::Str(x_label) << ':' << json::Num(x)
-      << ",\"scheme\":" << json::Str(ToString(scheme))
-      << ",\"metrics\":" << ToJson(reg) << "}\n";
 }
 
 }  // namespace irmc::report

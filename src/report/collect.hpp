@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,12 +39,13 @@ struct PanelSpec {
   /// be exercised against a planted slowdown without a slower build.
   /// Histograms are NOT scaled — the hook plants a series regression.
   double scale_latency = 1.0;
-  /// Per-point callback (x-axis label, x, scheme, that point's metrics);
-  /// the bench panels and `irmc_report record` wire a MetricsSidecar in
-  /// here.
-  std::function<void(const std::string&, double, SchemeKind,
-                     const MetricsRegistry&)>
-      on_point;
+  /// Directory (created on demand) that receives the panel's per-point
+  /// metric sidecar, SidecarPath(sidecar_dir, title); empty = none. One
+  /// JSON line per (x, scheme) data point, after a build-stamp line, so
+  /// the series tables can be cross-checked against the fabric/driver
+  /// counters that produced them; `irmc_report html` reads it back. The
+  /// file is recreated per run and is byte-stable for any IRMC_THREADS.
+  std::string sidecar_dir;
 };
 
 /// Everything a panel run produced.
@@ -97,28 +97,5 @@ std::vector<std::string> SchemeColumns(const std::string& x_label);
 
 /// "<dir>/<slug(title)>.metrics.jsonl": where a panel's sidecar lives.
 std::string SidecarPath(const std::string& dir, const std::string& title);
-
-/// Per-point metric sidecar for one panel: one JSON line per (x, scheme)
-/// data point, so figures in the series tables can be cross-checked
-/// against the fabric/driver counters that produced them. The first line
-/// stamps the producing build ({"kind":"build",...}), like every
-/// file-level export. The file is recreated per run; point order is the
-/// panel's deterministic sweep order, and the registry serialisation is
-/// bit-identical for any IRMC_THREADS, so the sidecar is byte-stable
-/// too. Written by the bench panels and `irmc_report record`, read back
-/// by `irmc_report html`.
-class MetricsSidecar {
- public:
-  /// Truncates `path` and writes the build stamp. An empty path, or one
-  /// that cannot be opened, disables the writer.
-  explicit MetricsSidecar(std::string path);
-
-  /// Appends {"<x_label>":x,"scheme":"<scheme>","metrics":{...}}.
-  void Record(const std::string& x_label, double x, SchemeKind scheme,
-              const MetricsRegistry& reg);
-
- private:
-  std::string path_;  ///< empty = disabled
-};
 
 }  // namespace irmc::report

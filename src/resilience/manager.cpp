@@ -24,8 +24,7 @@ ResilienceManager::ResilienceManager(Engine& engine, NetworkModel& network,
     : engine_(engine),
       network_(network),
       cfg_(cfg),
-      tracer_(tracer),
-      current_(&base) {
+      tracer_(tracer) {
   if (metrics) {
     const MetricSlots slots = metrics->Bind(kResilienceMetrics);
     m_faults_ = &slots.counter(0);
@@ -38,7 +37,7 @@ ResilienceManager::ResilienceManager(Engine& engine, NetworkModel& network,
   if (cfg.resilience.mtbf > 0.0) {
     const auto random =
         ScheduleFromMtbf(base.graph, cfg.resilience.mtbf,
-                         cfg.resilience.max_random_faults, cfg.seed);
+                         ResilienceParams::max_random_faults, cfg.seed);
     schedule_.insert(schedule_.end(), random.begin(), random.end());
   }
   SortSchedule(schedule_);
@@ -63,10 +62,9 @@ void ResilienceManager::InjectFault(int index) {
     tracer_->Record(TraceEvent{engine_.Now(), TraceKind::kFault, -1, 0, f.sw,
                                f.port});
   if (m_faults_) m_faults_->Add();
-  ++faults_injected_;
   last_fault_index_ = index;
   ++pending_swaps_;
-  const Cycles swap_at = engine_.Now() + cfg_.resilience.detection_delay +
+  const Cycles swap_at = engine_.Now() + ResilienceParams::detection_delay +
                          cfg_.resilience.reconfig_delay;
   last_swap_at_ = std::max(last_swap_at_, swap_at);
   engine_.ScheduleAt(swap_at, [this, index]() { ApplySwap(index); });
@@ -96,14 +94,12 @@ void ResilienceManager::ApplySwap(int index) {
     }
   }
   network_.SwapSystem(sys);
-  current_ = &sys;
   if (on_swap_) on_swap_(sys);
   if (m_reconfigs_) {
     m_reconfigs_->Add();
-    m_reconfig_cycles_->Add(cfg_.resilience.detection_delay +
+    m_reconfig_cycles_->Add(ResilienceParams::detection_delay +
                             cfg_.resilience.reconfig_delay);
   }
-  ++reconfigs_applied_;
 }
 
 }  // namespace irmc

@@ -49,8 +49,8 @@ class ResilienceManager {
 
   /// Assembles + validates the schedule from `cfg.resilience` (aborts
   /// on an unsurvivable schedule) and schedules every fault on
-  /// `engine`. `base` must outlive the manager; `network` is the live
-  /// engine the faults and swaps apply to.
+  /// `engine`. `base` is the System the run starts on; `network` is the
+  /// live engine the faults and swaps apply to.
   ResilienceManager(Engine& engine, NetworkModel& network, const System& base,
                     const SimConfig& cfg, Tracer* tracer,
                     MetricsRegistry* metrics, SwapFn on_swap);
@@ -67,14 +67,6 @@ class ResilienceManager {
   /// swap, or `now` when nothing is pending. Repairs injected earlier
   /// would be planned on the broken tables and likely drop again.
   Cycles SafeRepairTime(Cycles now) const;
-
-  /// The routing state currently live in the engine (the base System
-  /// until the first swap).
-  const System& current() const { return *current_; }
-
-  const std::vector<TimedFault>& schedule() const { return schedule_; }
-  int faults_injected() const { return faults_injected_; }
-  int reconfigs_applied() const { return reconfigs_applied_; }
 
  private:
   void InjectFault(int index);
@@ -96,13 +88,10 @@ class ResilienceManager {
   /// same degraded graph (engine cross-checks, repeated seeds) reuse
   /// one rebuild instead of re-deriving all tables.
   std::vector<std::shared_ptr<const System>> rebuilt_;
-  const System* current_;
 
   int pending_swaps_ = 0;
   int last_fault_index_ = -1;  ///< highest fault injected so far
   Cycles last_swap_at_ = 0;    ///< latest scheduled swap completion
-  int faults_injected_ = 0;
-  int reconfigs_applied_ = 0;
 };
 
 }  // namespace irmc

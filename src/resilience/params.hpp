@@ -41,11 +41,12 @@ struct ResilienceParams {
   /// `max_random_faults`, restricted to links whose loss is survivable
   /// at the time of the draw. Seeded from SimConfig::seed.
   double mtbf = 0.0;
-  int max_random_faults = 2;
+  static constexpr int max_random_faults = 2;
 
   /// Fault detection latency: cycles between the link dying and the
   /// reconfiguration starting (Autonet's failure-detection hardware).
-  Cycles detection_delay = 50;
+  /// The driver's first repair after a drop report waits it out too.
+  static constexpr Cycles detection_delay = 50;
   /// Reconfiguration latency: cycles to rebuild + distribute the BFS
   /// tree, up*/down* orientation and routing tables. The rebuilt System
   /// swaps into the live engines detection_delay + reconfig_delay after
@@ -54,15 +55,15 @@ struct ResilienceParams {
 
   /// Out-of-band delivery-ack latency from a destination NI back to the
   /// root (modelled as reliable and contention-free).
-  Cycles ack_delay = 50;
+  static constexpr Cycles ack_delay = 50;
   /// Base retransmit timeout; round k waits timeout * 2^(k-1) before
   /// re-checking for unacked destinations (exponential backoff). The
   /// first repair after a drop report is expedited past the pending
   /// reconfiguration instead of waiting out the timer.
-  Cycles retransmit_timeout = 5'000;
+  static constexpr Cycles retransmit_timeout = 5'000;
   /// Abort loudly after this many repair rounds for one multicast —
   /// exactly-once-eventually is a contract, not best-effort.
-  int max_retransmits = 20;
+  static constexpr int max_retransmits = 20;
 
   /// Re-run the full six-check static verification (including the
   /// multicast deadlock analysis) on every reconfigured System before

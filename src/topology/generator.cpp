@@ -31,8 +31,8 @@ Graph GenerateTopology(const TopologySpec& spec, std::uint64_t seed) {
   // --- Host placement: even split, remainder to random switches. ---
   const int base = spec.num_hosts / spec.num_switches;
   const int extra = spec.num_hosts % spec.num_switches;
-  // Every switch needs at least one port left for the spanning tree.
-  IRMC_EXPECT(base + (extra > 0 ? 1 : 0) < spec.ports_per_switch);
+  IRMC_EXPECT(spec.num_hosts <=
+              MaxHosts(spec.num_switches, spec.ports_per_switch));
   std::vector<int> hosts_per_switch(static_cast<std::size_t>(spec.num_switches),
                                     base);
   {

@@ -28,8 +28,16 @@ struct TopologySpec {
   bool allow_parallel_links = true;
 };
 
+/// Most hosts GenerateTopology can place on `num_switches` switches of
+/// `ports_per_switch` ports: every switch keeps a port free for the
+/// spanning tree.
+constexpr std::int64_t MaxHosts(int num_switches, int ports_per_switch) {
+  return std::int64_t{num_switches} * (ports_per_switch - 1);
+}
+
 /// Generates a connected irregular topology. Deterministic in `seed`.
-/// Aborts (precondition) if the spec cannot host the requested nodes.
+/// Aborts (precondition) if the spec cannot host the requested nodes
+/// (more than MaxHosts).
 Graph GenerateTopology(const TopologySpec& spec, std::uint64_t seed);
 
 }  // namespace irmc

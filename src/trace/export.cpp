@@ -1,11 +1,15 @@
 #include "trace/export.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <tuple>
 #include <vector>
 
 #include "common/build_info.hpp"
+#include "common/json.hpp"
 
 namespace irmc {
 namespace {
@@ -22,6 +26,22 @@ std::string EventJsonLine(const TraceEvent& e) {
                 static_cast<long long>(e.mcast_id), e.pkt_index, e.actor,
                 e.detail);
   return buf;
+}
+
+/// Reads member `key` of `record` into `out` when it is an integer that
+/// fits `T` and that a double holds exactly (json::Value keeps numbers
+/// as doubles, so a 64-bit field stops at 2^53).
+template <class T>
+bool IntField(const json::Value& record, const char* key, T* out) {
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  const double lo = std::max<double>(std::numeric_limits<T>::min(), -kExact);
+  const double hi = std::min<double>(std::numeric_limits<T>::max(), kExact);
+  const json::Value* v = record.Find(key);
+  if (v == nullptr || !v->IsNumber() || v->number != std::floor(v->number) ||
+      v->number < lo || v->number > hi)
+    return false;
+  *out = static_cast<T>(v->number);
+  return true;
 }
 
 bool IsNodeActor(const TraceEvent& e) {
@@ -176,20 +196,20 @@ bool ParseTraceJsonLines(const std::string& text, Tracer* out,
     // an event.
     if (line.rfind("{\"kind\":\"build\"", 0) == 0) continue;
 
-    int trial = 0;
-    long long time = 0;
-    char kind_name[32] = {0};
-    long long mcast = 0;
-    int pkt = 0;
-    int actor = 0;
-    int detail = 0;
-    const int matched = std::sscanf(
-        line.c_str(),
-        "{\"trial\":%d,\"time\":%lld,\"kind\":\"%31[^\"]\",\"mcast\":%lld,"
-        "\"pkt\":%d,\"actor\":%d,\"detail\":%d}",
-        &trial, &time, kind_name, &mcast, &pkt, &actor, &detail);
-    TraceKind kind = TraceKind::kInject;
-    if (matched != 7 || !TraceKindFromString(kind_name, &kind)) {
+    json::Value record;
+    TraceEvent e;
+    // Exactly the seven fields EventJsonLine writes, each an integer
+    // that fits its field or a known kind name.
+    const bool ok =
+        json::Parse(line, &record, nullptr) && record.object.size() == 7 &&
+        IntField(record, "trial", &e.trial) &&
+        IntField(record, "time", &e.time) &&
+        IntField(record, "mcast", &e.mcast_id) &&
+        IntField(record, "pkt", &e.pkt_index) &&
+        IntField(record, "actor", &e.actor) &&
+        IntField(record, "detail", &e.detail) &&
+        TraceKindFromString(record.StrAt("kind", "").c_str(), &e.kind);
+    if (!ok) {
       if (error != nullptr) {
         char buf[kLineMax];
         std::snprintf(buf, sizeof(buf), "line %d: malformed trace record",
@@ -198,14 +218,6 @@ bool ParseTraceJsonLines(const std::string& text, Tracer* out,
       }
       return false;
     }
-    TraceEvent e;
-    e.time = time;
-    e.kind = kind;
-    e.mcast_id = mcast;
-    e.pkt_index = pkt;
-    e.actor = actor;
-    e.detail = detail;
-    e.trial = trial;
     out->RecordKeepingTrial(e);
   }
   return true;

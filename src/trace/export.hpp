@@ -30,7 +30,10 @@ std::string SerializeTraceForPath(const Tracer& tracer,
 
 /// Parses a JSONL export back into `out` (events keep their trial
 /// stamps; `out` should be default-constructed). Returns false and sets
-/// `error` (if non-null) on the first malformed line.
+/// `error` (if non-null) on the first malformed line: one that is not a
+/// single JSON object of exactly the seven event fields, or whose kind
+/// is unknown, or whose integers are fractional or do not fit their
+/// field.
 bool ParseTraceJsonLines(const std::string& text, Tracer* out,
                          std::string* error = nullptr);
 

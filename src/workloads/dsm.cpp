@@ -105,7 +105,7 @@ class DsmRun {
     ack.scheme = SchemeKind::kUnicastBinomial;
     ack.root = sharer;
     ack.dests = {w.writer};
-    ack.shape = MessageShape{params_.ack_flits, 1};
+    ack.shape = MessageShape{DsmParams::ack_flits, 1};
     ack.children.assign(static_cast<std::size_t>(sys_.num_nodes()), {});
     ack.children[static_cast<std::size_t>(sharer)] = ack.dests;
     driver_.Launch(std::move(ack), when,

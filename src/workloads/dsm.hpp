@@ -27,7 +27,7 @@ struct DsmParams {
   int num_lines = 64;      ///< directory entries with active sharer sets
   int sharers_per_line = 8;
   int inval_flits = 16;    ///< invalidation payload (address + control)
-  int ack_flits = 8;       ///< acknowledgment payload
+  static constexpr int ack_flits = 8;  ///< acknowledgment payload
   /// Mean cycles between shared-write misses per node (exponential).
   double write_interarrival = 50'000.0;
   Cycles warmup = 10'000;

@@ -178,6 +178,11 @@ TEST(ArgsDeathTest, GetIntInExitsOnValuesThatDoNotFit) {
               "invalid value for --packets: '0' \\(accepted: integers >= 1\\)");
   const Args absent = ParseVec({"single"});
   EXPECT_EQ(absent.GetIntIn("packets", 3, 1, 8), 3);
+  // So does a default outside a range another option narrowed.
+  EXPECT_EXIT(absent.GetIntIn("nodes", 32, 1, 14),
+              ::testing::ExitedWithCode(2),
+              "invalid value for --nodes: the default 32 is out of range "
+              "\\(accepted: integers from 1 to 14\\)");
 }
 
 TEST(EnvInt, AcceptsOnlyPositiveIntegersThatFitAnInt) {

@@ -323,7 +323,6 @@ TEST(ResilienceDeterminism, ExportsAreThreadCountInvariant) {
     spec.tracer = &tracer;
     spec.cfg.resilience.enabled = true;
     spec.cfg.resilience.mtbf = 1'500.0;
-    spec.cfg.resilience.max_random_faults = 2;
     const SingleRunResult r = RunSingleMulticast(spec);
     *metrics_json = ToJson(r.metrics);
     *trace_jsonl = ToJsonLines(tracer);

@@ -76,6 +76,30 @@ TEST(JsonLines, ParseRejectsMalformedLineWithLineNumber) {
       &out2, &error));
 }
 
+TEST(JsonLines, ParseRejectsOutOfRangeFieldsAndTrailingText) {
+  const auto record = [](const std::string& actor, const std::string& tail) {
+    return "{\"trial\":0,\"time\":1,\"kind\":\"inject\",\"mcast\":0,"
+           "\"pkt\":0,\"actor\":" +
+           actor + ",\"detail\":-1}" + tail + "\n";
+  };
+  Tracer ok;
+  std::string error;
+  ASSERT_TRUE(ParseTraceJsonLines(record("2147483647", ""), &ok, &error))
+      << error;
+  EXPECT_EQ(ok.Events().front().actor, 2147483647);
+
+  // 2^32 + 1 once wrapped to actor 1; a second record after the closing
+  // brace was ignored.
+  for (const std::string& line :
+       {record("4294967297", ""), record("2147483648", ""),
+        record("1.5", ""), record("\"3\"", ""), record("1", " x"),
+        record("1", "{\"trial\":0}")}) {
+    Tracer out;
+    EXPECT_FALSE(ParseTraceJsonLines(line, &out, &error)) << line;
+    EXPECT_EQ(out.size(), 0u) << line;
+  }
+}
+
 TEST(ChromeTrace, HasMetadataSlicesAndInstants) {
   const std::string json = ToChromeTrace(SampleTrace());
   // Perfetto-loadable envelope.

@@ -25,10 +25,10 @@ TEST(TreeWormPlan, CarriesDestinationsVerbatim) {
 TEST(TreeWormHeader, SizeMatchesPaperEncoding) {
   // Header is an N-bit string, one bit per node (plus the routing tag).
   HeaderSizing sizing;
-  EXPECT_EQ(sizing.TreeWormFlits(32), sizing.unicast_flits + 4);
-  EXPECT_EQ(sizing.TreeWormFlits(8), sizing.unicast_flits + 1);
-  EXPECT_EQ(sizing.TreeWormFlits(256), sizing.unicast_flits + 32);
-  EXPECT_EQ(sizing.TreeWormFlits(257), sizing.unicast_flits + 33);
+  EXPECT_EQ(sizing.TreeWormFlits(32), HeaderSizing::unicast_flits + 4);
+  EXPECT_EQ(sizing.TreeWormFlits(8), HeaderSizing::unicast_flits + 1);
+  EXPECT_EQ(sizing.TreeWormFlits(256), HeaderSizing::unicast_flits + 32);
+  EXPECT_EQ(sizing.TreeWormFlits(257), HeaderSizing::unicast_flits + 33);
 }
 
 TEST(PathHeader, FieldSizeMatchesPaperEncoding) {
@@ -79,10 +79,10 @@ TEST(TreeWormChunked, HeaderSizeIndependentOfSystemSize) {
   const McastPlan plan =
       scheme.Plan(*sys, 0, {10, 20, 200, 250}, {}, sizing);
   for (int flits : plan.tree_region_header_flits)
-    EXPECT_EQ(flits, sizing.unicast_flits + 1 + 4);  // offset + 32 bits
+    EXPECT_EQ(flits, HeaderSizing::unicast_flits + 1 + 4);  // offset + 32 bits
   // The paper's single worm at this size would carry 32 bit-string
   // flits.
-  EXPECT_EQ(sizing.TreeWormFlits(256), sizing.unicast_flits + 32);
+  EXPECT_EQ(sizing.TreeWormFlits(256), HeaderSizing::unicast_flits + 32);
 }
 
 TEST(TreeWormChunked, ChunkedPlanDeliversExactlyOnce) {

@@ -11,6 +11,7 @@
 //
 // See docs/observability.md for the workflow, EXPERIMENTS.md for a
 // regression-hunt walkthrough.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +28,7 @@
 #include "report/diff.hpp"
 #include "report/html.hpp"
 #include "report/ledger.hpp"
+#include "topology/generator.hpp"
 #include "trace/analysis.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
@@ -45,12 +47,15 @@ int Usage() {
       "           [--sizes a,b,..] [--loads a,b,..] [--degree N]\n"
       "           [--topologies N] [--samples N] [--horizon N]\n"
       "           [--scale-latency X]   run a panel, append a RunRecord\n"
+      "           (--hosts: default 4 x switches, at most\n"
+      "           switches x (ports - 1))\n"
       "  diff     --baseline A --candidate B [--threshold X] [--bootstrap N]\n"
       "           [--confidence X] [--seed N] [--all]   print deltas\n"
       "  regress  (same options) [--allow-config-mismatch]\n"
       "           exit 0 clean, 1 on regression, 2 on misuse/mismatch\n"
       "  html     --ledger F --out FILE [--baseline B] [--sidecar-dir D]\n"
-      "           [--trace T.jsonl] [--title S]   render the dashboard\n");
+      "           [--trace T.jsonl] [--title S]   render the dashboard\n"
+      "an unknown option exits 2 before anything is read or run\n");
   return 2;
 }
 
@@ -62,6 +67,13 @@ std::int64_t GetSeed(const Args& args, std::int64_t fallback) {
   return args.GetIntIn("seed", fallback,
                        std::numeric_limits<std::int64_t>::min(),
                        std::numeric_limits<std::int64_t>::max());
+}
+
+/// The directory holding `path` ("." for a bare file name): where a
+/// ledger's panel sidecars live.
+std::string DirOf(const std::string& path) {
+  const std::filesystem::path p(path);
+  return p.has_parent_path() ? p.parent_path().string() : ".";
 }
 
 // ------------------------------------------------------------- record
@@ -78,11 +90,12 @@ int CmdRecord(const Args& args) {
   // with status 2 and the accepted range.
   spec.cfg.topology.num_switches =
       static_cast<int>(args.GetIntIn("switches", 8, 1, kMaxCount));
-  spec.cfg.topology.num_hosts = static_cast<int>(args.GetIntIn(
-      "hosts", std::int64_t{4} * spec.cfg.topology.num_switches, 2,
-      kMaxCount));
   spec.cfg.topology.ports_per_switch =
       static_cast<int>(args.GetIntIn("ports", 8, 2, kMaxCount));
+  spec.cfg.topology.num_hosts = static_cast<int>(args.GetIntIn(
+      "hosts", std::int64_t{4} * spec.cfg.topology.num_switches, 2,
+      std::min(kMaxCount, MaxHosts(spec.cfg.topology.num_switches,
+                                   spec.cfg.topology.ports_per_switch))));
   spec.cfg.seed = static_cast<std::uint64_t>(GetSeed(args, 1));
   for (std::int64_t size : args.GetIntListIn(
            "sizes", "2,4,8,15", 1, spec.cfg.topology.num_hosts - 1))
@@ -101,28 +114,12 @@ int CmdRecord(const Args& args) {
       args.GetDoubleIn("scale-latency", 1.0, RealRange::AtLeast(0.0));
   const std::string ledger = args.GetString("ledger", DefaultLedgerPath());
 
-  for (const std::string& key : args.UnconsumedKeys()) {
-    std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
-    return 2;
-  }
+  args.RejectUnknown();
 
   // Per-point metric sidecar next to the ledger (the bench panels'
   // format), so `irmc_report html` can render the link-utilization
   // heatmap for CLI-recorded runs too.
-  std::string sidecar_path;
-  if (!ledger.empty()) {
-    const std::filesystem::path lp(ledger);
-    const std::string dir =
-        lp.has_parent_path() ? lp.parent_path().string() : ".";
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    sidecar_path = SidecarPath(dir, spec.title);
-  }
-  MetricsSidecar sidecar(sidecar_path);
-  spec.on_point = [&sidecar](const std::string& x_label, double x,
-                             SchemeKind scheme, const MetricsRegistry& reg) {
-    sidecar.Record(x_label, x, scheme, reg);
-  };
+  if (!ledger.empty()) spec.sidecar_dir = DirOf(ledger);
 
   const PanelOutcome outcome = RunPanel(spec);
   outcome.table.Print();
@@ -174,10 +171,7 @@ int RunDiffOrRegress(const Args& args, bool gate) {
   }
   const DiffSpec spec = SpecFromArgs(args);
   const bool show_all = args.GetFlag("all");
-  for (const std::string& key : args.UnconsumedKeys()) {
-    std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
-    return 2;
-  }
+  args.RejectUnknown();
   std::vector<LedgerRun> base, cand;
   if (!LoadOrDie(base_path, &base) || !LoadOrDie(cand_path, &cand)) return 2;
 
@@ -300,17 +294,11 @@ int CmdHtml(const Args& args) {
   }
   // Sidecars default to living next to the ledger.
   std::string sidecar_dir = args.GetString("sidecar-dir", "");
-  if (sidecar_dir.empty()) {
-    const std::filesystem::path p(ledger_path);
-    sidecar_dir = p.has_parent_path() ? p.parent_path().string() : ".";
-  }
+  if (sidecar_dir.empty()) sidecar_dir = DirOf(ledger_path);
   HtmlInput input;
   input.title = args.GetString("title", "irmc performance report");
   const DiffSpec spec = SpecFromArgs(args);
-  for (const std::string& key : args.UnconsumedKeys()) {
-    std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
-    return 2;
-  }
+  args.RejectUnknown();
 
   if (!LoadOrDie(ledger_path, &input.runs)) return 2;
   // Last record wins per (name, engine) — same pairing rule as diff —

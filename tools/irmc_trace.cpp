@@ -13,6 +13,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -40,16 +41,20 @@ int Usage() {
                "  export         --out FILE  re-export (.jsonl -> JSONL, "
                "else Chrome trace JSON)\n"
                "  common         [--in FILE] instead of the positional "
-               "operand\n");
+               "operand\n"
+               "an unknown option exits 2 before the trace is read\n");
   return 2;
 }
 
-bool LoadTrace(const Args& args, Tracer* tracer) {
-  std::string path = args.GetString("in", "");
-  if (path.empty()) {
-    const auto positionals = args.Positionals();
-    if (positionals.size() == 1) path = positionals.front();
-  }
+/// The input file: `--in FILE`, else the one positional operand.
+std::string InputPath(const Args& args) {
+  const std::string path = args.GetString("in", "");
+  if (!path.empty()) return path;
+  const auto positionals = args.Positionals();
+  return positionals.size() == 1 ? positionals.front() : std::string();
+}
+
+bool LoadTrace(const std::string& path, Tracer* tracer) {
   if (path.empty()) {
     std::fprintf(stderr, "irmc_trace: no input file\n");
     return false;
@@ -130,17 +135,18 @@ int CmdBlockers(const Tracer& tracer) {
   return 0;
 }
 
-int CmdCriticalPath(const Args& args, const Tracer& tracer) {
+/// `pick_mcast`/`pick_trial` (--mcast/--trial) default to the trace's
+/// first multicast.
+int CmdCriticalPath(std::optional<std::int64_t> pick_mcast,
+                    std::optional<std::int32_t> pick_trial,
+                    const Tracer& tracer) {
   const auto all = Multicasts(tracer);
   if (all.empty()) {
     std::fprintf(stderr, "irmc_trace: trace holds no multicasts\n");
     return 1;
   }
-  const std::int64_t mcast = args.GetIntIn(
-      "mcast", all.front().second, 0, std::numeric_limits<std::int64_t>::max());
-  const auto trial = static_cast<std::int32_t>(
-      args.GetIntIn("trial", all.front().first, -1,
-                    std::numeric_limits<std::int32_t>::max()));
+  const std::int64_t mcast = pick_mcast.value_or(all.front().second);
+  const std::int32_t trial = pick_trial.value_or(all.front().first);
   const auto report = AnalyzeCriticalPath(tracer, mcast, trial);
   if (!report) {
     std::fprintf(stderr,
@@ -177,12 +183,7 @@ int CmdCriticalPath(const Args& args, const Tracer& tracer) {
   return 0;
 }
 
-int CmdExport(const Args& args, const Tracer& tracer) {
-  const std::string out_path = args.GetString("out", "");
-  if (out_path.empty()) {
-    std::fprintf(stderr, "irmc_trace: export needs --out FILE\n");
-    return 2;
-  }
+int CmdExport(const std::string& out_path, const Tracer& tracer) {
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "irmc_trace: cannot write %s\n", out_path.c_str());
@@ -206,22 +207,30 @@ int main(int argc, char** argv) {
   if (cmd != "summarize" && cmd != "blockers" && cmd != "critical-path" &&
       cmd != "export")
     return Usage();
-  Tracer tracer;
-  if (!LoadTrace(args, &tracer)) return 1;
-  int rc;
-  if (cmd == "summarize")
-    rc = CmdSummarize(tracer);
-  else if (cmd == "blockers")
-    rc = CmdBlockers(tracer);
-  else if (cmd == "critical-path")
-    rc = CmdCriticalPath(args, tracer);
-  else
-    rc = CmdExport(args, tracer);
-  if (rc == 0) {
-    for (const std::string& key : args.UnconsumedKeys()) {
-      std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
-      rc = 2;
+  const std::string path = InputPath(args);
+  std::optional<std::int64_t> mcast;
+  std::optional<std::int32_t> trial;
+  std::string out_path;
+  if (cmd == "critical-path") {
+    if (args.Has("mcast"))
+      mcast = args.GetIntIn("mcast", 0, 0,
+                            std::numeric_limits<std::int64_t>::max());
+    if (args.Has("trial"))
+      trial = static_cast<std::int32_t>(args.GetIntIn(
+          "trial", 0, -1, std::numeric_limits<std::int32_t>::max()));
+  } else if (cmd == "export") {
+    out_path = args.GetString("out", "");
+    if (out_path.empty()) {
+      std::fprintf(stderr, "irmc_trace: export needs --out FILE\n");
+      return 2;
     }
   }
-  return rc;
+  args.RejectUnknown();
+
+  Tracer tracer;
+  if (!LoadTrace(path, &tracer)) return 1;
+  if (cmd == "summarize") return CmdSummarize(tracer);
+  if (cmd == "blockers") return CmdBlockers(tracer);
+  if (cmd == "critical-path") return CmdCriticalPath(mcast, trial, tracer);
+  return CmdExport(out_path, tracer);
 }

@@ -17,6 +17,7 @@
 //
 // Prints failing reports (all reports with --verbose) and exits 0 only
 // when every verified System passes every invariant.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -50,7 +51,8 @@ int Usage() {
       "  --trials N       generated topologies to verify (default 20)\n"
       "  --switches L     comma-separated switch counts the trials\n"
       "                   cycle through (default 8,16,32)\n"
-      "  --nodes N        hosts per topology (default 32)\n"
+      "  --nodes N        hosts per topology (default 32; at most\n"
+      "                   (ports - 1) x the smallest --switches entry)\n"
       "  --ports P        ports per switch (default 8)\n"
       "  --faults F       per topology, inject F survivable link\n"
       "                   faults, rebuild, and re-verify (default 0)\n"
@@ -63,7 +65,8 @@ int Usage() {
       "  --buffer-flits B per-port input buffer for --deadlock\n"
       "                   (default 256 flits)\n"
       "  --payload-flits D worm payload for --deadlock (default 128)\n"
-      "  --verbose        print every report, not only failures\n");
+      "  --verbose        print every report, not only failures\n"
+      "an unknown option exits 2 before anything is verified\n");
   return 2;
 }
 
@@ -186,8 +189,13 @@ int main(int argc, char** argv) {
   std::vector<int> sizes;
   for (std::int64_t v : args.GetIntListIn("switches", "8,16,32", 1, kIntMax))
     sizes.push_back(static_cast<int>(v));
-  const auto nodes = static_cast<int>(args.GetIntIn("nodes", 32, 1, kIntMax));
   const auto ports = static_cast<int>(args.GetIntIn("ports", 8, 2, kIntMax));
+  // Every trial must place the hosts, the one on the fewest switches too.
+  const auto nodes = static_cast<int>(args.GetIntIn(
+      "nodes", 32, 1,
+      std::min(kIntMax,
+               MaxHosts(*std::min_element(sizes.begin(), sizes.end()),
+                        ports))));
   const auto faults = static_cast<int>(args.GetIntIn("faults", 0, 0, kIntMax));
   const std::string load = args.GetString("load", "");
 
@@ -201,10 +209,7 @@ int main(int argc, char** argv) {
   opts.spec.payload_flits = static_cast<int>(
       args.GetIntIn("payload-flits", opts.spec.payload_flits, 1, kIntMax));
 
-  for (const std::string& key : args.UnconsumedKeys()) {
-    std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
-    return Usage();
-  }
+  args.RejectUnknown();
 
   if (!load.empty()) return RunLoaded(load, faults, opts);
 

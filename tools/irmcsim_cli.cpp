@@ -67,58 +67,57 @@ std::unique_ptr<MulticastScheme> MakeCliScheme(const std::string& name,
   return MakeScheme(*kind, host);
 }
 
-/// --metrics FILE: write the run's merged MetricsRegistry (JSON by
-/// default; .jsonl / .csv select those formats). Returns 0, or 1 on I/O
-/// error; no-op when the flag is absent.
-int MaybeWriteMetrics(const Args& args, const MetricsRegistry& reg) {
-  const std::string path = args.GetString("metrics", "");
-  if (path.empty()) return 0;
-  if (!WriteFile(path, SerializeForPath(reg, path))) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("wrote metrics to %s\n", path.c_str());
-  return 0;
-}
-
-/// --trace FILE[:CAP]: attach a trace sink to single/load/dsm. CAP (a
-/// trailing all-digit suffix after the last ':') bounds each per-trial
-/// tracer to a ring of that many events. The merged stream is written
-/// on success: .jsonl -> JSONL, anything else -> Chrome trace JSON.
-struct TraceSpec {
-  std::string path;
-  std::size_t cap = 0;
-  bool enabled() const { return !path.empty(); }
+/// Where single/load/dsm write their results. `--trace FILE[:CAP]`
+/// attaches a trace sink: CAP (a trailing all-digit suffix after the
+/// last ':') bounds each per-trial tracer to a ring of that many events,
+/// and the merged stream is written as JSONL (.jsonl) or Chrome trace
+/// JSON (anything else). `--metrics FILE` writes the run's merged
+/// MetricsRegistry (JSON by default; .jsonl / .csv select those formats).
+struct Sinks {
+  std::string trace;
+  std::size_t trace_cap = 0;
+  std::string metrics;
 };
 
-TraceSpec GetTraceSpec(const Args& args) {
-  TraceSpec t;
+Sinks GetSinks(const Args& args) {
+  Sinks sinks;
+  sinks.metrics = args.GetString("metrics", "");
   std::string v = args.GetString("trace", "");
-  if (v.empty()) return t;
+  if (v.empty()) return sinks;
   const auto colon = v.rfind(':');
   if (colon != std::string::npos && colon + 1 < v.size()) {
     const std::string suffix = v.substr(colon + 1);
     bool digits = true;
     for (char c : suffix) digits = digits && c >= '0' && c <= '9';
     if (digits) {
-      t.cap = static_cast<std::size_t>(
+      sinks.trace_cap = static_cast<std::size_t>(
           std::strtoull(suffix.c_str(), nullptr, 10));
       v = v.substr(0, colon);
     }
   }
-  t.path = v;
-  return t;
+  sinks.trace = v;
+  return sinks;
 }
 
-int MaybeWriteTrace(const TraceSpec& spec, const Tracer& tracer) {
-  if (!spec.enabled()) return 0;
-  if (!WriteFile(spec.path, SerializeTraceForPath(tracer, spec.path))) {
-    std::fprintf(stderr, "cannot write %s\n", spec.path.c_str());
+/// Writes the trace, then the metrics, each only when asked for.
+/// Returns 0, or 1 on I/O error.
+int WriteSinks(const Sinks& sinks, const Tracer& tracer,
+               const MetricsRegistry& reg) {
+  if (!sinks.trace.empty()) {
+    if (!WriteFile(sinks.trace, SerializeTraceForPath(tracer, sinks.trace))) {
+      std::fprintf(stderr, "cannot write %s\n", sinks.trace.c_str());
+      return 1;
+    }
+    std::printf("wrote trace to %s (%zu events, %llu dropped)\n",
+                sinks.trace.c_str(), tracer.size(),
+                static_cast<unsigned long long>(tracer.dropped()));
+  }
+  if (sinks.metrics.empty()) return 0;
+  if (!WriteFile(sinks.metrics, SerializeForPath(reg, sinks.metrics))) {
+    std::fprintf(stderr, "cannot write %s\n", sinks.metrics.c_str());
     return 1;
   }
-  std::printf("wrote trace to %s (%zu events, %llu dropped)\n",
-              spec.path.c_str(), tracer.size(),
-              static_cast<unsigned long long>(tracer.dropped()));
+  std::printf("wrote metrics to %s\n", sinks.metrics.c_str());
   return 0;
 }
 
@@ -135,17 +134,7 @@ constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 int GetInt32(const Args& args, const std::string& key, int fallback,
              std::int64_t lo = std::numeric_limits<int>::min(),
              std::int64_t hi = kIntMax) {
-  const std::int64_t value = args.GetIntIn(key, fallback, lo, hi);
-  if (value < lo || value > hi) {
-    // Only a default can land here: another option narrowed the range.
-    std::fprintf(stderr,
-                 "invalid value for --%s: the default %d is out of range "
-                 "(accepted: integers from %lld to %lld)\n",
-                 key.c_str(), fallback, static_cast<long long>(lo),
-                 static_cast<long long>(hi));
-    std::exit(2);
-  }
-  return static_cast<int>(value);
+  return static_cast<int>(args.GetIntIn(key, fallback, lo, hi));
 }
 
 using Limits64 = std::numeric_limits<std::int64_t>;
@@ -172,13 +161,10 @@ SimConfig ConfigFrom(const Args& args, int min_nodes = 2) {
       GetInt32(args, "switches", cfg.topology.num_switches, 1);
   cfg.topology.ports_per_switch =
       GetInt32(args, "ports", cfg.topology.ports_per_switch, 2);
-  // Every switch keeps a port free for the spanning tree (the topology
-  // generator's precondition).
   cfg.topology.num_hosts = GetInt32(
       args, "nodes", cfg.topology.num_hosts, min_nodes,
-      std::min<std::int64_t>(
-          kIntMax, std::int64_t{cfg.topology.num_switches} *
-                       (cfg.topology.ports_per_switch - 1)));
+      std::min(kIntMax, MaxHosts(cfg.topology.num_switches,
+                                 cfg.topology.ports_per_switch)));
   // A message is at least one packet of at least one flit.
   cfg.message.num_packets =
       GetInt32(args, "packets", cfg.message.num_packets, 1);
@@ -227,6 +213,7 @@ int Usage() {
                "schemes: uni-binomial ni-kbinomial tree-worm path-worm flat\n"
                "common:  --switches N --nodes N --ports N --packets N\n"
                "         --packet-flits N --ratio R --seed S\n"
+               "         (--nodes at most switches x (ports - 1))\n"
                "         --engine vct|flit  (network engine; flit = true "
                "wormhole, finite buffers)\n"
                "         --buffer-flits N  (flit engine per-port input "
@@ -245,7 +232,8 @@ int Usage() {
                "event trace;\n"
                "                      .jsonl, else Chrome trace JSON; CAP "
                "caps each trial's ring)\n"
-               "load:    --pattern uniform|clustered|hotspot\n");
+               "load:    --pattern uniform|clustered|hotspot\n"
+               "an unknown option exits 2 before anything runs\n");
   return 2;
 }
 
@@ -259,20 +247,20 @@ int CmdSingle(const Args& args) {
       GetDestCount(args, "size", 15, spec.cfg.topology.num_hosts);
   spec.topologies = GetInt32(args, "topologies", 10, 1);
   spec.samples_per_topology = GetInt32(args, "samples", 4, 1);
-  const TraceSpec tspec = GetTraceSpec(args);
+  const Sinks sinks = GetSinks(args);
+  args.RejectUnknown();
   Tracer tracer;
-  if (tspec.enabled()) {
+  if (!sinks.trace.empty()) {
     spec.tracer = &tracer;
-    spec.trace_cap = tspec.cap;
+    spec.trace_cap = sinks.trace_cap;
   }
   const SingleRunResult r = RunSingleMulticast(spec);
   std::printf("%s %d-way: mean %.1f cycles (%.2f us), min %.0f, max %.0f "
               "over %d samples\n",
               ToString(*scheme), spec.multicast_size, r.mean_latency,
-              r.mean_latency * spec.cfg.cycle_ns / 1000.0, r.min_latency,
+              r.mean_latency * SimConfig::cycle_ns / 1000.0, r.min_latency,
               r.max_latency, r.samples);
-  if (const int rc = MaybeWriteTrace(tspec, tracer)) return rc;
-  return MaybeWriteMetrics(args, r.metrics);
+  return WriteSinks(sinks, tracer, r.metrics);
 }
 
 int CmdLoad(const Args& args) {
@@ -294,11 +282,12 @@ int CmdLoad(const Args& args) {
     spec.pattern = DestPattern::kClustered;
   else if (pattern == "hotspot")
     spec.pattern = DestPattern::kHotspot;
-  const TraceSpec tspec = GetTraceSpec(args);
+  const Sinks sinks = GetSinks(args);
+  args.RejectUnknown();
   Tracer tracer;
-  if (tspec.enabled()) {
+  if (!sinks.trace.empty()) {
     spec.tracer = &tracer;
-    spec.trace_cap = tspec.cap;
+    spec.trace_cap = sinks.trace_cap;
   }
   const LoadRunResult r = RunLoadSweepPoint(spec);
   std::printf("%s %d-way at load %.2f: mean %.1f / p50 %.1f / p95 %.1f "
@@ -309,8 +298,7 @@ int CmdLoad(const Args& args) {
   std::printf("  achieved throughput %.3f flits/cycle/host, hottest link "
               "%.0f%% busy\n",
               r.achieved_throughput, 100.0 * r.max_link_utilization);
-  if (const int rc = MaybeWriteTrace(tspec, tracer)) return rc;
-  return MaybeWriteMetrics(args, r.metrics);
+  return WriteSinks(sinks, tracer, r.metrics);
 }
 
 int CmdDsm(const Args& args) {
@@ -323,11 +311,12 @@ int CmdDsm(const Args& args) {
   params.write_interarrival =
       args.GetDoubleIn("interarrival", 50'000.0, RealRange::Above(0.0));
   params.topologies = GetInt32(args, "topologies", 3, 1);
-  const TraceSpec tspec = GetTraceSpec(args);
+  const Sinks sinks = GetSinks(args);
+  args.RejectUnknown();
   Tracer tracer;
-  if (tspec.enabled()) {
+  if (!sinks.trace.empty()) {
     params.tracer = &tracer;
-    params.trace_cap = tspec.cap;
+    params.trace_cap = sinks.trace_cap;
   }
   const DsmResult r = RunDsmInvalidation(cfg, *scheme, params);
   std::printf("%s invalidations, %d sharers/line: mean write stall %.1f "
@@ -335,14 +324,14 @@ int CmdDsm(const Args& args) {
               ToString(*scheme), params.sharers_per_line,
               r.mean_write_latency, r.p95_write_latency, r.writes_completed,
               r.writes_started);
-  if (const int rc = MaybeWriteTrace(tspec, tracer)) return rc;
-  return MaybeWriteMetrics(args, r.metrics);
+  return WriteSinks(sinks, tracer, r.metrics);
 }
 
 int CmdTopology(const Args& args) {
   const SimConfig cfg = ConfigFrom(args, 0);
   const bool dot = args.GetFlag("dot");
   const std::string save = args.GetString("save", "");
+  args.RejectUnknown();
   const auto sys = System::Build(cfg.topology, cfg.seed);
   if (dot) {
     std::fputs(ToDot(*sys).c_str(), stdout);
@@ -369,6 +358,8 @@ int CmdTrace(const Args& args) {
       MakeCliScheme(args.GetString("scheme", "tree-worm"), cfg.host);
   if (!scheme) return Usage();
   const int size = GetDestCount(args, "size", 8, cfg.topology.num_hosts);
+  const std::string out_path = args.GetString("out", "");
+  args.RejectUnknown();
   const auto sys = System::Build(cfg.topology, cfg.seed);
 
   Tracer tracer;
@@ -394,7 +385,6 @@ int CmdTrace(const Args& args) {
               static_cast<long long>(b.Network()),
               static_cast<long long>(b.DestinationSoftware()),
               static_cast<long long>(b.Total()));
-  const std::string out_path = args.GetString("out", "");
   if (out_path.empty()) {
     tracer.Dump(stdout);
     return 0;
@@ -416,24 +406,10 @@ int main(int argc, char** argv) {
                 ToJson(GetBuildInfo()).c_str());
     return 0;
   }
-  int rc;
-  if (args.command() == "single")
-    rc = CmdSingle(args);
-  else if (args.command() == "load")
-    rc = CmdLoad(args);
-  else if (args.command() == "dsm")
-    rc = CmdDsm(args);
-  else if (args.command() == "topology")
-    rc = CmdTopology(args);
-  else if (args.command() == "trace")
-    rc = CmdTrace(args);
-  else
-    return Usage();
-  if (rc == 0) {
-    for (const std::string& key : args.UnconsumedKeys()) {
-      std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
-      rc = 2;
-    }
-  }
-  return rc;
+  if (args.command() == "single") return CmdSingle(args);
+  if (args.command() == "load") return CmdLoad(args);
+  if (args.command() == "dsm") return CmdDsm(args);
+  if (args.command() == "topology") return CmdTopology(args);
+  if (args.command() == "trace") return CmdTrace(args);
+  return Usage();
 }
