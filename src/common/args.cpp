@@ -105,7 +105,6 @@ Args Args::Parse(int argc, const char* const* argv) {
       // Stray positional: callers either take it via Positionals() (file
       // operands) or RejectUnknown() turns it away.
       args.positionals_.push_back(token);
-      args.values_["<positional:" + token + ">"] = "";
       ++i;
     }
   }
@@ -199,8 +198,7 @@ bool Args::GetFlag(const std::string& key) const {
 }
 
 std::vector<std::string> Args::Positionals() const {
-  for (const std::string& token : positionals_)
-    consumed_["<positional:" + token + ">"] = true;
+  positionals_consumed_ = true;
   return positionals_;
 }
 
@@ -215,7 +213,11 @@ void Args::RejectUnknown() const {
   const std::vector<std::string> unknown = UnconsumedKeys();
   for (const std::string& key : unknown)
     std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
-  if (!unknown.empty()) std::exit(2);
+  const bool stray = !positionals_consumed_ && !positionals_.empty();
+  if (stray)
+    for (const std::string& token : positionals_)
+      std::fprintf(stderr, "unexpected argument: %s\n", token.c_str());
+  if (!unknown.empty() || stray) std::exit(2);
 }
 
 }  // namespace irmc

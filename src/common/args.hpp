@@ -107,12 +107,14 @@ class Args {
   /// in argv order; marks them consumed.
   std::vector<std::string> Positionals() const;
 
-  /// Keys the caller never consumed; call after all Get*.
+  /// Option keys the caller never consumed; call after all Get*.
   std::vector<std::string> UnconsumedKeys() const;
 
-  /// Prints "unknown option: --KEY" for each key no Get* read and exits
-  /// with status 2 when there is any. Every command calls it once its
-  /// options are read, before it simulates, reads or writes anything.
+  /// Prints "unknown option: --KEY" for each key no Get* read, and
+  /// "unexpected argument: TOKEN" for each positional when no
+  /// Positionals() call took them, then exits with status 2 when there
+  /// is any. Every command calls it once its options are read, before it
+  /// simulates, reads or writes anything.
   void RejectUnknown() const;
 
  private:
@@ -120,6 +122,7 @@ class Args {
   std::map<std::string, std::string> values_;  // flag -> "" sentinel
   std::vector<std::string> positionals_;       // argv order
   mutable std::map<std::string, bool> consumed_;
+  mutable bool positionals_consumed_ = false;
 };
 
 }  // namespace irmc

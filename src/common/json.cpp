@@ -93,14 +93,40 @@ class Parser {
     }
   }
 
+  bool Digit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+
+  void SkipDigits() {
+    while (Digit()) ++pos_;
+  }
+
+  /// RFC 8259's number grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?
+  /// [0-9]+)?, matched first; strtod then converts only that span.
+  /// strtod alone would also take 0x10, +3, .5, 1., inf and nan.
   bool ParseNumber(Value* out) {
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) return Fail("expected a value");
+    const std::size_t begin = pos_;
+    if (text_[pos_] == '-') ++pos_;
+    if (!Digit()) return Fail("expected a value");
+    if (text_[pos_] == '0')
+      ++pos_;  // no leading zeros: "01" ends at "0"
+    else
+      SkipDigits();
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      if (!Digit()) return Fail("expected a digit after '.'");
+      SkipDigits();
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+        ++pos_;
+      if (!Digit()) return Fail("expected an exponent digit");
+      SkipDigits();
+    }
+    const std::string span = text_.substr(begin, pos_ - begin);
     out->kind = Value::Kind::kNumber;
-    out->number = v;
-    pos_ += static_cast<std::size_t>(end - start);
+    out->number = std::strtod(span.c_str(), nullptr);
     return true;
   }
 

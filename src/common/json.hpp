@@ -2,22 +2,24 @@
 //
 // The metrics exporter, trace exporter, bench sidecars, and the run
 // ledger all emit JSON with the same determinism contract: name-sorted
-// keys, integers via PRId64, doubles via %.17g (round-trip exact), and
-// C0/quote/backslash escaping. The formatting helpers here are that
-// contract's single implementation — duplicating them (as
-// metrics/export.cpp and trace/export.cpp once did) risks two writers
-// drifting and byte-comparison tests passing on one path but not the
-// other.
+// keys, integers via PRId64, finite doubles via %.17g (round-trip exact)
+// and non-finite ones as null, and C0/quote/backslash escaping. The
+// formatting helpers here are that contract's single implementation —
+// duplicating them (as metrics/export.cpp and trace/export.cpp once did)
+// risks two writers drifting and byte-comparison tests passing on one
+// path but not the other.
 //
 // json::Value/json::Parse is the matching reader: a small
 // recursive-descent parser for the repo's own exports (ledger records,
-// metric sidecars, HTML-report inputs). It preserves object key order,
-// stores every number as a double (exact for the int53 range our
-// exports use), and rejects trailing garbage, so a parse-then-reserialize
-// comparison is meaningful in tests.
+// metric sidecars, HTML-report inputs). It takes RFC 8259 numbers only
+// (no hex, leading '+' or zeros, bare '.', inf or nan), preserves object
+// key order, stores every number as a double (exact for the int53 range
+// our exports use), and rejects trailing garbage, so a
+// parse-then-reserialize comparison is meaningful in tests.
 #pragma once
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -27,8 +29,10 @@
 namespace irmc::json {
 
 /// %.17g — shortest representation that round-trips a double exactly
-/// under strtod, so equal doubles always serialize to equal bytes.
+/// under strtod, so equal doubles always serialize to equal bytes. JSON
+/// has no infinity or NaN, so a non-finite double writes `null`.
 inline std::string Num(double v) {
+  if (!std::isfinite(v)) return "null";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;

@@ -1,6 +1,7 @@
 #include "core/executor.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace irmc {
 namespace {
@@ -29,6 +30,13 @@ constexpr MetricSpec kDriverResilienceMetrics[] = {
     {MetricKind::kCounter, "resilience.acks"},
     {MetricKind::kCounter, "resilience.degraded_deliveries"},
 };
+
+/// The free list of an Exec whose delivery list has room for `room`:
+/// floor(log2(room)), 0 for none, capped at the last of `lists`.
+int FreeList(std::size_t room, int lists) {
+  return std::min(room > 1 ? static_cast<int>(std::bit_width(room)) - 1 : 0,
+                  lists - 1);
+}
 
 }  // namespace
 
@@ -97,27 +105,84 @@ std::int64_t McastDriver::Launch(McastPlan plan, Cycles when, DoneFn done,
 
 McastDriver::Exec& McastDriver::NewExec(McastPlan&& plan, MessageShape shape,
                                         Cycles start, std::int64_t parent) {
-  const std::int64_t id = next_id_++;
-  Exec& exec = live_.try_emplace(id).first->second;
-  exec.id = id;
+  // The first index holds as many live multicasts as there are nodes.
+  if (index_.empty())
+    index_.assign(std::bit_ceil(static_cast<std::size_t>(sys_->num_nodes())),
+                  nullptr);
+  Exec& exec = TakeExec(parent >= 0 ? 0 : plan.dests.size());
+  exec.id = next_id_++;
+  Index(exec);
+  ++live_;
   exec.parent = parent;
   exec.plan = std::move(plan);
   exec.shape = shape;
   exec.start = start;
   exec.remaining = static_cast<int>(exec.plan.dests.size());
-  exec.result.id = id;
+  exec.result.id = exec.id;
   exec.result.start = start;
+  exec.result.completion = 0;
   exec.result.num_dests = exec.remaining;
-  if (parent >= 0) return exec;  // a repair wave credits its parent
-  exec.result.deliveries.reserve(exec.plan.dests.size());
+  exec.result.deliveries.clear();
+  exec.repairs.clear();
+  exec.acked_count = 0;
+  exec.attempts = 0;
+  exec.repair_pending = false;
+  exec.next_free = nullptr;
+  if (parent >= 0) {  // a repair wave credits its parent
+    exec.nstate.clear();
+    exec.acked.clear();
+    exec.got.clear();
+    return exec;
+  }
+  exec.result.deliveries.reserve(std::bit_ceil(exec.plan.dests.size()));
   const auto nodes = static_cast<std::size_t>(sys_->num_nodes());
-  exec.nstate.resize(nodes);
+  exec.nstate.assign(nodes, NodeState{});
   if (cfg_.resilience.enabled) {
     exec.acked.assign(nodes, false);
     exec.got.assign(nodes * static_cast<std::size_t>(shape.num_packets),
                     false);
   }
   return exec;
+}
+
+McastDriver::Exec& McastDriver::TakeExec(std::size_t dests) {
+  const int lists = static_cast<int>(free_.size());
+  const int fits = FreeList(std::bit_ceil(dests), lists);
+  int k = fits;
+  while (k < lists && free_[k] == nullptr) ++k;
+  if (k == lists) {
+    k = fits - 1;
+    while (k >= 0 && free_[k] == nullptr) --k;
+  }
+  if (k < 0) return *pool_.emplace_back(std::make_unique<Exec>());
+  Exec& exec = *free_[k];
+  free_[k] = exec.next_free;
+  return exec;
+}
+
+void McastDriver::Index(Exec& exec) {
+  const auto id = static_cast<std::size_t>(exec.id);
+  while (index_[id & (index_.size() - 1)] != nullptr) {
+    std::vector<Exec*> grown(2 * index_.size(), nullptr);
+    for (Exec* live : index_)
+      if (live != nullptr)
+        grown[static_cast<std::size_t>(live->id) & (grown.size() - 1)] = live;
+    index_.swap(grown);
+  }
+  index_[id & (index_.size() - 1)] = &exec;
+}
+
+void McastDriver::Retire(Exec& exec) {
+  index_[static_cast<std::size_t>(exec.id) & (index_.size() - 1)] = nullptr;
+  exec.id = -1;
+  exec.plan = McastPlan{};
+  exec.done = nullptr;
+  exec.delivered = nullptr;
+  const int k = FreeList(exec.result.deliveries.capacity(),
+                         static_cast<int>(free_.size()));
+  exec.next_free = free_[k];
+  free_[k] = &exec;
+  --live_;
 }
 
 Packet McastDriver::MakePacket(const Exec& exec, int j, HeaderKind kind,
@@ -250,22 +315,22 @@ int McastDriver::SendWormsOf(const Exec& exec, NodeId sender,
 
 void McastDriver::OnDeliver(NodeId n, const Packet& pkt, Cycles head,
                             Cycles tail) {
-  auto it = live_.find(pkt.mcast_id);
-  if (it == live_.end()) {
+  Exec* exec = Find(pkt.mcast_id);
+  if (exec == nullptr) {
     // Only a retired resilience family leaves stragglers (a redundant
     // repair still in flight when the last ack landed); the pristine
     // contract — every delivery belongs to a live multicast — stands.
     IRMC_ENSURE(cfg_.resilience.enabled);
     return;
   }
-  HandlePacketAt(it->second, n, pkt, head, tail);
+  HandlePacketAt(*exec, n, pkt, head, tail);
 }
 
 McastDriver::Exec& McastDriver::AcctOf(Exec& exec) {
   if (exec.parent < 0) return exec;
-  auto it = live_.find(exec.parent);
-  IRMC_ENSURE(it != live_.end());  // repairs retire with their parent
-  return it->second;
+  Exec* parent = Find(exec.parent);
+  IRMC_ENSURE(parent != nullptr);  // repairs retire with their parent
+  return *parent;
 }
 
 void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt,
@@ -348,9 +413,9 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt,
 
 void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
                                   NodeId n, Cycles when) {
-  auto it = live_.find(acct_id);
-  IRMC_ENSURE(it != live_.end());
-  Exec& exec = it->second;
+  Exec* found = Find(acct_id);
+  IRMC_ENSURE(found != nullptr);
+  Exec& exec = *found;
   NodeState& st = exec.nstate[static_cast<std::size_t>(n)];
   IRMC_ENSURE(!st.delivered);
   st.delivered = true;
@@ -371,11 +436,7 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
   // packet completed the message (for a repair, its re-planned subtree).
   // Each host-level forwarding step after a delivery is one
   // communication phase of the scheme.
-  const Exec* wave = &exec;
-  if (wave_id != acct_id) {
-    auto wit = live_.find(wave_id);
-    wave = wit != live_.end() ? &wit->second : nullptr;
-  }
+  const Exec* wave = wave_id == acct_id ? &exec : Find(wave_id);
   int sent = 0;
   if (wave != nullptr && wave->plan.scheme == SchemeKind::kUnicastBinomial)
     sent = SendToChildren(*wave, n, when);
@@ -393,7 +454,9 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
     // In resilience mode the family instead retires when the last ack
     // returns to the root (CleanupFamily).
     if (!cfg_.resilience.enabled) {
-      engine_.ScheduleAfter(0, [this, acct_id]() { live_.erase(acct_id); });
+      engine_.ScheduleAfter(0, [this, acct_id]() {
+        if (Exec* finished = Find(acct_id)) Retire(*finished);
+      });
     }
   }
 }
@@ -403,9 +466,9 @@ void McastDriver::OnDrop(const Packet& pkt, Cycles now, SwitchId where) {
     tracer_->Record(TraceEvent{now, TraceKind::kDrop, pkt.mcast_id,
                                pkt.pkt_index, pkt.src, where});
   if (m_.has) m_.r_drops->Add();
-  auto it = live_.find(pkt.mcast_id);
-  if (it == live_.end()) return;  // family already retired
-  Exec& acct = AcctOf(it->second);
+  Exec* exec = Find(pkt.mcast_id);
+  if (exec == nullptr) return;  // family already retired
+  Exec& acct = AcctOf(*exec);
   if (acct.repair_pending) return;  // a repair chain is already running
   acct.repair_pending = true;
   // Expedite the first repair: wait out fault detection and any pending
@@ -418,9 +481,9 @@ void McastDriver::OnDrop(const Packet& pkt, Cycles now, SwitchId where) {
 }
 
 void McastDriver::OnAck(std::int64_t id, NodeId n) {
-  auto it = live_.find(id);
-  if (it == live_.end()) return;
-  Exec& exec = it->second;
+  Exec* found = Find(id);
+  if (found == nullptr) return;
+  Exec& exec = *found;
   if (exec.acked[static_cast<std::size_t>(n)]) return;
   exec.acked[static_cast<std::size_t>(n)] = true;
   ++exec.acked_count;
@@ -429,9 +492,9 @@ void McastDriver::OnAck(std::int64_t id, NodeId n) {
 }
 
 void McastDriver::RepairRound(std::int64_t id) {
-  auto it = live_.find(id);
-  if (it == live_.end()) return;
-  Exec& acct = it->second;
+  Exec* found = Find(id);
+  if (found == nullptr) return;
+  Exec& acct = *found;
   // Unacked = possibly-lost. A destination that delivered but whose ack
   // is still in flight gets harmlessly re-covered (its NI dedups).
   std::vector<NodeId> missing;
@@ -466,10 +529,11 @@ void McastDriver::LaunchRepairWave(Exec& acct,
 void McastDriver::CleanupFamily(std::int64_t id) {
   // Defer: the last ack may still be inside this family's call chain.
   engine_.ScheduleAfter(0, [this, id]() {
-    auto it = live_.find(id);
-    if (it == live_.end()) return;
-    for (std::int64_t r : it->second.repairs) live_.erase(r);
-    live_.erase(it);
+    Exec* exec = Find(id);
+    if (exec == nullptr) return;
+    for (std::int64_t r : exec->repairs)
+      if (Exec* wave = Find(r)) Retire(*wave);
+    Retire(*exec);
   });
 }
 

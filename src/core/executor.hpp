@@ -20,10 +20,10 @@
 //     emerges from receivers forwarding after full message receipt.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
@@ -75,7 +75,7 @@ class McastDriver {
                       DeliveredFn delivered = nullptr);
 
   NetworkModel& network() { return *network_; }
-  int live_multicasts() const { return static_cast<int>(live_.size()); }
+  int live_multicasts() const { return live_; }
 
  private:
   /// A node's serially reused host CPU, NI CPU and I/O bus.
@@ -90,8 +90,11 @@ class McastDriver {
     bool delivered = false;
     Cycles last_dma = 0;
   };
+  /// One live multicast or repair wave, in the pool. Retiring drops its
+  /// plan and callbacks; reuse sets every other field again, and its
+  /// vectors keep their capacity.
   struct Exec {
-    std::int64_t id = -1;
+    std::int64_t id = -1;  ///< -1 while retired
     McastPlan plan;
     MessageShape shape;  ///< plan override or the driver's default
     Cycles start = 0;
@@ -115,6 +118,7 @@ class McastDriver {
     int acked_count = 0;
     int attempts = 0;          ///< repair rounds launched so far
     bool repair_pending = false;  ///< a repair timer chain is running
+    Exec* next_free = nullptr;    ///< its free list, while retired
   };
 
   NodeRuntime& node(NodeId n) {
@@ -122,9 +126,24 @@ class McastDriver {
   }
 
   /// A live multicast or repair wave (`parent` >= 0) starting at
-  /// `start`. Only originals hold delivery accounting.
+  /// `start`, a retired Exec reused first. Only originals hold delivery
+  /// accounting.
   Exec& NewExec(McastPlan&& plan, MessageShape shape, Cycles start,
                 std::int64_t parent);
+  /// A retired Exec whose delivery list has room for `dests` (the
+  /// smallest such), else the roomiest retired one, else a new one.
+  Exec& TakeExec(std::size_t dests);
+  /// The live Exec with id `id`, or nullptr once it has retired.
+  /// Requires a prior Launch (which sizes the index).
+  Exec* Find(std::int64_t id) {
+    Exec* exec = index_[static_cast<std::size_t>(id) & (index_.size() - 1)];
+    return exec != nullptr && exec->id == id ? exec : nullptr;
+  }
+  /// Files a new live Exec in the index, doubling the index while its
+  /// cell holds another live id.
+  void Index(Exec& exec);
+  /// Returns a live Exec to the pool, releasing its plan and callbacks.
+  void Retire(Exec& exec);
   void StartSource(const Exec& exec);
   void OnDeliver(NodeId n, const Packet& pkt, Cycles head, Cycles tail);
   void HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt, Cycles head,
@@ -213,8 +232,23 @@ class McastDriver {
   std::unique_ptr<NetworkModel> network_;
   /// Non-null only when cfg.resilience.enabled (docs/resilience.md).
   std::unique_ptr<ResilienceManager> resilience_;
-  /// Node-based, so an Exec never moves while it is live.
-  std::unordered_map<std::int64_t, Exec> live_;
+  /// Every Exec made so far (as many as were ever live at once), each in
+  /// its own allocation, so an Exec keeps its address while the pool
+  /// grows: LaunchRepairWave holds its parent across NewExec, and a done
+  /// callback may Launch.
+  std::vector<std::unique_ptr<Exec>> pool_;
+  /// Retired Execs, in lists linked through next_free: list k > 0 holds
+  /// those whose delivery list has room for 2^k to 2^(k+1) - 1, list 0
+  /// the rest (an original reserves its destination count rounded up to
+  /// a power of two). Taking from the smallest list that fits lets a
+  /// warm driver launch without growing a delivery list, and without
+  /// reserving a delivery per node for every multicast.
+  std::array<Exec*, 32> free_{};
+  /// Live Execs at [id % size]; the size, a power of two, doubles when
+  /// two live ids share a cell, so it follows the span of live ids.
+  /// Empty until the first Launch.
+  std::vector<Exec*> index_;
+  int live_ = 0;
   std::int64_t next_id_ = 0;
 };
 

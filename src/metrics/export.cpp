@@ -1,5 +1,6 @@
 #include "metrics/export.hpp"
 
+#include <cstdio>
 #include <fstream>
 
 #include "common/build_info.hpp"
@@ -7,6 +8,13 @@
 
 namespace irmc {
 namespace {
+
+/// %.17g like json::Num, but a CSV cell keeps inf and nan as text.
+std::string CsvNum(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
 
 std::string GaugeJson(const Gauge& g) {
   return std::string("{\"mode\":\"") + ToString(g.mode) +
@@ -84,7 +92,7 @@ std::string ToCsv(const MetricsRegistry& reg) {
     out += "counter," + name + ",value," + json::Num(c.value) + '\n';
   for (const auto& [name, g] : reg.gauges())
     out += "gauge," + name + ',' + ToString(g.mode) + ',' +
-           json::Num(g.value) + '\n';
+           CsvNum(g.value) + '\n';
   for (const auto& [name, h] : reg.histograms()) {
     out += "histogram," + name + ",count," + json::Num(h.count()) + '\n';
     out += "histogram," + name + ",sum," + json::Num(h.sum()) + '\n';
@@ -94,9 +102,9 @@ std::string ToCsv(const MetricsRegistry& reg) {
       // Derived latency-style quantiles from the log2 bins (see
       // BinnedQuantile for the pinned interpolation) so downstream
       // spreadsheets get p50/p95/p99 without re-deriving bins.
-      out += "histogram," + name + ",p50," + json::Num(h.Quantile(0.50)) + '\n';
-      out += "histogram," + name + ",p95," + json::Num(h.Quantile(0.95)) + '\n';
-      out += "histogram," + name + ",p99," + json::Num(h.Quantile(0.99)) + '\n';
+      out += "histogram," + name + ",p50," + CsvNum(h.Quantile(0.50)) + '\n';
+      out += "histogram," + name + ",p95," + CsvNum(h.Quantile(0.95)) + '\n';
+      out += "histogram," + name + ",p99," + CsvNum(h.Quantile(0.99)) + '\n';
     }
     for (int b = 0; b < Histogram::kBins; ++b) {
       if (h.bin(b) == 0) continue;

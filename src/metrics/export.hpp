@@ -7,7 +7,8 @@
 //           appending per-point sidecar records from the benches
 //   CSV   — kind,name,field,value rows
 // Doubles print with %.17g (round-trip exact), so equal doubles always
-// produce equal text.
+// produce equal text; JSON and JSONL write a non-finite double as null,
+// CSV as inf or nan.
 #pragma once
 
 #include <string>

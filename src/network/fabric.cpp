@@ -94,8 +94,12 @@ void Fabric::EnqueueTx(int channel_id, Tx tx) {
 void Fabric::PushTx(TxList& list, const Tx& tx) {
   std::uint32_t id = free_txs_;
   if (id != kNoTx) {
-    free_txs_ = txs_[id].next;
-    txs_[id] = TxNode{tx};
+    // Field by field: assigning a TxNode temporary makes the copy reload
+    // `tx`'s tail and `next` as one word just stored as two.
+    TxNode& node = txs_[id];
+    free_txs_ = node.next;
+    node.tx = tx;
+    node.next = kNoTx;
   } else {
     IRMC_EXPECT(txs_.size() < kNoTx);
     // A transmission per host queued at once.

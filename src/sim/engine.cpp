@@ -16,14 +16,12 @@ constexpr MetricSpec kSimMetrics[] = {
 Engine::Engine() = default;
 
 Cycles Engine::RunToQuiescence() {
-  while (queue_.RunNext()) {
-  }
+  queue_.RunUntil(kNever);
   return queue_.Now();
 }
 
 bool Engine::RunUntil(Cycles deadline) {
-  while (queue_.RunNext(deadline)) {
-  }
+  queue_.RunUntil(deadline);
   return queue_.Empty();
 }
 

@@ -14,19 +14,23 @@
 // bucket, so bucket order stays insertion order.
 //
 // Actions are stored inline (no heap allocation per event) in a recycled
-// slot arena; buckets and the heap hold 32-bit slot ids. The bucket ring
-// is a member array left uninitialised (a bucket is read only while its
-// occupancy bit is set, and setting the bit writes it), so a fresh queue
-// allocates and clears nothing. The slot arena is allocated on the first
-// event, at the size ReserveSlots asked for (the network sizes it from
-// its System), and doubles only beyond that; the heap grows on the first
-// far event.
+// slot arena of 64-byte slots; buckets and the heap hold 32-bit slot ids.
+// The bucket ring is a member array left uninitialised (a bucket is read
+// only while its occupancy bit is set, and setting the bit writes it), so
+// a fresh queue allocates and clears nothing. The slot arena is allocated
+// on the first event, at the size ReserveSlots asked for (the network
+// sizes it from its System), and doubles only beyond that; the heap grows
+// on the first far event.
 //
-// Dispatch costs one indirect call per event. RunNext recycles the
-// event's slot first, then Action::RunOnce moves the callable onto the
-// stack, destroys the source, runs the callable and destroys it. Nothing
-// touches the slot after the callable has moved out, so an event may
-// schedule into its own slot or grow the arena while it runs.
+// Dispatch. RunUntil finds the next timestamp once, then drains that
+// cycle's bucket until its occupancy bit clears; an event scheduled at
+// Now() during the drain joins the same bucket's tail and runs in the
+// same pass. RunNext runs one event through the same pop-and-run step.
+// That step recycles the event's slot first, then Action::RunOnce moves
+// the callable onto the stack, destroys the source, runs the callable
+// and destroys it: one indirect call per event. Nothing touches the slot
+// after the callable has moved out, so an event may schedule into its
+// own slot or grow the arena while it runs.
 #pragma once
 
 #include <array>
@@ -49,7 +53,9 @@ class EventQueue {
   /// capture an index or a pointer instead of a bulky value.
   class Action {
    public:
-    static constexpr std::size_t kInlineBytes = 64;
+    /// With the 8-byte ops pointer and the slot's 4-byte link, a slot
+    /// is exactly 64 bytes (one cache line's worth, not over-aligned).
+    static constexpr std::size_t kInlineBytes = 48;
 
     Action() noexcept = default;
 
@@ -66,7 +72,7 @@ class EventQueue {
       using Fn = std::decay_t<F>;
       static_assert(!std::is_same_v<Fn, Action>);
       static_assert(sizeof(Fn) <= kInlineBytes,
-                    "event capture exceeds the 64-byte inline buffer");
+                    "event capture exceeds the 48-byte inline buffer");
       static_assert(alignof(Fn) <= alignof(void*),
                     "over-aligned event captures are not supported");
       static_assert(std::is_nothrow_move_constructible_v<Fn>);
@@ -190,8 +196,15 @@ class EventQueue {
     first_slots_ = n > first_slots_ ? n : first_slots_;
   }
 
-  /// True when no events remain.
-  bool Empty() const { return size_ == 0; }
+  /// True when no events remain. There is no total count to keep in
+  /// step: GCC fused its decrement with in_window_'s into one 16-byte
+  /// load of two counters stored separately, a store-forwarding stall.
+  bool Empty() const { return in_window_ == 0 && overflow_.empty(); }
+
+  /// Runs every event due at or before `deadline`, those scheduled while
+  /// it runs included, in (time, insertion) order, advancing Now() to the
+  /// last one's timestamp. Each cycle's bucket is drained in one pass.
+  void RunUntil(Cycles deadline = kNever);
 
   /// Runs the next event if it is due at or before `deadline`, advancing
   /// Now() to its timestamp. Returns false, running nothing, when the
@@ -214,6 +227,8 @@ class EventQueue {
     Action action;  ///< empty while the slot is free
     std::uint32_t next = kNil;  ///< next in its bucket or the free list
   };
+  // Not over-aligned: alignas(64) ran no faster and grew the arena.
+  static_assert(sizeof(Slot) == 64, "48-byte capture, ops pointer, link");
   /// Indeterminate until Append sets its occupancy bit; read only
   /// while the bit is set.
   struct Bucket {
@@ -227,22 +242,54 @@ class EventQueue {
   };
 
   /// A free slot id, recycled first; its action is empty.
-  std::uint32_t NewSlot();
+  std::uint32_t NewSlot() {
+    if (free_ == kNil) return GrowSlots();
+    const std::uint32_t id = free_;
+    free_ = slots_[id].next;
+    return id;
+  }
+  /// Appends a new empty slot to the arena and returns its id.
+  std::uint32_t GrowSlots();
   /// Files a filled slot under `when`: its bucket, or the overflow heap.
-  void Insert(Cycles when, std::uint32_t id);
+  void Insert(Cycles when, std::uint32_t id) {
+    if (when - now_ < kWindow)
+      Append(static_cast<std::size_t>(when) & kMask, id);
+    else
+      PushOverflow(when, id);
+  }
   /// Appends `id` to the FIFO of bucket `b`.
-  void Append(std::size_t b, std::uint32_t id);
+  void Append(std::size_t b, std::uint32_t id) {
+    slots_[id].next = kNil;
+    Bucket& bucket = buckets_[b];
+    std::uint64_t& word = occupied_[b / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (b % 64);
+    if ((word & bit) != 0) {
+      slots_[bucket.tail].next = id;
+    } else {
+      bucket.head = id;
+      word |= bit;
+    }
+    bucket.tail = id;
+    ++in_window_;
+  }
+  /// Files `id` in the overflow heap (out of line: far events are rare).
+  void PushOverflow(Cycles when, std::uint32_t id);
   /// Moves the overflow events that fall inside the window into buckets.
   void Migrate();
   /// Timestamp of the next event. Requires !Empty().
   Cycles NextTime() const;
+  /// Sets Now() to `when`, the next event's time, migrating the overflow
+  /// events that enter the window.
+  void AdvanceTo(Cycles when);
+  /// Pops the head of occupied bucket `b` (clearing the bucket's bit if
+  /// that empties it), recycles its slot and runs its action.
+  void RunHead(std::size_t b);
 
   // The scalars every event reads come first, on adjacent cache lines;
   // the 16 KB bucket ring comes last.
   std::vector<Slot> slots_;
   std::uint32_t free_ = kNil;  ///< head of the free-slot list
   std::size_t in_window_ = 0;  ///< events held in buckets
-  std::size_t size_ = 0;       ///< events held in total
   Cycles now_ = 0;
   std::uint64_t overflow_seq_ = 0;
   std::uint64_t executed_ = 0;

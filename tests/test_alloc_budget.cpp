@@ -20,9 +20,11 @@
 //    peak, replaying the batch — every scheme, small and large
 //    multicasts, one- and four-packet messages — makes no allocation
 //    from its first event to quiescence, on either engine.
-//  * A launch allocates only the multicast's own state: on a warm
-//    driver, the live-table node that holds it, its per-node receive
-//    progress and its delivery list, whatever the scheme.
+//  * A launch on a warm driver allocates nothing, whatever the scheme:
+//    it reuses a retired multicast's pooled state, whose per-node receive
+//    progress and delivery list keep their capacity (the smallest
+//    delivery list that fits is taken). The first launch on a fresh
+//    driver allocates that state and the pool's tables once.
 //  * Planning costs what the plan emits. The k choice scores every
 //    candidate k on one flat scratch; a binomial or k-binomial plan
 //    allocates little beyond its children lists; a path-worm plan runs
@@ -390,13 +392,15 @@ TEST(AllocBudget, FlitHopsAllocateNothing) {
   EXPECT_EQ(HopReplayAllocations(EngineKind::kFlit), 0u);
 }
 
-/// What one Launch allocates: the live-table node that holds the
-/// multicast's state, its per-node receive progress and its delivery
-/// list. Read 4 while each multicast's state was a separate heap object,
+/// What one Launch on a warm driver allocates: nothing, since a retired
+/// multicast's state is reused with its per-node receive progress and a
+/// delivery list with room for the new destinations. Read 3 while each
+/// live multicast was a node of a hash map (the node, its per-node state
+/// and its delivery list), 4 while its state was a separate heap object,
 /// and 6 for path worms while they were indexed by sender.
-constexpr std::size_t kLaunchAllocations = 3;
+constexpr std::size_t kLaunchAllocations = 0;
 
-TEST(AllocBudget, LaunchAllocatesItsStateOnly) {
+TEST(AllocBudget, LaunchOnAWarmDriverAllocatesNothing) {
   const SimConfig cfg;
   const auto sys = System::Build(cfg.topology, 42);
   std::vector<McastPlan> plans = HopBatch(*sys);
@@ -404,7 +408,8 @@ TEST(AllocBudget, LaunchAllocatesItsStateOnly) {
   McastDriver driver(engine, *sys, cfg);
   std::size_t completed = 0;
   const auto count = [&completed](const MulticastResult&) { ++completed; };
-  // Warm the live table's buckets and the event arena with the batch.
+  // Warm the multicast pool, its index and the event arena with the
+  // batch.
   for (const McastPlan& plan : plans) driver.Launch(plan, engine.Now(), count);
   engine.RunToQuiescence();
   for (McastPlan& plan : plans) {
@@ -419,6 +424,32 @@ TEST(AllocBudget, LaunchAllocatesItsStateOnly) {
   }
   engine.RunToQuiescence();
   EXPECT_EQ(completed, 2 * plans.size());
+}
+
+/// What the first Launch on a fresh driver allocates: the pool's list,
+/// the multicast's pooled state, its per-node receive progress and its
+/// delivery list, the index of live multicasts, and the event arena.
+/// Read 5 with the hash-map live table, whose bucket array and node
+/// held what the pool's list, the state and the index hold now.
+constexpr std::size_t kFirstLaunchAllocations = 6;
+
+TEST(AllocBudget, FirstLaunchOnAFreshDriverSizesThePoolOnce) {
+  const SimConfig cfg;
+  const auto sys = System::Build(cfg.topology, 42);
+  std::size_t completed = 0;
+  const auto count = [&completed](const MulticastResult&) { ++completed; };
+  for (McastPlan& plan : HopBatch(*sys)) {
+    const SchemeKind scheme = plan.scheme;
+    const std::size_t dests = plan.dests.size();
+    Engine engine;
+    McastDriver driver(engine, *sys, cfg);
+    const std::size_t before = counting_new::Allocations();
+    driver.Launch(std::move(plan), 0, count);
+    EXPECT_EQ(counting_new::Allocations() - before, kFirstLaunchAllocations)
+        << ToString(scheme) << ", " << dests << " destinations";
+    engine.RunToQuiescence();
+  }
+  EXPECT_EQ(completed, 16u);
 }
 
 /// Upper bound on the allocations of one ChooseK call, whatever the

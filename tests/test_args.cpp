@@ -215,9 +215,18 @@ TEST(Args, UnconsumedKeysDetected) {
   EXPECT_EQ(leftover[0], "typo");
 }
 
-TEST(Args, StrayPositionalFlagged) {
+TEST(ArgsDeathTest, StrayPositionalNamedAsAnUnexpectedArgument) {
   const Args args = ParseVec({"single", "oops"});
-  EXPECT_FALSE(args.UnconsumedKeys().empty());
+  EXPECT_TRUE(args.UnconsumedKeys().empty());  // not an option
+  EXPECT_EXIT(args.RejectUnknown(), ::testing::ExitedWithCode(2),
+              "unexpected argument: oops\n$");
+}
+
+TEST(Args, PositionalsTakenAsOperandsAreNotRejected) {
+  const Args args = ParseVec({"summarize", "a.jsonl", "b.jsonl"});
+  EXPECT_EQ(args.Positionals(),
+            (std::vector<std::string>{"a.jsonl", "b.jsonl"}));
+  args.RejectUnknown();  // returns: both were taken
 }
 
 TEST(Args, GetChoiceAcceptsListedValueAndFallsBackWhenAbsent) {

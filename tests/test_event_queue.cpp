@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -112,6 +113,126 @@ TEST(EventQueue, JumpsAcrossAnEmptyWindow) {
   while (q.RunNext()) {
   }
   EXPECT_EQ(seen, (std::vector<Cycles>{1'000'000, 1'000'001, 3'000'000}));
+}
+
+// ---------------------------------------------------------------------------
+// The draining loop: RunUntil empties a cycle's bucket in one pass, so an
+// event scheduled at Now() during the pass must join that bucket's tail.
+// ---------------------------------------------------------------------------
+
+TEST(EventQueueDrain, SameTimeEventsRunAfterTheBucketInInsertionOrder) {
+  Engine e;
+  std::vector<char> order;
+  const auto log = [&order](char c) {
+    return [&order, c] { order.push_back(c); };
+  };
+  e.ScheduleAt(5, [&] {
+    order.push_back('a');
+    e.ScheduleAfter(0, log('x'));
+    e.ScheduleAfter(0, [&] {
+      order.push_back('y');
+      // The bucket's last event schedules into it once more.
+      e.ScheduleAfter(0, log('z'));
+    });
+  });
+  e.ScheduleAt(5, log('b'));
+  e.ScheduleAt(5, log('c'));
+  e.ScheduleAt(6, log('d'));
+  EXPECT_TRUE(e.RunUntil(6));
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c', 'x', 'y', 'z', 'd'}));
+  EXPECT_EQ(e.events_executed(), 7u);
+}
+
+TEST(EventQueueDrain, RunUntilRunsWhatIsDueAtTheDeadlineAndNothingLater) {
+  Engine e;
+  std::vector<Cycles> ran;
+  const auto stamp = [&] { ran.push_back(e.Now()); };
+  e.ScheduleAt(9, stamp);
+  e.ScheduleAt(10, [&] {
+    stamp();
+    e.ScheduleAfter(0, [&] {  // the only event left at 10
+      stamp();
+      e.ScheduleAfter(0, stamp);
+      e.ScheduleAfter(1, stamp);
+    });
+    e.ScheduleAfter(1, stamp);
+  });
+  EXPECT_FALSE(e.RunUntil(10));
+  EXPECT_EQ(ran, (std::vector<Cycles>{9, 10, 10, 10}));
+  EXPECT_EQ(e.Now(), 10);
+  EXPECT_TRUE(e.RunUntil(11));
+  EXPECT_EQ(ran, (std::vector<Cycles>{9, 10, 10, 10, 11, 11}));
+}
+
+TEST(EventQueueDrain, OverflowEventsAloneKeepTheQueueBusy) {
+  EventQueue q;
+  int fired = 0;
+  q.ScheduleAt(3 * kW, [&] { ++fired; });  // straight into the heap
+  EXPECT_FALSE(q.Empty());
+  q.ScheduleAt(1, [&] { ++fired; });
+  q.RunUntil(1);
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(q.Empty());  // the window is empty, the heap is not
+  q.RunUntil(3 * kW - 1);
+  EXPECT_EQ(fired, 1);
+  q.RunUntil();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(q.Now(), 3 * kW);
+  EXPECT_TRUE(q.Empty());
+}
+
+/// Runs a seeded program of events that spawn children at the same
+/// cycle, the next few cycles and beyond the window, driven by
+/// `drive(engine)` until it reports the engine idle; returns the ids in
+/// the order they ran.
+template <class Drive>
+std::vector<int> RunSpawningProgram(Drive drive) {
+  Engine e;
+  std::vector<int> ran;
+  int next_id = 0;
+  std::function<void(int)> fire = [&](int id) {
+    ran.push_back(id);
+    Rng rng(static_cast<std::uint64_t>(id) + 11);
+    const int kids = next_id < 3000 ? static_cast<int>(rng.NextBelow(4)) : 0;
+    for (int k = 0; k < kids; ++k) {
+      const Cycles delays[] = {0, 0, 1, 2, kW + 3};
+      const Cycles delay = delays[rng.NextBelow(5)];
+      const int child = next_id++;
+      e.ScheduleAfter(delay, [&fire, child] { fire(child); });
+    }
+  };
+  for (int i = 0; i < 20; ++i) {
+    const int id = next_id++;
+    // The last one runs long after every other event, alone in the heap.
+    const Cycles at = i == 19 ? 1'000'000 : i % 4 == 0 ? 2 * kW : i % 3;
+    e.ScheduleAt(at, [&fire, id] { fire(id); });
+  }
+  drive(e);
+  EXPECT_TRUE(e.Idle());
+  // Each scheduled event ran exactly once.
+  std::vector<int> ids = ran;
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids.size(), static_cast<std::size_t>(next_id));
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    EXPECT_EQ(ids[i], static_cast<int>(i));
+  return ran;
+}
+
+TEST(EventQueueDrain, StepAndRunUntilInterleave) {
+  const std::vector<int> drained = RunSpawningProgram([](Engine& e) {
+    e.RunToQuiescence();
+  });
+  const std::vector<int> mixed = RunSpawningProgram([](Engine& e) {
+    for (int round = 0; !e.Idle(); ++round) {
+      if (round % 3 == 0) {
+        e.RunUntil(e.Now() + round % 5);
+      } else {
+        EXPECT_TRUE(e.Step());
+      }
+    }
+  });
+  EXPECT_GT(drained.size(), 1000u);
+  EXPECT_EQ(mixed, drained);
 }
 
 // ---------------------------------------------------------------------------
@@ -311,12 +432,13 @@ TEST(ActionLifetime, CaptureOfExactlyTheInlineSizeFits) {
     std::uint64_t* out;
   };
   static_assert(sizeof(Capture) == EventQueue::Action::kInlineBytes);
+  constexpr std::size_t kLast = std::size(Capture{}.words) - 1;
   std::uint64_t seen = 0;
   Capture cap{};
-  cap.words[6] = 42;
+  cap.words[kLast] = 42;
   cap.out = &seen;
   EventQueue q;
-  q.ScheduleAt(kW + 1, [cap] { *cap.out = cap.words[6]; });
+  q.ScheduleAt(kW + 1, [cap] { *cap.out = cap.words[kLast]; });
   while (q.RunNext()) {
   }
   EXPECT_EQ(seen, 42u);
@@ -325,7 +447,7 @@ TEST(ActionLifetime, CaptureOfExactlyTheInlineSizeFits) {
 TEST(ActionLifetime, AnEventThatGrowsTheArenaReadsItsOwnCapture) {
   // The running event's slot is recycled before it runs, and scheduling
   // 10k events from inside it reuses that slot and reallocates the
-  // arena several times. Its 64-byte capture must still read intact
+  // arena several times. Its 48-byte capture must still read intact
   // afterwards: the callable ran from the stack, not from the slot.
   struct Capture {
     std::uint64_t words[EventQueue::Action::kInlineBytes / 8 - 2];

@@ -144,7 +144,7 @@ std::uint64_t EngineRun(EngineKind kind, Traffic traffic, int buffer_flits,
         pkt.tree_dests = NodeSet::FromVector(nodes, dests);
         pkt.header_flits = HeaderSizing{}.TreeWormFlits(nodes);
       }
-      // An event capture holds at most 64 bytes: the packet waits in
+      // An event capture holds at most 48 bytes: the packet waits in
       // `sends` and the event carries its index.
       sends.push_back(std::move(pkt));
       engine.ScheduleAt(t, [&net, &sends, i = sends.size() - 1, src, t]() {

@@ -9,7 +9,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <utility>
+
+#include "metrics/export.hpp"
+#include "metrics/metrics.hpp"
 
 namespace irmc {
 namespace {
@@ -36,6 +41,12 @@ TEST(Num, IntegersAreExactAndDoublesRoundTrip) {
     EXPECT_EQ(std::strtod(s.c_str(), nullptr), v) << s;
   }
   EXPECT_EQ(json::Num(0.3), "0.29999999999999999");
+}
+
+TEST(Num, NonFiniteDoublesWriteNull) {
+  EXPECT_EQ(json::Num(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json::Num(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json::Num(std::numeric_limits<double>::quiet_NaN()), "null");
 }
 
 TEST(Parse, RoundTripsObjectsPreservingKeyOrder) {
@@ -94,6 +105,73 @@ TEST(Parse, RejectsMalformedInputWithOffset) {
   EXPECT_FALSE(json::Parse("\"bad \\u00zz escape\"", &v, &error));
   EXPECT_FALSE(json::Parse("nope", &v, &error));
   EXPECT_FALSE(json::Parse("", &v, &error));
+}
+
+TEST(Parse, TakesRfc8259NumbersOnly) {
+  json::Value v;
+  std::string error;
+  // strtod takes every one of these; JSON takes none, alone or as a
+  // member or element.
+  for (const std::string token :
+       {"0x10", "+3", ".5", "01", "1.", "inf", "nan", "-0x1", "NaN",
+        "Infinity", "-inf", "1e", "1e+", "-", "1.e5", "00"}) {
+    EXPECT_FALSE(json::Parse(token, &v, &error)) << token;
+    EXPECT_FALSE(json::Parse("[" + token + "]", &v, &error)) << token;
+    EXPECT_FALSE(json::Parse("{\"a\":" + token + "}", &v, &error)) << token;
+  }
+  EXPECT_FALSE(json::Parse("1.", &v, &error));
+  EXPECT_NE(error.find("offset 2"), std::string::npos) << error;
+
+  const std::pair<const char*, double> good[] = {
+      {"0", 0.0},
+      {"-0", -0.0},
+      {"7", 7.0},
+      {"-12", -12.0},
+      {"0.5", 0.5},
+      {"10.25", 10.25},
+      {"1e3", 1000.0},
+      {"1E+2", 100.0},
+      {"-2.5e-3", -2.5e-3},
+      {"0.29999999999999999", 0.3},
+      {"9007199254740993", 9007199254740992.0},
+  };
+  for (const auto& [text, want] : good) {
+    ASSERT_TRUE(json::Parse(text, &v, &error)) << text << ": " << error;
+    EXPECT_TRUE(v.IsNumber()) << text;
+    EXPECT_EQ(v.number, want) << text;
+    ASSERT_TRUE(json::Parse(std::string("[") + text + ",1]", &v, &error))
+        << text << ": " << error;
+    EXPECT_EQ(v.array.at(0).number, want) << text;
+  }
+}
+
+TEST(Parse, RegistryWithNonFiniteGaugesRoundTrips) {
+  MetricsRegistry reg;
+  reg.GetGauge("g.inf").Set(std::numeric_limits<double>::infinity());
+  reg.GetGauge("g.nan").Set(std::numeric_limits<double>::quiet_NaN());
+  reg.GetGauge("g.ok").Set(1.5);
+  json::Value v;
+  std::string error;
+  ASSERT_TRUE(json::Parse(ToJson(reg), &v, &error)) << error;
+  const json::Value* gauges = v.Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  for (const char* name : {"g.inf", "g.nan"}) {
+    ASSERT_NE(gauges->Find(name), nullptr) << name;
+    const json::Value* value = gauges->Find(name)->Find("value");
+    ASSERT_NE(value, nullptr) << name;
+    EXPECT_EQ(value->kind, json::Value::Kind::kNull) << name;
+  }
+  EXPECT_EQ(gauges->Find("g.ok")->NumAt("value", 0.0), 1.5);
+  // Every JSON-lines record parses too; CSV cells keep their text.
+  const std::string lines = ToJsonLines(reg);
+  std::size_t begin = 0;
+  for (std::size_t end; (end = lines.find('\n', begin)) != std::string::npos;
+       begin = end + 1)
+    EXPECT_TRUE(json::Parse(lines.substr(begin, end - begin), &v, &error))
+        << error;
+  const std::string csv = ToCsv(reg);
+  EXPECT_NE(csv.find("gauge,g.inf,sum,inf\n"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("gauge,g.nan,sum,nan\n"), std::string::npos) << csv;
 }
 
 }  // namespace

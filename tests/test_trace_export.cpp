@@ -100,6 +100,20 @@ TEST(JsonLines, ParseRejectsOutOfRangeFieldsAndTrailingText) {
   }
 }
 
+TEST(JsonLines, ParseRejectsNonJsonNumbers) {
+  // strtod reads "0x10" as 16; a trace record holds JSON numbers only.
+  for (const std::string actor : {"0x10", "+3", "01", ".5", "1.", "inf"}) {
+    const std::string line =
+        "{\"trial\":0,\"time\":1,\"kind\":\"inject\",\"mcast\":0,"
+        "\"pkt\":0,\"actor\":" +
+        actor + ",\"detail\":-1}\n";
+    Tracer out;
+    std::string error;
+    EXPECT_FALSE(ParseTraceJsonLines(line, &out, &error)) << line;
+    EXPECT_EQ(out.size(), 0u) << line;
+  }
+}
+
 TEST(ChromeTrace, HasMetadataSlicesAndInstants) {
   const std::string json = ToChromeTrace(SampleTrace());
   // Perfetto-loadable envelope.
