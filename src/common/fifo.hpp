@@ -10,10 +10,6 @@
 // shrinks: pushes and pops are amortised O(1), and a queue that keeps
 // being refilled stops allocating. Only live elements are constructed,
 // so move-only elements (EventQueue::Action) are destroyed exactly once.
-//
-// erase(i) removes one element from anywhere and keeps the order of the
-// rest: the VCT fabric grants the longest-ready transmission, which
-// need not be the front one.
 #pragma once
 
 #include <cstddef>
@@ -84,22 +80,6 @@ class Fifo {
     std::destroy_at(ring_ + head_);
     head_ = (head_ + 1) & (cap_ - 1);
     --size_;
-  }
-
-  /// Removes the i-th element; the others keep their order. The shorter
-  /// side of the ring shifts over the gap.
-  void erase(std::size_t i) {
-    IRMC_EXPECT(i < size_);
-    if (i < size_ / 2) {
-      for (std::size_t k = i; k > 0; --k)
-        (*this)[k] = std::move((*this)[k - 1]);
-      pop_front();
-    } else {
-      for (std::size_t k = i; k + 1 < size_; ++k)
-        (*this)[k] = std::move((*this)[k + 1]);
-      std::destroy_at(ring_ + Slot(size_ - 1));
-      --size_;
-    }
   }
 
  private:

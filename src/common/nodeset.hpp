@@ -143,13 +143,17 @@ class NodeSet {
     if (num_words() > kInlineWords)
       heap_ = std::make_unique<std::uint64_t[]>(num_words());  // zeroed
   }
+  /// Keyed on the size, not on `o.heap_`, so the compiler sees that a
+  /// copy of an inline set never reaches the heap path.
   NodeSet(const NodeSet& o)
       : num_bits_(o.num_bits_),
         inline_(o.inline_),
-        heap_(o.heap_ ? std::make_unique_for_overwrite<std::uint64_t[]>(
-                            o.num_words())
-                      : nullptr) {
-    if (heap_) std::copy_n(o.heap_.get(), num_words(), heap_.get());
+        heap_(o.num_words() > kInlineWords
+                  ? std::make_unique_for_overwrite<std::uint64_t[]>(
+                        o.num_words())
+                  : nullptr) {
+    if (num_words() > kInlineWords)
+      std::copy_n(o.heap_.get(), num_words(), heap_.get());
   }
   /// A moved-from set is empty with capacity 0.
   NodeSet(NodeSet&& o) noexcept

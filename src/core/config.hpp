@@ -10,7 +10,6 @@
 #include "common/args.hpp"
 #include "common/types.hpp"
 #include "network/network_model.hpp"
-#include "resilience/params.hpp"
 #include "topology/generator.hpp"
 
 namespace irmc {
@@ -88,9 +87,6 @@ struct SimConfig {
   /// honour `net` (the flit engine additionally uses buffer_flits and
   /// deadlock_horizon). See docs/engines.md.
   EngineKind engine = EngineKind::kVct;
-  /// Runtime fault injection + recovery (docs/resilience.md). Off by
-  /// default; a zero-fault enabled config reproduces pristine latencies.
-  ResilienceParams resilience;
   std::uint64_t seed = 1;
 
   /// Cycle time in nanoseconds, used only for human-readable reports.

@@ -22,15 +22,6 @@ constexpr MetricSpec kDriverMetrics[] = {
     {MetricKind::kCounter, "io.dma_transfers"},
 };
 
-/// The resilience family, bound only with resilience on.
-constexpr MetricSpec kDriverResilienceMetrics[] = {
-    {MetricKind::kCounter, "resilience.drops"},
-    {MetricKind::kCounter, "resilience.retransmits"},
-    {MetricKind::kCounter, "resilience.duplicates"},
-    {MetricKind::kCounter, "resilience.acks"},
-    {MetricKind::kCounter, "resilience.degraded_deliveries"},
-};
-
 /// The free list of an Exec whose delivery list has room for `room`:
 /// floor(log2(room)), 0 for none, capped at the last of `lists`.
 int FreeList(std::size_t room, int lists) {
@@ -43,7 +34,7 @@ int FreeList(std::size_t room, int lists) {
 McastDriver::McastDriver(Engine& engine, const System& sys,
                          const SimConfig& cfg, Tracer* tracer,
                          MetricsRegistry* metrics)
-    : engine_(engine), sys_(&sys), cfg_(cfg), tracer_(tracer) {
+    : engine_(engine), sys_(sys), cfg_(cfg), tracer_(tracer) {
   if (metrics) {
     const MetricSlots slots = metrics->Bind(kDriverMetrics);
     m_.has = true;
@@ -67,23 +58,6 @@ McastDriver::McastDriver(Engine& engine, const System& sys,
         OnDeliver(n, pkt, head, tail);
       },
       tracer, metrics);
-  if (cfg_.resilience.enabled) {
-    if (metrics) {
-      const MetricSlots slots = metrics->Bind(kDriverResilienceMetrics);
-      m_.r_drops = &slots.counter(0);
-      m_.r_retransmits = &slots.counter(1);
-      m_.r_duplicates = &slots.counter(2);
-      m_.r_acks = &slots.counter(3);
-      m_.r_degraded = &slots.counter(4);
-    }
-    network_->SetDropHandler(
-        [this](const Packet& pkt, Cycles now, SwitchId where) {
-          OnDrop(pkt, now, where);
-        });
-    resilience_ = std::make_unique<ResilienceManager>(
-        engine, *network_, sys, cfg_, tracer, metrics,
-        [this](const System& s) { sys_ = &s; });
-  }
 }
 
 std::int64_t McastDriver::Launch(McastPlan plan, Cycles when, DoneFn done,
@@ -92,7 +66,7 @@ std::int64_t McastDriver::Launch(McastPlan plan, Cycles when, DoneFn done,
   const MessageShape shape = plan.shape.value_or(cfg_.message);
   IRMC_EXPECT_MSG(shape.Valid(), "message of %d packets x %d flits",
                   shape.num_packets, shape.packet_flits);
-  Exec& exec = NewExec(std::move(plan), shape, when, -1);
+  Exec& exec = NewExec(std::move(plan), shape, when);
   exec.done = std::move(done);
   exec.delivered = std::move(delivered);
   if (m_.has) {
@@ -104,16 +78,15 @@ std::int64_t McastDriver::Launch(McastPlan plan, Cycles when, DoneFn done,
 }
 
 McastDriver::Exec& McastDriver::NewExec(McastPlan&& plan, MessageShape shape,
-                                        Cycles start, std::int64_t parent) {
+                                        Cycles start) {
   // The first index holds as many live multicasts as there are nodes.
   if (index_.empty())
-    index_.assign(std::bit_ceil(static_cast<std::size_t>(sys_->num_nodes())),
+    index_.assign(std::bit_ceil(static_cast<std::size_t>(sys_.num_nodes())),
                   nullptr);
-  Exec& exec = TakeExec(parent >= 0 ? 0 : plan.dests.size());
+  Exec& exec = TakeExec(plan.dests.size());
   exec.id = next_id_++;
   Index(exec);
   ++live_;
-  exec.parent = parent;
   exec.plan = std::move(plan);
   exec.shape = shape;
   exec.start = start;
@@ -123,25 +96,9 @@ McastDriver::Exec& McastDriver::NewExec(McastPlan&& plan, MessageShape shape,
   exec.result.completion = 0;
   exec.result.num_dests = exec.remaining;
   exec.result.deliveries.clear();
-  exec.repairs.clear();
-  exec.acked_count = 0;
-  exec.attempts = 0;
-  exec.repair_pending = false;
   exec.next_free = nullptr;
-  if (parent >= 0) {  // a repair wave credits its parent
-    exec.nstate.clear();
-    exec.acked.clear();
-    exec.got.clear();
-    return exec;
-  }
   exec.result.deliveries.reserve(std::bit_ceil(exec.plan.dests.size()));
-  const auto nodes = static_cast<std::size_t>(sys_->num_nodes());
-  exec.nstate.assign(nodes, NodeState{});
-  if (cfg_.resilience.enabled) {
-    exec.acked.assign(nodes, false);
-    exec.got.assign(nodes * static_cast<std::size_t>(shape.num_packets),
-                    false);
-  }
+  exec.nstate.assign(static_cast<std::size_t>(sys_.num_nodes()), NodeState{});
   return exec;
 }
 
@@ -242,7 +199,7 @@ void McastDriver::StartSource(const Exec& exec) {
       // back — still a single phase, one host send overhead.
       const auto& regions = exec.plan.tree_regions;
       const std::size_t worms = regions.empty() ? 1 : regions.size();
-      const int nodes = sys_->num_nodes();
+      const int nodes = sys_.num_nodes();
       if (m_.has) m_.worms->Add(static_cast<std::int64_t>(worms));
       SendMessage(exec, root, now, -1, [&](int j, Cycles ready) {
         for (std::size_t r = 0; r < worms; ++r) {
@@ -315,47 +272,20 @@ int McastDriver::SendWormsOf(const Exec& exec, NodeId sender,
 
 void McastDriver::OnDeliver(NodeId n, const Packet& pkt, Cycles head,
                             Cycles tail) {
+  // The network is lossless: every delivery belongs to a live multicast.
   Exec* exec = Find(pkt.mcast_id);
-  if (exec == nullptr) {
-    // Only a retired resilience family leaves stragglers (a redundant
-    // repair still in flight when the last ack landed); the pristine
-    // contract — every delivery belongs to a live multicast — stands.
-    IRMC_ENSURE(cfg_.resilience.enabled);
-    return;
-  }
+  IRMC_ENSURE_MSG(exec != nullptr,
+                  "delivery for multicast %lld, which the driver does not hold",
+                  static_cast<long long>(pkt.mcast_id));
   HandlePacketAt(*exec, n, pkt, head, tail);
-}
-
-McastDriver::Exec& McastDriver::AcctOf(Exec& exec) {
-  if (exec.parent < 0) return exec;
-  Exec* parent = Find(exec.parent);
-  IRMC_ENSURE(parent != nullptr);  // repairs retire with their parent
-  return *parent;
 }
 
 void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt,
                                  Cycles head, Cycles tail) {
-  // Delivery accounting rolls up to the original multicast; `exec` (a
-  // repair wave or the original itself) keeps the forwarding duties.
-  Exec& acct = AcctOf(exec);
-  NodeState& st = acct.nstate[static_cast<std::size_t>(n)];
-  if (cfg_.resilience.enabled) {
-    // Receiver dedup: repair waves over-cover (a drop report's
-    // destination set is an over-estimate, and repairs re-send whole
-    // messages), so the NI swallows already-accepted packets.
-    const auto bit =
-        static_cast<std::size_t>(n) *
-            static_cast<std::size_t>(acct.shape.num_packets) +
-        static_cast<std::size_t>(pkt.pkt_index);
-    if (st.delivered || acct.got[bit]) {
-      if (m_.has) m_.r_duplicates->Add();
-      return;
-    }
-    acct.got[bit] = true;
-  }
+  NodeState& st = exec.nstate[static_cast<std::size_t>(n)];
   const bool first = (st.pkts == 0);
   ++st.pkts;
-  IRMC_ENSURE(st.pkts <= acct.shape.num_packets);
+  IRMC_ENSURE(st.pkts <= exec.shape.num_packets);
   NodeRuntime& nr = node(n);
   const HostParams& hp = cfg_.host;
 
@@ -398,50 +328,37 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt,
     m_.io_dma_transfers->Add();
   }
 
-  if (st.pkts == acct.shape.num_packets) {
+  if (st.pkts == exec.shape.num_packets) {
     // Whole message in host memory: per-message host receive overhead.
     const Cycles delivered =
         nr.host_cpu.Reserve(st.last_dma, hp.o_host) + hp.o_host;
     if (m_.has) m_.host_cycles->Add(hp.o_host);
-    const std::int64_t acct_id = acct.id;
-    const std::int64_t wave_id = exec.id;
-    engine_.ScheduleAt(delivered, [this, acct_id, wave_id, n, delivered]() {
-      HandleDelivered(acct_id, wave_id, n, delivered);
+    engine_.ScheduleAt(delivered, [this, id = exec.id, n, delivered]() {
+      HandleDelivered(id, n, delivered);
     });
   }
 }
 
-void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
-                                  NodeId n, Cycles when) {
-  Exec* found = Find(acct_id);
+void McastDriver::HandleDelivered(std::int64_t id, NodeId n, Cycles when) {
+  Exec* found = Find(id);
   IRMC_ENSURE(found != nullptr);
   Exec& exec = *found;
   NodeState& st = exec.nstate[static_cast<std::size_t>(n)];
   IRMC_ENSURE(!st.delivered);
   st.delivered = true;
-  TraceHost(TraceKind::kHostDeliver, acct_id, n, -1);
+  TraceHost(TraceKind::kHostDeliver, id, n, -1);
   exec.result.deliveries.emplace_back(n, when);
   exec.result.completion = std::max(exec.result.completion, when);
   --exec.remaining;
   if (exec.delivered) exec.delivered(n, when);
-  if (cfg_.resilience.enabled) {
-    if (m_.has && resilience_ && resilience_->degraded())
-      m_.r_degraded->Add();
-    // Out-of-band delivery ack back to the root (modelled reliable).
-    engine_.ScheduleAt(when + ResilienceParams::ack_delay,
-                       [this, acct_id, n]() { OnAck(acct_id, n); });
-  }
 
-  // Forwarding duties after full receipt, per the plan of the wave whose
-  // packet completed the message (for a repair, its re-planned subtree).
-  // Each host-level forwarding step after a delivery is one
-  // communication phase of the scheme.
-  const Exec* wave = wave_id == acct_id ? &exec : Find(wave_id);
+  // Forwarding duties after full receipt. Each host-level forwarding
+  // step after a delivery is one communication phase of the scheme.
   int sent = 0;
-  if (wave != nullptr && wave->plan.scheme == SchemeKind::kUnicastBinomial)
-    sent = SendToChildren(*wave, n, when);
-  if (wave != nullptr && wave->plan.scheme == SchemeKind::kPathWorm)
-    sent = SendWormsOf(*wave, n, when);
+  if (exec.plan.scheme == SchemeKind::kUnicastBinomial)
+    sent = SendToChildren(exec, n, when);
+  if (exec.plan.scheme == SchemeKind::kPathWorm)
+    sent = SendWormsOf(exec, n, when);
   if (m_.has && sent > 0) m_.forward_phases->Add();
 
   if (exec.remaining == 0) {
@@ -451,90 +368,10 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
     }
     if (exec.done) exec.done(exec.result);
     // Defer destruction: we may still be inside this exec's call chain.
-    // In resilience mode the family instead retires when the last ack
-    // returns to the root (CleanupFamily).
-    if (!cfg_.resilience.enabled) {
-      engine_.ScheduleAfter(0, [this, acct_id]() {
-        if (Exec* finished = Find(acct_id)) Retire(*finished);
-      });
-    }
+    engine_.ScheduleAfter(0, [this, id]() {
+      if (Exec* finished = Find(id)) Retire(*finished);
+    });
   }
-}
-
-void McastDriver::OnDrop(const Packet& pkt, Cycles now, SwitchId where) {
-  if (tracer_)
-    tracer_->Record(TraceEvent{now, TraceKind::kDrop, pkt.mcast_id,
-                               pkt.pkt_index, pkt.src, where});
-  if (m_.has) m_.r_drops->Add();
-  Exec* exec = Find(pkt.mcast_id);
-  if (exec == nullptr) return;  // family already retired
-  Exec& acct = AcctOf(*exec);
-  if (acct.repair_pending) return;  // a repair chain is already running
-  acct.repair_pending = true;
-  // Expedite the first repair: wait out fault detection and any pending
-  // reconfiguration (a repair planned on the broken tables would mostly
-  // drop again), then re-send. Later rounds come from the backoff timer.
-  Cycles at = now + ResilienceParams::detection_delay;
-  if (resilience_) at = std::max(at, resilience_->SafeRepairTime(now));
-  const std::int64_t id = acct.id;
-  engine_.ScheduleAt(at, [this, id]() { RepairRound(id); });
-}
-
-void McastDriver::OnAck(std::int64_t id, NodeId n) {
-  Exec* found = Find(id);
-  if (found == nullptr) return;
-  Exec& exec = *found;
-  if (exec.acked[static_cast<std::size_t>(n)]) return;
-  exec.acked[static_cast<std::size_t>(n)] = true;
-  ++exec.acked_count;
-  if (m_.has) m_.r_acks->Add();
-  if (exec.acked_count == exec.result.num_dests) CleanupFamily(id);
-}
-
-void McastDriver::RepairRound(std::int64_t id) {
-  Exec* found = Find(id);
-  if (found == nullptr) return;
-  Exec& acct = *found;
-  // Unacked = possibly-lost. A destination that delivered but whose ack
-  // is still in flight gets harmlessly re-covered (its NI dedups).
-  std::vector<NodeId> missing;
-  for (NodeId n : acct.plan.dests)
-    if (!acct.acked[static_cast<std::size_t>(n)]) missing.push_back(n);
-  if (missing.empty()) return;  // chain ends; family retires on last ack
-  ++acct.attempts;
-  IRMC_ENSURE(acct.attempts <= ResilienceParams::max_retransmits &&
-              "resilience: retransmit cap exceeded — faults outran recovery");
-  if (m_.has) m_.r_retransmits->Add();
-  LaunchRepairWave(acct, missing);
-  // Next round after an exponentially backed-off timeout (no-op once
-  // everything acks).
-  const Cycles wait = ResilienceParams::retransmit_timeout
-                      << std::min(acct.attempts - 1, 20);
-  engine_.ScheduleAfter(wait, [this, id]() { RepairRound(id); });
-}
-
-void McastDriver::LaunchRepairWave(Exec& acct,
-                                   const std::vector<NodeId>& missing) {
-  // Scheme-aware repair: re-plan on the *current* System (post-swap
-  // tables), so a k-binomial repair is a fresh subtree over the missing
-  // set and a worm repair is a re-planned, re-injected worm.
-  const auto scheme = MakeScheme(acct.plan.scheme, cfg_.host);
-  Exec& wave = NewExec(
-      scheme->Plan(*sys_, acct.plan.root, missing, acct.shape, cfg_.headers),
-      acct.shape, engine_.Now(), acct.id);
-  acct.repairs.push_back(wave.id);
-  StartSource(wave);
-}
-
-void McastDriver::CleanupFamily(std::int64_t id) {
-  // Defer: the last ack may still be inside this family's call chain.
-  engine_.ScheduleAfter(0, [this, id]() {
-    Exec* exec = Find(id);
-    if (exec == nullptr) return;
-    for (std::int64_t r : exec->repairs)
-      if (Exec* wave = Find(r)) Retire(*wave);
-    Retire(*exec);
-  });
 }
 
 }  // namespace irmc

@@ -30,7 +30,6 @@
 #include "mcast/scheme.hpp"
 #include "metrics/metrics.hpp"
 #include "network/network_model.hpp"
-#include "resilience/manager.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
 #include "topology/system.hpp"
@@ -90,9 +89,9 @@ class McastDriver {
     bool delivered = false;
     Cycles last_dma = 0;
   };
-  /// One live multicast or repair wave, in the pool. Retiring drops its
-  /// plan and callbacks; reuse sets every other field again, and its
-  /// vectors keep their capacity.
+  /// One live multicast, in the pool. Retiring drops its plan and
+  /// callbacks; reuse sets every other field again, and its vectors keep
+  /// their capacity.
   struct Exec {
     std::int64_t id = -1;  ///< -1 while retired
     McastPlan plan;
@@ -101,35 +100,18 @@ class McastDriver {
     DoneFn done;
     DeliveredFn delivered;
     int remaining = 0;
-    /// Indexed by NodeId; sized at launch (originals only — a repair
-    /// wave's accounting lives in its parent).
+    /// Indexed by NodeId; sized at launch.
     std::vector<NodeState> nstate;
     MulticastResult result;
-    // --- reliable delivery (resilience mode only) ---
-    /// Repair waves set this to the original multicast they credit;
-    /// delivery/dedup accounting lives in that parent Exec.
-    std::int64_t parent = -1;
-    std::vector<std::int64_t> repairs;  ///< repair-wave ids (parent only)
-    std::vector<bool> acked;  ///< per-node ack received at the root
-    /// Receiver dedup, bit [node * num_packets + pkt_index]: packets a
-    /// node already accepted. Repeats — repair overlap — are swallowed
-    /// at the NI before any resource cost.
-    std::vector<bool> got;
-    int acked_count = 0;
-    int attempts = 0;          ///< repair rounds launched so far
-    bool repair_pending = false;  ///< a repair timer chain is running
-    Exec* next_free = nullptr;    ///< its free list, while retired
+    Exec* next_free = nullptr;  ///< its free list, while retired
   };
 
   NodeRuntime& node(NodeId n) {
     return nodes_[static_cast<std::size_t>(n)];
   }
 
-  /// A live multicast or repair wave (`parent` >= 0) starting at
-  /// `start`, a retired Exec reused first. Only originals hold delivery
-  /// accounting.
-  Exec& NewExec(McastPlan&& plan, MessageShape shape, Cycles start,
-                std::int64_t parent);
+  /// A live multicast starting at `start`, a retired Exec reused first.
+  Exec& NewExec(McastPlan&& plan, MessageShape shape, Cycles start);
   /// A retired Exec whose delivery list has room for `dests` (the
   /// smallest such), else the roomiest retired one, else a new one.
   Exec& TakeExec(std::size_t dests);
@@ -148,27 +130,7 @@ class McastDriver {
   void OnDeliver(NodeId n, const Packet& pkt, Cycles head, Cycles tail);
   void HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt, Cycles head,
                       Cycles tail);
-  /// `wave_id` names the Exec whose plan carries the forwarding duties
-  /// (a repair wave or `acct_id` itself); accounting is on `acct_id`.
-  void HandleDelivered(std::int64_t acct_id, std::int64_t wave_id, NodeId n,
-                       Cycles when);
-
-  // --- NI reliable-delivery layer (resilience mode only) ---
-  /// The Exec delivery accounting rolls up to (the wave's original).
-  Exec& AcctOf(Exec& exec);
-  /// Engine drop report: trace + count, then expedite the first repair.
-  void OnDrop(const Packet& pkt, Cycles now, SwitchId where);
-  /// Out-of-band delivery ack arriving back at the root.
-  void OnAck(std::int64_t id, NodeId n);
-  /// One timeout round: re-plan the unacked remainder on the current
-  /// System and re-send it; arms the next round with exponential
-  /// backoff. No-op once everything is acked.
-  void RepairRound(std::int64_t id);
-  /// Plans (scheme-aware, on the *current* System) and launches one
-  /// repair wave to `missing` as a child Exec crediting `acct`.
-  void LaunchRepairWave(Exec& acct, const std::vector<NodeId>& missing);
-  /// Retires a fully-acked multicast and its repair waves.
-  void CleanupFamily(std::int64_t id);
+  void HandleDelivered(std::int64_t id, NodeId n, Cycles when);
 
   /// One message-level send at u, no earlier than `earliest`
   /// (docs/MODEL.md §2): o_host on u's host CPU, then o_ni on its NI,
@@ -215,27 +177,18 @@ class McastDriver {
     Counter* ni_forward_copies = nullptr;///< ni.forward_copies
     Counter* io_dma_cycles = nullptr;    ///< io.dma_cycles
     Counter* io_dma_transfers = nullptr; ///< io.dma_transfers
-    // Resilience family (resolved only when cfg.resilience.enabled).
-    Counter* r_drops = nullptr;       ///< resilience.drops
-    Counter* r_retransmits = nullptr; ///< resilience.retransmits
-    Counter* r_duplicates = nullptr;  ///< resilience.duplicates
-    Counter* r_acks = nullptr;        ///< resilience.acks
-    Counter* r_degraded = nullptr;    ///< resilience.degraded_deliveries
   };
 
   Engine& engine_;
-  const System* sys_;  ///< re-pointed on Autonet reconfiguration
+  const System& sys_;
   SimConfig cfg_;
   Tracer* tracer_;
   DriverMetrics m_;
   std::vector<NodeRuntime> nodes_;
   std::unique_ptr<NetworkModel> network_;
-  /// Non-null only when cfg.resilience.enabled (docs/resilience.md).
-  std::unique_ptr<ResilienceManager> resilience_;
   /// Every Exec made so far (as many as were ever live at once), each in
   /// its own allocation, so an Exec keeps its address while the pool
-  /// grows: LaunchRepairWave holds its parent across NewExec, and a done
-  /// callback may Launch.
+  /// grows: a done callback may Launch.
   std::vector<std::unique_ptr<Exec>> pool_;
   /// Retired Execs, in lists linked through next_free: list k > 0 holds
   /// those whose delivery list has room for 2^k to 2^(k+1) - 1, list 0

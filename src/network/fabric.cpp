@@ -50,7 +50,7 @@ std::uint32_t Fabric::NewPacket(Packet&& pkt) {
   if (free_packets_.empty()) {
     IRMC_EXPECT(packets_.size() < ~std::uint32_t{0});
     // A packet per host in flight at once.
-    const auto hosts = static_cast<std::size_t>(sys_->num_nodes());
+    const auto hosts = static_cast<std::size_t>(sys_.num_nodes());
     ReserveFirst(packets_, hosts);
     ReserveFirst(free_packets_, hosts);
     packets_.push_back(std::move(pkt));
@@ -80,12 +80,6 @@ void Fabric::CollectEngineMetrics() {
 }
 
 void Fabric::EnqueueTx(int channel_id, Tx tx) {
-  if (channel(channel_id).dead_since != kNever) {
-    // The link died before this branch could even queue (a pre-swap
-    // route still naming the dead port).
-    DropTx(channel_id, tx);
-    return;
-  }
   PushTx(lane(channel_id).queue, tx);
   ++backlog_;
   Pump(channel_id);
@@ -103,7 +97,7 @@ void Fabric::PushTx(TxList& list, const Tx& tx) {
   } else {
     IRMC_EXPECT(txs_.size() < kNoTx);
     // A transmission per host queued at once.
-    ReserveFirst(txs_, static_cast<std::size_t>(sys_->num_nodes()));
+    ReserveFirst(txs_, static_cast<std::size_t>(sys_.num_nodes()));
     id = static_cast<std::uint32_t>(txs_.size());
     txs_.push_back(TxNode{tx});
   }
@@ -128,11 +122,6 @@ Fabric::Tx Fabric::UnlinkTx(TxList& list, std::uint32_t prev,
   node.next = free_txs_;
   free_txs_ = id;
   return out;
-}
-
-void Fabric::DropTx(int channel_id, const Tx& tx) {
-  ReportDrop(TakePacket(tx.pkt), SwitchOfPort(channel_id));
-  ReleaseSrcBuffer(tx.src_buffer);
 }
 
 int Fabric::NewBuffered(int feeder) {
@@ -172,18 +161,6 @@ void Fabric::ReturnCredit(int channel_id) {
       0, [this, channel_id, tx]() { StartTx(channel_id, tx); });
 }
 
-void Fabric::CutChannels(std::span<const int> dead) {
-  for (int cid : dead) {
-    // Detach the whole queue before the first drop (a drop handler sees
-    // the channel empty), then drop front to back. The active
-    // transmission keeps `pumping`.
-    TxList doomed = std::exchange(lane(cid).queue, TxList{});
-    backlog_ -= doomed.size;
-    while (doomed.head != kNoTx)
-      DropTx(cid, UnlinkTx(doomed, kNoTx, doomed.head));
-  }
-}
-
 void Fabric::Pump(int channel_id) {
   // Defer the grant decision to the earliest cycle a queued transmission
   // becomes ready. Same-cycle contenders are all queued by then (their
@@ -208,7 +185,6 @@ void Fabric::Pump(int channel_id) {
 }
 
 void Fabric::Pick(int channel_id) {
-  if (channel(channel_id).dead_since != kNever) return;  // FailLink drained it
   Lane& c = lane(channel_id);
   if (c.pumping || c.queue.head == kNoTx) return;  // a rival pick won
   const Cycles now = engine_.Now();
@@ -255,15 +231,6 @@ void Fabric::Pick(int channel_id) {
 }
 
 void Fabric::StartTx(int channel_id, Tx tx) {
-  if (channel(channel_id).dead_since != kNever) {
-    // The link died while this transmission waited for a downstream
-    // slot (parked at Pick); give the just-granted credit back.
-    lane(channel_id).pumping = false;
-    --backlog_;
-    if (wire(channel_id).dst_port >= 0) ReturnCredit(channel_id);
-    DropTx(channel_id, tx);
-    return;
-  }
   // The pump serialises the channel, so the wire is free by the time a
   // transmission is granted: it starts as soon as it is ready.
   const Packet& pkt = packets_[tx.pkt];
@@ -308,15 +275,6 @@ void Fabric::StartTx(int channel_id, Tx tx) {
   } else {
     engine_.ScheduleAt(head_arrive, [this, channel_id, id = tx.pkt,
                                      head_arrive]() {
-      const Cycles dead_since = channel(channel_id).dead_since;
-      if (dead_since != kNever && dead_since <= head_arrive) {
-        // The link died under the worm before its head crossed:
-        // truncated. The credit taken at Pick goes back; the source side
-        // frees at tail_leave as usual.
-        ReturnCredit(channel_id);
-        ReportDrop(TakePacket(id), SwitchOfPort(channel_id));
-        return;
-      }
       HeadArrive(channel_id, id, head_arrive);
     });
   }
@@ -346,26 +304,16 @@ void Fabric::Route(SwitchId s, std::uint32_t pkt, Cycles tail_time, int buf) {
   };
   Buffered& held = buffered_[static_cast<std::size_t>(buf)];
   const int feeder = held.feeder;
-  const auto free_buffer_at_tail = [this, tail_time, buf, feeder]() {
-    // No branch claims the entry: recycle it now, the credit at the tail.
+  ComputeRouteBranches(sys_, s, packets_[pkt], params_.adaptive, load,
+                       branches);
+  if (branches.empty()) {
+    // Fully consumed here (possible only for degenerate plans): no branch
+    // claims the entry, so recycle it now and return the credit once the
+    // tail has arrived.
+    TakePacket(pkt);
     free_buffered_.push_back(buf);
     const Cycles when = std::max(engine_.Now(), tail_time);
     engine_.ScheduleAt(when, [this, feeder]() { ReturnCredit(feeder); });
-  };
-  if (!TryComputeRouteBranches(*sys_, s, packets_[pkt], params_.adaptive,
-                               load, branches)) {
-    // Stale header under swapped tables: consume the worm here and let
-    // the retransmit layer repair the loss (ReportDrop aborts when no
-    // drop handler is installed).
-    ReportDrop(TakePacket(pkt), s);
-    free_buffer_at_tail();
-    return;
-  }
-  if (branches.empty()) {
-    // Fully consumed here (possible only for degenerate plans); free the
-    // buffer once the tail has arrived.
-    TakePacket(pkt);
-    free_buffer_at_tail();
     return;
   }
   held.pending_branches = static_cast<int>(branches.size());
@@ -380,9 +328,7 @@ void Fabric::Route(SwitchId s, std::uint32_t pkt, Cycles tail_time, int buf) {
   for (std::size_t i = 0; i < branches.size(); ++i) {
     RouteBranch& b = branches[i];
     Trace(TraceKind::kBranch, b.pkt, s, static_cast<std::int32_t>(b.port));
-    // The first branch takes over the arriving packet's slot. No
-    // reference into packets_ is held across EnqueueTx: a drop there
-    // runs the drop handler, which may inject.
+    // The first branch takes over the arriving packet's slot.
     std::uint32_t id = pkt;
     if (i == 0)
       packets_[pkt] = std::move(b.pkt);

@@ -12,10 +12,10 @@
 // 1 cycle crossbar traversal, 1 cycle uniform routing/decoding delay for
 // all schemes.
 //
-// Channel wiring, link accounting, metric slots and the fault contract
-// come from the shared NetworkModel layer; this engine keeps only its
-// per-channel transmission queues, the channel pick, the input-slot
-// credits and the packets themselves.
+// Channel wiring, link accounting and metric slots come from the shared
+// NetworkModel layer; this engine keeps only its per-channel
+// transmission queues, the channel pick, the input-slot credits and the
+// packets themselves.
 //
 // A run's per-channel state is one plain array (lanes_, filled in one
 // pass): each channel's transmission queue and, for a channel into a
@@ -34,8 +34,8 @@
 // free_packets_): a transmission and every event about it carry a
 // 32-bit slot id, so a hop copies no packet and touches no reference
 // count. A routed packet's first branch reuses its slot. Before a
-// packet goes to the deliver or drop callback it is moved out of its
-// slot, because the callback may inject and so grow the arena.
+// packet goes to the deliver callback it is moved out of its slot,
+// because the callback may inject and so grow the arena.
 //
 // Each arena is allocated on its first use at a size taken from the
 // System — a packet and a transmission per host, a buffered entry per
@@ -45,7 +45,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "network/network_model.hpp"
@@ -125,11 +124,6 @@ class Fabric final : public NetworkModel {
   };
 
   void QueueInjection(NodeId n, Packet&& pkt, Cycles ready) override;
-  /// Queued transmissions drop immediately; the active transmission is
-  /// truncated unless its head already cleared the link (VCT packet
-  /// atomicity — a packet whose head arrived is committed downstream).
-  /// Requires a drop handler when anything can still reach the link.
-  void CutChannels(std::span<const int> dead) override;
   /// Whether any transmission waited for an input slot
   /// (`fabric.input_buffer_wait_max`).
   void CollectEngineMetrics() override;
@@ -147,20 +141,17 @@ class Fabric final : public NetworkModel {
   /// Moves the packet out of slot `id` and recycles the slot.
   Packet TakePacket(std::uint32_t id);
 
-  /// Queue a branch/injection on a channel, or drop it on the spot when
-  /// the channel is dead.
+  /// Queue a branch/injection on a channel.
   void EnqueueTx(int channel_id, Tx tx);
   /// A node holding `tx`, recycled first, appended to `list`.
   void PushTx(TxList& list, const Tx& tx);
   /// Unlinks node `id` (whose predecessor in `list` is `prev`, kNoTx for
   /// the head) and recycles it; returns its transmission.
   Tx UnlinkTx(TxList& list, std::uint32_t prev, std::uint32_t id);
-  /// Drops a transmission that can no longer use `channel_id`.
-  void DropTx(int channel_id, const Tx& tx);
   /// A fresh buffered_ entry holding a slot fed by `feeder`.
   int NewBuffered(int feeder);
-  /// Drains a drained/dropped branch's claim on its source buffer; the
-  /// last claim frees the input slot and recycles the entry.
+  /// Drains a drained branch's claim on its source buffer; the last
+  /// claim frees the input slot and recycles the entry.
   void ReleaseSrcBuffer(int buf);
   /// Gives `channel_id` a credit back; its parked transmission, if any,
   /// takes it and starts in an event at this cycle.

@@ -118,118 +118,6 @@ void FlitEngine::CollectEngineMetrics() {
 }
 
 // ---------------------------------------------------------------------------
-// Fault handling: a dead channel never grants, never moves flits, and
-// anything committed to it when it died is truncated. Truncation
-// cascades downstream — a worm whose feeder branch was cut will never
-// finish arriving, so its own branches (and their downstream worms) are
-// killed too. Upstream the fabric keeps streaming: a worm that lost
-// every branch enters discard mode so its feeder can drain and its
-// input port frees at the tail, exactly as if it had been consumed.
-// ---------------------------------------------------------------------------
-
-void FlitEngine::ReleaseWormPort(Worm& w) {
-  if (w.port_index < 0 || w.port_released) return;
-  w.port_released = true;
-  pending_port_release_.push_back(w.port_index);
-}
-
-void FlitEngine::KillBranch(int bid) {
-  BranchState& b = branches_[static_cast<std::size_t>(bid)];
-  if (b.done) return;
-  // Cuts happen between cycles: settle what the branch sent, what its
-  // source buffer received and what its downstream copy received up to
-  // now, then stop the stream.
-  const Cycles next = moved_through_ + 1;
-  Sync(worms_[static_cast<std::size_t>(b.src_worm)], next, next);
-  if (b.streaming) {
-    Materialize(b, moved_through_);
-    b.streaming = false;
-  }
-  if (b.dst_worm != -1) {
-    Worm& dst = worms_[static_cast<std::size_t>(b.dst_worm)];
-    Sync(dst, next, next);
-    dst.feed = -1;
-  }
-  CloseStreak(bid);  // emits the open stall interval; keeps the
-                     // trace-vs-counter accounting identity
-  b.done = true;
-  Arbiter& c = arbs_[static_cast<std::size_t>(b.channel)];
-  if (c.active_branch == bid) {
-    c.active_branch = -1;
-    --backlog_;
-  } else {
-    for (int prev = -1, w = c.first_waiting; w != -1;
-         prev = w, w = branches_[static_cast<std::size_t>(w)].next_waiting) {
-      if (w == bid) {
-        Unwait(c, prev, bid);
-        --backlog_;
-        break;
-      }
-    }
-  }
-  if (c.Load() == 0)
-    --busy_channels_;
-  else
-    SetBit(step_channels_, static_cast<std::size_t>(b.channel));  // grant
-  // Flits on the wire evaporate.
-  for (std::size_t i = in_flight_.size(); i-- > 0;)
-    if (in_flight_[i].branch == bid) in_flight_.erase(i);
-  // The downstream copy will never finish arriving.
-  if (b.dst_worm != -1) KillWorm(b.dst_worm);
-  const int wi = b.src_worm;
-  Worm& src = worms_[static_cast<std::size_t>(wi)];
-  if (--src.live_branches == 0 && src.port_index >= 0) {
-    if (src.dead || src.received >= src.len) {
-      ReleaseWormPort(src);
-    } else {
-      // The upstream feeder is alive and still streaming into this
-      // buffer: swallow what arrives so it can drain.
-      src.discarding = true;
-      src.freed = src.received;
-    }
-  }
-  // The branch's tail will never land. Only switch worms lose branches,
-  // and they keep their port pin until the next ReleasePorts, so this
-  // never recycles the worm under a caller that is walking it.
-  Unpin(wi);
-}
-
-void FlitEngine::KillWorm(int wi) {
-  Worm& w = worms_[static_cast<std::size_t>(wi)];
-  if (w.dead) return;
-  w.dead = true;
-  if (w.routed) {
-    // Copy: KillBranch recursion must not iterate a moving vector.
-    const std::vector<int> branch_ids = w.branch_ids;
-    for (int bid : branch_ids) KillBranch(bid);
-  }
-  // Either unrouted (still in route_queue_, skipped when popped) or all
-  // branches now dead: no one will ever consume from this buffer again,
-  // and its feeder was cut, so nothing more arrives either.
-  ReleaseWormPort(worms_[static_cast<std::size_t>(wi)]);
-}
-
-void FlitEngine::CutChannels(std::span<const int> dead) {
-  for (int ci : dead) {
-    // Every branch committed to the link is cut; each reports its own
-    // packet (whose destination set covers its whole subtree — cascade
-    // kills underneath it are not re-reported).
-    const Arbiter& c = arbs_[static_cast<std::size_t>(ci)];
-    std::vector<int> doomed;
-    for (int w = c.first_waiting; w != -1;
-         w = branches_[static_cast<std::size_t>(w)].next_waiting)
-      doomed.push_back(w);
-    if (c.active_branch != -1) doomed.push_back(c.active_branch);
-    for (int bid : doomed) {
-      ReportDrop(branch_pkt(bid), SwitchOfPort(ci));
-      KillBranch(bid);
-    }
-  }
-  // Settle pending port releases / discard state on the next cycle.
-  ScheduleTick(engine_.Now() + 1);
-}
-
-// ---------------------------------------------------------------------------
 // Event-driven stepping. Each active cycle is one kernel event; the
 // engine reschedules itself while any worm, flit, or ready injection
 // remains, and goes quiet otherwise (a later injection re-arms it).
@@ -371,12 +259,8 @@ void FlitEngine::Sync(Worm& w, Cycles land_to, Cycles move_to) {
       const int freed =
           last - 1 >= w.move_sync ? FreedAfter(w, last - 1) : w.freed;
       w.received += static_cast<int>(last - first + 1);
-      if (w.discarding) {
-        w.freed = w.received;
-      } else {
-        max_occupancy_ = std::max(
-            max_occupancy_, static_cast<std::int64_t>(w.received - freed));
-      }
+      max_occupancy_ = std::max(
+          max_occupancy_, static_cast<std::int64_t>(w.received - freed));
     }
   }
   w.land_sync = std::max(w.land_sync, land_to);
@@ -513,12 +397,6 @@ void FlitEngine::LandFlits(Cycles now) {
       Worm& w = worms_[static_cast<std::size_t>(b.dst_worm)];
       Sync(w, entry.lands, entry.lands);
       ++w.received;
-      if (w.discarding) {
-        // Every branch of this worm was fault-killed; swallow the flit
-        // so the feeder drains, and free the port once the tail lands.
-        w.freed = w.received;
-        if (w.received >= w.len) ReleaseWormPort(w);
-      }
       max_occupancy_ = std::max(
           max_occupancy_, static_cast<std::int64_t>(w.received - w.freed));
       if (entry.is_tail) w.feed = -1;
@@ -572,8 +450,7 @@ void FlitEngine::RouteWorms(Cycles now) {
   while (!route_queue_.empty() && route_queue_.front().second <= now) {
     const int wi = route_queue_.front().first;
     route_queue_.pop_front();
-    // A cascade-killed worm was only waiting for its turn.
-    if (!worms_[static_cast<std::size_t>(wi)].dead) RouteWorm(wi, now);
+    RouteWorm(wi, now);
     Unpin(wi);  // off route_queue_
   }
 }
@@ -589,35 +466,9 @@ void FlitEngine::RouteWorm(int wi, Cycles now) {
   };
   std::vector<RouteBranch>& decisions = route_branches_;
   decisions.clear();
-  if (!TryComputeRouteBranches(*sys_, sw, worm_pkt(wi), params_.adaptive,
-                               load, decisions)) {
-    // Stale header under swapped tables: consume the worm here and let
-    // the retransmit layer repair the loss (ReportDrop aborts when no
-    // drop handler is installed).
-    ReportDrop(worm_pkt(wi), sw);
-    w.discarding = true;
-    w.freed = w.received;
-    if (w.received >= w.len) ReleaseWormPort(w);
-    return;
-  }
+  ComputeRouteBranches(sys_, sw, worm_pkt(wi), params_.adaptive, load,
+                       decisions);
   IRMC_ENSURE(!decisions.empty());
-  // Branches aimed at a link that died after the header committed to
-  // it are dropped on the spot.
-  std::size_t live = 0;
-  for (RouteBranch& d : decisions) {
-    if (channel(PortIdx(sw, d.port)).dead_since != kNever) {
-      ReportDrop(d.pkt, sw);
-      continue;
-    }
-    decisions[live++] = std::move(d);
-  }
-  decisions.resize(live);
-  if (decisions.empty()) {
-    w.discarding = true;
-    w.freed = w.received;
-    if (w.received >= w.len) ReleaseWormPort(w);
-    return;
-  }
   if (m_fanout_) {
     m_fanout_->Add(static_cast<std::int64_t>(decisions.size()));
     m_replications_->Add(static_cast<std::int64_t>(decisions.size()) - 1);
@@ -644,9 +495,7 @@ void FlitEngine::RouteWorm(int wi, Cycles now) {
 
 void FlitEngine::MoveFlits(Cycles now) {
   while (!tails_due_.empty() && tails_due_.top().first <= now) {
-    // A kill may leave a stale entry behind; MoveChannel ignores it.
-    if (tails_due_.top().first == now)
-      SetBit(step_channels_, static_cast<std::size_t>(tails_due_.top().second));
+    SetBit(step_channels_, static_cast<std::size_t>(tails_due_.top().second));
     tails_due_.pop();
   }
   // Ascending channel order is load-bearing: a downstream channel that
@@ -667,15 +516,14 @@ void FlitEngine::MoveFlits(Cycles now) {
 }
 
 void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
-  if (channel(static_cast<int>(ci)).dead_since != kNever)
-    return;  // FailLink emptied it
   const int dst_port = wire(static_cast<int>(ci)).dst_port;
   Arbiter& c = arbs_[ci];
   if (c.active_branch != -1) {
     BranchState& a = branches_[static_cast<std::size_t>(c.active_branch)];
     if (a.streaming) {
-      if (now < a.phase + a.len - 1) return;  // no tail due: stale wake-up
-      // The tail is due: settle the stream and send the tail stepped.
+      // Only its due tail wakes a streaming branch's channel: settle the
+      // stream and send the tail stepped.
+      IRMC_ENSURE(now == a.phase + a.len - 1);
       Sync(worms_[static_cast<std::size_t>(a.src_worm)], now + 1, now);
       Materialize(a, now - 1);
       a.streaming = false;
@@ -755,7 +603,7 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
       // All branches drained: free the input port at the *start of the
       // next cycle* (the tail flit leaves the buffer this cycle),
       // matching the VCT engine's slot-release timing.
-      ReleaseWormPort(src);
+      pending_port_release_.push_back(src.port_index);
     }
     if (src.port_index < 0) {
       // An injection channel carries one branch at a time, so it is idle

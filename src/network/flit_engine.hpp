@@ -13,9 +13,9 @@
 // so a path-worm header field stripped at a forwarding switch still
 // crosses the next channel (docs/engines.md).
 //
-// Channel wiring, link accounting, metric slots and the fault contract
-// come from the shared NetworkModel layer; this engine keeps only its
-// worms, branches, activity bitmaps, cycle phases and deadlock trip.
+// Channel wiring, link accounting and metric slots come from the shared
+// NetworkModel layer; this engine keeps only its worms, branches,
+// activity bitmaps, cycle phases and deadlock trip.
 //
 // The engine is cycle-stepped but event-driven: each active cycle is one
 // event on the shared `sim` kernel, so host/NI `TimelineResource` timing
@@ -33,7 +33,7 @@
 // its channel's flit count, its downstream worm's received/freed counts
 // and the buffer-occupancy high-water are linear in time: they are
 // settled only at worm events (head send/land, route, tail send/land,
-// fault cut, deadlock report, any read), and only heads, tails and the
+// deadlock report, any read), and only heads, tails and the
 // flits of stepped branches go on the wire as discrete landings. Every
 // other branch — awaiting a grant, stalled on a held port or on credit,
 // starved, or in a buffer too small to absorb it — is *stepped* one
@@ -54,8 +54,8 @@
 // compact). A routed branch is a copy of its worm's packet with the
 // header narrowed; a landing head copies its branch's packet into the
 // downstream worm. Neither side array grows outside a tick, so the
-// references the deliver and drop callbacks get stay put while they run
-// (they may inject, which only queues).
+// reference the deliver callback gets stays put while it runs (it may
+// inject, which only queues).
 //
 // A run's per-channel and per-NI state is plain arrays filled in one
 // pass: each channel's arbiter holds its active branch and the head and
@@ -73,7 +73,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -166,17 +165,10 @@ class FlitEngine final : public NetworkModel {
     int live_branches = 0;
     int port_index = -1;  ///< owning input port; -1 for injection sources
     std::vector<int> branch_ids;
-    // --- fault state ---
-    bool dead = false;        ///< cascade-killed; skipped if still queued
-                              ///< for routing
-    bool discarding = false;  ///< all branches gone but the upstream
-                              ///< feeder still streams: swallow arrivals
-                              ///< so it can drain, free the port at tail
-    bool port_released = false;  ///< idempotence guard for the release
     /// What still refers to this slot: one while on route_queue_, one
     /// while it holds its input port (until ReleasePorts clears it), one
-    /// per branch whose tail has neither landed nor evaporated. At zero
-    /// the slot, its branches and their packets are recycled.
+    /// per branch whose tail has not landed. At zero the slot, its
+    /// branches and their packets are recycled.
     int pins = 0;
     // --- closed-form settlement (see Sync) ---
     int feed = -1;  ///< streaming branch still landing flits here
@@ -198,7 +190,7 @@ class FlitEngine final : public NetworkModel {
     int consumed = 0;
     Cycles start_ok = 0;
     int dst_worm = -1;  ///< created when the head lands downstream
-    bool done = false;  ///< tail sent or branch killed; also a free slot
+    bool done = false;  ///< tail sent; also a free slot
     /// Sending one flit per cycle without visits until the tail is due.
     bool streaming = false;
     /// Once streamed: flit k is sent at cycle phase + k - 1, and the
@@ -262,12 +254,6 @@ class FlitEngine final : public NetworkModel {
   void QueueInjection(NodeId n, Packet&& pkt, Cycles ready) override;
   /// Middle flits a streaming branch has sent but not yet counted.
   std::int64_t UnsettledFlits(int channel_id) const override;
-  /// Branches waiting for or streaming through a dead channel are
-  /// truncated (flits on the wire evaporate), and every incomplete
-  /// downstream worm they were feeding is cascade-killed. The packet of
-  /// each branch cut at the link is reported through the drop handler
-  /// (cascade kills are covered by that report's destination set).
-  void CutChannels(std::span<const int> dead) override;
   /// Settles every stream, then folds `flit.cycles_run`,
   /// `flit.deliveries`, `flit.max_buffer_occupancy`.
   void CollectEngineMetrics() override;
@@ -336,16 +322,6 @@ class FlitEngine final : public NetworkModel {
 
   void CloseStreak(int bid);
 
-  // --- fault handling ---
-  /// Truncates a branch: closes its stall streak, detaches it from its
-  /// channel, evaporates its flits on the wire, cascade-kills the
-  /// incomplete downstream worm it fed, and settles its source worm's
-  /// buffer/port accounting.
-  void KillBranch(int bid);
-  /// Cascade-kills a worm whose feeder was truncated (no more flits
-  /// will ever arrive for it): kills its branches, frees its port.
-  void KillWorm(int wi);
-  void ReleaseWormPort(Worm& w);
   /// Aborts (default) or invokes the deadlock handler and freezes.
   void DeadlockTrip(Cycles now, int trip_branch);
 
@@ -368,9 +344,8 @@ class FlitEngine final : public NetworkModel {
   std::vector<int> pending_port_release_;
   // Activity sets, one bit per index, walked in ascending order. A set
   // bit in step_channels_ marks a channel to visit next cycle: one with
-  // a stepped active branch, or with waiting branches and none active (a
-  // bit may outlive a FailLink or a kill until the channel's next
-  // visit). ready_nis_ holds the NIs with an idle injection channel and
+  // a stepped active branch, or with waiting branches and none active.
+  // ready_nis_ holds the NIs with an idle injection channel and
   // a ready head packet; those whose head packet is not ready yet wait
   // in ready_heap_.
   std::vector<std::uint64_t> step_channels_;

@@ -1,7 +1,6 @@
 #include "network/network_model.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "common/expect.hpp"
 #include "network/fabric.hpp"
@@ -32,14 +31,13 @@ NetworkModel::NetworkModel(Engine& engine, const System& sys,
                            Tracer* tracer, MetricsRegistry* metrics,
                            const MetricFamily& family)
     : engine_(engine),
-      sys_(&sys),
+      sys_(sys),
       params_(params),
       deliver_(std::move(deliver)),
       tracer_(tracer),
       metrics_(metrics),
       ports_(sys.graph.ports_per_switch()),
       family_(&family),
-      wiring_(&sys.wiring),
       num_out_(sys.wiring.num_out()),
       channels_(sys.wiring.num_channels()) {
   IRMC_EXPECT(deliver_ != nullptr);
@@ -80,9 +78,9 @@ std::int64_t NetworkModel::flits_sent() const {
 std::vector<LinkLoadReport> NetworkModel::LinkReports(Cycles now) const {
   std::vector<LinkLoadReport> out;
   out.reserve(channels_.size());
-  for (SwitchId s = 0; s < sys_->num_switches(); ++s) {
+  for (SwitchId s = 0; s < sys_.num_switches(); ++s) {
     for (PortId p = 0; p < ports_; ++p) {
-      if (sys_->graph.port(s, p).kind == PortKind::kFree) continue;
+      if (sys_.graph.port(s, p).kind == PortKind::kFree) continue;
       const ChannelEnd& end = wire(PortIdx(s, p));
       LinkLoadReport r;
       r.sw = s;
@@ -94,7 +92,7 @@ std::vector<LinkLoadReport> NetworkModel::LinkReports(Cycles now) const {
       out.push_back(r);
     }
   }
-  for (NodeId n = 0; n < sys_->num_nodes(); ++n) {
+  for (NodeId n = 0; n < sys_.num_nodes(); ++n) {
     LinkLoadReport r;
     r.node = n;
     r.flits = ChannelFlits(InjChannel(n));
@@ -112,7 +110,7 @@ double NetworkModel::Utilization(std::int64_t flits, Cycles now) {
 double NetworkModel::MaxLinkUtilization(Cycles now) const {
   // A link that carried nothing has utilization 0, the starting best.
   double best = 0.0;
-  const ChannelWiring& links = sys_->wiring;
+  const ChannelWiring& links = sys_.wiring;
   for (int cid = touched_; cid != -1; cid = channel(cid).next_touched)
     if (links[cid].switch_link)
       best = std::max(best, Utilization(ChannelFlits(cid), now));
@@ -127,7 +125,7 @@ void NetworkModel::CollectMetrics(Cycles now) {
   Gauge& max_util = slots.gauge(2);
   // Only listed channels carried flits. The fold sums, bins and takes a
   // max, so the list's order does not matter.
-  const ChannelWiring& links = sys_->wiring;
+  const ChannelWiring& links = sys_.wiring;
   std::int64_t busy_cycles = 0;
   int touched_links = 0;
   double best = 0.0;
@@ -144,37 +142,6 @@ void NetworkModel::CollectMetrics(Cycles now) {
   util.Add(0, links.switch_links() - touched_links);  // the links left idle
   max_util.Set(best);
   CollectEngineMetrics();
-}
-
-void NetworkModel::FailLink(SwitchId sw, PortId port) {
-  const Port& pt = sys_->graph.port(sw, port);
-  IRMC_EXPECT(pt.kind == PortKind::kSwitch);
-  std::array<int, 2> dead{};
-  std::size_t n_dead = 0;
-  for (int cid : {PortIdx(sw, port), PortIdx(pt.peer_switch, pt.peer_port)}) {
-    Channel& c = channel(cid);
-    if (c.dead_since != kNever) continue;
-    c.dead_since = engine_.Now();
-    dead[n_dead++] = cid;
-  }
-  CutChannels(std::span<const int>(dead.data(), n_dead));
-}
-
-void NetworkModel::SwapSystem(const System& sys) {
-  IRMC_EXPECT(sys.num_switches() == sys_->num_switches());
-  IRMC_EXPECT(sys.graph.ports_per_switch() == ports_);
-  IRMC_EXPECT(sys.num_nodes() == sys_->num_nodes());
-  // A link the new tables removed drops out of the utilization metrics,
-  // as it does out of LinkReports: they read the swapped-in wiring's
-  // switch links.
-  sys_ = &sys;
-}
-
-void NetworkModel::ReportDrop(const Packet& pkt, SwitchId where) {
-  IRMC_ENSURE(drop_ != nullptr &&
-              "packet truncated or unroutable but no drop handler is "
-              "installed");
-  drop_(pkt, engine_.Now(), where);
 }
 
 void NetworkModel::ChannelActor(int channel_id, std::int32_t* actor,

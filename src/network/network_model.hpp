@@ -15,15 +15,17 @@
 //
 // Everything the two do identically is implemented once, here: the
 // channel table (switch out-channels in (switch, port) order, then one
-// injection channel per NI), per-channel flit and fault state, link
-// reports and the link-metric fold, the hot-path metric slots bound
-// from the engine's static name tables, the injection preamble, the
-// drop contract, and the Autonet swap. Where each channel leads is the
-// System's ChannelWiring, built once per System and shared by every
-// run on it; a run's own channel state is one plain array. An engine
-// supplies only its transport physics: how an injection queues, what
-// its backlog is (a running count), what happens to traffic committed
-// to a channel that dies, and its own end-of-run metrics.
+// injection channel per NI), per-channel flit counts, link reports and
+// the link-metric fold, the hot-path metric slots bound from the
+// engine's static name tables, and the injection preamble. Where each
+// channel leads is the System's ChannelWiring, built once per System and
+// shared by every run on it; a run's own channel state is one plain
+// array. An engine supplies only its transport physics: how an
+// injection queues, what its backlog is (a running count), and its own
+// end-of-run metrics.
+//
+// The network is lossless: every injected packet is delivered, and a
+// packet that cannot be routed aborts the run.
 //
 // A run pays for the channels it uses, not for the network's size:
 // CountFlits lists a channel the first time it carries flits, and the
@@ -43,7 +45,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -109,20 +110,6 @@ class NetworkModel {
   using DeliverFn =
       std::function<void(NodeId, const Packet&, Cycles, Cycles)>;
 
-  /// drop(packet, time, sw) fires when a fault truncates a packet the
-  /// engine can no longer deliver: its worm crossed a link that went
-  /// down, it was queued behind a dead channel, or (post-reconfig) its
-  /// header no longer routes under the swapped-in tables. `sw` is the
-  /// switch where it died (kInvalidSwitch when it never left its
-  /// injection queue). The packet's destination set is an over-estimate
-  /// of what was lost — some branches of a multidestination worm may
-  /// already have delivered — so the consumer (the NI retransmit layer)
-  /// must dedup. Without a handler installed the engine treats an
-  /// unroutable packet as a contract violation and aborts, preserving
-  /// the pristine engines' behavior. As with deliver, the packet
-  /// reference is valid for the duration of the call only.
-  using DropFn = std::function<void(const Packet&, Cycles, SwitchId)>;
-
   virtual ~NetworkModel() = default;
 
   NetworkModel(const NetworkModel&) = delete;
@@ -167,28 +154,6 @@ class NetworkModel {
   /// registry has bound these names.
   void CollectMetrics(Cycles now);
 
-  /// Installs the fault-drop handler (see DropFn). Engines only take
-  /// the drop path — instead of aborting on unroutable packets — when a
-  /// handler is present.
-  void SetDropHandler(DropFn drop) { drop_ = std::move(drop); }
-
-  /// Marks the bidirectional link at (sw, port) dead as of the current
-  /// cycle: queued transmissions on it are dropped, in-flight worms
-  /// whose tail has not yet cleared the wire are truncated, and nothing
-  /// further is ever granted the channel. Both directions die together.
-  void FailLink(SwitchId sw, PortId port);
-
-  /// Atomically swaps the routing state (BFS tree, up*/down*
-  /// orientation, routing tables, reachability) to `sys` — the Autonet
-  /// reconfiguration step. `sys` must describe the same
-  /// switches x ports x nodes shape (a degraded copy of the original
-  /// graph). Channel wiring is structural and stays the original
-  /// System's — a dead link's channels stay dead; the utilization
-  /// metrics cover the swapped-in System's switch links; packets routed
-  /// after the swap use the new tables, worms already holding channels
-  /// keep them.
-  void SwapSystem(const System& sys);
-
   /// Hop log of a packet (only populated when params.record_routes).
   static const std::vector<HopRecord>* HopsOf(const Packet& pkt) {
     return pkt.hop_log.hops();
@@ -214,8 +179,7 @@ class NetworkModel {
   /// leads is wire(channel_id). Engines keep their own per-channel
   /// transport state in a parallel array indexed the same way.
   struct Channel {
-    Cycles dead_since = kNever;  ///< FailLink time; kNever = alive
-    std::int64_t flits = 0;      ///< one busy cycle per flit carried
+    std::int64_t flits = 0;  ///< one busy cycle per flit carried
     /// Next channel in the list of channels that carried flits (-1
     /// ends it); meaningful once `flits` is non-zero.
     int next_touched = -1;
@@ -231,9 +195,6 @@ class NetworkModel {
   /// Queues a packet the preamble of InjectFromNi has already traced
   /// and counted.
   virtual void QueueInjection(NodeId n, Packet&& pkt, Cycles ready) = 0;
-  /// Drops or truncates what is committed to the channels FailLink just
-  /// marked dead (in the order given; both directions of one link).
-  virtual void CutChannels(std::span<const int> dead) = 0;
   /// Folds the engine's own end-of-run series (metrics_ is non-null).
   virtual void CollectEngineMetrics() = 0;
   /// Flits that entered `channel_id` but are not in its count yet (an
@@ -257,7 +218,7 @@ class NetworkModel {
   /// Where a channel leads, as the System the engine was built on
   /// wired it.
   const ChannelEnd& wire(int channel_id) const {
-    return (*wiring_)[channel_id];
+    return sys_.wiring[channel_id];
   }
   std::size_t num_channels() const { return channels_.size(); }
   /// Switch ports: each is one input port and one out-channel.
@@ -275,13 +236,6 @@ class NetworkModel {
     c.flits += n;
     if (m_flits_) m_flits_->Add(n);
   }
-
-  /// Hands a truncated or unroutable (stale-header) packet to the drop
-  /// handler, which must exist — without a retransmit layer the payload
-  /// would be silently lost. `pkt` must stay put while the handler runs,
-  /// which may inject: a slot in storage an injection can grow is moved
-  /// out first.
-  void ReportDrop(const Packet& pkt, SwitchId where);
 
   void Trace(TraceKind kind, const Packet& pkt, std::int32_t actor,
              std::int32_t detail) {
@@ -303,12 +257,11 @@ class NetworkModel {
                     std::int32_t* detail) const;
 
   Engine& engine_;
-  const System* sys_;  ///< swapped by SwapSystem (Autonet reconfig)
+  const System& sys_;
   NetParams params_;
   DeliverFn deliver_;
   Tracer* tracer_;
   MetricsRegistry* metrics_;
-  DropFn drop_;  ///< null = pristine contract (unroutable packets abort)
   int ports_;
 
   // Hot-path metric slots, bound at construction (null = off).
@@ -331,8 +284,7 @@ class NetworkModel {
   static double Utilization(std::int64_t flits, Cycles now);
 
   const MetricFamily* family_;
-  const ChannelWiring* wiring_;  ///< the construction System's
-  int num_out_;                  ///< switch out-channels (switches*ports)
+  int num_out_;  ///< switch out-channels (switches*ports)
   /// Head of the list of channels that carried flits, chained through
   /// Channel::next_touched in first-use order (-1: none yet).
   int touched_ = -1;

@@ -18,7 +18,8 @@
 // copy: the headers live inline (a tree worm's destination string up to
 // 256 nodes, see common/nodeset.hpp), so copying allocates nothing
 // unless the run records hop logs. A path worm's route is shared, not
-// copied: stragglers of a resilience repair can outlive their plan.
+// copied: every copy of the packet points at its plan's one hop list,
+// so a replica costs a reference count, not a list.
 //
 // Wire length = data flits + remaining header flits, so header encoding
 // costs are physically accounted (§3.3 of the paper discusses them only

@@ -5,7 +5,7 @@
 // least-loaded adaptive), multidestination header parsing and stripping
 // (tree-worm bit-strings narrowed per branch, path-worm fields consumed
 // per step), and replication branch fan-out. The VCT Fabric and the
-// flit-level FlitEngine both call TryComputeRouteBranches, so a routing
+// flit-level FlitEngine both call ComputeRouteBranches, so a routing
 // decision is — by construction — identical at both granularities; only
 // the transport timing underneath differs. See docs/engines.md.
 //
@@ -82,11 +82,12 @@ using PortLoadFn = std::function<int(SwitchId, PortId)>;
 ///    covering `rem`, falling back to every up port when none can yet.
 ///
 /// This is the single enumeration point for tree-worm moves: both
-/// engines route through it (via TryComputeRouteBranches) and the static
+/// engines route through it (via ComputeRouteBranches) and the static
 /// deadlock analyzer (verify/deadlock.hpp) builds its dependency edges
 /// from it, so the analyzed move relation is the executed one. Aborts
-/// if `rem` is empty or a non-coverable set is presented in down-only
-/// phase (the phase-rule violation RouteTreeWorm would also trip on).
+/// if `rem` is empty, a non-coverable set is presented in down-only
+/// phase (the phase rule), or a climb starts at a switch with no up
+/// port.
 struct TreeRouteDecision {
   bool down = false;
   PortList ports;  ///< ascending
@@ -98,27 +99,15 @@ TreeRouteDecision TreeWormDecision(const System& sys, SwitchId s,
 /// `out` in deterministic order (host drops first, then network
 /// forwards). Each branch is a copy of `pkt` with its header narrowed
 /// and its route phase updated via the up*/down* tables; a copy of a
-/// packet that records hops logs the hop taken. Aborts on any routing
-/// contract violation (phase rule, uncoverable destination set,
-/// path-worm step mismatch), stale headers included: the aborting
-/// wrapper over TryComputeRouteBranches that the route-logic unit tests
-/// call.
+/// packet that records hops logs the hop taken. The network is
+/// lossless, so a packet that cannot be routed aborts with an
+/// "unroutable packet" message: a unicast with no candidate in its
+/// phase, a tree worm that breaks the phase rule, or a path worm whose
+/// step names another switch, a non-switch port or an up move after its
+/// descent. Other contract violations (an uncoverable destination set,
+/// a worm that ends without a drop) abort too.
 void ComputeRouteBranches(const System& sys, SwitchId s, const Packet& pkt,
                           bool adaptive, const PortLoadFn& load,
                           std::vector<RouteBranch>& out);
-
-/// The engines' entry point, non-aborting for stale headers: a header
-/// that made legal progress under the tables it was injected with can
-/// become unroutable after a reconfiguration swap (a unicast with no
-/// surviving candidate in its phase, a tree worm caught in down-only
-/// phase below a moved subtree, a path worm whose precomputed hop list
-/// names the dead link, a foreign switch, or an up move after its
-/// descent). Returns false and leaves `out` untouched for exactly those
-/// staleness cases — the caller reports the packet dropped; genuine
-/// plan/contract bugs still abort.
-bool TryComputeRouteBranches(const System& sys, SwitchId s,
-                             const Packet& pkt, bool adaptive,
-                             const PortLoadFn& load,
-                             std::vector<RouteBranch>& out);
 
 }  // namespace irmc

@@ -246,8 +246,7 @@ Direction MetricDirection(const std::string& name) {
   if (name.rfind("series.", 0) == 0) return Direction::kLowerIsBetter;
   if (Contains(name, "latency") || Contains(name, "cycles") ||
       Contains(name, "blocked") || Contains(name, "stall") ||
-      Contains(name, "drop") || Contains(name, "unfinished") ||
-      Contains(name, "retrans") || Contains(name, "abort"))
+      Contains(name, "unfinished") || Contains(name, "abort"))
     return Direction::kLowerIsBetter;
   // Everything else (event counts, fan-outs, utilization shapes, bin
   // counts) describes the workload rather than its performance.

@@ -25,7 +25,7 @@ namespace irmc::report {
 
 /// Which way "bigger" points for a metric.
 enum class Direction : std::uint8_t {
-  kLowerIsBetter,   ///< latencies, cycles, blocking, drops
+  kLowerIsBetter,   ///< latencies, cycles, blocking, stalls
   kHigherIsBetter,  ///< throughputs, rates
   kInfo,            ///< context only (wall_seconds, counts) — never gates
 };

@@ -7,7 +7,7 @@
 // Layout. A ring of kWindow FIFO buckets holds every event due in
 // [Now(), Now() + kWindow), one bucket per cycle, with an occupancy bitmap
 // to find the next non-empty one. Events due later (message arrivals,
-// acks, repair timers) wait in a small (time, seq) min-heap. When Now()
+// mostly) wait in a small (time, seq) min-heap. When Now()
 // advances, the heap events that enter the window move to their buckets
 // in (time, seq) order before any event at the new time runs; a heap
 // event is always older than any event scheduled straight into the same

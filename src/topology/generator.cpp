@@ -57,8 +57,7 @@ Graph GenerateTopology(const TopologySpec& spec, std::uint64_t seed) {
   candidates.reserve(order.size());
   for (std::size_t i = 1; i < order.size(); ++i) {
     // Connect order[i] to a random already-connected switch with a free
-    // port. One always exists: see the precondition above plus the port
-    // budget check below.
+    // port. One always exists while the hosts are within MaxHosts.
     candidates.clear();
     for (std::size_t j = 0; j < i; ++j)
       if (g.FreePortCount(order[j]) > 0) candidates.push_back(order[j]);

@@ -29,10 +29,16 @@ struct TopologySpec {
 };
 
 /// Most hosts GenerateTopology can place on `num_switches` switches of
-/// `ports_per_switch` ports: every switch keeps a port free for the
-/// spanning tree.
+/// `ports_per_switch` ports and still connect for every seed. Hosts are
+/// spread evenly, then each switch joins the spanning tree through a
+/// free port of an already-joined switch. With up to two switches, one
+/// free port each is enough. From three on, a switch left with one free
+/// port can only be a leaf, and two such switches among the first to
+/// join strand the rest; so every switch but one keeps two ports free.
 constexpr std::int64_t MaxHosts(int num_switches, int ports_per_switch) {
-  return std::int64_t{num_switches} * (ports_per_switch - 1);
+  const std::int64_t switches = num_switches;
+  return switches <= 2 ? switches * (ports_per_switch - 1)
+                       : switches * (ports_per_switch - 2) + 1;
 }
 
 /// Generates a connected irregular topology. Deterministic in `seed`.

@@ -16,50 +16,6 @@ void Mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-bool GraphsEqual(const Graph& a, const Graph& b) {
-  if (a.num_switches() != b.num_switches() ||
-      a.ports_per_switch() != b.ports_per_switch() ||
-      a.num_hosts() != b.num_hosts()) {
-    return false;
-  }
-  for (SwitchId s = 0; s < a.num_switches(); ++s) {
-    for (PortId p = 0; p < a.ports_per_switch(); ++p) {
-      const Port& pa = a.port(s, p);
-      const Port& pb = b.port(s, p);
-      if (pa.kind != pb.kind || pa.peer_switch != pb.peer_switch ||
-          pa.peer_port != pb.peer_port || pa.host != pb.host) {
-        return false;
-      }
-    }
-  }
-  for (NodeId n = 0; n < a.num_hosts(); ++n) {
-    if (a.host(n).sw != b.host(n).sw || a.host(n).port != b.host(n).port)
-      return false;
-  }
-  return true;
-}
-
-std::uint64_t FingerprintGraph(const Graph& g, RootPolicy root_policy) {
-  std::uint64_t h = kFnvOffset;
-  Mix(h, 0x67726170);  // domain tag: graph-keyed entry
-  Mix(h, static_cast<std::uint64_t>(g.num_switches()));
-  Mix(h, static_cast<std::uint64_t>(g.ports_per_switch()));
-  Mix(h, static_cast<std::uint64_t>(g.num_hosts()));
-  Mix(h, static_cast<std::uint64_t>(root_policy));
-  for (SwitchId s = 0; s < g.num_switches(); ++s) {
-    for (PortId p = 0; p < g.ports_per_switch(); ++p) {
-      const Port& pt = g.port(s, p);
-      Mix(h, static_cast<std::uint64_t>(pt.kind));
-      Mix(h, static_cast<std::uint64_t>(
-                 static_cast<std::int64_t>(pt.peer_switch)));
-      Mix(h,
-          static_cast<std::uint64_t>(static_cast<std::int64_t>(pt.peer_port)));
-      Mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(pt.host)));
-    }
-  }
-  return h;
-}
-
 }  // namespace
 
 SystemBuilder::SystemBuilder(std::size_t capacity) : capacity_(capacity) {}
@@ -70,18 +26,10 @@ SystemBuilder& SystemBuilder::Global() {
 }
 
 std::shared_ptr<const System> SystemBuilder::LookupLocked(
-    std::uint64_t fingerprint, const SpecKey* spec_key, const Graph* graph,
-    RootPolicy root_policy) {
+    std::uint64_t fingerprint, const SpecKey& spec_key) {
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->fingerprint != fingerprint) continue;
-    if (spec_key != nullptr) {
-      if (!it->has_spec_key || !(it->spec_key == *spec_key)) continue;
-    } else {
-      if (it->has_spec_key || it->root_policy != root_policy ||
-          !GraphsEqual(it->sys->graph, *graph)) {
-        continue;
-      }
-    }
+    if (it->fingerprint != fingerprint || !(it->spec_key == spec_key))
+      continue;
     entries_.splice(entries_.begin(), entries_, it);
     ++stats_.hits;
     return entries_.front().sys;
@@ -117,27 +65,14 @@ std::shared_ptr<const System> SystemBuilder::Build(const TopologySpec& spec,
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (auto hit = LookupLocked(h, &key, nullptr, root_policy)) return hit;
+    if (auto hit = LookupLocked(h, key)) return hit;
   }
   // Construct outside the lock; concurrent misses on the same key build
   // twice and the second insert wins — wasteful but correct, and rare.
   auto sys = std::make_shared<const System>(GenerateTopology(spec, seed),
                                             root_policy);
   std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(Entry{h, true, key, root_policy, sys});
-  return sys;
-}
-
-std::shared_ptr<const System> SystemBuilder::FromGraph(
-    const Graph& graph, RootPolicy root_policy) {
-  const std::uint64_t h = FingerprintGraph(graph, root_policy);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto hit = LookupLocked(h, nullptr, &graph, root_policy)) return hit;
-  }
-  auto sys = std::make_shared<const System>(Graph(graph), root_policy);
-  std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(Entry{h, false, SpecKey{}, root_policy, sys});
+  InsertLocked(Entry{h, key, sys});
   return sys;
 }
 

@@ -3,16 +3,11 @@
 // Building a System (BFS tree, orientation, routing tables, reachability
 // strings) is the dominant per-trial setup cost, and many callers build
 // the *same* System repeatedly: engine cross-checks run every trial on
-// both engines, sweep runners revisit (spec, seed) cells, and
-// ResilienceManager re-derives tables for each degraded graph. A System
+// both engines, and sweep runners revisit (spec, seed) cells. A System
 // is immutable after construction, so those rebuilds are pure waste.
 //
-// SystemBuilder memoizes construction behind a key:
-//  * Build(spec, seed, policy) — keyed on the exact spec fields + seed +
-//    root policy;
-//  * FromGraph(graph, policy)  — keyed on a fingerprint of the full port
-//    table + host attachments (with an exact graph comparison on lookup,
-//    so a fingerprint collision can never alias two topologies).
+// SystemBuilder memoizes construction behind a key: Build(spec, seed,
+// policy) is keyed on the exact spec fields + seed + root policy.
 //
 // Entries are shared_ptr<const System>; a bounded LRU (default 64
 // entries) evicts the map entry while outstanding holders keep their
@@ -42,11 +37,6 @@ class SystemBuilder {
       const TopologySpec& spec, std::uint64_t seed,
       RootPolicy root_policy = RootPolicy::kLowestId);
 
-  /// Cached equivalent of constructing a System from an existing graph
-  /// (the graph is copied into the System only on a miss).
-  std::shared_ptr<const System> FromGraph(
-      const Graph& graph, RootPolicy root_policy = RootPolicy::kLowestId);
-
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -72,19 +62,13 @@ class SystemBuilder {
 
   struct Entry {
     std::uint64_t fingerprint;
-    // Exactly one of spec_key (Build) / graph-compare via sys->graph
-    // (FromGraph) disambiguates fingerprint collisions.
-    bool has_spec_key;
-    SpecKey spec_key;
-    RootPolicy root_policy;
+    SpecKey spec_key;  ///< disambiguates fingerprint collisions
     std::shared_ptr<const System> sys;
   };
 
   /// Returns a hit (bumped to most-recent) or nullptr. Caller holds mu_.
   std::shared_ptr<const System> LookupLocked(std::uint64_t fingerprint,
-                                             const SpecKey* spec_key,
-                                             const Graph* graph,
-                                             RootPolicy root_policy);
+                                             const SpecKey& spec_key);
   void InsertLocked(Entry entry);
 
   mutable std::mutex mu_;

@@ -54,10 +54,7 @@ bool IsNodeActor(const TraceEvent& e) {
     case TraceKind::kHeadArrive:
     case TraceKind::kRoute:
     case TraceKind::kBranch:
-    case TraceKind::kFault:
       return false;
-    case TraceKind::kDrop:
-      return true;
     case TraceKind::kBlockBegin:
     case TraceKind::kBlockEnd:
       // Block events follow the channel: switch output ports carry the

@@ -15,8 +15,6 @@ const char* ToString(TraceKind kind) {
     case TraceKind::kHostDeliver: return "host-deliver";
     case TraceKind::kBlockBegin: return "block-begin";
     case TraceKind::kBlockEnd: return "block-end";
-    case TraceKind::kFault: return "fault";
-    case TraceKind::kDrop: return "drop";
   }
   return "?";
 }
@@ -26,7 +24,7 @@ bool TraceKindFromString(const char* name, TraceKind* out) {
        {TraceKind::kSendStart, TraceKind::kInject, TraceKind::kHeadArrive,
         TraceKind::kRoute, TraceKind::kBranch, TraceKind::kNiDeliver,
         TraceKind::kHostDeliver, TraceKind::kBlockBegin,
-        TraceKind::kBlockEnd, TraceKind::kFault, TraceKind::kDrop}) {
+        TraceKind::kBlockEnd}) {
     if (std::strcmp(name, ToString(k)) == 0) {
       *out = k;
       return true;

@@ -39,10 +39,6 @@ enum class TraceKind : std::uint8_t {
   kHostDeliver,    ///< message complete at host level (actor = node)
   kBlockBegin,     ///< transmission held by a busy/backpressured channel
   kBlockEnd,       ///< end of the stall (same actor/detail as its begin)
-  kFault,          ///< link went down (actor = switch, detail = port)
-  kDrop,           ///< in-flight packet truncated by a fault and reported
-                   ///< to its injecting NI (actor = source node, detail =
-                   ///< switch where it died, -1 if queued pre-wire)
 };
 
 const char* ToString(TraceKind kind);

@@ -8,6 +8,9 @@
 // is the strongest cheap statement that the NetworkModel refactor
 // didn't fork the timing model (see docs/engines.md).
 //
+// Both engines also hold one network contract: the network is lossless,
+// so a packet that cannot be routed aborts the run on either engine.
+//
 // The second half holds the flit engine to the same determinism
 // contract as the VCT engine: traced and metered sweeps serialise to
 // byte-identical exports for any IRMC_THREADS.
@@ -16,6 +19,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -27,6 +31,8 @@
 #include "core/single_runner.hpp"
 #include "mcast/scheme.hpp"
 #include "metrics/export.hpp"
+#include "network/network_model.hpp"
+#include "sim/engine.hpp"
 #include "topology/system.hpp"
 #include "trace/export.hpp"
 
@@ -166,6 +172,40 @@ INSTANTIATE_TEST_SUITE_P(Delays, EngineXCheckLoaded,
                          });
 
 // --- flit-engine determinism: same contract as the VCT engine ---
+
+class NetworkContractDeathTest : public ::testing::TestWithParam<EngineKind> {
+};
+
+TEST_P(NetworkContractDeathTest, PathWormNamingAnotherSwitchAborts) {
+  // Node 0's path worm starts with a step at another switch: the worm
+  // reaches its own switch with a route that does not fit it. Neither
+  // engine may skip it.
+  const auto sys = System::Build({}, 42);
+  const SwitchId here = sys->graph.host(0).sw;
+  NodeId far = 1;
+  while (sys->graph.host(far).sw == here) ++far;
+  auto route = std::make_shared<PathWormRoute>();
+  route->steps.push_back({sys->graph.host(far).sw, {far}, kInvalidPort, 0});
+  Packet pkt;
+  pkt.mcast_id = 0;
+  pkt.src = 0;
+  pkt.kind = HeaderKind::kPathWorm;
+  pkt.data_flits = 128;
+  pkt.header_flits = 2;
+  pkt.path = std::move(route);
+  Engine engine;
+  const auto net =
+      MakeNetworkModel(GetParam(), engine, *sys, NetParams{},
+                       [](NodeId, const Packet&, Cycles, Cycles) {});
+  net->InjectFromNi(0, std::move(pkt), 0);
+  EXPECT_DEATH(engine.RunToQuiescence(),
+               "unroutable packet: path worm step names another switch");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, NetworkContractDeathTest,
+    ::testing::Values(EngineKind::kVct, EngineKind::kFlit),
+    [](const auto& info) { return std::string(ToString(info.param)); });
 
 TEST(FlitEngineDeterminism, TraceExportsAreThreadCountInvariant) {
   ThreadsGuard guard;

@@ -176,6 +176,29 @@ TEST(ExecutorDeathTest, LaunchRejectsAnEmptyMessage) {
                "message of 1 packets x 0 flits");
 }
 
+TEST(ExecutorDeathTest, DeliveryForAMulticastItNeverLaunchedAborts) {
+  // Every packet the network delivers belongs to a live multicast: a
+  // stray one aborts the run instead of being ignored.
+  const auto sys = System::Build({}, 42);
+  SimConfig cfg;
+  Engine engine;
+  McastDriver driver(engine, *sys, cfg);
+  const auto scheme = MakeScheme(SchemeKind::kTreeWorm, cfg.host);
+  const std::int64_t id =
+      driver.Launch(scheme->Plan(*sys, 0, {9}, cfg.message, cfg.headers), 0,
+                    [](const MulticastResult&) {});
+  Packet stray;
+  stray.mcast_id = id + 1;
+  stray.src = 0;
+  stray.kind = HeaderKind::kUnicast;
+  stray.uni_dest = 5;
+  stray.data_flits = 128;
+  stray.header_flits = 2;
+  driver.network().InjectFromNi(0, std::move(stray), 0);
+  EXPECT_DEATH(engine.RunToQuiescence(),
+               "delivery for multicast 1, which the driver does not hold");
+}
+
 TEST(Executor, SmartNiForwardsBeforeHostDelivery) {
   // In a 2-deep k-binomial chain the grandchild must receive well before
   // intermediate-host-delivery + full-send would allow (the FPFS

@@ -9,7 +9,7 @@
 //    per trial in trial-index order);
 //  * by name only (Get* on names no table was bound for);
 //  * by merging registries that bound different tables: VCT with flit,
-//    resilience on with off, and a by-name registry into a bound one.
+//    and a by-name registry into a bound one.
 //
 // The values were recorded before the registry's storage changed from
 // name-keyed maps to per-table rows. Any change to a name, a value, a
@@ -61,14 +61,10 @@ void ExpectDigests(const MetricsRegistry& reg, const Digests& want) {
   EXPECT_EQ(got.csv, want.csv) << line;
 }
 
-MetricsRegistry Single(EngineKind engine, bool resilience) {
+MetricsRegistry Single(EngineKind engine) {
   SingleRunSpec spec;
   spec.cfg.engine = engine;
   spec.cfg.seed = 5;
-  if (resilience) {
-    spec.cfg.resilience.enabled = true;
-    spec.cfg.resilience.mtbf = 3000.0;
-  }
   spec.scheme = SchemeKind::kNiKBinomial;
   spec.multicast_size = 15;
   spec.topologies = 2;
@@ -119,13 +115,13 @@ MetricsRegistry Merged(const MetricsRegistry& a, const MetricsRegistry& b) {
 }
 
 TEST(ExportGolden, SingleRunVct) {
-  ExpectDigests(Single(EngineKind::kVct, false),
+  ExpectDigests(Single(EngineKind::kVct),
                 {0xbe37b78e5ad740dcull, 0x5b8549e24d1e364eull,
                  0x1eee487d6aef8cc1ull});
 }
 
 TEST(ExportGolden, SingleRunFlit) {
-  ExpectDigests(Single(EngineKind::kFlit, false),
+  ExpectDigests(Single(EngineKind::kFlit),
                 {0xc8a764be8fafbf44ull, 0x410fd86e390e32deull,
                  0x47cf18cafd3e88f9ull});
 }
@@ -148,25 +144,14 @@ TEST(ExportGolden, ByNameOnly) {
 }
 
 TEST(ExportGolden, VctMergedWithFlit) {
-  ExpectDigests(Merged(Single(EngineKind::kVct, false),
-                       Single(EngineKind::kFlit, false)),
+  ExpectDigests(Merged(Single(EngineKind::kVct),
+                       Single(EngineKind::kFlit)),
                 {0x46916620c0e848ebull, 0xd47c31990d7dcb85ull,
                  0xad50b9a347c93e8eull});
 }
 
-TEST(ExportGolden, ResilienceOnMergedWithOff) {
-  ExpectDigests(Merged(Single(EngineKind::kVct, true),
-                       Single(EngineKind::kVct, false)),
-                {0x4b2652b0a378933eull, 0x3d129f7a358d5a28ull,
-                 0x5d067d7cfcd2f441ull});
-  ExpectDigests(Merged(Single(EngineKind::kVct, false),
-                       Single(EngineKind::kVct, true)),
-                {0x4b2652b0a378933eull, 0x3d129f7a358d5a28ull,
-                 0x5d067d7cfcd2f441ull});
-}
-
 TEST(ExportGolden, ByNameMergedIntoBound) {
-  ExpectDigests(Merged(Single(EngineKind::kVct, false), ByName()),
+  ExpectDigests(Merged(Single(EngineKind::kVct), ByName()),
                 {0x83ff0a26fb2bded2ull, 0x95d13380b125fd12ull,
                  0x0c6d512e8bb59594ull});
   ExpectDigests(Merged(ByName(), Load(EngineKind::kVct)),

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <map>
 #include <set>
 #include <tuple>
@@ -352,181 +351,6 @@ TEST_P(ContendedXCheck, EnginesAgreeExactlyUnderContention) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ContendedXCheck,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
-
-// --- FailLink: directed cuts -----------------------------------------------
-//
-// Each scenario pins what the drop handler hears, when every surviving
-// packet is delivered, and exactly how many cycles the engine steps: a
-// channel left marked busy after its branches were cut would keep the
-// engine ticking and show up in the stepped count.
-
-Packet Tagged(Packet pkt, std::int64_t mcast_id) {
-  pkt.mcast_id = mcast_id;
-  return pkt;
-}
-
-struct FaultRecord {
-  /// mcast id -> (head, tail) at its NI.
-  std::map<std::int64_t, std::pair<Cycles, Cycles>> delivered;
-  /// (mcast id, switch) in report order.
-  std::vector<std::pair<std::int64_t, SwitchId>> drops;
-};
-
-/// Runs `inject` on a deterministic-routing flit engine, cuts the link at
-/// (sw, port) at cycle `cut`, and runs until the engine goes quiet. A
-/// channel left marked busy forever fails the run instead of hanging it.
-FaultRecord RunWithCut(const System& sys, SwitchId sw, PortId port,
-                       Cycles cut,
-                       const std::function<void(FlitEngine&)>& inject,
-                       std::int64_t* stepped) {
-  Engine engine;
-  NetParams params;
-  params.adaptive = false;
-  FaultRecord rec;
-  FlitEngine flit(engine, sys, params,
-                  [&](NodeId, const Packet& p, Cycles h, Cycles t) {
-                    EXPECT_TRUE(rec.delivered.emplace(p.mcast_id,
-                                                      std::pair{h, t})
-                                    .second);
-                  });
-  flit.SetDropHandler([&](const Packet& p, Cycles, SwitchId where) {
-    rec.drops.emplace_back(p.mcast_id, where);
-  });
-  inject(flit);
-  engine.ScheduleAt(cut, [&flit, sw, port]() { flit.FailLink(sw, port); });
-  EXPECT_TRUE(engine.RunUntil(10'000)) << "the engine never went quiet";
-  *stepped = flit.cycles_stepped();
-  return rec;
-}
-
-/// Three switches in a line, 0 - 1 - 2, with NIs at both ends and one in
-/// the middle: node 0 and 1 at switch 0, node 2 and 3 at switch 2, node
-/// 4 at switch 1.
-System LineOfThree() {
-  Graph g(3, 6);
-  g.AddLink(0, 0, 1, 0);
-  g.AddLink(1, 1, 2, 0);
-  g.AttachHost(0, 4);  // node 0
-  g.AttachHost(0, 5);  // node 1
-  g.AttachHost(2, 4);  // node 2
-  g.AttachHost(2, 5);  // node 3
-  g.AttachHost(1, 4);  // node 4
-  return System{std::move(g)};
-}
-
-TEST(FlitEngineFailLink, CutUnderStreamingBranch) {
-  // Worm 1 (0 -> 2) streams across switch 1's link to switch 2 when the
-  // link dies. Its switch-2 copy is cascade-killed, which frees the
-  // ejection port worm 3 waits on; its switch-1 copy swallows the rest of
-  // the stream, which frees the input port worm 2 waits on.
-  const System sys = LineOfThree();
-  std::int64_t stepped = 0;
-  const FaultRecord rec = RunWithCut(
-      sys, 1, 1, 40,
-      [](FlitEngine& f) {
-        f.InjectFromNi(0, Tagged(Unicast(0, 2, 128), 1), 0);
-        f.InjectFromNi(1, Tagged(Unicast(1, 4, 128), 2), 0);
-        f.InjectFromNi(3, Tagged(Unicast(3, 2, 128), 3), 20);
-      },
-      &stepped);
-  using Drops = std::vector<std::pair<std::int64_t, SwitchId>>;
-  EXPECT_EQ(rec.drops, (Drops{{1, 1}}));
-  ASSERT_EQ(rec.delivered.size(), 2u);
-  EXPECT_EQ(rec.delivered.at(2), (std::pair<Cycles, Cycles>{138, 267}));
-  EXPECT_EQ(rec.delivered.at(3), (std::pair<Cycles, Cycles>{41, 170}));
-  EXPECT_EQ(stepped, 268);
-}
-
-TEST(FlitEngineFailLink, CutWhileSecondBranchWaits) {
-  // Worm 1 (0 -> 2) holds switch 1's link to switch 2; worm 2 (4 -> 3)
-  // waits for it. The cut drops both, the waiting one first. Worm 3,
-  // queued behind worm 2 at node 4, starts once worm 2's discarded copy
-  // has drained its input port; worm 4 does the same behind worm 1.
-  const System sys = LineOfThree();
-  std::int64_t stepped = 0;
-  const FaultRecord rec = RunWithCut(
-      sys, 1, 1, 60,
-      [](FlitEngine& f) {
-        f.InjectFromNi(0, Tagged(Unicast(0, 2, 128), 1), 0);
-        f.InjectFromNi(4, Tagged(Unicast(4, 3, 128), 2), 10);
-        f.InjectFromNi(4, Tagged(Unicast(4, 0, 128), 3), 10);
-        f.InjectFromNi(1, Tagged(Unicast(1, 4, 128), 4), 0);
-      },
-      &stepped);
-  using Drops = std::vector<std::pair<std::int64_t, SwitchId>>;
-  EXPECT_EQ(rec.drops, (Drops{{2, 1}, {1, 1}}));
-  ASSERT_EQ(rec.delivered.size(), 2u);
-  EXPECT_EQ(rec.delivered.at(3), (std::pair<Cycles, Cycles>{148, 277}));
-  EXPECT_EQ(rec.delivered.at(4), (std::pair<Cycles, Cycles>{138, 267}));
-  EXPECT_EQ(stepped, 278);
-}
-
-TEST(FlitEngineFailLink, CascadeKillsDownstreamWorms) {
-  // Four switches in a line. Tree worm 1 from node 0 spans switches 1-3
-  // (replicating at switch 2) when the first link dies: one drop is
-  // reported, every downstream copy is killed, and the channels worms 2
-  // and 3 wait on free at once. Worm 4, queued behind worm 1 at node 0,
-  // routes onto the dead link and is dropped there.
-  Graph g(4, 6);
-  g.AddLink(0, 0, 1, 0);
-  g.AddLink(1, 1, 2, 0);
-  g.AddLink(2, 1, 3, 0);
-  g.AttachHost(0, 4);  // node 0
-  g.AttachHost(2, 4);  // node 1
-  g.AttachHost(3, 4);  // node 2
-  g.AttachHost(3, 5);  // node 3
-  g.AttachHost(2, 5);  // node 4
-  const System sys{std::move(g)};
-  Packet tree;
-  tree.src = 0;
-  tree.kind = HeaderKind::kTreeWorm;
-  tree.tree_dests = NodeSet::FromVector(5, {1, 2});
-  tree.data_flits = 128;
-  tree.header_flits = 4;
-  std::int64_t stepped = 0;
-  const FaultRecord rec = RunWithCut(
-      sys, 0, 0, 60,
-      [&tree](FlitEngine& f) {
-        f.InjectFromNi(0, Tagged(tree, 1), 0);
-        f.InjectFromNi(4, Tagged(Unicast(4, 2, 128), 2), 20);
-        f.InjectFromNi(3, Tagged(Unicast(3, 1, 128), 3), 20);
-        f.InjectFromNi(0, Tagged(Unicast(0, 1, 128), 4), 0);
-      },
-      &stepped);
-  using Drops = std::vector<std::pair<std::int64_t, SwitchId>>;
-  EXPECT_EQ(rec.drops, (Drops{{1, 0}, {4, 0}}));
-  ASSERT_EQ(rec.delivered.size(), 2u);
-  EXPECT_EQ(rec.delivered.at(2), (std::pair<Cycles, Cycles>{64, 193}));
-  EXPECT_EQ(rec.delivered.at(3), (std::pair<Cycles, Cycles>{61, 190}));
-  EXPECT_EQ(stepped, 265);
-}
-
-TEST(FlitEngineFailLink, CutKeepsTheHighWaterOfTheKilledCopy) {
-  // Worm 1 (0 -> 3) streams into switch 1, where its branch waits for
-  // the link to switch 2 that worm 2 (4 -> 2) holds, so its buffer fills
-  // one flit a cycle. Cutting the link into switch 1 kills that copy; the
-  // flits it received before the cut still set the occupancy high-water.
-  const System sys = LineOfThree();
-  Engine engine;
-  NetParams params;
-  params.adaptive = false;
-  MetricsRegistry reg;
-  FlitEngine flit(engine, sys, params,
-                  [](NodeId, const Packet&, Cycles, Cycles) {}, nullptr,
-                  &reg);
-  std::vector<std::int64_t> drops;
-  flit.SetDropHandler([&drops](const Packet& p, Cycles, SwitchId) {
-    drops.push_back(p.mcast_id);
-  });
-  flit.InjectFromNi(4, Tagged(Unicast(4, 2, 128), 2), 0);
-  flit.InjectFromNi(0, Tagged(Unicast(0, 3, 128), 1), 0);
-  engine.ScheduleAt(60, [&flit]() { flit.FailLink(0, 0); });
-  engine.RunToQuiescence();
-  flit.CollectMetrics(engine.Now());
-  EXPECT_EQ(drops, (std::vector<std::int64_t>{1}));
-  EXPECT_EQ(reg.GetGauge("flit.max_buffer_occupancy", GaugeMode::kMax).value,
-            56.0);
-}
 
 // --- Work done under load ----------------------------------------------------
 

@@ -5,20 +5,18 @@
 //  * engine-level runs (an engine built by MakeNetworkModel and driven
 //    directly by open-loop packet traffic): every delivery as (mcast,
 //    packet, node, head, tail) plus its hop log when routes are
-//    recorded, every drop, flits_sent() sampled mid-run, the
-//    per-channel link reports, the metrics registry and the trace
-//    event stream;
+//    recorded, flits_sent() sampled mid-run, the per-channel link
+//    reports, the metrics registry and the trace event stream;
 //  * driver-level runs (the load, single-multicast and DSM runners the
 //    CLI and the figures use, and single chunked tree worms; all four
-//    schemes, one- and four-packet messages, both NI disciplines,
-//    faults included): the run's results, the metrics registry and the
-//    trace event stream, which holds every NI delivery, host delivery
-//    and drop.
+//    schemes, one- and four-packet messages, both NI disciplines): the
+//    run's results, the metrics registry and the trace event stream,
+//    which holds every NI delivery and host delivery.
 //
 // The flit values were recorded before the flit engine learned to
 // advance streaming worms in closed form, the VCT values before packets
-// became engine-owned values (the VCT cases cover the Fabric's drop and
-// cut paths and its hop logs). The DriverGolden values were recorded
+// became engine-owned values (the VCT cases cover the Fabric's hop
+// logs). The DriverGolden values were recorded
 // before McastDriver's sends were written once: they cover the driver
 // paths the older cases leave out. Any change to what an engine or the
 // driver delivers, when, or what it counts on the way changes a digest.
@@ -67,12 +65,10 @@ enum class Traffic { kUnicast, kTreeWorm };
 /// Open-loop traffic straight into the `kind` engine on the paper's
 /// default system: every node injects a packet at exponential gaps until
 /// cycle 20'000 (unicast to a random node, or a tree worm to 8 random
-/// nodes). `cut` > 0 fails the first switch-to-switch link of switch 0
-/// then; `slow` sets (link, route, xbar) delays to (2, 3, 4); `record`
+/// nodes). `slow` sets (link, route, xbar) delays to (2, 3, 4); `record`
 /// turns on per-packet hop logs and hashes every delivered packet's.
 std::uint64_t EngineRun(EngineKind kind, Traffic traffic, int buffer_flits,
-                        double gap, Cycles cut = 0, bool slow = false,
-                        bool record = false) {
+                        double gap, bool slow = false, bool record = false) {
   const auto sys = System::Build({}, 3);
   Engine engine;
   NetParams params;
@@ -103,17 +99,6 @@ std::uint64_t EngineRun(EngineKind kind, Traffic traffic, int buffer_flits,
         }
       },
       &tracer, &reg);
-  if (cut > 0) {
-    net->SetDropHandler([&](const Packet& p, Cycles when, SwitchId sw) {
-      d.Bytes("drop");
-      d.Num(static_cast<double>(p.mcast_id));
-      d.Num(static_cast<double>(when));
-      d.Num(sw);
-    });
-    PortId port = 0;
-    while (sys->graph.port(0, port).kind != PortKind::kSwitch) ++port;
-    engine.ScheduleAt(cut, [&net, port]() { net->FailLink(0, port); });
-  }
   const int nodes = sys->num_nodes();
   Rng rng(11);
   std::int64_t next_id = 0;
@@ -177,18 +162,13 @@ std::uint64_t EngineRun(EngineKind kind, Traffic traffic, int buffer_flits,
 /// `shape` and `ni` (here and in SingleRun) default to the paper's
 /// one-packet message and FPFS.
 std::uint64_t LoadRun(EngineKind kind, SchemeKind scheme, int buffer_flits,
-                      double load, double mtbf = 0.0,
-                      MessageShape shape = {},
+                      double load, MessageShape shape = {},
                       NiDiscipline ni = NiDiscipline::kFpfs) {
   LoadRunSpec spec;
   spec.cfg.engine = kind;
   spec.cfg.net.buffer_flits = buffer_flits;
   spec.cfg.message = shape;
   spec.cfg.host.ni_discipline = ni;
-  if (mtbf > 0.0) {
-    spec.cfg.resilience.enabled = true;
-    spec.cfg.resilience.mtbf = mtbf;
-  }
   spec.scheme = scheme;
   spec.degree = 8;
   spec.effective_load = load;
@@ -308,17 +288,15 @@ TEST(FlitGolden, EngineUnicastSmallBuffers) {
                 0xd391ff739ab4a2f2);
 }
 
-TEST(FlitGolden, EngineTreeWormsAndCut) {
+TEST(FlitGolden, EngineTreeWorms) {
   EXPECT_DIGEST(EngineRun(kFlit, Traffic::kTreeWorm, 256, 2'500.0),
                 0x204a6ba1e2704d50);
-  EXPECT_DIGEST(EngineRun(kFlit, Traffic::kTreeWorm, 256, 2'500.0, 6'000),
-                0x9a349e6006e71664);
 }
 
 TEST(FlitGolden, EngineAtNonUnitDelays) {
-  EXPECT_DIGEST(EngineRun(kFlit, Traffic::kUnicast, 16, 900.0, 0, true),
+  EXPECT_DIGEST(EngineRun(kFlit, Traffic::kUnicast, 16, 900.0, true),
                 0x5a3de2a8318b014a);
-  EXPECT_DIGEST(EngineRun(kFlit, Traffic::kTreeWorm, 256, 2'500.0, 0, true),
+  EXPECT_DIGEST(EngineRun(kFlit, Traffic::kTreeWorm, 256, 2'500.0, true),
                 0xcd6c157eba8d2099);
 }
 
@@ -349,11 +327,6 @@ TEST(FlitGolden, WormSchemesAtDefaultBuffers) {
                 0xf327879b9e63f482);
 }
 
-TEST(FlitGolden, TreeWormLoadWithFaults) {
-  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kTreeWorm, 256, 0.2, 6'000.0),
-                0xedac921fc2387c64);
-}
-
 // The VCT Fabric ignores buffer_flits (it holds whole packets in
 // input_slots), so its runs pass the default.
 
@@ -366,26 +339,18 @@ TEST(VctGolden, EngineUnicastAndTreeWorms) {
                 0xae759a3c888b7b48);
 }
 
-TEST(VctGolden, EngineCutWithDropHandler) {
-  EXPECT_DIGEST(EngineRun(kVct, Traffic::kUnicast, 256, 300.0, 6'000),
-                0x1326f78844998fa5);
-  EXPECT_DIGEST(EngineRun(kVct, Traffic::kTreeWorm, 256, 2'500.0, 6'000),
-                0x869e084c75af225);
-}
-
 TEST(VctGolden, EngineAtNonUnitDelays) {
-  EXPECT_DIGEST(EngineRun(kVct, Traffic::kUnicast, 256, 900.0, 0, true),
+  EXPECT_DIGEST(EngineRun(kVct, Traffic::kUnicast, 256, 900.0, true),
                 0xf527b658839d44a5);
-  EXPECT_DIGEST(EngineRun(kVct, Traffic::kTreeWorm, 256, 2'500.0, 0, true),
+  EXPECT_DIGEST(EngineRun(kVct, Traffic::kTreeWorm, 256, 2'500.0, true),
                 0xaf4994a8e25ef644);
 }
 
 TEST(VctGolden, EngineHopLogs) {
+  EXPECT_DIGEST(EngineRun(kVct, Traffic::kUnicast, 256, 900.0, false, true),
+                0x76c17b9c560f569b);
   EXPECT_DIGEST(
-      EngineRun(kVct, Traffic::kUnicast, 256, 900.0, 0, false, true),
-      0x76c17b9c560f569b);
-  EXPECT_DIGEST(
-      EngineRun(kVct, Traffic::kTreeWorm, 256, 2'500.0, 0, false, true),
+      EngineRun(kVct, Traffic::kTreeWorm, 256, 2'500.0, false, true),
       0xea2ea9d93cacde99);
 }
 
@@ -405,20 +370,11 @@ TEST(VctGolden, AllSchemesSingleAndLoad) {
                 0x72e46ccd2195f25f);
 }
 
-TEST(VctGolden, LoadWithFaults) {
-  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kTreeWorm, 256, 0.2, 6'000.0),
-                0xdb0798d7ec839bf9);
-  EXPECT_DIGEST(
-      LoadRun(kVct, SchemeKind::kUnicastBinomial, 256, 0.05, 6'000.0),
-      0x352b2a1ffcea5ed1);
-}
-
 // --- driver paths on both engines --------------------------------------------
 //
 // What the cases above leave out: multi-packet messages on every scheme
 // (FPFS's tail bound, chunked DMA), the store-and-forward NI, chunked
-// tree worms and their region headers, DSM's per-plan shapes, and
-// faulted runs whose repair waves re-plan through the NI and worm sends.
+// tree worms and their region headers, and DSM's per-plan shapes.
 
 constexpr MessageShape kFourPackets{128, 4};
 
@@ -442,28 +398,28 @@ TEST(DriverGolden, FourPacketSingleMulticasts) {
 }
 
 TEST(DriverGolden, FourPacketLoad) {
-  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kUnicastBinomial, 256, 0.05, 0.0,
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kUnicastBinomial, 256, 0.05,
                         kFourPackets),
                 0x9e30d7c1cb0e1593);
-  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kNiKBinomial, 256, 0.05, 0.0,
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kNiKBinomial, 256, 0.05,
                         kFourPackets),
                 0xacae8b6c56909c3a);
-  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kTreeWorm, 256, 0.2, 0.0,
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kTreeWorm, 256, 0.2,
                         kFourPackets),
                 0xf4ffdc28045019fc);
-  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kPathWorm, 256, 0.1, 0.0,
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kPathWorm, 256, 0.1,
                         kFourPackets),
                 0xfa01df28dd119414);
-  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kUnicastBinomial, 256, 0.05, 0.0,
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kUnicastBinomial, 256, 0.05,
                         kFourPackets),
                 0xa1905b43ce715030);
-  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kNiKBinomial, 256, 0.05, 0.0,
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kNiKBinomial, 256, 0.05,
                         kFourPackets),
                 0xed511c8af8fee233);
-  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kTreeWorm, 256, 0.2, 0.0,
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kTreeWorm, 256, 0.2,
                         kFourPackets),
                 0xe575210168d4ae4f);
-  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kPathWorm, 256, 0.1, 0.0,
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kPathWorm, 256, 0.1,
                         kFourPackets),
                 0x68bb46e728b42e3);
 }
@@ -472,12 +428,12 @@ TEST(DriverGolden, MessageStoreAndForwardNi) {
   constexpr NiDiscipline kSaf = NiDiscipline::kMessageStoreAndForward;
   EXPECT_DIGEST(SingleRun(kVct, SchemeKind::kNiKBinomial, kFourPackets, kSaf),
                 0x6c4f34793463bdd0);
-  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kNiKBinomial, 256, 0.05, 0.0,
+  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kNiKBinomial, 256, 0.05,
                         kFourPackets, kSaf),
                 0x8f116dca9027b64e);
   EXPECT_DIGEST(SingleRun(kFlit, SchemeKind::kNiKBinomial, kFourPackets, kSaf),
                 0x9234b9d13094c29d);
-  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kNiKBinomial, 256, 0.05, 0.0,
+  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kNiKBinomial, 256, 0.05,
                         kFourPackets, kSaf),
                 0x85e9c226fabe901c);
 }
@@ -497,17 +453,6 @@ TEST(DriverGolden, DsmInvalidation) {
   EXPECT_DIGEST(DsmRun(kFlit, SchemeKind::kNiKBinomial), 0x9a0ca9b78739b261);
   EXPECT_DIGEST(DsmRun(kFlit, SchemeKind::kTreeWorm), 0x371549c9bb061407);
   EXPECT_DIGEST(DsmRun(kFlit, SchemeKind::kPathWorm), 0x204a6666b4eb4f34);
-}
-
-TEST(DriverGolden, NiAndPathWormLoadWithFaults) {
-  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kNiKBinomial, 256, 0.05, 6'000.0),
-                0xb29aeeb626529008);
-  EXPECT_DIGEST(LoadRun(kVct, SchemeKind::kPathWorm, 256, 0.1, 6'000.0),
-                0xf27a464082db1e6f);
-  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kNiKBinomial, 256, 0.05, 6'000.0),
-                0x64f1f250467e5cb4);
-  EXPECT_DIGEST(LoadRun(kFlit, SchemeKind::kPathWorm, 256, 0.1, 6'000.0),
-                0xc003c356d4db7626);
 }
 
 }  // namespace

@@ -1,9 +1,6 @@
 // The network layer's running bookkeeping against full walks, on both
-// engines: every scheme through McastDriver, pristine and with a
-// mid-run link fault followed by its Autonet swap (resilience on), and
-// open-loop unicast traffic straight into the engine with a busy link
-// cut mid-run (transmissions queued on it, granted and waiting for a
-// downstream slot, or on the wire):
+// engines: every scheme through McastDriver, and open-loop unicast
+// traffic straight into the engine:
 //
 //  * after every event, TotalBacklog()'s running count equals a recount
 //    of ChannelBacklog over every switch port plus InjectionBacklog over
@@ -13,8 +10,7 @@
 //    `<engine>.link_utilization_pct`, and
 //    `<engine>.max_link_utilization` — and MaxLinkUtilization() equal
 //    what a full walk gives: flits_sent() for the busy cycles, and
-//    LinkReports(now) over the switch links the current System still
-//    has for the rest (a link the swap removed drops out of both).
+//    LinkReports(now) over the switch links for the rest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +24,6 @@
 #include "mcast/scheme.hpp"
 #include "metrics/metrics.hpp"
 #include "network/network_model.hpp"
-#include "resilience/fault_schedule.hpp"
 #include "sim/engine.hpp"
 #include "topology/system.hpp"
 
@@ -122,62 +117,16 @@ void LaunchBatch(McastDriver& driver, const System& sys, const SimConfig& cfg,
   }
 }
 
-/// A fault a third of the way through a pristine run of the batch, on
-/// the switch link that carried the most flits by then among those whose
-/// loss the topology survives.
-TimedFault BusiestSurvivableLink(const System& sys, const SimConfig& cfg,
-                                 SchemeKind kind) {
-  Cycles at = 0;
-  {
-    Engine engine;
-    McastDriver driver(engine, sys, cfg);
-    int completed = 0;
-    LaunchBatch(driver, sys, cfg, kind, &completed);
-    at = engine.RunToQuiescence() / 3;
-  }
-  Engine engine;
-  McastDriver driver(engine, sys, cfg);
-  int completed = 0;
-  LaunchBatch(driver, sys, cfg, kind, &completed);
-  engine.RunUntil(at);
-  TimedFault best{at, kInvalidSwitch, kInvalidPort};
-  std::int64_t most = 0;
-  for (const LinkLoadReport& r : driver.network().LinkReports(at)) {
-    if (r.sw == kInvalidSwitch || r.to_host || r.flits <= most) continue;
-    const TimedFault f{at, r.sw, r.port};
-    if (!ScheduleIsSurvivable(sys.graph, {f})) continue;
-    best = f;
-    most = r.flits;
-  }
-  EXPECT_NE(best.sw, kInvalidSwitch) << "no busy survivable link";
-  return best;
-}
-
-struct Case {
-  EngineKind engine;
-  SchemeKind scheme;
-  bool fault;
-};
-
-std::string Label(const Case& c) {
-  return std::string(ToString(c.engine)) + " " + ToIdent(c.scheme) +
-         (c.fault ? " with a fault" : "");
-}
-
-void CheckBookkeeping(const Case& c) {
-  SCOPED_TRACE(Label(c));
+void CheckBookkeeping(EngineKind kind, SchemeKind scheme) {
+  SCOPED_TRACE(std::string(ToString(kind)) + " " + ToIdent(scheme));
   const auto sys = System::Build(TopologySpec{}, 7);
-  SimConfig cfg = MakeConfig(c.engine);
-  if (c.fault) {
-    cfg.resilience.enabled = true;
-    cfg.resilience.schedule = {BusiestSurvivableLink(*sys, cfg, c.scheme)};
-  }
+  const SimConfig cfg = MakeConfig(kind);
   MetricsRegistry reg;
   Engine engine;
   McastDriver driver(engine, *sys, cfg, nullptr, &reg);
   NetworkModel& net = driver.network();
   int completed = 0;
-  LaunchBatch(driver, *sys, cfg, c.scheme, &completed);
+  LaunchBatch(driver, *sys, cfg, scheme, &completed);
 
   const std::int64_t peak = StepCheckingBacklog(engine, net, *sys);
   EXPECT_EQ(completed, 3);
@@ -185,17 +134,8 @@ void CheckBookkeeping(const Case& c) {
 
   engine.CollectMetrics(reg);
   net.CollectMetrics(engine.Now());
-  const std::int64_t reported_flits =
-      ExpectFoldMatchesFullWalk(net, reg, c.engine, engine.Now());
-  if (c.fault) {
-    EXPECT_EQ(reg.counters().at("resilience.faults").value, 1);
-    EXPECT_EQ(reg.counters().at("resilience.reconfigs").value, 1);
-    // The failed link carried flits and the swap removed it: its flits
-    // count in the busy cycles but it left the switch-link set.
-    EXPECT_GT(net.flits_sent(), reported_flits);
-  } else {
-    EXPECT_EQ(net.flits_sent(), reported_flits);
-  }
+  EXPECT_EQ(ExpectFoldMatchesFullWalk(net, reg, kind, engine.Now()),
+            net.flits_sent());
 }
 
 class NetworkBookkeeping : public ::testing::TestWithParam<EngineKind> {};
@@ -204,25 +144,21 @@ TEST_P(NetworkBookkeeping, RunningCountsMatchFullWalks) {
   for (SchemeKind scheme :
        {SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
         SchemeKind::kTreeWorm, SchemeKind::kPathWorm})
-    for (bool fault : {false, true})
-      CheckBookkeeping(Case{GetParam(), scheme, fault});
+    CheckBookkeeping(GetParam(), scheme);
 }
 
-TEST_P(NetworkBookkeeping, CutUnderOpenLoopUnicastTraffic) {
+TEST_P(NetworkBookkeeping, OpenLoopUnicastTraffic) {
   // Every node sends 128-flit unicasts at exponential gaps (mean 300
-  // cycles) until cycle 20,000, straight into the engine; the first
-  // switch link of switch 0 dies at cycle 6,000 under that load.
+  // cycles) until cycle 20,000, straight into the engine; every one of
+  // them is delivered.
   const auto sys = System::Build(TopologySpec{}, 3);
   MetricsRegistry reg;
   Engine engine;
+  std::int64_t delivered = 0;
   const auto net = MakeNetworkModel(
       GetParam(), engine, *sys, NetParams{},
-      [](NodeId, const Packet&, Cycles, Cycles) {}, nullptr, &reg);
-  int drops = 0;
-  net->SetDropHandler([&drops](const Packet&, Cycles, SwitchId) { ++drops; });
-  PortId port = 0;
-  while (sys->graph.port(0, port).kind != PortKind::kSwitch) ++port;
-  engine.ScheduleAt(6'000, [&net, port]() { net->FailLink(0, port); });
+      [&delivered](NodeId, const Packet&, Cycles, Cycles) { ++delivered; },
+      nullptr, &reg);
   const int nodes = sys->num_nodes();
   Rng rng(11);
   std::vector<Packet> sends;
@@ -248,7 +184,7 @@ TEST_P(NetworkBookkeeping, CutUnderOpenLoopUnicastTraffic) {
     }
   }
   EXPECT_GT(StepCheckingBacklog(engine, *net, *sys), 10);
-  EXPECT_GT(drops, 0);
+  EXPECT_EQ(delivered, static_cast<std::int64_t>(sends.size()));
   net->CollectMetrics(engine.Now());
   EXPECT_EQ(ExpectFoldMatchesFullWalk(*net, reg, GetParam(), engine.Now()),
             net->flits_sent());

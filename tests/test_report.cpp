@@ -273,8 +273,6 @@ TEST(Diff, DirectionInference) {
             Direction::kLowerIsBetter);
   EXPECT_EQ(MetricDirection("hist.mcast.latency"),
             Direction::kLowerIsBetter);
-  EXPECT_EQ(MetricDirection("counter.resilience.drops"),
-            Direction::kLowerIsBetter);
   // Workload-shape metrics never gate.
   EXPECT_EQ(MetricDirection("counter.fabric.hops"), Direction::kInfo);
 }

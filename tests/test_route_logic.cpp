@@ -270,11 +270,10 @@ TEST(RouteLogicPath, StepsDeliverThenForwardAndStripHeaderFields) {
   EXPECT_EQ(last[0].port, sys.graph.host(2).port);
 }
 
-TEST(RouteLogicPath, DownOnlyWormNamingAnUpPortIsStale) {
-  // After an Autonet swap a path worm already descending can reach a
-  // step whose precomputed forward port is an up move under the new
-  // orientation. That header is stale: the engines drop it and the
-  // retransmit layer repairs the loss.
+TEST(RouteLogicPathDeathTest, DownOnlyWormNamingAnUpPortAborts) {
+  // A path worm already descending whose next step forwards on an up
+  // port breaks the up*/down* phase rule: the network is lossless, so
+  // the route logic aborts instead of dropping it.
   Graph g(3, 4);
   g.AddLink(0, 0, 1, 0);
   g.AddLink(1, 1, 2, 0);
@@ -299,19 +298,16 @@ TEST(RouteLogicPath, DownOnlyWormNamingAnUpPortIsStale) {
   pkt.path_cursor = 1;
   pkt.phase = RoutePhase::kDownOnly;
 
-  std::vector<RouteBranch> out(1);  // a prior entry that must survive
-  out[0].pkt.mcast_id = 77;
-  out[0].port = 3;
-  EXPECT_FALSE(TryComputeRouteBranches(sys, 1, pkt, false, ZeroLoad(), out));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].pkt.mcast_id, 77);
-  EXPECT_EQ(out[0].port, 3);
+  std::vector<RouteBranch> out;
+  EXPECT_DEATH(ComputeRouteBranches(sys, 1, pkt, false, ZeroLoad(), out),
+               "unroutable packet: path worm climbs after its descent");
 
   // The same step is legal while the worm may still climb.
   pkt.phase = RoutePhase::kUpAllowed;
-  EXPECT_TRUE(TryComputeRouteBranches(sys, 1, pkt, false, ZeroLoad(), out));
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[2].port, 0);
+  ComputeRouteBranches(sys, 1, pkt, false, ZeroLoad(), out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].port, sys.graph.host(1).port);
+  EXPECT_EQ(out[1].port, 0);
 }
 
 // --- hop logging ------------------------------------------------------

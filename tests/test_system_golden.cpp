@@ -239,8 +239,8 @@ TEST(SystemGolden, FlatTablesMatchNaiveReferenceAcrossTopologies) {
 }
 
 TEST(SystemGolden, PostFaultRebuiltSystemsMatchReference) {
-  // Degraded graphs after removing a non-critical link, as Autonet
-  // reconfiguration rebuilds them mid-run.
+  // Degraded graphs after removing a non-critical link, as an Autonet
+  // reconfiguration rebuilds them.
   int checked = 0;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     TopologySpec spec;
@@ -290,19 +290,13 @@ TEST(SystemGolden, SystemBuilderCachesByKeyExactly) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 4u);
 
-  // FromGraph: equal port tables hit, regardless of provenance.
-  const auto d = builder.FromGraph(a->graph);
-  const auto e = builder.FromGraph(Graph(a->graph));
-  EXPECT_EQ(d.get(), e.get());
-  EXPECT_NE(d.get(), a.get());  // spec-keyed and graph-keyed are distinct
-
   // LRU bound: capacity 4 evicts, but outstanding refs stay valid.
   for (std::uint64_t s = 10; s < 20; ++s) builder.Build(spec, s);
   EXPECT_LE(builder.size(), 4u);
   EXPECT_EQ(a->num_switches(), spec.num_switches);  // still alive via a
   builder.Clear();
   EXPECT_EQ(builder.size(), 0u);
-  EXPECT_EQ(d->num_nodes(), spec.num_hosts);  // alive across Clear too
+  EXPECT_EQ(c->num_nodes(), spec.num_hosts);  // alive across Clear too
 }
 
 }  // namespace

@@ -237,34 +237,8 @@ TEST_P(LinkReports, IdleFabricIsAllZero) {
   EXPECT_EQ(driver.network().MaxLinkUtilization(1000), 0.0);
 }
 
-using LinkReportsDeathTest = LinkReports;
-
-TEST_P(LinkReportsDeathTest, SwapSystemRejectsADifferentShape) {
-  const auto sys = System::Build({}, 42);
-  Engine engine;
-  const auto net = MakeNetworkModel(
-      GetParam(), engine, *sys, NetParams{},
-      [](NodeId, const Packet&, Cycles, Cycles) {});
-  const auto same_shape = System::Build({}, 43);
-  net->SwapSystem(*same_shape);  // accepted
-  TopologySpec more_switches;
-  more_switches.num_switches = 9;
-  TopologySpec more_ports;
-  more_ports.ports_per_switch = 9;
-  TopologySpec fewer_nodes;
-  fewer_nodes.num_hosts = 31;
-  for (const TopologySpec& spec : {more_switches, more_ports, fewer_nodes}) {
-    const auto other = System::Build(spec, 42);
-    EXPECT_DEATH(net->SwapSystem(*other), "precondition violated");
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Engines, LinkReports,
-    ::testing::Values(EngineKind::kVct, EngineKind::kFlit),
-    [](const auto& info) { return std::string(ToString(info.param)); });
-INSTANTIATE_TEST_SUITE_P(
-    Engines, LinkReportsDeathTest,
     ::testing::Values(EngineKind::kVct, EngineKind::kFlit),
     [](const auto& info) { return std::string(ToString(info.param)); });
 

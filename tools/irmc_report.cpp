@@ -48,7 +48,7 @@ int Usage() {
       "           [--topologies N] [--samples N] [--horizon N]\n"
       "           [--scale-latency X]   run a panel, append a RunRecord\n"
       "           (--hosts: default 4 x switches, at most\n"
-      "           switches x (ports - 1))\n"
+      "           switches x (ports - 2) + 1 from 3 switches on)\n"
       "  diff     --baseline A --candidate B [--threshold X] [--bootstrap N]\n"
       "           [--confidence X] [--seed N] [--all]   print deltas\n"
       "  regress  (same options) [--allow-config-mismatch]\n"

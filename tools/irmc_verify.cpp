@@ -52,7 +52,8 @@ int Usage() {
       "  --switches L     comma-separated switch counts the trials\n"
       "                   cycle through (default 8,16,32)\n"
       "  --nodes N        hosts per topology (default 32; at most\n"
-      "                   (ports - 1) x the smallest --switches entry)\n"
+      "                   switches x (ports - 2) + 1 for every\n"
+      "                   --switches entry from 3 on)\n"
       "  --ports P        ports per switch (default 8)\n"
       "  --faults F       per topology, inject F survivable link\n"
       "                   faults, rebuild, and re-verify (default 0)\n"
@@ -190,12 +191,12 @@ int main(int argc, char** argv) {
   for (std::int64_t v : args.GetIntListIn("switches", "8,16,32", 1, kIntMax))
     sizes.push_back(static_cast<int>(v));
   const auto ports = static_cast<int>(args.GetIntIn("ports", 8, 2, kIntMax));
-  // Every trial must place the hosts, the one on the fewest switches too.
-  const auto nodes = static_cast<int>(args.GetIntIn(
-      "nodes", 32, 1,
-      std::min(kIntMax,
-               MaxHosts(*std::min_element(sizes.begin(), sizes.end()),
-                        ports))));
+  // Every trial must place and connect the hosts, on every switch count
+  // (at two ports, two switches take more hosts than three).
+  std::int64_t max_nodes = kIntMax;
+  for (int size : sizes) max_nodes = std::min(max_nodes, MaxHosts(size, ports));
+  const auto nodes =
+      static_cast<int>(args.GetIntIn("nodes", 32, 1, max_nodes));
   const auto faults = static_cast<int>(args.GetIntIn("faults", 0, 0, kIntMax));
   const std::string load = args.GetString("load", "");
 

@@ -37,7 +37,6 @@
 #include "core/single_runner.hpp"
 #include "mcast/scheme.hpp"
 #include "metrics/export.hpp"
-#include "resilience/fault_schedule.hpp"
 #include "topology/serialize.hpp"
 #include "topology/system.hpp"
 #include "trace/analysis.hpp"
@@ -180,25 +179,6 @@ SimConfig ConfigFrom(const Args& args, int min_nodes = 2) {
   cfg.net.buffer_flits =
       GetInt32(args, "buffer-flits", cfg.net.buffer_flits, 1);
   cfg.seed = static_cast<std::uint64_t>(GetInt64(args, "seed", 1));
-  // Runtime resilience (docs/resilience.md): an explicit fault schedule
-  // and/or random faults with a mean time between failures. Either one
-  // switches the NI retransmit layer and the reconfiguration manager on.
-  const std::string faults = args.GetString("fault-schedule", "");
-  if (!faults.empty() &&
-      !ParseFaultSchedule(faults, &cfg.resilience.schedule)) {
-    std::fprintf(stderr,
-                 "invalid value for --fault-schedule: '%s' (accepted: "
-                 "t:sw:port[,t:sw:port...] of non-negative integers)\n",
-                 faults.c_str());
-    std::exit(2);
-  }
-  cfg.resilience.mtbf =
-      args.GetDoubleIn("mtbf", cfg.resilience.mtbf, RealRange::AtLeast(0.0));
-  cfg.resilience.reconfig_delay =
-      GetInt64(args, "reconfig-delay", cfg.resilience.reconfig_delay, 0);
-  cfg.resilience.verify_reconfig = args.GetFlag("verify-reconfig");
-  cfg.resilience.enabled =
-      !cfg.resilience.schedule.empty() || cfg.resilience.mtbf > 0.0;
   // --threads N overrides IRMC_THREADS for the trial executor (0 = the
   // default, 1 = serial).
   const int threads = GetInt32(args, "threads", 0, 0);
@@ -213,19 +193,14 @@ int Usage() {
                "schemes: uni-binomial ni-kbinomial tree-worm path-worm flat\n"
                "common:  --switches N --nodes N --ports N --packets N\n"
                "         --packet-flits N --ratio R --seed S\n"
-               "         (--nodes at most switches x (ports - 1))\n"
+               "         (--nodes at most switches x (ports - 2) + 1 from 3 "
+               "switches on)\n"
                "         --engine vct|flit  (network engine; flit = true "
                "wormhole, finite buffers)\n"
                "         --buffer-flits N  (flit engine per-port input "
                "buffer)\n"
                "         --threads N  (parallel trials; default "
                "IRMC_THREADS or all cores)\n"
-               "         --fault-schedule t:sw:port[,...]  (kill links "
-               "mid-run; NI retransmit\n"
-               "                      + Autonet reconfig recover them)\n"
-               "         --mtbf CYCLES  (random survivable link faults, "
-               "exponential gaps)\n"
-               "         --reconfig-delay CYCLES  --verify-reconfig\n"
                "         --metrics FILE  (single/load/dsm: write merged "
                "metrics; .json/.jsonl/.csv)\n"
                "         --trace FILE[:CAP]  (single/load/dsm: write merged "
