@@ -88,8 +88,10 @@ void FlitEngine::QueueInjection(NodeId n, Packet&& pkt, Cycles ready) {
   // A new head packet behind an idle injection channel: the NI becomes
   // ready at `ready` (PumpInjections moves it to ready_nis_ then).
   if (q.size == 1 &&
-      arbs_[static_cast<std::size_t>(InjChannel(n))].Load() == 0)
+      arbs_[static_cast<std::size_t>(InjChannel(n))].Load() == 0) {
     ready_heap_.emplace(ready, n);
+    next_due_ = std::min(next_due_, ready);
+  }
   ScheduleTick(ready);
 }
 
@@ -135,11 +137,14 @@ void FlitEngine::Tick() {
   if (now <= last_processed_) return;  // duplicate wake-up for a done cycle
   last_processed_ = now;
   ++ticks_;
-  ReleasePorts();
-  LandFlits(now);
-  PumpInjections(now);
-  RouteWorms(now);
-  MoveFlits(now);
+  if (now >= next_due_) {
+    ReleasePorts();
+    LandFlits(now);
+    PumpInjections(now);
+    RouteWorms(now);
+    MoveFlits(now);
+    next_due_ = NextDue(now);
+  }
   if (!frozen_) moved_through_ = now;
   if (Busy()) ScheduleTick(now + 1);
 }
@@ -152,6 +157,20 @@ bool FlitEngine::Busy() const {
   // a wake-up at `ready` already.
   return !in_flight_.empty() || !pending_port_release_.empty() ||
          !route_queue_.empty() || busy_channels_ > 0 || ready_count_ > 0;
+}
+
+Cycles FlitEngine::NextDue(Cycles now) const {
+  // Each phase's work, as the phase itself tests for it.
+  if (!pending_port_release_.empty() || ready_count_ > 0 ||
+      std::any_of(step_channels_.begin(), step_channels_.end(),
+                  [](std::uint64_t word) { return word != 0; }))
+    return now + 1;
+  Cycles due = trip_due_;
+  if (!in_flight_.empty()) due = std::min(due, in_flight_.front().lands);
+  if (!ready_heap_.empty()) due = std::min(due, ready_heap_.top().first);
+  if (!route_queue_.empty()) due = std::min(due, route_queue_.front().second);
+  if (!tails_due_.empty()) due = std::min(due, tails_due_.top().first);
+  return due;
 }
 
 // --- activity bookkeeping ---
@@ -167,9 +186,10 @@ void FlitEngine::Enqueue(std::size_t ci, int bid) {
   c.last_waiting = bid;
   ++c.waiting;
   ++backlog_;
-  // Behind a streaming branch the grant waits for its tail visit.
+  // Behind a streaming or parked branch the grant waits for its tail
+  // visit.
   if (c.active_branch == -1 ||
-      !branches_[static_cast<std::size_t>(c.active_branch)].streaming)
+      branches_[static_cast<std::size_t>(c.active_branch)].stepped())
     SetBit(step_channels_, ci);
 }
 
@@ -275,8 +295,31 @@ void FlitEngine::SettleAll() {
   const Cycles next = moved_through_ + 1;
   for (Worm& w : worms_)
     if (w.pins > 0) Sync(w, next, next);
-  for (BranchState& b : branches_)
-    if (b.streaming) Materialize(b, moved_through_);
+  for (BranchState& b : branches_) {
+    if (b.streaming)
+      Materialize(b, moved_through_);
+    else if (b.parked)
+      SettleStall(b, moved_through_);
+  }
+}
+
+void FlitEngine::SettleStall(BranchState& b, Cycles t) {
+  const Cycles owed = t - (b.stall_begin + b.stall_len - 1);
+  if (owed <= 0) return;
+  b.stall_len += owed;
+  if (m_blocked_) m_blocked_->Add(owed);
+}
+
+void FlitEngine::WakeTrips(Cycles now) {
+  trip_due_ = kNever;
+  for (const BranchState& b : branches_) {
+    if (!b.parked) continue;
+    const Cycles trip = b.stall_begin + params_.deadlock_horizon;
+    if (trip <= now)
+      SetBit(step_channels_, static_cast<std::size_t>(b.channel));
+    else
+      trip_due_ = std::min(trip_due_, trip);
+  }
 }
 
 // --- slot recycling ---
@@ -328,28 +371,36 @@ void FlitEngine::Unpin(int wi) {
   // Nothing refers to the worm or its branches any more: every branch is
   // off its channel with no flit on the wire, and the worm is neither
   // queued for routing nor resident in a port. Free slots read as done,
-  // which is all a later walk over branches_ checks.
+  // which is all a later walk over branches_ checks. Their packets stay
+  // until the slot's next use overwrites them: nothing reads a free
+  // slot's packet.
   for (int bid : w.branch_ids) {
     BranchState& b = branches_[static_cast<std::size_t>(bid)];
     b = BranchState{};
     b.done = true;
-    branch_pkt(bid) = Packet{};
     free_branches_.push_back(bid);
   }
   std::vector<int> ids = std::move(w.branch_ids);
   ids.clear();  // keep the capacity for the slot's next worm
   w = Worm{};
   w.branch_ids = std::move(ids);
-  worm_pkt(wi) = Packet{};
   free_worms_.push_back(wi);
 }
 
 // --- cycle phases ---
 
 void FlitEngine::ReleasePorts() {
-  for (int port : pending_port_release_)
-    Unpin(std::exchange(resident_[static_cast<std::size_t>(port)],
-                        -1));
+  for (int port : pending_port_release_) {
+    const int wi = std::exchange(resident_[static_cast<std::size_t>(port)], -1);
+    const auto feeder =
+        static_cast<std::size_t>(worms_[static_cast<std::size_t>(wi)].feeder);
+    Unpin(wi);
+    // A branch parked on the port moves this cycle, as one that checked
+    // the port every cycle would.
+    const int active = arbs_[feeder].active_branch;
+    if (active != -1 && branches_[static_cast<std::size_t>(active)].parked)
+      SetBit(step_channels_, feeder);
+  }
   pending_port_release_.clear();
 }
 
@@ -383,6 +434,7 @@ void FlitEngine::LandFlits(Cycles now) {
         w.len = b.len;
         w.head_arrive = entry.lands;
         w.port_index = c.dst_port;
+        w.feeder = b.channel;
         w.pins = 2;
         w.land_sync = w.move_sync = entry.lands;
         if (b.phase != kNever) w.feed = entry.branch;
@@ -498,6 +550,7 @@ void FlitEngine::MoveFlits(Cycles now) {
     SetBit(step_channels_, static_cast<std::size_t>(tails_due_.top().second));
     tails_due_.pop();
   }
+  if (trip_due_ <= now) WakeTrips(now);
   // Ascending channel order is load-bearing: a downstream channel that
   // drains earlier in the cycle raises its worm's `freed` before an
   // upstream feeder with a higher index checks credit against it, exactly
@@ -510,7 +563,7 @@ void FlitEngine::MoveFlits(Cycles now) {
     const bool step =
         c.active_branch == -1
             ? c.waiting > 0
-            : !branches_[static_cast<std::size_t>(c.active_branch)].streaming;
+            : branches_[static_cast<std::size_t>(c.active_branch)].stepped();
     if (!step) ClearBit(step_channels_, ci);
   });
 }
@@ -527,6 +580,11 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
       Sync(worms_[static_cast<std::size_t>(a.src_worm)], now + 1, now);
       Materialize(a, now - 1);
       a.streaming = false;
+    } else if (a.parked) {
+      // Woken by its port's release or its due trip: count the cycles it
+      // stalled unvisited, then check the port as every cycle would.
+      SettleStall(a, now - 1);
+      a.parked = false;
     }
   }
   if (c.active_branch == -1 && c.waiting > 0) {
@@ -582,8 +640,15 @@ void FlitEngine::MoveChannel(std::size_t ci, Cycles now) {
       if (m_blocked_) m_blocked_->Add();
       if (b.stall_len == 0) b.stall_begin = now;
       ++b.stall_len;
-      if (b.stall_len > params_.deadlock_horizon)
+      if (b.stall_len > params_.deadlock_horizon) {
         DeadlockTrip(now, c.active_branch);
+      } else if (b.dst_worm == -1) {
+        // One channel feeds the port and the head is unsent, so only the
+        // resident worm's release (ReleasePorts) ends this stall: park.
+        b.parked = true;
+        trip_due_ =
+            std::min(trip_due_, b.stall_begin + params_.deadlock_horizon);
+      }
       return;
     }
   }
@@ -654,8 +719,11 @@ void FlitEngine::DeadlockTrip(Cycles now, int trip_branch) {
   // channels have sent this cycle's flit, the rest have not — and step
   // them from here on: the engine stops (or freezes) anyway. A worm with
   // a stream gets the `freed` a walk over every channel would show here.
+  // Parked stalls likewise count this cycle on lower channels only.
   const int trip_channel =
       branches_[static_cast<std::size_t>(trip_branch)].channel;
+  for (BranchState& b : branches_)
+    if (b.parked) SettleStall(b, b.channel < trip_channel ? now : now - 1);
   for (Worm& w : worms_)
     if (w.pins > 0) Sync(w, now + 1, now);
   for (Worm& w : worms_) {

@@ -34,18 +34,28 @@
 // and the buffer-occupancy high-water are linear in time: they are
 // settled only at worm events (head send/land, route, tail send/land,
 // deadlock report, any read), and only heads, tails and the
-// flits of stepped branches go on the wire as discrete landings. Every
-// other branch — awaiting a grant, stalled on a held port or on credit,
-// starved, or in a buffer too small to absorb it — is *stepped* one
-// cycle at a time in ascending channel order, which keeps arbitration
-// and credit timing cycle-exact (a worm with a stepped feeder has only
-// stepped branches until it is complete, so credit never reads a
-// closed-form count). A cycle visits only the channels with a stepped
-// branch or a tail due, and only the NIs whose head packet is ready;
-// future-ready NIs wait in a (ready, node) heap. The tick schedule is
-// unchanged: one kernel event per active cycle. Worm and branch slots
-// are recycled once nothing can reach them, so memory follows the worms
-// in flight, not the packets ever sent.
+// flits of stepped branches go on the wire as discrete landings. A
+// branch whose head finds its output port held by another worm is
+// *parked*: only one channel feeds that port and only the resident
+// worm's release frees it, so nothing but ReleasePorts can end the
+// stall. The release wakes the branch in the cycle a check every cycle
+// would have seen the port free, and its stall cycles are counted in
+// closed form (at that visit, at any read, at the deadlock trip, and at
+// the trip cycle, which wakes it to trip in channel order). Every other
+// branch — awaiting a grant, stalled on credit, starved, or in a buffer
+// too small to absorb it — is *stepped* one cycle at a time in ascending
+// channel order, which keeps arbitration and credit timing cycle-exact
+// (a worm with a stepped feeder has only stepped branches until it is
+// complete, so credit never reads a closed-form count). A cycle visits
+// only the channels with a stepped branch, a woken parked branch or a
+// tail due, and only the NIs whose head packet is ready; future-ready
+// NIs wait in a (ready, node) heap. The tick schedule is unchanged: one
+// kernel event per active cycle, while anything is in flight, queued or
+// parked. A tick with nothing due (no port to release, flit to land, NI
+// ready, route decision, channel to visit or trip to wake) skips its
+// phases and only marks the cycle done. Worm and branch slots are
+// recycled once nothing can reach them, so memory follows the worms in
+// flight, not the packets ever sent.
 //
 // Packets are values the engine owns: an NI's queued packets sit in one
 // node arena (queued_) that every NI's FIFO list threads through, and a
@@ -129,8 +139,9 @@ class FlitEngine final : public NetworkModel {
   std::int64_t cycles_stepped() const { return ticks_; }
 
   /// Channel visits made by the move phase: one per stepped branch per
-  /// cycle, plus one per streaming tail. A machine-independent measure
-  /// of the engine's per-cycle work.
+  /// cycle, plus one per streaming tail and one per woken parked branch
+  /// (a branch parked on a held port costs none while it waits). A
+  /// machine-independent measure of the engine's per-cycle work.
   std::int64_t channel_visits() const { return visits_; }
 
   /// Worm slots plus branch slots ever allocated. Finished worms and
@@ -164,6 +175,7 @@ class FlitEngine final : public NetworkModel {
     bool routed = false;
     int live_branches = 0;
     int port_index = -1;  ///< owning input port; -1 for injection sources
+    int feeder = -1;  ///< the channel into port_index; -1 for sources
     std::vector<int> branch_ids;
     /// What still refers to this slot: one while on route_queue_, one
     /// while it holds its input port (until ReleasePorts clears it), one
@@ -193,6 +205,11 @@ class FlitEngine final : public NetworkModel {
     bool done = false;  ///< tail sent; also a free slot
     /// Sending one flit per cycle without visits until the tail is due.
     bool streaming = false;
+    /// Stalled before its head on a held output port, without visits
+    /// until ReleasePorts frees the port or the stall is due to trip;
+    /// its stall cycles since the last one counted are settled by
+    /// SettleStall.
+    bool parked = false;
     /// Once streamed: flit k is sent at cycle phase + k - 1, and the
     /// streamed (non-head, non-tail) flits land from land_first on.
     Cycles phase = kNever;
@@ -208,6 +225,8 @@ class FlitEngine final : public NetworkModel {
     Cycles stall_len = 0;
     const char* stall_why = nullptr;
     int next_waiting = -1;  ///< next on its channel's waiting list
+    /// Visited every cycle it is active: neither streaming nor parked.
+    bool stepped() const { return !streaming && !parked; }
   };
 
   /// A channel's branches: the one streaming through it and those
@@ -262,6 +281,9 @@ class FlitEngine final : public NetworkModel {
   void ScheduleTick(Cycles when);
   void Tick();
   bool Busy() const;
+  /// The first cycle after `now` at which a phase has work, as the
+  /// phases of `now` left the engine.
+  Cycles NextDue(Cycles now) const;
 
   // --- cycle phases (run in this order each stepped cycle) ---
   void ReleasePorts();
@@ -290,8 +312,16 @@ class FlitEngine final : public NetworkModel {
   /// `freed` once the moves of cycle `v` are done, for a worm whose
   /// streaming branches all moved in `v`.
   int FreedAfter(const Worm& w, Cycles v) const;
-  /// Settles every worm and stream to the last completed cycle.
+  /// Settles every worm, stream and parked stall to the last completed
+  /// cycle.
   void SettleAll();
+  /// Counts a parked branch's stall cycles through cycle `t`. Its streak
+  /// has no gaps (its head is unsent, so each cycle since stall_begin was
+  /// a stall), so stall_begin + stall_len - 1 is the last one counted.
+  void SettleStall(BranchState& b, Cycles t);
+  /// Wakes the parked branches whose stall trips the deadlock check at
+  /// `now` and finds the next such cycle.
+  void WakeTrips(Cycles now);
 
   // --- activity bookkeeping ---
   /// Queues branch `bid` for a grant on channel `ci`.
@@ -345,6 +375,8 @@ class FlitEngine final : public NetworkModel {
   // Activity sets, one bit per index, walked in ascending order. A set
   // bit in step_channels_ marks a channel to visit next cycle: one with
   // a stepped active branch, or with waiting branches and none active.
+  // A parked branch's channel is set only by its port's release or its
+  // due trip.
   // ready_nis_ holds the NIs with an idle injection channel and
   // a ready head packet; those whose head packet is not ready yet wait
   // in ready_heap_.
@@ -354,6 +386,11 @@ class FlitEngine final : public NetworkModel {
   using MinHeap = std::priority_queue<T, std::vector<T>, std::greater<>>;
   MinHeap<std::pair<Cycles, int>> ready_heap_;  // (ready, NI)
   MinHeap<std::pair<Cycles, int>> tails_due_;   // (tail cycle, channel)
+  /// No later than the first cycle a parked branch's stall reaches the
+  /// deadlock horizon (stall_begin + horizon); kNever with none parked.
+  /// Kept without a per-park entry, so it may be early: WakeTrips then
+  /// finds nothing due and recomputes it.
+  Cycles trip_due_ = kNever;
   int busy_channels_ = 0;  ///< channels with an active or waiting branch
   int ready_count_ = 0;    ///< set bits in ready_nis_
   /// Packets in the NI injection queues plus branches active on or
@@ -364,6 +401,10 @@ class FlitEngine final : public NetworkModel {
   bool frozen_ = false;  ///< deadlock handler fired; engine stays quiet
 
   Cycles last_processed_ = -1;  ///< highest cycle already stepped
+  /// No later than the first cycle with work for a phase: set by each
+  /// tick that runs its phases, lowered by QueueInjection. A tick before
+  /// it skips its phases.
+  Cycles next_due_ = 0;
   Cycles moved_through_ = -1;   ///< highest cycle whose moves are done
   std::int64_t ticks_ = 0;
   std::int64_t visits_ = 0;

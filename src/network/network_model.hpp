@@ -9,9 +9,10 @@
 //    with finite per-port buffers and credit backpressure; the only
 //    engine that can express true wormhole blocking when buffers are
 //    smaller than a packet. A branch that can neither stall nor starve
-//    streams in closed form (O(worm events)); the rest — grants,
-//    credit and held-port stalls, small-buffer wormhole runs — are
-//    stepped per cycle (O(flits) for those branches only).
+//    streams in closed form (O(worm events)), and one stalled on a held
+//    output port parks until the port frees; the rest — grants, credit
+//    stalls, small-buffer wormhole runs — are stepped per cycle
+//    (O(flits) for those branches only).
 //
 // Everything the two do identically is implemented once, here: the
 // channel table (switch out-channels in (switch, port) order, then one

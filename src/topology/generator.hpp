@@ -41,6 +41,21 @@ constexpr std::int64_t MaxHosts(int num_switches, int ports_per_switch) {
                        : switches * (ports_per_switch - 2) + 1;
 }
 
+/// Fewest ports per switch, and at least 2, with which `num_switches`
+/// (at least 1) switches connect `num_hosts` hosts for every seed:
+/// MaxHosts inverted. A tool bounds its port count below by it, so the
+/// host range that follows is never empty.
+constexpr std::int64_t MinPorts(int num_switches, std::int64_t num_hosts) {
+  const std::int64_t switches = num_switches;
+  const auto ceil_per_switch = [switches](std::int64_t n) {
+    return n <= 0 ? 0 : (n + switches - 1) / switches;
+  };
+  const std::int64_t ports = switches <= 2
+                                 ? 1 + ceil_per_switch(num_hosts)
+                                 : 2 + ceil_per_switch(num_hosts - 1);
+  return ports < 2 ? 2 : ports;
+}
+
 /// Generates a connected irregular topology. Deterministic in `seed`.
 /// Aborts (precondition) if the spec cannot host the requested nodes
 /// (more than MaxHosts).

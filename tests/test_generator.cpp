@@ -121,5 +121,25 @@ TEST(Generator, LinkUtilizationZeroGivesSpanningTreeOnly) {
   EXPECT_EQ(g.NumLinks(), spec.num_switches - 1);
 }
 
+// MinPorts is the fewest ports, and at least 2, whose MaxHosts reaches
+// the host count; with 2 ports from 3 switches up, 2 hosts need 3.
+TEST(Generator, MinPortsInvertsMaxHosts) {
+  for (int switches = 1; switches <= 40; ++switches) {
+    for (std::int64_t hosts = 0; hosts <= 300; ++hosts) {
+      const std::int64_t ports = MinPorts(switches, hosts);
+      ASSERT_GE(ports, 2);
+      EXPECT_GE(MaxHosts(switches, static_cast<int>(ports)), hosts)
+          << switches << " switches, " << hosts << " hosts";
+      if (ports > 2) {
+        EXPECT_LT(MaxHosts(switches, static_cast<int>(ports) - 1), hosts)
+            << switches << " switches, " << hosts << " hosts";
+      }
+    }
+  }
+  EXPECT_EQ(MinPorts(8, 2), 3);
+  EXPECT_EQ(MinPorts(2, 2), 2);
+  EXPECT_EQ(MinPorts(1, 2), 3);
+}
+
 }  // namespace
 }  // namespace irmc

@@ -90,8 +90,9 @@ int CmdRecord(const Args& args) {
   // with status 2 and the accepted range.
   spec.cfg.topology.num_switches =
       static_cast<int>(args.GetIntIn("switches", 8, 1, kMaxCount));
-  spec.cfg.topology.ports_per_switch =
-      static_cast<int>(args.GetIntIn("ports", 8, 2, kMaxCount));
+  // Ports enough for two hosts, so the --hosts range is never empty.
+  spec.cfg.topology.ports_per_switch = static_cast<int>(args.GetIntIn(
+      "ports", 8, MinPorts(spec.cfg.topology.num_switches, 2), kMaxCount));
   spec.cfg.topology.num_hosts = static_cast<int>(args.GetIntIn(
       "hosts", std::int64_t{4} * spec.cfg.topology.num_switches, 2,
       std::min(kMaxCount, MaxHosts(spec.cfg.topology.num_switches,

@@ -158,8 +158,11 @@ SimConfig ConfigFrom(const Args& args, int min_nodes = 2) {
   SimConfig cfg;
   cfg.topology.num_switches =
       GetInt32(args, "switches", cfg.topology.num_switches, 1);
+  // Ports enough for `min_nodes` hosts, so the --nodes range is never
+  // empty.
   cfg.topology.ports_per_switch =
-      GetInt32(args, "ports", cfg.topology.ports_per_switch, 2);
+      GetInt32(args, "ports", cfg.topology.ports_per_switch,
+               MinPorts(cfg.topology.num_switches, min_nodes));
   cfg.topology.num_hosts = GetInt32(
       args, "nodes", cfg.topology.num_hosts, min_nodes,
       std::min(kIntMax, MaxHosts(cfg.topology.num_switches,
