@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/executor.hpp"
+#include "mcast/binomial.hpp"
 #include "mcast/kbinomial.hpp"
 #include "mcast/scheme.hpp"
 
@@ -44,12 +45,8 @@ class Gather {
 
  private:
   void SendUp(NodeId from, Cycles when) {
-    McastPlan plan;
-    plan.scheme = SchemeKind::kUnicastBinomial;
-    plan.root = from;
-    plan.dests = {tree_[static_cast<std::size_t>(from)].parent};
-    plan.children.assign(static_cast<std::size_t>(sys_.num_nodes()), {});
-    plan.children[static_cast<std::size_t>(from)] = plan.dests;
+    McastPlan plan =
+        StarPlan(sys_, from, {tree_[static_cast<std::size_t>(from)].parent});
     driver_.Launch(std::move(plan), when, [this](const MulticastResult& r) {
       OnArrive(r.deliveries.front().first, r.completion);
     });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 
 namespace irmc {
 namespace {
@@ -89,6 +90,7 @@ McastDriver::Exec& McastDriver::NewExec(McastPlan&& plan, MessageShape shape,
   ++live_;
   exec.plan = std::move(plan);
   exec.shape = shape;
+  exec.dma = cfg_.host.DmaCycles(shape.packet_flits);
   exec.start = start;
   exec.remaining = static_cast<int>(exec.plan.dests.size());
   exec.result.id = exec.id;
@@ -164,7 +166,7 @@ void McastDriver::SendMessage(const Exec& exec, NodeId u, Cycles earliest,
   const HostParams& hp = cfg_.host;
   const Cycles h = nr.host_cpu.Reserve(earliest, hp.o_host) + hp.o_host;
   const Cycles ni = nr.ni_cpu.Reserve(h, hp.o_ni) + hp.o_ni;
-  const Cycles dma_dur = hp.DmaCycles(exec.shape.packet_flits);
+  const Cycles dma_dur = exec.dma;
   if (m_.has) {
     m_.host_sends->Add();
     m_.host_cycles->Add(hp.o_host);
@@ -197,18 +199,20 @@ void McastDriver::StartSource(const Exec& exec) {
       // Default: one worm addressing the full set; chunked plans carry
       // one region (and header size) per worm. All worms leave back to
       // back — still a single phase, one host send overhead.
-      const auto& regions = exec.plan.tree_regions;
-      const std::size_t worms = regions.empty() ? 1 : regions.size();
+      const CsrArray<NodeId>& regions = exec.plan.tree_regions;
+      const bool chunked = regions.rows() > 0;
+      const std::size_t worms = chunked ? regions.rows() : 1;
       const int nodes = sys_.num_nodes();
       if (m_.has) m_.worms->Add(static_cast<std::int64_t>(worms));
       SendMessage(exec, root, now, -1, [&](int j, Cycles ready) {
         for (std::size_t r = 0; r < worms; ++r) {
           Packet pkt = MakePacket(exec, j, HeaderKind::kTreeWorm,
-                                  regions.empty()
-                                      ? cfg_.headers.TreeWormFlits(nodes)
-                                      : exec.plan.tree_region_header_flits[r]);
-          pkt.tree_dests = NodeSet::FromVector(
-              nodes, regions.empty() ? exec.plan.dests : regions[r]);
+                                  chunked ? exec.plan.tree_region_header_flits
+                                          : cfg_.headers.TreeWormFlits(nodes));
+          pkt.tree_dests = NodeSet(nodes);
+          for (NodeId d : chunked ? regions.Row(r)
+                                  : std::span<const NodeId>(exec.plan.dests))
+            pkt.tree_dests.Set(d);
           network_->InjectFromNi(root, std::move(pkt), ready);
         }
       });
@@ -224,7 +228,7 @@ void McastDriver::ForwardAtNi(const Exec& exec, NodeId u, int j,
                               Cycles ready) {
   NodeRuntime& nr = node(u);
   const Cycles per_copy = HostParams::ni_forward_overhead;
-  for (NodeId c : exec.plan.children[static_cast<std::size_t>(u)]) {
+  for (NodeId c : exec.plan.children.Row(static_cast<std::size_t>(u))) {
     // A copy leaves once the NI processor has enqueued it.
     const Cycles sent = nr.ni_cpu.Reserve(ready, per_copy) + per_copy;
     if (m_.has) {
@@ -240,7 +244,8 @@ void McastDriver::ForwardAtNi(const Exec& exec, NodeId u, int j,
 
 int McastDriver::SendToChildren(const Exec& exec, NodeId u,
                                 Cycles earliest) {
-  const auto& kids = exec.plan.children[static_cast<std::size_t>(u)];
+  const std::span<const NodeId> kids =
+      exec.plan.children.Row(static_cast<std::size_t>(u));
   for (NodeId c : kids)
     SendMessage(exec, u, earliest, c, [&](int j, Cycles ready) {
       Packet pkt = MakePacket(exec, j, HeaderKind::kUnicast,
@@ -262,7 +267,9 @@ int McastDriver::SendWormsOf(const Exec& exec, NodeId sender,
                 [&](int j, Cycles ready) {
                   Packet pkt = MakePacket(exec, j, HeaderKind::kPathWorm,
                                           worms[w].header_flits);
-                  pkt.path = worms[w].route;
+                  // The Exec keeps the plan in place until it retires.
+                  pkt.path = &exec.plan.paths;
+                  pkt.path_cursor = worms[w].step_begin;
                   network_->InjectFromNi(sender, std::move(pkt), ready);
                 });
   }
@@ -301,7 +308,7 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt,
   // and a send overhead of o_n"); the send-side setup is per message, on
   // the first packet.
   if (exec.plan.scheme == SchemeKind::kNiKBinomial &&
-      !exec.plan.children[static_cast<std::size_t>(n)].empty()) {
+      !exec.plan.children.Row(static_cast<std::size_t>(n)).empty()) {
     if (hp.ni_discipline == NiDiscipline::kFpfs) {
       const Cycles fwd_ready =
           first ? nr.ni_cpu.Reserve(ni_done, hp.o_ni) + hp.o_ni : ni_done;
@@ -319,7 +326,7 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const Packet& pkt,
   }
 
   // DMA the packet up to host memory (packet fully at the NI first).
-  const Cycles dma_dur = hp.DmaCycles(exec.shape.packet_flits);
+  const Cycles dma_dur = exec.dma;
   const Cycles dma_done =
       nr.io_bus.Reserve(std::max(tail, ni_done), dma_dur) + dma_dur;
   st.last_dma = std::max(st.last_dma, dma_done);

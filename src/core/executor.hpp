@@ -91,11 +91,14 @@ class McastDriver {
   };
   /// One live multicast, in the pool. Retiring drops its plan and
   /// callbacks; reuse sets every other field again, and its vectors keep
-  /// their capacity.
+  /// their capacity. A pooled Exec never moves, and its plan stays in
+  /// place while it is live, so its path worms' packets point at
+  /// `plan.paths`.
   struct Exec {
     std::int64_t id = -1;  ///< -1 while retired
     McastPlan plan;
     MessageShape shape;  ///< plan override or the driver's default
+    Cycles dma = 0;      ///< I/O-bus cycles of one packet's DMA
     Cycles start = 0;
     DoneFn done;
     DeliveredFn delivered;

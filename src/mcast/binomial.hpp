@@ -8,6 +8,9 @@
 // measured against.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "mcast/scheme.hpp"
 
 namespace irmc {
@@ -19,6 +22,13 @@ class UnicastBinomialScheme final : public MulticastScheme {
                  const std::vector<NodeId>& dests, const MessageShape& shape,
                  const HeaderSizing& headers) const override;
 };
+
+/// A conventional (uni-binomial) plan in which `root` alone sends: one
+/// unicast message to every destination, in `send_order` (a permutation
+/// of `dests`; empty means the order of `dests`). The executor plays it
+/// as a flat tree: no destination forwards.
+McastPlan StarPlan(const System& sys, NodeId root, std::vector<NodeId> dests,
+                   std::span<const NodeId> send_order = {});
 
 /// The naive pre-binomial baseline: the source sends a separate unicast
 /// message to every destination, one after another ("separate

@@ -1,6 +1,8 @@
 #include "mcast/kbinomial.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "common/expect.hpp"
 
@@ -110,19 +112,23 @@ int ChooseK(int receivers, const MessageShape& shape, const HostParams& host,
 
 std::vector<NodeId> OrderDestsBySwitch(const System& sys, NodeId src,
                                        const std::vector<NodeId>& dests) {
+  // One (distance, switch, node) key per destination, looked up once and
+  // packed into an integer whose order is the key's, then sorted as
+  // plain integers: a comparator that looked the switches and distances
+  // up again on every comparison cost twice as much.
   const SwitchId home = sys.graph.SwitchOf(src);
-  std::vector<NodeId> ordered = dests;
-  std::sort(ordered.begin(), ordered.end(), [&](NodeId a, NodeId b) {
-    const SwitchId sa = sys.graph.SwitchOf(a);
-    const SwitchId sb = sys.graph.SwitchOf(b);
-    if (sa != sb) {
-      const int da = sys.routing.Distance(home, sa);
-      const int db = sys.routing.Distance(home, sb);
-      if (da != db) return da < db;
-      return sa < sb;
-    }
-    return a < b;
-  });
+  const std::int64_t switches = sys.num_switches();
+  const std::int64_t nodes = sys.num_nodes();
+  std::vector<std::int64_t> keys(dests.size());
+  for (std::size_t i = 0; i < dests.size(); ++i) {
+    const SwitchId s = sys.graph.SwitchOf(dests[i]);
+    keys[i] =
+        (sys.routing.Distance(home, s) * switches + s) * nodes + dests[i];
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<NodeId> ordered(dests.size());
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    ordered[i] = static_cast<NodeId>(keys[i] % nodes);
   return ordered;
 }
 
@@ -133,18 +139,23 @@ void AssignBinomialChildren(const System& sys, NodeId src,
   BuildCappedBinomial(static_cast<int>(dests.size()), k, tree);
   const auto ordered = OrderDestsBySwitch(sys, src, dests);
   auto real = [&](std::size_t abstract) {
-    return abstract == 0 ? src : ordered[abstract - 1];
+    return static_cast<std::size_t>(abstract == 0 ? src
+                                                  : ordered[abstract - 1]);
   };
-  auto children_of = [&](std::size_t abstract) -> std::vector<NodeId>& {
-    return plan.children[static_cast<std::size_t>(real(abstract))];
-  };
-  plan.children.assign(static_cast<std::size_t>(sys.num_nodes()), {});
+  // CSR by node: offsets[u] first counts u's children, then (summed)
+  // marks the end of its row. Filling ids from last to first steps each
+  // row's cursor down to its start and lists a row's children in id
+  // order, which is adoption order.
+  std::vector<std::uint32_t> offsets(
+      static_cast<std::size_t>(sys.num_nodes()) + 1, 0);
   for (std::size_t u = 0; u < tree.size(); ++u)
-    if (tree[u].children > 0)
-      children_of(u).reserve(static_cast<std::size_t>(tree[u].children));
-  // Appending in id order lists each node's children in adoption order.
-  for (std::size_t c = 1; c < tree.size(); ++c)
-    children_of(static_cast<std::size_t>(tree[c].parent)).push_back(real(c));
+    offsets[real(u)] = static_cast<std::uint32_t>(tree[u].children);
+  for (std::size_t u = 1; u < offsets.size(); ++u) offsets[u] += offsets[u - 1];
+  std::vector<NodeId> kids(dests.size());
+  for (std::size_t c = tree.size() - 1; c >= 1; --c)
+    kids[--offsets[real(static_cast<std::size_t>(tree[c].parent))]] =
+        static_cast<NodeId>(real(c));
+  plan.children = CsrArray<NodeId>(std::move(offsets), std::move(kids));
 }
 
 McastPlan KBinomialNiScheme::Plan(const System& sys, NodeId src,

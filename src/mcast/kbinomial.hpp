@@ -50,14 +50,17 @@ int ChooseK(int receivers, const MessageShape& shape, const HostParams& host,
             int wire_flits, Cycles net_pipe, int kmax = 8);
 
 /// Orders destinations so that nodes sharing a switch are contiguous and
-/// switches appear by (distance from the source's switch, id) — the
-/// contention-reducing mapping for irregular networks.
+/// switches appear by (distance from the source's switch, id), a
+/// switch's nodes ascending — the contention-reducing mapping for
+/// irregular networks. Sorts each destination's key, looked up once:
+/// two allocations, the keys and the result.
 std::vector<NodeId> OrderDestsBySwitch(const System& sys, NodeId src,
                                        const std::vector<NodeId>& dests);
 
-/// Fills `plan.children` with the k-capped binomial tree over `src` and
-/// `dests`: abstract id 0 is `src`, id i > 0 is the i-th destination in
-/// OrderDestsBySwitch order.
+/// Fills `plan.children` (one row per node) with the k-capped binomial
+/// tree over `src` and `dests`: abstract id 0 is `src`, id i > 0 is the
+/// i-th destination in OrderDestsBySwitch order. Five allocations: the
+/// tree, the order (two) and the two CSR arrays.
 void AssignBinomialChildren(const System& sys, NodeId src,
                             const std::vector<NodeId>& dests, int k,
                             McastPlan& plan);

@@ -1,6 +1,7 @@
 #include "mcast/path_worm.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/expect.hpp"
@@ -45,10 +46,15 @@ class CoverageSearch {
   CoverageSearch(const CoverageSearch&) = delete;
   CoverageSearch& operator=(const CoverageSearch&) = delete;
 
-  /// Writes into `out` (reusing its buffers) the maximum-coverage
-  /// unicast route from `start` to some remaining switch, cut right
-  /// after the switch where the coverage cap is reached.
-  void Run(SwitchId start, int coverage_cap, BestPathResult& out) {
+  /// Appends to `route` the maximum-coverage unicast route from `start`
+  /// to some remaining switch, one step per switch with its forward port
+  /// (kInvalidPort on the last), cut right after the switch where the
+  /// coverage cap is reached; the steps' drops are left to the caller.
+  /// Appends to `covered`, when given, the remaining switches the route
+  /// covers. The route adds at most one step per switch to `route`.
+  void Run(SwitchId start, int coverage_cap,
+           std::vector<PathRoutes::Step>& route,
+           std::vector<SwitchId>* covered) {
     IRMC_EXPECT(coverage_cap >= 1);
     // Pick the anchor destination switch whose best unicast route covers
     // the most remaining switches; ties to the shorter route, then the
@@ -77,31 +83,28 @@ class CoverageSearch {
     IRMC_ENSURE(best_target != kInvalidSwitch);
     IRMC_ENSURE(best_cover >= 1);
 
-    out.switches.clear();
-    out.ports.clear();
-    out.covered.clear();
     SwitchId here = start;
     RoutePhase phase = RoutePhase::kUpAllowed;
-    std::size_t cut = 0;  // one past the last switch kept
+    std::size_t cut = route.size();  // one past the last step kept
+    int covers = 0;
     for (;;) {
-      out.switches.push_back(here);
+      route.push_back(PathRoutes::Step{here});
       if (remaining_[static_cast<std::size_t>(here)] &&
           CanDrop(here, phase, best_target)) {
-        out.covered.push_back(here);
-        cut = out.switches.size();
-        if (static_cast<int>(out.covered.size()) >= coverage_cap) break;
+        if (covered != nullptr) covered->push_back(here);
+        cut = route.size();
+        if (++covers >= coverage_cap) break;
       }
       if (here == best_target) break;
       const PortId p = best_[Index(here, phase)].choice;
       IRMC_ENSURE(p != kInvalidPort);
-      out.ports.push_back(p);
+      route.back().forward_port = p;
       phase = sys_.routing.NextPhase(here, p, phase);
       here = sys_.graph.port(here, p).peer_switch;
     }
-    IRMC_ENSURE(!out.covered.empty());
-    IRMC_ENSURE(cut >= 1);
-    out.switches.resize(cut);
-    out.ports.resize(cut - 1);
+    IRMC_ENSURE(covers >= 1);
+    route.resize(cut);
+    route.back().forward_port = kInvalidPort;
   }
 
  private:
@@ -166,8 +169,14 @@ BestPathResult FindBestCoveragePath(const System& sys, SwitchId start,
                                     const std::vector<char>& remaining,
                                     int coverage_cap) {
   CoverageSearch search(sys, remaining);
+  std::vector<PathRoutes::Step> route;
   BestPathResult result;
-  search.Run(start, coverage_cap, result);
+  search.Run(start, coverage_cap, route, &result.covered);
+  for (const PathRoutes::Step& step : route) {
+    result.switches.push_back(step.sw);
+    if (step.forward_port != kInvalidPort)
+      result.ports.push_back(step.forward_port);
+  }
   return result;
 }
 
@@ -183,16 +192,16 @@ McastPlan PathWormMdpLgScheme::Plan(const System& sys, NodeId src,
 
   // Destinations bucketed by switch once, in input order within a
   // switch: switch s holds by_switch[bucket[s] .. bucket[s + 1]).
+  // bucket[s] first counts, then (summed) ends, switch s's run; filling
+  // from the last destination steps it down to the run's start.
   const auto num_switches = static_cast<std::size_t>(sys.num_switches());
   std::vector<int> bucket(num_switches + 1, 0);
-  for (NodeId d : dests)
-    ++bucket[static_cast<std::size_t>(sys.graph.SwitchOf(d)) + 1];
-  for (std::size_t s = 0; s < num_switches; ++s) bucket[s + 1] += bucket[s];
+  for (NodeId d : dests) ++bucket[static_cast<std::size_t>(sys.graph.SwitchOf(d))];
+  for (std::size_t s = 1; s <= num_switches; ++s) bucket[s] += bucket[s - 1];
   std::vector<NodeId> by_switch(dests.size());
-  std::vector<int> cursor(bucket.begin(), bucket.end() - 1);
-  for (NodeId d : dests)
+  for (auto d = dests.rbegin(); d != dests.rend(); ++d)
     by_switch[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(sys.graph.SwitchOf(d))]++)] = d;
+        --bucket[static_cast<std::size_t>(sys.graph.SwitchOf(*d))])] = *d;
 
   std::vector<char> remaining(num_switches, 0);
   int remaining_count = 0;
@@ -203,14 +212,25 @@ McastPlan PathWormMdpLgScheme::Plan(const System& sys, NodeId src,
     }
 
   const int field_flits = headers.PathFieldFlits(sys.graph.ports_per_switch());
+  // Every worm covers at least one remaining switch, and its route visits
+  // no switch twice: the worms and their steps have these bounds, so no
+  // buffer below regrows.
+  const auto max_worms = static_cast<std::size_t>(remaining_count);
   // Senders in the order they got the message: the source, then the
   // first destination of every covered switch. A phase's senders are
   // everyone available when it starts.
   std::vector<NodeId> senders;
-  senders.reserve(static_cast<std::size_t>(remaining_count) + 1);
+  senders.reserve(max_worms + 1);
   senders.push_back(src);
+  // Every worm's steps, in worm order, until the plan takes an exact copy.
+  std::vector<PathRoutes::Step> route;
+  route.reserve(max_worms * num_switches);
+  std::vector<PortId> hops;  // one worm's forward ports, for the check
+  hops.reserve(num_switches);
+  plan.worms.reserve(max_worms);
+  std::vector<NodeId>& drops = plan.paths.drops;
+  drops.reserve(dests.size());
   CoverageSearch search(sys, remaining);
-  BestPathResult path;
   int phase = 1;
   while (remaining_count > 0) {
     const std::size_t phase_senders = senders.size();
@@ -220,57 +240,52 @@ McastPlan PathWormMdpLgScheme::Plan(const System& sys, NodeId src,
       const int cap = less_greedy
                           ? std::max(1, (remaining_count + 1) / 2)
                           : remaining_count;
-      search.Run(sys.graph.SwitchOf(sender), cap, path);
-
-      // Build the worm route: drops at covered switches, explicit
-      // forward ports between them.
-      auto route = std::make_shared<PathWormRoute>();
-      route->steps.resize(path.switches.size());
       McastPlan::PlannedWorm worm;
       worm.sender = sender;
       worm.phase = phase;
-      std::size_t covered = 0;
-      for (SwitchId s : path.switches) {
-        const auto si = static_cast<std::size_t>(s);
-        if (remaining[si])
-          covered += static_cast<std::size_t>(bucket[si + 1] - bucket[si]);
-      }
-      worm.covered.reserve(covered);
-      for (std::size_t i = 0; i < path.switches.size(); ++i) {
-        PathWormRoute::Step& step = route->steps[i];
-        step.sw = path.switches[i];
-        step.forward_port =
-            i < path.ports.size() ? path.ports[i] : kInvalidPort;
+      worm.step_begin = static_cast<int>(route.size());
+      search.Run(sys.graph.SwitchOf(sender), cap, route, nullptr);
+      worm.step_end = static_cast<int>(route.size());
+
+      // Drops at every remaining switch of the route; one header field
+      // pair per replication switch plus the terminal switch, stripped as
+      // consumed.
+      const auto steps = std::span(route).subspan(
+          static_cast<std::size_t>(worm.step_begin));
+      int fields = 0;
+      hops.clear();
+      for (PathRoutes::Step& step : steps) {
         const auto si = static_cast<std::size_t>(step.sw);
+        step.drop_begin = static_cast<int>(drops.size());
         if (remaining[si]) {
           const auto here = by_switch.begin() + bucket[si];
-          const auto end = by_switch.begin() + bucket[si + 1];
-          step.deliver.assign(here, end);
-          worm.covered.insert(worm.covered.end(), here, end);
+          drops.insert(drops.end(), here, by_switch.begin() + bucket[si + 1]);
           senders.push_back(*here);
           remaining[si] = 0;
           --remaining_count;
         }
+        step.drop_end = static_cast<int>(drops.size());
+        if (step.drop_end > step.drop_begin ||
+            step.forward_port == kInvalidPort)
+          ++fields;
+        if (step.forward_port != kInvalidPort)
+          hops.push_back(step.forward_port);
       }
-      // Header accounting: one field pair per replication switch plus
-      // the terminal switch; fields are stripped as consumed.
-      const int fields_total = route->NumFields();
-      worm.header_flits = fields_total * field_flits;
-      int fields_ahead = fields_total;
-      for (std::size_t i = 0; i < route->steps.size(); ++i) {
-        PathWormRoute::Step& step = route->steps[i];
-        const bool is_last = (i + 1 == route->steps.size());
-        if (!step.deliver.empty() || is_last) --fields_ahead;
-        step.header_flits_after = fields_ahead * field_flits;
+      worm.header_flits = fields * field_flits;
+      for (PathRoutes::Step& step : steps) {
+        if (step.drop_end > step.drop_begin ||
+            step.forward_port == kInvalidPort)
+          --fields;
+        step.header_flits_after = fields * field_flits;
       }
-      IRMC_ENSURE(fields_ahead == 0);
-      IRMC_ENSURE(sys.routing.IsLegalRoute(path.switches.front(), path.ports));
-      worm.route = std::move(route);
-      plan.worms.push_back(std::move(worm));
+      IRMC_ENSURE(fields == 0);
+      IRMC_ENSURE(sys.routing.IsLegalRoute(steps.front().sw, hops));
+      plan.worms.push_back(worm);
     }
     IRMC_ENSURE(senders.size() > phase_senders);
     ++phase;
   }
+  plan.paths.steps.assign(route.begin(), route.end());
   return plan;
 }
 

@@ -4,12 +4,20 @@
 // McastPlan — the static decisions: forwarding tree, worm headers, worm
 // routes, phase assignments. The executor (core/executor) then plays a
 // plan on the fabric with the host/NI timing model.
+//
+// A plan is a flat value: every list it holds lives in one of a few
+// plan-owned arrays (CSR rows for the forwarding tree and the tree-worm
+// regions, plan-wide step and drop arrays for the path worms), so
+// building one costs a fixed number of allocations whatever its size,
+// and retiring one frees only those arrays.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "common/csr.hpp"
 #include "common/types.hpp"
 #include "core/config.hpp"
 #include "network/packet.hpp"
@@ -27,28 +35,49 @@ struct McastPlan {
   /// invalidations and acks) share one fabric.
   std::optional<MessageShape> shape;
 
-  /// Forwarding children per node (uni-binomial and NI-k-binomial);
-  /// indexed by NodeId, empty vectors for non-participants.
-  std::vector<std::vector<NodeId>> children;
+  /// Forwarding children per node (uni-binomial and NI-k-binomial): row
+  /// u lists u's children in send order, one row per NodeId, empty for
+  /// non-participants. No rows for the worm schemes.
+  CsrArray<NodeId> children;
   /// The k the k-binomial planner chose (reporting/ablation).
   int chosen_k = 0;
 
-  /// Tree-worm chunking (scaling extension, see TreeWormScheme): when
-  /// non-empty, the source sends one worm per region instead of one
-  /// all-destinations worm; regions[i] pairs with region_header_flits[i].
-  std::vector<std::vector<NodeId>> tree_regions;
-  std::vector<int> tree_region_header_flits;
+  /// Tree-worm chunking (scaling extension, see TreeWormScheme): when it
+  /// has rows, the source sends one worm per row (region) instead of one
+  /// all-destinations worm, each with a header of
+  /// tree_region_header_flits.
+  CsrArray<NodeId> tree_regions;
+  int tree_region_header_flits = 0;
 
-  /// Planned multi-drop path worms (path-worm scheme), in global send
-  /// order. Worms of one sender are sent in their relative order.
+  /// A planned multi-drop path worm: its route is steps [step_begin,
+  /// step_end) of the plan's `paths`.
   struct PlannedWorm {
     NodeId sender = kInvalidNode;
-    std::shared_ptr<const PathWormRoute> route;
-    int header_flits = 0;           ///< initial header length on the wire
-    std::vector<NodeId> covered;    ///< destinations this worm delivers to
-    int phase = 0;                  ///< planner phase (reporting)
+    int header_flits = 0;  ///< initial header length on the wire
+    int phase = 0;         ///< planner phase (reporting)
+    int step_begin = 0;
+    int step_end = 0;
   };
+  /// Planned path worms (path-worm scheme), in global send order. Worms
+  /// of one sender are sent in their relative order.
   std::vector<PlannedWorm> worms;
+  /// Every worm's route steps and host drops, in worm order.
+  PathRoutes paths;
+
+  /// The route steps of `worm`.
+  std::span<const PathRoutes::Step> Route(const PlannedWorm& worm) const {
+    return {paths.steps.data() + worm.step_begin,
+            static_cast<std::size_t>(worm.step_end - worm.step_begin)};
+  }
+  /// The destinations `worm` delivers to: its steps' drops, in step
+  /// order.
+  std::span<const NodeId> Covered(const PlannedWorm& worm) const {
+    const int begin = paths.steps[static_cast<std::size_t>(worm.step_begin)]
+                          .drop_begin;
+    const int end =
+        paths.steps[static_cast<std::size_t>(worm.step_end - 1)].drop_end;
+    return {paths.drops.data() + begin, static_cast<std::size_t>(end - begin)};
+  }
 };
 
 class MulticastScheme {

@@ -1,8 +1,8 @@
 #include "mcast/tree_worm.hpp"
 
 #include <algorithm>
-
-#include "common/expect.hpp"
+#include <cstdint>
+#include <utility>
 
 namespace irmc {
 
@@ -16,34 +16,28 @@ McastPlan TreeWormScheme::Plan(const System& sys, NodeId src,
   plan.scheme = SchemeKind::kTreeWorm;
   plan.root = src;
   plan.dests = dests;
-  if (max_region_span <= 0) return plan;  // the paper's single worm
+  // The paper's single worm.
+  if (max_region_span <= 0 || dests.empty()) return plan;
 
   // Chunked headers: split destinations into node-ID windows of at most
   // max_region_span bits. One worm per non-empty window; header = the
-  // unicast tag, one window-offset flit, and a span-wide bit string.
+  // unicast tag, one window-offset flit, and a span-wide bit string. The
+  // windows partition the sorted destinations, so they are the CSR
+  // payload as it is.
   std::vector<NodeId> sorted = dests;
   std::sort(sorted.begin(), sorted.end());
-  const int per_region_header =
+  plan.tree_region_header_flits =
       headers.account
           ? HeaderSizing::unicast_flits + 1 + (max_region_span + 7) / 8
           : 0;
-  std::vector<NodeId> region;
-  NodeId window_base = -1;
-  auto flush = [&]() {
-    if (region.empty()) return;
-    plan.tree_regions.push_back(region);
-    plan.tree_region_header_flits.push_back(per_region_header);
-    region.clear();
-  };
-  for (NodeId d : sorted) {
-    if (window_base < 0 || d >= window_base + max_region_span) {
-      flush();
-      window_base = d;
+  std::vector<std::uint32_t> offsets{0};
+  for (std::size_t i = 1, base = 0; i < sorted.size(); ++i)
+    if (sorted[i] >= sorted[base] + max_region_span) {
+      offsets.push_back(static_cast<std::uint32_t>(i));  // a new window
+      base = i;
     }
-    region.push_back(d);
-  }
-  flush();
-  IRMC_ENSURE(plan.tree_regions.size() == plan.tree_region_header_flits.size());
+  offsets.push_back(static_cast<std::uint32_t>(sorted.size()));
+  plan.tree_regions = CsrArray<NodeId>(std::move(offsets), std::move(sorted));
   return plan;
 }
 

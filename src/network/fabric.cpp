@@ -38,7 +38,10 @@ Fabric::Fabric(Engine& engine, const System& sys, const NetParams& params,
                DeliverFn deliver, Tracer* tracer, MetricsRegistry* metrics)
     : NetworkModel(engine, sys, params, std::move(deliver), tracer, metrics,
                    kFabricMetrics),
-      lanes_(num_channels(), Lane{{}, false, params.input_slots, {}}) {
+      lanes_(num_channels(), Lane{{}, false, params.input_slots, {}}),
+      load_([this](SwitchId sw, PortId p) {
+        return lane(PortIdx(sw, p)).Load();
+      }) {
   IRMC_EXPECT(params_.input_slots >= 1);
 }
 
@@ -59,6 +62,18 @@ std::uint32_t Fabric::NewPacket(Packet&& pkt) {
   const std::uint32_t id = free_packets_.back();
   free_packets_.pop_back();
   packets_[id] = std::move(pkt);
+  return id;
+}
+
+std::uint32_t Fabric::CopyPacket(std::uint32_t from) {
+  if (free_packets_.empty()) {
+    IRMC_EXPECT(packets_.size() < ~std::uint32_t{0});
+    packets_.push_back(packets_[from]);  // safe if the arena regrows
+    return static_cast<std::uint32_t>(packets_.size() - 1);
+  }
+  const std::uint32_t id = free_packets_.back();
+  free_packets_.pop_back();
+  packets_[id] = packets_[from];
   return id;
 }
 
@@ -299,12 +314,9 @@ void Fabric::Route(SwitchId s, std::uint32_t pkt, Cycles tail_time, int buf) {
   branches.clear();
   // A decision lists at most one branch per port.
   ReserveFirst(branches, static_cast<std::size_t>(ports_));
-  const PortLoadFn load = [this](SwitchId sw, PortId p) {
-    return lane(PortIdx(sw, p)).Load();
-  };
   Buffered& held = buffered_[static_cast<std::size_t>(buf)];
   const int feeder = held.feeder;
-  ComputeRouteBranches(sys_, s, packets_[pkt], params_.adaptive, load,
+  ComputeRouteBranches(sys_, s, packets_[pkt], params_.adaptive, load_,
                        branches);
   if (branches.empty()) {
     // Fully consumed here (possible only for degenerate plans): no branch
@@ -327,15 +339,21 @@ void Fabric::Route(SwitchId s, std::uint32_t pkt, Cycles tail_time, int buf) {
   const int in_port = wire(feeder).dst_port % ports_;
   for (std::size_t i = 0; i < branches.size(); ++i) {
     RouteBranch& b = branches[i];
-    Trace(TraceKind::kBranch, b.pkt, s, static_cast<std::int32_t>(b.port));
-    // The first branch takes over the arriving packet's slot.
+    Trace(TraceKind::kBranch, packets_[pkt], s,
+          static_cast<std::int32_t>(b.port));
+    // The first branch keeps the arriving packet's slot; each further one
+    // is a copy of it, still unedited, in a fresh slot.
     std::uint32_t id = pkt;
-    if (i == 0)
-      packets_[pkt] = std::move(b.pkt);
-    else
-      id = NewPacket(std::move(b.pkt));
+    if (i > 0) {
+      id = CopyPacket(pkt);
+      ApplyBranch(s, b, packets_[id]);
+    }
     EnqueueTx(PortIdx(s, b.port), Tx{id, ready, buf, in_port});
   }
+  // The first branch's edits go over the arriving packet last, once the
+  // copies are made. Queueing reads no packet (a grant is a later event),
+  // so its transmission is already queued.
+  ApplyBranch(s, branches.front(), packets_[pkt]);
 }
 
 }  // namespace irmc

@@ -32,10 +32,11 @@
 //
 // Packets live in a slot arena (packets_, recycled through
 // free_packets_): a transmission and every event about it carry a
-// 32-bit slot id, so a hop copies no packet and touches no reference
-// count. A routed packet's first branch reuses its slot. Before a
-// packet goes to the deliver callback it is moved out of its slot,
-// because the callback may inject and so grow the arena.
+// 32-bit slot id, so a hop copies no packet. A routed packet's first
+// branch rewrites its header in its slot; each further branch is one
+// copy in a fresh slot. Before a packet goes to the deliver callback it
+// is moved out of its slot, because the callback may inject and so grow
+// the arena.
 //
 // Each arena is allocated on its first use at a size taken from the
 // System — a packet and a transmission per host, a buffered entry per
@@ -138,6 +139,8 @@ class Fabric final : public NetworkModel {
 
   /// A slot holding `pkt`, recycled first.
   std::uint32_t NewPacket(Packet&& pkt);
+  /// A slot holding a copy of slot `from`'s packet, recycled first.
+  std::uint32_t CopyPacket(std::uint32_t from);
   /// Moves the packet out of slot `id` and recycles the slot.
   Packet TakePacket(std::uint32_t id);
 
@@ -172,6 +175,7 @@ class Fabric final : public NetworkModel {
   std::vector<Buffered> buffered_;   // packets holding input slots
   std::vector<int> free_buffered_;   // recycled buffered_ indices
   std::vector<RouteBranch> route_branches_;  // reused by every Route
+  PortLoadFn load_;  // a switch channel's Load(), for adaptive routes
   std::int64_t packets_switched_ = 0;
 };
 

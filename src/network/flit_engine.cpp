@@ -59,7 +59,10 @@ FlitEngine::FlitEngine(Engine& engine, const System& sys,
                    kFlitMetrics),
       arbs_(num_channels()),
       ni_queues_(static_cast<std::size_t>(sys.num_nodes())),
-      resident_(num_ports(), -1) {
+      resident_(num_ports(), -1),
+      load_([this](SwitchId sw, PortId p) {
+        return arbs_[static_cast<std::size_t>(PortIdx(sw, p))].Load();
+      }) {
   IRMC_EXPECT(params_.buffer_flits >= 1);
   IRMC_EXPECT(params_.deadlock_horizon >= 1);
   step_channels_.assign((arbs_.size() + 63) / 64, 0);
@@ -169,8 +172,7 @@ Cycles FlitEngine::NextDue(Cycles now) const {
   if (!in_flight_.empty()) due = std::min(due, in_flight_.front().lands);
   if (!ready_heap_.empty()) due = std::min(due, ready_heap_.top().first);
   if (!route_queue_.empty()) due = std::min(due, route_queue_.front().second);
-  if (!tails_due_.empty()) due = std::min(due, tails_due_.top().first);
-  return due;
+  return std::min(due, tails_due_);
 }
 
 // --- activity bookkeeping ---
@@ -236,7 +238,7 @@ void FlitEngine::TryStream(int bid, Cycles now) {
     Sync(dst, now + 1, now);
     dst.feed = bid;
   }
-  tails_due_.emplace(phase + b.len - 1, b.channel);
+  AddTailDue(bid, now);
 }
 
 void FlitEngine::Materialize(BranchState& b, Cycles t) {
@@ -320,6 +322,76 @@ void FlitEngine::WakeTrips(Cycles now) {
     else
       trip_due_ = std::min(trip_due_, trip);
   }
+}
+
+// --- streaming tails due ---
+
+void FlitEngine::AddTailDue(int bid, Cycles now) {
+  const BranchState& b = branches_[static_cast<std::size_t>(bid)];
+  const Cycles due = b.phase + b.len - 1;
+  const auto span = static_cast<std::size_t>(due - now) + 1;
+  if (span > due_cells_.size()) {
+    // First use, or a longer worm: a ring of at least 64 cells spanning
+    // `span`, each branch on the old one filed again.
+    std::vector<int> old = std::move(due_cells_);
+    const std::size_t size = std::bit_ceil(std::max<std::size_t>(64, span));
+    due_cells_.assign(size, -1);
+    due_bits_.assign(size / 64, 0);
+    for (int head : old)
+      for (int filed = head; filed != -1;) {
+        const int next = branches_[static_cast<std::size_t>(filed)].next_due;
+        FileTailDue(filed);
+        filed = next;
+      }
+  }
+  FileTailDue(bid);
+  tails_due_ = std::min(tails_due_, due);
+}
+
+void FlitEngine::FileTailDue(int bid) {
+  BranchState& b = branches_[static_cast<std::size_t>(bid)];
+  const std::size_t cell =
+      static_cast<std::size_t>(b.phase + b.len - 1) & (due_cells_.size() - 1);
+  b.next_due = due_cells_[cell];
+  due_cells_[cell] = bid;
+  SetBit(due_bits_, cell);
+}
+
+void FlitEngine::WakeDueTails(Cycles now) {
+  // A streaming branch keeps its channel busy, so a tick runs its phases
+  // in every cycle until its tail is due: tails are never overdue, and
+  // every branch on the ring is due within its span of `now`.
+  IRMC_ENSURE(tails_due_ == now);
+  const std::size_t cell =
+      static_cast<std::size_t>(now) & (due_cells_.size() - 1);
+  for (int bid = due_cells_[cell]; bid != -1;
+       bid = branches_[static_cast<std::size_t>(bid)].next_due)
+    SetBit(step_channels_,
+           static_cast<std::size_t>(
+               branches_[static_cast<std::size_t>(bid)].channel));
+  due_cells_[cell] = -1;
+  ClearBit(due_bits_, cell);
+  tails_due_ = FirstTailDue(now + 1);
+}
+
+Cycles FlitEngine::FirstTailDue(Cycles from) const {
+  // The first set bit at or after from's cell, wrapping once around.
+  const std::size_t mask = due_cells_.size() - 1;
+  const std::size_t start = static_cast<std::size_t>(from) & mask;
+  const std::size_t words = due_bits_.size();
+  for (std::size_t i = 0; i <= words; ++i) {
+    const std::size_t w = (start / 64 + i) % words;
+    std::uint64_t bits = due_bits_[w];
+    const std::uint64_t below = (std::uint64_t{1} << (start % 64)) - 1;
+    if (i == 0) bits &= ~below;
+    if (i == words) bits &= below;
+    if (bits != 0) {
+      const std::size_t cell =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      return from + static_cast<Cycles>((cell - start) & mask);
+    }
+  }
+  return kNever;
 }
 
 // --- slot recycling ---
@@ -513,12 +585,9 @@ void FlitEngine::RouteWorm(int wi, Cycles now) {
   Sync(w, now + 1, now);
   w.routed = true;
   const SwitchId sw = SwitchOfPort(w.port_index);
-  const PortLoadFn load = [this](SwitchId s, PortId p) {
-    return arbs_[static_cast<std::size_t>(PortIdx(s, p))].Load();
-  };
   std::vector<RouteBranch>& decisions = route_branches_;
   decisions.clear();
-  ComputeRouteBranches(sys_, sw, worm_pkt(wi), params_.adaptive, load,
+  ComputeRouteBranches(sys_, sw, worm_pkt(wi), params_.adaptive, load_,
                        decisions);
   IRMC_ENSURE(!decisions.empty());
   if (m_fanout_) {
@@ -531,7 +600,7 @@ void FlitEngine::RouteWorm(int wi, Cycles now) {
   const Cycles start_ok =
       w.head_arrive + params_.route_delay + params_.xbar_delay;
   for (RouteBranch& d : decisions) {
-    TraceAt(now, TraceKind::kBranch, d.pkt, sw,
+    TraceAt(now, TraceKind::kBranch, worm_pkt(wi), sw,
             static_cast<std::int32_t>(d.port));
     BranchState b;
     b.src_worm = wi;
@@ -540,16 +609,15 @@ void FlitEngine::RouteWorm(int wi, Cycles now) {
     b.start_ok = start_ok;
     const std::size_t ci = static_cast<std::size_t>(b.channel);
     const int bid = NewBranch(wi, std::move(b));
-    branch_pkt(bid) = std::move(d.pkt);
+    Packet& pkt = branch_pkt(bid);
+    pkt = worm_pkt(wi);
+    ApplyBranch(sw, d, pkt);
     Enqueue(ci, bid);
   }
 }
 
 void FlitEngine::MoveFlits(Cycles now) {
-  while (!tails_due_.empty() && tails_due_.top().first <= now) {
-    SetBit(step_channels_, static_cast<std::size_t>(tails_due_.top().second));
-    tails_due_.pop();
-  }
+  if (tails_due_ <= now) WakeDueTails(now);
   if (trip_due_ <= now) WakeTrips(now);
   // Ascending channel order is load-bearing: a downstream channel that
   // drains earlier in the cycle raises its worm's `freed` before an

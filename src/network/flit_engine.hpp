@@ -61,9 +61,9 @@
 // node arena (queued_) that every NI's FIFO list threads through, and a
 // worm's or branch's packet sits in worm_pkts_ / branch_pkts_, side
 // arrays indexed like worms_ / branches_ (so the hot structs stay
-// compact). A routed branch is a copy of its worm's packet with the
-// header narrowed; a landing head copies its branch's packet into the
-// downstream worm. Neither side array grows outside a tick, so the
+// compact). A routed branch's packet is its worm's, written once into
+// the branch slot with the route decision's header edits; a landing
+// head copies its branch's packet into the downstream worm. Neither side array grows outside a tick, so the
 // reference the deliver callback gets stays put while it runs (it may
 // inject, which only queues).
 //
@@ -225,6 +225,7 @@ class FlitEngine final : public NetworkModel {
     Cycles stall_len = 0;
     const char* stall_why = nullptr;
     int next_waiting = -1;  ///< next on its channel's waiting list
+    int next_due = -1;  ///< streaming: next on its tail cycle's due list
     /// Visited every cycle it is active: neither streaming nor parked.
     bool stepped() const { return !streaming && !parked; }
   };
@@ -323,6 +324,18 @@ class FlitEngine final : public NetworkModel {
   /// `now` and finds the next such cycle.
   void WakeTrips(Cycles now);
 
+  // --- streaming tails due ---
+  /// Files streaming branch `bid` under the cycle its tail is due, less
+  /// than the ring's size after `now`, doubling the ring if needed.
+  void AddTailDue(int bid, Cycles now);
+  /// Links `bid` into its due cycle's list.
+  void FileTailDue(int bid);
+  /// Sets the step bit of every channel whose streaming tail is due at
+  /// `now`.
+  void WakeDueTails(Cycles now);
+  /// The first cycle from `from` on with a tail due, or kNever.
+  Cycles FirstTailDue(Cycles from) const;
+
   // --- activity bookkeeping ---
   /// Queues branch `bid` for a grant on channel `ci`.
   void Enqueue(std::size_t ci, int bid);
@@ -371,6 +384,7 @@ class FlitEngine final : public NetworkModel {
   /// buffer (single VC; every buffer holds params_.buffer_flits), or -1.
   std::vector<int> resident_;
   std::vector<RouteBranch> route_branches_;  // reused by every RouteWorm
+  PortLoadFn load_;  // a switch channel's Load(), for adaptive routes
   std::vector<int> pending_port_release_;
   // Activity sets, one bit per index, walked in ascending order. A set
   // bit in step_channels_ marks a channel to visit next cycle: one with
@@ -385,7 +399,17 @@ class FlitEngine final : public NetworkModel {
   template <typename T>
   using MinHeap = std::priority_queue<T, std::vector<T>, std::greater<>>;
   MinHeap<std::pair<Cycles, int>> ready_heap_;  // (ready, NI)
-  MinHeap<std::pair<Cycles, int>> tails_due_;   // (tail cycle, channel)
+  /// Streaming branches by the cycle their tail is due, on a ring over
+  /// the next due_cells_.size() cycles (a power of two): cell c & (size
+  /// - 1) heads the list of branches due at cycle c, threaded through
+  /// BranchState::next_due, and due_bits_ marks the non-empty cells. A
+  /// tail is due less than its branch's length after the branch starts
+  /// streaming, so the ring doubles (re-filing every branch on it) only
+  /// when a longer worm streams. Filing is O(1) and tails due together
+  /// come out in no set order: each only sets its channel's step bit.
+  std::vector<int> due_cells_;
+  std::vector<std::uint64_t> due_bits_;
+  Cycles tails_due_ = kNever;  ///< earliest due tail; kNever with none
   /// No later than the first cycle a parked branch's stall reaches the
   /// deadlock horizon (stall_begin + horizon); kNever with none parked.
   /// Kept without a per-park entry, so it may be early: WakeTrips then

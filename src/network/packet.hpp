@@ -1,25 +1,30 @@
 // Packets and worm headers (paper Sections 3.2.3 / 3.2.4).
 //
-// One Packet object is one worm on the wire. Replication at a switch
-// creates new Packet copies with narrowed headers. The header kind
-// selects the routing behaviour in the fabric:
+// One Packet object is one worm on the wire. A routing step names, per
+// branch, the output port and the header fields that replica carries
+// (route_logic.hpp), and the engine writes them over a packet: the VCT
+// engine over the arriving packet for the first branch and over one
+// copy for each further one, the flit engine over each branch's copy.
+// The header kind selects the routing behaviour in the fabric:
 //
 //  * kUnicast — routed by destination node through the up*/down* tables.
 //  * kTreeWorm — N-bit destination string; travels up until the
 //    remaining set is down-coverable, then replicates downward along
 //    partitioned reachability strings.
-//  * kPathWorm — multi-drop path worm; follows a planner-supplied hop
-//    list, dropping copies to host ports at designated switches and
-//    forwarding through at most one switch port per switch.
+//  * kPathWorm — multi-drop path worm; follows a planner-supplied range
+//    of route steps, dropping copies to host ports at designated
+//    switches and forwarding through at most one switch port per switch.
 //
 // A Packet is a plain value with one owner at a time: the NI that builds
 // it hands it to InjectFromNi, and from then on the network engine that
 // carries it keeps it in its own slots (docs/engines.md). A replica is a
 // copy: the headers live inline (a tree worm's destination string up to
 // 256 nodes, see common/nodeset.hpp), so copying allocates nothing
-// unless the run records hop logs. A path worm's route is shared, not
-// copied: every copy of the packet points at its plan's one hop list,
-// so a replica costs a reference count, not a list.
+// unless the run records hops. A path worm's route is not copied either:
+// every copy holds a plain pointer to the routes of its plan, which the
+// multicast's driver keeps in place from launch until the multicast
+// retires, after its last delivery (the network is lossless, so no
+// packet outlives its multicast), plus a cursor into them.
 //
 // Wire length = data flits + remaining header flits, so header encoding
 // costs are physically accounted (§3.3 of the paper discusses them only
@@ -28,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/nodeset.hpp"
@@ -38,33 +44,31 @@ namespace irmc {
 
 enum class HeaderKind : std::uint8_t { kUnicast, kTreeWorm, kPathWorm };
 
-/// Planner-produced route for one multi-drop path worm. steps[i]
-/// describes what the worm does at the i-th switch of its path.
-struct PathWormRoute {
+/// Planner-produced routes of a plan's multi-drop path worms, flat:
+/// every worm's switches in one array of steps and every step's host
+/// drops in another. A worm is a range of steps, ended by the step that
+/// forwards nowhere; a step's drops are a range of `drops`, and the
+/// steps of a plan list their drops in order.
+struct PathRoutes {
   struct Step {
     SwitchId sw = kInvalidSwitch;
-    /// Hosts to drop copies to at this switch.
-    std::vector<NodeId> deliver;
     /// Port to forward through toward the next step; kInvalidPort ends
     /// the worm here.
     PortId forward_port = kInvalidPort;
     /// Header flits still ahead of the data when the worm leaves this
     /// switch (fields are stripped as they are consumed).
     int header_flits_after = 0;
+    /// The hosts to drop copies to at this switch: drops[drop_begin,
+    /// drop_end).
+    int drop_begin = 0;
+    int drop_end = 0;
   };
   std::vector<Step> steps;
+  std::vector<NodeId> drops;
 
-  /// Number of replication switches (steps that deliver or replicate),
-  /// i.e. the number of (node-ID, port-string) field pairs in the
-  /// encoded header.
-  int NumFields() const {
-    int fields = 0;
-    for (const Step& st : steps) {
-      // A field pair exists for every switch at which the worm
-      // replicates (drops copies) and for the final switch.
-      if (!st.deliver.empty() || st.forward_port == kInvalidPort) ++fields;
-    }
-    return fields;
+  std::span<const NodeId> Drops(const Step& st) const {
+    return {drops.data() + st.drop_begin,
+            static_cast<std::size_t>(st.drop_end - st.drop_begin)};
   }
 };
 
@@ -125,8 +129,8 @@ struct Packet {
   RoutePhase phase = RoutePhase::kUpAllowed;
   NodeId uni_dest = kInvalidNode;            // kUnicast
   NodeSet tree_dests;                        // kTreeWorm: remaining bits
-  std::shared_ptr<const PathWormRoute> path; // kPathWorm
-  std::size_t path_cursor = 0;               // index into path->steps
+  const PathRoutes* path = nullptr;          // kPathWorm: its plan's routes
+  int path_cursor = 0;                       // kPathWorm: index into path->steps
 
   /// Per-branch hop log (route-legality tests only; off in normal runs).
   HopLog hop_log;

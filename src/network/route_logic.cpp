@@ -23,21 +23,26 @@ PortId PickPort(SwitchId s, std::span<const PortId> candidates,
   return best;
 }
 
-/// Appends a copy of `pkt` leaving through `port`; the caller narrows
-/// the copy's header.
-Packet& AddBranch(std::vector<RouteBranch>& out, const Packet& pkt,
-                  PortId port) {
-  return out.emplace_back(pkt, port).pkt;
+/// Appends a branch of `pkt` leaving through `port` with `pkt`'s
+/// header; the caller narrows it.
+RouteBranch& AddBranch(std::vector<RouteBranch>& out, const Packet& pkt,
+                       PortId port) {
+  RouteBranch& b = out.emplace_back();
+  b.port = port;
+  b.phase = pkt.phase;
+  b.header_flits = pkt.header_flits;
+  b.path_cursor = pkt.path_cursor;
+  return b;
 }
 
 void AddHostBranch(const System& sys, SwitchId s, NodeId n, const Packet& pkt,
                    std::vector<RouteBranch>& out) {
   const HostAttachment& at = sys.graph.host(n);
   IRMC_EXPECT(at.sw == s);
-  Packet& copy = AddBranch(out, pkt, at.port);
-  if (copy.kind == HeaderKind::kTreeWorm) {
-    copy.tree_dests = NodeSet(copy.tree_dests.capacity());
-    copy.tree_dests.Set(n);
+  RouteBranch& b = AddBranch(out, pkt, at.port);
+  if (pkt.kind == HeaderKind::kTreeWorm) {
+    b.tree_dests = NodeSet(pkt.tree_dests.capacity());
+    b.tree_dests.Set(n);
   }
 }
 
@@ -71,11 +76,11 @@ void RouteTreeWorm(const System& sys, SwitchId s, const Packet& pkt,
     // Replicate downward along the partitioned reachability strings.
     NodeSet covered(rem.capacity());
     for (PortId p : decision.ports) {
-      Packet& copy = AddBranch(out, pkt, p);
-      copy.tree_dests = rem;
-      copy.tree_dests &= reach.Primary(s, p);
-      copy.phase = RoutePhase::kDownOnly;
-      covered |= copy.tree_dests;
+      RouteBranch& b = AddBranch(out, pkt, p);
+      b.tree_dests = rem;
+      b.tree_dests &= reach.Primary(s, p);
+      b.phase = RoutePhase::kDownOnly;
+      covered |= b.tree_dests;
     }
     IRMC_ENSURE(covered == rem);
     return;
@@ -84,21 +89,25 @@ void RouteTreeWorm(const System& sys, SwitchId s, const Packet& pkt,
   const PortId p = PickPort(
       s, std::span<const PortId>(decision.ports.begin(), decision.ports.size()),
       adaptive, load);
-  Packet& copy = AddBranch(out, pkt, p);
-  copy.tree_dests = std::move(rem);
-  copy.phase = RoutePhase::kUpAllowed;
+  RouteBranch& b = AddBranch(out, pkt, p);
+  b.tree_dests = std::move(rem);
+  b.phase = RoutePhase::kUpAllowed;
 }
 
 void RoutePathWorm(const System& sys, SwitchId s, const Packet& pkt,
                    std::vector<RouteBranch>& out) {
   IRMC_EXPECT(pkt.path != nullptr);
-  IRMC_EXPECT(pkt.path_cursor < pkt.path->steps.size());
-  const PathWormRoute::Step& step = pkt.path->steps[pkt.path_cursor];
+  IRMC_EXPECT(pkt.path_cursor >= 0 &&
+              static_cast<std::size_t>(pkt.path_cursor) <
+                  pkt.path->steps.size());
+  const PathRoutes::Step& step =
+      pkt.path->steps[static_cast<std::size_t>(pkt.path_cursor)];
   IRMC_ENSURE(step.sw == s &&
               "unroutable packet: path worm step names another switch");
-  for (NodeId n : step.deliver) AddHostBranch(sys, s, n, pkt, out);
+  const std::span<const NodeId> drops = pkt.path->Drops(step);
+  for (NodeId n : drops) AddHostBranch(sys, s, n, pkt, out);
   if (step.forward_port == kInvalidPort) {
-    IRMC_ENSURE(!step.deliver.empty());  // a worm must end with a drop
+    IRMC_ENSURE(!drops.empty());  // a worm must end with a drop
     return;
   }
   IRMC_ENSURE(sys.graph.port(s, step.forward_port).kind == PortKind::kSwitch &&
@@ -106,10 +115,10 @@ void RoutePathWorm(const System& sys, SwitchId s, const Packet& pkt,
   IRMC_ENSURE((pkt.phase == RoutePhase::kUpAllowed ||
                !sys.updown.IsUp(s, step.forward_port)) &&
               "unroutable packet: path worm climbs after its descent");
-  Packet& copy = AddBranch(out, pkt, step.forward_port);
-  copy.path_cursor = pkt.path_cursor + 1;
-  copy.header_flits = step.header_flits_after;
-  copy.phase = sys.routing.NextPhase(s, step.forward_port, pkt.phase);
+  RouteBranch& b = AddBranch(out, pkt, step.forward_port);
+  b.path_cursor = pkt.path_cursor + 1;
+  b.header_flits = step.header_flits_after;
+  b.phase = sys.routing.NextPhase(s, step.forward_port, pkt.phase);
 }
 
 }  // namespace
@@ -147,7 +156,6 @@ TreeRouteDecision TreeWormDecision(const System& sys, SwitchId s,
 void ComputeRouteBranches(const System& sys, SwitchId s, const Packet& pkt,
                           bool adaptive, const PortLoadFn& load,
                           std::vector<RouteBranch>& out) {
-  const std::size_t first = out.size();
   switch (pkt.kind) {
     case HeaderKind::kUnicast:
       RouteUnicast(sys, s, pkt, adaptive, load, out);
@@ -159,9 +167,6 @@ void ComputeRouteBranches(const System& sys, SwitchId s, const Packet& pkt,
       RoutePathWorm(sys, s, pkt, out);
       break;
   }
-  if (pkt.hop_log.hops() != nullptr)
-    for (std::size_t i = first; i < out.size(); ++i)
-      out[i].pkt.hop_log.Record(HopRecord{s, out[i].port});
 }
 
 }  // namespace irmc

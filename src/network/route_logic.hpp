@@ -9,14 +9,20 @@
 // decision is — by construction — identical at both granularities; only
 // the transport timing underneath differs. See docs/engines.md.
 //
-// A routing step allocates nothing: each branch is a Packet copy written
-// into the caller's reused branch vector (headers inline, see
-// packet.hpp), and a tree-worm decision lists its ports inline.
+// A routing step copies no packet and allocates nothing: a branch is a
+// header edit — the output port and the header fields it changes —
+// written into the caller's reused branch vector (a tree-worm set lives
+// inline, see packet.hpp), and a tree-worm decision lists its ports
+// inline. An engine writes a branch's edits over a packet with
+// ApplyBranch: the VCT engine the first branch's over the packet
+// already in its slot and each further one's over one fresh copy, the
+// flit engine each branch's over its copy in the branch slot.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -25,12 +31,29 @@
 
 namespace irmc {
 
-/// One replica leaving a switch: the (possibly narrowed) header and the
-/// output port it takes. Host deliveries use the host's attachment port.
+/// One replica leaving a switch, as a header edit: the output port it
+/// takes (a host delivery uses the host's attachment port) and every
+/// header field a branch may change. The replica is the arriving packet
+/// with these written over it; its identity, data length and route
+/// (unicast destination, path-worm routes) never change at a switch.
 struct RouteBranch {
-  Packet pkt;
   PortId port = kInvalidPort;
+  RoutePhase phase = RoutePhase::kUpAllowed;
+  int header_flits = 0;
+  int path_cursor = 0;  ///< kPathWorm: the step the replica takes next
+  NodeSet tree_dests;   ///< kTreeWorm: the replica's remaining set
 };
+
+/// Writes branch `b`'s header edits over `pkt`, a packet (or a copy of
+/// the packet) that switch `s` routed into `b`, and logs the hop when
+/// `pkt` records hops. Takes `b`'s tree-worm set.
+inline void ApplyBranch(SwitchId s, RouteBranch& b, Packet& pkt) {
+  pkt.phase = b.phase;
+  pkt.header_flits = b.header_flits;
+  pkt.path_cursor = b.path_cursor;
+  if (pkt.kind == HeaderKind::kTreeWorm) pkt.tree_dests = std::move(b.tree_dests);
+  pkt.hop_log.Record(HopRecord{s, b.port});
+}
 
 /// Ports of one switch, in the order added. Up to kInlinePorts live
 /// inline, so a list at a switch of that many ports or fewer (every
@@ -97,9 +120,10 @@ TreeRouteDecision TreeWormDecision(const System& sys, SwitchId s,
 
 /// Computes every branch of `pkt` at switch `s` and appends them to
 /// `out` in deterministic order (host drops first, then network
-/// forwards). Each branch is a copy of `pkt` with its header narrowed
-/// and its route phase updated via the up*/down* tables; a copy of a
-/// packet that records hops logs the hop taken. The network is
+/// forwards). Each branch names its port and `pkt`'s header as that
+/// replica carries it: narrowed, with its route phase updated via the
+/// up*/down* tables (ApplyBranch writes it and logs the hop). The
+/// network is
 /// lossless, so a packet that cannot be routed aborts with an
 /// "unroutable packet" message: a unicast with no candidate in its
 /// phase, a tree worm that breaks the phase rule, or a path worm whose

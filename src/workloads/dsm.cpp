@@ -8,6 +8,7 @@
 #include "core/executor.hpp"
 #include "core/trial.hpp"
 #include "core/trial_setup.hpp"
+#include "mcast/binomial.hpp"
 #include "mcast/scheme.hpp"
 #include "topology/system.hpp"
 
@@ -101,13 +102,8 @@ class DsmRun {
   void SendAck(std::int64_t wid, NodeId sharer, Cycles when) {
     const Write& w = writes_.at(wid);
     // Short conventional unicast back to the writer.
-    McastPlan ack;
-    ack.scheme = SchemeKind::kUnicastBinomial;
-    ack.root = sharer;
-    ack.dests = {w.writer};
+    McastPlan ack = StarPlan(sys_, sharer, {w.writer});
     ack.shape = MessageShape{DsmParams::ack_flits, 1};
-    ack.children.assign(static_cast<std::size_t>(sys_.num_nodes()), {});
-    ack.children[static_cast<std::size_t>(sharer)] = ack.dests;
     driver_.Launch(std::move(ack), when,
                    [this, wid](const MulticastResult& r) {
                      OnAck(wid, r.completion);

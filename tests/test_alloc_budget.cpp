@@ -25,11 +25,13 @@
 //    progress and delivery list keep their capacity (the smallest
 //    delivery list that fits is taken). The first launch on a fresh
 //    driver allocates that state and the pool's tables once.
-//  * Planning costs what the plan emits. The k choice scores every
-//    candidate k on one flat scratch; a binomial or k-binomial plan
-//    allocates little beyond its children lists; a path-worm plan runs
+//  * A plan is a few flat arrays, so planning costs a fixed number of
+//    allocations whatever the multicast's size. The k choice scores
+//    every candidate k on one flat scratch; a binomial or k-binomial
+//    plan holds its children as one CSR table; a path-worm plan runs
 //    every coverage DP of all its worms and phases on one reused pair
-//    of tables, so it allocates a few buffers per worm it emits.
+//    of tables and keeps every worm's steps and drops in two plan-wide
+//    arrays.
 //
 // Counts come from a replaced global operator new (counting_new.hpp).
 #include <gtest/gtest.h>
@@ -318,10 +320,13 @@ TEST(AllocBudget, TreeWormRoutingAllocatesNothing) {
     branches += out.size();
     for (RouteBranch& b : out) {
       const Port& pt = sys->graph.port(s, b.port);
-      if (pt.kind == PortKind::kHost)
+      if (pt.kind == PortKind::kHost) {
         delivered.Set(pt.host);
-      else
-        pending.emplace_back(pt.peer_switch, std::move(b.pkt));
+        continue;
+      }
+      Packet next = pkt;
+      ApplyBranch(s, b, next);
+      pending.emplace_back(pt.peer_switch, std::move(next));
     }
   }
   EXPECT_EQ(delivered, worm.tree_dests);
@@ -498,22 +503,36 @@ void ForEachPlan(SchemeKind kind, Check check) {
   }
 }
 
-TEST(AllocBudget, BinomialPlansAllocateAboutOncePerDestination) {
-  for (SchemeKind kind :
-       {SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial})
-    ForEachPlan(kind, [kind](const McastPlan& plan, std::size_t made) {
-      EXPECT_LE(made, plan.dests.size() + 16)
-          << ToString(kind) << ", " << plan.dests.size() << " destinations";
-    });
-}
+/// Allocations of one plan, at every size: a uni-binomial plan copies
+/// the destinations and allocates the capped tree, the switch order (its
+/// keys and the result) and the two CSR arrays of children; a
+/// k-binomial plan adds ChooseK's two. Read up to destinations + 3
+/// (uni-binomial) and destinations + 5 (ni-kbinomial) on these draws
+/// while every parent had its own children vector.
+constexpr std::size_t kBinomialPlanAllocations = 6;
+constexpr std::size_t kKBinomialPlanAllocations = 8;
+/// A path-worm plan: the destinations, the per-switch buckets (offsets
+/// and nodes), the remaining-switch flags, the sender list, the DP
+/// tables, the route scratch and one worm's hop list for the legality
+/// check, then the plan's worms, steps and drops. Read up to
+/// 8 x worms + 9 on these draws while every worm had its own route
+/// object and lists.
+constexpr std::size_t kPathWormPlanAllocations = 11;
+/// A tree-worm plan copies the destinations.
+constexpr std::size_t kTreeWormPlanAllocations = 1;
 
-TEST(AllocBudget, PathWormPlansAllocateAFewBuffersPerWorm) {
-  ForEachPlan(SchemeKind::kPathWorm,
-              [](const McastPlan& plan, std::size_t made) {
-                EXPECT_LE(made, 8 * plan.worms.size() + 32)
-                    << plan.worms.size() << " worms, " << plan.dests.size()
-                    << " destinations";
-              });
+TEST(AllocBudget, PlansCostTheSameAllocationsAtEverySize) {
+  for (const auto& [kind, budget] :
+       {std::pair{SchemeKind::kUnicastBinomial, kBinomialPlanAllocations},
+        std::pair{SchemeKind::kNiKBinomial, kKBinomialPlanAllocations},
+        std::pair{SchemeKind::kTreeWorm, kTreeWormPlanAllocations},
+        std::pair{SchemeKind::kPathWorm, kPathWormPlanAllocations}})
+    ForEachPlan(kind, [kind, budget](const McastPlan& plan,
+                                     std::size_t made) {
+      EXPECT_EQ(made, budget)
+          << ToString(kind) << ", " << plan.worms.size() << " worms, "
+          << plan.dests.size() << " destinations";
+    });
 }
 
 }  // namespace

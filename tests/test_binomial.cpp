@@ -20,7 +20,7 @@ std::set<NodeId> CollectTree(const McastPlan& plan) {
   while (!frontier.empty()) {
     const NodeId u = frontier.front();
     frontier.pop();
-    for (NodeId c : plan.children[static_cast<std::size_t>(u)]) {
+    for (NodeId c : plan.children.Row(static_cast<std::size_t>(u))) {
       EXPECT_TRUE(seen.insert(c).second) << "node adopted twice: " << c;
       frontier.push(c);
     }
@@ -42,7 +42,7 @@ int StepsToComplete(const McastPlan& plan) {
     const NodeId u = order.front();
     order.pop();
     int i = 0;
-    for (NodeId c : plan.children[static_cast<std::size_t>(u)]) {
+    for (NodeId c : plan.children.Row(static_cast<std::size_t>(u))) {
       arrive[c] = arrive[u] + i + 1;
       last = std::max(last, arrive[c]);
       order.push(c);
@@ -83,7 +83,7 @@ TEST(Binomial, PaperFigure2SevenDestinations) {
   std::vector<NodeId> dests{1, 2, 3, 4, 5, 6, 7};
   const McastPlan plan = scheme.Plan(*sys, 0, dests, {}, {});
   EXPECT_EQ(StepsToComplete(plan), 3);
-  EXPECT_EQ(plan.children[0].size(), 3u);
+  EXPECT_EQ(plan.children.Row(0).size(), 3u);
 }
 
 TEST(Binomial, RootIsNeverADestination) {

@@ -184,15 +184,16 @@ TEST_P(NetworkContractDeathTest, PathWormNamingAnotherSwitchAborts) {
   const SwitchId here = sys->graph.host(0).sw;
   NodeId far = 1;
   while (sys->graph.host(far).sw == here) ++far;
-  auto route = std::make_shared<PathWormRoute>();
-  route->steps.push_back({sys->graph.host(far).sw, {far}, kInvalidPort, 0});
+  PathRoutes route;
+  route.drops = {far};
+  route.steps = {{sys->graph.host(far).sw, kInvalidPort, 0, 0, 1}};
   Packet pkt;
   pkt.mcast_id = 0;
   pkt.src = 0;
   pkt.kind = HeaderKind::kPathWorm;
   pkt.data_flits = 128;
   pkt.header_flits = 2;
-  pkt.path = std::move(route);
+  pkt.path = &route;
   Engine engine;
   const auto net =
       MakeNetworkModel(GetParam(), engine, *sys, NetParams{},

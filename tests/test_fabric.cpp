@@ -280,21 +280,16 @@ TEST(Fabric, PathWormFollowsPlannedRouteExactly) {
   ASSERT_FALSE(h.sys->graph.HostsAt(next).empty());
   const NodeId target = h.sys->graph.HostsAt(next).front();
 
-  auto route = std::make_shared<PathWormRoute>();
-  route->steps.resize(2);
-  route->steps[0].sw = start;
-  route->steps[0].forward_port = up;
-  route->steps[0].header_flits_after = 2;
-  route->steps[1].sw = next;
-  route->steps[1].deliver = {target};
-  route->steps[1].forward_port = kInvalidPort;
-  route->steps[1].header_flits_after = 0;
+  // The packet points at the route, which outlives the run.
+  PathRoutes route;
+  route.drops = {target};
+  route.steps = {{start, up, 2, 0, 0}, {next, kInvalidPort, 0, 0, 1}};
 
   Packet pkt;
   pkt.mcast_id = 1;
   pkt.src = 0;
   pkt.kind = HeaderKind::kPathWorm;
-  pkt.path = route;
+  pkt.path = &route;
   pkt.data_flits = 64;
   pkt.header_flits = 4;
   h.fabric->InjectFromNi(0, std::move(pkt), 0);

@@ -101,7 +101,7 @@ TEST_P(KBinomialPlanSweep, PlanIsValidTree) {
   while (!frontier.empty()) {
     const NodeId u = frontier.front();
     frontier.pop();
-    const auto& kids = plan.children[static_cast<std::size_t>(u)];
+    const auto kids = plan.children.Row(static_cast<std::size_t>(u));
     EXPECT_LE(static_cast<int>(kids.size()), plan.chosen_k);
     for (NodeId c : kids) {
       EXPECT_TRUE(seen.insert(c).second);
@@ -124,8 +124,8 @@ TEST(KBinomialPlan, ForcedKOverridesModel) {
   for (NodeId n = 1; n <= 15; ++n) dests.push_back(n);
   const McastPlan plan = scheme.Plan(*sys, 0, dests, {}, {});
   EXPECT_EQ(plan.chosen_k, 2);
-  for (const auto& kids : plan.children)
-    EXPECT_LE(static_cast<int>(kids.size()), 2);
+  for (std::size_t u = 0; u < plan.children.rows(); ++u)
+    EXPECT_LE(static_cast<int>(plan.children.Row(u).size()), 2);
 }
 
 TEST(KBinomialPlan, NonParticipantsHaveNoChildren) {
@@ -135,7 +135,7 @@ TEST(KBinomialPlan, NonParticipantsHaveNoChildren) {
   std::set<NodeId> participants{0, 1, 2, 3};
   for (NodeId n = 0; n < sys->num_nodes(); ++n) {
     if (!participants.count(n)) {
-      EXPECT_TRUE(plan.children[static_cast<std::size_t>(n)].empty());
+      EXPECT_TRUE(plan.children.Row(static_cast<std::size_t>(n)).empty());
     }
   }
 }

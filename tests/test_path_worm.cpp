@@ -62,20 +62,20 @@ TEST_P(PathWormSweep, PlanPartitionsDestinations) {
 
   std::map<NodeId, int> covered_count;
   for (const auto& worm : plan.worms) {
-    for (NodeId d : worm.covered) ++covered_count[d];
+    for (NodeId d : plan.Covered(worm)) ++covered_count[d];
     // Worm route legality: every step's forward port exists and the hop
     // sequence is a legal route.
+    const auto steps = plan.Route(worm);
     std::vector<PortId> hops;
-    for (const auto& step : worm.route->steps)
+    for (const auto& step : steps)
       if (step.forward_port != kInvalidPort) hops.push_back(step.forward_port);
-    EXPECT_TRUE(
-        sys_->routing.IsLegalRoute(worm.route->steps.front().sw, hops));
+    EXPECT_TRUE(sys_->routing.IsLegalRoute(steps.front().sw, hops));
     // Sender attached to the first switch of the route.
-    EXPECT_EQ(sys_->graph.SwitchOf(worm.sender), worm.route->steps.front().sw);
+    EXPECT_EQ(sys_->graph.SwitchOf(worm.sender), steps.front().sw);
     // Multi-drop restriction: at most one switch forward per switch (the
     // representation enforces it), and drops at the final switch.
-    EXPECT_FALSE(worm.route->steps.back().deliver.empty());
-    EXPECT_EQ(worm.route->steps.back().forward_port, kInvalidPort);
+    EXPECT_FALSE(plan.paths.Drops(steps.back()).empty());
+    EXPECT_EQ(steps.back().forward_port, kInvalidPort);
   }
   EXPECT_EQ(covered_count.size(), dests.size());
   for (NodeId d : dests) EXPECT_EQ(covered_count[d], 1) << "dest " << d;
@@ -91,7 +91,7 @@ TEST_P(PathWormSweep, SendersReceivedBeforeSending) {
   for (const auto& worm : plan.worms) {
     EXPECT_TRUE(has_message.count(worm.sender))
         << "sender " << worm.sender << " sends before receiving";
-    for (NodeId d : worm.covered) has_message.insert(d);
+    for (NodeId d : plan.Covered(worm)) has_message.insert(d);
   }
 }
 
@@ -115,11 +115,11 @@ TEST_P(PathWormSweep, HeaderShrinksMonotonically) {
   for (const auto& worm : plan.worms) {
     EXPECT_GT(worm.header_flits, 0);
     int prev = worm.header_flits;
-    for (const auto& step : worm.route->steps) {
+    for (const auto& step : plan.Route(worm)) {
       EXPECT_LE(step.header_flits_after, prev);
       prev = step.header_flits_after;
     }
-    EXPECT_EQ(worm.route->steps.back().header_flits_after, 0);
+    EXPECT_EQ(plan.Route(worm).back().header_flits_after, 0);
   }
 }
 
@@ -137,8 +137,8 @@ TEST(PathWorm, SingleSwitchDestinationsNeedOneWorm) {
   ASSERT_FALSE(dests.empty());
   const McastPlan plan = scheme.Plan(*sys, 0, dests, {}, {});
   ASSERT_EQ(plan.worms.size(), 1u);
-  EXPECT_EQ(plan.worms[0].route->steps.size(), 1u);
-  EXPECT_EQ(plan.worms[0].covered.size(), dests.size());
+  EXPECT_EQ(plan.Route(plan.worms[0]).size(), 1u);
+  EXPECT_EQ(plan.Covered(plan.worms[0]).size(), dests.size());
 }
 
 TEST(PathWorm, GreedyUsesNoMoreWormsThanLessGreedy) {

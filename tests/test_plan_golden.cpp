@@ -15,12 +15,15 @@
 // 1-63 receivers, over the same shapes.
 //
 // The values were recorded before the planners moved to flat scratch
-// buffers; any change to what a planner emits changes a digest.
+// buffers, and read the same once plans became flat arrays (HashPlan
+// walks them in the old nested lists' order); any change to what a
+// planner emits changes a digest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -42,32 +45,39 @@ struct Digest {
       h *= 1099511628211ull;
     }
   }
-  void Nodes(const std::vector<NodeId>& nodes) {
+  void Nodes(std::span<const NodeId> nodes) {
     Num(static_cast<std::int64_t>(nodes.size()));
     for (NodeId n : nodes) Num(n);
   }
 };
 
+/// Hashes the plan's flat arrays in the byte order of the nested lists
+/// the digests were recorded from: a list per node, a list per region,
+/// and per worm its covered list and its steps with their drop lists.
 void HashPlan(Digest& d, const McastPlan& plan) {
   d.Num(static_cast<std::int64_t>(plan.scheme));
   d.Num(plan.root);
   d.Nodes(plan.dests);
-  d.Num(static_cast<std::int64_t>(plan.children.size()));
-  for (const auto& kids : plan.children) d.Nodes(kids);
+  d.Num(static_cast<std::int64_t>(plan.children.rows()));
+  for (std::size_t u = 0; u < plan.children.rows(); ++u)
+    d.Nodes(plan.children.Row(u));
   d.Num(plan.chosen_k);
-  d.Num(static_cast<std::int64_t>(plan.tree_regions.size()));
-  for (const auto& region : plan.tree_regions) d.Nodes(region);
-  for (int flits : plan.tree_region_header_flits) d.Num(flits);
+  d.Num(static_cast<std::int64_t>(plan.tree_regions.rows()));
+  for (std::size_t r = 0; r < plan.tree_regions.rows(); ++r)
+    d.Nodes(plan.tree_regions.Row(r));
+  for (std::size_t r = 0; r < plan.tree_regions.rows(); ++r)
+    d.Num(plan.tree_region_header_flits);
   d.Num(static_cast<std::int64_t>(plan.worms.size()));
   for (const auto& worm : plan.worms) {
     d.Num(worm.sender);
     d.Num(worm.phase);
     d.Num(worm.header_flits);
-    d.Nodes(worm.covered);
-    d.Num(static_cast<std::int64_t>(worm.route->steps.size()));
-    for (const auto& step : worm.route->steps) {
+    d.Nodes(plan.Covered(worm));
+    const auto steps = plan.Route(worm);
+    d.Num(static_cast<std::int64_t>(steps.size()));
+    for (const auto& step : steps) {
       d.Num(step.sw);
-      d.Nodes(step.deliver);
+      d.Nodes(plan.paths.Drops(step));
       d.Num(step.forward_port);
       d.Num(step.header_flits_after);
     }

@@ -6,12 +6,13 @@
 // selection (deterministic first-candidate vs least-loaded adaptive),
 // tree-worm decisions (down-coverable replication, sufficient-up climb,
 // all-ups fallback), multidestination header parsing/narrowing, branch
-// fan-out order, and hop logging.
+// fan-out order, and hop logging. A branch is a header edit: the
+// packet a branch carries is the arriving one with the branch's edits
+// written over it (Replica below, as the engines do).
 #include "network/route_logic.hpp"
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "topology/generator.hpp"
@@ -22,6 +23,14 @@ namespace {
 
 PortLoadFn ZeroLoad() {
   return [](SwitchId, PortId) { return 0; };
+}
+
+/// The packet branch `b` carries out of switch `s`: `pkt` with the
+/// branch's header edits written over it.
+Packet Replica(SwitchId s, const Packet& pkt, RouteBranch b) {
+  Packet out = pkt;
+  ApplyBranch(s, b, out);
+  return out;
 }
 
 Packet UnicastPkt(NodeId src, NodeId dst) {
@@ -62,10 +71,11 @@ System TwoSwitchSystem() {
 TEST(RouteLogicUnicast, LocalDestinationDropsToItsHostPort) {
   const System sys = TwoSwitchSystem();
   std::vector<RouteBranch> out;
-  ComputeRouteBranches(sys, 0, UnicastPkt(0, 1), false, ZeroLoad(), out);
+  const Packet pkt = UnicastPkt(0, 1);
+  ComputeRouteBranches(sys, 0, pkt, false, ZeroLoad(), out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].port, sys.graph.host(1).port);
-  EXPECT_EQ(out[0].pkt.uni_dest, 1);
+  EXPECT_EQ(Replica(0, pkt, out[0]).uni_dest, 1);
 }
 
 TEST(RouteLogicUnicast, DeterministicFollowsFirstCandidateIgnoringLoad) {
@@ -91,7 +101,7 @@ TEST(RouteLogicUnicast, DeterministicFollowsFirstCandidateIgnoringLoad) {
       sys.routing.Candidates(here, dest_sw, RoutePhase::kUpAllowed);
   const NodeId dst = sys.graph.HostsAt(dest_sw).front();
 
-  PortLoadFn load = [&cands](SwitchId, PortId p) {
+  const PortLoadFn load = [&cands](SwitchId, PortId p) {
     return p == cands.front() ? 100 : 0;
   };
   std::vector<RouteBranch> det;
@@ -115,7 +125,7 @@ TEST(RouteLogicUnicast, AdaptiveBreaksTiesTowardTheFirstCandidate) {
   ComputeRouteBranches(sys, 0, UnicastPkt(0, 2), true, ZeroLoad(), out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].port, 0);
-  EXPECT_EQ(out[0].pkt.phase, RoutePhase::kDownOnly);  // down move
+  EXPECT_EQ(out[0].phase, RoutePhase::kDownOnly);  // down move
 }
 
 // --- tree-worm decisions and header narrowing ------------------------
@@ -127,13 +137,13 @@ TEST(RouteLogicTree, LocalDropsComeFirstWithSingletonHeaders) {
   ASSERT_EQ(out.size(), 2u);
   // Host drop first (node 1), narrowed to a singleton bit-string.
   EXPECT_EQ(out[0].port, sys.graph.host(1).port);
-  EXPECT_TRUE(out[0].pkt.tree_dests.Test(1));
-  EXPECT_EQ(out[0].pkt.tree_dests.ToVector().size(), 1u);
+  EXPECT_TRUE(out[0].tree_dests.Test(1));
+  EXPECT_EQ(out[0].tree_dests.ToVector().size(), 1u);
   // Then the down forward toward node 2, header narrowed to {2}.
   EXPECT_EQ(out[1].port, 0);
-  EXPECT_EQ(out[1].pkt.phase, RoutePhase::kDownOnly);
-  EXPECT_TRUE(out[1].pkt.tree_dests.Test(2));
-  EXPECT_FALSE(out[1].pkt.tree_dests.Test(1));
+  EXPECT_EQ(out[1].phase, RoutePhase::kDownOnly);
+  EXPECT_TRUE(out[1].tree_dests.Test(2));
+  EXPECT_FALSE(out[1].tree_dests.Test(1));
 }
 
 TEST(RouteLogicTree, DownReplicationPartitionsByPrimaryStrings) {
@@ -160,11 +170,10 @@ TEST(RouteLogicTree, DownReplicationPartitionsByPrimaryStrings) {
       continue;
     }
     ASSERT_EQ(port.kind, PortKind::kSwitch);
-    if (b.pkt.phase == RoutePhase::kDownOnly) {
-      EXPECT_TRUE(
-          b.pkt.tree_dests.IsSubsetOf(sys.reach.Primary(src_sw, b.port)));
+    if (b.phase == RoutePhase::kDownOnly) {
+      EXPECT_TRUE(b.tree_dests.IsSubsetOf(sys.reach.Primary(src_sw, b.port)));
     }
-    for (NodeId n : b.pkt.tree_dests.ToVector()) {
+    for (NodeId n : b.tree_dests.ToVector()) {
       EXPECT_FALSE(covered.Test(n)) << "node " << n << " delivered twice";
       covered.Set(n);
     }
@@ -218,13 +227,13 @@ TEST(RouteLogicTree, DecisionFallsBackToAllUpsWhenNoPeerSuffices) {
 
   // Adaptive climb picks the least-loaded of those ups.
   std::vector<RouteBranch> out;
-  PortLoadFn load = [&d](SwitchId, PortId p) {
+  const PortLoadFn load = [&d](SwitchId, PortId p) {
     return p == d.ports[0] ? 5 : 0;
   };
   ComputeRouteBranches(sys, 3, TreePkt(2, 3, {0, 1}), true, load, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].port, d.ports[1]);
-  EXPECT_EQ(out[0].pkt.phase, RoutePhase::kUpAllowed);
+  EXPECT_EQ(out[0].phase, RoutePhase::kUpAllowed);
 }
 
 // --- path-worm header consumption ------------------------------------
@@ -238,10 +247,9 @@ TEST(RouteLogicPath, StepsDeliverThenForwardAndStripHeaderFields) {
   g.AttachHost(2, 3);  // node 2
   const System sys{std::move(g)};
 
-  auto route = std::make_shared<PathWormRoute>();
-  route->steps.push_back({0, {}, 0, 4});
-  route->steps.push_back({1, {1}, 1, 2});
-  route->steps.push_back({2, {2}, kInvalidPort, 0});
+  PathRoutes route;
+  route.drops = {1, 2};
+  route.steps = {{0, 0, 4, 0, 0}, {1, 1, 2, 0, 1}, {2, kInvalidPort, 0, 1, 2}};
 
   Packet pkt;
   pkt.mcast_id = 1;
@@ -249,7 +257,7 @@ TEST(RouteLogicPath, StepsDeliverThenForwardAndStripHeaderFields) {
   pkt.kind = HeaderKind::kPathWorm;
   pkt.data_flits = 64;
   pkt.header_flits = 6;
-  pkt.path = route;
+  pkt.path = &route;
   pkt.path_cursor = 1;
 
   std::vector<RouteBranch> out;
@@ -259,13 +267,17 @@ TEST(RouteLogicPath, StepsDeliverThenForwardAndStripHeaderFields) {
   // stripped from the wire header and the cursor advanced.
   EXPECT_EQ(out[0].port, sys.graph.host(1).port);
   EXPECT_EQ(out[1].port, 1);
-  EXPECT_EQ(out[1].pkt.path_cursor, 2u);
-  EXPECT_EQ(out[1].pkt.header_flits, 2);
-  EXPECT_EQ(out[1].pkt.phase, RoutePhase::kDownOnly);
+  EXPECT_EQ(out[1].path_cursor, 2);
+  EXPECT_EQ(out[1].header_flits, 2);
+  EXPECT_EQ(out[1].phase, RoutePhase::kDownOnly);
+  // The drop keeps the arriving header.
+  EXPECT_EQ(out[0].path_cursor, 1);
+  EXPECT_EQ(out[0].header_flits, 6);
 
   // Terminal step: only the drop, no forward branch.
   std::vector<RouteBranch> last;
-  ComputeRouteBranches(sys, 2, out[1].pkt, false, ZeroLoad(), last);
+  ComputeRouteBranches(sys, 2, Replica(1, pkt, out[1]), false, ZeroLoad(),
+                       last);
   ASSERT_EQ(last.size(), 1u);
   EXPECT_EQ(last[0].port, sys.graph.host(2).port);
 }
@@ -283,10 +295,9 @@ TEST(RouteLogicPathDeathTest, DownOnlyWormNamingAnUpPortAborts) {
   const System sys{std::move(g)};
   ASSERT_TRUE(sys.updown.IsUp(1, 0));  // toward the root, switch 0
 
-  auto route = std::make_shared<PathWormRoute>();
-  route->steps.push_back({2, {}, 0, 4});
-  route->steps.push_back({1, {1}, 0, 2});
-  route->steps.push_back({0, {0}, kInvalidPort, 0});
+  PathRoutes route;
+  route.drops = {1, 0};
+  route.steps = {{2, 0, 4, 0, 0}, {1, 0, 2, 0, 1}, {0, kInvalidPort, 0, 1, 2}};
 
   Packet pkt;
   pkt.mcast_id = 1;
@@ -294,7 +305,7 @@ TEST(RouteLogicPathDeathTest, DownOnlyWormNamingAnUpPortAborts) {
   pkt.kind = HeaderKind::kPathWorm;
   pkt.data_flits = 64;
   pkt.header_flits = 4;
-  pkt.path = route;
+  pkt.path = &route;
   pkt.path_cursor = 1;
   pkt.phase = RoutePhase::kDownOnly;
 
@@ -319,8 +330,10 @@ TEST(RouteLogicHops, BranchesRecordTheirOwnHops) {
   std::vector<RouteBranch> out;
   ComputeRouteBranches(sys, 0, pkt, false, ZeroLoad(), out);
   ASSERT_EQ(out.size(), 2u);
+  std::vector<Packet> replicas;
   for (const RouteBranch& b : out) {
-    const std::vector<HopRecord>* hops = b.pkt.hop_log.hops();
+    replicas.push_back(Replica(0, pkt, b));
+    const std::vector<HopRecord>* hops = replicas.back().hop_log.hops();
     ASSERT_NE(hops, nullptr);
     ASSERT_EQ(hops->size(), 1u);
     EXPECT_EQ(hops->back().sw, 0);
@@ -329,15 +342,16 @@ TEST(RouteLogicHops, BranchesRecordTheirOwnHops) {
   // Forked per branch: the original log is untouched, and a hop one
   // branch records later shows in no other log.
   EXPECT_TRUE(pkt.hop_log.hops()->empty());
-  out[0].pkt.hop_log.Record(HopRecord{1, 2});
-  EXPECT_EQ(out[0].pkt.hop_log.hops()->size(), 2u);
-  EXPECT_EQ(out[1].pkt.hop_log.hops()->size(), 1u);
+  replicas[0].hop_log.Record(HopRecord{1, 2});
+  EXPECT_EQ(replicas[0].hop_log.hops()->size(), 2u);
+  EXPECT_EQ(replicas[1].hop_log.hops()->size(), 1u);
   EXPECT_TRUE(pkt.hop_log.hops()->empty());
   // A packet that records no hops gains no log by replication.
   const Packet plain = TreePkt(0, 3, {1, 2});
   out.clear();
   ComputeRouteBranches(sys, 0, plain, false, ZeroLoad(), out);
-  for (const RouteBranch& b : out) EXPECT_EQ(b.pkt.hop_log.hops(), nullptr);
+  for (const RouteBranch& b : out)
+    EXPECT_EQ(Replica(0, plain, b).hop_log.hops(), nullptr);
 }
 
 }  // namespace

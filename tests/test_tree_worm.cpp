@@ -43,7 +43,7 @@ TEST(TreeWormChunked, SpanZeroKeepsSingleWorm) {
   const auto sys = System::Build({}, 21);
   TreeWormScheme scheme;
   const McastPlan plan = scheme.Plan(*sys, 0, {1, 5, 30}, {}, {});
-  EXPECT_TRUE(plan.tree_regions.empty());
+  EXPECT_EQ(plan.tree_regions.rows(), 0u);
 }
 
 TEST(TreeWormChunked, RegionsPartitionDestinations) {
@@ -52,9 +52,10 @@ TEST(TreeWormChunked, RegionsPartitionDestinations) {
   scheme.max_region_span = 8;
   const std::vector<NodeId> dests{1, 3, 7, 9, 17, 20, 30};
   const McastPlan plan = scheme.Plan(*sys, 0, dests, {}, {});
-  ASSERT_FALSE(plan.tree_regions.empty());
+  ASSERT_GT(plan.tree_regions.rows(), 0u);
   std::vector<NodeId> merged;
-  for (const auto& region : plan.tree_regions) {
+  for (std::size_t r = 0; r < plan.tree_regions.rows(); ++r) {
+    const auto region = plan.tree_regions.Row(r);
     ASSERT_FALSE(region.empty());
     // Window constraint: span of IDs within a region < cap.
     EXPECT_LT(region.back() - region.front(), 8);
@@ -64,8 +65,6 @@ TEST(TreeWormChunked, RegionsPartitionDestinations) {
   auto expected = dests;
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(merged, expected);
-  EXPECT_EQ(plan.tree_region_header_flits.size(),
-            plan.tree_regions.size());
 }
 
 TEST(TreeWormChunked, HeaderSizeIndependentOfSystemSize) {
@@ -78,8 +77,9 @@ TEST(TreeWormChunked, HeaderSizeIndependentOfSystemSize) {
   scheme.max_region_span = 32;
   const McastPlan plan =
       scheme.Plan(*sys, 0, {10, 20, 200, 250}, {}, sizing);
-  for (int flits : plan.tree_region_header_flits)
-    EXPECT_EQ(flits, HeaderSizing::unicast_flits + 1 + 4);  // offset + 32 bits
+  EXPECT_GT(plan.tree_regions.rows(), 0u);
+  EXPECT_EQ(plan.tree_region_header_flits,
+            HeaderSizing::unicast_flits + 1 + 4);  // offset + 32 bits
   // The paper's single worm at this size would carry 32 bit-string
   // flits.
   EXPECT_EQ(sizing.TreeWormFlits(256), HeaderSizing::unicast_flits + 32);

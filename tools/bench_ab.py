@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired A/B of two revisions on the irmcbench workloads.
 
-    python3 tools/bench_ab.py BASE CHANGE --seeds 2000-2009 --seconds 8
+    python3 tools/bench_ab.py BASE CHANGE --seeds 2000-2009
 
 BASE and CHANGE are git revisions of this repository (anything `git
 archive` takes), or WORKTREE for the files of this checkout as they are
@@ -12,12 +12,18 @@ each workload the script runs one pair per seed, alternating the order
 (base first, then change first, ...), so drift in core speed hits both
 sides alike.
 
+Runs last BENCHMARK.json's `run_seconds` unless --seconds says otherwise:
+shorter runs spread too widely to settle a gain of ten percent or so.
+
 For every metric it prints the median and quartiles of each side, the
 median of the per-pair change/base ratios with their range, and the wins:
 pairs where the change is better, in the direction BENCHMARK.json gives.
 `gain/IQR` is the distance between the two medians over the base's
-interquartile range. It only reads irmcbench's output. Exit status: 0 when
-every run passed its correctness gate, 1 otherwise.
+interquartile range. `claim` says whether a gain would count as one: yes
+when the change wins at least 9 in 10 of the pairs that are not ties and
+its median is better than the base's by more than the base's
+interquartile range, no otherwise. It only reads irmcbench's output.
+Exit status: 0 when every run passed its correctness gate, 1 otherwise.
 """
 import argparse
 import io
@@ -91,12 +97,20 @@ def fmt(x):
     return "%.4g" % x
 
 
+def claim_holds(wins, ties, pairs, gain):
+    """The repository's rule for a claimed gain: at least 9/10 wins among
+    the pairs that are not ties, and a median gap larger than the base's
+    IQR (gain = signed gap in the better direction, over the IQR)."""
+    decided = pairs - ties
+    return decided > 0 and 10 * wins >= 9 * decided and gain > 1
+
+
 def report(workload, pairs, better):
     """Prints one workload's table from [(base, change)] metric dicts."""
     print("== %s: %d pairs" % (workload, len(pairs)))
-    print("%-34s %-28s %-28s %7s %-15s %5s %8s" %
+    print("%-34s %-28s %-28s %7s %-15s %5s %8s %5s" %
           ("metric", "base median [q1-q3]", "change median [q1-q3]",
-           "ratio", "pair ratios", "wins", "gain/IQR"))
+           "ratio", "pair ratios", "wins", "gain/IQR", "claim"))
     names = sorted(set.intersection(*[set(b) & set(c) for b, c in pairs]))
     for name in names:
         base = [b[name] for b, _ in pairs]
@@ -109,7 +123,11 @@ def report(workload, pairs, better):
         iqr = bq[2] - bq[0]
         gain = (cq[1] - bq[1]) / iqr if iqr > 0 else float("nan")
         span = ("%.3f-%.3f" % (min(ratios), max(ratios))) if ratios else "-"
-        print("%-34s %-28s %-28s %7s %-15s %5s %8s" % (
+        claim = "-"
+        if sign:
+            claim = "yes" if claim_holds(wins, ties, len(pairs),
+                                         sign * gain) else "no"
+        print("%-34s %-28s %-28s %7s %-15s %5s %8s %5s" % (
             name,
             "%s [%s-%s]" % (fmt(bq[1]), fmt(bq[0]), fmt(bq[2])),
             "%s [%s-%s]" % (fmt(cq[1]), fmt(cq[0]), fmt(cq[2])),
@@ -117,7 +135,8 @@ def report(workload, pairs, better):
             span,
             "=" if ties == len(pairs) else
             ("%d/%d" % (wins, len(pairs)) if sign else "-"),
-            "%.2f" % gain if sign else "-"))
+            "%.2f" % gain if sign else "-",
+            claim))
         if ratios and ties < len(pairs):
             print("    pair ratios: " +
                   " ".join("%.3f" % r for r in ratios))
@@ -130,7 +149,9 @@ def main():
     ap.add_argument("--workloads", default="load_vct,load_flit,single_sweep")
     ap.add_argument("--seeds", required=True,
                     help="one pair per seed, e.g. 2000-2009 or 3,5,7")
-    ap.add_argument("--seconds", type=float, default=8.0)
+    ap.add_argument("--seconds", type=float,
+                    help="length of every run (default: BENCHMARK.json's "
+                    "run_seconds)")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--workdir", help="where the two trees go (default: a "
                     "temporary directory, removed afterwards)")
@@ -141,6 +162,8 @@ def main():
         bench = json.load(f)
     better = {m["name"]: m["better"]
               for m in bench["end_to_end"] + bench["per_layer"]}
+    if args.seconds is None:
+        args.seconds = bench["run_seconds"]
     seeds = parse_seeds(args.seeds)
     workdir = args.workdir or tempfile.mkdtemp(prefix="bench_ab.")
     trees = {}

@@ -40,11 +40,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 # this table can be extended.
 LAYERS = (
     ("route logic", ("irmc::ComputeRouteBranches", "irmc::TreeWormDecision",
-                     "irmc::RouteBranch", "irmc::{anon}::RouteTreeWorm",
+                     "irmc::RouteBranch", "irmc::ApplyBranch",
+                     "irmc::{anon}::RouteTreeWorm",
                      "irmc::{anon}::AddHostBranch", "irmc::{anon}::PickPort")),
     ("network", ("irmc::FlitEngine", "irmc::Fabric", "irmc::NetworkModel",
                  "irmc::MakeNetworkModel", "irmc::Packet",
-                 "irmc::PathWormRoute", "irmc::HeaderSizing")),
+                 "irmc::PathRoutes", "irmc::HeaderSizing")),
     ("sim", ("irmc::EventQueue", "irmc::Engine::", "irmc::TimelineResource")),
     ("core", ("irmc::McastDriver", "irmc::MulticastResult", "irmc::Trial",
               "irmc::RunTrials", "irmc::PrepareTrial",
@@ -56,7 +57,8 @@ LAYERS = (
     ("mcast", ("irmc::McastPlan", "irmc::MulticastScheme", "irmc::MakeScheme",
                "irmc::UnicastBinomialScheme", "irmc::KBinomialNiScheme",
                "irmc::TreeWormScheme", "irmc::PathWormMdpLgScheme",
-               "irmc::SeparateAddressingScheme", "irmc::ChooseK",
+               "irmc::SeparateAddressingScheme", "irmc::StarPlan",
+               "irmc::ChooseK",
                "irmc::EvalFpfsCompletion", "irmc::BuildCappedBinomial",
                "irmc::AssignBinomialChildren", "irmc::OrderDestsBySwitch",
                "irmc::BinomialNode", "irmc::FindBestCoveragePath",
